@@ -5,9 +5,10 @@
 //! pair's mode/rate option set under it. The brute arms reconstruct the
 //! original path (a fresh O(M) source scan per victim — O(M²) per wave,
 //! plus a full `options_under` evaluation per pair); the cached arms run
-//! the production path (`PairGainCache` steady-state sums, `OptionsMemo`
-//! hits); the batched arms run the SoA wave path (`rebuild_all` bulk
-//! sweeps, `options_under_batch`, key-sorted `prefetch`). All compute
+//! the production path (`PairGainCache` steady-state sums over
+//! `EdgeKernel::carrier_tile`, `OptionsMemo` hits); the batched arms run
+//! the SoA wave path (`rebuild_all_tiled` bulk sweeps,
+//! `options_under_batch`, key-sorted `prefetch`). All compute
 //! bit-identical answers — the determinism suite and
 //! the debug-build shadow check enforce that — so the arms measure the
 //! same computation. The EXPERIMENTS.md large-fleet table quotes the
@@ -21,6 +22,7 @@ use braidio_net::interference::{
 };
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_radio::Mode;
+use braidio_rfsim::geometry::Point;
 use braidio_units::{Meters, Seconds, Watts};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -72,53 +74,54 @@ fn wave_brute(sc: &FleetScenario) -> f64 {
     acc
 }
 
-/// The production interference path: cached per-edge contributions, sums
-/// replayed only when dirty.
-fn wave_cached(cache: &mut PairGainCache, sc: &FleetScenario) -> f64 {
+/// Pair `q`'s `(tx, rx)` endpoint positions.
+fn ends(sc: &FleetScenario, q: usize) -> (Point, Point) {
+    let qp = &sc.pairs[q];
+    (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
+}
+
+/// The engine's edge-tile kernel over the scenario's static geometry:
+/// gather each tile's endpoints and channel relations, then run
+/// `EdgeKernel::carrier_tile` against victim `v`'s receiver.
+fn edge_tile<'a>(
+    kernel: &'a EdgeKernel,
+    sc: &'a FleetScenario,
+) -> impl Fn(usize, &[u32], &mut [Watts]) + Sync + 'a {
+    move |v, qs, out| {
+        let mut a = [Point::ORIGIN; EDGE_TILE];
+        let mut b = [Point::ORIGIN; EDGE_TILE];
+        let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
+        let k = qs.len();
+        for (i, &q) in qs.iter().enumerate() {
+            (a[i], b[i]) = ends(sc, q as usize);
+            rel[i] = sc.arbitration.relation(v, q as usize);
+        }
+        kernel.carrier_tile(ends(sc, v).1, &a[..k], &b[..k], &rel[..k], out);
+    }
+}
+
+/// The production interference path: cached per-victim sums, rebuilt
+/// through the tiled kernel only when dirty.
+fn wave_cached(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenario) -> f64 {
+    let tile = edge_tile(kernel, sc);
     let mut acc = 0.0;
     for p in 0..sc.pairs.len() {
-        let victim = sc.devices[sc.pairs[p].rx].pos;
-        let w = cache.interference(
-            p,
-            |q| {
-                let qp = &sc.pairs[q];
-                (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
-            },
-            |q| {
-                let qp = &sc.pairs[q];
-                let a = sc.devices[qp.tx].pos;
-                let b = sc.devices[qp.rx].pos;
-                let pos = if a.distance(victim) <= b.distance(victim) {
-                    a
-                } else {
-                    b
-                };
-                carrier_contribution(
-                    &sc.ch,
-                    victim,
-                    &CarrierSource {
-                        pos,
-                        rf: sc.ch.carrier_rf,
-                        relation: sc.arbitration.relation(p, q),
-                    },
-                )
-            },
-        );
-        acc += w.watts();
+        acc += cache.interference(p, &tile).watts();
     }
     acc
 }
 
 fn bench_interference_wave(c: &mut Criterion) {
     let sc = scale_scenario(Arbitration::Uncoordinated);
+    let kernel = EdgeKernel::new(&sc.ch);
     c.bench_function("fleet_replan/interference_wave/brute/64", |b| {
         b.iter(|| black_box(wave_brute(&sc)))
     });
     // Steady state: every sum is clean, a wave is M flag checks + loads.
     let mut cache = PairGainCache::new(PAIRS);
-    wave_cached(&mut cache, &sc);
+    wave_cached(&mut cache, &kernel, &sc);
     c.bench_function("fleet_replan/interference_wave/cached_steady/64", |b| {
-        b.iter(|| black_box(wave_cached(&mut cache, &sc)))
+        b.iter(|| black_box(wave_cached(&mut cache, &kernel, &sc)))
     });
     // After a mobility event: every sum is dirty; each victim recomputes
     // its live edges in pair-index order (the cache is matrix-free, so a
@@ -126,43 +129,18 @@ fn bench_interference_wave(c: &mut Criterion) {
     c.bench_function("fleet_replan/interference_wave/cached_after_move/64", |b| {
         b.iter(|| {
             cache.invalidate_pair(0);
-            black_box(wave_cached(&mut cache, &sc))
+            black_box(wave_cached(&mut cache, &kernel, &sc))
         })
     });
-    // The batched planning-wave path: one `rebuild_all` sweep recomputes
-    // every dirty sum in pair-index order, then the wave is all clean hits.
+    // The batched planning-wave path: one `rebuild_all_tiled` sweep
+    // recomputes every dirty sum in pair-index order, then the wave is all
+    // clean hits.
     let mut bulk = PairGainCache::new(PAIRS);
     c.bench_function("fleet_replan/interference_wave/bulk_rebuild/64", |b| {
         b.iter(|| {
             bulk.invalidate_pair(0);
-            bulk.rebuild_all(
-                |_| true,
-                |q| {
-                    let qp = &sc.pairs[q];
-                    (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
-                },
-                |v, q| {
-                    let victim = sc.devices[sc.pairs[v].rx].pos;
-                    let qp = &sc.pairs[q];
-                    let a = sc.devices[qp.tx].pos;
-                    let b = sc.devices[qp.rx].pos;
-                    let pos = if a.distance(victim) <= b.distance(victim) {
-                        a
-                    } else {
-                        b
-                    };
-                    carrier_contribution(
-                        &sc.ch,
-                        victim,
-                        &CarrierSource {
-                            pos,
-                            rf: sc.ch.carrier_rf,
-                            relation: sc.arbitration.relation(v, q),
-                        },
-                    )
-                },
-            );
-            black_box(wave_cached(&mut bulk, &sc))
+            bulk.rebuild_all_tiled(|_| true, |q| ends(&sc, q), edge_tile(&kernel, &sc));
+            black_box(wave_cached(&mut bulk, &kernel, &sc))
         })
     });
 }
@@ -277,12 +255,13 @@ fn bench_options(c: &mut Criterion) {
 
 fn bench_thread_sweep(c: &mut Criterion) {
     // The intra-wave fan-out (DESIGN.md §12) at each worker count the CI
-    // smoke exercises: a fully-dirty `rebuild_all` sweep — the stage that
+    // smoke exercises: a fully-dirty `rebuild_all_tiled` sweep — the stage that
     // dominates a cold planning wave — at 1/2/4/8 threads. Every arm
     // computes identical bits (the fan-out is pure scheduling); the arm
     // spread is the wall-clock story. On a single-core host the arms time
     // alike; the multi-core runner is where the spread appears.
     let sc = grid(SWEEP_PAIRS, Arbitration::Uncoordinated);
+    let kernel = EdgeKernel::new(&sc.ch);
     let mut cache = PairGainCache::new(SWEEP_PAIRS);
     for threads in [1usize, 2, 4, 8] {
         let name = format!("fleet_replan/interference_wave/bulk_rebuild/j{threads}/{SWEEP_PAIRS}");
@@ -290,33 +269,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
             braidio_pool::with_threads(threads, || {
                 b.iter(|| {
                     cache.invalidate_pair(0);
-                    cache.rebuild_all(
-                        |_| true,
-                        |q| {
-                            let qp = &sc.pairs[q];
-                            (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
-                        },
-                        |v, q| {
-                            let victim = sc.devices[sc.pairs[v].rx].pos;
-                            let qp = &sc.pairs[q];
-                            let a = sc.devices[qp.tx].pos;
-                            let b = sc.devices[qp.rx].pos;
-                            let pos = if a.distance(victim) <= b.distance(victim) {
-                                a
-                            } else {
-                                b
-                            };
-                            carrier_contribution(
-                                &sc.ch,
-                                victim,
-                                &CarrierSource {
-                                    pos,
-                                    rf: sc.ch.carrier_rf,
-                                    relation: sc.arbitration.relation(v, q),
-                                },
-                            )
-                        },
-                    );
+                    cache.rebuild_all_tiled(|_| true, |q| ends(&sc, q), edge_tile(&kernel, &sc));
                     black_box(cache.cached_sum(0))
                 })
             })

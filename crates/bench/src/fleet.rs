@@ -164,9 +164,8 @@ pub fn scenarios() -> Vec<(&'static str, FleetScenario)> {
 }
 
 /// The `--scale` grid at `m` pairs: a √m × √m room grid under each
-/// arbitration policy, far-field cull enabled (bitwise-neutral in-room —
-/// validated by the cull equality tests). Public so the determinism suite
-/// can re-run the exact grid at different thread counts.
+/// arbitration policy. Public so the determinism suite can re-run the exact
+/// grid at different thread counts.
 pub fn scale_scenarios(m: usize) -> Vec<(&'static str, FleetScenario)> {
     policies()
         .into_iter()
@@ -174,8 +173,7 @@ pub fn scale_scenarios(m: usize) -> Vec<(&'static str, FleetScenario)> {
             (
                 "scale",
                 FleetScenario::grid_pairs(m, PAIR_SEP, SPACING, 1.0, 1.0, arb)
-                    .with_horizon(ROOM_HORIZON)
-                    .with_far_field_cull(),
+                    .with_horizon(ROOM_HORIZON),
             )
         })
         .collect()
@@ -191,9 +189,9 @@ const CITY_HORIZON: Seconds = Seconds::new(12.0);
 /// topology ([`FleetScenario::city_block`]) under the two poles of the
 /// arbitration story — uncoordinated (every pair plans against the full
 /// interference field) and round-robin TDMA (interference-free slots, but
-/// a 10⁴-deep rotation starves most pairs inside the horizon). Far-field
-/// cull on, as in the scale family. Public so the determinism suite can
-/// re-run the exact grid at different thread counts.
+/// a 10⁴-deep rotation starves most pairs inside the horizon). Public so
+/// the determinism suite can re-run the exact grid at different thread
+/// counts.
 pub fn city_scenarios(m: usize) -> Vec<(&'static str, FleetScenario)> {
     [
         Arbitration::Uncoordinated,
@@ -203,9 +201,7 @@ pub fn city_scenarios(m: usize) -> Vec<(&'static str, FleetScenario)> {
     .map(|arb| {
         (
             "city",
-            FleetScenario::city_block(m, arb)
-                .with_horizon(CITY_HORIZON)
-                .with_far_field_cull(),
+            FleetScenario::city_block(m, arb).with_horizon(CITY_HORIZON),
         )
     })
     .collect()
@@ -519,7 +515,7 @@ pub fn run_scale(m: usize) {
         SPACING.meters(),
         ROOM_HORIZON.seconds()
     );
-    println!("       far-field cull on; goodput in bit/s):");
+    println!("       goodput in bit/s):");
     println!(
         "{:>14} {:>15} {:>9} {:>12} {:>13} {:>9}",
         "policy", "goodput/pair", "fairness", "bs+passive", "carrier duty", "nJ/bit"

@@ -113,9 +113,9 @@ fn fleet_grid_identical_at_1_and_4_threads() {
 #[test]
 fn fleet_scale_identical_at_1_and_4_threads() {
     // The large-fleet rung (`experiments fleet --scale`) must hold the
-    // same guarantee as the default grid: the cached interference sums,
-    // options memo, and far-field cull are all per-engine state, so a
-    // 32-pair scenario sharded across the pool comes back bit-identical.
+    // same guarantee as the default grid: the cached interference sums
+    // and options memo are per-engine state, so a 32-pair scenario sharded
+    // across the pool comes back bit-identical.
     let grid = fleet::scale_scenarios(32);
     let run = |n| pool::with_threads(n, || braidio_pool::par_map(&grid, |(_, sc)| run_fleet(sc)));
     let serial = run(1);

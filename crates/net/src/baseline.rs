@@ -12,7 +12,6 @@
 #![doc(hidden)]
 
 use crate::arbitration::Arbitration;
-use crate::cache::far_field_cutoff;
 use crate::interference::{carrier_contribution, CarrierSource, OptionsMemo};
 use crate::kernel::EventQueue;
 use crate::metrics::FleetReport;
@@ -27,7 +26,6 @@ use braidio_radio::{Battery, Mode, Role};
 use braidio_rfsim::geometry::Point;
 use braidio_telemetry as telemetry;
 use braidio_units::{Joules, Meters, Seconds, Watts};
-use std::collections::HashMap;
 
 const STATUS_BITS: f64 = 256.0;
 
@@ -119,14 +117,6 @@ struct ScalarGainCache {
     sum: Vec<f64>,
     sum_dirty: Vec<bool>,
     live: Vec<bool>,
-    cull: Option<ScalarCull>,
-}
-
-#[derive(Debug)]
-struct ScalarCull {
-    cutoff: f64,
-    near: Vec<Vec<u32>>,
-    stale: bool,
 }
 
 impl ScalarGainCache {
@@ -137,18 +127,7 @@ impl ScalarGainCache {
             sum: vec![0.0; n],
             sum_dirty: vec![true; n],
             live: vec![true; n],
-            cull: None,
         }
-    }
-
-    fn with_cull(n: usize, cutoff: Meters) -> Self {
-        let mut c = Self::new(n);
-        c.cull = Some(ScalarCull {
-            cutoff: cutoff.meters(),
-            near: vec![Vec::new(); n],
-            stale: true,
-        });
-        c
     }
 
     fn is_live(&self, q: usize) -> bool {
@@ -174,100 +153,31 @@ impl ScalarGainCache {
         for d in self.sum_dirty.iter_mut() {
             *d = true;
         }
-        if let Some(cull) = &mut self.cull {
-            cull.stale = true;
-        }
     }
 
-    fn interference<P, E>(&mut self, victim: usize, endpoints: P, mut edge: E) -> Watts
+    fn interference<E>(&mut self, victim: usize, mut edge: E) -> Watts
     where
-        P: Fn(usize) -> (Point, Point),
         E: FnMut(usize) -> Watts,
     {
-        let Self {
-            n,
-            contrib,
-            sum,
-            sum_dirty,
-            live,
-            cull,
-        } = self;
-        let n = *n;
-        if let Some(cull) = cull.as_mut() {
-            if cull.stale {
-                rebuild_candidates(cull, n, &endpoints);
-            }
-        }
-        if !sum_dirty[victim] {
-            return Watts::new(sum[victim]);
+        let n = self.n;
+        if !self.sum_dirty[victim] {
+            return Watts::new(self.sum[victim]);
         }
         let mut acc = Watts::new(0.0);
-        let mut add = |q: usize| {
-            if q == victim || !live[q] {
-                return;
+        for q in 0..n {
+            if q == victim || !self.live[q] {
+                continue;
             }
-            let slot = &mut contrib[victim * n + q];
+            let slot = &mut self.contrib[victim * n + q];
             if slot.is_nan() {
                 *slot = edge(q).watts();
             }
             acc += Watts::new(*slot);
-        };
-        match cull {
-            Some(c) => {
-                for &q in &c.near[victim] {
-                    add(q as usize);
-                }
-            }
-            None => {
-                for q in 0..n {
-                    add(q);
-                }
-            }
         }
-        sum[victim] = acc.watts();
-        sum_dirty[victim] = false;
+        self.sum[victim] = acc.watts();
+        self.sum_dirty[victim] = false;
         acc
     }
-}
-
-fn rebuild_candidates<P>(cull: &mut ScalarCull, n: usize, endpoints: &P)
-where
-    P: Fn(usize) -> (Point, Point),
-{
-    let c = cull.cutoff;
-    let cell = |p: Point| ((p.x / c).floor() as i64, (p.y / c).floor() as i64);
-    let mut grid: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
-    for q in 0..n {
-        let (a, b) = endpoints(q);
-        grid.entry(cell(a)).or_default().push(q as u32);
-        let cb = cell(b);
-        if cb != cell(a) {
-            grid.entry(cb).or_default().push(q as u32);
-        }
-    }
-    for v in 0..n {
-        let victim = endpoints(v).1;
-        let (cx, cy) = cell(victim);
-        let near = &mut cull.near[v];
-        near.clear();
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if let Some(bucket) = grid.get(&(cx + dx, cy + dy)) {
-                    near.extend_from_slice(bucket);
-                }
-            }
-        }
-        near.sort_unstable();
-        near.dedup();
-        near.retain(|&q| {
-            if q as usize == v {
-                return false;
-            }
-            let (a, b) = endpoints(q as usize);
-            a.distance(victim).min(b.distance(victim)) <= Meters::new(c)
-        });
-    }
-    cull.stale = false;
 }
 
 /// Run a fleet scenario through the pre-refactor engine (the bitwise
@@ -327,11 +237,7 @@ impl<'a> Fleet<'a> {
                 last_mode: None,
             })
             .collect();
-        let gains = if sc.far_field_cull {
-            ScalarGainCache::with_cull(sc.pairs.len(), far_field_cutoff(&sc.ch))
-        } else {
-            ScalarGainCache::new(sc.pairs.len())
-        };
+        let gains = ScalarGainCache::new(sc.pairs.len());
         Fleet {
             sc,
             q: EventQueue::new(),
@@ -704,32 +610,25 @@ impl<'a> Fleet<'a> {
         let sc = self.sc;
         let devices = &self.devices;
         let victim = devices[sc.pairs[p].rx].pos;
-        self.gains.interference(
-            p,
-            |q| {
-                let qp = &sc.pairs[q];
-                (devices[qp.tx].pos, devices[qp.rx].pos)
-            },
-            |q| {
-                let qp = &sc.pairs[q];
-                let a = devices[qp.tx].pos;
-                let b = devices[qp.rx].pos;
-                let pos = if a.distance(victim) <= b.distance(victim) {
-                    a
-                } else {
-                    b
-                };
-                carrier_contribution(
-                    &sc.ch,
-                    victim,
-                    &CarrierSource {
-                        pos,
-                        rf: sc.ch.carrier_rf,
-                        relation: sc.arbitration.relation(p, q),
-                    },
-                )
-            },
-        )
+        self.gains.interference(p, |q| {
+            let qp = &sc.pairs[q];
+            let a = devices[qp.tx].pos;
+            let b = devices[qp.rx].pos;
+            let pos = if a.distance(victim) <= b.distance(victim) {
+                a
+            } else {
+                b
+            };
+            carrier_contribution(
+                &sc.ch,
+                victim,
+                &CarrierSource {
+                    pos,
+                    rf: sc.ch.carrier_rf,
+                    relation: sc.arbitration.relation(p, q),
+                },
+            )
+        })
     }
 
     fn pair_distance(&mut self, p: usize, now: Seconds) -> Meters {

@@ -79,7 +79,7 @@
 //! session ignore it.
 
 use crate::arbitration::Arbitration;
-use crate::cache::{far_field_cutoff, PairGainCache};
+use crate::cache::PairGainCache;
 use crate::interference::{EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE};
 use crate::kernel::EventQueue;
 use crate::lifecycle::{self, LinkPhase, PhaseEvent, PHASE_COUNT};
@@ -257,6 +257,31 @@ impl Pairs {
     }
 }
 
+/// The engine's one edge-tile kernel, shared by the bulk wave sweep and the
+/// lazy per-pair path: gathers each tile's endpoints (`ends(q)` is pair
+/// `q`'s `(tx, rx)` position) and channel relations into stack arrays, then
+/// runs [`EdgeKernel::carrier_tile`] against victim `v`'s receiver.
+fn edge_tile<'a, F>(
+    edges: &'a EdgeKernel,
+    arbitration: Arbitration,
+    ends: F,
+) -> impl Fn(usize, &[u32], &mut [Watts]) + Sync + 'a
+where
+    F: Fn(usize) -> (Point, Point) + Sync + 'a,
+{
+    move |v, qs, out| {
+        let mut a = [Point::new(0.0, 0.0); EDGE_TILE];
+        let mut b = [Point::new(0.0, 0.0); EDGE_TILE];
+        let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
+        let k = qs.len();
+        for (i, &q) in qs.iter().enumerate() {
+            (a[i], b[i]) = ends(q as usize);
+            rel[i] = arbitration.relation(v, q as usize);
+        }
+        edges.carrier_tile(ends(v).1, &a[..k], &b[..k], &rel[..k], out);
+    }
+}
+
 /// Run a fleet scenario to its horizon (or until every session dies).
 pub fn run_fleet(scenario: &FleetScenario) -> FleetReport {
     scenario.validate();
@@ -430,11 +455,7 @@ impl<'a> Fleet<'a> {
             pairs.roam_leg2.push(tag_seen[p.tx]);
             tag_seen[p.tx] = true;
         }
-        let mut gains = if sc.far_field_cull {
-            PairGainCache::with_cull(n, far_field_cutoff(&sc.ch))
-        } else {
-            PairGainCache::new(n)
-        };
+        let mut gains = PairGainCache::new(n);
         if sc.churn.is_some() {
             // Open-system sessions start radio-silent in Init: nobody is
             // on air until a beacon admits them.
@@ -1098,8 +1119,9 @@ impl<'a> Fleet<'a> {
     ///
     /// Three stages, all over the flat arrays in pair-index order:
     /// 1. bulk-rebuild every stale interference sum for static live
-    ///    victims ([`PairGainCache::rebuild_all`] — the identical
-    ///    per-victim loop the lazy path runs, so not a bit moves);
+    ///    victims ([`PairGainCache::rebuild_all_tiled`] — the identical
+    ///    per-victim loop and edge-tile kernel the lazy path runs, so not
+    ///    a bit moves);
     /// 2. collect the wave's quantized `OptionsMemo` keys (static live
     ///    pairs only — mobile pairs refresh their geometry at event time
     ///    and take the per-pair path), then sort + dedup;
@@ -1152,23 +1174,11 @@ impl<'a> Fleet<'a> {
             self.wave_a.extend(tx.iter().map(|&d| pos[d]));
             self.wave_b.extend(rx.iter().map(|&d| pos[d]));
             let (pa, pb) = (&self.wave_a, &self.wave_b);
-            let edges = &self.edges;
+            let ends = |q: usize| (pa[q], pb[q]);
             self.gains.rebuild_all_tiled(
                 |v| !mobile[v] && on_air(v),
-                |q| (pa[q], pb[q]),
-                |v, qs: &[u32], out: &mut [Watts]| {
-                    let vp = pb[v];
-                    let mut a = [Point::new(0.0, 0.0); EDGE_TILE];
-                    let mut b = [Point::new(0.0, 0.0); EDGE_TILE];
-                    let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
-                    let k = qs.len();
-                    for (i, &q) in qs.iter().enumerate() {
-                        a[i] = pa[q as usize];
-                        b[i] = pb[q as usize];
-                        rel[i] = sc.arbitration.relation(v, q as usize);
-                    }
-                    edges.carrier_tile(vp, &a[..k], &b[..k], &rel[..k], out);
-                },
+                ends,
+                edge_tile(&self.edges, sc.arbitration, ends),
             );
         }
         self.wave_keys.clear();
@@ -1417,22 +1427,12 @@ impl<'a> Fleet<'a> {
         if !self.sc.arbitration.carriers_overlap() {
             return Watts::ZERO;
         }
-        let sc = self.sc;
-        let pos = &self.devices.pos;
-        let (ptx, prx) = (&self.pairs.tx, &self.pairs.rx);
-        let victim = pos[prx[p]];
-        let edges = &self.edges;
+        let (pos, ptx, prx) = (&self.devices.pos, &self.pairs.tx, &self.pairs.rx);
         let w = self.gains.interference(
             p,
-            |q| (pos[ptx[q]], pos[prx[q]]),
-            |q| {
-                edges.carrier_from_pair(
-                    victim,
-                    pos[ptx[q]],
-                    pos[prx[q]],
-                    sc.arbitration.relation(p, q),
-                )
-            },
+            edge_tile(&self.edges, self.sc.arbitration, |q| {
+                (pos[ptx[q]], pos[prx[q]])
+            }),
         );
         #[cfg(debug_assertions)]
         self.shadow_check(p, w);
@@ -1440,13 +1440,12 @@ impl<'a> Fleet<'a> {
     }
 
     /// Debug-build oracle: recompute pair `p`'s interference the original
-    /// brute-force way (full rescan, no cull, pair-index order) and check
-    /// the cached answer against it — bit-equal without the cull, within
-    /// `pairs × cull_epsilon` with it. Also asserts the cache's liveness
-    /// view matches the FSMs. The rescan runs through the same
-    /// [`EdgeKernel::carrier_from_pair`] the cache paths use — one
-    /// arithmetic definition of an edge — so what this checks is liveness,
-    /// ordering and cache bookkeeping; the kernel's own equality to the
+    /// brute-force way (full per-edge rescan in pair-index order) and check
+    /// the cached answer against it bit for bit. Also asserts the cache's
+    /// liveness view matches the FSMs. The rescan runs through the scalar
+    /// [`EdgeKernel::carrier_from_pair`], whose lanes the tiled kernel
+    /// reproduces exactly, so what this checks is liveness, ordering,
+    /// tiling and cache bookkeeping; the kernel's own equality to the
     /// direct `carrier_contribution` path is pinned by the `net::baseline`
     /// oracle and the interference proptests.
     #[cfg(debug_assertions)]
@@ -1477,20 +1476,11 @@ impl<'a> Fleet<'a> {
                 self.sc.arbitration.relation(p, qi),
             );
         }
-        if self.sc.far_field_cull {
-            let slack = self.pairs.len() as f64 * crate::cache::cull_epsilon(&self.sc.ch).watts();
-            debug_assert!(
-                got.watts() <= brute.watts() * (1.0 + 1e-12) + 1e-300
-                    && brute.watts() <= got.watts() * (1.0 + 1e-12) + slack,
-                "culled sum {got} strayed from brute force {brute} (pair {p})"
-            );
-        } else {
-            debug_assert_eq!(
-                got.watts().to_bits(),
-                brute.watts().to_bits(),
-                "cached sum {got} != brute force {brute} (pair {p})"
-            );
-        }
+        debug_assert_eq!(
+            got.watts().to_bits(),
+            brute.watts().to_bits(),
+            "cached sum {got} != brute force {brute} (pair {p})"
+        );
     }
 
     /// The pair's current separation; a mobile receiver is displaced along

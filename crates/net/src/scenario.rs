@@ -134,10 +134,6 @@ pub struct FleetScenario {
     /// Charge association/status/probe control traffic (§4.2 steps 1–2).
     /// Off for cross-validation against `mac::sim`, which charges neither.
     pub control_overhead: bool,
-    /// Enable the conservative far-field interference cull
-    /// ([`crate::cache::far_field_cutoff`]). Off by default; bitwise-neutral
-    /// wherever all pairs sit within the cutoff (every in-room scenario).
-    pub far_field_cull: bool,
     /// Open-system churn: present iff this is an
     /// [`open_system`](Self::open_system) scenario. Closed scenarios keep
     /// `None` and take the legacy fast path through the engine.
@@ -172,7 +168,6 @@ impl FleetScenario {
             replan_interval: Seconds::new(10.0),
             horizon: Seconds::new(600.0),
             control_overhead: true,
-            far_field_cull: false,
             churn: None,
         }
     }
@@ -186,12 +181,6 @@ impl FleetScenario {
     /// Same scenario without control-plane energy accounting.
     pub fn without_control_overhead(mut self) -> Self {
         self.control_overhead = false;
-        self
-    }
-
-    /// Same scenario with the far-field interference cull enabled.
-    pub fn with_far_field_cull(mut self) -> Self {
-        self.far_field_cull = true;
         self
     }
 

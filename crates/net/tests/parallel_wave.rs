@@ -32,47 +32,42 @@ use proptest::prelude::*;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// A random small fleet: grid or star topology, every arbitration policy,
-/// optional far-field cull, optional mid-run mobility. Small horizons keep
+/// optional mid-run mobility. Small horizons keep
 /// the 4-thread-count sweep affordable per case while still crossing
 /// several replan waves. The vendored proptest shim has no `prop_oneof!`,
 /// so topology and policy are integer selectors mapped in one `prop_map`.
 fn arb_scenario() -> impl Strategy<Value = FleetScenario> {
-    (0u32..4, 2usize..=16, 0u32..3, any::<bool>(), 0u32..3).prop_map(
-        |(topo, m, arb_sel, cull, mobile)| {
-            let arb = match arb_sel {
-                0 => Arbitration::Uncoordinated,
-                1 => Arbitration::ChannelPlan { channels: 2 },
-                _ => Arbitration::TdmaRoundRobin {
-                    slot: Seconds::new(0.25),
-                },
-            };
-            if topo == 3 {
-                // Stars with coin-cell tags (1 case in 4): uncoordinated
-                // runs kill sessions, so the death path (mark_dead, wave
-                // re-dirtying) runs under the fan-out too.
-                let tags = 3 + m % 6;
-                return FleetScenario::star(tags, Meters::new(0.5), 99.5, 0.002, arb)
-                    .with_horizon(Seconds::new(8.0));
-            }
-            let mut sc =
-                FleetScenario::grid_pairs(m, Meters::new(0.5), Meters::new(3.0), 1.0, 1.0, arb)
-                    .with_horizon(Seconds::new(6.0));
-            sc.replan_interval = Seconds::new(1.0);
-            if cull {
-                sc = sc.with_far_field_cull();
-            }
-            // A walking pair re-dirties the interference field mid-run,
-            // driving the wave's lazy per-pair fallback under the fan-out.
-            if mobile > 0 {
-                sc.pairs[0].walk = Some(LinearWalk {
-                    start: Meters::new(0.5),
-                    end: Meters::new(0.5 + mobile as f64),
-                    duration: Seconds::new(4.0),
-                });
-            }
-            sc
-        },
-    )
+    (0u32..4, 2usize..=16, 0u32..3, 0u32..3).prop_map(|(topo, m, arb_sel, mobile)| {
+        let arb = match arb_sel {
+            0 => Arbitration::Uncoordinated,
+            1 => Arbitration::ChannelPlan { channels: 2 },
+            _ => Arbitration::TdmaRoundRobin {
+                slot: Seconds::new(0.25),
+            },
+        };
+        if topo == 3 {
+            // Stars with coin-cell tags (1 case in 4): uncoordinated
+            // runs kill sessions, so the death path (mark_dead, wave
+            // re-dirtying) runs under the fan-out too.
+            let tags = 3 + m % 6;
+            return FleetScenario::star(tags, Meters::new(0.5), 99.5, 0.002, arb)
+                .with_horizon(Seconds::new(8.0));
+        }
+        let mut sc =
+            FleetScenario::grid_pairs(m, Meters::new(0.5), Meters::new(3.0), 1.0, 1.0, arb)
+                .with_horizon(Seconds::new(6.0));
+        sc.replan_interval = Seconds::new(1.0);
+        // A walking pair re-dirties the interference field mid-run,
+        // driving the wave's lazy per-pair fallback under the fan-out.
+        if mobile > 0 {
+            sc.pairs[0].walk = Some(LinearWalk {
+                start: Meters::new(0.5),
+                end: Meters::new(0.5 + mobile as f64),
+                duration: Seconds::new(4.0),
+            });
+        }
+        sc
+    })
 }
 
 /// Per-device energy ledger: `((run, device), joules-as-bits)`, sorted.

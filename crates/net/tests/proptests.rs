@@ -139,7 +139,8 @@ proptest! {
 
     /// The incremental cache's bitwise contract under arbitrary event
     /// sequences: after every death / move / relation-change event, every
-    /// victim's cached sum equals the brute-force rescan bit-for-bit.
+    /// victim's cached sum — served through the edge-tile entry the engine
+    /// uses — equals the per-edge brute-force rescan bit-for-bit.
     #[test]
     fn cached_interference_tracks_brute_force_through_events(
         n in 2usize..8,
@@ -163,7 +164,11 @@ proptest! {
                          rel: &[u8]|
          -> Result<(), TestCaseError> {
             for v in 0..n {
-                let got = cache.interference(v, |q| eps[q], |q| edge_power(v, q, eps, rel));
+                let got = cache.interference(v, |v, qs: &[u32], out: &mut [Watts]| {
+                    for (o, &q) in out.iter_mut().zip(qs) {
+                        *o = edge_power(v, q as usize, eps, rel);
+                    }
+                });
                 let want = brute_sum(v, eps, live, rel);
                 prop_assert_eq!(
                     got.watts().to_bits(),
@@ -172,7 +177,9 @@ proptest! {
                 );
                 // And the clean-sum fast path returns the same bits
                 // without ever calling back into the physics.
-                let again = cache.interference(v, |q| eps[q], |_| panic!("sum was clean"));
+                let again = cache.interference(v, |_, _: &[u32], _: &mut [Watts]| {
+                    panic!("sum was clean")
+                });
                 prop_assert_eq!(again.watts().to_bits(), got.watts().to_bits());
             }
             Ok(())

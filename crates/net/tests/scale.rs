@@ -1,13 +1,10 @@
-//! Large-fleet integration gates: the far-field cull is bitwise-neutral
-//! wherever it is enabled in shipped scenarios, it genuinely fires on
-//! dispersed geometry (no vacuous machinery), and hundred-pair scenarios
-//! complete under every arbitration policy. Dev-profile runs also engage
-//! the engine's debug shadow check, so each of these re-validates the
-//! cached interference path against the brute-force rescan bit-for-bit.
+//! Large-fleet integration gates: the FSPL memo earns its keep on a room
+//! grid, and hundred-pair scenarios complete under every arbitration
+//! policy. Dev-profile runs also engage the engine's debug shadow check,
+//! so each of these re-validates the cached interference path against the
+//! brute-force rescan bit-for-bit.
 
-use braidio_net::cache::far_field_cutoff;
-use braidio_net::{run_fleet, Arbitration, FleetReport, FleetScenario};
-use braidio_radio::characterization::Characterization;
+use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_telemetry as telemetry;
 use braidio_units::{Meters, Seconds};
 
@@ -28,89 +25,6 @@ fn grid(m: usize, spacing: Meters, horizon: Seconds, arb: Arbitration) -> FleetS
     FleetScenario::grid_pairs(m, PAIR_SEP, spacing, 1.0, 1.0, arb).with_horizon(horizon)
 }
 
-/// Every simulated quantity in the two reports is bit-for-bit equal.
-fn assert_reports_bitwise(a: &FleetReport, b: &FleetReport, what: &str) {
-    assert_eq!(a.events, b.events, "{what}: event counts");
-    assert_eq!(a.replans, b.replans, "{what}: replan counts");
-    assert_eq!(
-        a.end_time.seconds().to_bits(),
-        b.end_time.seconds().to_bits(),
-        "{what}: end time"
-    );
-    assert_eq!(a.pair_bits.len(), b.pair_bits.len(), "{what}: pair count");
-    for (p, (x, y)) in a.pair_bits.iter().zip(&b.pair_bits).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: pair {p} bits");
-    }
-    for (p, (x, y)) in a.pair_dead_at.iter().zip(&b.pair_dead_at).enumerate() {
-        assert_eq!(
-            x.map(|t| t.seconds().to_bits()),
-            y.map(|t| t.seconds().to_bits()),
-            "{what}: pair {p} death time"
-        );
-    }
-    for (d, (x, y)) in a.device_spent.iter().zip(&b.device_spent).enumerate() {
-        assert_eq!(
-            x.joules().to_bits(),
-            y.joules().to_bits(),
-            "{what}: device {d} energy"
-        );
-    }
-    for (d, (x, y)) in a
-        .device_carrier_time
-        .iter()
-        .zip(&b.device_carrier_time)
-        .enumerate()
-    {
-        assert_eq!(
-            x.seconds().to_bits(),
-            y.seconds().to_bits(),
-            "{what}: device {d} carrier time"
-        );
-    }
-}
-
-#[test]
-fn cull_on_vs_off_is_bitwise_neutral_in_room() {
-    // The shipped `--scale` scenarios enable the cull on in-room grids,
-    // where the conservative cutoff (hundreds of km) keeps every source —
-    // so enabling it must not move a single bit.
-    for arb in policies() {
-        let base = grid(16, SPACING, Seconds::new(15.0), arb);
-        let culled = grid(16, SPACING, Seconds::new(15.0), arb).with_far_field_cull();
-        let a = run_fleet(&base);
-        let b = run_fleet(&culled);
-        assert_reports_bitwise(&a, &b, arb.label());
-    }
-}
-
-#[test]
-fn cull_fires_and_stays_bitwise_on_dispersed_grid() {
-    // Pairs scattered 1.5 cutoffs apart: every foreign source is provably
-    // below the cull epsilon, so the cull drops all of them — and the
-    // dropped power is so far under the detector noise floor that the
-    // culled run still matches the uncalled one bit-for-bit.
-    let cutoff = far_field_cutoff(&Characterization::braidio());
-    let spacing = Meters::new(cutoff.meters() * 1.5);
-    let base = grid(9, spacing, Seconds::new(10.0), Arbitration::Uncoordinated);
-    let culled =
-        grid(9, spacing, Seconds::new(10.0), Arbitration::Uncoordinated).with_far_field_cull();
-
-    let a = run_fleet(&base);
-    // Count cull decisions through the telemetry counters (thread-local,
-    // so concurrent tests cannot pollute the tally).
-    telemetry::set_enabled(true);
-    let b = run_fleet(&culled);
-    telemetry::set_enabled(false);
-    let drops = telemetry::counters_snapshot()
-        .into_iter()
-        .find(|(name, _)| name == "net.interference.cull_drop")
-        .map(|(_, v)| v)
-        .unwrap_or(0);
-    telemetry::take_events();
-    assert!(drops > 0, "dispersed grid culled nothing — vacuous test");
-    assert_reports_bitwise(&a, &b, "dispersed");
-}
-
 #[test]
 fn fspl_memo_hit_rate_exceeds_99_percent_on_a_grid() {
     // The memoized edge kernel's economic premise: a room grid reuses a
@@ -119,8 +33,7 @@ fn fspl_memo_hit_rate_exceeds_99_percent_on_a_grid() {
     // acceptance floor; a healthy grid run sits well above it. The
     // counters are diagnostics (tile-dependent totals), so this asserts a
     // ratio, never exact counts.
-    let sc =
-        grid(100, SPACING, Seconds::new(10.0), Arbitration::Uncoordinated).with_far_field_cull();
+    let sc = grid(100, SPACING, Seconds::new(10.0), Arbitration::Uncoordinated);
     telemetry::set_enabled(true);
     let r = run_fleet(&sc);
     telemetry::set_enabled(false);
@@ -149,7 +62,7 @@ fn hundred_twenty_eight_pairs_complete_under_every_policy() {
     // all three arbitration policies, with the debug shadow check
     // auditing every cached interference sum along the way.
     for arb in policies() {
-        let sc = grid(128, SPACING, Seconds::new(10.0), arb).with_far_field_cull();
+        let sc = grid(128, SPACING, Seconds::new(10.0), arb);
         let r = run_fleet(&sc);
         assert_eq!(
             r.end_time.seconds().to_bits(),

@@ -24,15 +24,14 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
         Arbitration::ChannelPlan { channels: 2 },
         Arbitration::TdmaRoundRobin { slot: SLOT },
     ];
-    // The acceptance grids: 32 and 64 pairs under every policy, cull on
-    // (the shipped `--scale` configuration).
+    // The acceptance grids: 32 and 64 pairs under every policy (the
+    // shipped `--scale` configuration).
     for m in [32usize, 64] {
         for arb in policies {
             out.push((
                 format!("grid-{m}-{}", arb.label()),
                 FleetScenario::grid_pairs(m, Meters::new(0.5), Meters::new(3.0), 1.0, 1.0, arb)
-                    .with_horizon(Seconds::new(15.0))
-                    .with_far_field_cull(),
+                    .with_horizon(Seconds::new(15.0)),
             ));
         }
     }
@@ -50,8 +49,8 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
     }
     // Mobility: a walking pair invalidates the interference field mid-run,
     // exercising the wave sweep's re-dirty / lazy-fallback interplay.
+    use braidio_mac::mobility::LinearWalk;
     {
-        use braidio_mac::mobility::LinearWalk;
         let mut sc = FleetScenario::independent_pairs(
             4,
             Meters::new(0.5),
@@ -68,6 +67,27 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
             duration: Seconds::new(20.0),
         });
         out.push(("mobile-4-uncoordinated".into(), sc));
+    }
+    // The same on a grid wider than one edge tile: the walking pair's lazy
+    // sums run the tiled kernel across multi-tile source lists, checked
+    // against the baseline's per-edge direct path.
+    {
+        let mut sc = FleetScenario::grid_pairs(
+            80,
+            Meters::new(0.5),
+            Meters::new(3.0),
+            1.0,
+            1.0,
+            Arbitration::Uncoordinated,
+        )
+        .with_horizon(Seconds::new(15.0));
+        sc.replan_interval = Seconds::new(1.0);
+        sc.pairs[0].walk = Some(LinearWalk {
+            start: Meters::new(0.5),
+            end: Meters::new(4.0),
+            duration: Seconds::new(10.0),
+        });
+        out.push(("mobile-80-uncoordinated".into(), sc));
     }
     out
 }

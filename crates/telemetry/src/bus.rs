@@ -164,9 +164,9 @@ fn emit_slow(event: Event) {
 ///
 /// * `net.kernel.scheduled` / `net.kernel.delivered` — DES event traffic.
 /// * `net.arbitration.deferred` — TDMA window skips.
-/// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` /
-///   `cull_drop` — the incremental interference cache's hit/rebuild/edge
-///   economics and far-field cull decisions (`braidio-net::cache`).
+/// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` —
+///   the incremental interference cache's hit/rebuild/edge economics
+///   (`braidio-net::cache`).
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
 ///   `options_under` memo.
 /// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss
