@@ -19,13 +19,16 @@
 //! ```
 //!
 //! The full argument list is validated before anything runs: a typo in the
-//! last name no longer wastes the minutes the first names took.
+//! last name no longer wastes the minutes the first names took. The fleet
+//! flags (`--scale N`, `--city-block | --churn`, `--timeseries`) resolve
+//! once into a [`FleetRun`] value that the `fleet` experiment runs from.
 //!
 //! Tracing never changes stdout: event capture is buffered in memory and
 //! rendered to the requested files after all experiments finish, and the
 //! trace carries simulated time only — so the files are byte-identical at
 //! any `--jobs` count.
 
+use braidio_bench::fleet::{self, Family, FleetRun};
 use braidio_bench::{ALL, HIDDEN};
 use braidio_telemetry as telemetry;
 use std::time::Instant;
@@ -50,12 +53,8 @@ struct Cli {
     timeseries: Option<String>,
     /// Worker-thread override (`--jobs N`), if given.
     jobs: Option<usize>,
-    /// Large-fleet pair count for the `fleet` experiment (`--scale N`).
-    scale: Option<usize>,
-    /// Run `fleet` as the city-block stress topology (`--city-block`).
-    city_block: bool,
-    /// Run `fleet` as the open-system churn rung (`--churn`).
-    churn: bool,
+    /// The `fleet` experiment's family, size and sampling choice.
+    fleet: FleetRun,
 }
 
 fn main() {
@@ -85,27 +84,26 @@ fn main() {
     if let Some(n) = cli.jobs {
         braidio::pool::set_threads(n);
     }
-    if let Some(n) = cli.scale {
-        braidio_bench::fleet::set_scale(n);
-    }
-    braidio_bench::fleet::set_city(cli.city_block);
-    braidio_bench::fleet::set_churn(cli.churn);
     if cli.trace_events.is_some() || cli.trace_chrome.is_some() {
         telemetry::set_enabled(true);
     }
     if cli.profile.is_some() || cli.profile_folded.is_some() {
         telemetry::set_profiling(true);
     }
-    braidio_bench::fleet::set_timeseries(cli.timeseries.is_some());
 
     let mut timings: Vec<(&str, f64)> = Vec::new();
+    let mut series = Vec::new();
     for (j, (name, run)) in cli.runs.iter().enumerate() {
         // Each experiment gets a disjoint run-id block, so a combined trace
         // (`all --trace-events ...`) keeps the experiments apart even when
         // two of them use the same per-work-item run offsets.
         telemetry::set_run_base((j as u32) << 16);
         let t0 = Instant::now();
-        run();
+        if *name == "fleet" {
+            series.extend(fleet::execute(&cli.fleet));
+        } else {
+            run();
+        }
         timings.push((name, t0.elapsed().as_secs_f64()));
     }
 
@@ -137,11 +135,6 @@ fn main() {
     // The time series is collected inside the engine's serial event loop, so
     // like the event trace it carries simulated time only and both renderings
     // are byte-identical at any `--jobs` count.
-    let series = if cli.timeseries.is_some() {
-        braidio_bench::fleet::take_series()
-    } else {
-        Vec::new()
-    };
     if let Some(path) = &cli.timeseries {
         write_or_die(path, &telemetry::timeseries::render_csv(&series));
         write_or_die(
@@ -234,11 +227,11 @@ fn write_or_die(path: &str, contents: &str) {
     }
 }
 
-/// Render the timing report as JSON (schema 7, stable):
+/// Render the timing report as JSON (schema 8, stable):
 ///
 /// ```json
 /// {
-///   "schema": 7,
+///   "schema": 8,
 ///   "git_sha": "<HEAD sha or \"unknown\">",
 ///   "threads": 4,
 ///   "threads_source": "jobs-flag",
@@ -283,7 +276,13 @@ fn write_or_die(path: &str, contents: &str) {
 /// the `counters` array now carries the exact-FSPL-memo hit/miss totals
 /// (`net.fspl.hit` / `net.fspl.miss`; tile- and thread-count-dependent
 /// diagnostics, not simulated quantities). Report shape and every
-/// pre-existing key are unchanged.
+/// pre-existing key are unchanged. Schema 8 records the same wall-clock keys
+/// for every fleet family under `fleet.<family>.` (`grid`, `scale`, `city`,
+/// `churn`): the `replan_latency_s`/`wave_latency_s` histograms and the
+/// `edges_per_s`, `peak_rss_bytes`, `threads`, `wave_chunk_pairs` metrics.
+/// Mapping from schema 7: `fleet.replan_latency_s` is renamed
+/// `fleet.grid.replan_latency_s`; new are the five other `fleet.grid.*` keys
+/// and `fleet.{city,churn}.replan_latency_s`; every other key is unchanged.
 ///
 /// Written by hand (no serde in the workspace); experiment, metric and
 /// series names are lowercase identifiers, so no JSON string escaping is
@@ -291,7 +290,7 @@ fn write_or_die(path: &str, contents: &str) {
 fn bench_json(timings: &[(&str, f64)], series: &[telemetry::timeseries::Series]) -> String {
     let total: f64 = timings.iter().map(|(_, s)| s).sum();
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 7,\n");
+    out.push_str("  \"schema\": 8,\n");
     out.push_str(&format!("  \"git_sha\": \"{}\",\n", git_sha()));
     out.push_str(&format!(
         "  \"threads\": {},\n",
@@ -507,6 +506,16 @@ fn parse(args: Vec<String>) -> Result<Option<Cli>, String> {
     if timeseries.is_some() && !runs.iter().any(|(id, _)| *id == "fleet") {
         return Err("--timeseries samples the 'fleet' experiment — add it to the selection".into());
     }
+    let family = match (scale, city_block, churn) {
+        (n, _, true) => Family::Churn(n.unwrap_or(fleet::CHURN_DEFAULT_DEVICES)),
+        (n, true, _) => Family::City(n.unwrap_or(fleet::CITY_DEFAULT_PAIRS)),
+        (Some(n), ..) => Family::Scale(n),
+        (None, ..) => Family::Grid,
+    };
+    let fleet = FleetRun {
+        family,
+        timeseries: timeseries.is_some(),
+    };
     Ok(Some(Cli {
         runs,
         timing,
@@ -517,14 +526,13 @@ fn parse(args: Vec<String>) -> Result<Option<Cli>, String> {
         profile_folded,
         timeseries,
         jobs,
-        scale,
-        city_block,
-        churn,
+        fleet,
     }))
 }
 
 fn usage() {
-    eprintln!("usage: experiments <selection> [--jobs N] [--scale N] [--timing]");
+    eprintln!("usage: experiments <selection> [--jobs N] [--scale N]");
+    eprintln!("                   [--city-block | --churn] [--timing]");
     eprintln!("                   [--bench-json PATH] [--trace-events PATH]");
     eprintln!("                   [--trace-chrome PATH] [--profile PATH]");
     eprintln!("                   [--profile-folded PATH] [--timeseries PATH]");
@@ -561,7 +569,7 @@ fn usage() {
     eprintln!("                  results are identical at any thread count)");
     eprintln!("  --timing       per-experiment wall-clock report on stderr");
     eprintln!("  --bench-json PATH");
-    eprintln!("                 write the timing report as JSON (schema 7:");
+    eprintln!("                 write the timing report as JSON (schema 8:");
     eprintln!("                  git sha, thread count and where it came from");
     eprintln!("                  (jobs-flag/env/auto), per-experiment seconds,");
     eprintln!("                  recorded headline metrics — including the fleet");
@@ -570,7 +578,9 @@ fn usage() {
     eprintln!("                  occupancy and session counters — telemetry");
     eprintln!("                  counters (with the net.fspl.hit/miss memo");
     eprintln!("                  diagnostics), and per-series --timeseries");
-    eprintln!("                  summaries)");
+    eprintln!("                  summaries; each fleet family's wall-clock keys");
+    eprintln!("                  sit under fleet.<family>. — schema 7's");
+    eprintln!("                  fleet.replan_latency_s is fleet.grid.replan_latency_s)");
     eprintln!("  --trace-events PATH");
     eprintln!("                 capture the simulated-time event trace and write");
     eprintln!("                  it as schema-versioned JSONL (byte-identical at");
@@ -604,4 +614,64 @@ fn usage() {
     eprintln!("Regenerates the tables and figures of the Braidio paper (SIGCOMM'16)");
     eprintln!("from the simulation models in this workspace. See EXPERIMENTS.md for");
     eprintln!("the paper-vs-measured record.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Option<Cli>, String> {
+        parse(line.split_whitespace().map(String::from).collect())
+    }
+
+    #[test]
+    fn fleet_flags_resolve_to_one_run() {
+        let run = |family, timeseries| FleetRun { family, timeseries };
+        for (line, want) in [
+            ("fleet", run(Family::Grid, false)),
+            ("fleet --scale 64", run(Family::Scale(64), false)),
+            ("fleet --city-block", run(Family::City(10_000), false)),
+            (
+                "fleet --city-block --scale 64",
+                run(Family::City(64), false),
+            ),
+            (
+                "fleet --churn --timeseries p",
+                run(Family::Churn(1000), true),
+            ),
+            ("all --scale 64", run(Family::Scale(64), false)),
+        ] {
+            match parse_line(line) {
+                Ok(Some(cli)) => assert_eq!(cli.fleet, want, "{line}"),
+                Ok(None) => panic!("{line}: handled as a query"),
+                Err(e) => panic!("{line}: rejected: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn bad_fleet_flags_are_rejected_with_a_message() {
+        for (line, want) in [
+            (
+                "fleet --city-block --churn",
+                "--city-block and --churn are different fleet topologies — pick one",
+            ),
+            ("fleet --scale 0", "--scale 0: need at least one pair"),
+            ("fleet --scale x", "--scale x: not a pair count"),
+            ("fleet --scale", "--scale needs a pair count"),
+            (
+                "fig1 --churn",
+                "--scale/--city-block/--churn only affect the 'fleet' experiment — add it to the selection",
+            ),
+            (
+                "fig1 --timeseries p",
+                "--timeseries samples the 'fleet' experiment — add it to the selection",
+            ),
+        ] {
+            match parse_line(line) {
+                Err(e) => assert_eq!(e, want, "{line}"),
+                Ok(_) => panic!("{line}: accepted"),
+            }
+        }
+    }
 }

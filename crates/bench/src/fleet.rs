@@ -16,8 +16,6 @@ use braidio_radio::characterization::Characterization;
 use braidio_radio::Mode;
 use braidio_telemetry::Series;
 use braidio_units::{Meters, Seconds};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 const SLOT: Seconds = Seconds::new(0.25);
 const PAIR_SEP: Meters = Meters::new(0.5);
@@ -55,62 +53,46 @@ const CHURN_HORIZON: Seconds = Seconds::new(60.0);
 /// one reproducible scenario rather than a fresh draw per run.
 const CHURN_SEED: u64 = 7;
 
-/// Requested `--scale` rung; 0 means the default grid.
-static SCALE: AtomicUsize = AtomicUsize::new(0);
-
-/// `--city-block`: run the mixed mesh/star city topology instead of the
-/// uniform room grid.
-static CITY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// `--churn`: run the open-system churn rung instead of the closed grids.
-static CHURN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// `--timeseries`: sample fleet gauges from inside each scenario's serial
-/// event loop (`telemetry::timeseries`) and collect the series for the
-/// driver to render.
-static TIMESERIES: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Series collected by [`run_grid`] when `--timeseries` is on, in grid
-/// index order (the pool returns work-item results in index order, so no
-/// sorting is needed for determinism).
-static SERIES: Mutex<Vec<Series>> = Mutex::new(Vec::new());
-
 /// Rows per series: every scenario samples at `horizon / SERIES_ROWS`, so
 /// curves from different rungs align on relative time and a 10⁴-pair rung
 /// costs the same 121 rows as a room.
 pub const SERIES_ROWS: usize = 120;
 
-/// Select the large-fleet scale family for subsequent [`run`] calls
-/// (`experiments fleet --scale N`). `0` restores the default grid.
-pub fn set_scale(pairs: usize) {
-    SCALE.store(pairs, Ordering::Relaxed);
+/// The scenario family a `fleet` run executes, carrying its resolved size.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// The room/bound/star grid ([`scenarios`]).
+    Grid,
+    /// `--scale N`: `N` pairs on a room grid ([`scale_scenarios`]).
+    Scale(usize),
+    /// `--city-block [--scale N]`: `N` pairs in city blocks ([`city_scenarios`]).
+    City(usize),
+    /// `--churn [--scale N]`: an open system of ~`N` devices ([`churn_scenarios`]).
+    Churn(usize),
 }
 
-/// Select the city-block stress topology for subsequent [`run`] calls
-/// (`experiments fleet --city-block [--scale N]`).
-pub fn set_city(on: bool) {
-    CITY.store(on, Ordering::Relaxed);
+impl Family {
+    /// The family's name in metric keys (`fleet.<key>.…`) and on stderr.
+    fn key(self) -> &'static str {
+        match self {
+            Family::Grid => "grid",
+            Family::Scale(_) => "scale",
+            Family::City(_) => "city",
+            Family::Churn(_) => "churn",
+        }
+    }
 }
 
-/// Select the open-system churn rung for subsequent [`run`] calls
-/// (`experiments fleet --churn [--scale N]`).
-pub fn set_churn(on: bool) {
-    CHURN.store(on, Ordering::Relaxed);
-}
-
-/// Enable time-series sampling for subsequent [`run`] calls
-/// (`experiments fleet --timeseries <path>`). Sampling reads engine state
-/// from inside the serial event loop only — reports and stdout are
-/// bit-identical with it on or off.
-pub fn set_timeseries(on: bool) {
-    TIMESERIES.store(on, Ordering::Relaxed);
-}
-
-/// Drain the series collected since the last call (grid index order,
-/// named `<tag><index>.<policy>`). The driver renders them to CSV/JSONL
-/// and summarizes them in `--bench-json`.
-pub fn take_series() -> Vec<Series> {
-    std::mem::take(&mut SERIES.lock().unwrap_or_else(|e| e.into_inner()))
+/// One `fleet` run, configured by value: the `experiments` driver parses
+/// its flags into this once and hands it to [`execute`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FleetRun {
+    /// Which scenario family to run, at which size.
+    pub family: Family,
+    /// Sample fleet gauges inside each scenario's serial event loop
+    /// (`--timeseries`). Sampling only reads engine state, so reports and
+    /// stdout are bit-identical with it on or off.
+    pub timeseries: bool,
 }
 
 fn policies() -> [Arbitration; 3] {
@@ -215,8 +197,7 @@ pub fn city_scenarios(m: usize) -> Vec<(&'static str, FleetScenario)> {
 /// Public so the determinism suite can re-run the exact grid at
 /// different thread counts.
 pub fn churn_scenarios(devices: usize) -> Vec<(&'static str, FleetScenario)> {
-    let hubs = CHURN_HUBS.min(devices.saturating_sub(1)).max(1);
-    let sessions = devices.saturating_sub(hubs).max(1);
+    let (hubs, sessions) = churn_split(devices);
     [
         Arbitration::TdmaRoundRobin { slot: SLOT },
         Arbitration::Uncoordinated,
@@ -229,6 +210,13 @@ pub fn churn_scenarios(devices: usize) -> Vec<(&'static str, FleetScenario)> {
         )
     })
     .collect()
+}
+
+/// Split the churn rung's device budget into beacon hubs and expected tag
+/// sessions: at least one of each.
+fn churn_split(devices: usize) -> (usize, usize) {
+    let hubs = CHURN_HUBS.min(devices.saturating_sub(1)).max(1);
+    (hubs, devices.saturating_sub(hubs).max(1))
 }
 
 /// Mean fraction of the tags' batteries spent (devices 1.. are the tags).
@@ -263,46 +251,36 @@ fn nj_per_bit(r: &FleetReport) -> f64 {
 /// Run every scenario of `grid` through the work pool, stamping each grid
 /// index as its telemetry run id, and — when event capture is on — audit
 /// the telemetry energy ledger against each report's measured battery
-/// drain. Public so the determinism suite runs the exact production path.
-pub fn run_grid(grid: &[(&'static str, FleetScenario)]) -> Vec<FleetReport> {
+/// drain. With `sampled`, each scenario also returns its gauge time series
+/// (named `<tag><index>.<policy>`, in grid index order). Public so the
+/// determinism suite runs the exact production path.
+pub fn run_grid(
+    grid: &[(&'static str, FleetScenario)],
+    sampled: bool,
+) -> (Vec<FleetReport>, Vec<Series>) {
     let base = braidio_telemetry::run_base();
     // Scenario granularity: one scenario per work item. A scale-rung grid
     // holds a handful of wildly uneven scenarios (TDMA short-circuits the
     // interference sweep entirely), so the default oversubscription
     // chunking would weld cheap and expensive scenarios into one unit.
-    let sampled = TIMESERIES.load(Ordering::Relaxed);
     let results = braidio_pool::par_map_indexed_with_chunk(grid.len(), 1, |i| {
         braidio_telemetry::with_run(i as u32, || {
             if sampled {
                 let sc = &grid[i].1;
                 let dt = Seconds::new(sc.horizon.seconds() / SERIES_ROWS as f64);
                 let (report, mut series) = run_fleet_sampled(sc, dt);
-                series.name = format!(
-                    "{}{}.{}",
-                    grid[i].0,
-                    i,
-                    sc.arbitration.label().replace('-', "_")
-                );
+                series.name = format!("{}{i}.{}", grid[i].0, policy_key(sc.arbitration));
                 (report, Some(series))
             } else {
                 (run_fleet(&grid[i].1), None)
             }
         })
     });
-    let mut reports = Vec::with_capacity(results.len());
-    for (report, series) in results {
-        if let Some(series) = series {
-            SERIES
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(series);
-        }
-        reports.push(report);
-    }
+    let (reports, series): (Vec<_>, Vec<_>) = results.into_iter().unzip();
     if braidio_telemetry::enabled() {
         audit_energy_ledger(base, &reports);
     }
-    reports
+    (reports, series.into_iter().flatten().collect())
 }
 
 /// The energy-ledger audit: folding every `EnergyDebit` the engine emitted
@@ -338,34 +316,40 @@ fn audit_energy_ledger(base: u32, reports: &[FleetReport]) {
 }
 
 /// Wall-clock distribution of the named spans in `spans`: each duration is
-/// observed into the `metric` histogram (surfaced by `--bench-json`), and a
-/// p50/p95/max summary goes to stderr — stderr only, so stdout stays
-/// byte-stable at any thread count and on any machine.
+/// observed into the `fleet.<key>.<metric>` histogram (surfaced by
+/// `--bench-json`), and a p50/p95/max summary goes to stderr — stderr only,
+/// so stdout stays byte-stable at any thread count and on any machine.
+/// Returns the spans' total wall-clock seconds.
 fn report_span_latency(
+    key: &str,
     spans: &[braidio_telemetry::SpanRecord],
     name: &str,
     metric: &str,
     what: &str,
-) {
+) -> f64 {
     let mut durs: Vec<f64> = spans
         .iter()
         .filter(|s| s.name == name)
         .map(|s| s.dur_us)
         .collect();
+    let metric = format!("fleet.{key}.{metric}");
+    let mut total_s = 0.0;
     for us in &durs {
-        metrics::observe(metric, us * 1e-6);
+        metrics::observe(&metric, us * 1e-6);
+        total_s += us * 1e-6;
     }
     durs.sort_by(|a, b| a.partial_cmp(b).expect("span durations are finite"));
     if !durs.is_empty() {
         let q = |p: f64| durs[((p * durs.len() as f64).ceil() as usize).max(1) - 1];
         eprintln!(
-            "fleet scale: {} {what} profiled, p50 {:.1} us, p95 {:.1} us, max {:.1} us",
+            "fleet {key}: {} {what} profiled, p50 {:.1} us, p95 {:.1} us, max {:.1} us",
             durs.len(),
             q(0.50),
             q(0.95),
             q(1.00),
         );
     }
+    total_s
 }
 
 /// Parse the `VmHWM` (peak resident set) line out of a `/proc/self/status`
@@ -396,13 +380,13 @@ fn peak_rss_bytes() -> Option<f64> {
     None
 }
 
-/// Record the process peak RSS under `metric` and note it on stderr (the
-/// large-rung memory trajectory — the figure the matrix-free interference
-/// cache is accountable to).
-fn report_peak_rss(metric: &str) {
+/// Record the process peak RSS under `fleet.<key>.peak_rss_bytes` and note
+/// it on stderr (the large-rung memory trajectory — the figure the
+/// matrix-free interference cache is accountable to).
+fn report_peak_rss(key: &str) {
     if let Some(bytes) = peak_rss_bytes() {
-        metrics::record(metric, bytes);
-        eprintln!("fleet scale: peak RSS {:.1} MiB", bytes / (1024.0 * 1024.0));
+        metrics::record(&format!("fleet.{key}.peak_rss_bytes"), bytes);
+        eprintln!("fleet {key}: peak RSS {:.1} MiB", bytes / (1024.0 * 1024.0));
     }
 }
 
@@ -415,100 +399,156 @@ fn counter_value(name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Record the rung's steady-state edge throughput under
-/// `{prefix}.edges_per_s`: interference edges recomputed (the
+/// Record the run's steady-state edge throughput under
+/// `fleet.<key>.edges_per_s`: interference edges recomputed (the
 /// `net.interference.edge_recompute` counter delta across the run)
-/// divided by the wall-clock spent inside `net.wave` spans. This is the
-/// figure the memoized FSPL kernel is accountable to — recomputed edges
-/// are exact simulated quantities, the wave wall-clock is host noise, so
-/// the ratio goes to stderr and the metric registry, never stdout.
-fn report_edge_throughput(
-    prefix: &str,
-    edges_before: u64,
-    spans: &[braidio_telemetry::SpanRecord],
-) {
+/// divided by `wave_s`, the wall-clock spent inside `net.wave` spans. This
+/// is the figure the memoized FSPL kernel is accountable to — recomputed
+/// edges are exact simulated quantities, the wave wall-clock is host noise,
+/// so the ratio goes to stderr and the metric registry, never stdout.
+fn report_edge_throughput(key: &str, edges_before: u64, wave_s: f64) {
     let edges = counter_value("net.interference.edge_recompute").saturating_sub(edges_before);
-    let wave_s: f64 = spans
-        .iter()
-        .filter(|s| s.name == "net.wave")
-        .map(|s| s.dur_us * 1e-6)
-        .sum();
     if edges == 0 || wave_s <= 0.0 {
         return;
     }
     let eps = edges as f64 / wave_s;
-    metrics::record(&format!("{prefix}.edges_per_s"), eps);
+    metrics::record(&format!("fleet.{key}.edges_per_s"), eps);
     eprintln!(
-        "fleet scale: {edges} interference edges in {wave_s:.3} s of planning waves \
+        "fleet {key}: {edges} interference edges in {wave_s:.3} s of planning waves \
          ({:.1} M edges/s)",
         eps / 1e6
     );
 }
 
-/// Record the parallel execution configuration under `prefix`: the
+/// Record the parallel execution configuration under `fleet.<key>.`: the
 /// effective worker-thread count and the chunk size the planning wave's
-/// victim fan-out uses at this rung's pair count. Pure wall-clock
+/// victim fan-out uses at the run's largest pair count. Pure wall-clock
 /// attribution metadata — the simulated outputs are identical at any
 /// thread count, but a perf trajectory is meaningless without the core
 /// count it ran on.
-fn report_parallel_config(prefix: &str, pairs: usize) {
+fn report_parallel_config(key: &str, pairs: usize) {
     let threads = braidio_pool::thread_count();
     let chunk = braidio_pool::default_chunk(pairs);
-    metrics::record(&format!("{prefix}.threads"), threads as f64);
-    metrics::record(&format!("{prefix}.wave_chunk_pairs"), chunk as f64);
+    metrics::record(&format!("fleet.{key}.threads"), threads as f64);
+    metrics::record(&format!("fleet.{key}.wave_chunk_pairs"), chunk as f64);
     eprintln!(
-        "fleet scale: {threads} worker thread{} ({}), wave fan-out chunk {chunk} pairs",
+        "fleet {key}: {threads} worker thread{} ({}), wave fan-out chunk {chunk} pairs",
         if threads == 1 { "" } else { "s" },
         braidio_pool::thread_source().label(),
     );
 }
 
-/// Run the large-fleet scale rung: `m` pairs on a room grid under all
-/// three arbitration policies. Stdout carries only simulated quantities
-/// (byte-identical at any `--jobs` count); wall-clock planning-wave and
-/// re-plan latency, peak RSS, and the effective grid shape go to the
-/// metric registry (`--bench-json`) and stderr.
-pub fn run_scale(m: usize) {
-    banner(
-        "Fleet scale",
-        "Large-fleet arbitration: hundreds of pairs on a room grid",
-    );
-    // Rounding rule for non-perfect-square rungs: the grid is ⌈√m⌉ columns
-    // wide and fills row-major, so the last row may be partial. Stderr, so
-    // stdout stays byte-stable across rungs with the same report values.
-    let side = (m as f64).sqrt().ceil() as usize;
-    eprintln!(
-        "fleet scale: {m} pairs -> {side}x{} grid ({} in the last row; \
-         ceil(sqrt) columns, row-major fill)",
-        m.div_ceil(side),
-        m - (m.div_ceil(side) - 1) * side,
-    );
-    let grid = scale_scenarios(m);
-    // Profile regardless of `--profile`, so `--bench-json` always carries
-    // the planning-latency distributions and interference-update counters.
-    let prev_profiling = braidio_telemetry::profiling();
-    braidio_telemetry::set_profiling(true);
-    let spans_before = braidio_telemetry::spans_snapshot().len();
-    let edges_before = counter_value("net.interference.edge_recompute");
-    let reports = run_grid(&grid);
-    let spans = braidio_telemetry::spans_snapshot();
-    braidio_telemetry::set_profiling(prev_profiling);
-    report_span_latency(
-        &spans[spans_before..],
-        "net.replan",
-        "fleet.scale.replan_latency_s",
-        "re-plans",
-    );
-    report_span_latency(
-        &spans[spans_before..],
-        "net.wave",
-        "fleet.scale.wave_latency_s",
-        "planning waves",
-    );
-    report_edge_throughput("fleet.scale", edges_before, &spans[spans_before..]);
-    report_peak_rss("fleet.scale.peak_rss_bytes");
-    report_parallel_config("fleet.scale", m);
+/// Print the family's banner (stdout) and shape note (stderr), and build
+/// its scenario grid.
+fn prepare(family: Family) -> Vec<(&'static str, FleetScenario)> {
+    match family {
+        Family::Grid => {
+            banner(
+                "Fleet",
+                "Multi-device network simulation: carrier arbitration at room scale",
+            );
+            scenarios()
+        }
+        Family::Scale(m) => {
+            banner(
+                "Fleet scale",
+                "Large-fleet arbitration: hundreds of pairs on a room grid",
+            );
+            // Rounding rule for non-perfect-square rungs: the grid is ⌈√m⌉
+            // columns wide and fills row-major, so the last row may be
+            // partial. Stderr, so stdout stays byte-stable across rungs with
+            // the same report values.
+            let side = (m as f64).sqrt().ceil() as usize;
+            eprintln!(
+                "fleet scale: {m} pairs -> {side}x{} grid ({} in the last row; \
+                 ceil(sqrt) columns, row-major fill)",
+                m.div_ceil(side),
+                m - (m.div_ceil(side) - 1) * side,
+            );
+            scale_scenarios(m)
+        }
+        Family::City(m) => {
+            banner(
+                "Fleet city-block",
+                "City-scale stress: mixed mesh and star blocks in one interference field",
+            );
+            let nblocks = m.div_ceil(FleetScenario::CITY_BLOCK_PAIRS);
+            let side = (nblocks as f64).sqrt().ceil() as usize;
+            eprintln!(
+                "fleet city: {m} pairs -> {nblocks} blocks of {} on a {side}x{} street grid \
+                 (ceil(sqrt) columns, row-major fill)",
+                FleetScenario::CITY_BLOCK_PAIRS,
+                nblocks.div_ceil(side),
+            );
+            city_scenarios(m)
+        }
+        Family::Churn(devices) => {
+            banner(
+                "Fleet churn",
+                "Open system: discovery, session lifecycle, and churn at fleet scale",
+            );
+            let grid = churn_scenarios(devices);
+            let (hubs, sessions) = churn_split(devices);
+            eprintln!(
+                "fleet churn: {sessions} expected sessions over {hubs} hubs -> {} devices, \
+                 {} pair rows",
+                grid[0].1.devices.len(),
+                grid[0].1.pairs.len(),
+            );
+            grid
+        }
+    }
+}
 
+/// Metric-key form of a policy label (`tdma-rr` → `tdma_rr`).
+fn policy_key(arb: Arbitration) -> String {
+    arb.label().replace('-', "_")
+}
+
+/// Header of the six policy columns the room, scale and city tables share.
+fn policy_header() -> String {
+    format!(
+        "{:>14} {:>15} {:>9} {:>12} {:>13} {:>9}",
+        "policy", "goodput/pair", "fairness", "bs+passive", "carrier duty", "nJ/bit"
+    )
+}
+
+/// One report's six policy columns (see [`policy_header`]).
+fn policy_columns(arb: Arbitration, r: &FleetReport) -> String {
+    format!(
+        "{:>14} {:>15.0} {:>9.3} {:>11.0}% {:>12.0}% {:>9.1}",
+        arb.label(),
+        r.goodput_per_pair(),
+        r.fairness(),
+        100.0 * detector_share(r),
+        100.0 * mean_carrier_duty(r),
+        nj_per_bit(r),
+    )
+}
+
+/// The six-column policy table the scale and city families share: one row
+/// per scenario, with its goodput and fairness recorded under
+/// `fleet.<key>.m<m>.<policy>.`.
+fn print_policy_rows(
+    key: &str,
+    m: usize,
+    grid: &[(&'static str, FleetScenario)],
+    reports: &[FleetReport],
+) {
+    println!("{}", policy_header());
+    for ((_, sc), r) in grid.iter().zip(reports) {
+        println!("{}", policy_columns(sc.arbitration, r));
+        let policy = policy_key(sc.arbitration);
+        metrics::record(
+            &format!("fleet.{key}.m{m}.{policy}.goodput_bps"),
+            r.goodput_per_pair(),
+        );
+        metrics::record(&format!("fleet.{key}.m{m}.{policy}.fairness"), r.fairness());
+    }
+}
+
+/// The scale family's table: `m` pairs on a room grid.
+fn print_scale(m: usize, grid: &[(&'static str, FleetScenario)], reports: &[FleetReport]) {
     println!(
         "scale: {m} pairs on a room grid ({} m links, {} m pitch, 1 Wh each, {:.0} s horizon;",
         PAIR_SEP.meters(),
@@ -516,152 +556,32 @@ pub fn run_scale(m: usize) {
         ROOM_HORIZON.seconds()
     );
     println!("       goodput in bit/s):");
-    println!(
-        "{:>14} {:>15} {:>9} {:>12} {:>13} {:>9}",
-        "policy", "goodput/pair", "fairness", "bs+passive", "carrier duty", "nJ/bit"
-    );
-    for (arb, r) in policies().iter().zip(&reports) {
-        println!(
-            "{:>14} {:>15.0} {:>9.3} {:>11.0}% {:>12.0}% {:>9.1}",
-            arb.label(),
-            r.goodput_per_pair(),
-            r.fairness(),
-            100.0 * detector_share(r),
-            100.0 * mean_carrier_duty(r),
-            nj_per_bit(r),
-        );
-        metrics::record(
-            &format!(
-                "fleet.scale.m{m}.{}.goodput_bps",
-                arb.label().replace('-', "_")
-            ),
-            r.goodput_per_pair(),
-        );
-        metrics::record(
-            &format!(
-                "fleet.scale.m{m}.{}.fairness",
-                arb.label().replace('-', "_")
-            ),
-            r.fairness(),
-        );
-    }
+    print_policy_rows("scale", m, grid, reports);
     println!("\n=> the arbitration story survives the scale-up: an uncoordinated room of");
     println!("   {m} carriers still erases the detector modes, while round-robin TDMA");
     println!("   trades per-pair airtime for interference-free slots.");
 }
 
-/// Run the city-block stress rung: `m` pairs tiled as alternating mesh and
-/// star blocks, uncoordinated vs TDMA. Same stdout/stderr split as
-/// [`run_scale`]: simulated quantities on stdout (byte-identical at any
-/// `--jobs` count), wall-clock latency, peak RSS and shape notes on stderr
-/// and in the metric registry.
-pub fn run_city(m: usize) {
-    banner(
-        "Fleet city-block",
-        "City-scale stress: mixed mesh and star blocks in one interference field",
-    );
-    let nblocks = m.div_ceil(FleetScenario::CITY_BLOCK_PAIRS);
-    let side = (nblocks as f64).sqrt().ceil() as usize;
-    eprintln!(
-        "fleet city: {m} pairs -> {nblocks} blocks of {} on a {side}x{} street grid \
-         (ceil(sqrt) columns, row-major fill)",
-        FleetScenario::CITY_BLOCK_PAIRS,
-        nblocks.div_ceil(side),
-    );
-    let grid = city_scenarios(m);
-    let prev_profiling = braidio_telemetry::profiling();
-    braidio_telemetry::set_profiling(true);
-    let spans_before = braidio_telemetry::spans_snapshot().len();
-    let edges_before = counter_value("net.interference.edge_recompute");
-    let reports = run_grid(&grid);
-    let spans = braidio_telemetry::spans_snapshot();
-    braidio_telemetry::set_profiling(prev_profiling);
-    report_span_latency(
-        &spans[spans_before..],
-        "net.wave",
-        "fleet.city.wave_latency_s",
-        "planning waves",
-    );
-    report_edge_throughput("fleet.city", edges_before, &spans[spans_before..]);
-    report_peak_rss("fleet.city.peak_rss_bytes");
-    report_parallel_config("fleet.city", m);
-
+/// The city family's table: `m` pairs in alternating mesh/star blocks.
+fn print_city(m: usize, grid: &[(&'static str, FleetScenario)], reports: &[FleetReport]) {
     println!("city: {m} pairs in alternating mesh/star blocks (12 m street pitch, 0.5 m links,",);
     println!(
         "      star hubs 99.5 Wh, everyone else 1 Wh, {:.0} s horizon; goodput in bit/s):",
         CITY_HORIZON.seconds()
     );
-    println!(
-        "{:>14} {:>15} {:>9} {:>12} {:>13} {:>9}",
-        "policy", "goodput/pair", "fairness", "bs+passive", "carrier duty", "nJ/bit"
-    );
-    for ((_, sc), r) in grid.iter().zip(&reports) {
-        let arb = sc.arbitration;
-        println!(
-            "{:>14} {:>15.0} {:>9.3} {:>11.0}% {:>12.0}% {:>9.1}",
-            arb.label(),
-            r.goodput_per_pair(),
-            r.fairness(),
-            100.0 * detector_share(r),
-            100.0 * mean_carrier_duty(r),
-            nj_per_bit(r),
-        );
-        metrics::record(
-            &format!(
-                "fleet.city.m{m}.{}.goodput_bps",
-                arb.label().replace('-', "_")
-            ),
-            r.goodput_per_pair(),
-        );
-        metrics::record(
-            &format!("fleet.city.m{m}.{}.fairness", arb.label().replace('-', "_")),
-            r.fairness(),
-        );
-    }
+    print_policy_rows("city", m, grid, reports);
     println!("\n=> one interference field, both deployment shapes: uncoordinated city");
     println!("   blocks keep only the active mode alive, while a {m}-deep TDMA");
     println!("   rotation leaves most pairs waiting for their first slot — street-scale");
     println!("   fleets need arbitration with spatial reuse, not a global token.");
 }
 
-/// Run the open-system churn rung: a beacon-hub grid admitting, serving
-/// and shedding roughly `devices` devices' worth of tag sessions, TDMA vs
-/// uncoordinated. Stdout carries only simulated steady-state quantities
-/// (byte-identical at any `--jobs` count); admission-latency histograms,
-/// per-phase occupancy and session counters go to the metric registry
-/// (`--bench-json` schema 5), wall-clock notes to stderr.
-pub fn run_churn(devices: usize) {
+/// The churn family's table: steady-state session and window figures per
+/// policy, with admission-latency histograms, per-phase occupancy and
+/// session counters recorded under `fleet.churn.<policy>.`.
+fn print_churn(devices: usize, grid: &[(&'static str, FleetScenario)], reports: &[FleetReport]) {
     use braidio_net::LinkPhase;
-    banner(
-        "Fleet churn",
-        "Open system: discovery, session lifecycle, and churn at fleet scale",
-    );
-    let grid = churn_scenarios(devices);
-    let hubs = CHURN_HUBS.min(devices.saturating_sub(1)).max(1);
-    let sessions = devices.saturating_sub(hubs).max(1);
-    eprintln!(
-        "fleet churn: {} expected sessions over {hubs} hubs -> {} devices, {} pair rows",
-        sessions,
-        grid[0].1.devices.len(),
-        grid[0].1.pairs.len(),
-    );
-    let prev_profiling = braidio_telemetry::profiling();
-    braidio_telemetry::set_profiling(true);
-    let spans_before = braidio_telemetry::spans_snapshot().len();
-    let edges_before = counter_value("net.interference.edge_recompute");
-    let reports = run_grid(&grid);
-    let spans = braidio_telemetry::spans_snapshot();
-    braidio_telemetry::set_profiling(prev_profiling);
-    report_span_latency(
-        &spans[spans_before..],
-        "net.wave",
-        "fleet.churn.wave_latency_s",
-        "planning waves",
-    );
-    report_edge_throughput("fleet.churn", edges_before, &spans[spans_before..]);
-    report_peak_rss("fleet.churn.peak_rss_bytes");
-    report_parallel_config("fleet.churn", grid[0].1.pairs.len());
-
+    let (hubs, sessions) = churn_split(devices);
     let window = grid[0]
         .1
         .churn
@@ -690,7 +610,7 @@ pub fn run_churn(devices: usize) {
         "w-goodput",
         "w-fair"
     );
-    for ((_, sc), r) in grid.iter().zip(&reports) {
+    for ((_, sc), r) in grid.iter().zip(reports) {
         let arb = sc.arbitration;
         let c = r.churn.as_ref().expect("open runs carry churn metrics");
         let half_life = c.session_half_life.map(|s| s.seconds());
@@ -707,7 +627,7 @@ pub fn run_churn(devices: usize) {
             c.window_goodput(),
             c.window_fairness(),
         );
-        let key = arb.label().replace('-', "_");
+        let key = policy_key(arb);
         for lat in &c.admission_latency {
             metrics::observe(
                 &format!("fleet.churn.{key}.admission_latency_s"),
@@ -750,45 +670,53 @@ pub fn run_churn(devices: usize) {
     println!("   cooldown, death) instead of departing cleanly.");
 }
 
-/// Run the fleet experiment.
-pub fn run() {
-    let scale = SCALE.load(Ordering::Relaxed);
-    if CHURN.load(Ordering::Relaxed) {
-        return run_churn(if scale != 0 {
-            scale
-        } else {
-            CHURN_DEFAULT_DEVICES
-        });
-    }
-    if CITY.load(Ordering::Relaxed) {
-        return run_city(if scale != 0 {
-            scale
-        } else {
-            CITY_DEFAULT_PAIRS
-        });
-    }
-    if scale != 0 {
-        return run_scale(scale);
-    }
-    banner(
-        "Fleet",
-        "Multi-device network simulation: carrier arbitration at room scale",
-    );
-    let grid = scenarios();
-    // Profile the grid run regardless of `--profile`, so `--bench-json`
-    // always carries the re-plan latency distribution.
+/// Run one fleet experiment: build the family's scenario grid, run it under
+/// the shared measurement block, and print the family's table. Stdout
+/// carries only simulated quantities (byte-identical at any `--jobs`
+/// count); wall-clock latency, edge throughput, peak RSS and the parallel
+/// configuration go to stderr and to the metric registry under
+/// `fleet.<family>.` (`--bench-json`). Returns the sampled series (empty
+/// unless `run.timeseries`) for the driver to render.
+pub fn execute(run: &FleetRun) -> Vec<Series> {
+    let key = run.family.key();
+    let grid = prepare(run.family);
+    // Profile regardless of `--profile`, so `--bench-json` always carries
+    // the planning-latency distributions and interference-update counters.
     let prev_profiling = braidio_telemetry::profiling();
     braidio_telemetry::set_profiling(true);
     let spans_before = braidio_telemetry::spans_snapshot().len();
-    let reports = run_grid(&grid);
+    let edges_before = counter_value("net.interference.edge_recompute");
+    let (reports, series) = run_grid(&grid, run.timeseries);
     let spans = braidio_telemetry::spans_snapshot();
     braidio_telemetry::set_profiling(prev_profiling);
-    for s in &spans[spans_before..] {
-        if s.name == "net.replan" {
-            metrics::observe("fleet.replan_latency_s", s.dur_us * 1e-6);
-        }
+    let spans = &spans[spans_before..];
+    report_span_latency(key, spans, "net.replan", "replan_latency_s", "re-plans");
+    let wave_s = report_span_latency(key, spans, "net.wave", "wave_latency_s", "planning waves");
+    report_edge_throughput(key, edges_before, wave_s);
+    report_peak_rss(key);
+    let pairs = grid.iter().map(|(_, sc)| sc.pairs.len()).max();
+    report_parallel_config(key, pairs.unwrap_or(0));
+    match run.family {
+        Family::Grid => print_grid(&grid, &reports),
+        Family::Scale(m) => print_scale(m, &grid, &reports),
+        Family::City(m) => print_city(m, &grid, &reports),
+        Family::Churn(devices) => print_churn(devices, &grid, &reports),
     }
-    for (r, (_, sc)) in reports.iter().zip(&grid) {
+    series
+}
+
+/// Run the fleet experiment on the default room/bound/star grid.
+pub fn run() {
+    execute(&FleetRun {
+        family: Family::Grid,
+        timeseries: false,
+    });
+}
+
+/// The room/bound/star tables: per-policy room rows, the TDMA bound
+/// cross-check, and the asymmetric-energy star summary.
+fn print_grid(grid: &[(&'static str, FleetScenario)], reports: &[FleetReport]) {
+    for (r, (_, sc)) in reports.iter().zip(grid) {
         for p in 0..sc.pairs.len() {
             metrics::observe("fleet.pair_goodput_bps", r.pair_goodput(p));
         }
@@ -800,38 +728,24 @@ pub fn run() {
         SPACING.meters(),
         ROOM_HORIZON.seconds()
     );
-    println!(
-        "{:>6} {:>14} {:>15} {:>9} {:>12} {:>13} {:>9}",
-        "pairs", "policy", "goodput/pair", "fairness", "bs+passive", "carrier duty", "nJ/bit"
-    );
-    let mut idx = 0;
-    for m in [2usize, 4, 8] {
-        for arb in policies() {
-            let r = &reports[idx];
-            idx += 1;
-            println!(
-                "{:>6} {:>14} {:>15.0} {:>9.3} {:>11.0}% {:>12.0}% {:>9.1}",
-                m,
-                arb.label(),
-                r.goodput_per_pair(),
-                r.fairness(),
-                100.0 * detector_share(r),
-                100.0 * mean_carrier_duty(r),
-                nj_per_bit(r),
-            );
-            metrics::record(
-                &format!(
-                    "fleet.room.m{m}.{}.goodput_bps",
-                    arb.label().replace('-', "_")
-                ),
-                r.goodput_per_pair(),
-            );
-        }
+    println!("{:>6} {}", "pairs", policy_header());
+    let tagged = |tag: &'static str| {
+        grid.iter()
+            .zip(reports)
+            .filter(move |((t, _), _)| *t == tag)
+            .map(|((_, sc), r)| (sc, r))
+    };
+    for (sc, r) in tagged("room") {
+        let m = sc.pairs.len();
+        println!("{m:>6} {}", policy_columns(sc.arbitration, r));
+        metrics::record(
+            &format!("fleet.room.m{m}.{}.goodput_bps", policy_key(sc.arbitration)),
+            r.goodput_per_pair(),
+        );
     }
 
     // Analytical cross-check: TDMA against the coexistence bound.
-    let bound_report = &reports[idx];
-    idx += 1;
+    let (_, bound_report) = tagged("bound").next().expect("the grid has a bound row");
     let ch = Characterization::braidio();
     let full_rate = ch
         .max_rate(Mode::Backscatter, PAIR_SEP)
@@ -876,32 +790,24 @@ pub fn run() {
         "{:>14} {:>15} {:>12} {:>10} {:>11} {:>14}",
         "policy", "goodput/tag", "bs+passive", "hub duty", "tag spend", "dead sessions"
     );
-    for arb in [
-        Arbitration::TdmaRoundRobin { slot: SLOT },
-        Arbitration::Uncoordinated,
-    ] {
-        let (_, sc) = &grid[idx];
-        let r = &reports[idx];
-        idx += 1;
+    for (sc, r) in tagged("star") {
         println!(
             "{:>14} {:>15.0} {:>11.0}% {:>9.0}% {:>10.1}% {:>11}/8",
-            arb.label(),
+            sc.arbitration.label(),
             r.goodput_per_pair(),
             100.0 * detector_share(r),
             100.0 * r.carrier_duty(0),
             100.0 * tag_spend(r, sc),
             dead_sessions(r),
         );
+        let key = policy_key(sc.arbitration);
         metrics::record(
-            &format!("fleet.star.{}.goodput_bps", arb.label().replace('-', "_")),
+            &format!("fleet.star.{key}.goodput_bps"),
             r.goodput_per_pair(),
         );
+        metrics::record(&format!("fleet.star.{key}.tag_spend"), tag_spend(r, sc));
         metrics::record(
-            &format!("fleet.star.{}.tag_spend", arb.label().replace('-', "_")),
-            tag_spend(r, sc),
-        );
-        metrics::record(
-            &format!("fleet.star.{}.dead_sessions", arb.label().replace('-', "_")),
+            &format!("fleet.star.{key}.dead_sessions"),
             dead_sessions(r) as f64,
         );
     }

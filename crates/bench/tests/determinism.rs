@@ -4,7 +4,6 @@
 
 use braidio::pool;
 use braidio_bench::{fig15, fleet, render};
-use braidio_net::run_fleet;
 use braidio_phy::ber::{ber_coherent, ber_ook_noncoherent_fast};
 use braidio_phy::montecarlo::MonteCarloBer;
 use braidio_phy::surface::{self, BerModel};
@@ -77,61 +76,27 @@ fn surface_backed_figures_match_direct_evaluation_bitwise() {
 }
 
 #[test]
-fn fleet_grid_identical_at_1_and_4_threads() {
-    // The fleet experiment shards whole scenarios across the pool; every
-    // per-pair and per-device figure must come back bit-identical whether
-    // the grid ran serially or four wide.
-    let grid = fleet::scenarios();
-    let run = |n| pool::with_threads(n, || braidio_pool::par_map(&grid, |(_, sc)| run_fleet(sc)));
-    let serial = run(1);
-    let par = run(4);
-    assert_eq!(serial.len(), par.len());
-    for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-        assert_eq!(a.events, b.events, "scenario {i}");
-        assert_eq!(
-            a.end_time.seconds().to_bits(),
-            b.end_time.seconds().to_bits(),
-            "scenario {i}"
-        );
-        for (p, (x, y)) in a.pair_bits.iter().zip(&b.pair_bits).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "scenario {i} pair {p}: {x} vs {y}"
-            );
-        }
-        for (d, (x, y)) in a.device_spent.iter().zip(&b.device_spent).enumerate() {
-            assert_eq!(
-                x.joules().to_bits(),
-                y.joules().to_bits(),
-                "scenario {i} device {d}: {x:?} vs {y:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn fleet_scale_identical_at_1_and_4_threads() {
-    // The large-fleet rung (`experiments fleet --scale`) must hold the
-    // same guarantee as the default grid: the cached interference sums
-    // and options memo are per-engine state, so a 32-pair scenario sharded
-    // across the pool comes back bit-identical.
-    let grid = fleet::scale_scenarios(32);
-    let run = |n| pool::with_threads(n, || braidio_pool::par_map(&grid, |(_, sc)| run_fleet(sc)));
-    let serial = run(1);
-    let par = run(4);
-    assert_eq!(serial.len(), par.len());
-    for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-        assert_eq!(a.events, b.events, "scenario {i}");
-        for (p, (x, y)) in a.pair_bits.iter().zip(&b.pair_bits).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "scenario {i} pair {p}");
-        }
-        for (d, (x, y)) in a.device_spent.iter().zip(&b.device_spent).enumerate() {
-            assert_eq!(
-                x.joules().to_bits(),
-                y.joules().to_bits(),
-                "scenario {i} device {d}"
-            );
+fn fleet_families_identical_at_1_and_4_threads() {
+    // Every `fleet` family runs through the production `run_grid`, which
+    // shards whole scenarios across the pool (and the planning waves fan
+    // out inside each one); the cached interference sums and options memo
+    // are per-engine state. Every report must come back bit-identical
+    // whether the grid ran serially or four wide. `{:?}` prints each f64 as
+    // its shortest round-trip form, so equal renderings mean equal bits for
+    // every non-NaN value, over every report field including churn metrics.
+    for (family, grid) in [
+        ("grid", fleet::scenarios()),
+        ("scale", fleet::scale_scenarios(32)),
+        ("city", fleet::city_scenarios(64)),
+        ("churn", fleet::churn_scenarios(40)),
+    ] {
+        let run = |n| pool::with_threads(n, || fleet::run_grid(&grid, false).0);
+        let serial = run(1);
+        let par = run(4);
+        assert_eq!(serial.len(), grid.len(), "{family}");
+        assert_eq!(par.len(), grid.len(), "{family}");
+        for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{family} scenario {i}");
         }
     }
 }

@@ -20,7 +20,7 @@ fn traced_grid_jsonl(threads: usize) -> String {
     telemetry::take_events(); // drop anything a previous test left behind
     telemetry::set_enabled(true);
     let grid = fleet::scenarios();
-    pool::with_threads(threads, || fleet::run_grid(&grid));
+    pool::with_threads(threads, || fleet::run_grid(&grid, false));
     telemetry::set_enabled(false);
     sink::render_jsonl(&telemetry::take_events())
 }
@@ -60,7 +60,7 @@ fn fleet_scale_trace_byte_identical_at_1_and_4_threads() {
         telemetry::take_events();
         telemetry::set_enabled(true);
         let grid = fleet::scale_scenarios(32);
-        pool::with_threads(threads, || fleet::run_grid(&grid));
+        pool::with_threads(threads, || fleet::run_grid(&grid, false));
         telemetry::set_enabled(false);
         sink::render_jsonl(&telemetry::take_events())
     };
@@ -82,7 +82,7 @@ fn energy_ledger_reconstructs_battery_drain() {
     telemetry::take_events();
     telemetry::set_enabled(true);
     let grid = fleet::scenarios();
-    let reports = fleet::run_grid(&grid); // also runs the built-in audit
+    let (reports, _) = fleet::run_grid(&grid, false); // also runs the built-in audit
     telemetry::set_enabled(false);
     let folded = sink::fold_energy(&telemetry::take_events());
     let mut checked = 0usize;
@@ -225,7 +225,7 @@ fn churn_trace_byte_identical_at_1_and_4_threads() {
         telemetry::take_events();
         telemetry::set_enabled(true);
         let grid = fleet::churn_scenarios(40);
-        pool::with_threads(threads, || fleet::run_grid(&grid));
+        pool::with_threads(threads, || fleet::run_grid(&grid, false));
         telemetry::set_enabled(false);
         sink::render_jsonl(&telemetry::take_events())
     };
