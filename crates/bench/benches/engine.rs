@@ -103,7 +103,7 @@ fn bench_streaming_chunk(c: &mut Criterion) {
     });
 }
 
-fn bench_memoized_solver(c: &mut Criterion) {
+fn bench_solver(c: &mut Criterion) {
     let ch = Characterization::braidio();
     let opts = options_at(&ch, Meters::new(0.5));
     let e1 = Joules::from_watt_hours(6.55);
@@ -111,7 +111,7 @@ fn bench_memoized_solver(c: &mut Criterion) {
     c.bench_function("offload/solve/cold", |b| {
         b.iter(|| solve(black_box(&opts), black_box(e1), black_box(e2)))
     });
-    c.bench_function("offload/solve/memoized", |b| {
+    c.bench_function("offload/solve/quantized", |b| {
         b.iter(|| solve_memo(black_box(&opts), black_box(e1), black_box(e2)))
     });
 }
@@ -165,7 +165,7 @@ criterion_group!(
     bench_device_matrix,
     bench_montecarlo,
     bench_streaming_chunk,
-    bench_memoized_solver,
+    bench_solver,
     bench_telemetry_off_overhead,
     bench_characterization
 );

@@ -227,11 +227,11 @@ fn write_or_die(path: &str, contents: &str) {
     }
 }
 
-/// Render the timing report as JSON (schema 8, stable):
+/// Render the timing report as JSON (schema 9, stable):
 ///
 /// ```json
 /// {
-///   "schema": 8,
+///   "schema": 9,
 ///   "git_sha": "<HEAD sha or \"unknown\">",
 ///   "threads": 4,
 ///   "threads_source": "jobs-flag",
@@ -283,6 +283,13 @@ fn write_or_die(path: &str, contents: &str) {
 /// Mapping from schema 7: `fleet.replan_latency_s` is renamed
 /// `fleet.grid.replan_latency_s`; new are the five other `fleet.grid.*` keys
 /// and `fleet.{city,churn}.replan_latency_s`; every other key is unchanged.
+/// Schema 9 marks the one planning wave per run: `fleet.<family>.edges_per_s`
+/// now divides only the edges the bulk waves recomputed (the new
+/// `net.interference.wave_edge_recompute` counter) by the wave wall-clock —
+/// edges a re-plan rebuilds lazily fall outside every wave span, and
+/// `net.interference.edge_recompute` still counts both kinds. The
+/// `mac.offload.memo_hit`/`memo_miss` counters are gone with the offload
+/// plan cache. Every other key is unchanged.
 ///
 /// Written by hand (no serde in the workspace); experiment, metric and
 /// series names are lowercase identifiers, so no JSON string escaping is
@@ -290,7 +297,7 @@ fn write_or_die(path: &str, contents: &str) {
 fn bench_json(timings: &[(&str, f64)], series: &[telemetry::timeseries::Series]) -> String {
     let total: f64 = timings.iter().map(|(_, s)| s).sum();
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": 8,\n");
+    out.push_str("  \"schema\": 9,\n");
     out.push_str(&format!("  \"git_sha\": \"{}\",\n", git_sha()));
     out.push_str(&format!(
         "  \"threads\": {},\n",
@@ -569,17 +576,19 @@ fn usage() {
     eprintln!("                  results are identical at any thread count)");
     eprintln!("  --timing       per-experiment wall-clock report on stderr");
     eprintln!("  --bench-json PATH");
-    eprintln!("                 write the timing report as JSON (schema 8:");
+    eprintln!("                 write the timing report as JSON (schema 9:");
     eprintln!("                  git sha, thread count and where it came from");
     eprintln!("                  (jobs-flag/env/auto), per-experiment seconds,");
     eprintln!("                  recorded headline metrics — including the fleet");
-    eprintln!("                  edges_per_s throughput — histogram metrics —");
-    eprintln!("                  including the --churn admission-latency, phase-");
-    eprintln!("                  occupancy and session counters — telemetry");
+    eprintln!("                  planning-wave edges_per_s throughput — histogram");
+    eprintln!("                  metrics — including the --churn admission-latency,");
+    eprintln!("                  phase-occupancy and session counters — telemetry");
     eprintln!("                  counters (with the net.fspl.hit/miss memo");
-    eprintln!("                  diagnostics), and per-series --timeseries");
-    eprintln!("                  summaries; each fleet family's wall-clock keys");
-    eprintln!("                  sit under fleet.<family>. — schema 7's");
+    eprintln!("                  diagnostics and the wave-only edge count");
+    eprintln!("                  net.interference.wave_edge_recompute), and");
+    eprintln!("                  per-series --timeseries summaries; each fleet");
+    eprintln!("                  family's wall-clock keys sit under");
+    eprintln!("                  fleet.<family>. — schema 7's");
     eprintln!("                  fleet.replan_latency_s is fleet.grid.replan_latency_s)");
     eprintln!("  --trace-events PATH");
     eprintln!("                 capture the simulated-time event trace and write");

@@ -38,8 +38,6 @@
 use braidio_radio::characterization::{Characterization, Rate};
 use braidio_radio::Mode;
 use braidio_units::{Joules, JoulesPerBit, Meters};
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// One operating option: a (mode, bitrate) pair with its per-bit costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,9 +155,9 @@ const FILL_ALLOCATION: Allocation = Allocation {
 };
 
 /// A plan's allocation list, stored inline so [`OffloadPlan`] is `Copy`
-/// (the fleet engine installs, memoizes and re-reads plans on its hot
-/// path). The solver proves at most two options are ever braided; capacity
-/// is one slot per mode to also cover hand-built test plans. Derefs to
+/// (the fleet engine installs and re-reads plans on its hot path). The
+/// solver proves at most two options are ever braided; capacity is one
+/// slot per mode to also cover hand-built test plans. Derefs to
 /// `[Allocation]`, exposing only the live prefix.
 #[derive(Clone, Copy)]
 pub struct Allocations {
@@ -372,74 +370,28 @@ pub fn solve(options: &[LinkOption], e1: Joules, e2: Joules) -> Option<OffloadPl
     Some(plan)
 }
 
-/// The memo key of one solver call: the exact option set (mode, rate and
-/// cost bits — no hashing of floats that could collide) plus the battery
-/// ratio quantized in the log domain. Fixed-size so building a key never
-/// allocates; `options_at` yields at most one option per mode.
-type MemoKey = ([(u8, u8, u64, u64); 3], usize, i64);
-
 /// Log-domain quantum for the battery ratio `k = E₁/E₂`: steps of
 /// 2⁻³² in ln(k), i.e. ~2.3e-10 relative resolution on `k` — far below
-/// every physical tolerance in the model, so memoized plans are
-/// indistinguishable from cold solves while nearby ratios share entries.
+/// every physical tolerance in the model, so quantized plans are
+/// indistinguishable from exact solves while nearby ratios share one plan.
 const LN_K_QUANT: f64 = (1u64 << 32) as f64;
 
-/// Bound on the memo cache; reaching it clears the map (plans are pure
-/// functions of their key, so eviction never changes results).
-const MEMO_CAP: usize = 1024;
-
-fn memo_key(options: &[LinkOption], qk: i64) -> MemoKey {
-    let mut opts = [(0u8, 0u8, 0u64, 0u64); 3];
-    for (slot, o) in opts.iter_mut().zip(options) {
-        *slot = (
-            o.mode as u8,
-            o.rate as u8,
-            o.tx_cost.joules_per_bit().to_bits(),
-            o.rx_cost.joules_per_bit().to_bits(),
-        );
-    }
-    (opts, options.len(), qk)
-}
-
-/// [`solve`], memoized.
+/// [`solve`] on the battery ratio quantized to the `LN_K_QUANT` grid.
 ///
 /// The plan depends on the batteries only through the ratio `k = E₁/E₂`,
-/// so calls are cached under the option set and `k` quantized to the
-/// `LN_K_QUANT` log-domain grid; a hit and a miss return bit-identical
-/// plans because the canonical solve itself uses the quantized ratio.
-/// The cache is process-wide, thread-safe, and bounded at `MEMO_CAP`
-/// entries. Simulation loops that re-solve every epoch against
-/// slowly-evolving energy levels hit the cache almost every time.
+/// so this solves the canonical `(k_q, 1)` instance, where `k_q` is `k`
+/// rounded in the log domain: two calls whose ratios share a grid point
+/// return bit-identical plans. (The name survives from a plan cache that
+/// used to sit here; a direct solve is several times cheaper than a
+/// locked lookup, so the cache went and the canonical quantization stayed.)
+/// A ratio without a finite log — an empty battery — is solved exactly.
 pub fn solve_memo(options: &[LinkOption], e1: Joules, e2: Joules) -> Option<OffloadPlan> {
-    static CACHE: Mutex<Option<HashMap<MemoKey, Option<OffloadPlan>>>> = Mutex::new(None);
-    if options.is_empty() {
-        return None;
-    }
     let lk = (e1 / e2).ln();
-    if !lk.is_finite() || options.len() > 3 {
+    if !lk.is_finite() {
         return solve(options, e1, e2);
     }
-    let qk = (lk * LN_K_QUANT).round() as i64;
-    let key = memo_key(options, qk);
-    let mut guard = CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    let cache = guard.get_or_insert_with(HashMap::new);
-    if let Some(plan) = cache.get(&key) {
-        // Counter, not a trace event: which call hits depends on thread
-        // interleaving over the process-wide cache, so it must never enter
-        // the deterministic event stream.
-        braidio_telemetry::count("mac.offload.memo_hit");
-        return *plan;
-    }
-    // Canonical solve on the quantized ratio: the cached value is a pure
-    // function of the key, independent of the exact (e1, e2) that missed.
-    let kq = (qk as f64 / LN_K_QUANT).exp();
-    let plan = solve(options, Joules::new(kq), Joules::new(1.0));
-    if cache.len() >= MEMO_CAP {
-        cache.clear();
-    }
-    cache.insert(key, plan);
-    braidio_telemetry::count("mac.offload.memo_miss");
-    plan
+    let kq = ((lk * LN_K_QUANT).round() / LN_K_QUANT).exp();
+    solve(options, Joules::new(kq), Joules::new(1.0))
 }
 
 /// Convenience: solve directly from a characterization and distance.
@@ -592,16 +544,16 @@ mod tests {
     }
 
     #[test]
-    fn memo_matches_cold_solve() {
+    fn quantized_solve_matches_exact_solve() {
         let opts = close();
         for ratio in [0.001, 0.05, 0.5, 1.0, 3.0, 42.0, 1000.0, 10_000.0] {
             let cold = solve(&opts, wh(ratio), wh(1.0)).unwrap();
-            let memo = solve_memo(&opts, wh(ratio), wh(1.0)).unwrap();
-            assert_eq!(cold.exact, memo.exact, "ratio {ratio}");
-            assert_eq!(cold.allocations.len(), memo.allocations.len());
-            for (a, b) in cold.allocations.iter().zip(&memo.allocations) {
+            let quant = solve_memo(&opts, wh(ratio), wh(1.0)).unwrap();
+            assert_eq!(cold.exact, quant.exact, "ratio {ratio}");
+            assert_eq!(cold.allocations.len(), quant.allocations.len());
+            for (a, b) in cold.allocations.iter().zip(&quant.allocations) {
                 assert_eq!(a.option, b.option, "ratio {ratio}");
-                // The memoized plan is solved on the log-quantized ratio
+                // The quantized plan is solved on the log-quantized ratio
                 // (~2e-10 relative), so fractions agree to far better than
                 // any physical tolerance without being bit-equal.
                 assert!(
@@ -612,18 +564,18 @@ mod tests {
                 );
             }
             assert!(
-                (cold.tx_cost.joules_per_bit() / memo.tx_cost.joules_per_bit() - 1.0).abs() < 1e-8
+                (cold.tx_cost.joules_per_bit() / quant.tx_cost.joules_per_bit() - 1.0).abs() < 1e-8
             );
             assert!(
-                (cold.rx_cost.joules_per_bit() / memo.rx_cost.joules_per_bit() - 1.0).abs() < 1e-8
+                (cold.rx_cost.joules_per_bit() / quant.rx_cost.joules_per_bit() - 1.0).abs() < 1e-8
             );
         }
     }
 
     #[test]
-    fn memo_hit_is_bit_identical_to_its_miss() {
+    fn ratios_on_one_grid_point_share_a_plan() {
         // Two calls with energies that differ but share a quantized ratio
-        // must return the identical cached plan.
+        // must return the identical plan.
         let opts = close();
         let a = solve_memo(&opts, wh(7.0), wh(1.0)).unwrap();
         let b = solve_memo(&opts, wh(70.0), wh(10.0)).unwrap();

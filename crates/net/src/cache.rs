@@ -38,12 +38,16 @@
 //! is one FSPL-memo lock acquisition per tile instead of per edge, and
 //! flat arrays the kernel's distance pass can vectorize over.
 //!
-//! **Bulk rebuild.** The wave sweep refreshes every dirty sum it selects in
-//! one pass, so the per-pair lookups that follow are all O(1) clean hits.
-//! The pass fans the selected victims out over the `braidio-pool` workers
-//! (each sum is an independent pure function of the wave's frozen
-//! geometry, merged back in victim index order), so a planning wave scales
-//! across cores without changing a bit — see DESIGN.md §12.
+//! **Bulk rebuild.** The engine's bring-up wave — the one planning wave of
+//! a run, when every pair is about to read its sum — refreshes every dirty
+//! sum it selects in one pass, so the per-pair lookups that follow are all
+//! O(1) clean hits. The pass fans the selected victims out over the
+//! `braidio-pool` workers (each sum is an independent pure function of the
+//! wave's frozen geometry, merged back in victim index order), so bring-up
+//! scales across cores without changing a bit — see DESIGN.md §12. After
+//! bring-up nothing rebuilds in bulk: a sum dirtied by a death, a liveness
+//! flip or a move stays dirty until its own victim reads it through
+//! [`PairGainCache::interference`], so a sum nobody reads costs nothing.
 
 use crate::interference::EDGE_TILE;
 use braidio_rfsim::geometry::Point;
@@ -54,9 +58,9 @@ use braidio_units::Watts;
 ///
 /// Flat arrays indexed by pair id: `sum[victim]` holds the victim's total
 /// worst-case foreign-carrier power, with a dirty flag per victim and a
-/// fleet-wide `any_dirty` hint for the wave sweep. Callers supply the edge
-/// physics as a closure — the cache is pure bookkeeping and owns no
-/// positions, which keeps invalidation rules explicit:
+/// fleet-wide dirty count. Callers supply the edge physics as a closure —
+/// the cache is pure bookkeeping and owns no positions, which keeps
+/// invalidation rules explicit:
 ///
 /// * [`mark_dead`](Self::mark_dead) — a pair's session died: it leaves
 ///   every victim's sum (dead pairs never come back).
@@ -72,7 +76,7 @@ pub struct PairGainCache {
     sum: Vec<f64>,
     sum_dirty: Vec<bool>,
     live: Vec<bool>,
-    /// How many entries of `sum_dirty` are set — the O(1) `any_dirty` hint.
+    /// How many entries of `sum_dirty` are set.
     ndirty: usize,
 }
 
@@ -93,17 +97,9 @@ impl PairGainCache {
         self.live[q]
     }
 
-    /// Does any victim's sum need a rebuild? The engine's wave sweep polls
-    /// this to decide whether a bulk
-    /// [`rebuild_all_tiled`](Self::rebuild_all_tiled) pass has anything to
-    /// do.
-    pub fn any_dirty(&self) -> bool {
-        self.ndirty > 0
-    }
-
     /// How many victims' sums currently need a rebuild. A fleet-wide gauge
-    /// for the time-series sampler: high `ndirty` means mobility or churn
-    /// has been invalidating faster than waves rebuild.
+    /// for the time-series sampler: after bring-up it counts the sums
+    /// awaiting a lazy rebuild by their own victim's next read.
     pub fn ndirty(&self) -> usize {
         self.ndirty
     }
@@ -184,7 +180,10 @@ impl PairGainCache {
     /// [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index order);
     /// each victim's sum comes from the same per-victim loop the lazy
     /// [`interference`](Self::interference) path runs, so the bulk path is
-    /// bit-identical to demand-driven rebuilds.
+    /// bit-identical to demand-driven rebuilds. Besides the shared
+    /// `net.interference.edge_recompute` tally, the pass counts its edges
+    /// under `net.interference.wave_edge_recompute`, so the bulk share of
+    /// the edge work can be told apart from the lazy share.
     ///
     /// `_endpoints` is unused: the cache reads no geometry itself, the tile
     /// kernel does. The parameter stays so the signature that external
@@ -210,6 +209,15 @@ impl PairGainCache {
         let victims: Vec<usize> = (0..self.n)
             .filter(|&v| self.sum_dirty[v] && keep(v))
             .collect();
+        if telemetry::active() {
+            // Each victim's sum walks every live source but itself.
+            let nlive = self.live.iter().filter(|&&l| l).count();
+            let edges: usize = victims
+                .iter()
+                .map(|&v| nlive - usize::from(self.live[v]))
+                .sum();
+            telemetry::count_by("net.interference.wave_edge_recompute", edges as u64);
+        }
         let this = &*self;
         let sums = braidio_pool::par_map_indexed_with_chunk(
             victims.len(),
@@ -341,11 +349,11 @@ mod tests {
         for v in 0..6 {
             cache.interference(v, tile(&eps));
         }
-        assert!(!cache.any_dirty(), "warm cache should be clean");
+        assert_eq!(cache.ndirty(), 0, "warm cache should be clean");
         // Kill pair 2.
         live[2] = false;
         cache.mark_dead(2);
-        assert!(cache.any_dirty());
+        assert_eq!(cache.ndirty(), 6);
         for v in 0..6 {
             let got = cache.interference(v, tile(&eps));
             assert_eq!(
@@ -385,7 +393,7 @@ mod tests {
         // Admission re-activates row 3; sums must match brute force again.
         live[3] = true;
         cache.set_live(3, true);
-        assert!(cache.any_dirty());
+        assert_eq!(cache.ndirty(), 5);
         for v in 0..5 {
             let got = cache.interference(v, tile(&eps));
             assert_eq!(
@@ -395,7 +403,7 @@ mod tests {
         }
         // Matching flip is a no-op: nothing re-dirtied.
         cache.set_live(3, true);
-        assert!(!cache.any_dirty());
+        assert_eq!(cache.ndirty(), 0);
     }
 
     #[test]
@@ -411,7 +419,7 @@ mod tests {
             let mut bulk = PairGainCache::new(n);
             let mut lazy = PairGainCache::new(n);
             bulk.rebuild_all_tiled(|_| true, |q| eps[q], tile(&eps));
-            assert!(!bulk.any_dirty());
+            assert_eq!(bulk.ndirty(), 0);
             for v in 0..n {
                 let a = bulk.interference(v, clean);
                 let b = lazy.interference(v, tile(&eps));
@@ -424,7 +432,7 @@ mod tests {
             bulk.mark_dead(3);
             lazy.mark_dead(3);
             bulk.rebuild_all_tiled(|v| v != 4, |q| eps[q], tile(&eps));
-            assert!(bulk.any_dirty(), "skipped victim must keep the hint set");
+            assert_eq!(bulk.ndirty(), 1, "skipped victim must stay dirty");
             assert!(bulk.cached_sum(4).is_none());
             for v in 0..n {
                 let a = bulk.interference(v, tile(&eps));

@@ -32,19 +32,23 @@
 //!
 //! # Batched planning waves
 //!
-//! A planning wave (the burst of `install_plan` calls after bring-up, a
-//! death, or a mobility refresh) is executed as a batched sweep
-//! (`Fleet::wave_sweep`): first the [`PairGainCache`] bulk-rebuilds every
-//! stale interference sum over the flat arrays in pair-index order, then
-//! the wave's quantized [`OptionsMemo`] keys are collected, sorted and
-//! deduplicated, and the misses are resolved in key order through the
-//! batched BER surface (`phy::surface::BerSurface::ber_batch`) — one lock
-//! acquisition per (mode, rate) group for the whole wave. This is
-//! output-neutral by construction: memo values are canonical functions of
-//! their quantized keys, bulk-rebuilt sums run the identical per-victim
-//! accumulation loop the lazy path runs, and any state change after the
-//! sweep re-dirties the caches so the per-pair path recomputes exactly what
-//! the pre-refactor engine would have.
+//! Bring-up — the first `install_plan` of a run, when every pair is about
+//! to read its interference sum and its options — is executed as one
+//! batched sweep (`Fleet::wave_sweep`): first the [`PairGainCache`]
+//! bulk-rebuilds every stale interference sum over the flat arrays in
+//! pair-index order, then the wave's quantized [`OptionsMemo`] keys are
+//! collected, sorted and deduplicated, and the misses are resolved in key
+//! order through the batched BER surface
+//! (`phy::surface::BerSurface::ber_batch`) — one lock acquisition per
+//! (mode, rate) group for the whole wave.
+//!
+//! That is the only wave of a run. A later death, lifecycle flip or
+//! mobility refresh dirties sums, and each dirty sum is rebuilt only when
+//! its own pair re-plans and reads it through the lazy per-pair path; a
+//! sum nobody reads is never rebuilt. This is output-neutral by
+//! construction: memo values are canonical functions of their quantized
+//! keys, and bulk and lazy sums run the identical per-victim accumulation
+//! loop, so where a sum or an options entry is computed never moves a bit.
 //!
 //! The wave's heavy stages — the per-victim interference sums and the
 //! per-pair key collection — fan out over the `braidio-pool` workers with
@@ -374,20 +378,13 @@ struct Fleet<'a> {
     /// Quantize-and-memoized `options_under` (per-engine, so a run stays a
     /// pure function of its scenario).
     options: OptionsMemo,
-    /// The options memo has never been prefetched (first wave pending).
+    /// The bring-up planning wave has not run yet.
     wave_cold: bool,
-    /// Scratch for the wave sweep's key collection; capacity is retained
-    /// across waves so steady-state sweeps stay allocation-free.
-    wave_keys: Vec<OptionsKey>,
     /// The transcendental-starved interference edge kernel: cached
     /// dB→linear constants plus the exact FSPL memo, shared by the bulk
     /// wave sweep, the lazy dirty-sum path and the debug shadow check —
     /// the single arithmetic definition of a fleet edge.
     edges: EdgeKernel,
-    /// Scratch for the wave sweep's endpoint gather (`pos[tx[q]]`,
-    /// `pos[rx[q]]` flattened per wave); capacity retained across waves.
-    wave_a: Vec<Point>,
-    wave_b: Vec<Point>,
     /// Open-system accumulators (untouched when `sc.churn` is `None`).
     /// Session-seconds per phase, indexed by [`LinkPhase::index`].
     phase_time: [f64; PHASE_COUNT],
@@ -475,10 +472,7 @@ impl<'a> Fleet<'a> {
             gains,
             options: OptionsMemo::new(),
             wave_cold: true,
-            wave_keys: Vec::new(),
             edges: EdgeKernel::new(&sc.ch),
-            wave_a: Vec::new(),
-            wave_b: Vec::new(),
             phase_time: [0.0; PHASE_COUNT],
             departed: 0,
             died: 0,
@@ -1113,9 +1107,9 @@ impl<'a> Fleet<'a> {
         Some(report.airtime)
     }
 
-    /// The batched planning-wave sweep. Runs (cheaply) at the head of every
-    /// `install_plan`; does real work only when interference sums are stale
-    /// or the options memo has never been prefetched.
+    /// The bring-up planning wave: a batched sweep that runs once per run,
+    /// at the head of the first `install_plan`, when every pair is about to
+    /// read its sum and its options.
     ///
     /// Three stages, all over the flat arrays in pair-index order:
     /// 1. bulk-rebuild every stale interference sum for static live
@@ -1128,19 +1122,21 @@ impl<'a> Fleet<'a> {
     /// 3. resolve the missing keys in key order through the batched BER
     ///    surface ([`OptionsMemo::prefetch`]).
     ///
-    /// Output-neutrality: memo values are canonical functions of their
-    /// quantized keys, so prefilling the memo cannot change what `get`
-    /// returns; and any death or move after the sweep re-dirties the gain
-    /// cache, forcing the per-pair path to recompute exactly what the
-    /// pre-refactor engine would have. The `soa-vs-baseline` gate holds
-    /// the engine to that byte-for-byte.
+    /// After bring-up a death, a lifecycle flip or a move dirties sums
+    /// without a new wave: each dirty sum waits until its own pair reads it
+    /// through the lazy [`PairGainCache::interference`] path, and its
+    /// options come from [`OptionsMemo::get`]. Output-neutrality: memo
+    /// values are canonical functions of their quantized keys, so
+    /// prefilling the memo cannot change what `get` returns, and the lazy
+    /// and bulk sums share one accumulation loop. The debug shadow check and
+    /// the `soa-vs-baseline` gate hold the engine to that byte-for-byte.
     fn wave_sweep(&mut self) {
-        let overlap = self.sc.arbitration.carriers_overlap();
-        let needs_gains = overlap && self.gains.any_dirty();
-        if !needs_gains && !self.wave_cold {
+        if !self.wave_cold {
             return;
         }
+        self.wave_cold = false;
         let _span = telemetry::span("net.wave");
+        let overlap = self.sc.arbitration.carriers_overlap();
         let sc = self.sc;
         let pos = &self.devices.pos;
         let Pairs {
@@ -1164,16 +1160,13 @@ impl<'a> Fleet<'a> {
                 !fsm[q].is_dead()
             }
         };
-        if needs_gains {
+        if overlap {
             // Gather the wave's frozen endpoint geometry into flat arrays
             // once (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the
             // per-tile hot loop is a contiguous gather instead of a
             // double-indirection per edge.
-            self.wave_a.clear();
-            self.wave_b.clear();
-            self.wave_a.extend(tx.iter().map(|&d| pos[d]));
-            self.wave_b.extend(rx.iter().map(|&d| pos[d]));
-            let (pa, pb) = (&self.wave_a, &self.wave_b);
+            let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
+            let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let ends = |q: usize| (pa[q], pb[q]);
             self.gains.rebuild_all_tiled(
                 |v| !mobile[v] && on_air(v),
@@ -1181,7 +1174,6 @@ impl<'a> Fleet<'a> {
                 edge_tile(&self.edges, sc.arbitration, ends),
             );
         }
-        self.wave_keys.clear();
         // Per-pair key collection fans out over the pool: each pair's key is
         // a pure function of the frozen wave state (positions, clean sums,
         // pins), and the chunks reassemble in pair index order — the exact
@@ -1196,8 +1188,9 @@ impl<'a> Fleet<'a> {
                     return None;
                 }
                 let interference = if overlap {
-                    // Re-dirtied mid-sweep: the per-pair path covers it.
-                    gains.cached_sum(p)?
+                    gains
+                        .cached_sum(p)
+                        .expect("the wave rebuilt every static live sum")
                 } else {
                     Watts::ZERO
                 };
@@ -1205,11 +1198,10 @@ impl<'a> Fleet<'a> {
                 OptionsMemo::key_for(d, interference, pin[p])
             },
         );
-        self.wave_keys.extend(keys.into_iter().flatten());
-        self.wave_keys.sort_unstable();
-        self.wave_keys.dedup();
-        self.options.prefetch(&self.sc.ch, &self.wave_keys);
-        self.wave_cold = false;
+        let mut keys: Vec<OptionsKey> = keys.into_iter().flatten().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        self.options.prefetch(&self.sc.ch, &keys);
     }
 
     /// Probe outcome → plan installation. Returns `false` when the pair

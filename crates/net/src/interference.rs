@@ -289,8 +289,8 @@ pub fn options_under_pinned(
 }
 
 /// Log-domain quantum for the memo key's `(distance, interference)` axes:
-/// steps of 2⁻³² in ln(x), ~2.3e-10 relative — the same grid
-/// `solve_memo` uses for the battery ratio, and as far below any physical
+/// steps of 2⁻³² in ln(x), ~2.3e-10 relative — the grid `solve_memo`
+/// quantizes the battery ratio on, and as far below any physical
 /// tolerance. The canonical evaluation runs *on* the quantized values, so a
 /// hit and a miss return bit-identical sets.
 const LN_QUANT: f64 = (1u64 << 32) as f64;
@@ -309,8 +309,9 @@ const OPTIONS_MEMO_CAP: usize = 65536;
 pub type OptionsKey = (i64, i64, u8);
 
 /// Quantize-and-memoize [`options_under_pinned`] on
-/// `(distance, interference, pin)` — the `solve_memo` trick applied one
-/// stage earlier in the planning pipeline. The option *costs* depend only
+/// `(distance, interference, pin)` — `solve_memo`'s quantize-then-solve
+/// canonical form, applied one stage earlier in the planning pipeline and
+/// memoized, since an options evaluation costs far more than a lookup. The option *costs* depend only
 /// on `(mode, rate)`, so quantizing the inputs can only move a mode/rate
 /// availability decision, and only when the exact input sits within
 /// ~2.3e-10 of a BER threshold; the byte-identity CI gates would catch such

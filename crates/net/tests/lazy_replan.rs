@@ -1,0 +1,71 @@
+//! One planning wave per run: after bring-up, a re-plan rebuilds only the
+//! interference sum it reads.
+//!
+//! The engine runs its batched planning wave once, at the first plan
+//! install. Every later liveness flip, death or move only dirties sums; a
+//! dirty sum is rebuilt when its own pair re-plans and reads it. This test
+//! pins that economy on an uncoordinated open system, where every
+//! admission, cooldown and departure flips a session's liveness: exactly
+//! one `net.wave` span per run, and no more sum rebuilds than the bring-up
+//! wave's victims plus one per plan install.
+//!
+//! Everything runs in ONE test function: the capture switches are
+//! process-global, and the test harness runs sibling `#[test]` functions
+//! concurrently.
+
+use braidio_net::{run_fleet, Arbitration, FleetScenario};
+use braidio_telemetry as telemetry;
+use braidio_units::Seconds;
+
+fn counter(counters: &[(String, u64)], name: &str) -> u64 {
+    counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
+
+#[test]
+fn one_wave_per_run_and_one_lazy_rebuild_per_install_at_most() {
+    let sc = FleetScenario::open_system(4, 40, Seconds::new(20.0), 11, Arbitration::Uncoordinated);
+    // Spans and per-thread counters on, plus event capture: every plan
+    // install emits exactly one `Replan` event, planned or not.
+    telemetry::set_profiling(true);
+    telemetry::set_enabled(true);
+    let _ = (telemetry::take_spans(), telemetry::take_events());
+    let report = telemetry::with_run(0, || run_fleet(&sc));
+    let spans = telemetry::take_spans();
+    let events = telemetry::take_events();
+    let counters = telemetry::counters_snapshot();
+    telemetry::set_enabled(false);
+    telemetry::set_profiling(false);
+
+    let churn = report.churn.as_ref().expect("an open system reports churn");
+    assert!(
+        churn.sessions > 1,
+        "the scenario must admit several sessions to flip liveness"
+    );
+    let waves = spans.iter().filter(|s| s.name == "net.wave").count();
+    assert_eq!(waves, 1, "one planning wave per run_fleet");
+
+    let installs = events
+        .iter()
+        .filter(|e| matches!(e.event, telemetry::Event::Replan { .. }))
+        .count() as u64;
+    assert!(installs > 0);
+    // The bring-up wave rebuilds at most one sum per pair row; after it,
+    // each install reads (and so rebuilds) at most its own sum.
+    let bring_up_victims = sc.pairs.len() as u64;
+    let rebuilds = counter(&counters, "net.interference.sum_rebuild");
+    assert!(
+        rebuilds <= bring_up_victims + installs,
+        "{rebuilds} sum rebuilds for {installs} plan installs over {bring_up_victims} rows"
+    );
+    // The lazy path did the post-bring-up work: some edges fall outside
+    // the wave's own tally.
+    let edges = counter(&counters, "net.interference.edge_recompute");
+    let wave_edges = counter(&counters, "net.interference.wave_edge_recompute");
+    assert!(
+        edges > wave_edges,
+        "{edges} edges, {wave_edges} of them in the wave"
+    );
+}

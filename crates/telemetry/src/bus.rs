@@ -166,7 +166,8 @@ fn emit_slow(event: Event) {
 /// * `net.arbitration.deferred` — TDMA window skips.
 /// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` —
 ///   the incremental interference cache's hit/rebuild/edge economics
-///   (`braidio-net::cache`).
+///   (`braidio-net::cache`); `wave_edge_recompute` is the share of
+///   `edge_recompute` done by bulk planning-wave rebuilds.
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
 ///   `options_under` memo.
 /// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss
@@ -174,8 +175,6 @@ fn emit_slow(event: Event) {
 ///   counted by `braidio-net::interference`). Totals are tile- and
 ///   thread-count-dependent (concurrent first lookups may both miss);
 ///   they are diagnostics, not part of the byte-identity contract.
-/// * `mac.offload.memo_hit` / `memo_miss` — the offload-plan memo
-///   (interleaving-dependent: counters only, never trace events).
 #[inline]
 pub fn count(name: &'static str) {
     if !active() {

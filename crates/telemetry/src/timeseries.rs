@@ -67,7 +67,11 @@ pub struct Sample {
     pub cum_bits: f64,
     /// Goodput over the bucket ending at `t`, bits per simulated second.
     pub goodput_bps: f64,
-    /// Interference-cache rows currently marked dirty.
+    /// Interference-cache rows currently marked dirty. The engine runs one
+    /// bulk planning wave per run, at bring-up; after it, this counts the
+    /// sums awaiting a lazy rebuild — each is rebuilt only when its own
+    /// pair next re-plans and reads it, so it can stay high on a churning
+    /// fleet without costing anything.
     pub cache_ndirty: u32,
     /// Options-memo hit rate since the run started (0 before any lookup).
     pub memo_hit_rate: f64,
