@@ -1,12 +1,15 @@
 //! Microbench: analytic BER evaluation (Marcum-Q-based noncoherent OOK vs
-//! the coherent Q-function form).
+//! its committed knot-table interpolation vs the coherent Q-function form).
 
-use braidio_phy::ber::{ber_coherent, ber_ook_noncoherent};
+use braidio_phy::ber::{ber_coherent, ber_ook_noncoherent, ber_ook_noncoherent_fast};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_ber(c: &mut Criterion) {
     c.bench_function("ber_noncoherent_ook_10db", |b| {
         b.iter(|| ber_ook_noncoherent(black_box(10.0)))
+    });
+    c.bench_function("ber_noncoherent_ook_fast_10db", |b| {
+        b.iter(|| ber_ook_noncoherent_fast(black_box(10.0)))
     });
     c.bench_function("ber_coherent_10db", |b| {
         b.iter(|| ber_coherent(black_box(10.0)))

@@ -17,6 +17,8 @@
 use braidio_units::math::{marcum_q1, q_function};
 use braidio_units::Decibels;
 
+mod ook_knots;
+
 /// BER of noncoherent OOK envelope detection at linear SNR `gamma`
 /// (optimal threshold, equiprobable symbols).
 pub fn ber_ook_noncoherent(gamma: f64) -> f64 {
@@ -55,38 +57,33 @@ pub fn ber_ook_noncoherent_db(snr: Decibels) -> f64 {
     ber_ook_noncoherent(snr.linear())
 }
 
-/// Fast evaluation of [`ber_ook_noncoherent`] through a lazily built
-/// log-log interpolation table (1024 knots over 10⁻³…10⁵ linear SNR,
-/// relative error < 10⁻³ — far below any physical uncertainty here).
+const KNOTS: usize = 1024;
+const KNOT_LO: f64 = 1e-3;
+const KNOT_HI: f64 = 1e5;
+
+/// Fast evaluation of [`ber_ook_noncoherent`] through a log-log
+/// interpolation table (1024 knots over 10⁻³…10⁵ linear SNR, relative
+/// error < 10⁻³ — far below any physical uncertainty here).
 ///
 /// The exact Marcum-Q evaluation costs ~10⁵ floating-point operations per
 /// call; the characterization layer queries BER inside range bisections and
-/// availability scans, so the table pays for itself immediately.
+/// availability scans. The knots are committed bit patterns
+/// (`ber/ook_knots.rs`, provenance in its header), so no process ever pays
+/// the 1 024 exact solves behind them; a unit test recomputes every knot
+/// and asserts bit equality.
 pub fn ber_ook_noncoherent_fast(gamma: f64) -> f64 {
-    use std::sync::OnceLock;
-    const N: usize = 1024;
-    const LO: f64 = 1e-3;
-    const HI: f64 = 1e5;
-    static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        (0..N)
-            .map(|i| {
-                let g = LO * (HI / LO).powf(i as f64 / (N - 1) as f64);
-                // Store ln(BER); BER is strictly positive on the grid.
-                ber_ook_noncoherent(g).max(1e-300).ln()
-            })
-            .collect()
-    });
-    if gamma <= LO {
+    if gamma <= KNOT_LO {
         return 0.5;
     }
-    if gamma >= HI {
+    if gamma >= KNOT_HI {
         return 0.0;
     }
-    let pos = (gamma / LO).ln() / (HI / LO).ln() * (N - 1) as f64;
+    let knot = |i: usize| f64::from_bits(ook_knots::OOK_LN_BER_BITS[i]);
+    let pos = (gamma / KNOT_LO).ln() / (KNOT_HI / KNOT_LO).ln() * (KNOTS - 1) as f64;
     let i = pos as usize;
     let frac = pos - i as f64;
-    let ln_ber = table[i] + frac * (table[i + 1] - table[i]);
+    let (a, b) = (knot(i), knot(i + 1));
+    let ln_ber = a + frac * (b - a);
     ln_ber.exp().min(0.5)
 }
 
@@ -217,6 +214,47 @@ mod tests {
         // Out-of-range behaviour.
         assert_eq!(ber_ook_noncoherent_fast(1e-6), 0.5);
         assert_eq!(ber_ook_noncoherent_fast(1e9), 0.0);
+    }
+
+    /// The generating expression of knot `i` of the committed table.
+    fn knot_ln_ber(i: usize) -> f64 {
+        let g = KNOT_LO * (KNOT_HI / KNOT_LO).powf(i as f64 / (KNOTS - 1) as f64);
+        // Store ln(BER); BER is strictly positive on the grid.
+        ber_ook_noncoherent(g).max(1e-300).ln()
+    }
+
+    #[test]
+    fn ook_knots_match_their_oracle() {
+        let stale: Vec<String> = (0..KNOTS)
+            .map(|i| (i, ook_knots::OOK_LN_BER_BITS[i], knot_ln_ber(i).to_bits()))
+            .filter(|(_, pinned, oracle)| pinned != oracle)
+            .map(|(i, pinned, oracle)| {
+                format!("knot {i}: committed {pinned:#018x}, oracle {oracle:#018x}")
+            })
+            .collect();
+        assert!(
+            stale.is_empty(),
+            "stale knots (see `regenerate_ook_knots`):\n{}",
+            stale.join("\n")
+        );
+    }
+
+    /// Rewrites the data lines of `src/ber/ook_knots.rs` from the exact
+    /// model, keeping its header. Run only after a deliberate change to it:
+    /// `cargo test --release -p braidio-phy -- --ignored regenerate_ook_knots`.
+    #[test]
+    #[ignore = "rewrites a source file; run by hand after changing the exact model"]
+    fn regenerate_ook_knots() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/ber/ook_knots.rs");
+        let old = std::fs::read_to_string(path).unwrap();
+        let mut src = old[..old.find("= [\n").unwrap() + 4].to_string();
+        let bits: Vec<String> = (0..KNOTS)
+            .map(|i| format!("{:#018x},", knot_ln_ber(i).to_bits()))
+            .collect();
+        for row in bits.chunks(4) {
+            src += &format!("    {}\n", row.join(" "));
+        }
+        std::fs::write(path, src + "];\n").unwrap();
     }
 
     #[test]
