@@ -128,7 +128,7 @@ fn bench_interference_wave(c: &mut Criterion) {
     // dirty sum is a recompute, not a replay).
     c.bench_function("fleet_replan/interference_wave/cached_after_move/64", |b| {
         b.iter(|| {
-            cache.invalidate_pair(0);
+            cache.invalidate_all();
             black_box(wave_cached(&mut cache, &kernel, &sc))
         })
     });
@@ -138,7 +138,7 @@ fn bench_interference_wave(c: &mut Criterion) {
     let mut bulk = PairGainCache::new(PAIRS);
     c.bench_function("fleet_replan/interference_wave/bulk_rebuild/64", |b| {
         b.iter(|| {
-            bulk.invalidate_pair(0);
+            bulk.invalidate_all();
             bulk.rebuild_all_tiled(|_| true, |q| ends(&sc, q), edge_tile(&kernel, &sc));
             black_box(wave_cached(&mut bulk, &kernel, &sc))
         })
@@ -268,7 +268,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
         c.bench_function(&name, |b| {
             braidio_pool::with_threads(threads, || {
                 b.iter(|| {
-                    cache.invalidate_pair(0);
+                    cache.invalidate_all();
                     cache.rebuild_all_tiled(|_| true, |q| ends(&sc, q), edge_tile(&kernel, &sc));
                     black_box(cache.cached_sum(0))
                 })

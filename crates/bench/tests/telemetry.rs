@@ -32,6 +32,12 @@ fn fleet_trace_byte_identical_at_1_and_4_threads() {
     let serial = traced_grid_jsonl(1);
     let par = traced_grid_jsonl(4);
     assert!(serial == par, "trace differs between 1 and 4 threads");
+    // Closed rows are born Live and only ever die: no admissions, and the
+    // Live → Dead step stays out of the trace.
+    assert!(
+        !serial.contains("\"ev\":\"admitted\"") && !serial.contains("\"ev\":\"phase_change\""),
+        "closed-grid trace carries lifecycle events"
+    );
 
     // The stream also satisfies its own schema: monotone per-track time,
     // balanced carrier grants, the closed event vocabulary.

@@ -62,13 +62,11 @@ use braidio_units::Watts;
 /// the cache is pure bookkeeping and owns no positions, which keeps
 /// invalidation rules explicit:
 ///
-/// * [`mark_dead`](Self::mark_dead) — a pair's session died: it leaves
-///   every victim's sum (dead pairs never come back).
-/// * [`set_live`](Self::set_live) — open-system row activation/retirement:
-///   an admitted session joins the sums, a quiesced (Cooldown) one leaves
-///   them, and either flip may later be reversed. Unlike `mark_dead` this
-///   is two-way; like it, any flip dirties every sum.
-/// * [`invalidate_pair`](Self::invalidate_pair) — a pair's geometry or
+/// * [`set_live`](Self::set_live) — the one liveness call: an admitted
+///   session joins the sums, a quiesced (Cooldown) or dead one leaves
+///   them. The flip is two-way (a cooldown row may come back), and any
+///   real flip dirties every sum.
+/// * [`invalidate_all`](Self::invalidate_all) — a pair's geometry or
 ///   channel relation changed: every sum that might include it is dirty.
 #[derive(Debug)]
 pub struct PairGainCache {
@@ -104,21 +102,9 @@ impl PairGainCache {
         self.ndirty
     }
 
-    /// Pair `q`'s session died: drop it from every victim's sum.
-    pub fn mark_dead(&mut self, q: usize) {
-        if !self.live[q] {
-            return;
-        }
-        self.live[q] = false;
-        for d in self.sum_dirty.iter_mut() {
-            *d = true;
-        }
-        self.ndirty = self.n;
-    }
-
-    /// Open-system row activation/retirement: make pair `q` contribute to
-    /// (or leave) every victim's sum. A no-op when the liveness bit already
-    /// matches — so closed scenarios, which never flip, pay nothing.
+    /// Make pair `q` contribute to (or leave) every victim's sum: row
+    /// activation, quiesce or death. A no-op when the liveness bit already
+    /// matches, so a repeated flip pays nothing.
     pub fn set_live(&mut self, q: usize, live: bool) {
         if self.live[q] == live {
             return;
@@ -130,9 +116,10 @@ impl PairGainCache {
         self.ndirty = self.n;
     }
 
-    /// Pair `p` moved (or its channel relation changed): every sum that
-    /// might include it is dirty.
-    pub fn invalidate_pair(&mut self, _p: usize) {
+    /// A pair moved (or its channel relation changed): every sum that
+    /// might include it is dirty. Sums keep no per-edge state, so which
+    /// pair it was does not narrow the set.
+    pub fn invalidate_all(&mut self) {
         for d in self.sum_dirty.iter_mut() {
             *d = true;
         }
@@ -352,7 +339,7 @@ mod tests {
         assert_eq!(cache.ndirty(), 0, "warm cache should be clean");
         // Kill pair 2.
         live[2] = false;
-        cache.mark_dead(2);
+        cache.set_live(2, false);
         assert_eq!(cache.ndirty(), 6);
         for v in 0..6 {
             let got = cache.interference(v, tile(&eps));
@@ -363,7 +350,7 @@ mod tests {
         }
         // Move pair 4.
         eps[4] = (Point::new(1.7, 0.3), Point::new(1.7, 0.9));
-        cache.invalidate_pair(4);
+        cache.invalidate_all();
         for v in 0..6 {
             let got = cache.interference(v, tile(&eps));
             assert_eq!(
@@ -374,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn set_live_is_a_reversible_mark_dead() {
+    fn set_live_flips_rows_both_ways_and_ignores_repeats() {
         let eps = layout(5, 2.0);
         let mut live = vec![true; 5];
         let mut cache = PairGainCache::new(5);
@@ -429,8 +416,8 @@ mod tests {
             // A filtered bulk pass leaves the skipped victim dirty (and says
             // so).
             live[3] = false;
-            bulk.mark_dead(3);
-            lazy.mark_dead(3);
+            bulk.set_live(3, false);
+            lazy.set_live(3, false);
             bulk.rebuild_all_tiled(|v| v != 4, |q| eps[q], tile(&eps));
             assert_eq!(bulk.ndirty(), 1, "skipped victim must stay dirty");
             assert!(bulk.cached_sum(4).is_none());

@@ -70,9 +70,13 @@
 //! interference live set follows [`LinkPhase::on_air`] — Init/Cooldown
 //! sessions are radio-silent and contribute nothing — via the two-way
 //! [`PairGainCache::set_live`] flip, so a cooldown row is *recycled*, not
-//! retired. Closed scenarios (`churn: None`) take the legacy fast path:
-//! the phase columns stay untouched, no phase telemetry is emitted, and
-//! the event sequence is byte-identical to the pre-lifecycle engine.
+//! retired. A closed scenario (`churn: None`) is the degenerate open
+//! system: every row is born `Live` (admitted up front on the fixed
+//! association stagger, with no warm-up) and only ever leaves by dying. So
+//! one phase column answers every liveness question (`Pairs::on_air`), and
+//! one `kill` path tears every session down. Closed runs emit no phase
+//! telemetry, so their event sequence and traces are byte-identical to the
+//! pre-lifecycle engine.
 //!
 //! Determinism: one pending event per (pair, kind) keeps kernel keys
 //! unique; the pair index is the kernel's entity id; all floating-point
@@ -230,8 +234,9 @@ struct Pairs {
     /// Primary (largest-fraction) mode of the last installed plan, for
     /// telemetry `ModeSwitch` edges.
     last_mode: Vec<Option<Mode>>,
-    /// Lifecycle phase (open systems only; closed scenarios never read or
-    /// write the churn columns below).
+    /// Lifecycle phase, the one liveness column. Open-system rows start in
+    /// `Init`; closed rows are born `Live` and only ever step to `Dead`.
+    /// The churn columns below are touched by open-system rows only.
     phase: Vec<LinkPhase>,
     /// When the current phase was entered (arrival time until then), the
     /// anchor for phase-occupancy accounting.
@@ -258,6 +263,13 @@ struct Pairs {
 impl Pairs {
     fn len(&self) -> usize {
         self.tx.len()
+    }
+
+    /// Is pair `q` on the air? The engine's one liveness predicate: the
+    /// interference live set, the wave's victim and key selection, the
+    /// sampler's live count and the debug shadow check all read it.
+    fn on_air(&self, q: usize) -> bool {
+        self.phase[q].on_air()
     }
 }
 
@@ -385,7 +397,11 @@ struct Fleet<'a> {
     /// wave sweep, the lazy dirty-sum path and the debug shadow check —
     /// the single arithmetic definition of a fleet edge.
     edges: EdgeKernel,
-    /// Open-system accumulators (untouched when `sc.churn` is `None`).
+    /// Emit `phase_change` records. Set for open systems only: a closed
+    /// row's one transition (Live → Dead) stays out of the trace.
+    phase_telemetry: bool,
+    /// Lifecycle accumulators, kept for every run but reported (by
+    /// `churn_report`) for open systems only.
     /// Session-seconds per phase, indexed by [`LinkPhase::index`].
     phase_time: [f64; PHASE_COUNT],
     /// Sessions that departed gracefully.
@@ -411,6 +427,12 @@ impl<'a> Fleet<'a> {
             devices.battery.push(Battery::new(d.battery));
         }
         let n = sc.pairs.len();
+        let open = sc.churn.is_some();
+        let born = if open {
+            LinkPhase::Init
+        } else {
+            LinkPhase::Live
+        };
         let mut pairs = Pairs {
             tx: Vec::with_capacity(n),
             rx: Vec::with_capacity(n),
@@ -424,7 +446,7 @@ impl<'a> Fleet<'a> {
             dead_at: vec![None; n],
             dir: Vec::with_capacity(n),
             last_mode: vec![None; n],
-            phase: vec![LinkPhase::Init; n],
+            phase: vec![born; n],
             phase_since: Vec::with_capacity(n),
             warm_got: vec![0; n],
             cooldowns: vec![0; n],
@@ -447,18 +469,16 @@ impl<'a> Fleet<'a> {
                     .unwrap_or(Point::new(1.0, 0.0)),
             );
             // Phase accounting starts at the session's arrival (t = 0 for
-            // closed pairs, which never use the column).
+            // closed pairs, which are born Live).
             pairs.phase_since.push(p.arrival.unwrap_or(Seconds::ZERO));
             pairs.roam_leg2.push(tag_seen[p.tx]);
             tag_seen[p.tx] = true;
         }
+        // The cache's live set mirrors `on_air` from birth: open-system
+        // rows start radio-silent in Init until a beacon admits them.
         let mut gains = PairGainCache::new(n);
-        if sc.churn.is_some() {
-            // Open-system sessions start radio-silent in Init: nobody is
-            // on air until a beacon admits them.
-            for p in 0..n {
-                gains.set_live(p, false);
-            }
+        for p in 0..n {
+            gains.set_live(p, pairs.on_air(p));
         }
         Fleet {
             sc,
@@ -473,14 +493,11 @@ impl<'a> Fleet<'a> {
             options: OptionsMemo::new(),
             wave_cold: true,
             edges: EdgeKernel::new(&sc.ch),
+            phase_telemetry: open,
             phase_time: [0.0; PHASE_COUNT],
             departed: 0,
             died: 0,
-            window_bits: if sc.churn.is_some() {
-                vec![0.0; n]
-            } else {
-                Vec::new()
-            },
+            window_bits: if open { vec![0.0; n] } else { Vec::new() },
         }
     }
 
@@ -495,49 +512,20 @@ impl<'a> Fleet<'a> {
     /// its rows are byte-identical at any `--jobs`.
     fn run_sampled(&mut self, mut sampler: Option<Sampler>) -> (FleetReport, Option<Series>) {
         telemetry::begin_unit();
-        if let Some(cfg) = self.sc.churn {
-            // Open system: each session is admitted at the first beacon of
-            // its hub after its arrival (the admission instant is a pure
-            // function of the roster, so it is computed here rather than
-            // simulating beacons), and departs when its dwell ends. Both
-            // instants past the horizon simply never deliver.
-            for i in 0..self.pairs.len() {
-                let spec = &self.sc.pairs[i];
-                let arrival = spec.arrival.expect("churn pairs carry arrivals");
-                let admit = cfg.discovery.admission_at(spec.rx as u32, arrival);
-                self.q.schedule(
-                    admit,
-                    Kind::Associate.rank(),
-                    i as u32,
-                    Ev {
-                        pair: i,
-                        kind: Kind::Associate,
-                        gen: 0,
-                    },
-                );
-                self.q.schedule(
-                    spec.departure.expect("churn pairs carry departures"),
-                    Kind::Departure.rank(),
-                    i as u32,
-                    Ev {
-                        pair: i,
-                        kind: Kind::Departure,
-                        gen: 0,
-                    },
-                );
-            }
-        } else {
-            for i in 0..self.pairs.len() {
-                self.q.schedule(
-                    Seconds::new(i as f64 * ASSOC_STAGGER.seconds()),
-                    Kind::Associate.rank(),
-                    i as u32,
-                    Ev {
-                        pair: i,
-                        kind: Kind::Associate,
-                        gen: 0,
-                    },
-                );
+        // Bring-up: an open-system row is admitted at the first beacon of
+        // its hub after its arrival (a pure function of the roster, so it
+        // is computed here rather than simulating beacons); a closed row
+        // associates on the fixed stagger. A row that carries a departure
+        // schedules it too. Instants past the horizon simply never deliver.
+        let sc = self.sc;
+        for (i, spec) in sc.pairs.iter().enumerate() {
+            let associate = match (sc.churn, spec.arrival) {
+                (Some(cfg), Some(arrival)) => cfg.discovery.admission_at(spec.rx as u32, arrival),
+                _ => Seconds::new(i as f64 * ASSOC_STAGGER.seconds()),
+            };
+            self.schedule(associate, i, Kind::Associate);
+            if let Some(departure) = spec.departure {
+                self.schedule(departure, i, Kind::Departure);
             }
         }
         let mut last = Seconds::ZERO;
@@ -611,25 +599,13 @@ impl<'a> Fleet<'a> {
     /// Emit the row for bucket `next_k` from the current engine state.
     fn sample_bucket(&self, s: &mut Sampler) {
         let t = s.next_k as f64 * s.dt;
-        // Occupancy: open systems report true lifecycle phases; closed
-        // scenarios have no lifecycle, so pairs map to Live until they die
-        // (their whole life is the steady state the phase models as Live).
-        let churn = self.sc.churn.is_some();
+        // Occupancy by lifecycle phase (a closed row counts Live until it
+        // dies: its whole life is the steady state the phase models).
         let mut phase_counts = [0u32; PHASE_COUNT];
         let mut live_pairs = 0u32;
-        for p in 0..self.pairs.len() {
-            if churn {
-                let ph = self.pairs.phase[p];
-                phase_counts[ph.index()] += 1;
-                if ph.on_air() {
-                    live_pairs += 1;
-                }
-            } else if self.pairs.fsm[p].is_dead() {
-                phase_counts[LinkPhase::Dead.index()] += 1;
-            } else {
-                phase_counts[LinkPhase::Live.index()] += 1;
-                live_pairs += 1;
-            }
+        for (p, ph) in self.pairs.phase.iter().enumerate() {
+            phase_counts[ph.index()] += 1;
+            live_pairs += u32::from(self.pairs.on_air(p));
         }
         // Battery remaining fractions across devices with real batteries.
         s.scratch.clear();
@@ -732,7 +708,7 @@ impl<'a> Fleet<'a> {
 
     fn handle(&mut self, ev: Ev, now: Seconds) {
         let (p, kind) = (ev.pair, ev.kind);
-        if self.pairs.fsm[p].is_dead() {
+        if self.pairs.phase[p].is_terminal() {
             return; // stale event for a torn-down session
         }
         // A shared device may have died serving another pair since this
@@ -750,7 +726,8 @@ impl<'a> Fleet<'a> {
             Kind::ProbesDone => self.on_probes_done(p, now),
             Kind::Replan => self.on_replan(p, now),
             Kind::QuantumDone => self.on_quantum_done(p, ev.gen, now),
-            Kind::Departure => self.on_departure(p, now),
+            // Only rows that carry a departure schedule one.
+            Kind::Departure => self.kill(p, now, telemetry::DeathReason::Departed),
             Kind::CooldownDone => self.on_cooldown_done(p, now),
         }
     }
@@ -769,8 +746,8 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Feed one lifecycle event (open systems only). A real transition
-    /// closes out the occupancy of the phase being left and emits the
+    /// Feed one lifecycle event. A real transition closes out the
+    /// occupancy of the phase being left and (open systems only) emits the
     /// `phase_change` record; self-loops are free. Illegal combinations
     /// are engine bugs, so this unwraps the table.
     fn phase_step(&mut self, p: usize, ev: PhaseEvent, now: Seconds) {
@@ -785,12 +762,14 @@ impl<'a> Fleet<'a> {
         }
         self.pairs.phase_since[p] = now;
         self.pairs.phase[p] = to;
-        telemetry::emit(telemetry::Event::PhaseChange {
-            at: now,
-            track: telemetry::Track::Pair(p as u32),
-            from: Self::phase_tag(from),
-            to: Self::phase_tag(to),
-        });
+        if self.phase_telemetry {
+            telemetry::emit(telemetry::Event::PhaseChange {
+                at: now,
+                track: telemetry::Track::Pair(p as u32),
+                from: Self::phase_tag(from),
+                to: Self::phase_tag(to),
+            });
+        }
     }
 
     /// The smaller endpoint's remaining battery fraction — the signal the
@@ -808,10 +787,12 @@ impl<'a> Fleet<'a> {
     }
 
     fn on_associate(&mut self, p: usize, now: Seconds) {
-        if let Some(cfg) = self.sc.churn {
+        let admitting = self.pairs.phase[p] == LinkPhase::Init;
+        if admitting {
             // This event *is* the admitting beacon: the tag has idled in
             // Init on detector-only power since its arrival, and the hub
             // pays for the one beacon frame that admitted it.
+            let cfg = self.sc.churn.expect("only open-system rows start in Init");
             let arrival = self.sc.pairs[p]
                 .arrival
                 .expect("churn pairs carry arrivals");
@@ -838,10 +819,10 @@ impl<'a> Fleet<'a> {
             self.gains.set_live(p, true);
         }
         // Association begins when a passive wakeup detector catches a
-        // beacon (§4.2 step 0). Closed scenarios: the receiver detects the
-        // transmitter. Open systems: the *tag* (transmitter) detects its
+        // beacon (§4.2 step 0). A closed row: the receiver detects the
+        // transmitter. An admitted row: the *tag* (transmitter) detects its
         // hub's beacon, per the discovery model.
-        let detector = if self.sc.churn.is_some() {
+        let detector = if admitting {
             self.pairs.tx[p]
         } else {
             self.pairs.rx[p]
@@ -891,7 +872,7 @@ impl<'a> Fleet<'a> {
             return;
         }
         self.schedule_quantum(p, now);
-        if !self.pairs.fsm[p].is_dead() && !self.pairs.replan_queued[p] {
+        if self.pairs.on_air(p) && !self.pairs.replan_queued[p] {
             self.pairs.replan_queued[p] = true;
             self.schedule(now + self.sc.replan_interval, p, Kind::Replan);
         }
@@ -901,12 +882,10 @@ impl<'a> Fleet<'a> {
         self.pairs.replan_queued[p] = false;
         // A replan scheduled before a cooldown can fire during the
         // cooldown (the session is quiesced) or during the post-retry
-        // bring-up (the probe round under way supersedes it). Both are
-        // open-system-only states; closed pairs braid from first plan to
-        // death, so this never fires for them.
-        if self.sc.churn.is_some()
-            && (self.pairs.phase[p] == LinkPhase::Cooldown
-                || self.pairs.fsm[p].state() != FsmState::Braiding)
+        // bring-up (the probe round under way supersedes it). Closed pairs
+        // braid from first plan to death, so this never fires for them.
+        if self.pairs.phase[p] == LinkPhase::Cooldown
+            || self.pairs.fsm[p].state() != FsmState::Braiding
         {
             return;
         }
@@ -921,11 +900,9 @@ impl<'a> Fleet<'a> {
         if self.charge_probe_round(p, now).is_none() {
             return;
         }
+        // No viable mode any more: `install_plan` already killed or
+        // quiesced the session and aborted its quantum in flight.
         if !self.install_plan(p, now) {
-            // No viable mode any more: the in-flight quantum dies with the
-            // session (its completion event will find a dead FSM — or, in
-            // an open system, a bumped quantum generation).
-            self.abort_pending(p, now);
             return;
         }
         self.pairs.replan_queued[p] = true;
@@ -936,13 +913,9 @@ impl<'a> Fleet<'a> {
         if gen != self.pairs.quantum_gen[p] {
             return; // completion of a quantum a cooldown aborted
         }
-        let Some(pending) = self.pairs.pending[p].take() else {
-            debug_assert!(
-                self.sc.churn.is_some(),
-                "a closed-scenario quantum was in flight"
-            );
-            return;
-        };
+        let pending = self.pairs.pending[p]
+            .take()
+            .expect("a current-generation completion has its quantum in flight");
         self.pairs.fsm[p]
             .on(FsmEvent::PacketDelivered)
             .expect("Braiding accepts PacketDelivered");
@@ -1022,17 +995,6 @@ impl<'a> Fleet<'a> {
             }
         }
         self.schedule_quantum(p, now);
-    }
-
-    /// Open systems: the session's dwell ended while it was still alive —
-    /// graceful teardown from whatever phase it reached (possibly still
-    /// Init, if the dwell was shorter than the beacon wait).
-    fn on_departure(&mut self, p: usize, now: Seconds) {
-        debug_assert!(
-            self.sc.churn.is_some(),
-            "departures only exist in churn mode"
-        );
-        self.kill(p, now, telemetry::DeathReason::Departed);
     }
 
     /// Open systems: quiesce a link that lost viability. Enters Cooldown,
@@ -1139,27 +1101,14 @@ impl<'a> Fleet<'a> {
         let overlap = self.sc.arbitration.carriers_overlap();
         let sc = self.sc;
         let pos = &self.devices.pos;
+        let pairs = &self.pairs;
         let Pairs {
             tx,
             rx,
             pin,
-            fsm,
             mobile,
-            phase,
             ..
-        } = &self.pairs;
-        // Which pairs are on the air: open systems follow the lifecycle
-        // phase (Init/Cooldown rows are radio-silent), closed scenarios the
-        // binary FSM liveness — the exact predicate the gain cache's live
-        // set mirrors.
-        let churn = sc.churn.is_some();
-        let on_air = |q: usize| {
-            if churn {
-                phase[q].on_air()
-            } else {
-                !fsm[q].is_dead()
-            }
-        };
+        } = pairs;
         if overlap {
             // Gather the wave's frozen endpoint geometry into flat arrays
             // once (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the
@@ -1169,7 +1118,7 @@ impl<'a> Fleet<'a> {
             let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let ends = |q: usize| (pa[q], pb[q]);
             self.gains.rebuild_all_tiled(
-                |v| !mobile[v] && on_air(v),
+                |v| !mobile[v] && pairs.on_air(v),
                 ends,
                 edge_tile(&self.edges, sc.arbitration, ends),
             );
@@ -1184,7 +1133,7 @@ impl<'a> Fleet<'a> {
             n,
             pool::default_chunk(n),
             |p| -> Option<OptionsKey> {
-                if !on_air(p) || mobile[p] {
+                if !pairs.on_air(p) || mobile[p] {
                     return None;
                 }
                 let interference = if overlap {
@@ -1205,7 +1154,8 @@ impl<'a> Fleet<'a> {
     }
 
     /// Probe outcome → plan installation. Returns `false` when the pair
-    /// died (no viable mode).
+    /// found no viable mode: a closed row is killed, an open-system row
+    /// quiesces into Cooldown.
     fn install_plan(&mut self, p: usize, now: Seconds) -> bool {
         self.wave_sweep();
         let d = self.pair_distance(p, now);
@@ -1225,23 +1175,15 @@ impl<'a> Fleet<'a> {
                     primary: None,
                 });
             }
+            // An open-system link that lost viability quiesces instead of
+            // dying: the offload FSM stays in Probing and the lifecycle
+            // machine decides later whether to retry. A closed row has no
+            // retry budget.
             if self.sc.churn.is_some() {
-                // An open-system link that lost viability quiesces instead
-                // of dying: the offload FSM stays in Probing and the
-                // lifecycle machine decides later whether to retry.
                 self.enter_cooldown(p, PhaseEvent::ProbesEmpty, now);
-                return false;
+            } else {
+                self.kill(p, now, telemetry::DeathReason::NoViableMode);
             }
-            self.pairs.fsm[p]
-                .on(FsmEvent::ProbesEmpty)
-                .expect("Probing accepts ProbesEmpty");
-            self.pairs.dead_at[p] = Some(now);
-            self.gains.mark_dead(p);
-            telemetry::emit(telemetry::Event::SessionDead {
-                at: now,
-                track: telemetry::Track::Pair(p as u32),
-                reason: telemetry::DeathReason::NoViableMode,
-            });
             return false;
         }
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
@@ -1254,15 +1196,12 @@ impl<'a> Fleet<'a> {
         self.pairs.fsm[p]
             .on(FsmEvent::ProbesOk)
             .expect("Probing accepts ProbesOk");
-        if self.sc.churn.is_some() {
-            // Probe → Warm starts a fresh warm-up; in Warm/Live/Degrade a
-            // successful replan is a self-loop.
-            let fresh = self.pairs.phase[p] == LinkPhase::Probe;
-            self.phase_step(p, PhaseEvent::ProbesOk, now);
-            if fresh {
-                self.pairs.warm_got[p] = 0;
-            }
+        // Probe → Warm starts a fresh warm-up; in Warm/Live/Degrade a
+        // successful replan is a self-loop.
+        if self.pairs.phase[p] == LinkPhase::Probe {
+            self.pairs.warm_got[p] = 0;
         }
+        self.phase_step(p, PhaseEvent::ProbesOk, now);
         if telemetry::enabled() {
             // Primary = the allocation carrying the largest bit fraction
             // (an exact 50/50 tie resolves to the later allocation — any
@@ -1434,31 +1373,23 @@ impl<'a> Fleet<'a> {
     /// Debug-build oracle: recompute pair `p`'s interference the original
     /// brute-force way (full per-edge rescan in pair-index order) and check
     /// the cached answer against it bit for bit. Also asserts the cache's
-    /// liveness view matches the FSMs. The rescan runs through the scalar
-    /// [`EdgeKernel::carrier_from_pair`], whose lanes the tiled kernel
+    /// liveness view matches [`Pairs::on_air`]. The rescan runs through the
+    /// scalar [`EdgeKernel::carrier_from_pair`], whose lanes the tiled kernel
     /// reproduces exactly, so what this checks is liveness, ordering,
     /// tiling and cache bookkeeping; the kernel's own equality to the
     /// direct `carrier_contribution` path is pinned by the `net::baseline`
     /// oracle and the interference proptests.
     #[cfg(debug_assertions)]
     fn shadow_check(&self, p: usize, got: Watts) {
-        let churn = self.sc.churn.is_some();
-        let on_air = |q: usize| {
-            if churn {
-                self.pairs.phase[q].on_air()
-            } else {
-                !self.pairs.fsm[q].is_dead()
-            }
-        };
         let victim = self.devices.pos[self.pairs.rx[p]];
         let mut brute = Watts::new(0.0);
         for qi in 0..self.pairs.len() {
             debug_assert_eq!(
                 self.gains.is_live(qi),
-                on_air(qi),
+                self.pairs.on_air(qi),
                 "cache liveness diverged for pair {qi}"
             );
-            if qi == p || !on_air(qi) {
+            if qi == p || !self.pairs.on_air(qi) {
                 continue;
             }
             brute += self.edges.carrier_from_pair(
@@ -1488,7 +1419,7 @@ impl<'a> Fleet<'a> {
                 self.devices.pos[rx] = self.devices.pos[tx].offset_along(dir, d);
                 // The pair moved: its cached interference edges (as victim
                 // and as source) are stale for everyone.
-                self.gains.invalidate_pair(p);
+                self.gains.invalidate_all();
                 d
             }
         }
@@ -1507,32 +1438,27 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Terminal teardown. `reason` distinguishes a battery death from an
-    /// open system's graceful departure or a cooldown give-up; closed
-    /// callers always pass `BatteryDead` (bit-identical to the
-    /// pre-lifecycle engine, whose only kill reason that was).
+    /// Terminal teardown, the one death path of every session: the pair
+    /// leaves the interference live set, its phase steps to Dead and its
+    /// quantum in flight is aborted. `reason` says why: a battery death, a
+    /// closed row's empty probe round, an open system's graceful departure
+    /// or a cooldown give-up.
     fn kill(&mut self, p: usize, now: Seconds, reason: telemetry::DeathReason) {
-        if self.sc.churn.is_some() {
-            self.gains.set_live(p, false);
-        } else {
-            self.gains.mark_dead(p);
-        }
-        if !self.pairs.fsm[p].is_dead() {
+        self.gains.set_live(p, false);
+        if !self.pairs.phase[p].is_terminal() {
             self.pairs.fsm[p]
                 .on(FsmEvent::BatteryDead)
                 .expect("live states accept BatteryDead");
-            if self.sc.churn.is_some() {
-                let ev = match reason {
-                    telemetry::DeathReason::Departed => PhaseEvent::Departed,
-                    telemetry::DeathReason::GaveUp => PhaseEvent::CooldownDrop,
-                    _ => PhaseEvent::BatteryDead,
-                };
-                self.phase_step(p, ev, now);
-                if matches!(reason, telemetry::DeathReason::Departed) {
-                    self.departed += 1;
-                } else {
-                    self.died += 1;
-                }
+            let ev = match reason {
+                telemetry::DeathReason::Departed => PhaseEvent::Departed,
+                telemetry::DeathReason::GaveUp => PhaseEvent::CooldownDrop,
+                _ => PhaseEvent::BatteryDead,
+            };
+            self.phase_step(p, ev, now);
+            if matches!(reason, telemetry::DeathReason::Departed) {
+                self.departed += 1;
+            } else {
+                self.died += 1;
             }
             telemetry::emit(telemetry::Event::SessionDead {
                 at: now,

@@ -1,12 +1,10 @@
 //! Per-link session lifecycle: the phase machine behind dynamic fleets.
 //!
-//! Closed scenarios (grid, star, city block) hand the engine a pair list
-//! that exists a priori and runs to completion; the only session state the
-//! SoA engine tracked was the binary live/dead bit implied by
-//! [`braidio_mac::fsm::OffloadFsm`]. An *open* system — devices arriving,
-//! roaming, browning out, and leaving mid-run — needs a richer notion of
-//! "how alive is this link", which this module provides as an explicit
-//! phase machine (after the `LinkPhase` exemplar in `strata`, SNIPPETS.md):
+//! An *open* system — devices arriving, roaming, browning out, and leaving
+//! mid-run — needs a richer notion of "how alive is this link" than the
+//! protocol steps of [`braidio_mac::fsm::OffloadFsm`]. This module provides
+//! it as an explicit phase machine (after the `LinkPhase` exemplar in
+//! `strata`, SNIPPETS.md), and the engine runs every fleet on it:
 //!
 //! ```text
 //! Init → Probe → Warm → Live ⇄ Degrade → Cooldown → Probe | Dead
@@ -33,10 +31,11 @@
 //!
 //! The machine itself is a pure transition table ([`step`]) so the full
 //! legal/illegal surface is unit-testable without an engine; the engine
-//! owns *when* events fire. Closed scenarios never construct the churn
-//! phases: they take the Init → Probe → Warm → Live fast path at
-//! association time and emit no phase telemetry, which is what keeps their
-//! output byte-identical to the pre-lifecycle engine.
+//! owns *when* events fire. A closed scenario (grid, star, city block) is
+//! the degenerate case: its pairs exist a priori, are born `Live` with no
+//! warm-up, and only ever step to `Dead`. The engine emits no phase
+//! telemetry for them, which keeps their output byte-identical to the
+//! pre-lifecycle engine.
 
 use braidio_units::Seconds;
 

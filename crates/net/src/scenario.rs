@@ -136,7 +136,8 @@ pub struct FleetScenario {
     pub control_overhead: bool,
     /// Open-system churn: present iff this is an
     /// [`open_system`](Self::open_system) scenario. Closed scenarios keep
-    /// `None` and take the legacy fast path through the engine.
+    /// `None`: their pairs are born `Live` on the fixed association
+    /// stagger, never depart, and emit no phase telemetry.
     pub churn: Option<ChurnConfig>,
 }
 

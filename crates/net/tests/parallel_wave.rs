@@ -47,7 +47,7 @@ fn arb_scenario() -> impl Strategy<Value = FleetScenario> {
         };
         if topo == 3 {
             // Stars with coin-cell tags (1 case in 4): uncoordinated
-            // runs kill sessions, so the death path (mark_dead, wave
+            // runs kill sessions, so the death path (`set_live(q, false)`, wave
             // re-dirtying) runs under the fan-out too.
             let tags = 3 + m % 6;
             return FleetScenario::star(tags, Meters::new(0.5), 99.5, 0.002, arb)

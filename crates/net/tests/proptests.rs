@@ -191,7 +191,7 @@ proptest! {
                 FleetEvent::Death(q) => {
                     let q = q % n;
                     live[q] = false;
-                    cache.mark_dead(q);
+                    cache.set_live(q, false);
                 }
                 FleetEvent::Move(q, p) => {
                     let q = q % n;
@@ -200,14 +200,14 @@ proptest! {
                     // stale edges forever.
                     if live[q] {
                         eps[q] = (p, Point::new(p.x, p.y + 0.5));
-                        cache.invalidate_pair(q);
+                        cache.invalidate_all();
                     }
                 }
                 FleetEvent::Relation(q, r) => {
                     let q = q % n;
                     if live[q] && rel[q] != r {
                         rel[q] = r;
-                        cache.invalidate_pair(q);
+                        cache.invalidate_all();
                     }
                 }
             }

@@ -14,7 +14,9 @@
 //! swaps the process-global worker pool, and the test harness runs
 //! sibling `#[test]` functions concurrently.
 
-use braidio_net::{run_fleet, run_fleet_sampled, Arbitration, FleetReport, FleetScenario};
+use braidio_net::{
+    run_fleet, run_fleet_sampled, Arbitration, FleetReport, FleetScenario, LinkPhase,
+};
 use braidio_telemetry::timeseries::{render_csv, render_jsonl, SAMPLE_PHASES};
 use braidio_units::{Meters, Seconds};
 
@@ -113,11 +115,24 @@ fn sampling_is_a_pure_witness_and_thread_invariant() {
             assert_eq!(row.phase_counts.len(), SAMPLE_PHASES);
         }
         // A closed fleet never admits or departs: every pair occupies a
-        // phase slot in every row.
+        // phase slot in every row. Its pairs are born Live and only ever
+        // die, so only the Live and Dead slots fill, and every Live pair
+        // is on the air.
         if what == "closed" {
-            for row in &series.samples {
+            let (live, dead) = (LinkPhase::Live.index(), LinkPhase::Dead.index());
+            for (k, row) in series.samples.iter().enumerate() {
                 let occupied: u32 = row.phase_counts.iter().sum();
                 assert_eq!(occupied as usize, sc.pairs.len(), "{what}: occupancy");
+                for (i, &count) in row.phase_counts.iter().enumerate() {
+                    assert!(
+                        count == 0 || i == live || i == dead,
+                        "{what}: row {k} counts {count} pairs in phase slot {i}"
+                    );
+                }
+                assert_eq!(
+                    row.live_pairs, row.phase_counts[live],
+                    "{what}: row {k} live pairs"
+                );
             }
         }
 
