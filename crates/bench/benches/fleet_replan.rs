@@ -7,7 +7,7 @@
 //! plus a full `options_under` evaluation per pair); the cached arms run
 //! the production path (`PairGainCache` steady-state sums over
 //! `EdgeKernel::carrier_tile`, `OptionsMemo` hits); the batched arms run
-//! the SoA wave path (`rebuild_all_tiled` bulk sweeps,
+//! the SoA wave path (`rebuild_all_shared` bulk sweeps,
 //! `options_under_batch`, key-sorted `prefetch`). All compute
 //! bit-identical answers — the determinism suite and
 //! the debug-build shadow check enforce that — so the arms measure the
@@ -100,6 +100,15 @@ fn edge_tile<'a>(
     }
 }
 
+/// The engine's shared-receiver key: receiver position bits and the
+/// arbitration relation row.
+fn receiver_key(sc: &FleetScenario) -> impl Fn(usize) -> (u64, u64, usize) + '_ {
+    move |v| {
+        let r = ends(sc, v).1;
+        (r.x.to_bits(), r.y.to_bits(), sc.arbitration.relation_row(v))
+    }
+}
+
 /// The production interference path: cached per-victim sums, rebuilt
 /// through the tiled kernel only when dirty.
 fn wave_cached(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenario) -> f64 {
@@ -132,14 +141,14 @@ fn bench_interference_wave(c: &mut Criterion) {
             black_box(wave_cached(&mut cache, &kernel, &sc))
         })
     });
-    // The batched planning-wave path: one `rebuild_all_tiled` sweep
+    // The batched planning-wave path: one `rebuild_all_shared` sweep
     // recomputes every dirty sum in pair-index order, then the wave is all
     // clean hits.
     let mut bulk = PairGainCache::new(PAIRS);
     c.bench_function("fleet_replan/interference_wave/bulk_rebuild/64", |b| {
         b.iter(|| {
             bulk.invalidate_all();
-            bulk.rebuild_all_tiled(|_| true, |q| ends(&sc, q), edge_tile(&kernel, &sc));
+            bulk.rebuild_all_shared(|_| true, receiver_key(&sc), edge_tile(&kernel, &sc));
             black_box(wave_cached(&mut bulk, &kernel, &sc))
         })
     });
@@ -255,7 +264,7 @@ fn bench_options(c: &mut Criterion) {
 
 fn bench_thread_sweep(c: &mut Criterion) {
     // The intra-wave fan-out (DESIGN.md §12) at each worker count the CI
-    // smoke exercises: a fully-dirty `rebuild_all_tiled` sweep — the stage that
+    // smoke exercises: a fully-dirty `rebuild_all_shared` sweep — the stage that
     // dominates a cold planning wave — at 1/2/4/8 threads. Every arm
     // computes identical bits (the fan-out is pure scheduling); the arm
     // spread is the wall-clock story. On a single-core host the arms time
@@ -269,7 +278,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
             braidio_pool::with_threads(threads, || {
                 b.iter(|| {
                     cache.invalidate_all();
-                    cache.rebuild_all_tiled(|_| true, |q| ends(&sc, q), edge_tile(&kernel, &sc));
+                    cache.rebuild_all_shared(|_| true, receiver_key(&sc), edge_tile(&kernel, &sc));
                     black_box(cache.cached_sum(0))
                 })
             })

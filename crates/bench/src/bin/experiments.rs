@@ -274,8 +274,9 @@ fn write_or_die(path: &str, contents: &str) {
 /// (`fleet.{scale,city,churn}.edges_per_s` — recomputed interference
 /// edges per second of planning-wave wall-clock) through `metrics`, and
 /// the `counters` array now carries the exact-FSPL-memo hit/miss totals
-/// (`net.fspl.hit` / `net.fspl.miss`; tile- and thread-count-dependent
-/// diagnostics, not simulated quantities). Report shape and every
+/// (`net.fspl.hit` / `net.fspl.miss`; diagnostics, not simulated
+/// quantities, though a miss is one memo insert, so the totals are the
+/// same at any thread count). Report shape and every
 /// pre-existing key are unchanged. Schema 8 records the same wall-clock keys
 /// for every fleet family under `fleet.<family>.` (`grid`, `scale`, `city`,
 /// `churn`): the `replan_latency_s`/`wave_latency_s` histograms and the

@@ -436,7 +436,9 @@ fn edge_counters() -> (u64, u64) {
 
 /// Record the parallel execution configuration under `fleet.<key>.`: the
 /// effective worker-thread count and the chunk size the planning wave's
-/// victim fan-out uses at the run's largest pair count. Pure wall-clock
+/// per-pair fan-out (key collection) uses at the run's largest pair count;
+/// the interference stage chunks its shared-receiver groups the same way,
+/// so on a star-heavy fleet its chunks hold fewer items. Pure wall-clock
 /// attribution metadata — the simulated outputs are identical at any
 /// thread count, but a perf trajectory is meaningless without the core
 /// count it ran on.

@@ -70,6 +70,20 @@ impl Arbitration {
         }
     }
 
+    /// The victim's *relation row*: a label such that two victims with
+    /// equal rows see every pair's carrier under the same relation —
+    /// `relation_row(v) == relation_row(w)` implies
+    /// `relation(v, q) == relation(w, q)` for every `q`. A channel plan's
+    /// row is the victim's channel, `victim % channels`; every other policy
+    /// relates all pairs alike, so its row is 0. The wave sweep keys
+    /// shared-receiver victim groups on it.
+    pub fn relation_row(self, victim: usize) -> usize {
+        match self {
+            Arbitration::ChannelPlan { channels } => victim % channels.max(1),
+            Arbitration::Uncoordinated | Arbitration::TdmaRoundRobin { .. } => 0,
+        }
+    }
+
     /// May pair `pair` (of `n_pairs`) transmit at time `t`?
     pub fn may_transmit(self, pair: usize, n_pairs: usize, t: Seconds) -> bool {
         match self {
@@ -203,6 +217,42 @@ mod tests {
         assert!(a.may_transmit(0, 1, Seconds::new(7.7)));
         assert_eq!(a.window_end(0, 1, Seconds::new(7.7)), None);
         assert_eq!(a.airtime_share(1), 1.0);
+    }
+
+    #[test]
+    fn equal_relation_rows_mean_equal_relations() {
+        // The contract the shared-receiver wave relies on, tabled over
+        // every policy shape and small fleets: equal rows ⇒ identical
+        // relations to every source. Equivalently, victims whose relations
+        // differ anywhere are never merged into one row.
+        let policies = [
+            Arbitration::Uncoordinated,
+            Arbitration::TdmaRoundRobin {
+                slot: Seconds::new(0.25),
+            },
+            Arbitration::ChannelPlan { channels: 1 },
+            Arbitration::ChannelPlan { channels: 2 },
+            Arbitration::ChannelPlan { channels: 3 },
+        ];
+        for a in policies {
+            for n in 1..=9 {
+                for v in 0..n {
+                    for w in 0..n {
+                        let same = (0..n).all(|q| a.relation(v, q) == a.relation(w, q));
+                        if a.relation_row(v) == a.relation_row(w) {
+                            assert!(
+                                same,
+                                "{a:?} n={n}: rows of {v} and {w} merge unequal relations"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A channel plan splits rows by channel, nothing else does.
+        assert_eq!(Arbitration::ChannelPlan { channels: 2 }.relation_row(5), 1);
+        assert_eq!(Arbitration::ChannelPlan { channels: 3 }.relation_row(5), 2);
+        assert_eq!(Arbitration::Uncoordinated.relation_row(5), 0);
     }
 
     #[test]

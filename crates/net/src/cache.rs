@@ -26,33 +26,51 @@
 //! adds in the same order is exact). The engine shadow-checks this in
 //! debug builds.
 //!
-//! **One accumulation loop.** Both entry points — the lazy per-victim
+//! **One accumulation loop.** Every sum — the lazy per-victim
 //! [`PairGainCache::interference`] and the bulk wave sweep
-//! [`PairGainCache::rebuild_all_tiled`] — take the same edge-tile closure
-//! `edge_tile(v, qs, out)` and funnel into one private loop that gathers a
-//! victim's live sources into [`EDGE_TILE`]-wide index tiles, hands each
-//! tile to the closure (the engine passes `EdgeKernel::carrier_tile`), and
-//! accumulates the returned contributions serially in lane order. Tiling
-//! changes *batching only*: edges are still accumulated in pair-index
-//! order, so the sums are bit-identical to a per-edge walk — what it buys
-//! is one FSPL-memo lock acquisition per tile instead of per edge, and
-//! flat arrays the kernel's distance pass can vectorize over.
+//! [`PairGainCache::rebuild_all_shared`] alike — comes out of one private
+//! loop over a *group* of victims that share a receiver key. The loop
+//! gathers the group's live sources into [`EDGE_TILE`]-wide index tiles,
+//! hands each tile once to the edge-tile closure `edge_tile(v, qs, out)`
+//! (the engine passes `EdgeKernel::carrier_tile`) with the group's first
+//! member as `v`, and then folds the returned lanes serially, in pair-index
+//! order, into every member's accumulator, each member skipping its own
+//! index. A lazy read is the singleton group, which gathers exactly the
+//! sources it always did (every live pair but the victim). Tiling and
+//! grouping change *batching only*: each member's adds are the adds of a
+//! per-edge walk, in the same order, so the sums are bit-identical to it —
+//! what tiling buys is one FSPL-memo lock acquisition per tile instead of
+//! per edge, and flat arrays the kernel's distance pass can vectorize over.
 //!
 //! **Bulk rebuild.** The engine's bring-up wave — the one planning wave of
 //! a run, when every pair is about to read its sum — refreshes every dirty
 //! sum it selects in one pass, so the per-pair lookups that follow are all
-//! O(1) clean hits. The pass fans the selected victims out over the
-//! `braidio-pool` workers (each sum is an independent pure function of the
-//! wave's frozen geometry, merged back in victim index order), so bring-up
-//! scales across cores without changing a bit — see DESIGN.md §12. After
-//! bring-up nothing rebuilds in bulk: a sum dirtied by a death, a liveness
-//! flip or a move stays dirty until its own victim reads it through
-//! [`PairGainCache::interference`], so a sum nobody reads costs nothing.
+//! O(1) clean hits. Victims with equal keys (the engine keys on the
+//! receiver's position bits and the arbitration relation row) see every
+//! source through the same edge, so their group evaluates each edge once:
+//! a star hub's tags all listen at the hub, and a city of 4-tag star blocks
+//! pays about 5/8 of the per-pair edge work. A group holds at most
+//! [`GROUP_CAP`] members, so one giant star cannot serialize the fan-out.
+//! The pass fans the groups out over the `braidio-pool` workers in order
+//! of their first member (each group's sums are an independent pure
+//! function of the wave's frozen geometry, merged back in group order), so
+//! bring-up scales across cores without changing a bit — see DESIGN.md
+//! §12. After bring-up nothing rebuilds in bulk: a sum dirtied by a death,
+//! a liveness flip or a move stays dirty until its own victim reads it
+//! through [`PairGainCache::interference`], so a sum nobody reads costs
+//! nothing.
 
 use crate::interference::EDGE_TILE;
 use braidio_rfsim::geometry::Point;
 use braidio_telemetry as telemetry;
 use braidio_units::Watts;
+use std::collections::HashMap;
+use std::hash::Hash;
+
+/// Most victims one shared-receiver group holds. A larger crowd at one
+/// receiver splits into several groups, so one giant star still fans out
+/// over the pool.
+pub const GROUP_CAP: usize = EDGE_TILE;
 
 /// The cached per-victim interference sums of one fleet.
 ///
@@ -136,12 +154,12 @@ impl PairGainCache {
 
     /// The worst-case foreign-carrier power at `victim`'s receiver.
     ///
-    /// `edge_tile(v, qs, out)` is the same tile kernel
-    /// [`rebuild_all_tiled`](Self::rebuild_all_tiled) takes: it fills
-    /// `out[i]` with source `qs[i]`'s contribution at victim `v`. On a clean
-    /// sum it is not called. A dirty sum recomputes the live sources'
-    /// contributions in pair-index order — bit-identical to the brute-force
-    /// rescan.
+    /// `edge_tile(v, qs, out)` is the same tile kernel the bulk pass takes:
+    /// it fills `out[i]` with source `qs[i]`'s contribution at victim `v`.
+    /// On a clean sum it is not called. A dirty sum is the shared
+    /// accumulation loop's singleton group: the live sources'
+    /// contributions in pair-index order — bit-identical to the
+    /// brute-force rescan.
     pub fn interference<E>(&mut self, victim: usize, edge_tile: E) -> Watts
     where
         E: Fn(usize, &[u32], &mut [Watts]),
@@ -151,111 +169,156 @@ impl PairGainCache {
             return Watts::new(self.sum[victim]);
         }
         telemetry::count("net.interference.sum_rebuild");
-        let acc = self.rebuild_one(victim, &edge_tile);
-        self.sum[victim] = acc.watts();
+        let mut acc = [Watts::ZERO];
+        self.sum_group(&[victim as u32], false, &edge_tile, &mut acc);
+        self.sum[victim] = acc[0].watts();
         self.sum_dirty[victim] = false;
         self.ndirty -= 1;
-        acc
+        acc[0]
     }
 
-    /// Refresh every dirty sum the filter selects, in pair-index order, in
-    /// one pass over the flat arrays. `keep(v)` gates which victims are
-    /// worth rebuilding (the engine skips dead and mobile pairs — mobility
+    /// Refresh every dirty sum the filter selects, grouping victims that
+    /// listen at the same point. `keep(v)` gates which victims are worth
+    /// rebuilding (the engine skips dead and mobile pairs — mobility
     /// refreshes positions lazily at event time, so those sums fall back to
     /// the per-victim lazy path). `edge_tile(v, qs, out)` fills `out[i]`
     /// with source `qs[i]`'s contribution at victim `v` (at most
-    /// [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index order);
-    /// each victim's sum comes from the same per-victim loop the lazy
-    /// [`interference`](Self::interference) path runs, so the bulk path is
-    /// bit-identical to demand-driven rebuilds. Besides the shared
-    /// `net.interference.edge_recompute` tally, the pass counts its edges
-    /// under `net.interference.wave_edge_recompute`, so the bulk share of
-    /// the edge work can be told apart from the lazy share.
+    /// [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index order).
     ///
-    /// `_endpoints` is unused: the cache reads no geometry itself, the tile
-    /// kernel does. The parameter stays so the signature that external
-    /// callers (the `fleetbench` edge replay) compile against is unchanged.
+    /// `key(v)` names victim `v`'s receiver. The contract: victims with
+    /// equal keys get the same bits from `edge_tile` for every source, so
+    /// one evaluation serves them all (the engine keys on the receiver's
+    /// position bits and the arbitration relation row). Selected victims
+    /// with equal keys form groups of at most [`GROUP_CAP`] members, in
+    /// pair-index order; each group runs the shared accumulation loop once,
+    /// so every sum is bit-identical to the lazy
+    /// [`interference`](Self::interference) path and to brute force.
     ///
-    /// The victim fan-out runs on the work pool: each selected victim's sum
-    /// is an independent pure function of the (frozen-for-the-wave)
-    /// geometry, computed by the shared per-victim loop and written back in
-    /// victim index order — so the result is identical at any thread count,
-    /// and `edge_tile` must be `Fn + Sync` (pure geometry, which every
-    /// caller passes anyway).
+    /// Besides the shared `net.interference.edge_recompute` tally, the pass
+    /// counts the kernel lanes it evaluates under
+    /// `net.interference.wave_edge_recompute`, so the bulk share of the
+    /// edge work can be told apart from the lazy share.
+    ///
+    /// The groups fan out over the work pool in order of their first
+    /// member: each group's sums are an independent pure function of the
+    /// (frozen-for-the-wave) geometry, written back in group order — so the
+    /// result is identical at any thread count, and `edge_tile` must be
+    /// `Fn + Sync` (pure geometry, which every caller passes anyway).
+    pub fn rebuild_all_shared<K, G, R, E>(&mut self, keep: K, key: G, edge_tile: E)
+    where
+        K: Fn(usize) -> bool,
+        G: Fn(usize) -> R,
+        R: Eq + Hash,
+        E: Fn(usize, &[u32], &mut [Watts]) + Sync,
+    {
+        if self.ndirty == 0 {
+            return;
+        }
+        // Group formation stays serial and in pair-index order: a victim
+        // joins its key's open group until that group is full, so groups
+        // are born in order of their first member and list their members
+        // ascending.
+        let mut open: HashMap<R, usize> = HashMap::new();
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        for v in (0..self.n).filter(|&v| self.sum_dirty[v] && keep(v)) {
+            let k = key(v);
+            match open.get(&k) {
+                Some(&g) if groups[g].len() < GROUP_CAP => groups[g].push(v as u32),
+                _ => {
+                    open.insert(k, groups.len());
+                    groups.push(vec![v as u32]);
+                }
+            }
+        }
+        let this = &*self;
+        let sums = braidio_pool::par_map_indexed_with_chunk(
+            groups.len(),
+            braidio_pool::default_chunk(groups.len()),
+            |g| {
+                let group = &groups[g];
+                telemetry::count_by("net.interference.sum_rebuild", group.len() as u64);
+                let mut acc = vec![Watts::ZERO; group.len()];
+                this.sum_group(group, true, &edge_tile, &mut acc);
+                acc
+            },
+        );
+        for (group, acc) in groups.iter().zip(sums) {
+            for (&v, s) in group.iter().zip(acc) {
+                let v = v as usize;
+                self.sum[v] = s.watts();
+                self.sum_dirty[v] = false;
+                self.ndirty -= 1;
+            }
+        }
+    }
+
+    /// [`rebuild_all_shared`](Self::rebuild_all_shared) with every victim
+    /// its own group: each selected victim evaluates its own edges.
+    ///
+    /// An adapter kept only because the `fleetbench` edge replay compiles
+    /// against this signature; `_endpoints` is unused (the cache reads no
+    /// geometry itself, the tile kernel does). Once the replay calls the
+    /// shared entry point, this goes.
     pub fn rebuild_all_tiled<K, P, E>(&mut self, keep: K, _endpoints: P, edge_tile: E)
     where
         K: Fn(usize) -> bool,
         P: Fn(usize) -> (Point, Point),
         E: Fn(usize, &[u32], &mut [Watts]) + Sync,
     {
-        if self.ndirty == 0 {
-            return;
-        }
-        // Victim selection stays serial and in pair-index order; only the
-        // per-victim sums fan out.
-        let victims: Vec<usize> = (0..self.n)
-            .filter(|&v| self.sum_dirty[v] && keep(v))
-            .collect();
-        if telemetry::active() {
-            // Each victim's sum walks every live source but itself.
-            let nlive = self.live.iter().filter(|&&l| l).count();
-            let edges: usize = victims
-                .iter()
-                .map(|&v| nlive - usize::from(self.live[v]))
-                .sum();
-            telemetry::count_by("net.interference.wave_edge_recompute", edges as u64);
-        }
-        let this = &*self;
-        let sums = braidio_pool::par_map_indexed_with_chunk(
-            victims.len(),
-            braidio_pool::default_chunk(victims.len()),
-            |i| {
-                telemetry::count("net.interference.sum_rebuild");
-                this.rebuild_one(victims[i], &edge_tile).watts()
-            },
-        );
-        for (&v, s) in victims.iter().zip(sums) {
-            self.sum[v] = s;
-            self.sum_dirty[v] = false;
-            self.ndirty -= 1;
-        }
+        self.rebuild_all_shared(keep, |v| v, edge_tile);
     }
 
-    /// One victim's sum: live sources in pair-index order, gathered into
-    /// [`EDGE_TILE`]-wide index tiles for the edge kernel and accumulated
-    /// serially in lane order. This is the single accumulation loop the
-    /// lazy and bulk paths share — the bitwise contract lives here.
-    fn rebuild_one<E>(&self, victim: usize, edge_tile: &E) -> Watts
+    /// The sums of one victim group, into the zeroed `acc[i]` for
+    /// `members[i]` (ascending, sharing one receiver key). Live sources in
+    /// pair-index order are gathered into [`EDGE_TILE`]-wide index tiles;
+    /// each tile is evaluated once for the first member and its lanes are
+    /// folded serially, in lane order, into every member's accumulator,
+    /// each member skipping its own index. A singleton group gathers every
+    /// live source but its victim, exactly the per-victim walk. This is the
+    /// single accumulation loop the lazy and bulk paths share — the bitwise
+    /// contract lives here. `wave` files the evaluated lanes under the bulk
+    /// pass's counter as well.
+    fn sum_group<E>(&self, members: &[u32], wave: bool, edge_tile: &E, acc: &mut [Watts])
     where
         E: Fn(usize, &[u32], &mut [Watts]),
     {
-        let flush = |qs: &[u32], ws: &mut [Watts], acc: &mut Watts| {
+        debug_assert!(!members.is_empty() && members.len() == acc.len());
+        let lead = members[0];
+        // Only a singleton can leave its own index out of the gather: in a
+        // larger group every member is a source for the others.
+        let lone = members.len() == 1;
+        let flush = |qs: &[u32], ws: &mut [Watts], acc: &mut [Watts]| {
             telemetry::count_by("net.interference.edge_recompute", qs.len() as u64);
-            edge_tile(victim, qs, ws);
-            // The noncoherent sum stays serial, in pair-index order.
-            for w in ws.iter() {
-                *acc += *w;
+            if wave {
+                telemetry::count_by("net.interference.wave_edge_recompute", qs.len() as u64);
+            }
+            edge_tile(lead as usize, qs, ws);
+            // The noncoherent sums stay serial, in pair-index order.
+            for (&m, a) in members.iter().zip(acc.iter_mut()) {
+                for (&q, w) in qs.iter().zip(ws.iter()) {
+                    if q != m {
+                        *a += *w;
+                    }
+                }
             }
         };
-        let mut acc = Watts::new(0.0);
         let mut qs = [0u32; EDGE_TILE];
         let mut ws = [Watts::ZERO; EDGE_TILE];
         let mut fill = 0usize;
         for (q, &live) in self.live.iter().enumerate() {
-            if q == victim || !live {
+            if !live || (lone && q == lead as usize) {
                 continue;
             }
             qs[fill] = q as u32;
             fill += 1;
             if fill == EDGE_TILE {
-                flush(&qs, &mut ws, &mut acc);
+                flush(&qs, &mut ws, acc);
                 fill = 0;
             }
         }
         if fill > 0 {
-            flush(&qs[..fill], &mut ws[..fill], &mut acc);
+            flush(&qs[..fill], &mut ws[..fill], acc);
         }
-        acc
     }
 }
 
@@ -398,34 +461,47 @@ mod tests {
         // Two identical caches; one warmed by the bulk wave sweep, one by
         // per-victim lazy calls. Every sum must agree bit-for-bit (and with
         // brute force), and the bulk-warmed cache must serve clean O(1)
-        // hits afterwards. The sizes cross the tile boundaries (n-1
+        // hits afterwards. The line sizes cross the tile boundaries (n-1
         // sources: one short tile, exactly EDGE_TILE, full + remainder).
-        for n in [5, EDGE_TILE + 1, 2 * EDGE_TILE + 7] {
-            let eps = layout(n, 1.5);
+        // In the stars pair i streams to hub i % hubs, so victims sharing a
+        // receiver interleave in index order, straddle tile boundaries and
+        // (one hub, more than GROUP_CAP tags) overflow one group.
+        let lines = [5, EDGE_TILE + 1, 2 * EDGE_TILE + 7].map(|n| layout(n, 1.5));
+        let stars = [(9, 2), (EDGE_TILE + 3, 3), (2 * GROUP_CAP + 7, 1)].map(|(n, hubs)| {
+            (0..n)
+                .map(|i| {
+                    let tag = Point::new(i as f64 * 0.7, 1.0 + (i % 3) as f64);
+                    (tag, Point::new((i % hubs) as f64 * 5.0, -2.0))
+                })
+                .collect::<Vec<_>>()
+        });
+        for eps in lines.iter().chain(&stars) {
+            let n = eps.len();
+            let key = |v: usize| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits());
             let mut live = vec![true; n];
             let mut bulk = PairGainCache::new(n);
             let mut lazy = PairGainCache::new(n);
-            bulk.rebuild_all_tiled(|_| true, |q| eps[q], tile(&eps));
+            bulk.rebuild_all_shared(|_| true, key, tile(eps));
             assert_eq!(bulk.ndirty(), 0);
             for v in 0..n {
                 let a = bulk.interference(v, clean);
-                let b = lazy.interference(v, tile(&eps));
+                let b = lazy.interference(v, tile(eps));
                 assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
-                assert_eq!(a.watts().to_bits(), brute(&eps, &live, v).watts().to_bits());
+                assert_eq!(a.watts().to_bits(), brute(eps, &live, v).watts().to_bits());
             }
             // A filtered bulk pass leaves the skipped victim dirty (and says
             // so).
             live[3] = false;
             bulk.set_live(3, false);
             lazy.set_live(3, false);
-            bulk.rebuild_all_tiled(|v| v != 4, |q| eps[q], tile(&eps));
+            bulk.rebuild_all_shared(|v| v != 4, key, tile(eps));
             assert_eq!(bulk.ndirty(), 1, "skipped victim must stay dirty");
             assert!(bulk.cached_sum(4).is_none());
             for v in 0..n {
-                let a = bulk.interference(v, tile(&eps));
-                let b = lazy.interference(v, tile(&eps));
+                let a = bulk.interference(v, tile(eps));
+                let b = lazy.interference(v, tile(eps));
                 assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
-                assert_eq!(a.watts().to_bits(), brute(&eps, &live, v).watts().to_bits());
+                assert_eq!(a.watts().to_bits(), brute(eps, &live, v).watts().to_bits());
             }
         }
     }

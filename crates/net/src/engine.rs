@@ -47,10 +47,12 @@
 //! its own pair re-plans and reads it through the lazy per-pair path; a
 //! sum nobody reads is never rebuilt. This is output-neutral by
 //! construction: memo values are canonical functions of their quantized
-//! keys, and bulk and lazy sums run the identical per-victim accumulation
-//! loop, so where a sum or an options entry is computed never moves a bit.
+//! keys, and bulk and lazy sums run the identical accumulation loop (the
+//! bulk pass merely lets victims that share a receiver share each edge
+//! evaluation), so where a sum or an options entry is computed never moves
+//! a bit.
 //!
-//! The wave's heavy stages — the per-victim interference sums and the
+//! The wave's heavy stages — the interference sums and the
 //! per-pair key collection — fan out over the `braidio-pool` workers with
 //! index-chunked scheduling and in-order merges, so a single large scenario
 //! uses every core while staying byte-identical at any `--jobs` count
@@ -1075,9 +1077,10 @@ impl<'a> Fleet<'a> {
     ///
     /// Three stages, all over the flat arrays in pair-index order:
     /// 1. bulk-rebuild every stale interference sum for static live
-    ///    victims ([`PairGainCache::rebuild_all_tiled`] — the identical
-    ///    per-victim loop and edge-tile kernel the lazy path runs, so not
-    ///    a bit moves);
+    ///    victims ([`PairGainCache::rebuild_all_shared`] — the identical
+    ///    accumulation loop and edge-tile kernel the lazy path runs, with
+    ///    victims that share a receiver point and relation row evaluating
+    ///    each edge once, so not a bit moves);
     /// 2. collect the wave's quantized `OptionsMemo` keys (static live
     ///    pairs only — mobile pairs refresh their geometry at event time
     ///    and take the per-pair path), then sort + dedup;
@@ -1117,9 +1120,16 @@ impl<'a> Fleet<'a> {
             let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
             let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let ends = |q: usize| (pa[q], pb[q]);
-            self.gains.rebuild_all_tiled(
+            // Victims listening at the same point under the same relation
+            // row see every source through the same edge (the tile kernel
+            // reads only `pb[v]` and `relation(v, q)`), so they share one
+            // evaluation of it.
+            self.gains.rebuild_all_shared(
                 |v| !mobile[v] && pairs.on_air(v),
-                ends,
+                |v| {
+                    let r = pb[v];
+                    (r.x.to_bits(), r.y.to_bits(), sc.arbitration.relation_row(v))
+                },
                 edge_tile(&self.edges, sc.arbitration, ends),
             );
         }

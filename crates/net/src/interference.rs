@@ -157,12 +157,13 @@ impl EdgeKernel {
     /// contribution of the pair with endpoints `(a[i], b[i])` and channel
     /// relation `rel[i]`. At most [`EDGE_TILE`] lanes.
     ///
-    /// Three flat passes — nearer-endpoint distances, one batched FSPL
-    /// lookup (a single memo-lock acquisition for the tile), then the
-    /// constant multiply chain — each lane bit-identical to
-    /// [`EdgeKernel::carrier_from_pair`]. The caller still owns the
-    /// noncoherent accumulation and must sum `out` serially in pair-index
-    /// order.
+    /// Three flat passes — nearer-endpoint distances (`nearer_distance`:
+    /// one `hypot` per lane instead of two), one batched FSPL lookup (a
+    /// single memo-lock acquisition for the tile), then the constant
+    /// multiply chain — each lane bit-identical to
+    /// [`EdgeKernel::carrier_from_pair`], which stays the two-`hypot`
+    /// oracle. The caller still owns the noncoherent accumulation and must
+    /// sum `out` serially in pair-index order.
     pub fn carrier_tile(
         &self,
         victim: Point,
@@ -176,9 +177,7 @@ impl EdgeKernel {
         assert!(a.len() == n && b.len() == n && rel.len() == n);
         let mut ds = [Meters::new(0.0); EDGE_TILE];
         for i in 0..n {
-            let da = a[i].distance(victim);
-            let db = b[i].distance(victim);
-            ds[i] = if da <= db { da } else { db };
+            ds[i] = nearer_distance(victim, a[i], b[i]);
         }
         let mut lin = [0.0f64; EDGE_TILE];
         let (hits, misses) = self.fspl.linear_batch(&ds[..n], &mut lin[..n]);
@@ -192,6 +191,46 @@ impl EdgeKernel {
                 .gained_linear(self.frontend_inv_lin)
                 .gained_linear(self.coupling_lin[rel[i].index()]);
         }
+    }
+}
+
+/// Relative guard band of [`nearer_distance`]'s squared-offset comparison.
+const NEARER_MARGIN: f64 = 1e-9;
+
+/// The distance from `victim` to the nearer of `a` and `b`: bit for bit the
+/// `da <= db` selection between `a.distance(victim)` and
+/// `b.distance(victim)`, for one `hypot` instead of two.
+///
+/// The squared offsets are built from the same differences
+/// `Point::distance` feeds `hypot`. When both are normal numbers each is
+/// within a few ulps (relative) of the true square, and `hypot` is within
+/// an ulp of the true distance, so a square that is smaller by more than
+/// the [`NEARER_MARGIN`] guard band — orders of magnitude wider than either
+/// rounding error — picks the endpoint the two-`hypot` comparison picks,
+/// and `hypot` of the same differences gives its distance's bits. Near
+/// ties, and squares that are zero, subnormal, infinite or NaN (coincident
+/// points, coordinates near 1e±160), fall back to the two-`hypot`
+/// comparison itself, ties keeping `a`.
+#[inline]
+fn nearer_distance(victim: Point, a: Point, b: Point) -> Meters {
+    let (ax, ay) = (a.x - victim.x, a.y - victim.y);
+    let (bx, by) = (b.x - victim.x, b.y - victim.y);
+    let sa = ax * ax + ay * ay;
+    let sb = bx * bx + by * by;
+    if sa.is_normal() && sb.is_normal() {
+        if sa < sb * (1.0 - NEARER_MARGIN) {
+            return Meters::new(ax.hypot(ay));
+        }
+        if sb < sa * (1.0 - NEARER_MARGIN) {
+            return Meters::new(bx.hypot(by));
+        }
+    }
+    let da = a.distance(victim);
+    let db = b.distance(victim);
+    if da <= db {
+        da
+    } else {
+        db
     }
 }
 
@@ -810,6 +849,84 @@ mod tests {
                     scalar.watts().to_bits(),
                     "lane {i} of {n}"
                 );
+            }
+        }
+    }
+
+    /// Adversarial nearer-endpoint geometry, as `(victim, endpoint pairs)`:
+    /// exact mirror ties about the victim, 1-ulp nudges either side of a
+    /// tie, coincident points, and coordinates whose squares overflow
+    /// (1e160) or go subnormal (1e-160) and so must take the two-`hypot`
+    /// fallback.
+    fn nearer_endpoint_cases() -> Vec<(Point, Vec<(Point, Point)>)> {
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        [1.0, 1e160, 1e-160, 3.7e-5, 2.5e7]
+            .into_iter()
+            .map(|scale| {
+                let v = Point::new(0.3 * scale, -1.1 * scale);
+                let mut ends = Vec::new();
+                for (dx, dy) in [(1.0, 0.0), (0.6, 0.8), (1e-3, 7.0), (-2.5, 2.5)] {
+                    let (dx, dy) = (dx * scale, dy * scale);
+                    let a = Point::new(v.x + dx, v.y + dy);
+                    let b = Point::new(v.x - dx, v.y - dy);
+                    // Mirrored about the victim, both orders, and the same
+                    // offset turned a quarter: ties built from different
+                    // differences.
+                    ends.extend([(a, b), (b, a), (a, Point::new(v.x - dy, v.y + dx))]);
+                    // One ulp either side of the tie, on each coordinate.
+                    for nudge in [up, down] {
+                        ends.push((a, Point::new(nudge(b.x), b.y)));
+                        ends.push((a, Point::new(b.x, nudge(b.y))));
+                        ends.push((Point::new(nudge(a.x), a.y), b));
+                    }
+                    // Coincident points: an endpoint on the victim, both
+                    // endpoints together, everything together.
+                    ends.extend([(v, b), (a, v), (a, a), (v, v)]);
+                }
+                (v, ends)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nearer_distance_matches_two_hypot_selection_bitwise() {
+        for (v, ends) in nearer_endpoint_cases() {
+            for (a, b) in ends {
+                let (da, db) = (a.distance(v), b.distance(v));
+                let want = if da <= db { da } else { db };
+                assert_eq!(
+                    nearer_distance(v, a, b).meters().to_bits(),
+                    want.meters().to_bits(),
+                    "v={v:?} a={a:?} b={b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_hypot_tile_lanes_match_carrier_from_pair_bitwise() {
+        let ch = ch();
+        let kernel = EdgeKernel::new(&ch);
+        for (v, ends) in nearer_endpoint_cases() {
+            for tile in ends.chunks(EDGE_TILE) {
+                let a: Vec<Point> = tile.iter().map(|e| e.0).collect();
+                let b: Vec<Point> = tile.iter().map(|e| e.1).collect();
+                let rel: Vec<ChannelRelation> = (0..tile.len())
+                    .map(|i| ChannelRelation::ALL[i % 3])
+                    .collect();
+                let mut out = vec![Watts::ZERO; tile.len()];
+                kernel.carrier_tile(v, &a, &b, &rel, &mut out);
+                for i in 0..tile.len() {
+                    let want = kernel.carrier_from_pair(v, a[i], b[i], rel[i]);
+                    assert_eq!(
+                        out[i].watts().to_bits(),
+                        want.watts().to_bits(),
+                        "v={v:?} a={:?} b={:?}",
+                        a[i],
+                        b[i]
+                    );
+                }
             }
         }
     }

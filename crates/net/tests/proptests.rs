@@ -5,6 +5,7 @@
 use braidio_mac::coexistence::ChannelRelation;
 use braidio_net::cache::PairGainCache;
 use braidio_net::interference::{carrier_contribution, CarrierSource, EdgeKernel, EDGE_TILE};
+use braidio_net::Arbitration;
 use braidio_net::EventQueue;
 use braidio_radio::characterization::Characterization;
 use braidio_rfsim::geometry::Point;
@@ -216,6 +217,54 @@ proptest! {
     }
 }
 
+/// Fake physics under an arbitration policy: the victim's receiver and the
+/// policy's relation to each source fix an edge, exactly the inputs the
+/// engine's tile kernel reads.
+fn policy_edge(victim: usize, q: usize, eps: &[(Point, Point)], arb: Arbitration) -> Watts {
+    let vp = eps[victim].1;
+    let (a, b) = eps[q];
+    let d = a.distance(vp).min(b.distance(vp)).meters();
+    let coupling = match arb.relation(victim, q) {
+        ChannelRelation::CoChannel => 0.1,
+        _ => 1.0,
+    };
+    Watts::new(coupling * 1e-9 / (1.0 + d * d))
+}
+
+fn policy_brute(victim: usize, eps: &[(Point, Point)], live: &[bool], arb: Arbitration) -> Watts {
+    let mut acc = Watts::new(0.0);
+    for (q, &alive) in live.iter().enumerate() {
+        if q != victim && alive {
+            acc += policy_edge(victim, q, eps, arb);
+        }
+    }
+    acc
+}
+
+/// Random fleets whose receivers crowd onto a few hub points: `(pairs as
+/// (tag, hub index), hub count, channels (0 = uncoordinated), live mask,
+/// keep filter)`. Up to 2·EDGE_TILE + 9 pairs, so one hub's victims can
+/// straddle tile boundaries and outnumber the group cap.
+type SharedFleet = (Vec<((u16, u16), usize)>, usize, usize, Vec<bool>, Vec<bool>);
+
+fn arb_shared_fleet() -> impl Strategy<Value = SharedFleet> {
+    let n_max = 2 * EDGE_TILE + 10;
+    (
+        proptest::collection::vec(((0u16..64, 0u16..64), 0usize..4), 2..n_max),
+        1usize..5,
+        0usize..4,
+        proptest::collection::vec(0u8..8, n_max..n_max + 1),
+        proptest::collection::vec(0u8..8, n_max..n_max + 1),
+    )
+        .prop_map(|(pairs, hubs, channels, live, keep)| {
+            let n = pairs.len();
+            // Mostly live and mostly kept, with a few holes of each.
+            let live = live[..n].iter().map(|&r| r != 0).collect();
+            let keep = keep[..n].iter().map(|&r| r != 0).collect();
+            (pairs, hubs, channels, live, keep)
+        })
+}
+
 /// Uniform positions over a 200 m square — irregular distances, so memo
 /// keys are dense and distinct (the opposite of the grid's shared-distance
 /// structure).
@@ -351,6 +400,62 @@ proptest! {
                 want.watts().to_bits(),
                 "lane {} diverged", i
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The shared-receiver wave's bitwise contract: grouping victims by
+    /// (receiver bits, relation row) and evaluating each edge once per
+    /// group gives every sum the bits of the lazy per-victim path and of
+    /// the brute-force rescan — under random live masks, `keep` filters
+    /// (filtered victims stay dirty), channel-plan rows, groups that
+    /// straddle tile boundaries and groups larger than the member cap.
+    #[test]
+    fn shared_receiver_groups_match_lazy_and_brute_force(fleet in arb_shared_fleet()) {
+        let (raw, hubs, channels, live, keep) = fleet;
+        let n = raw.len();
+        let arb = if channels == 0 {
+            Arbitration::Uncoordinated
+        } else {
+            Arbitration::ChannelPlan { channels }
+        };
+        let eps: Vec<(Point, Point)> = raw
+            .iter()
+            .map(|&((x, y), h)| {
+                let tag = Point::new(x as f64 * 0.25, y as f64 * 0.25);
+                (tag, Point::new((h % hubs) as f64 * 6.0, 3.5))
+            })
+            .collect();
+        let tile = |v: usize, qs: &[u32], out: &mut [Watts]| {
+            for (o, &q) in out.iter_mut().zip(qs) {
+                *o = policy_edge(v, q as usize, &eps, arb);
+            }
+        };
+        let key = |v: usize| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), arb.relation_row(v));
+        let mut shared = PairGainCache::new(n);
+        let mut single = PairGainCache::new(n);
+        let mut lazy = PairGainCache::new(n);
+        for (q, &alive) in live.iter().enumerate() {
+            shared.set_live(q, alive);
+            single.set_live(q, alive);
+            lazy.set_live(q, alive);
+        }
+        shared.rebuild_all_shared(|v| keep[v], key, tile);
+        single.rebuild_all_tiled(|v| keep[v], |q| eps[q], tile);
+        // Kept victims come out clean with the brute-force bits; filtered
+        // ones stay dirty until their lazy read.
+        let bits = |c: &PairGainCache, v: usize| c.cached_sum(v).map(|w| w.watts().to_bits());
+        for (v, &kept) in keep.iter().enumerate() {
+            let want = policy_brute(v, &eps, &live, arb).watts().to_bits();
+            prop_assert_eq!(bits(&shared, v), kept.then_some(want), "shared sum of victim {}", v);
+            prop_assert_eq!(bits(&single, v), kept.then_some(want), "own-group sum of victim {}", v);
+            let got = shared.interference(v, tile).watts().to_bits();
+            prop_assert_eq!(got, want, "victim {} after the lazy read", v);
+            let got = lazy.interference(v, tile).watts().to_bits();
+            prop_assert_eq!(got, want, "lazy victim {}", v);
         }
     }
 }

@@ -166,15 +166,18 @@ fn emit_slow(event: Event) {
 /// * `net.arbitration.deferred` — TDMA window skips.
 /// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` —
 ///   the incremental interference cache's hit/rebuild/edge economics
-///   (`braidio-net::cache`); `wave_edge_recompute` is the share of
-///   `edge_recompute` done by bulk planning-wave rebuilds.
+///   (`braidio-net::cache`). `edge_recompute` counts the kernel lanes
+///   actually evaluated — a bring-up group of victims sharing a receiver
+///   evaluates each edge once — and `wave_edge_recompute` is the share of
+///   them evaluated by the bulk planning wave. Deterministic totals: the
+///   same at any thread count.
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
 ///   `options_under` memo.
 /// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss
 ///   memo on the interference edge kernel (`braidio-rfsim::pathloss`,
-///   counted by `braidio-net::interference`). Totals are tile- and
-///   thread-count-dependent (concurrent first lookups may both miss);
-///   they are diagnostics, not part of the byte-identity contract.
+///   counted by `braidio-net::interference`). A key is re-checked under
+///   the memo's write lock, so a miss is exactly one insert and the
+///   totals are the same at any thread count.
 #[inline]
 pub fn count(name: &'static str) {
     if !active() {
