@@ -160,6 +160,48 @@ fn bench_characterization(c: &mut Criterion) {
     });
 }
 
+fn bench_kernel(c: &mut Criterion) {
+    // The fleet kernel's event queue under the classic hold model: each
+    // iteration pops the earliest event and re-arms its owner. The
+    // uniform arm is fleetbench's kernel replay (2 047 deep, re-armed a
+    // uniform [0, 1) s later); the lattice arm is room-long's shape:
+    // 1 024 pairs associated on a 1 ms stagger and re-armed a fixed 0.2 s
+    // later, so deliveries arrive in groups that share an instant.
+    use braidio_net::EventQueue;
+    use braidio_units::Seconds;
+
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut uniform = move || {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (lcg >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut q: EventQueue<u32> = EventQueue::with_capacity(2047);
+    for i in 0..2047u32 {
+        q.schedule(Seconds::new(uniform()), u64::from(i % 4), i, i);
+    }
+    c.bench_function("kernel/hold_uniform_2047", |b| {
+        b.iter(|| {
+            let ev = q.pop().expect("the hold keeps the queue full");
+            let at = Seconds::new(ev.time.seconds() + uniform());
+            q.schedule(at, ev.seq, ev.device, ev.event);
+        })
+    });
+
+    let mut q: EventQueue<u32> = EventQueue::with_capacity(1024);
+    for i in 0..1024u32 {
+        q.schedule(Seconds::new(f64::from(i) * 1e-3), u64::from(i % 4), i, i);
+    }
+    c.bench_function("kernel/hold_lattice_1024", |b| {
+        b.iter(|| {
+            let ev = q.pop().expect("the hold keeps the queue full");
+            let at = Seconds::new(ev.time.seconds() + 0.2);
+            q.schedule(at, ev.seq, ev.device, ev.event);
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_device_matrix,
@@ -167,6 +209,7 @@ criterion_group!(
     bench_streaming_chunk,
     bench_solver,
     bench_telemetry_off_overhead,
-    bench_characterization
+    bench_characterization,
+    bench_kernel
 );
 criterion_main!(benches);

@@ -486,7 +486,7 @@ impl<'a> Fleet<'a> {
             sc,
             // The bring-up schedules up to two events per pair before the
             // first one drains (churn: Associate + Departure), so size the
-            // heap once instead of regrowing it mid-run.
+            // queue once instead of regrowing it mid-run.
             q: EventQueue::with_capacity(2 * n),
             devices,
             pairs,

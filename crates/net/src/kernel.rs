@@ -1,7 +1,7 @@
 //! The deterministic discrete-event simulation kernel.
 //!
-//! A binary-heap event queue whose delivery order is a *total* order over
-//! the key `(time, seq, device)`:
+//! An event queue whose delivery order is a *total* order over the key
+//! `(time, seq, device)`:
 //!
 //! * `time` — virtual time of the event (finite, non-decreasing);
 //! * `seq` — a caller-assigned sequence class that ranks same-instant
@@ -18,12 +18,40 @@
 //! want full insertion-order invariance must keep keys unique, which the
 //! fleet engine does by construction: one pending event per (pair, kind).)
 //!
-//! `f64` times are compared with `total_cmp`, so the order is total even in
-//! the presence of `-0.0`; non-finite times are rejected at scheduling.
+//! Times compare as the IEEE-754 bits of a non-negative finite `f64`: for
+//! that range bit order equals numeric order. `schedule` rejects negative
+//! and non-finite times and canonicalises `-0.0` to `+0.0`, whose sign bit
+//! would otherwise sort it after every positive time.
+//!
+//! # A monotone radix queue
+//!
+//! `schedule` forbids the past, so every pending time is at or after
+//! `now`, the last delivered instant. The queue exploits that monotonicity
+//! instead of keeping a comparison heap over all pending events:
+//!
+//! * events *at* `now` sit in a small front heap ordered by
+//!   `(seq, device, stamp)` — an event may join it with a lower `seq` than
+//!   the one just delivered, and still pops next;
+//! * an event whose time bits first differ from `now`'s at bit `b` waits,
+//!   unordered, in bucket `b + 1`. Each bucket also remembers its least
+//!   time.
+//!
+//! When the front runs dry, `pop` takes the lowest non-empty bucket,
+//! advances `now` to that bucket's least time and redistributes it. Its
+//! events either equal the new `now` (they join the front) or first differ
+//! from it at a lower bit (they drop to a lower bucket). The new `now`
+//! agrees with the old one above the emptied bucket's bit, so every higher
+//! bucket keeps its index. An event therefore moves at most 63 times in
+//! its life, and nothing pending ever precedes the front: the pop sequence
+//! is the sorted key sequence, exactly what any exact priority queue over
+//! the same unique keys delivers.
+//!
+//! Payloads live in one slab and each bucket is an intrusive list threaded
+//! through it, with freed slots chained for reuse, so storage is
+//! O(pending events): the slab never holds more slots than the deepest the
+//! queue has been.
 
 use braidio_units::Seconds;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Index of a device in the fleet (also used for event tie-breaking).
 pub type DeviceId = u32;
@@ -44,43 +72,57 @@ pub struct Scheduled<E> {
 }
 
 impl<E> Scheduled<E> {
-    /// The total-order key `(time, seq, device, stamp)`.
-    fn key(&self) -> (u64, u64, DeviceId, u64) {
-        // Non-negative finite f64s order identically to their IEEE bits.
-        (
-            self.time.seconds().to_bits(),
-            self.seq,
-            self.device,
-            self.stamp,
-        )
+    /// The same-instant order `(seq, device, stamp)`.
+    fn rank(&self) -> (u64, DeviceId, u64) {
+        (self.seq, self.device, self.stamp)
     }
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
+/// One slab slot: a parked event's key and payload, stored flat so the
+/// list link takes padding a nested `Scheduled` would waste, and the next
+/// slot of its list (a bucket, or the free chain when `event` is `None`).
+#[derive(Debug)]
+struct Slot<E> {
+    /// Time bits.
+    time: u64,
+    seq: u64,
+    stamp: u64,
+    device: DeviceId,
+    next: u32,
+    event: Option<E>,
 }
-impl<E> Eq for Scheduled<E> {}
 
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// Ends an intrusive slab list.
+const NIL: u32 = u32::MAX;
 
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, we want the earliest event.
-        other.key().cmp(&self.key())
-    }
+/// Bucket `b` in `1..=63` holds the events whose time bits first differ
+/// from `now`'s at bit `b - 1`; index 0 is unused (those events are in the
+/// front heap). Non-negative `f64` bits never differ in the sign bit.
+const BUCKETS: usize = 64;
+
+/// The bucket of time `bits` relative to `now` (0 when they are equal).
+fn bucket(bits: u64, now: u64) -> usize {
+    (u64::BITS - (bits ^ now).leading_zeros()) as usize
 }
 
 /// The event queue: a priority queue in virtual time.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    now: Seconds,
+    /// Events at `now`: a binary min-heap on [`Scheduled::rank`].
+    front: Vec<Scheduled<E>>,
+    /// Storage for the bucket lists.
+    slab: Vec<Slot<E>>,
+    /// Head of the chain of free slab slots.
+    free: u32,
+    /// Head of each bucket's list.
+    head: [u32; BUCKETS],
+    /// Least time bits in each non-empty bucket.
+    least: [u64; BUCKETS],
+    /// Bit `b` is set when bucket `b` is non-empty.
+    occupied: u64,
+    /// Bits of the current virtual time.
+    now: u64,
+    len: usize,
     stamp: u64,
     delivered: u64,
 }
@@ -91,16 +133,22 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue at `t = 0` with heap space for `cap` pending events.
+    /// An empty queue at `t = 0` with slab space for `cap` pending events.
     ///
     /// Sizing from the scenario (the fleet bring-up schedules up to two
-    /// events per pair before any drain) avoids repeated heap regrowth
+    /// events per pair before any drain) avoids repeated slab regrowth
     /// mid-run; capacity is an allocation hint only and changes no
     /// delivery order or timing semantics.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            now: Seconds::ZERO,
+            front: Vec::new(),
+            slab: Vec::with_capacity(cap),
+            free: NIL,
+            head: [NIL; BUCKETS],
+            least: [0; BUCKETS],
+            occupied: 0,
+            now: 0.0f64.to_bits(),
+            len: 0,
             stamp: 0,
             delivered: 0,
         }
@@ -108,17 +156,17 @@ impl<E> EventQueue<E> {
 
     /// Current virtual time (the time of the last delivered event).
     pub fn now(&self) -> Seconds {
-        self.now
+        Seconds::new(f64::from_bits(self.now))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total events delivered so far.
@@ -129,42 +177,157 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at `time` with ordering class `seq` for `device`.
     ///
     /// Panics if `time` is non-finite, negative, or in the past — a DES
-    /// must never travel backwards.
+    /// must never travel backwards. `-0.0` is scheduled as `+0.0`.
     pub fn schedule(&mut self, time: Seconds, seq: u64, device: DeviceId, event: E) {
+        let t = time.seconds();
         assert!(
-            time.seconds().is_finite() && time.seconds() >= 0.0,
+            t.is_finite() && t >= 0.0,
             "event time must be finite and non-negative, got {time}"
         );
+        let time = if t == 0.0 { Seconds::ZERO } else { time };
+        let bits = time.seconds().to_bits();
         assert!(
-            time >= self.now,
+            bits >= self.now,
             "cannot schedule into the past: {time} < now {}",
-            self.now
+            self.now()
         );
         let stamp = self.stamp;
         self.stamp += 1;
+        self.len += 1;
         braidio_telemetry::count("net.kernel.scheduled");
-        self.heap.push(Scheduled {
-            time,
-            seq,
-            device,
-            event,
-            stamp,
-        });
+        if bits == self.now {
+            self.push_front(Scheduled {
+                time,
+                seq,
+                device,
+                event,
+                stamp,
+            });
+        } else {
+            let s = self.alloc(Slot {
+                time: bits,
+                seq,
+                stamp,
+                device,
+                next: NIL,
+                event: Some(event),
+            });
+            self.link(s, bits);
+        }
     }
 
     /// Deliver the next event (earliest key), advancing virtual time.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.time >= self.now);
-        self.now = ev.time;
+        if self.front.is_empty() && !self.advance() {
+            return None;
+        }
+        let ev = self.pop_front();
+        self.len -= 1;
         self.delivered += 1;
         braidio_telemetry::count("net.kernel.delivered");
         Some(ev)
     }
 
-    /// The delivery time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|e| e.time)
+    /// Advance `now` to the earliest pending time and move the events at
+    /// it into the front heap; false when nothing is pending.
+    fn advance(&mut self) -> bool {
+        if self.occupied == 0 {
+            return false;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        debug_assert!(self.least[b] > self.now);
+        self.now = self.least[b];
+        let mut s = std::mem::replace(&mut self.head[b], NIL);
+        while s != NIL {
+            let slot = &mut self.slab[s as usize];
+            let (next, bits) = (slot.next, slot.time);
+            if bits == self.now {
+                let entry = Scheduled {
+                    time: Seconds::new(f64::from_bits(bits)),
+                    seq: slot.seq,
+                    device: slot.device,
+                    event: slot.event.take().expect("a listed slot holds an event"),
+                    stamp: slot.stamp,
+                };
+                slot.next = self.free;
+                self.free = s;
+                self.push_front(entry);
+            } else {
+                self.link(s, bits);
+            }
+            s = next;
+        }
+        true
+    }
+
+    /// Store `slot` in a free slab slot (growing the slab only when none
+    /// is free) and return its index.
+    fn alloc(&mut self, slot: Slot<E>) -> u32 {
+        if self.free == NIL {
+            assert!(
+                self.slab.len() < NIL as usize,
+                "fewer than 2^32 - 1 events pending"
+            );
+            self.slab.push(slot);
+            (self.slab.len() - 1) as u32
+        } else {
+            let s = self.free;
+            self.free = self.slab[s as usize].next;
+            self.slab[s as usize] = slot;
+            s
+        }
+    }
+
+    /// Push slab slot `s`, whose event is at time `bits > now`, onto its
+    /// bucket.
+    fn link(&mut self, s: u32, bits: u64) {
+        let b = bucket(bits, self.now);
+        self.slab[s as usize].next = self.head[b];
+        self.head[b] = s;
+        if self.occupied & (1 << b) == 0 || bits < self.least[b] {
+            self.least[b] = bits;
+        }
+        self.occupied |= 1 << b;
+    }
+
+    /// Add `entry`, an event at `now`, to the front heap.
+    fn push_front(&mut self, entry: Scheduled<E>) {
+        let mut i = self.front.len();
+        self.front.push(entry);
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.front[parent].rank() <= self.front[i].rank() {
+                break;
+            }
+            self.front.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    /// Remove the front heap's least entry; the front must be non-empty.
+    fn pop_front(&mut self) -> Scheduled<E> {
+        let top = self.front.swap_remove(0);
+        let n = self.front.len();
+        let mut i = 0;
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.front[right].rank() < self.front[left].rank() {
+                right
+            } else {
+                left
+            };
+            if self.front[i].rank() <= self.front[child].rank() {
+                break;
+            }
+            self.front.swap(i, child);
+            i = child;
+        }
+        top
     }
 }
 
@@ -304,5 +467,78 @@ mod tests {
         }
         let events: Vec<u32> = drain(&mut q).into_iter().map(|e| e.3).collect();
         assert_eq!(events, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn negative_zero_is_scheduled_as_positive_zero() {
+        // `-0.0` carries the sign bit, so ordered by raw bits it would
+        // deliver after 5.0 and run the clock backwards.
+        let mut q = EventQueue::new();
+        q.schedule(Seconds::new(5.0), 0, 0, 5);
+        q.schedule(Seconds::new(-0.0), 0, 0, 0);
+        let popped = drain(&mut q);
+        assert_eq!(popped.iter().map(|e| e.3).collect::<Vec<_>>(), vec![0, 5]);
+        assert_eq!(popped[0].0.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn same_instant_lower_seq_delivers_next() {
+        // An event scheduled at `now` with a lower `seq` than the one just
+        // delivered is still the next key, ahead of later same-instant ones.
+        let mut q = EventQueue::new();
+        let t = Seconds::new(2.0);
+        q.schedule(t, 5, 0, 50);
+        q.schedule(t, 7, 0, 70);
+        q.schedule(Seconds::new(3.0), 0, 0, 30);
+        assert_eq!(q.pop().map(|e| e.event), Some(50));
+        q.schedule(t, 1, 0, 10);
+        let events: Vec<u32> = drain(&mut q).into_iter().map(|e| e.3).collect();
+        assert_eq!(events, vec![10, 70, 30]);
+    }
+
+    #[test]
+    fn interleaved_matches_a_binary_heap_oracle() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        // Times spread over many binades and exact ties, schedules and
+        // pops interleaved; the std heap on the full key is the oracle.
+        let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lcg >> 33
+        };
+        let mut q = EventQueue::new();
+        let mut oracle = BinaryHeap::new();
+        let mut stamp = 0u32;
+        for _ in 0..20_000 {
+            if next() % 3 != 0 {
+                let now = q.now().seconds();
+                let dt = match next() % 5 {
+                    0 => 0.0,
+                    1 => 1e-300,
+                    2 => (next() % 16) as f64 * 0.125,
+                    3 => 1e9,
+                    _ => (next() % 1000) as f64 * 1e-6,
+                };
+                let (seq, device) = (next() % 4, (next() % 3) as DeviceId);
+                let t = Seconds::new(now + dt);
+                q.schedule(t, seq, device, stamp);
+                oracle.push(Reverse((t.seconds().to_bits(), seq, device, stamp)));
+                stamp += 1;
+            } else {
+                let got = q
+                    .pop()
+                    .map(|e| (e.time.seconds().to_bits(), e.seq, e.device, e.event));
+                assert_eq!(got, oracle.pop().map(|Reverse(k)| k));
+            }
+            assert_eq!(q.len(), oracle.len());
+        }
+        while let Some(Reverse(k)) = oracle.pop() {
+            let e = q.pop().expect("the queue holds what the oracle holds");
+            assert_eq!((e.time.seconds().to_bits(), e.seq, e.device, e.event), k);
+        }
+        assert!(q.pop().is_none());
     }
 }

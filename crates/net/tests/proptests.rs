@@ -11,6 +11,7 @@ use braidio_radio::characterization::Characterization;
 use braidio_rfsim::geometry::Point;
 use braidio_units::{Seconds, Watts};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Random event keys: coarse-grained times force plenty of ties so the
 /// seq/device tie-break actually gets exercised, and the payload is the
@@ -85,6 +86,65 @@ proptest! {
                 "out of order: {:?} before {:?}", w[0], w[1]
             );
         }
+    }
+
+    /// Schedules and pops interleaved: the queue pops exactly what a
+    /// sorted model of the full key `(time bits, seq, device, insertion
+    /// index)` pops, step for step, and agrees on the pending count.
+    #[test]
+    fn interleaved_run_matches_a_sorted_model(ops in arb_kernel_ops()) {
+        let mut q = EventQueue::new();
+        let mut model = BTreeSet::new();
+        for (i, &(op, class, tick, seq, device)) in ops.iter().enumerate() {
+            if op == 0 {
+                let got = q.pop().map(|e| (e.time.seconds().to_bits(), e.seq, e.device, e.event));
+                prop_assert_eq!(got, model.pop_first());
+            } else {
+                let t = kernel_time(class, tick, q.now().seconds());
+                q.schedule(Seconds::new(t), seq, device, i);
+                // The model orders zero of either sign as `+0.0`.
+                model.insert(((t + 0.0).to_bits(), seq, device, i));
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some(e) = q.pop() {
+            let got = (e.time.seconds().to_bits(), e.seq, e.device, e.event);
+            prop_assert_eq!(Some(got), model.pop_first());
+        }
+        prop_assert!(model.is_empty());
+    }
+}
+
+/// One step of an interleaved kernel run: a pop, or a schedule of
+/// `(time class, tick, seq, device)`.
+type KernelOp = (u8, u8, u32, u64, u32);
+
+/// Interleaved schedule/pop programs. Four of five steps schedule; the
+/// narrow `seq`/`device` ranges make exact-duplicate keys common.
+fn arb_kernel_ops() -> impl Strategy<Value = Vec<KernelOp>> {
+    proptest::collection::vec((0u8..5, 0u8..6, 0u32..16, 0u64..4, 0u32..3), 1..96)
+}
+
+/// The time a schedule step asks for, never before `now`: times span
+/// binades (zero of either sign, 1e-300, multiples of 0.125, 1e9), and a
+/// request in the past lands on `now` itself, as does class 4 — a
+/// same-instant schedule whose `seq` may undercut the event just
+/// delivered (an open system's `CooldownDone` → `ProbesDone` at `now`).
+fn kernel_time(class: u8, tick: u32, now: f64) -> f64 {
+    let t = tick as f64;
+    let asked = match class {
+        0 if tick % 2 == 1 => -0.0,
+        0 => 0.0,
+        1 => 1e-300 * (1.0 + t),
+        2 => t * 0.125,
+        3 => 1e9 + t * 0.125,
+        4 => now,
+        _ => now + t * 0.125,
+    };
+    if asked < now {
+        now
+    } else {
+        asked
     }
 }
 
