@@ -202,6 +202,29 @@ fn bench_kernel(c: &mut Criterion) {
     });
 }
 
+fn bench_quantum_loop(c: &mut Criterion) {
+    // A room-shaped fleet (256 pairs on a 3 m grid, uncoordinated) for ten
+    // simulated minutes, about 0.75 M quantum completions: after the one
+    // bring-up wave the run is the serial event loop, where each quantum is
+    // checked against the live batteries and copied from its pair's
+    // compiled recipe.
+    use braidio_net::{run_fleet, Arbitration, FleetScenario};
+    use braidio_units::Seconds;
+
+    let sc = FleetScenario::grid_pairs(
+        256,
+        Meters::new(0.5),
+        Meters::new(3.0),
+        1.0,
+        1.0,
+        Arbitration::Uncoordinated,
+    )
+    .with_horizon(Seconds::new(600.0));
+    c.bench_function("fleet/room_grid_256_600s", |b| {
+        b.iter(|| black_box(run_fleet(black_box(&sc))))
+    });
+}
+
 criterion_group!(
     benches,
     bench_device_matrix,
@@ -210,6 +233,7 @@ criterion_group!(
     bench_solver,
     bench_telemetry_off_overhead,
     bench_characterization,
-    bench_kernel
+    bench_kernel,
+    bench_quantum_loop
 );
 criterion_main!(benches);

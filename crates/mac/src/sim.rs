@@ -227,9 +227,7 @@ fn simulate_single_mode(setup: &TransferSetup, mode: Mode) -> SimReport {
 }
 
 /// The braid's mode-alternation rate: switches per packet for a plan with
-/// fractions `p` over at most two modes. Public so the network simulator
-/// (`braidio-net`) charges the same Table 5 switching overhead per quantum
-/// as this pairwise engine.
+/// fractions `p` over at most two modes.
 pub fn switches_per_packet(plan: &OffloadPlan) -> f64 {
     if plan.allocations.len() < 2 {
         return 0.0;
@@ -239,6 +237,33 @@ pub fn switches_per_packet(plan: &OffloadPlan) -> f64 {
         .min(plan.allocations[1].fraction);
     // Bresenham interleaving alternates 2·min(p, 1−p) of the time.
     2.0 * p.min(1.0 - p)
+}
+
+/// The plan's `(tx, rx)` cost per bit, in J/bit, with the amortized Table 5
+/// switching charge: [`switches_per_packet`] switches per `switch_bits`-bit
+/// braid quantum, each paying the mean entry cost of the braid's two modes
+/// on that role. The one definition of the charge: this pairwise engine
+/// and the network simulator (`braidio-net`) both call it, so they bill
+/// identical bits.
+pub fn per_bit_costs(
+    plan: &OffloadPlan,
+    switching: &SwitchingOverhead,
+    switch_bits: f64,
+) -> (f64, f64) {
+    let spp = switches_per_packet(plan);
+    // Average entry cost per switch on each role (alternating entries into
+    // the two modes of the braid).
+    let (mut sw_tx, mut sw_rx) = (0.0, 0.0);
+    if plan.allocations.len() == 2 {
+        for a in &plan.allocations {
+            sw_tx += switching.cost(a.option.mode, Role::Transmitter).joules() / 2.0;
+            sw_rx += switching.cost(a.option.mode, Role::Receiver).joules() / 2.0;
+        }
+    }
+    (
+        plan.tx_cost.joules_per_bit() + spp * sw_tx / switch_bits,
+        plan.rx_cost.joules_per_bit() + spp * sw_rx / switch_bits,
+    )
 }
 
 fn simulate_braidio(setup: &TransferSetup) -> SimReport {
@@ -342,27 +367,9 @@ fn simulate_braidio(setup: &TransferSetup) -> SimReport {
         let mut rate_weighted_time_per_bit = 0.0f64;
         let mut switches_per_bit_total = 0.0f64;
         for (dir1, share, plan) in &plans {
-            let spp = switches_per_packet(plan);
             let switch_bits = setup.packet_bits * setup.braid_quantum_packets;
-            // Average entry cost per switch on each role (alternating
-            // entries into the two modes of the braid).
-            let (mut sw_tx, mut sw_rx) = (0.0, 0.0);
-            if plan.allocations.len() == 2 {
-                for a in &plan.allocations {
-                    sw_tx += setup
-                        .switching
-                        .cost(a.option.mode, Role::Transmitter)
-                        .joules()
-                        / 2.0;
-                    sw_rx += setup.switching.cost(a.option.mode, Role::Receiver).joules() / 2.0;
-                }
-            }
-            let sw_tx_per_bit = spp * sw_tx / switch_bits;
-            let sw_rx_per_bit = spp * sw_rx / switch_bits;
-            switches_per_bit_total += share * spp / switch_bits;
-
-            let t = plan.tx_cost.joules_per_bit() + sw_tx_per_bit;
-            let r = plan.rx_cost.joules_per_bit() + sw_rx_per_bit;
+            let (t, r) = per_bit_costs(plan, &setup.switching, switch_bits);
+            switches_per_bit_total += share * switches_per_packet(plan) / switch_bits;
             match dir1 {
                 Role::Transmitter => {
                     c1 += share * t;

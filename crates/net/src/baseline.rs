@@ -20,9 +20,9 @@ use braidio_mac::fsm::{Event as FsmEvent, OffloadFsm};
 use braidio_mac::mobility::MobilityTrace;
 use braidio_mac::offload::{solve_memo, OffloadPlan};
 use braidio_mac::probe::LinkProber;
-use braidio_mac::sim::switches_per_packet;
+use braidio_mac::sim::per_bit_costs;
 use braidio_radio::characterization::Rate;
-use braidio_radio::{Battery, Mode, Role};
+use braidio_radio::{Battery, Mode};
 use braidio_rfsim::geometry::Point;
 use braidio_telemetry as telemetry;
 use braidio_units::{Joules, Meters, Seconds, Watts};
@@ -513,27 +513,8 @@ impl<'a> Fleet<'a> {
         let plan = self.pairs[p].plan.expect("braiding under a plan");
         let (tx, rx) = (self.sc.pairs[p].tx, self.sc.pairs[p].rx);
 
-        let spp = switches_per_packet(&plan);
         let switch_bits = self.sc.packet_bits * self.sc.quantum_packets;
-        let (mut sw_tx, mut sw_rx) = (0.0, 0.0);
-        if plan.allocations.len() == 2 {
-            for a in &plan.allocations {
-                sw_tx += self
-                    .sc
-                    .switching
-                    .cost(a.option.mode, Role::Transmitter)
-                    .joules()
-                    / 2.0;
-                sw_rx += self
-                    .sc
-                    .switching
-                    .cost(a.option.mode, Role::Receiver)
-                    .joules()
-                    / 2.0;
-            }
-        }
-        let c_tx = plan.tx_cost.joules_per_bit() + spp * sw_tx / switch_bits;
-        let c_rx = plan.rx_cost.joules_per_bit() + spp * sw_rx / switch_bits;
+        let (c_tx, c_rx) = per_bit_costs(&plan, &self.sc.switching, switch_bits);
 
         let affordable = (self.devices[tx].battery.remaining().joules() / c_tx)
             .min(self.devices[rx].battery.remaining().joules() / c_rx);

@@ -91,7 +91,10 @@ pub struct PairGainCache {
     n: usize,
     sum: Vec<f64>,
     sum_dirty: Vec<bool>,
-    live: Vec<bool>,
+    /// The live set, one bit per pair (bit `q % 64` of word `q / 64`);
+    /// bits past `n` stay clear, so a walk over the set bits visits live
+    /// pairs only, in ascending order.
+    live: Vec<u64>,
     /// How many entries of `sum_dirty` are set.
     ndirty: usize,
 }
@@ -103,14 +106,20 @@ impl PairGainCache {
             n,
             sum: vec![0.0; n],
             sum_dirty: vec![true; n],
-            live: vec![true; n],
+            live: (0..n.div_ceil(64))
+                .map(|w| match n - 64 * w {
+                    left if left >= 64 => !0,
+                    left => (1u64 << left) - 1,
+                })
+                .collect(),
             ndirty: n,
         }
     }
 
     /// Is pair `q` still contributing to sums?
     pub fn is_live(&self, q: usize) -> bool {
-        self.live[q]
+        assert!(q < self.n, "pair {q} out of range");
+        (self.live[q / 64] >> (q % 64)) & 1 == 1
     }
 
     /// How many victims' sums currently need a rebuild. A fleet-wide gauge
@@ -124,10 +133,10 @@ impl PairGainCache {
     /// activation, quiesce or death. A no-op when the liveness bit already
     /// matches, so a repeated flip pays nothing.
     pub fn set_live(&mut self, q: usize, live: bool) {
-        if self.live[q] == live {
+        if self.is_live(q) == live {
             return;
         }
-        self.live[q] = live;
+        self.live[q / 64] ^= 1 << (q % 64);
         for d in self.sum_dirty.iter_mut() {
             *d = true;
         }
@@ -305,15 +314,20 @@ impl PairGainCache {
         let mut qs = [0u32; EDGE_TILE];
         let mut ws = [Watts::ZERO; EDGE_TILE];
         let mut fill = 0usize;
-        for (q, &live) in self.live.iter().enumerate() {
-            if !live || (lone && q == lead as usize) {
-                continue;
-            }
-            qs[fill] = q as u32;
-            fill += 1;
-            if fill == EDGE_TILE {
-                flush(&qs, &mut ws, acc);
-                fill = 0;
+        for (w, &word) in self.live.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let q = (64 * w) as u32 + bits.trailing_zeros();
+                bits &= bits - 1;
+                if lone && q == lead {
+                    continue;
+                }
+                qs[fill] = q;
+                fill += 1;
+                if fill == EDGE_TILE {
+                    flush(&qs, &mut ws, acc);
+                    fill = 0;
+                }
             }
         }
         if fill > 0 {
@@ -454,6 +468,41 @@ mod tests {
         // Matching flip is a no-op: nothing re-dirtied.
         cache.set_live(3, true);
         assert_eq!(cache.ndirty(), 0);
+    }
+
+    #[test]
+    fn live_bitset_flips_at_word_edges() {
+        // 130 rows span three words; rows 0, 63, 64 and 129 sit at the
+        // edges of them. Each flips out and back, and every sum must match
+        // brute force after every flip.
+        let n = 130;
+        let eps = layout(n, 0.9);
+        let mut live = vec![true; n];
+        let mut cache = PairGainCache::new(n);
+        let check = |cache: &mut PairGainCache, live: &[bool]| {
+            for (q, &alive) in live.iter().enumerate() {
+                assert_eq!(cache.is_live(q), alive, "row {q}");
+            }
+            for v in 0..n {
+                let got = cache.interference(v, tile(&eps));
+                assert_eq!(
+                    got.watts().to_bits(),
+                    brute(&eps, live, v).watts().to_bits(),
+                    "victim {v}"
+                );
+            }
+        };
+        check(&mut cache, &live);
+        for q in [0, 63, 64, 129] {
+            live[q] = false;
+            cache.set_live(q, false);
+            check(&mut cache, &live);
+        }
+        for q in [64, 0, 129, 63] {
+            live[q] = true;
+            cache.set_live(q, true);
+            check(&mut cache, &live);
+        }
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! Each traffic pair runs the §4.2 control protocol as a legal
 //! [`OffloadFsm`] event sequence — associate, exchange status, probe, braid,
 //! periodically re-plan — driven entirely by kernel events. Data moves in
-//! *braid quanta* ([`FleetScenario::quantum_packets`] packets): the energy
-//! and airtime of a quantum are computed when it is scheduled (plan costs
-//! plus the same amortized Table 5 switching charge as `mac::sim`), and
-//! committed when its completion event is delivered. Events past the
-//! scenario horizon are never delivered, so a truncated run is exactly the
-//! prefix of the infinite one.
+//! *braid quanta* ([`FleetScenario::quantum_packets`] packets). Each
+//! installed plan is compiled once into a quantum recipe: the per-bit costs
+//! (plan costs plus the amortized Table 5 switching charge of
+//! `mac::sim::per_bit_costs`) and the full quantum with its slices and
+//! airtime. Scheduling a quantum checks affordability against the live
+//! batteries and copies the full quantum (or runs the recipe on a smaller
+//! last one); its energy is committed when its completion event is
+//! delivered. Events past the scenario horizon are never delivered, so a
+//! truncated run is exactly the prefix of the infinite one.
 //!
 //! Planning is interference-aware and *worst-case*: a pair plans against
 //! the full CW carrier power (`Characterization::carrier_rf`) of every
@@ -100,10 +103,11 @@ use braidio_mac::fsm::{Event as FsmEvent, OffloadFsm, State as FsmState};
 use braidio_mac::mobility::MobilityTrace;
 use braidio_mac::offload::{solve_memo, OffloadPlan};
 use braidio_mac::probe::LinkProber;
-use braidio_mac::sim::switches_per_packet;
+use braidio_mac::sim::per_bit_costs;
 use braidio_pool as pool;
 use braidio_radio::characterization::Rate;
-use braidio_radio::{Battery, Mode, Role};
+use braidio_radio::switching::SwitchingOverhead;
+use braidio_radio::{Battery, Mode};
 use braidio_rfsim::geometry::Point;
 use braidio_telemetry as telemetry;
 use braidio_units::{Joules, Meters, Seconds, Watts};
@@ -182,7 +186,7 @@ const FILL_SLICE: Slice = (
 /// completion event is delivered (never, if the horizon or a re-plan death
 /// cuts the session first). Slices are inline (a plan braids at most two
 /// options) so scheduling a quantum never touches the heap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingQuantum {
     bits: f64,
     e_tx: Joules,
@@ -196,6 +200,100 @@ struct PendingQuantum {
 impl PendingQuantum {
     fn slices(&self) -> &[Slice] {
         &self.slices[..self.nslices as usize]
+    }
+}
+
+/// An installed plan compiled for the quantum loop. Everything a quantum
+/// needs that does not read the live batteries is derived here once per
+/// install, by the same expressions in the same order the per-quantum
+/// derivation used, so every quantum carries the same bits it always did.
+#[derive(Debug, Clone, Copy)]
+struct QuantumRecipe {
+    /// Per-bit costs, J/bit, with the amortized Table 5 switching charge.
+    c_tx: f64,
+    c_rx: f64,
+    /// Each allocation's bit fraction, in plan order; `full`'s slices
+    /// carry its mode, rate and carrier sides.
+    fractions: [f64; 2],
+    /// The full quantum (`packet_bits · quantum_packets` bits) and its
+    /// airtime: what every quantum but a battery's last one is.
+    full: PendingQuantum,
+    full_airtime: Seconds,
+}
+
+impl QuantumRecipe {
+    fn new(plan: &OffloadPlan, switching: &SwitchingOverhead, quantum_bits: f64) -> Self {
+        let (c_tx, c_rx) = per_bit_costs(plan, switching, quantum_bits);
+        let mut shape = PendingQuantum {
+            bits: 0.0,
+            e_tx: Joules::ZERO,
+            e_rx: Joules::ZERO,
+            slices: [FILL_SLICE; 2],
+            nslices: 0,
+            last: false,
+        };
+        let mut fractions = [0.0; 2];
+        for a in &plan.allocations {
+            let i = shape.nslices as usize;
+            let (on_tx, on_rx) = a.option.mode.carrier_at();
+            shape.slices[i] = (
+                a.option.mode,
+                a.option.rate,
+                0.0,
+                on_tx,
+                on_rx,
+                Seconds::ZERO,
+            );
+            fractions[i] = a.fraction;
+            shape.nslices += 1;
+        }
+        let mut recipe = QuantumRecipe {
+            c_tx,
+            c_rx,
+            fractions,
+            full: shape,
+            full_airtime: Seconds::ZERO,
+        };
+        (recipe.full, recipe.full_airtime) = recipe.quantum(quantum_bits, false);
+        recipe
+    }
+
+    /// A quantum of `bits` under this recipe, and its airtime.
+    fn quantum(&self, bits: f64, last: bool) -> (PendingQuantum, Seconds) {
+        let mut q = PendingQuantum {
+            bits,
+            e_tx: Joules::new(bits * self.c_tx),
+            e_rx: Joules::new(bits * self.c_rx),
+            last,
+            ..self.full
+        };
+        let mut airtime = Seconds::ZERO;
+        let n = q.nslices as usize;
+        for (slice, fraction) in q.slices[..n].iter_mut().zip(self.fractions) {
+            slice.2 = bits * fraction;
+            slice.5 = slice.1.bps().time_for_bits(slice.2);
+            airtime += slice.5;
+        }
+        (q, airtime)
+    }
+
+    /// The next quantum, given the endpoints' remaining energy, and its
+    /// airtime; `None` when not even one bit is affordable. Only the two
+    /// affordability divisions read live state: a quantum that leaves
+    /// energy to spare is the precomputed full one, and a battery's last,
+    /// partial quantum runs [`quantum`](Self::quantum) on its smaller size.
+    fn next(&self, rem_tx: Joules, rem_rx: Joules) -> Option<(PendingQuantum, Seconds)> {
+        let affordable = (rem_tx.joules() / self.c_tx).min(rem_rx.joules() / self.c_rx);
+        let quantum_bits = self.full.bits;
+        let bits = quantum_bits.min(affordable);
+        if !bits.is_finite() || bits < 1.0 {
+            return None;
+        }
+        if affordable <= quantum_bits {
+            Some(self.quantum(bits, true))
+        } else {
+            Some((self.full, self.full_airtime))
+        }
     }
 }
 
@@ -224,7 +322,8 @@ struct Pairs {
     pin: Vec<Option<Mode>>,
     mobile: Vec<bool>,
     fsm: Vec<OffloadFsm>,
-    plan: Vec<Option<OffloadPlan>>,
+    /// The installed plan, compiled (`None` before the first install).
+    recipe: Vec<Option<QuantumRecipe>>,
     pending: Vec<Option<PendingQuantum>>,
     bits: Vec<f64>,
     /// Delivered bits per mode, indexed by `Mode as usize` (the
@@ -441,7 +540,7 @@ impl<'a> Fleet<'a> {
             pin: Vec::with_capacity(n),
             mobile: Vec::with_capacity(n),
             fsm: Vec::with_capacity(n),
-            plan: vec![None; n],
+            recipe: vec![None; n],
             pending: vec![None; n],
             bits: vec![0.0; n],
             mode_bits: vec![[0.0; 3]; n],
@@ -1241,70 +1340,27 @@ impl<'a> Fleet<'a> {
                 }
             }
         }
-        self.pairs.plan[p] = Some(plan);
+        let quantum_bits = self.sc.packet_bits * self.sc.quantum_packets;
+        self.pairs.recipe[p] = Some(QuantumRecipe::new(&plan, &self.sc.switching, quantum_bits));
         true
     }
 
     /// Schedule the next braid quantum under the installed plan. Kills the
     /// pair instead when not even one bit is affordable.
     fn schedule_quantum(&mut self, p: usize, now: Seconds) {
-        let plan = self.pairs.plan[p].expect("braiding under a plan");
+        let recipe = self.pairs.recipe[p]
+            .as_ref()
+            .expect("braiding under a plan");
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
-
-        // Per-bit costs with the same amortized Table 5 switching charge as
-        // `mac::sim::simulate_braidio`.
-        let spp = switches_per_packet(&plan);
-        let switch_bits = self.sc.packet_bits * self.sc.quantum_packets;
-        let (mut sw_tx, mut sw_rx) = (0.0, 0.0);
-        if plan.allocations.len() == 2 {
-            for a in &plan.allocations {
-                sw_tx += self
-                    .sc
-                    .switching
-                    .cost(a.option.mode, Role::Transmitter)
-                    .joules()
-                    / 2.0;
-                sw_rx += self
-                    .sc
-                    .switching
-                    .cost(a.option.mode, Role::Receiver)
-                    .joules()
-                    / 2.0;
-            }
-        }
-        let c_tx = plan.tx_cost.joules_per_bit() + spp * sw_tx / switch_bits;
-        let c_rx = plan.rx_cost.joules_per_bit() + spp * sw_rx / switch_bits;
-
-        let affordable = (self.devices.battery[tx].remaining().joules() / c_tx)
-            .min(self.devices.battery[rx].remaining().joules() / c_rx);
-        let quantum_bits = switch_bits;
-        let bits = quantum_bits.min(affordable);
-        if !bits.is_finite() || bits < 1.0 {
+        let Some((pending, airtime)) = recipe.next(
+            self.devices.battery[tx].remaining(),
+            self.devices.battery[rx].remaining(),
+        ) else {
             self.kill(p, now, telemetry::DeathReason::BatteryDead);
             return;
-        }
-        let last = affordable <= quantum_bits;
-
-        let mut airtime = Seconds::ZERO;
-        let mut slices = [FILL_SLICE; 2];
-        let mut nslices = 0u8;
-        for a in &plan.allocations {
-            let slice_bits = bits * a.fraction;
-            let dt = a.option.rate.bps().time_for_bits(slice_bits);
-            let (on_tx, on_rx) = a.option.mode.carrier_at();
-            slices[nslices as usize] = (a.option.mode, a.option.rate, slice_bits, on_tx, on_rx, dt);
-            nslices += 1;
-            airtime += dt;
-        }
+        };
         let finish = self.finish_time(p, now, airtime);
-        self.pairs.pending[p] = Some(PendingQuantum {
-            bits,
-            e_tx: Joules::new(bits * c_tx),
-            e_rx: Joules::new(bits * c_rx),
-            slices,
-            nslices,
-            last,
-        });
+        self.pairs.pending[p] = Some(pending);
         self.q.schedule(
             finish,
             Kind::QuantumDone.rank(),
@@ -1850,5 +1906,225 @@ mod tests {
         let r = run_fleet(&sc);
         assert!(r.device_dead_at[0].is_some(), "hub must die");
         assert!(r.pair_dead_at.iter().all(|d| d.is_some()));
+    }
+
+    /// The per-quantum derivation the recipe replaced, kept as its oracle:
+    /// per-bit costs, affordability, bits and slices re-derived from the
+    /// plan on every quantum. `None` when not one bit is affordable.
+    fn oracle_quantum(
+        plan: &OffloadPlan,
+        sc: &FleetScenario,
+        rem_tx: Joules,
+        rem_rx: Joules,
+    ) -> Option<(PendingQuantum, Seconds)> {
+        use braidio_mac::sim::switches_per_packet;
+        use braidio_radio::Role;
+        let spp = switches_per_packet(plan);
+        let switch_bits = sc.packet_bits * sc.quantum_packets;
+        let (mut sw_tx, mut sw_rx) = (0.0, 0.0);
+        if plan.allocations.len() == 2 {
+            for a in &plan.allocations {
+                sw_tx += sc.switching.cost(a.option.mode, Role::Transmitter).joules() / 2.0;
+                sw_rx += sc.switching.cost(a.option.mode, Role::Receiver).joules() / 2.0;
+            }
+        }
+        let c_tx = plan.tx_cost.joules_per_bit() + spp * sw_tx / switch_bits;
+        let c_rx = plan.rx_cost.joules_per_bit() + spp * sw_rx / switch_bits;
+        let affordable = (rem_tx.joules() / c_tx).min(rem_rx.joules() / c_rx);
+        let quantum_bits = switch_bits;
+        let bits = quantum_bits.min(affordable);
+        if !bits.is_finite() || bits < 1.0 {
+            return None;
+        }
+        let last = affordable <= quantum_bits;
+        let mut airtime = Seconds::ZERO;
+        let mut slices = [FILL_SLICE; 2];
+        let mut nslices = 0u8;
+        for a in &plan.allocations {
+            let slice_bits = bits * a.fraction;
+            let dt = a.option.rate.bps().time_for_bits(slice_bits);
+            let (on_tx, on_rx) = a.option.mode.carrier_at();
+            slices[nslices as usize] = (a.option.mode, a.option.rate, slice_bits, on_tx, on_rx, dt);
+            nslices += 1;
+            airtime += dt;
+        }
+        let pending = PendingQuantum {
+            bits,
+            e_tx: Joules::new(bits * c_tx),
+            e_rx: Joules::new(bits * c_rx),
+            slices,
+            nslices,
+            last,
+        };
+        Some((pending, airtime))
+    }
+
+    fn assert_same_quantum(got: (PendingQuantum, Seconds), want: (PendingQuantum, Seconds)) {
+        let ((g, g_air), (w, w_air)) = (got, want);
+        assert_eq!(g.bits.to_bits(), w.bits.to_bits(), "bits");
+        assert_eq!(g.e_tx.joules().to_bits(), w.e_tx.joules().to_bits(), "e_tx");
+        assert_eq!(g.e_rx.joules().to_bits(), w.e_rx.joules().to_bits(), "e_rx");
+        assert_eq!(g.last, w.last, "last");
+        assert_eq!(g.nslices, w.nslices, "slice count");
+        for (a, b) in g.slices().iter().zip(w.slices()) {
+            assert_eq!((a.0, a.1, a.3, a.4), (b.0, b.1, b.3, b.4), "slice shape");
+            assert_eq!(a.2.to_bits(), b.2.to_bits(), "slice bits");
+            assert_eq!(
+                a.5.seconds().to_bits(),
+                b.5.seconds().to_bits(),
+                "slice airtime"
+            );
+        }
+        assert_eq!(
+            g_air.seconds().to_bits(),
+            w_air.seconds().to_bits(),
+            "airtime"
+        );
+    }
+
+    /// A single-mode plan and a two-allocation braid from the 0.5 m option
+    /// set.
+    fn plans(sc: &FleetScenario) -> (OffloadPlan, OffloadPlan) {
+        use braidio_mac::offload::{options_at, solve};
+        let opts = options_at(&sc.ch, Meters::new(0.5));
+        let e = Joules::from_watt_hours(1.0);
+        let single = solve(&opts[..1], e, e).expect("one option is a plan");
+        assert_eq!(single.allocations.len(), 1);
+        let braid = [1e-3, 1e-2, 0.1, 10.0, 100.0, 1e3]
+            .into_iter()
+            .filter_map(|k| solve(&opts, e * k, e))
+            .find(|p| p.allocations.len() == 2)
+            .expect("some battery ratio braids two options");
+        (single, braid)
+    }
+
+    fn recipe(plan: &OffloadPlan, sc: &FleetScenario) -> QuantumRecipe {
+        QuantumRecipe::new(plan, &sc.switching, sc.packet_bits * sc.quantum_packets)
+    }
+
+    #[test]
+    fn recipe_full_quanta_match_the_per_quantum_oracle() {
+        let sc = small_pair(Arbitration::Uncoordinated);
+        let (single, braid) = plans(&sc);
+        let plenty = Joules::from_watt_hours(1.0);
+        for plan in [single, braid] {
+            let got = recipe(&plan, &sc).next(plenty, plenty).expect("affordable");
+            assert!(!got.0.last && got.0.bits == sc.packet_bits * sc.quantum_packets);
+            assert_same_quantum(got, oracle_quantum(&plan, &sc, plenty, plenty).unwrap());
+        }
+        // The braid carries the Table 5 switching charge on both roles.
+        let r = recipe(&braid, &sc);
+        assert!(r.c_tx > braid.tx_cost.joules_per_bit());
+        assert!(r.c_rx > braid.rx_cost.joules_per_bit());
+    }
+
+    #[test]
+    fn recipe_last_quantum_matches_the_per_quantum_oracle() {
+        let sc = small_pair(Arbitration::Uncoordinated);
+        let (single, braid) = plans(&sc);
+        let plenty = Joules::from_watt_hours(1.0);
+        let quantum_bits = sc.packet_bits * sc.quantum_packets;
+        for plan in [single, braid] {
+            let r = recipe(&plan, &sc);
+            // Either side may be the one that runs out.
+            for share in [0.37, 0.999, 1.0] {
+                let short = Joules::new(r.c_tx * quantum_bits * share);
+                let got = r.next(short, plenty).expect("affordable");
+                assert!(got.0.last);
+                assert_same_quantum(got, oracle_quantum(&plan, &sc, short, plenty).unwrap());
+                let short = Joules::new(r.c_rx * quantum_bits * share);
+                let got = r.next(plenty, short).expect("affordable");
+                assert!(got.0.last);
+                assert_same_quantum(got, oracle_quantum(&plan, &sc, plenty, short).unwrap());
+            }
+            let partial = r.next(Joules::new(r.c_tx * quantum_bits * 0.37), plenty);
+            assert!(partial.unwrap().0.bits < quantum_bits);
+            // Less than a bit: no quantum at all, as before.
+            let crumb = Joules::new(r.c_tx * 0.5);
+            assert!(r.next(crumb, plenty).is_none());
+            assert!(oracle_quantum(&plan, &sc, crumb, plenty).is_none());
+        }
+    }
+
+    #[test]
+    fn recipe_tdma_finish_time_matches_the_oracle() {
+        // 1 ms slots among four pairs: a full quantum spans many windows,
+        // so the finish time goes through the whole-cycle skip.
+        let sc = FleetScenario::independent_pairs(
+            4,
+            Meters::new(0.5),
+            Meters::new(5.0),
+            1.0,
+            1.0,
+            Arbitration::TdmaRoundRobin {
+                slot: Seconds::new(1e-3),
+            },
+        );
+        let fleet = Fleet::new(&sc);
+        let (single, braid) = plans(&sc);
+        let plenty = Joules::from_watt_hours(1.0);
+        for plan in [single, braid] {
+            let got = recipe(&plan, &sc).next(plenty, plenty).unwrap();
+            let want = oracle_quantum(&plan, &sc, plenty, plenty).unwrap();
+            assert_same_quantum(got, want);
+            for (p, start) in [(0, 0.0), (1, 0.0105), (3, 2.0e-3)] {
+                let start = Seconds::new(start);
+                let a = fleet.finish_time(p, start, got.1);
+                let b = fleet.finish_time(p, start, want.1);
+                assert_eq!(a.seconds().to_bits(), b.seconds().to_bits());
+                assert!(a.seconds() > start.seconds() + 2.0 * got.1.seconds());
+            }
+        }
+    }
+
+    #[test]
+    fn replan_in_flight_commits_the_old_quantum() {
+        let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
+        let mut f = Fleet::new(&sc);
+        f.schedule(Seconds::ZERO, 0, Kind::Associate);
+        let mut now = Seconds::ZERO;
+        while f.pairs.pending[0].is_none() {
+            let ev = f.q.pop().expect("bring-up reaches the braid");
+            now = ev.time;
+            f.handle(ev.event, ev.time);
+        }
+        let old = f.pairs.pending[0].unwrap();
+        // Re-plan onto a mode the quantum in flight does not use.
+        let unused = Mode::ALL
+            .into_iter()
+            .find(|m| old.slices().iter().all(|s| s.0 != *m))
+            .expect("a braid uses at most two of the three modes");
+        f.pairs.pin[0] = Some(unused);
+        f.on_replan(0, now);
+        let new = f.pairs.recipe[0].unwrap().full;
+        assert_eq!((new.nslices, new.slices[0].0), (1, unused));
+        // Deliver the completion of the quantum scheduled before it.
+        let (tx, rx) = (f.pairs.tx[0], f.pairs.rx[0]);
+        let bits = f.pairs.bits[0] + old.bits;
+        let (spent_tx, spent_rx) = (
+            f.devices.spent[tx] + old.e_tx,
+            f.devices.spent[rx] + old.e_rx,
+        );
+        let mut mode_bits = f.pairs.mode_bits[0];
+        for s in old.slices() {
+            mode_bits[s.0 as usize] += s.2;
+        }
+        loop {
+            let ev = f.q.pop().expect("the quantum completes");
+            f.handle(ev.event, ev.time);
+            if ev.event.kind == Kind::QuantumDone {
+                break;
+            }
+        }
+        assert_eq!(f.pairs.bits[0].to_bits(), bits.to_bits());
+        assert_eq!(f.devices.spent[tx], spent_tx);
+        assert_eq!(f.devices.spent[rx], spent_rx);
+        for (got, want) in f.pairs.mode_bits[0].iter().zip(mode_bits) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        // The next quantum follows the new recipe.
+        let next = f.pairs.pending[0].expect("the braid goes on");
+        assert_eq!(next.slices()[0].0, unused);
+        assert_eq!(next.nslices, 1);
     }
 }
