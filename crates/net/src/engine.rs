@@ -72,16 +72,16 @@
 //! admits it ([`crate::discovery`]), rides the
 //! `Probe → Warm → Live ⇄ Degrade → Cooldown` machine
 //! ([`crate::lifecycle`]), and leaves at its `departure` (or dies). The
-//! interference live set follows [`LinkPhase::on_air`] — Init/Cooldown
-//! sessions are radio-silent and contribute nothing — via the two-way
+//! interference live set follows [`LinkPhase::on_air`] via the two-way
 //! [`PairGainCache::set_live`] flip, so a cooldown row is *recycled*, not
-//! retired. A closed scenario (`churn: None`) is the degenerate open
-//! system: every row is born `Live` (admitted up front on the fixed
-//! association stagger, with no warm-up) and only ever leaves by dying. So
-//! one phase column answers every liveness question (`Pairs::on_air`), and
-//! one `kill` path tears every session down. Closed runs emit no phase
-//! telemetry, so their event sequence and traces are byte-identical to the
-//! pre-lifecycle engine.
+//! retired. Every lifecycle decision reads one [`LifecyclePolicy`], the
+//! scenario's own; a closed scenario (`churn: None`) runs
+//! [`LifecyclePolicy::closed`]. Its rows are born `Live` on the fixed
+//! association stagger and, with no warm-up, thresholds or cooldown, only
+//! ever leave by dying: an empty probe round ends one on the spot. One
+//! phase column answers every liveness question (`Pairs::on_air`), one
+//! `kill` path tears every session down, and closed runs emit no phase
+//! telemetry.
 //!
 //! Determinism: one pending event per (pair, kind) keeps kernel keys
 //! unique; the pair index is the kernel's entity id; all floating-point
@@ -93,9 +93,10 @@
 
 use crate::arbitration::Arbitration;
 use crate::cache::PairGainCache;
+use crate::discovery::DiscoveryConfig;
 use crate::interference::{EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE};
 use crate::kernel::EventQueue;
-use crate::lifecycle::{self, LinkPhase, PhaseEvent, PHASE_COUNT};
+use crate::lifecycle::{self, LifecyclePolicy, LinkPhase, PhaseEvent, PHASE_COUNT};
 use crate::metrics::{ChurnReport, FleetReport};
 use crate::scenario::FleetScenario;
 use braidio_mac::coexistence::ChannelRelation;
@@ -133,11 +134,11 @@ enum Kind {
     ProbesDone,
     Replan,
     QuantumDone,
-    /// Open systems only: the session's dwell ended (graceful teardown).
-    /// Ranked after `QuantumDone` so a quantum completing at the departure
-    /// instant still commits.
+    /// The session's dwell ended (graceful teardown). Ranked after
+    /// `QuantumDone` so a quantum completing at the departure instant
+    /// still commits.
     Departure,
-    /// Open systems only: the cooldown timer fired — retry or give up.
+    /// The cooldown timer fired — retry or give up.
     CooldownDone,
 }
 
@@ -336,8 +337,8 @@ struct Pairs {
     /// telemetry `ModeSwitch` edges.
     last_mode: Vec<Option<Mode>>,
     /// Lifecycle phase, the one liveness column. Open-system rows start in
-    /// `Init`; closed rows are born `Live` and only ever step to `Dead`.
-    /// The churn columns below are touched by open-system rows only.
+    /// `Init`; closed rows are born `Live`. The columns below serve the
+    /// phases and policy edges a row can reach.
     phase: Vec<LinkPhase>,
     /// When the current phase was entered (arrival time until then), the
     /// anchor for phase-occupancy accounting.
@@ -498,6 +499,12 @@ struct Fleet<'a> {
     /// wave sweep, the lazy dirty-sum path and the debug shadow check —
     /// the single arithmetic definition of a fleet edge.
     edges: EdgeKernel,
+    /// The lifecycle policy every event-loop decision reads.
+    policy: LifecyclePolicy,
+    /// Admission and cooldown economics (unread by a closed fleet).
+    discovery: DiscoveryConfig,
+    /// Quanta completing from here on count toward `window_bits`.
+    window_from: Seconds,
     /// Emit `phase_change` records. Set for open systems only: a closed
     /// row's one transition (Live → Dead) stays out of the trace.
     phase_telemetry: bool,
@@ -528,7 +535,13 @@ impl<'a> Fleet<'a> {
             devices.battery.push(Battery::new(d.battery));
         }
         let n = sc.pairs.len();
-        let open = sc.churn.is_some();
+        // An open system brings its own lifecycle policy, discovery model
+        // and report window; a closed fleet runs the zero-retry policy.
+        let churn = sc.churn;
+        let policy = churn.map_or(LifecyclePolicy::closed(), |c| c.lifecycle);
+        let discovery = churn.map_or(DiscoveryConfig::default(), |c| c.discovery);
+        let window_from = churn.map_or(Seconds::new(f64::INFINITY), |c| sc.horizon - c.window);
+        let open = churn.is_some();
         let born = if open {
             LinkPhase::Init
         } else {
@@ -594,6 +607,9 @@ impl<'a> Fleet<'a> {
             options: OptionsMemo::new(),
             wave_cold: true,
             edges: EdgeKernel::new(&sc.ch),
+            policy,
+            discovery,
+            window_from,
             phase_telemetry: open,
             phase_time: [0.0; PHASE_COUNT],
             departed: 0,
@@ -613,16 +629,16 @@ impl<'a> Fleet<'a> {
     /// its rows are byte-identical at any `--jobs`.
     fn run_sampled(&mut self, mut sampler: Option<Sampler>) -> (FleetReport, Option<Series>) {
         telemetry::begin_unit();
-        // Bring-up: an open-system row is admitted at the first beacon of
-        // its hub after its arrival (a pure function of the roster, so it
-        // is computed here rather than simulating beacons); a closed row
+        // Bring-up: a row with an arrival is admitted at the first beacon
+        // of its hub after it (a pure function of the roster, so it is
+        // computed here rather than simulating beacons); a row without one
         // associates on the fixed stagger. A row that carries a departure
         // schedules it too. Instants past the horizon simply never deliver.
         let sc = self.sc;
         for (i, spec) in sc.pairs.iter().enumerate() {
-            let associate = match (sc.churn, spec.arrival) {
-                (Some(cfg), Some(arrival)) => cfg.discovery.admission_at(spec.rx as u32, arrival),
-                _ => Seconds::new(i as f64 * ASSOC_STAGGER.seconds()),
+            let associate = match spec.arrival {
+                Some(arrival) => self.discovery.admission_at(spec.rx as u32, arrival),
+                None => Seconds::new(i as f64 * ASSOC_STAGGER.seconds()),
             };
             self.schedule(associate, i, Kind::Associate);
             if let Some(departure) = spec.departure {
@@ -779,7 +795,7 @@ impl<'a> Fleet<'a> {
             }
             let arrival = self.sc.pairs[p]
                 .arrival
-                .expect("churn pairs carry arrivals");
+                .expect("admitted rows carry arrivals");
             admission_latency.push(Seconds::new(at.seconds() - arrival.seconds()));
             if let Some(dead) = self.pairs.dead_at[p] {
                 durations.push(dead.seconds() - at.seconds());
@@ -833,20 +849,6 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Map an engine phase to its telemetry tag (`braidio-telemetry` sits
-    /// below this crate, so the mirror enum converts here).
-    fn phase_tag(phase: LinkPhase) -> telemetry::PhaseTag {
-        match phase {
-            LinkPhase::Init => telemetry::PhaseTag::Init,
-            LinkPhase::Probe => telemetry::PhaseTag::Probe,
-            LinkPhase::Warm => telemetry::PhaseTag::Warm,
-            LinkPhase::Live => telemetry::PhaseTag::Live,
-            LinkPhase::Degrade => telemetry::PhaseTag::Degrade,
-            LinkPhase::Cooldown => telemetry::PhaseTag::Cooldown,
-            LinkPhase::Dead => telemetry::PhaseTag::Dead,
-        }
-    }
-
     /// Feed one lifecycle event. A real transition closes out the
     /// occupancy of the phase being left and (open systems only) emits the
     /// `phase_change` record; self-loops are free. Illegal combinations
@@ -867,8 +869,8 @@ impl<'a> Fleet<'a> {
             telemetry::emit(telemetry::Event::PhaseChange {
                 at: now,
                 track: telemetry::Track::Pair(p as u32),
-                from: Self::phase_tag(from),
-                to: Self::phase_tag(to),
+                from: from.into(),
+                to: to.into(),
             });
         }
     }
@@ -888,23 +890,20 @@ impl<'a> Fleet<'a> {
     }
 
     fn on_associate(&mut self, p: usize, now: Seconds) {
-        let admitting = self.pairs.phase[p] == LinkPhase::Init;
-        if admitting {
+        let arrival = self.sc.pairs[p].arrival;
+        if let Some(arrival) = arrival {
             // This event *is* the admitting beacon: the tag has idled in
             // Init on detector-only power since its arrival, and the hub
             // pays for the one beacon frame that admitted it.
-            let cfg = self.sc.churn.expect("only open-system rows start in Init");
-            let arrival = self.sc.pairs[p]
-                .arrival
-                .expect("churn pairs carry arrivals");
+            debug_assert_eq!(self.pairs.phase[p], LinkPhase::Init);
             let (tag, hub) = (self.pairs.tx[p], self.pairs.rx[p]);
-            self.charge(tag, cfg.discovery.idle_energy(arrival, now), now);
+            self.charge(tag, self.discovery.idle_energy(arrival, now), now);
             let pp = self
                 .sc
                 .ch
                 .power(Mode::Active, Rate::Mbps1)
                 .expect("active 1 Mbps is always characterized");
-            let beacon = pp.tx * pp.rate.bps().time_for_bits(cfg.discovery.beacon_bits);
+            let beacon = pp.tx * pp.rate.bps().time_for_bits(self.discovery.beacon_bits);
             self.charge(hub, beacon, now);
             if self.devices.battery[tag].is_dead() || self.devices.battery[hub].is_dead() {
                 self.kill(p, now, telemetry::DeathReason::BatteryDead);
@@ -920,10 +919,10 @@ impl<'a> Fleet<'a> {
             self.gains.set_live(p, true);
         }
         // Association begins when a passive wakeup detector catches a
-        // beacon (§4.2 step 0). A closed row: the receiver detects the
+        // beacon (§4.2 step 0). A row born Live: the receiver detects the
         // transmitter. An admitted row: the *tag* (transmitter) detects its
         // hub's beacon, per the discovery model.
-        let detector = if admitting {
+        let detector = if arrival.is_some() {
             self.pairs.tx[p]
         } else {
             self.pairs.rx[p]
@@ -1030,17 +1029,15 @@ impl<'a> Fleet<'a> {
         // session first, so its record — and every later one — lands in
         // Live, which is what the validator's phase gate demands.
         let mut announce = true;
-        if let Some(cfg) = self.sc.churn {
-            if now.seconds() >= self.sc.horizon.seconds() - cfg.window.seconds() {
-                self.window_bits[p] += pending.bits;
-            }
-            if self.pairs.phase[p] == LinkPhase::Warm {
-                self.pairs.warm_got[p] += 1;
-                if self.pairs.warm_got[p] >= cfg.lifecycle.warmup_quanta {
-                    self.phase_step(p, PhaseEvent::WarmedUp, now);
-                } else {
-                    announce = false;
-                }
+        if now.seconds() >= self.window_from.seconds() {
+            self.window_bits[p] += pending.bits;
+        }
+        if self.pairs.phase[p] == LinkPhase::Warm {
+            self.pairs.warm_got[p] += 1;
+            if self.pairs.warm_got[p] >= self.policy.warmup_quanta {
+                self.phase_step(p, PhaseEvent::WarmedUp, now);
+            } else {
+                announce = false;
             }
         }
         for (mode, rate, bits, on_tx, on_rx, airtime) in pending.slices() {
@@ -1072,23 +1069,25 @@ impl<'a> Fleet<'a> {
             self.kill(p, now, telemetry::DeathReason::BatteryDead);
             return;
         }
-        if let Some(cfg) = self.sc.churn {
+        // A policy without thresholds skips the battery read: nothing
+        // below could fire.
+        if self.policy.watches_energy() {
             let frac = self.min_battery_frac(p);
-            if frac < cfg.lifecycle.critical_frac {
+            if frac < self.policy.critical_frac {
                 // Too weak to keep a link up at all: quiesce and retry (or
                 // give up) after the cooldown.
-                self.enter_cooldown(p, PhaseEvent::EnergyCritical, now);
+                self.quiesce(p, PhaseEvent::EnergyCritical, now);
                 return;
             }
             match self.pairs.phase[p] {
-                LinkPhase::Warm | LinkPhase::Live if frac < cfg.lifecycle.degrade_frac => {
+                LinkPhase::Warm | LinkPhase::Live if frac < self.policy.degrade_frac => {
                     // BLISP's fall-back-toward-passive rule: a weakening
                     // endpoint pins the braid to the cheapest tag-side
                     // mode at the next replan.
                     self.phase_step(p, PhaseEvent::EnergyLow, now);
                     self.pairs.pin[p] = Some(Mode::Backscatter);
                 }
-                LinkPhase::Degrade if frac >= cfg.lifecycle.degrade_frac => {
+                LinkPhase::Degrade if frac >= self.policy.degrade_frac => {
                     self.phase_step(p, PhaseEvent::Recovered, now);
                     self.pairs.pin[p] = self.sc.pairs[p].pinned_mode;
                 }
@@ -1098,38 +1097,36 @@ impl<'a> Fleet<'a> {
         self.schedule_quantum(p, now);
     }
 
-    /// Open systems: quiesce a link that lost viability. Enters Cooldown,
-    /// drops the pair out of the interference live set, aborts the quantum
-    /// in flight (bumping the generation so its completion event is
-    /// recognizably stale), and starts the retry timer.
-    fn enter_cooldown(&mut self, p: usize, ev: PhaseEvent, now: Seconds) {
-        let cfg = self.sc.churn.expect("cooldowns only exist in churn mode");
+    /// A link lost viability (`ev`). It enters Cooldown, drops out of the
+    /// interference live set, aborts the quantum in flight (bumping the
+    /// generation so its completion event is recognizably stale), and
+    /// starts the retry timer; under a policy with no cooldown it dies.
+    fn quiesce(&mut self, p: usize, ev: PhaseEvent, now: Seconds) {
+        let Some(cooldown) = self.policy.cooldown else {
+            self.kill(p, now, telemetry::DeathReason::NoViableMode);
+            return;
+        };
         self.phase_step(p, ev, now);
         debug_assert_eq!(self.pairs.phase[p], LinkPhase::Cooldown);
         self.pairs.cooldowns[p] += 1;
         self.gains.set_live(p, false);
         self.abort_pending(p, now);
-        self.schedule(now + cfg.lifecycle.cooldown, p, Kind::CooldownDone);
+        self.schedule(now + cooldown, p, Kind::CooldownDone);
     }
 
-    /// Open systems: the cooldown timer fired. The tag has idled on
-    /// detector-only power for the whole window; it now either re-probes
-    /// (fresh warm-up, fresh plan) or — past the policy's retry budget —
-    /// gives up for good.
+    /// The cooldown timer fired. The tag has idled on detector-only power
+    /// for the whole window; it now either re-probes (fresh warm-up, fresh
+    /// plan) or — past the policy's retry budget — gives up for good.
     fn on_cooldown_done(&mut self, p: usize, now: Seconds) {
-        let cfg = self.sc.churn.expect("cooldowns only exist in churn mode");
+        let cooldown = self.policy.cooldown.expect("only a cooldown arms this");
         debug_assert_eq!(self.pairs.phase[p], LinkPhase::Cooldown);
         let tag = self.pairs.tx[p];
-        self.charge(
-            tag,
-            cfg.discovery.quiesced_energy(cfg.lifecycle.cooldown),
-            now,
-        );
+        self.charge(tag, self.discovery.quiesced_energy(cooldown), now);
         if self.devices.battery[tag].is_dead() {
             self.kill(p, now, telemetry::DeathReason::BatteryDead);
             return;
         }
-        if self.pairs.cooldowns[p] > cfg.lifecycle.max_cooldowns {
+        if self.pairs.cooldowns[p] > self.policy.max_cooldowns {
             self.kill(p, now, telemetry::DeathReason::GaveUp);
             return;
         }
@@ -1263,8 +1260,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// Probe outcome → plan installation. Returns `false` when the pair
-    /// found no viable mode: a closed row is killed, an open-system row
-    /// quiesces into Cooldown.
+    /// found no viable mode, and the policy quiesced or ended it.
     fn install_plan(&mut self, p: usize, now: Seconds) -> bool {
         self.wave_sweep();
         let d = self.pair_distance(p, now);
@@ -1284,15 +1280,9 @@ impl<'a> Fleet<'a> {
                     primary: None,
                 });
             }
-            // An open-system link that lost viability quiesces instead of
-            // dying: the offload FSM stays in Probing and the lifecycle
-            // machine decides later whether to retry. A closed row has no
-            // retry budget.
-            if self.sc.churn.is_some() {
-                self.enter_cooldown(p, PhaseEvent::ProbesEmpty, now);
-            } else {
-                self.kill(p, now, telemetry::DeathReason::NoViableMode);
-            }
+            // The offload FSM stays in Probing; a quiesced link's lifecycle
+            // machine decides later whether to retry.
+            self.quiesce(p, PhaseEvent::ProbesEmpty, now);
             return false;
         }
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
@@ -1507,8 +1497,8 @@ impl<'a> Fleet<'a> {
     /// Terminal teardown, the one death path of every session: the pair
     /// leaves the interference live set, its phase steps to Dead and its
     /// quantum in flight is aborted. `reason` says why: a battery death, a
-    /// closed row's empty probe round, an open system's graceful departure
-    /// or a cooldown give-up.
+    /// lost link under a policy with no cooldown, a graceful departure or
+    /// a cooldown give-up.
     fn kill(&mut self, p: usize, now: Seconds, reason: telemetry::DeathReason) {
         self.gains.set_live(p, false);
         if !self.pairs.phase[p].is_terminal() {
@@ -1775,8 +1765,6 @@ mod tests {
             lifecycle: crate::lifecycle::LifecyclePolicy::default(),
             discovery: crate::discovery::DiscoveryConfig::default(),
             window: Seconds::new(horizon / 3.0),
-            arrival_rate: 1.0 / horizon,
-            mean_dwell: Seconds::new(departure - arrival),
         });
         sc.validate();
         sc
@@ -1840,6 +1828,46 @@ mod tests {
         assert!(c.phase_time[crate::lifecycle::LinkPhase::Degrade.index()] > 0.0);
         assert!(c.phase_time[crate::lifecycle::LinkPhase::Cooldown.index()] > 0.0);
         assert!(r.pair_bits[0] > 0.0);
+    }
+
+    #[test]
+    fn infeasible_open_session_spends_its_retries_and_gives_up() {
+        // The tag sits far beyond backscatter range and is pinned to it,
+        // so every probe round comes back empty.
+        let mut sc = tiny_open(1.0, 1.0, 60.0, 100.0);
+        sc.devices[1].pos = Point::new(40.0, 0.0);
+        sc.pairs[0].pinned_mode = Some(Mode::Backscatter);
+        let policy = sc.churn.unwrap().lifecycle;
+        let mut f = Fleet::new(&sc);
+        f.schedule(
+            sc.churn
+                .unwrap()
+                .discovery
+                .admission_at(0, Seconds::new(1.0)),
+            0,
+            Kind::Associate,
+        );
+        let mut entries = 0;
+        let last = loop {
+            let ev = f.q.pop().expect("the session ends before the queue drains");
+            let was = f.pairs.phase[0];
+            f.handle(ev.event, ev.time);
+            if f.pairs.phase[0] == LinkPhase::Cooldown && was != LinkPhase::Cooldown {
+                entries += 1;
+            }
+            if f.pairs.phase[0].is_terminal() {
+                break ev;
+            }
+        };
+        assert_eq!(entries, policy.max_cooldowns + 1);
+        assert_eq!(f.pairs.cooldowns[0], policy.max_cooldowns + 1);
+        // It dies on the last cooldown timer, with its retry budget spent
+        // and both batteries far from empty: the give-up path.
+        assert_eq!(last.event.kind, Kind::CooldownDone);
+        assert!(f.devices.battery.iter().all(|b| !b.is_dead()));
+        assert_eq!(f.pairs.dead_at[0], Some(last.time));
+        assert_eq!((f.departed, f.died), (0, 1));
+        assert_eq!(f.pairs.bits[0], 0.0);
     }
 
     #[test]

@@ -26,16 +26,20 @@
 //!   below [`LifecyclePolicy::critical_frac`]): traffic stops, the tag
 //!   drops back to detector-only power, and after
 //!   [`LifecyclePolicy::cooldown`] seconds it either re-probes or — past
-//!   [`LifecyclePolicy::max_cooldowns`] attempts — goes Dead.
-//! * **Dead** — terminal: battery exhausted, departed, or given up.
+//!   [`LifecyclePolicy::max_cooldowns`] attempts — goes Dead. A policy
+//!   with no cooldown never enters it: the link goes Dead at once.
+//! * **Dead** — terminal: battery exhausted, departed, given up, or no
+//!   viable mode under a policy with no cooldown.
 //!
 //! The machine itself is a pure transition table ([`step`]) so the full
 //! legal/illegal surface is unit-testable without an engine; the engine
-//! owns *when* events fire. A closed scenario (grid, star, city block) is
-//! the degenerate case: its pairs exist a priori, are born `Live` with no
-//! warm-up, and only ever step to `Dead`. The engine emits no phase
-//! telemetry for them, which keeps their output byte-identical to the
-//! pre-lifecycle engine.
+//! owns *when* events fire, and a [`LifecyclePolicy`] decides which edges
+//! a run can reach. A closed scenario (grid, star, city block) is the
+//! degenerate case: its pairs exist a priori and are born `Live`, and
+//! [`LifecyclePolicy::closed`] (no warm-up, no energy thresholds, no
+//! cooldown) leaves them only the edges into `Dead`. The engine emits no
+//! phase telemetry for them, which keeps their output byte-identical to
+//! the pre-lifecycle engine.
 
 use braidio_units::Seconds;
 
@@ -123,6 +127,21 @@ impl LinkPhase {
             self,
             LinkPhase::Probe | LinkPhase::Warm | LinkPhase::Live | LinkPhase::Degrade
         )
+    }
+}
+
+impl From<LinkPhase> for braidio_telemetry::PhaseTag {
+    fn from(phase: LinkPhase) -> Self {
+        use braidio_telemetry::PhaseTag as T;
+        match phase {
+            LinkPhase::Init => T::Init,
+            LinkPhase::Probe => T::Probe,
+            LinkPhase::Warm => T::Warm,
+            LinkPhase::Live => T::Live,
+            LinkPhase::Degrade => T::Degrade,
+            LinkPhase::Cooldown => T::Cooldown,
+            LinkPhase::Dead => T::Dead,
+        }
     }
 }
 
@@ -237,9 +256,12 @@ pub fn step(from: LinkPhase, event: PhaseEvent) -> Result<LinkPhase, IllegalTran
 
 /// Thresholds and timers that drive lifecycle events.
 ///
-/// The policy is scenario data (carried by
-/// [`crate::scenario::ChurnConfig`]), not engine state, so two runs of the
-/// same scenario see the same machine regardless of `--jobs`.
+/// The policy is scenario data (an open system carries its own in
+/// [`crate::scenario::ChurnConfig`]; a closed fleet runs
+/// [`LifecyclePolicy::closed`]), not engine state, so two runs of the same
+/// scenario see the same machine regardless of `--jobs`. Every lifecycle
+/// decision of the engine reads the policy; its values decide which edges
+/// of [`step`]'s table a run can reach.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecyclePolicy {
     /// Quanta that must be delivered in Warm before promotion to Live.
@@ -250,7 +272,10 @@ pub struct LifecyclePolicy {
     /// Battery fraction below which the link quiesces into Cooldown.
     pub critical_frac: f64,
     /// How long a link sits in Cooldown before retrying or dropping.
-    pub cooldown: Seconds,
+    /// `None`: the policy never quiesces, so a link that loses viability
+    /// (an empty probe round, or critical energy) ends on the spot with
+    /// no viable mode.
+    pub cooldown: Option<Seconds>,
     /// Cooldown entries after which the link goes Dead instead of
     /// re-probing.
     pub max_cooldowns: u32,
@@ -262,9 +287,33 @@ impl Default for LifecyclePolicy {
             warmup_quanta: 2,
             degrade_frac: 0.25,
             critical_frac: 0.05,
-            cooldown: Seconds::new(2.0),
+            cooldown: Some(Seconds::new(2.0)),
             max_cooldowns: 2,
         }
+    }
+}
+
+impl LifecyclePolicy {
+    /// The zero-retry policy of a closed fleet: no warm-up quota, no
+    /// degrade or critical threshold, and no cooldown. A closed row is
+    /// born Live, so the only edges it can reach are the ones into Dead:
+    /// battery death, or the end of a link whose probe round came back
+    /// empty.
+    pub const fn closed() -> Self {
+        LifecyclePolicy {
+            warmup_quanta: 0,
+            degrade_frac: 0.0,
+            critical_frac: 0.0,
+            cooldown: None,
+            max_cooldowns: 0,
+        }
+    }
+
+    /// Can a battery threshold ever fire? A battery fraction is never
+    /// negative, so a policy with neither threshold above zero can skip
+    /// reading the batteries after each quantum.
+    pub(crate) fn watches_energy(&self) -> bool {
+        self.degrade_frac > 0.0 || self.critical_frac > 0.0
     }
 }
 
@@ -365,6 +414,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn validator_hops_are_the_machine_without_self_loops() {
+        use braidio_telemetry::PhaseTag;
+        use std::collections::BTreeSet;
+        // The validator reads hops by the codes the engine's trace carries.
+        for phase in LinkPhase::ALL {
+            assert_eq!(PhaseTag::from(phase).code(), phase.as_str());
+        }
+        let machine: BTreeSet<(&str, &str)> = LinkPhase::ALL
+            .into_iter()
+            .flat_map(|from| EVENTS.into_iter().map(move |event| (from, event)))
+            .filter_map(|(from, event)| step(from, event).ok().map(|to| (from, to)))
+            .filter(|(from, to)| from != to)
+            .map(|(from, to)| (PhaseTag::from(from).code(), PhaseTag::from(to).code()))
+            .collect();
+        let hops = braidio_telemetry::sink::PHASE_HOPS;
+        let validator: BTreeSet<(&str, &str)> = hops.into_iter().collect();
+        assert_eq!(validator.len(), hops.len(), "PHASE_HOPS repeats a hop");
+        assert_eq!(machine, validator);
+    }
+
+    #[test]
+    fn only_the_open_policy_watches_energy_or_cools_down() {
+        let open = LifecyclePolicy::default();
+        assert!(open.watches_energy() && open.cooldown.is_some());
+        let closed = LifecyclePolicy::closed();
+        assert!(!closed.watches_energy() && closed.cooldown.is_none());
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl PairSpec {
 /// Open-system knobs the engine needs at run time. The arrival stream
 /// itself is *not* here — it is baked into the pair list at construction
 /// ([`FleetScenario::open_system`]); these are the policies that interpret
-/// it plus the descriptive parameters the roster was drawn from.
+/// it, the report window, and the seed the roster was drawn from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// The seed the roster was drawn from (reproducibility handle).
@@ -104,10 +104,6 @@ pub struct ChurnConfig {
     /// Steady-state sliding window: goodput/fairness are reported over the
     /// last `window` seconds of the horizon, not the whole run.
     pub window: Seconds,
-    /// Mean session arrival rate the roster was drawn at (sessions/s).
-    pub arrival_rate: f64,
-    /// Mean dwell time the roster was drawn at.
-    pub mean_dwell: Seconds,
 }
 
 /// A complete fleet experiment description.
@@ -135,9 +131,12 @@ pub struct FleetScenario {
     /// Off for cross-validation against `mac::sim`, which charges neither.
     pub control_overhead: bool,
     /// Open-system churn: present iff this is an
-    /// [`open_system`](Self::open_system) scenario. Closed scenarios keep
-    /// `None`: their pairs are born `Live` on the fixed association
-    /// stagger, never depart, and emit no phase telemetry.
+    /// [`open_system`](Self::open_system) scenario, whose sessions run its
+    /// lifecycle policy. Closed scenarios keep `None` and run
+    /// [`LifecyclePolicy::closed`]: their pairs are born `Live` on the
+    /// fixed association stagger, never warm up, degrade or cool down, and
+    /// end on a battery death or an empty probe round. They never depart
+    /// and emit no phase telemetry.
     pub churn: Option<ChurnConfig>,
 }
 
@@ -455,8 +454,6 @@ impl FleetScenario {
             lifecycle: LifecyclePolicy::default(),
             discovery: DiscoveryConfig::default(),
             window: Seconds::new(horizon.seconds() / 3.0),
-            arrival_rate: rate,
-            mean_dwell: Seconds::new(mean_dwell),
         });
         s.validate();
         s
@@ -500,7 +497,8 @@ impl FleetScenario {
                 "steady-state window must fit the horizon"
             );
             assert!(
-                c.discovery.beacon_interval.seconds() > 0.0 && c.lifecycle.cooldown.seconds() > 0.0,
+                c.discovery.beacon_interval.seconds() > 0.0
+                    && c.lifecycle.cooldown.iter().all(|t| t.seconds() > 0.0),
                 "churn timers must be positive"
             );
         }

@@ -445,7 +445,9 @@ const EVENT_NAMES: [&str; 11] = [
 /// The legal lifecycle hops a `phase_change` line may declare, mirroring
 /// `braidio-net`'s `lifecycle::step` table minus its self-loops (the
 /// engine emits a `phase_change` only when the phase actually changes).
-const PHASE_HOPS: [(&str, &str); 17] = [
+/// Public so `braidio-net`, which sits above this crate, can test the two
+/// tables against each other.
+pub const PHASE_HOPS: [(&str, &str); 17] = [
     ("init", "probe"),
     ("init", "dead"),
     ("probe", "warm"),
