@@ -113,9 +113,10 @@ fn receiver_key(sc: &FleetScenario) -> impl Fn(usize) -> (u64, u64, usize) + '_ 
 /// through the tiled kernel only when dirty.
 fn wave_cached(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenario) -> f64 {
     let tile = edge_tile(kernel, sc);
+    let key = receiver_key(sc);
     let mut acc = 0.0;
     for p in 0..sc.pairs.len() {
-        acc += cache.interference(p, &tile).watts();
+        acc += cache.interference(p, key(p), &tile).watts();
     }
     acc
 }
@@ -132,12 +133,21 @@ fn bench_interference_wave(c: &mut Criterion) {
     c.bench_function("fleet_replan/interference_wave/cached_steady/64", |b| {
         b.iter(|| black_box(wave_cached(&mut cache, &kernel, &sc)))
     });
-    // After a mobility event: every sum is dirty; each victim recomputes
-    // its live edges in pair-index order (the cache is matrix-free, so a
-    // dirty sum is a recompute, not a replay).
+    // After a mobility event: every sum is dirty and every edge row is
+    // dropped, so each victim's read re-evaluates its receiver's row (one
+    // edge per source) and folds it.
     c.bench_function("fleet_replan/interference_wave/cached_after_move/64", |b| {
         b.iter(|| {
             cache.invalidate_all();
+            black_box(wave_cached(&mut cache, &kernel, &sc))
+        })
+    });
+    // After a liveness flip: every sum is dirty but the rows stay, so each
+    // read is a fold of its row over the live set, with no edge evaluated.
+    c.bench_function("fleet_replan/interference_wave/cached_after_flip/64", |b| {
+        b.iter(|| {
+            let live = cache.is_live(0);
+            cache.set_live(0, !live);
             black_box(wave_cached(&mut cache, &kernel, &sc))
         })
     });

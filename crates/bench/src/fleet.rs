@@ -406,8 +406,9 @@ fn counter_value(name: &str) -> u64 {
 /// This is the figure the memoized FSPL kernel is accountable to —
 /// recomputed edges are exact simulated quantities, the wave wall-clock is
 /// host noise, so the ratio goes to stderr and the metric registry, never
-/// stdout. Edges rebuilt lazily by a pair's own re-plan run outside any
-/// wave span, so they get their own stderr line instead of a rate.
+/// stdout. Edges a pair's own re-plan evaluates (filling its receiver's
+/// edge row, or walking its live sources past the row cap) run outside
+/// any wave span, so they get their own stderr line instead of a rate.
 fn report_edge_throughput(key: &str, before: (u64, u64), wave_s: f64) {
     let (all, wave) = edge_counters();
     let wave_edges = wave.saturating_sub(before.1);
@@ -422,7 +423,10 @@ fn report_edge_throughput(key: &str, before: (u64, u64), wave_s: f64) {
         );
     }
     if lazy_edges > 0 {
-        eprintln!("fleet {key}: {lazy_edges} interference edges rebuilt lazily by re-plans");
+        eprintln!(
+            "fleet {key}: {lazy_edges} interference edges evaluated by re-plans \
+             (edge-row fills and over-cap walks)"
+        );
     }
 }
 

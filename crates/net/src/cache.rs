@@ -9,15 +9,16 @@
 //! 1. **Per-edge contributions are pure geometry.** The power pair `q`
 //!    lands at victim `p`'s detector depends only on `q`'s endpoint
 //!    positions, `p`'s receiver position and the (static) channel relation
-//!    — so recomputing an edge always reproduces the same bits, and no
-//!    per-edge state needs to be stored. (An earlier revision cached an
+//!    — so recomputing an edge always reproduces the same bits, and a
+//!    liveness flip never changes one. (An earlier revision cached the full
 //!    O(pairs²) contribution matrix; at 10⁴ pairs that is ~800 MB of NaN
 //!    bookkeeping whose page-fault traffic dwarfed the transcendental work
-//!    it saved. The matrix-free layout is bit-identical because replaying
-//!    a cached pure value and recomputing it are the same bits.)
-//! 2. **Sums change rarely.** A victim's total only moves on pair death,
-//!    an arbitration relation change, or a mobile pair's position refresh.
-//!    Between those events the cached sum is returned untouched.
+//!    it saved. Edge values are now kept only in a bounded set of
+//!    per-receiver *rows*, below.)
+//! 2. **Sums change rarely.** A victim's total only moves on a liveness
+//!    flip (admission, cooldown, death), an arbitration relation change, or
+//!    a mobile pair's position refresh. Between those events the cached sum
+//!    is returned untouched.
 //!
 //! **Bitwise contract.** A dirty sum is *recomputed over live sources in
 //! pair-index order* — never maintained by running add/subtract — so it is
@@ -26,39 +27,53 @@
 //! adds in the same order is exact). The engine shadow-checks this in
 //! debug builds.
 //!
-//! **One accumulation loop.** Every sum — the lazy per-victim
-//! [`PairGainCache::interference`] and the bulk wave sweep
-//! [`PairGainCache::rebuild_all_shared`] alike — comes out of one private
-//! loop over a *group* of victims that share a receiver key. The loop
-//! gathers the group's live sources into [`EDGE_TILE`]-wide index tiles,
-//! hands each tile once to the edge-tile closure `edge_tile(v, qs, out)`
-//! (the engine passes `EdgeKernel::carrier_tile`) with the group's first
-//! member as `v`, and then folds the returned lanes serially, in pair-index
-//! order, into every member's accumulator, each member skipping its own
-//! index. A lazy read is the singleton group, which gathers exactly the
-//! sources it always did (every live pair but the victim). Tiling and
-//! grouping change *batching only*: each member's adds are the adds of a
-//! per-edge walk, in the same order, so the sums are bit-identical to it —
-//! what tiling buys is one FSPL-memo lock acquisition per tile instead of
-//! per edge, and flat arrays the kernel's distance pass can vectorize over.
+//! **Receiver keys.** Victims with equal [`ReceiverKey`]s (the engine keys
+//! on the receiver's position bits and the arbitration relation row) see
+//! every source through the same edge. Both paths below lean on it.
 //!
 //! **Bulk rebuild.** The engine's bring-up wave — the one planning wave of
 //! a run, when every pair is about to read its sum — refreshes every dirty
-//! sum it selects in one pass, so the per-pair lookups that follow are all
-//! O(1) clean hits. Victims with equal keys (the engine keys on the
-//! receiver's position bits and the arbitration relation row) see every
-//! source through the same edge, so their group evaluates each edge once:
-//! a star hub's tags all listen at the hub, and a city of 4-tag star blocks
-//! pays about 5/8 of the per-pair edge work. A group holds at most
-//! [`GROUP_CAP`] members, so one giant star cannot serialize the fan-out.
-//! The pass fans the groups out over the `braidio-pool` workers in order
-//! of their first member (each group's sums are an independent pure
-//! function of the wave's frozen geometry, merged back in group order), so
-//! bring-up scales across cores without changing a bit — see DESIGN.md
-//! §12. After bring-up nothing rebuilds in bulk: a sum dirtied by a death,
-//! a liveness flip or a move stays dirty until its own victim reads it
-//! through [`PairGainCache::interference`], so a sum nobody reads costs
-//! nothing.
+//! sum it selects in one pass ([`PairGainCache::rebuild_all_shared`]), so
+//! the per-pair lookups that follow are all O(1) clean hits. The pass runs
+//! one accumulation loop over *groups* of victims that share a receiver
+//! key: it gathers the group's live sources into [`EDGE_TILE`]-wide index
+//! tiles, hands each tile once to the edge-tile closure `edge_tile(v, qs,
+//! out)` (the engine passes `EdgeKernel::carrier_tile`) with the group's
+//! first member as `v`, and folds the returned lanes serially, in
+//! pair-index order, into every member's accumulator, each member skipping
+//! its own index. A star hub's tags all listen at the hub, so a city of
+//! 4-tag star blocks pays about 5/8 of the per-pair edge work. A group
+//! holds at most [`GROUP_CAP`] members, so one giant star cannot serialize
+//! the fan-out. The pass fans the groups out over the `braidio-pool`
+//! workers in order of their first member (each group's sums are an
+//! independent pure function of the wave's frozen geometry, merged back in
+//! group order), so bring-up scales across cores without changing a bit —
+//! see DESIGN.md §12.
+//!
+//! **Lazy rebuilds from per-receiver rows.** After bring-up nothing
+//! rebuilds in bulk: a sum dirtied by a flip or a move stays dirty until
+//! its own victim reads it through [`PairGainCache::interference`], so a
+//! sum nobody reads costs nothing. That read is served from its key's
+//! *row*: `row[q]` is source `q`'s edge at the key's receiver, evaluated
+//! once for every source through the same edge-tile closure the first
+//! time a victim with that key reads a dirty sum. The sum then folds
+//! `row[q]` over the live set in pair-index order, skipping the victim —
+//! the adds of the per-edge walk, on the same bits, in the same order. The
+//! rows follow three rules:
+//!
+//! * [`set_live`](PairGainCache::set_live) dirties sums but keeps rows:
+//!   edge values are pure geometry, and liveness only picks which of them
+//!   a sum adds.
+//! * [`invalidate_all`](PairGainCache::invalidate_all) (a move or a
+//!   relation change) drops every row.
+//! * At most [`ROW_CAP`] keys hold a row, first come first served until the
+//!   next `invalidate_all`; a key past the cap walks its live sources
+//!   through the edge-tile closure on every rebuild, as a group of one. So
+//!   rows take at most `ROW_CAP · pairs` values, O(pairs) memory.
+//!
+//! A churning open system — one hub serving many tags whose admissions,
+//! cooldowns and departures flip liveness all run long — thus evaluates
+//! each edge once per receiver key instead of once per rebuild.
 
 use crate::interference::EDGE_TILE;
 use braidio_rfsim::geometry::Point;
@@ -72,20 +87,34 @@ use std::hash::Hash;
 /// over the pool.
 pub const GROUP_CAP: usize = EDGE_TILE;
 
+/// Most receiver keys that hold an edge row at once. Rows are `pairs`
+/// values each, so this bounds the rows' memory at `ROW_CAP · pairs`
+/// values (about 5 MB at 10⁴ pairs); a key past the cap rebuilds its sums
+/// by walking its live sources.
+pub const ROW_CAP: usize = 64;
+
+/// One victim's receiver key: its receiver's x and y position bits and its
+/// arbitration relation row (`Arbitration::relation_row`). The contract the
+/// caller keeps: victims with equal keys get the same bits from the
+/// edge-tile closure for every source.
+pub type ReceiverKey = (u64, u64, usize);
+
 /// The cached per-victim interference sums of one fleet.
 ///
 /// Flat arrays indexed by pair id: `sum[victim]` holds the victim's total
 /// worst-case foreign-carrier power, with a dirty flag per victim and a
-/// fleet-wide dirty count. Callers supply the edge physics as a closure —
-/// the cache is pure bookkeeping and owns no positions, which keeps
-/// invalidation rules explicit:
+/// fleet-wide dirty count, plus at most [`ROW_CAP`] per-receiver edge rows.
+/// Callers supply the edge physics as a closure — the cache is pure
+/// bookkeeping and owns no positions, which keeps invalidation rules
+/// explicit:
 ///
 /// * [`set_live`](Self::set_live) — the one liveness call: an admitted
 ///   session joins the sums, a quiesced (Cooldown) or dead one leaves
 ///   them. The flip is two-way (a cooldown row may come back), and any
-///   real flip dirties every sum.
+///   real flip dirties every sum. Edge rows stay.
 /// * [`invalidate_all`](Self::invalidate_all) — a pair's geometry or
-///   channel relation changed: every sum that might include it is dirty.
+///   channel relation changed: every sum that might include it is dirty,
+///   and every edge row is dropped.
 #[derive(Debug)]
 pub struct PairGainCache {
     n: usize,
@@ -97,10 +126,13 @@ pub struct PairGainCache {
     live: Vec<u64>,
     /// How many entries of `sum_dirty` are set.
     ndirty: usize,
+    /// The edge row of each receiver key that holds one: `n` values,
+    /// indexed by source pair.
+    rows: HashMap<ReceiverKey, Box<[Watts]>>,
 }
 
 impl PairGainCache {
-    /// A cache for `n` pairs, everything stale, everyone live.
+    /// A cache for `n` pairs, everything stale, everyone live, no rows.
     pub fn new(n: usize) -> Self {
         PairGainCache {
             n,
@@ -113,6 +145,7 @@ impl PairGainCache {
                 })
                 .collect(),
             ndirty: n,
+            rows: HashMap::new(),
         }
     }
 
@@ -129,24 +162,33 @@ impl PairGainCache {
         self.ndirty
     }
 
+    /// How many receiver keys currently hold an edge row (at most
+    /// [`ROW_CAP`]).
+    pub fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
     /// Make pair `q` contribute to (or leave) every victim's sum: row
     /// activation, quiesce or death. A no-op when the liveness bit already
-    /// matches, so a repeated flip pays nothing.
+    /// matches, so a repeated flip pays nothing. Edge rows stay: a flip
+    /// changes which edges a sum adds, never an edge's value.
     pub fn set_live(&mut self, q: usize, live: bool) {
         if self.is_live(q) == live {
             return;
         }
         self.live[q / 64] ^= 1 << (q % 64);
-        for d in self.sum_dirty.iter_mut() {
-            *d = true;
-        }
-        self.ndirty = self.n;
+        self.dirty_all();
     }
 
     /// A pair moved (or its channel relation changed): every sum that
-    /// might include it is dirty. Sums keep no per-edge state, so which
-    /// pair it was does not narrow the set.
+    /// might include it is dirty, and every edge row is dropped. Sums keep
+    /// no per-edge provenance, so which pair it was does not narrow the set.
     pub fn invalidate_all(&mut self) {
+        self.dirty_all();
+        self.rows.clear();
+    }
+
+    fn dirty_all(&mut self) {
         for d in self.sum_dirty.iter_mut() {
             *d = true;
         }
@@ -161,15 +203,20 @@ impl PairGainCache {
         (!self.sum_dirty[victim]).then(|| Watts::new(self.sum[victim]))
     }
 
-    /// The worst-case foreign-carrier power at `victim`'s receiver.
+    /// The worst-case foreign-carrier power at `victim`'s receiver, whose
+    /// [`ReceiverKey`] is `key`.
     ///
     /// `edge_tile(v, qs, out)` is the same tile kernel the bulk pass takes:
     /// it fills `out[i]` with source `qs[i]`'s contribution at victim `v`.
-    /// On a clean sum it is not called. A dirty sum is the shared
-    /// accumulation loop's singleton group: the live sources'
-    /// contributions in pair-index order — bit-identical to the
-    /// brute-force rescan.
-    pub fn interference<E>(&mut self, victim: usize, edge_tile: E) -> Watts
+    /// On a clean sum it is not called. A dirty sum is folded from `key`'s
+    /// edge row — built on the first dirty read of the key (every source,
+    /// live or not, in [`EDGE_TILE`]-wide tiles) while fewer than
+    /// [`ROW_CAP`] keys hold one — over the live sources in pair-index
+    /// order, skipping the victim. A key past the cap runs the
+    /// accumulation loop as a group of one instead, walking the live
+    /// sources through `edge_tile`. Either way the sum makes the adds of
+    /// the brute-force rescan, on the same bits, in the same order.
+    pub fn interference<E>(&mut self, victim: usize, key: ReceiverKey, edge_tile: E) -> Watts
     where
         E: Fn(usize, &[u32], &mut [Watts]),
     {
@@ -178,12 +225,59 @@ impl PairGainCache {
             return Watts::new(self.sum[victim]);
         }
         telemetry::count("net.interference.sum_rebuild");
-        let mut acc = [Watts::ZERO];
-        self.sum_group(&[victim as u32], false, &edge_tile, &mut acc);
-        self.sum[victim] = acc[0].watts();
+        if self.rows.len() < ROW_CAP && !self.rows.contains_key(&key) {
+            let row = self.edge_row(victim, &edge_tile);
+            self.rows.insert(key, row);
+        }
+        let sum = match self.rows.get(&key) {
+            Some(row) => self.fold_row(row, victim),
+            None => {
+                let mut acc = [Watts::ZERO];
+                self.sum_group(&[victim as u32], false, &edge_tile, &mut acc);
+                acc[0]
+            }
+        };
+        self.sum[victim] = sum.watts();
         self.sum_dirty[victim] = false;
         self.ndirty -= 1;
-        acc[0]
+        sum
+    }
+
+    /// The edge row at `victim`'s receiver: every source's contribution,
+    /// evaluated in pair-index order.
+    fn edge_row<E>(&self, victim: usize, edge_tile: &E) -> Box<[Watts]>
+    where
+        E: Fn(usize, &[u32], &mut [Watts]),
+    {
+        telemetry::count("net.interference.row_build");
+        telemetry::count_by("net.interference.edge_recompute", self.n as u64);
+        let mut row = vec![Watts::ZERO; self.n].into_boxed_slice();
+        let mut qs = [0u32; EDGE_TILE];
+        for (t, out) in row.chunks_mut(EDGE_TILE).enumerate() {
+            for (i, q) in qs[..out.len()].iter_mut().enumerate() {
+                *q = (t * EDGE_TILE + i) as u32;
+            }
+            edge_tile(victim, &qs[..out.len()], out);
+        }
+        row
+    }
+
+    /// `row` summed over the live sources but `victim`, in pair-index
+    /// order.
+    fn fold_row(&self, row: &[Watts], victim: usize) -> Watts {
+        let mut acc = Watts::ZERO;
+        for (w, &word) in self.live.iter().enumerate() {
+            let mut bits = if w == victim / 64 {
+                word & !(1 << (victim % 64))
+            } else {
+                word
+            };
+            while bits != 0 {
+                acc += row[64 * w + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
+        }
+        acc
     }
 
     /// Refresh every dirty sum the filter selects, grouping victims that
@@ -283,10 +377,11 @@ impl PairGainCache {
     /// each tile is evaluated once for the first member and its lanes are
     /// folded serially, in lane order, into every member's accumulator,
     /// each member skipping its own index. A singleton group gathers every
-    /// live source but its victim, exactly the per-victim walk. This is the
-    /// single accumulation loop the lazy and bulk paths share — the bitwise
-    /// contract lives here. `wave` files the evaluated lanes under the bulk
-    /// pass's counter as well.
+    /// live source but its victim, exactly the per-victim walk. The bulk
+    /// pass and a lazy read past [`ROW_CAP`] run this loop, and a row fold
+    /// makes the adds of its singleton walk — the bitwise contract lives
+    /// here. `wave` files the evaluated lanes under the bulk pass's counter
+    /// as well.
     fn sum_group<E>(&self, members: &[u32], wave: bool, edge_tile: &E, acc: &mut [Watts])
     where
         E: Fn(usize, &[u32], &mut [Watts]),
@@ -372,6 +467,11 @@ mod tests {
         }
     }
 
+    /// Victim `v`'s receiver key under a single-row policy.
+    fn rk(eps: &[(Point, Point)], v: usize) -> ReceiverKey {
+        (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), 0)
+    }
+
     fn clean(_: usize, _: &[u32], _: &mut [Watts]) {
         panic!("sum was clean");
     }
@@ -393,13 +493,13 @@ mod tests {
         let mut cache = PairGainCache::new(7);
         let live = vec![true; 7];
         for v in 0..7 {
-            let got = cache.interference(v, tile(&eps));
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
             );
             // Second call reuses the clean sum.
-            let again = cache.interference(v, clean);
+            let again = cache.interference(v, rk(&eps, v), clean);
             assert_eq!(again.watts().to_bits(), got.watts().to_bits());
         }
     }
@@ -411,7 +511,7 @@ mod tests {
         let mut cache = PairGainCache::new(6);
         // Warm.
         for v in 0..6 {
-            cache.interference(v, tile(&eps));
+            cache.interference(v, rk(&eps, v), tile(&eps));
         }
         assert_eq!(cache.ndirty(), 0, "warm cache should be clean");
         // Kill pair 2.
@@ -419,7 +519,7 @@ mod tests {
         cache.set_live(2, false);
         assert_eq!(cache.ndirty(), 6);
         for v in 0..6 {
-            let got = cache.interference(v, tile(&eps));
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -429,7 +529,7 @@ mod tests {
         eps[4] = (Point::new(1.7, 0.3), Point::new(1.7, 0.9));
         cache.invalidate_all();
         for v in 0..6 {
-            let got = cache.interference(v, tile(&eps));
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -448,7 +548,7 @@ mod tests {
             cache.set_live(q, false);
         }
         for v in 0..5 {
-            let got = cache.interference(v, tile(&eps));
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -459,7 +559,7 @@ mod tests {
         cache.set_live(3, true);
         assert_eq!(cache.ndirty(), 5);
         for v in 0..5 {
-            let got = cache.interference(v, tile(&eps));
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -484,7 +584,7 @@ mod tests {
                 assert_eq!(cache.is_live(q), alive, "row {q}");
             }
             for v in 0..n {
-                let got = cache.interference(v, tile(&eps));
+                let got = cache.interference(v, rk(&eps, v), tile(&eps));
                 assert_eq!(
                     got.watts().to_bits(),
                     brute(&eps, live, v).watts().to_bits(),
@@ -526,15 +626,15 @@ mod tests {
         });
         for eps in lines.iter().chain(&stars) {
             let n = eps.len();
-            let key = |v: usize| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits());
+            let key = |v: usize| rk(eps, v);
             let mut live = vec![true; n];
             let mut bulk = PairGainCache::new(n);
             let mut lazy = PairGainCache::new(n);
             bulk.rebuild_all_shared(|_| true, key, tile(eps));
             assert_eq!(bulk.ndirty(), 0);
             for v in 0..n {
-                let a = bulk.interference(v, clean);
-                let b = lazy.interference(v, tile(eps));
+                let a = bulk.interference(v, rk(eps, v), clean);
+                let b = lazy.interference(v, rk(eps, v), tile(eps));
                 assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
                 assert_eq!(a.watts().to_bits(), brute(eps, &live, v).watts().to_bits());
             }
@@ -547,11 +647,167 @@ mod tests {
             assert_eq!(bulk.ndirty(), 1, "skipped victim must stay dirty");
             assert!(bulk.cached_sum(4).is_none());
             for v in 0..n {
-                let a = bulk.interference(v, tile(eps));
-                let b = lazy.interference(v, tile(eps));
+                let a = bulk.interference(v, rk(eps, v), tile(eps));
+                let b = lazy.interference(v, rk(eps, v), tile(eps));
                 assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
                 assert_eq!(a.watts().to_bits(), brute(eps, &live, v).watts().to_bits());
             }
+        }
+    }
+
+    /// `n` tags spread over a line, every one streaming to one hub: a
+    /// single receiver key for the whole fleet.
+    fn star(n: usize) -> Vec<(Point, Point)> {
+        (0..n)
+            .map(|i| (Point::new(i as f64 * 0.6, 2.0), Point::new(3.0, -1.0)))
+            .collect()
+    }
+
+    fn assert_matches_brute(got: Watts, eps: &[(Point, Point)], live: &[bool], v: usize) {
+        assert_eq!(
+            got.watts().to_bits(),
+            brute(eps, live, v).watts().to_bits(),
+            "victim {v}"
+        );
+    }
+
+    #[test]
+    fn row_served_sums_track_flips_at_word_edges_without_reevaluating() {
+        // One hub, 130 tags: the first dirty read builds the hub's row;
+        // after that every flip (both ways, at the edges of the three live
+        // words) is served from the row alone — the evaluator panics if
+        // called — and every sum keeps the brute-force bits.
+        let n = 130;
+        let eps = star(n);
+        let mut live = vec![true; n];
+        let mut cache = PairGainCache::new(n);
+        for v in 0..n {
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            assert_matches_brute(got, &eps, &live, v);
+        }
+        assert_eq!(cache.rows(), 1);
+        for (q, alive) in [(0, false), (63, false), (64, false), (129, false)]
+            .into_iter()
+            .chain([(64, true), (0, true), (129, true), (63, true)])
+        {
+            live[q] = alive;
+            cache.set_live(q, alive);
+            assert_eq!(cache.ndirty(), n, "a flip dirties every sum");
+            assert_eq!(cache.rows(), 1, "a flip keeps the rows");
+            for v in 0..n {
+                let got = cache.interference(v, rk(&eps, v), clean);
+                assert_matches_brute(got, &eps, &live, v);
+            }
+        }
+    }
+
+    #[test]
+    fn invalidate_all_drops_rows_and_rebuilds_from_new_geometry() {
+        let mut eps = star(9);
+        let mut live = vec![true; 9];
+        live[5] = false;
+        let mut cache = PairGainCache::new(9);
+        cache.set_live(5, false);
+        for v in 0..9 {
+            cache.interference(v, rk(&eps, v), tile(&eps));
+        }
+        assert_eq!(cache.rows(), 1);
+        // Tag 2 moves: the hub's row is stale and must go.
+        eps[2].0 = Point::new(-4.5, 7.25);
+        cache.invalidate_all();
+        assert_eq!((cache.rows(), cache.ndirty()), (0, 9));
+        for v in 0..9 {
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            assert_matches_brute(got, &eps, &live, v);
+        }
+        // And the rebuilt row serves the next flip on its own.
+        live[5] = true;
+        cache.set_live(5, true);
+        for v in 0..9 {
+            let got = cache.interference(v, rk(&eps, v), clean);
+            assert_matches_brute(got, &eps, &live, v);
+        }
+    }
+
+    #[test]
+    fn victims_at_one_point_with_different_relation_rows_keep_separate_rows() {
+        // A four-channel plan: victims at one hub on different channels see
+        // the same sources through different couplings, so their keys (and
+        // rows) differ; victims on the same channel share one row.
+        let channels = 4;
+        let eps = star(11);
+        let coupled = |v: usize, q: usize| {
+            let w = edge(&eps, v, q).watts();
+            Watts::new(if v % channels == q % channels {
+                w
+            } else {
+                w * 0.01
+            })
+        };
+        let rel_tile = |v: usize, qs: &[u32], out: &mut [Watts]| {
+            for (o, &q) in out.iter_mut().zip(qs) {
+                *o = coupled(v, q as usize);
+            }
+        };
+        let key = |v: usize| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), v % channels);
+        let mut live = vec![true; 11];
+        let mut cache = PairGainCache::new(11);
+        let check = |cache: &mut PairGainCache, live: &[bool], served: bool| {
+            for v in 0..11 {
+                let got = if served {
+                    cache.interference(v, key(v), clean)
+                } else {
+                    cache.interference(v, key(v), rel_tile)
+                };
+                let mut want = Watts::ZERO;
+                for q in (0..11).filter(|&q| q != v && live[q]) {
+                    want += coupled(v, q);
+                }
+                assert_eq!(got.watts().to_bits(), want.watts().to_bits(), "victim {v}");
+            }
+        };
+        check(&mut cache, &live, false);
+        assert_eq!(cache.rows(), channels);
+        live[6] = false;
+        cache.set_live(6, false);
+        check(&mut cache, &live, true);
+    }
+
+    #[test]
+    fn keys_past_the_row_cap_walk_their_live_sources() {
+        // ROW_CAP + 6 receivers of their own: the first ROW_CAP keys to
+        // read hold rows, the rest rebuild by walking. Both must track
+        // brute force through flips, and only the walkers call the
+        // evaluator after the rows exist.
+        let n = ROW_CAP + 6;
+        let eps = layout(n, 1.1);
+        let mut live = vec![true; n];
+        let mut cache = PairGainCache::new(n);
+        for v in 0..n {
+            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            assert_matches_brute(got, &eps, &live, v);
+        }
+        assert_eq!(cache.rows(), ROW_CAP);
+        for q in [3, ROW_CAP + 2] {
+            live[q] = false;
+            cache.set_live(q, false);
+            for v in 0..n {
+                let got = if v < ROW_CAP {
+                    cache.interference(v, rk(&eps, v), clean)
+                } else {
+                    let calls = std::cell::Cell::new(0);
+                    let counted = |v: usize, qs: &[u32], out: &mut [Watts]| {
+                        calls.set(calls.get() + qs.len());
+                        tile(&eps)(v, qs, out)
+                    };
+                    let got = cache.interference(v, rk(&eps, v), counted);
+                    let lanes = (0..n).filter(|&q| q != v && live[q]).count();
+                    assert_eq!(calls.get(), lanes, "a walker evaluates its live sources");
+                    got
+                };
+                assert_matches_brute(got, &eps, &live, v);
+            }
+            assert_eq!(cache.rows(), ROW_CAP);
         }
     }
 }

@@ -48,12 +48,18 @@
 //! That is the only wave of a run. A later death, lifecycle flip or
 //! mobility refresh dirties sums, and each dirty sum is rebuilt only when
 //! its own pair re-plans and reads it through the lazy per-pair path; a
-//! sum nobody reads is never rebuilt. This is output-neutral by
-//! construction: memo values are canonical functions of their quantized
-//! keys, and bulk and lazy sums run the identical accumulation loop (the
-//! bulk pass merely lets victims that share a receiver share each edge
-//! evaluation), so where a sum or an options entry is computed never moves
-//! a bit.
+//! sum nobody reads is never rebuilt. The lazy path folds the sum from the
+//! edge row of the pair's receiver key (its receiver position bits and
+//! relation row, the key the wave groups victims on): each key's row is
+//! evaluated once, kept across liveness flips and dropped by a move, for
+//! at most [`crate::cache::ROW_CAP`] keys, past which a read walks its
+//! live sources. This is output-neutral by construction: memo values are
+//! canonical functions of their quantized keys, and bulk, row-served and
+//! walked sums all make the adds of the per-edge walk, on the same edge
+//! bits, in pair-index order (the bulk pass lets victims that share a
+//! receiver share each edge evaluation; a row lets the re-plans of one
+//! receiver share it across flips), so where a sum or an options entry is
+//! computed never moves a bit.
 //!
 //! The wave's heavy stages — the interference sums and the
 //! per-pair key collection — fan out over the `braidio-pool` workers with
@@ -92,7 +98,7 @@
 //! session ignore it.
 
 use crate::arbitration::Arbitration;
-use crate::cache::PairGainCache;
+use crate::cache::{PairGainCache, ReceiverKey};
 use crate::discovery::DiscoveryConfig;
 use crate::interference::{EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE};
 use crate::kernel::EventQueue;
@@ -398,6 +404,15 @@ where
         }
         edges.carrier_tile(ends(v).1, &a[..k], &b[..k], &rel[..k], out);
     }
+}
+
+/// Victim `v`'s [`ReceiverKey`] when it listens at `rx`: the receiver's
+/// position bits and `v`'s relation row. The edge-tile kernel reads only
+/// the victim's receiver point and `relation(v, q)`, so equal keys see
+/// every source through the same edge. The bring-up wave groups victims
+/// on it, and the lazy path names its edge row by it.
+fn receiver_key(rx: Point, arbitration: Arbitration, v: usize) -> ReceiverKey {
+    (rx.x.to_bits(), rx.y.to_bits(), arbitration.relation_row(v))
 }
 
 /// Run a fleet scenario to its horizon (or until every session dies).
@@ -1185,11 +1200,12 @@ impl<'a> Fleet<'a> {
     ///
     /// After bring-up a death, a lifecycle flip or a move dirties sums
     /// without a new wave: each dirty sum waits until its own pair reads it
-    /// through the lazy [`PairGainCache::interference`] path, and its
-    /// options come from [`OptionsMemo::get`]. Output-neutrality: memo
-    /// values are canonical functions of their quantized keys, so
-    /// prefilling the memo cannot change what `get` returns, and the lazy
-    /// and bulk sums share one accumulation loop. The debug shadow check and
+    /// through the lazy [`PairGainCache::interference`] path (folded from
+    /// its receiver key's edge row), and its options come from
+    /// [`OptionsMemo::get`]. Output-neutrality: memo values are canonical
+    /// functions of their quantized keys, so prefilling the memo cannot
+    /// change what `get` returns, and lazy and bulk sums make the same adds
+    /// on the same edge bits in the same order. The debug shadow check and
     /// the `soa-vs-baseline` gate hold the engine to that byte-for-byte.
     fn wave_sweep(&mut self) {
         if !self.wave_cold {
@@ -1216,16 +1232,10 @@ impl<'a> Fleet<'a> {
             let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
             let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let ends = |q: usize| (pa[q], pb[q]);
-            // Victims listening at the same point under the same relation
-            // row see every source through the same edge (the tile kernel
-            // reads only `pb[v]` and `relation(v, q)`), so they share one
-            // evaluation of it.
+            // Victims with one receiver key share each edge evaluation.
             self.gains.rebuild_all_shared(
                 |v| !mobile[v] && pairs.on_air(v),
-                |v| {
-                    let r = pb[v];
-                    (r.x.to_bits(), r.y.to_bits(), sc.arbitration.relation_row(v))
-                },
+                |v| receiver_key(pb[v], sc.arbitration, v),
                 edge_tile(&self.edges, sc.arbitration, ends),
             );
         }
@@ -1406,10 +1416,10 @@ impl<'a> Fleet<'a> {
 
     /// Worst-case foreign-carrier power at pair `p`'s receiver, served from
     /// the incremental cache: after the wave sweep this is a clean O(1)
-    /// lookup; a still-dirty sum (mobile pair, mid-wave invalidation)
-    /// recomputes the live edges in pair-index order, bit-identical to the
-    /// brute-force rescan (the debug-build shadow check below enforces
-    /// exactly that).
+    /// lookup; a dirty sum (liveness flip, move) is folded over the live
+    /// sources in pair-index order from the edge row of `p`'s receiver key,
+    /// bit-identical to the brute-force rescan (the debug-build shadow
+    /// check below enforces exactly that).
     fn interference_for(&mut self, p: usize) -> Watts {
         if !self.sc.arbitration.carriers_overlap() {
             return Watts::ZERO;
@@ -1417,6 +1427,7 @@ impl<'a> Fleet<'a> {
         let (pos, ptx, prx) = (&self.devices.pos, &self.pairs.tx, &self.pairs.rx);
         let w = self.gains.interference(
             p,
+            receiver_key(pos[prx[p]], self.sc.arbitration, p),
             edge_tile(&self.edges, self.sc.arbitration, |q| {
                 (pos[ptx[q]], pos[prx[q]])
             }),
@@ -1430,9 +1441,12 @@ impl<'a> Fleet<'a> {
     /// brute-force way (full per-edge rescan in pair-index order) and check
     /// the cached answer against it bit for bit. Also asserts the cache's
     /// liveness view matches [`Pairs::on_air`]. The rescan runs through the
-    /// scalar [`EdgeKernel::carrier_from_pair`], whose lanes the tiled kernel
-    /// reproduces exactly, so what this checks is liveness, ordering,
-    /// tiling and cache bookkeeping; the kernel's own equality to the
+    /// scalar two-`hypot` kernel, whose lanes the tiled kernel reproduces
+    /// exactly, in its counter-silent form
+    /// ([`EdgeKernel::carrier_from_pair_silent`]): the check neither bumps
+    /// `net.fspl.*` nor fills the memo, so those mean the same in debug and
+    /// release. What this checks is liveness, ordering, tiling, edge rows
+    /// and cache bookkeeping; the kernel's own equality to the
     /// direct `carrier_contribution` path is pinned by the `net::baseline`
     /// oracle and the interference proptests.
     #[cfg(debug_assertions)]
@@ -1448,7 +1462,7 @@ impl<'a> Fleet<'a> {
             if qi == p || !self.pairs.on_air(qi) {
                 continue;
             }
-            brute += self.edges.carrier_from_pair(
+            brute += self.edges.carrier_from_pair_silent(
                 victim,
                 self.devices.pos[self.pairs.tx[qi]],
                 self.devices.pos[self.pairs.rx[qi]],

@@ -127,8 +127,15 @@ impl EdgeKernel {
     pub fn contribution_at_distance(&self, d: Meters, relation: ChannelRelation) -> Watts {
         let (lin, hit) = self.fspl.lookup(d);
         braidio_telemetry::count(if hit { "net.fspl.hit" } else { "net.fspl.miss" });
+        self.chain(lin, relation)
+    }
+
+    /// `rf · fspl · rx_antenna · frontend⁻¹ · coupling`, in that order,
+    /// given the linear FSPL gain.
+    #[inline]
+    fn chain(&self, fspl_lin: f64, relation: ChannelRelation) -> Watts {
         self.rf
-            .gained_linear(lin)
+            .gained_linear(fspl_lin)
             .gained_linear(self.rx_antenna_lin)
             .gained_linear(self.frontend_inv_lin)
             .gained_linear(self.coupling_lin[relation.index()])
@@ -147,10 +154,22 @@ impl EdgeKernel {
         b: Point,
         relation: ChannelRelation,
     ) -> Watts {
-        let da = a.distance(victim);
-        let db = b.distance(victim);
-        let d = if da <= db { da } else { db };
-        self.contribution_at_distance(d, relation)
+        self.contribution_at_distance(two_hypot_nearer(victim, a, b), relation)
+    }
+
+    /// [`EdgeKernel::carrier_from_pair`] for debug oracles: the same bits,
+    /// but FSPL comes from [`FsplMemo::peek`], which neither counts nor
+    /// inserts. An oracle that reads through this leaves `net.fspl.*` and
+    /// the memo as it found them, so those mean the same in every build.
+    pub fn carrier_from_pair_silent(
+        &self,
+        victim: Point,
+        a: Point,
+        b: Point,
+        relation: ChannelRelation,
+    ) -> Watts {
+        let d = two_hypot_nearer(victim, a, b);
+        self.chain(self.fspl.peek(d), relation)
     }
 
     /// A tile of edges against one victim: `out[i]` receives the
@@ -225,6 +244,20 @@ fn nearer_distance(victim: Point, a: Point, b: Point) -> Meters {
             return Meters::new(bx.hypot(by));
         }
     }
+    let da = a.distance(victim);
+    let db = b.distance(victim);
+    if da <= db {
+        da
+    } else {
+        db
+    }
+}
+
+/// The distance from `victim` to the nearer of `a` and `b` by the
+/// two-`hypot` comparison, ties keeping `a`: the selection of the direct
+/// path, and the oracle [`nearer_distance`] reproduces.
+#[inline]
+fn two_hypot_nearer(victim: Point, a: Point, b: Point) -> Meters {
     let da = a.distance(victim);
     let db = b.distance(victim);
     if da <= db {
@@ -906,8 +939,11 @@ mod tests {
 
     #[test]
     fn one_hypot_tile_lanes_match_carrier_from_pair_bitwise() {
+        // The counter-silent oracle joins the comparison on a kernel whose
+        // memo it must leave empty.
         let ch = ch();
         let kernel = EdgeKernel::new(&ch);
+        let silent = EdgeKernel::new(&ch);
         for (v, ends) in nearer_endpoint_cases() {
             for tile in ends.chunks(EDGE_TILE) {
                 let a: Vec<Point> = tile.iter().map(|e| e.0).collect();
@@ -919,16 +955,21 @@ mod tests {
                 kernel.carrier_tile(v, &a, &b, &rel, &mut out);
                 for i in 0..tile.len() {
                     let want = kernel.carrier_from_pair(v, a[i], b[i], rel[i]);
-                    assert_eq!(
-                        out[i].watts().to_bits(),
-                        want.watts().to_bits(),
-                        "v={v:?} a={:?} b={:?}",
-                        a[i],
-                        b[i]
-                    );
+                    let quiet = silent.carrier_from_pair_silent(v, a[i], b[i], rel[i]);
+                    for got in [out[i], quiet] {
+                        assert_eq!(
+                            got.watts().to_bits(),
+                            want.watts().to_bits(),
+                            "v={v:?} a={:?} b={:?}",
+                            a[i],
+                            b[i]
+                        );
+                    }
                 }
             }
         }
+        assert_eq!(silent.fspl_hits() + silent.fspl_misses(), 0);
+        assert!(silent.fspl.is_empty());
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! pins that economy on an uncoordinated open system, where every
 //! admission, cooldown and departure flips a session's liveness: exactly
 //! one `net.wave` span per run, and no more sum rebuilds than the bring-up
-//! wave's victims plus one per plan install.
+//! wave's victims plus one per plan install. A flip changes no edge value,
+//! so the lazy rebuilds are served from per-receiver edge rows: after
+//! bring-up the engine evaluates at most one row (one edge per pair row)
+//! for each distinct receiver key that re-plans.
 //!
 //! Everything runs in ONE test function: the capture switches are
 //! process-global, and the test harness runs sibling `#[test]` functions
@@ -16,6 +19,7 @@
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_telemetry as telemetry;
 use braidio_units::Seconds;
+use std::collections::HashSet;
 
 fn counter(counters: &[(String, u64)], name: &str) -> u64 {
     counters
@@ -47,10 +51,17 @@ fn one_wave_per_run_and_one_lazy_rebuild_per_install_at_most() {
     let waves = spans.iter().filter(|s| s.name == "net.wave").count();
     assert_eq!(waves, 1, "one planning wave per run_fleet");
 
-    let installs = events
+    let replanned: Vec<usize> = events
         .iter()
-        .filter(|e| matches!(e.event, telemetry::Event::Replan { .. }))
-        .count() as u64;
+        .filter_map(|e| match e.event {
+            telemetry::Event::Replan {
+                track: telemetry::Track::Pair(p),
+                ..
+            } => Some(p as usize),
+            _ => None,
+        })
+        .collect();
+    let installs = replanned.len() as u64;
     assert!(installs > 0);
     // The bring-up wave rebuilds at most one sum per pair row; after it,
     // each install reads (and so rebuilds) at most its own sum.
@@ -67,5 +78,26 @@ fn one_wave_per_run_and_one_lazy_rebuild_per_install_at_most() {
     assert!(
         edges > wave_edges,
         "{edges} edges, {wave_edges} of them in the wave"
+    );
+    // The economy bound: each receiver key that re-plans evaluates one
+    // edge row, once, however many flips dirty its sums.
+    let keys: HashSet<(u64, u64, usize)> = replanned
+        .iter()
+        .map(|&p| {
+            let rx = sc.devices[sc.pairs[p].rx].pos;
+            (
+                rx.x.to_bits(),
+                rx.y.to_bits(),
+                sc.arbitration.relation_row(p),
+            )
+        })
+        .collect();
+    assert!(keys.len() <= braidio_net::cache::ROW_CAP);
+    let rows = sc.pairs.len() as u64;
+    assert!(
+        edges - wave_edges <= keys.len() as u64 * rows,
+        "{} lazy edges for {} receiver keys over {rows} rows",
+        edges - wave_edges,
+        keys.len()
     );
 }

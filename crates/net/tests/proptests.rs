@@ -225,7 +225,9 @@ proptest! {
                          rel: &[u8]|
          -> Result<(), TestCaseError> {
             for v in 0..n {
-                let got = cache.interference(v, |v, qs: &[u32], out: &mut [Watts]| {
+                // The fake physics reads only the victim's receiver point.
+                let key = (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), 0);
+                let got = cache.interference(v, key, |v, qs: &[u32], out: &mut [Watts]| {
                     for (o, &q) in out.iter_mut().zip(qs) {
                         *o = edge_power(v, q as usize, eps, rel);
                     }
@@ -238,7 +240,7 @@ proptest! {
                 );
                 // And the clean-sum fast path returns the same bits
                 // without ever calling back into the physics.
-                let again = cache.interference(v, |_, _: &[u32], _: &mut [Watts]| {
+                let again = cache.interference(v, key, |_, _: &[u32], _: &mut [Watts]| {
                     panic!("sum was clean")
                 });
                 prop_assert_eq!(again.watts().to_bits(), got.watts().to_bits());
@@ -512,9 +514,9 @@ proptest! {
             let want = policy_brute(v, &eps, &live, arb).watts().to_bits();
             prop_assert_eq!(bits(&shared, v), kept.then_some(want), "shared sum of victim {}", v);
             prop_assert_eq!(bits(&single, v), kept.then_some(want), "own-group sum of victim {}", v);
-            let got = shared.interference(v, tile).watts().to_bits();
+            let got = shared.interference(v, key(v), tile).watts().to_bits();
             prop_assert_eq!(got, want, "victim {} after the lazy read", v);
-            let got = lazy.interference(v, tile).watts().to_bits();
+            let got = lazy.interference(v, key(v), tile).watts().to_bits();
             prop_assert_eq!(got, want, "lazy victim {}", v);
         }
     }

@@ -191,6 +191,21 @@ impl FsplMemo {
         (v, false)
     }
 
+    /// `free_space_gain(d, f).linear()` without touching the memo: the
+    /// stored value when `d` is resident, the canonical evaluation (the
+    /// same bits) otherwise. Neither the table nor the hit/miss counters
+    /// change, so a debug oracle reading through this leaves both as the
+    /// production path left them.
+    pub fn peek(&self, d: Meters) -> f64 {
+        let key = d.meters().to_bits();
+        let stored = if key == FSPL_EMPTY_KEY {
+            None
+        } else {
+            self.table.read().expect("fspl memo poisoned").get(key)
+        };
+        stored.unwrap_or_else(|| free_space_gain(d, self.f).linear())
+    }
+
     /// Memoized lookup for a whole tile of distances: `out[i]` receives the
     /// linear gain for `ds[i]`. Returns `(hits, misses)` for this call.
     ///
@@ -489,6 +504,16 @@ mod tests {
         // Sweep including the degenerate cases: zero, below the near-field
         // floor, exactly on it, and repeats of every value (hit path).
         let ds = [0.0, 0.001, 0.05, 0.3, 1.0, 2.5, 3.0, 17.25, 424.2];
+        // `peek` gives the canonical bits on a cold memo and on a warm one,
+        // and never counts or inserts.
+        let peek_all = |memo: &FsplMemo| {
+            for &d in &ds {
+                let want = free_space_gain(Meters::new(d), F).linear();
+                assert_eq!(memo.peek(Meters::new(d)).to_bits(), want.to_bits(), "d={d}");
+            }
+        };
+        peek_all(&memo);
+        assert!(memo.is_empty() && memo.hits() + memo.misses() == 0);
         for _ in 0..3 {
             for &d in &ds {
                 let got = memo.linear(Meters::new(d));
@@ -496,6 +521,7 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "d={d}");
             }
         }
+        peek_all(&memo);
         assert_eq!(memo.misses(), ds.len() as u64);
         assert_eq!(memo.hits(), 2 * ds.len() as u64);
         assert_eq!(memo.len(), ds.len());

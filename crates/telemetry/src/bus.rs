@@ -168,9 +168,11 @@ fn emit_slow(event: Event) {
 ///   the incremental interference cache's hit/rebuild/edge economics
 ///   (`braidio-net::cache`). `edge_recompute` counts the kernel lanes
 ///   actually evaluated — a bring-up group of victims sharing a receiver
-///   evaluates each edge once — and `wave_edge_recompute` is the share of
-///   them evaluated by the bulk planning wave. Deterministic totals: the
-///   same at any thread count.
+///   evaluates each edge once, and a lazy read fills its receiver's edge
+///   row once — and `wave_edge_recompute` is the share of them evaluated
+///   by the bulk planning wave. `row_build` counts the per-receiver edge
+///   rows the lazy path filled. Deterministic totals: the same at any
+///   thread count.
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
 ///   `options_under` memo.
 /// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss

@@ -67,7 +67,7 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
             brute += kernel.carrier_from_pair(eps[v].1, a, b, arb.relation(v, q));
         }
         let grouped = shared.cached_sum(v).expect("every victim was rebuilt");
-        let single = lazy.interference(v, tile);
+        let single = lazy.interference(v, key(v), tile);
         assert_eq!(
             grouped.watts().to_bits(),
             brute.watts().to_bits(),
