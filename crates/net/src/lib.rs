@@ -25,6 +25,8 @@
 //! * [`metrics`] — goodput, per-device lifetime, carrier duty, Jain
 //!   fairness ([`FleetReport`]), steady-state churn metrics
 //!   ([`metrics::ChurnReport`]).
+//! * [`digest`] — report identity: an FNV-1a-64 digest over every bit of
+//!   a [`FleetReport`] ([`digest::report_digest`]).
 //!
 //! ```
 //! use braidio_net::{run_fleet, Arbitration, FleetScenario};
@@ -51,6 +53,7 @@ pub mod arbitration;
 #[doc(hidden)]
 pub mod baseline;
 pub mod cache;
+pub mod digest;
 pub mod discovery;
 pub mod engine;
 pub mod interference;
