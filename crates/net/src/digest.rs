@@ -39,7 +39,7 @@ impl Fnv64 {
     }
 
     /// Feed one float's bit pattern.
-    pub fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 

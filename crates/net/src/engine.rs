@@ -1205,8 +1205,10 @@ impl<'a> Fleet<'a> {
     /// [`OptionsMemo::get`]. Output-neutrality: memo values are canonical
     /// functions of their quantized keys, so prefilling the memo cannot
     /// change what `get` returns, and lazy and bulk sums make the same adds
-    /// on the same edge bits in the same order. The debug shadow check and
-    /// the `soa-vs-baseline` gate hold the engine to that byte-for-byte.
+    /// on the same edge bits in the same order. The debug shadow check
+    /// holds every sum read to that bit for bit; the golden-digest manifest
+    /// (`goldens/digests.txt`, checked by the root `goldens` test) pins the
+    /// outputs.
     fn wave_sweep(&mut self) {
         if !self.wave_cold {
             return;
@@ -1447,8 +1449,8 @@ impl<'a> Fleet<'a> {
     /// `net.fspl.*` nor fills the memo, so those mean the same in debug and
     /// release. What this checks is liveness, ordering, tiling, edge rows
     /// and cache bookkeeping; the kernel's own equality to the
-    /// direct `carrier_contribution` path is pinned by the `net::baseline`
-    /// oracle and the interference proptests.
+    /// direct `carrier_contribution` path is pinned by the interference
+    /// unit test and proptests that keep that path as their oracle.
     #[cfg(debug_assertions)]
     fn shadow_check(&self, p: usize, got: Watts) {
         let victim = self.devices.pos[self.pairs.rx[p]];

@@ -78,8 +78,9 @@ pub const EDGE_TILE: usize = 64;
 /// `Decibels::linear` conversion the direct path runs, and routes FSPL
 /// through an exact [`FsplMemo`], keeping the original four sequential
 /// multiplies in the original order — so every contribution it returns is
-/// bit-for-bit the [`carrier_contribution`] answer (the `net::baseline`
-/// oracle keeps the direct path precisely so the equality stays checked).
+/// bit-for-bit the [`carrier_contribution`] answer (the direct path stays
+/// as the oracle of the interference unit test and proptests, so the
+/// equality stays checked).
 #[derive(Debug)]
 pub struct EdgeKernel {
     /// Foreign CW carrier power (every fleet interferer radiates

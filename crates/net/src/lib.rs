@@ -50,8 +50,6 @@
 //! ```
 
 pub mod arbitration;
-#[doc(hidden)]
-pub mod baseline;
 pub mod cache;
 pub mod digest;
 pub mod discovery;

@@ -5,8 +5,9 @@
 //! properties make it safe to ship alongside the byte-stability gates:
 //!
 //! 1. **Pure witness** — sampling must not perturb the simulation. The
-//!    report returned by `run_fleet_sampled` is compared bitwise against
-//!    `run_fleet` on the same scenario, churn fields included.
+//!    report returned by `run_fleet_sampled` must have the same report
+//!    digest (every field, churn block included) as `run_fleet` on the
+//!    same scenario.
 //! 2. **Thread invariance** — the sampler runs in the serial loop, so the
 //!    rendered CSV/JSONL must be byte-identical at 1, 4 and 8 workers.
 //!
@@ -14,50 +15,10 @@
 //! swaps the process-global worker pool, and the test harness runs
 //! sibling `#[test]` functions concurrently.
 
-use braidio_net::{
-    run_fleet, run_fleet_sampled, Arbitration, FleetReport, FleetScenario, LinkPhase,
-};
+use braidio_net::digest::report_digest;
+use braidio_net::{run_fleet, run_fleet_sampled, Arbitration, FleetScenario, LinkPhase};
 use braidio_telemetry::timeseries::{render_csv, render_jsonl, SAMPLE_PHASES};
 use braidio_units::{Meters, Seconds};
-
-/// Every field of the two reports, bit-for-bit (churn block included when
-/// present). Sampling may not move a single bit.
-fn assert_same_report(a: &FleetReport, b: &FleetReport, what: &str) {
-    assert_eq!(a.events, b.events, "{what}: event counts");
-    assert_eq!(a.replans, b.replans, "{what}: replan counts");
-    for (p, (x, y)) in a.pair_bits.iter().zip(&b.pair_bits).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: pair {p} bits");
-    }
-    for (p, (x, y)) in a.pair_dead_at.iter().zip(&b.pair_dead_at).enumerate() {
-        assert_eq!(
-            x.map(|t| t.seconds().to_bits()),
-            y.map(|t| t.seconds().to_bits()),
-            "{what}: pair {p} death time"
-        );
-    }
-    for (d, (x, y)) in a.device_spent.iter().zip(&b.device_spent).enumerate() {
-        assert_eq!(
-            x.joules().to_bits(),
-            y.joules().to_bits(),
-            "{what}: device {d} energy"
-        );
-    }
-    assert_eq!(
-        a.churn.is_some(),
-        b.churn.is_some(),
-        "{what}: churn presence"
-    );
-    if let (Some(ca), Some(cb)) = (a.churn.as_ref(), b.churn.as_ref()) {
-        assert_eq!(ca.sessions, cb.sessions, "{what}: sessions");
-        assert_eq!(ca.admitted, cb.admitted, "{what}: admitted");
-        assert_eq!(ca.departed, cb.departed, "{what}: departed");
-        assert_eq!(ca.died, cb.died, "{what}: died");
-        assert_eq!(ca.roams, cb.roams, "{what}: roams");
-        for (i, (x, y)) in ca.phase_time.iter().zip(&cb.phase_time).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what}: phase time {i}");
-        }
-    }
-}
 
 #[test]
 fn sampling_is_a_pure_witness_and_thread_invariant() {
@@ -82,11 +43,11 @@ fn sampling_is_a_pure_witness_and_thread_invariant() {
 
     for (what, sc) in [("churn", &churn), ("closed", &closed)] {
         let dt = sc.horizon.seconds() / 40.0;
-        let baseline = run_fleet(sc);
+        let unsampled = run_fleet(sc);
         let (report, series) = run_fleet_sampled(sc, Seconds::new(dt));
 
         // Pure witness: sampling changed nothing the report can see.
-        assert_same_report(&baseline, &report, what);
+        assert_eq!(report_digest(&unsampled), report_digest(&report), "{what}");
 
         // Row grid: t = k*dt for k = 0..=40, first row at t=0, last at the
         // horizon; gauges are internally consistent at every row.

@@ -4,15 +4,31 @@
 //! digests stand for everything it produced: the [`FleetReport`] (every
 //! field, via `net::digest::report_digest`), the rendered JSONL event
 //! trace, and the per-device energy ledger folded from that trace. They
-//! must match `goldens/digests.txt` at 1 and at 4 pool threads, so a
-//! reordered floating-point sum, a memoized value that is not a pure
-//! function of its key, or a missed cache invalidation fails here, at
-//! tier 1, against the committed output rather than against a second
-//! copy of the engine.
+//! must match `goldens/digests.txt` at 1 and at 4 pool threads, so any
+//! output bit that moves, against the committed output or across thread
+//! counts, fails here at tier 1.
 //!
 //! The scenarios are the grids, stars and walking pairs that the engine's
 //! SoA rewrite was first held to, the drain fleets that end every session
-//! on a partial quantum, two open systems and one city block.
+//! on a partial quantum, two open systems and one city block, plus two
+//! that make defects visible in the output that the others hide:
+//!
+//! * `walk-2`: a receiver walks toward a foreign transmitter, so its
+//!   detector modes hinge on the interference sum at its new position,
+//!   and a sum cached from before the move changes its plans. (In
+//!   `mobile-4` and `mobile-80` a stale sum never crosses a mode
+//!   threshold, so their output does not move.)
+//! * `quanta-4`: small-battery transmitters braid backscatter in
+//!   one-packet quanta, so the amortized Table 5 charge for entering
+//!   backscatter, the largest switching cost, is a visible share of the
+//!   transmitter's per-bit cost: one ULP on it moves the output. (With the
+//!   default 100-packet quanta, and for the five smaller costs, the charge
+//!   is rounded away and no output bit depends on its last place.)
+//!
+//! A reordered interference sum changes no output bit: interference
+//! reaches a plan only through the options memo's 2⁻³²-log quantized key.
+//! The engine's debug shadow check, which every scenario here runs in a
+//! debug build, is what catches it.
 //!
 //! A deliberate output change re-records the manifest with
 //! `cargo test --test goldens -- --ignored record_goldens` and explains
@@ -26,8 +42,9 @@ mod common;
 
 use braidio::mac::mobility::LinearWalk;
 use braidio::net::digest::{report_digest, Fnv64};
-use braidio::net::{run_fleet, Arbitration, FleetScenario};
-use braidio::units::{Meters, Seconds};
+use braidio::net::{run_fleet, Arbitration, DeviceSpec, FleetScenario, PairSpec};
+use braidio::rfsim::geometry::Point;
+use braidio::units::{Joules, Meters, Seconds};
 use braidio_telemetry as telemetry;
 use common::{drain_fleet, golden, MANIFEST};
 
@@ -95,10 +112,39 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
         duration: Seconds::new(10.0),
     });
     out.push(("mobile-80-uncoordinated".into(), sc));
+    // Pair 0's receiver walks from 0.5 m to 4 m straight toward pair 1's
+    // transmitter, 10 m away.
+    let device = |x: f64, y: f64| DeviceSpec {
+        pos: Point::new(x, y),
+        battery: Joules::from_watt_hours(1.0),
+    };
+    let mut pairs = vec![PairSpec::braided(0, 1), PairSpec::braided(2, 3)];
+    pairs[0].walk = Some(LinearWalk {
+        start: Meters::new(0.5),
+        end: Meters::new(4.0),
+        duration: Seconds::new(60.0),
+    });
+    let devices = vec![
+        device(0.0, 0.0),
+        device(0.5, 0.0),
+        device(10.0, 0.0),
+        device(10.0, 0.5),
+    ];
+    let mut sc = FleetScenario::new(devices, pairs, Arbitration::Uncoordinated)
+        .with_horizon(Seconds::new(60.0));
+    sc.replan_interval = Seconds::new(1.0);
+    out.push(("walk-2-uncoordinated".into(), sc));
     // Milliwatt-hour batteries: every session ends on a partial quantum.
     for arb in [Arbitration::Uncoordinated, TDMA] {
         out.push((format!("drain-4-{}", arb.label()), drain_fleet(arb)));
     }
+    // 10 mWh transmitters braiding backscatter at 2 m in one-packet quanta.
+    let mut sc =
+        FleetScenario::independent_pairs(4, Meters::new(2.0), Meters::new(3.0), 0.01, 1.0, TDMA)
+            .with_horizon(Seconds::new(60.0));
+    sc.quantum_packets = 1.0;
+    sc.replan_interval = Seconds::new(1.0);
+    out.push(("quanta-4-tdma".into(), sc));
     // Open systems: admissions, cooldowns, departures and roams.
     for arb in [Arbitration::Uncoordinated, TDMA] {
         out.push((
@@ -117,7 +163,7 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
 /// The three artifact digests of `sc` run at `threads` pool threads:
 /// report, rendered JSONL trace, folded per-device energy ledger.
 fn artifacts(sc: &FleetScenario, threads: usize) -> [(&'static str, u64); 3] {
-    braidio_pool::with_threads(threads, || {
+    braidio::pool::with_threads(threads, || {
         telemetry::set_enabled(true);
         let _ = telemetry::take_events();
         let report = telemetry::with_run(0, || run_fleet(sc));
