@@ -23,6 +23,7 @@ use braidio_net::interference::{
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_radio::Mode;
 use braidio_rfsim::geometry::Point;
+use braidio_rfsim::pathloss::FsplScratch;
 use braidio_units::{Meters, Seconds, Watts};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -83,21 +84,50 @@ fn ends(sc: &FleetScenario, q: usize) -> (Point, Point) {
 /// The engine's edge-tile kernel over the scenario's static geometry:
 /// gather each tile's endpoints and channel relations, then run
 /// `EdgeKernel::carrier_tile` against victim `v`'s receiver.
+/// Tile `qs`'s endpoints and channel relations to victim `v`, gathered
+/// into stack arrays (the first `qs.len()` lanes are meaningful).
+type Gathered = (
+    [Point; EDGE_TILE],
+    [Point; EDGE_TILE],
+    [ChannelRelation; EDGE_TILE],
+);
+
+fn gather(sc: &FleetScenario, v: usize, qs: &[u32]) -> Gathered {
+    let mut a = [Point::ORIGIN; EDGE_TILE];
+    let mut b = [Point::ORIGIN; EDGE_TILE];
+    let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
+    for (i, &q) in qs.iter().enumerate() {
+        (a[i], b[i]) = ends(sc, q as usize);
+        rel[i] = sc.arbitration.relation(v, q as usize);
+    }
+    (a, b, rel)
+}
+
 fn edge_tile<'a>(
     kernel: &'a EdgeKernel,
     sc: &'a FleetScenario,
 ) -> impl Fn(usize, &[u32], &mut [Watts]) + Sync + 'a {
     move |v, qs, out| {
-        let mut a = [Point::ORIGIN; EDGE_TILE];
-        let mut b = [Point::ORIGIN; EDGE_TILE];
-        let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
+        let (a, b, rel) = gather(sc, v, qs);
         let k = qs.len();
-        for (i, &q) in qs.iter().enumerate() {
-            (a[i], b[i]) = ends(sc, q as usize);
-            rel[i] = sc.arbitration.relation(v, q as usize);
-        }
         kernel.carrier_tile(ends(sc, v).1, &a[..k], &b[..k], &rel[..k], out);
     }
+}
+
+/// The bring-up wave's bulk pass as the engine runs it: FSPL through each
+/// pool chunk's own scratch, folded into the kernel's memo at chunk end.
+fn bulk_rebuild(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenario) {
+    cache.rebuild_all_shared(
+        |_| true,
+        receiver_key(sc),
+        || kernel.fspl_scratch(),
+        |s: &mut FsplScratch, v, qs: &[u32], out: &mut [Watts]| {
+            let (a, b, rel) = gather(sc, v, qs);
+            let k = qs.len();
+            kernel.carrier_tile_scratch(s, ends(sc, v).1, &a[..k], &b[..k], &rel[..k], out);
+        },
+        |s| kernel.fold_scratch(s),
+    );
 }
 
 /// The engine's shared-receiver key: receiver position bits and the
@@ -158,7 +188,7 @@ fn bench_interference_wave(c: &mut Criterion) {
     c.bench_function("fleet_replan/interference_wave/bulk_rebuild/64", |b| {
         b.iter(|| {
             bulk.invalidate_all();
-            bulk.rebuild_all_shared(|_| true, receiver_key(&sc), edge_tile(&kernel, &sc));
+            bulk_rebuild(&mut bulk, &kernel, &sc);
             black_box(wave_cached(&mut bulk, &kernel, &sc))
         })
     });
@@ -288,7 +318,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
             braidio_pool::with_threads(threads, || {
                 b.iter(|| {
                     cache.invalidate_all();
-                    cache.rebuild_all_shared(|_| true, receiver_key(&sc), edge_tile(&kernel, &sc));
+                    bulk_rebuild(&mut cache, &kernel, &sc);
                     black_box(cache.cached_sum(0))
                 })
             })

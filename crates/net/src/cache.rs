@@ -37,18 +37,20 @@
 //! the per-pair lookups that follow are all O(1) clean hits. The pass runs
 //! one accumulation loop over *groups* of victims that share a receiver
 //! key: it gathers the group's live sources into [`EDGE_TILE`]-wide index
-//! tiles, hands each tile once to the edge-tile closure `edge_tile(v, qs,
-//! out)` (the engine passes `EdgeKernel::carrier_tile`) with the group's
-//! first member as `v`, and folds the returned lanes serially, in
-//! pair-index order, into every member's accumulator, each member skipping
-//! its own index. A star hub's tags all listen at the hub, so a city of
-//! 4-tag star blocks pays about 5/8 of the per-pair edge work. A group
-//! holds at most [`GROUP_CAP`] members, so one giant star cannot serialize
-//! the fan-out. The pass fans the groups out over the `braidio-pool`
-//! workers in order of their first member (each group's sums are an
-//! independent pure function of the wave's frozen geometry, merged back in
-//! group order), so bring-up scales across cores without changing a bit —
-//! see DESIGN.md §12.
+//! tiles, hands each tile once to the edge-tile closure `edge_tile(s, v,
+//! qs, out)` (the engine passes `EdgeKernel::carrier_tile_scratch`) with
+//! the group's first member as `v`, and folds the returned lanes serially,
+//! in pair-index order, into every member's accumulator, each member
+//! skipping its own index. A star hub's tags all listen at the hub, so a
+//! city of 4-tag star blocks pays about 5/8 of the per-pair edge work. A
+//! group holds at most [`GROUP_CAP`] members, so one giant star cannot
+//! serialize the fan-out. The pass fans chunks of groups out over the
+//! `braidio-pool` workers in order of their first member (each group's
+//! sums are an independent pure function of the wave's frozen geometry,
+//! merged back in group order), so bring-up scales across cores without
+//! changing a bit — see DESIGN.md §12. Each chunk threads a scratch `s` of
+//! its own through its tiles and hands it back when it ends; the engine's
+//! is a chunk-local FSPL table folded into the shared memo then.
 //!
 //! **Lazy rebuilds from per-receiver rows.** After bring-up nothing
 //! rebuilds in bulk: a sum dirtied by a flip or a move stays dirty until
@@ -284,9 +286,10 @@ impl PairGainCache {
     /// listen at the same point. `keep(v)` gates which victims are worth
     /// rebuilding (the engine skips dead and mobile pairs — mobility
     /// refreshes positions lazily at event time, so those sums fall back to
-    /// the per-victim lazy path). `edge_tile(v, qs, out)` fills `out[i]`
+    /// the per-victim lazy path). `edge_tile(s, v, qs, out)` fills `out[i]`
     /// with source `qs[i]`'s contribution at victim `v` (at most
-    /// [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index order).
+    /// [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index order),
+    /// given the running chunk's scratch `s`.
     ///
     /// `key(v)` names victim `v`'s receiver. The contract: victims with
     /// equal keys get the same bits from `edge_tile` for every source, so
@@ -302,17 +305,33 @@ impl PairGainCache {
     /// `net.interference.wave_edge_recompute`, so the bulk share of the
     /// edge work can be told apart from the lazy share.
     ///
-    /// The groups fan out over the work pool in order of their first
-    /// member: each group's sums are an independent pure function of the
-    /// (frozen-for-the-wave) geometry, written back in group order — so the
-    /// result is identical at any thread count, and `edge_tile` must be
-    /// `Fn + Sync` (pure geometry, which every caller passes anyway).
-    pub fn rebuild_all_shared<K, G, R, E>(&mut self, keep: K, key: G, edge_tile: E)
-    where
+    /// The groups fan out over the work pool in chunks of consecutive
+    /// groups, in order of their first member: each group's sums are an
+    /// independent pure function of the (frozen-for-the-wave) geometry,
+    /// written back in group order — so the result is identical at any
+    /// thread count, and the closures must be `Sync`. Each chunk makes its
+    /// own scratch with `scratch()`, threads it through every `edge_tile`
+    /// call of the chunk, and hands it to `fold` when the chunk is done, so
+    /// at most one scratch per worker is alive at a time (the engine keeps
+    /// its FSPL lookups there: [`EdgeKernel::carrier_tile_scratch`]). A
+    /// wave whose edge work is below [`braidio_pool::INLINE_WORK`] runs on
+    /// the calling thread.
+    ///
+    /// [`EdgeKernel::carrier_tile_scratch`]: crate::interference::EdgeKernel::carrier_tile_scratch
+    pub fn rebuild_all_shared<K, G, R, S, N, E, F>(
+        &mut self,
+        keep: K,
+        key: G,
+        scratch: N,
+        edge_tile: E,
+        fold: F,
+    ) where
         K: Fn(usize) -> bool,
         G: Fn(usize) -> R,
         R: Eq + Hash,
-        E: Fn(usize, &[u32], &mut [Watts]) + Sync,
+        N: Fn() -> S + Sync,
+        E: Fn(&mut S, usize, &[u32], &mut [Watts]) + Sync,
+        F: Fn(S) + Sync,
     {
         if self.ndirty == 0 {
             return;
@@ -334,18 +353,30 @@ impl PairGainCache {
             }
         }
         let this = &*self;
-        let sums = braidio_pool::par_map_indexed_with_chunk(
-            groups.len(),
-            braidio_pool::default_chunk(groups.len()),
-            |g| {
-                let group = &groups[g];
-                telemetry::count_by("net.interference.sum_rebuild", group.len() as u64);
-                let mut acc = vec![Watts::ZERO; group.len()];
-                this.sum_group(group, true, &edge_tile, &mut acc);
-                acc
-            },
-        );
-        for (group, acc) in groups.iter().zip(sums) {
+        let live: usize = self.live.iter().map(|w| w.count_ones() as usize).sum();
+        let chunk = braidio_pool::default_chunk(groups.len());
+        let nchunks = groups.len().div_ceil(chunk);
+        let sums = braidio_pool::par_map_sized(nchunks, 1, groups.len() * live, |c| {
+            let mut s = scratch();
+            let lo = c * chunk;
+            let accs: Vec<Vec<Watts>> = groups[lo..(lo + chunk).min(groups.len())]
+                .iter()
+                .map(|group| {
+                    telemetry::count_by("net.interference.sum_rebuild", group.len() as u64);
+                    let mut acc = vec![Watts::ZERO; group.len()];
+                    this.sum_group(
+                        group,
+                        true,
+                        |v, qs, out| edge_tile(&mut s, v, qs, out),
+                        &mut acc,
+                    );
+                    acc
+                })
+                .collect();
+            fold(s);
+            accs
+        });
+        for (group, acc) in groups.iter().zip(sums.into_iter().flatten()) {
             for (&v, s) in group.iter().zip(acc) {
                 let v = v as usize;
                 self.sum[v] = s.watts();
@@ -356,7 +387,8 @@ impl PairGainCache {
     }
 
     /// [`rebuild_all_shared`](Self::rebuild_all_shared) with every victim
-    /// its own group: each selected victim evaluates its own edges.
+    /// its own group and no chunk scratch: each selected victim evaluates
+    /// its own edges through `edge_tile`.
     ///
     /// An adapter kept only because the `fleetbench` edge replay compiles
     /// against this signature; `_endpoints` is unused (the cache reads no
@@ -368,7 +400,13 @@ impl PairGainCache {
         P: Fn(usize) -> (Point, Point),
         E: Fn(usize, &[u32], &mut [Watts]) + Sync,
     {
-        self.rebuild_all_shared(keep, |v| v, edge_tile);
+        self.rebuild_all_shared(
+            keep,
+            |v| v,
+            || (),
+            |_: &mut (), v, qs, out| edge_tile(v, qs, out),
+            |()| {},
+        );
     }
 
     /// The sums of one victim group, into the zeroed `acc[i]` for
@@ -382,16 +420,16 @@ impl PairGainCache {
     /// makes the adds of its singleton walk — the bitwise contract lives
     /// here. `wave` files the evaluated lanes under the bulk pass's counter
     /// as well.
-    fn sum_group<E>(&self, members: &[u32], wave: bool, edge_tile: &E, acc: &mut [Watts])
+    fn sum_group<E>(&self, members: &[u32], wave: bool, mut edge_tile: E, acc: &mut [Watts])
     where
-        E: Fn(usize, &[u32], &mut [Watts]),
+        E: FnMut(usize, &[u32], &mut [Watts]),
     {
         debug_assert!(!members.is_empty() && members.len() == acc.len());
         let lead = members[0];
         // Only a singleton can leave its own index out of the gather: in a
         // larger group every member is a source for the others.
         let lone = members.len() == 1;
-        let flush = |qs: &[u32], ws: &mut [Watts], acc: &mut [Watts]| {
+        let mut flush = |qs: &[u32], ws: &mut [Watts], acc: &mut [Watts]| {
             telemetry::count_by("net.interference.edge_recompute", qs.len() as u64);
             if wave {
                 telemetry::count_by("net.interference.wave_edge_recompute", qs.len() as u64);
@@ -470,6 +508,23 @@ mod tests {
     /// Victim `v`'s receiver key under a single-row policy.
     fn rk(eps: &[(Point, Point)], v: usize) -> ReceiverKey {
         (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), 0)
+    }
+
+    /// The bulk pass over the fake physics, with no chunk scratch.
+    fn rebuild<R: Eq + Hash>(
+        cache: &mut PairGainCache,
+        eps: &[(Point, Point)],
+        keep: impl Fn(usize) -> bool,
+        key: impl Fn(usize) -> R,
+    ) {
+        let t = tile(eps);
+        cache.rebuild_all_shared(
+            keep,
+            key,
+            || (),
+            |_: &mut (), v, qs: &[u32], out: &mut [Watts]| t(v, qs, out),
+            |()| {},
+        );
     }
 
     fn clean(_: usize, _: &[u32], _: &mut [Watts]) {
@@ -630,7 +685,7 @@ mod tests {
             let mut live = vec![true; n];
             let mut bulk = PairGainCache::new(n);
             let mut lazy = PairGainCache::new(n);
-            bulk.rebuild_all_shared(|_| true, key, tile(eps));
+            rebuild(&mut bulk, eps, |_| true, key);
             assert_eq!(bulk.ndirty(), 0);
             for v in 0..n {
                 let a = bulk.interference(v, rk(eps, v), clean);
@@ -643,7 +698,7 @@ mod tests {
             live[3] = false;
             bulk.set_live(3, false);
             lazy.set_live(3, false);
-            bulk.rebuild_all_shared(|v| v != 4, key, tile(eps));
+            rebuild(&mut bulk, eps, |v| v != 4, key);
             assert_eq!(bulk.ndirty(), 1, "skipped victim must stay dirty");
             assert!(bulk.cached_sum(4).is_none());
             for v in 0..n {
@@ -652,6 +707,58 @@ mod tests {
                 assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
                 assert_eq!(a.watts().to_bits(), brute(eps, &live, v).watts().to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn each_chunk_threads_one_scratch_and_folds_it_when_done() {
+        // Every victim its own group, enough of them for several pool
+        // chunks. Each chunk's scratch counts the lanes its tiles saw; the
+        // folds must account for every lane once, one scratch per chunk,
+        // never more alive at once than there are workers, and the sums
+        // keep the lazy path's bits.
+        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+        let n = 3 * EDGE_TILE + 5;
+        let eps = layout(n, 0.8);
+        let (made, folded, alive, most) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
+        let (seen, lanes) = (AtomicU64::new(0), AtomicU64::new(0));
+        let t = tile(&eps);
+        let mut bulk = PairGainCache::new(n);
+        bulk.rebuild_all_shared(
+            |_| true,
+            |v| v,
+            || {
+                made.fetch_add(1, Relaxed);
+                most.fetch_max(alive.fetch_add(1, Relaxed) + 1, Relaxed);
+                0u64
+            },
+            |s: &mut u64, v, qs: &[u32], out: &mut [Watts]| {
+                *s += qs.len() as u64;
+                seen.fetch_add(qs.len() as u64, Relaxed);
+                t(v, qs, out)
+            },
+            |s| {
+                alive.fetch_sub(1, Relaxed);
+                folded.fetch_add(1, Relaxed);
+                lanes.fetch_add(s, Relaxed);
+            },
+        );
+        let chunks = n.div_ceil(braidio_pool::default_chunk(n));
+        assert_eq!(made.into_inner(), chunks);
+        assert_eq!(folded.into_inner(), chunks);
+        assert!(most.into_inner() <= braidio_pool::thread_count());
+        assert_eq!(lanes.into_inner(), (n * (n - 1)) as u64);
+        assert_eq!(seen.into_inner(), (n * (n - 1)) as u64);
+        let mut lazy = PairGainCache::new(n);
+        for v in 0..n {
+            let a = bulk.interference(v, rk(&eps, v), clean);
+            let b = lazy.interference(v, rk(&eps, v), tile(&eps));
+            assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}");
         }
     }
 

@@ -116,6 +116,7 @@ use braidio_radio::characterization::Rate;
 use braidio_radio::switching::SwitchingOverhead;
 use braidio_radio::{Battery, Mode};
 use braidio_rfsim::geometry::Point;
+use braidio_rfsim::pathloss::FsplScratch;
 use braidio_telemetry as telemetry;
 use braidio_units::{Joules, Meters, Seconds, Watts};
 use telemetry::timeseries::{Sample, Series};
@@ -381,10 +382,33 @@ impl Pairs {
     }
 }
 
-/// The engine's one edge-tile kernel, shared by the bulk wave sweep and the
-/// lazy per-pair path: gathers each tile's endpoints (`ends(q)` is pair
-/// `q`'s `(tx, rx)` position) and channel relations into stack arrays, then
-/// runs [`EdgeKernel::carrier_tile`] against victim `v`'s receiver.
+/// Gathers tile `qs`'s endpoints (`ends(q)` is pair `q`'s `(tx, rx)`
+/// position) and channel relations to victim `v` into stack arrays, and
+/// hands them with `v`'s receiver point to `run` — the gather both edge
+/// tiles below share.
+#[inline]
+fn gather_tile<F>(
+    arbitration: Arbitration,
+    ends: &F,
+    v: usize,
+    qs: &[u32],
+    run: impl FnOnce(Point, &[Point], &[Point], &[ChannelRelation]),
+) where
+    F: Fn(usize) -> (Point, Point),
+{
+    let mut a = [Point::new(0.0, 0.0); EDGE_TILE];
+    let mut b = [Point::new(0.0, 0.0); EDGE_TILE];
+    let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
+    let k = qs.len();
+    for (i, &q) in qs.iter().enumerate() {
+        (a[i], b[i]) = ends(q as usize);
+        rel[i] = arbitration.relation(v, q as usize);
+    }
+    run(ends(v).1, &a[..k], &b[..k], &rel[..k]);
+}
+
+/// The lazy per-pair path's edge tile: [`EdgeKernel::carrier_tile`] over
+/// a gathered tile, FSPL from the shared memo.
 fn edge_tile<'a, F>(
     edges: &'a EdgeKernel,
     arbitration: Arbitration,
@@ -394,15 +418,27 @@ where
     F: Fn(usize) -> (Point, Point) + Sync + 'a,
 {
     move |v, qs, out| {
-        let mut a = [Point::new(0.0, 0.0); EDGE_TILE];
-        let mut b = [Point::new(0.0, 0.0); EDGE_TILE];
-        let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
-        let k = qs.len();
-        for (i, &q) in qs.iter().enumerate() {
-            (a[i], b[i]) = ends(q as usize);
-            rel[i] = arbitration.relation(v, q as usize);
-        }
-        edges.carrier_tile(ends(v).1, &a[..k], &b[..k], &rel[..k], out);
+        gather_tile(arbitration, &ends, v, qs, |rx, a, b, rel| {
+            edges.carrier_tile(rx, a, b, rel, out)
+        })
+    }
+}
+
+/// The bring-up wave's edge tile: the same gather and kernel as
+/// [`edge_tile`], with FSPL looked up in the running pool chunk's scratch
+/// ([`EdgeKernel::carrier_tile_scratch`]).
+fn wave_edge_tile<'a, F>(
+    edges: &'a EdgeKernel,
+    arbitration: Arbitration,
+    ends: F,
+) -> impl Fn(&mut FsplScratch<'a>, usize, &[u32], &mut [Watts]) + Sync + 'a
+where
+    F: Fn(usize) -> (Point, Point) + Sync + 'a,
+{
+    move |scratch, v, qs, out| {
+        gather_tile(arbitration, &ends, v, qs, |rx, a, b, rel| {
+            edges.carrier_tile_scratch(scratch, rx, a, b, rel, out)
+        })
     }
 }
 
@@ -1227,6 +1263,7 @@ impl<'a> Fleet<'a> {
             ..
         } = pairs;
         if overlap {
+            let _span = telemetry::span("net.wave.edges");
             // Gather the wave's frozen endpoint geometry into flat arrays
             // once (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the
             // per-tile hot loop is a contiguous gather instead of a
@@ -1235,39 +1272,43 @@ impl<'a> Fleet<'a> {
             let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let ends = |q: usize| (pa[q], pb[q]);
             // Victims with one receiver key share each edge evaluation.
+            // Each pool chunk looks FSPL up in a scratch of its own and
+            // folds it into the shared memo when it ends.
+            let edges = &self.edges;
             self.gains.rebuild_all_shared(
                 |v| !mobile[v] && pairs.on_air(v),
                 |v| receiver_key(pb[v], sc.arbitration, v),
-                edge_tile(&self.edges, sc.arbitration, ends),
+                || edges.fspl_scratch(),
+                wave_edge_tile(edges, sc.arbitration, ends),
+                |scratch| edges.fold_scratch(scratch),
             );
         }
-        // Per-pair key collection fans out over the pool: each pair's key is
-        // a pure function of the frozen wave state (positions, clean sums,
-        // pins), and the chunks reassemble in pair index order — the exact
-        // key sequence the serial loop pushed.
+        // Per-pair key collection fans out over the pool (one unit of work
+        // a pair): each pair's key is a pure function of the frozen wave
+        // state (positions, clean sums, pins), and the chunks reassemble in
+        // pair index order — the exact key sequence the serial loop pushed.
         let gains = &self.gains;
         let n = tx.len();
-        let keys = pool::par_map_indexed_with_chunk(
-            n,
-            pool::default_chunk(n),
-            |p| -> Option<OptionsKey> {
-                if !pairs.on_air(p) || mobile[p] {
-                    return None;
-                }
-                let interference = if overlap {
-                    gains
-                        .cached_sum(p)
-                        .expect("the wave rebuilt every static live sum")
-                } else {
-                    Watts::ZERO
-                };
-                let d = pos[tx[p]].distance(pos[rx[p]]);
-                OptionsMemo::key_for(d, interference, pin[p])
-            },
-        );
+        let keys_span = telemetry::span("net.wave.keys");
+        let keys = pool::par_map_sized(n, pool::default_chunk(n), n, |p| -> Option<OptionsKey> {
+            if !pairs.on_air(p) || mobile[p] {
+                return None;
+            }
+            let interference = if overlap {
+                gains
+                    .cached_sum(p)
+                    .expect("the wave rebuilt every static live sum")
+            } else {
+                Watts::ZERO
+            };
+            let d = pos[tx[p]].distance(pos[rx[p]]);
+            OptionsMemo::key_for(d, interference, pin[p])
+        });
         let mut keys: Vec<OptionsKey> = keys.into_iter().flatten().collect();
         keys.sort_unstable();
         keys.dedup();
+        drop(keys_span);
+        let _span = telemetry::span("net.wave.options");
         self.options.prefetch(&self.sc.ch, &keys);
     }
 

@@ -21,7 +21,7 @@ use braidio_phy::surface::{shared_batch, BerModel};
 use braidio_radio::characterization::{Characterization, Rate, OPERATIONAL_BER};
 use braidio_radio::Mode;
 use braidio_rfsim::geometry::Point;
-use braidio_rfsim::pathloss::{free_space_gain, FsplMemo};
+use braidio_rfsim::pathloss::{free_space_gain, FsplMemo, FsplScratch};
 use braidio_units::{BitsPerSecond, Meters, Watts};
 
 /// One foreign CW carrier, positioned in the room.
@@ -59,8 +59,8 @@ pub fn interference_at(ch: &Characterization, victim: Point, sources: &[CarrierS
 }
 
 /// Tile width for the batched edge sweep: endpoints are gathered into
-/// flat stack arrays of this many lanes before the kernel runs, and the
-/// FSPL memo is consulted once per tile instead of once per edge.
+/// flat stack arrays of this many lanes before the kernel runs, and FSPL is
+/// looked up a tile at a time.
 pub const EDGE_TILE: usize = 64;
 
 /// The transcendental-starved interference edge kernel: everything
@@ -178,12 +178,14 @@ impl EdgeKernel {
     /// relation `rel[i]`. At most [`EDGE_TILE`] lanes.
     ///
     /// Three flat passes — nearer-endpoint distances (`nearer_distance`:
-    /// one `hypot` per lane instead of two), one batched FSPL lookup (a
-    /// single memo-lock acquisition for the tile), then the constant
-    /// multiply chain — each lane bit-identical to
+    /// one `hypot` per lane instead of two), one batched FSPL lookup
+    /// ([`FsplMemo::linear_batch`]: one read lock on the shared memo per
+    /// tile), then the constant multiply chain — each lane bit-identical to
     /// [`EdgeKernel::carrier_from_pair`], which stays the two-`hypot`
     /// oracle. The caller still owns the noncoherent accumulation and must
-    /// sum `out` serially in pair-index order.
+    /// sum `out` serially in pair-index order. This is the lazy per-pair
+    /// path's tile; a parallel sweep runs
+    /// [`carrier_tile_scratch`](Self::carrier_tile_scratch).
     pub fn carrier_tile(
         &self,
         victim: Point,
@@ -191,6 +193,61 @@ impl EdgeKernel {
         b: &[Point],
         rel: &[ChannelRelation],
         out: &mut [Watts],
+    ) {
+        self.tile(victim, a, b, rel, out, |ds, lin| {
+            let (hits, misses) = self.fspl.linear_batch(ds, lin);
+            braidio_telemetry::count_by("net.fspl.hit", hits);
+            braidio_telemetry::count_by("net.fspl.miss", misses);
+        });
+    }
+
+    /// A chunk-local FSPL scratch in front of this kernel's memo, for
+    /// [`carrier_tile_scratch`](Self::carrier_tile_scratch). One per worker
+    /// chunk, ended by [`fold_scratch`](Self::fold_scratch) when the chunk
+    /// is done.
+    pub fn fspl_scratch(&self) -> FsplScratch<'_> {
+        self.fspl.scratch()
+    }
+
+    /// [`carrier_tile`](Self::carrier_tile) with FSPL looked up in a
+    /// chunk-local `scratch` first ([`FsplScratch::linear_batch`]): the same
+    /// distance pass and multiply chain, so the same bits, but a lane the
+    /// scratch holds takes no lock and touches no shared counter. The
+    /// lanes are counted under `net.fspl.*` when the scratch is folded.
+    pub fn carrier_tile_scratch(
+        &self,
+        scratch: &mut FsplScratch<'_>,
+        victim: Point,
+        a: &[Point],
+        b: &[Point],
+        rel: &[ChannelRelation],
+        out: &mut [Watts],
+    ) {
+        self.tile(victim, a, b, rel, out, |ds, lin| {
+            scratch.linear_batch(ds, lin)
+        });
+    }
+
+    /// End a chunk's scratch: fold its fresh distances into the memo
+    /// ([`FsplScratch::fold`]) and count its lanes under `net.fspl.hit` /
+    /// `net.fspl.miss` — the totals the per-tile shared path counts.
+    pub fn fold_scratch(&self, scratch: FsplScratch<'_>) {
+        let (hits, misses) = scratch.fold();
+        braidio_telemetry::count_by("net.fspl.hit", hits);
+        braidio_telemetry::count_by("net.fspl.miss", misses);
+    }
+
+    /// The one tile definition behind both tile entry points: distances,
+    /// then `fspl(ds, lin)` fills the linear FSPL gains, then the chain.
+    #[inline]
+    fn tile(
+        &self,
+        victim: Point,
+        a: &[Point],
+        b: &[Point],
+        rel: &[ChannelRelation],
+        out: &mut [Watts],
+        fspl: impl FnOnce(&[Meters], &mut [f64]),
     ) {
         let n = out.len();
         assert!(n <= EDGE_TILE, "tile of {n} exceeds EDGE_TILE");
@@ -200,16 +257,9 @@ impl EdgeKernel {
             ds[i] = nearer_distance(victim, a[i], b[i]);
         }
         let mut lin = [0.0f64; EDGE_TILE];
-        let (hits, misses) = self.fspl.linear_batch(&ds[..n], &mut lin[..n]);
-        braidio_telemetry::count_by("net.fspl.hit", hits);
-        braidio_telemetry::count_by("net.fspl.miss", misses);
+        fspl(&ds[..n], &mut lin[..n]);
         for i in 0..n {
-            out[i] = self
-                .rf
-                .gained_linear(lin[i])
-                .gained_linear(self.rx_antenna_lin)
-                .gained_linear(self.frontend_inv_lin)
-                .gained_linear(self.coupling_lin[rel[i].index()]);
+            out[i] = self.chain(lin[i], rel[i]);
         }
     }
 }
@@ -568,13 +618,14 @@ pub fn options_under_batch(
     // fans out over item chunks on the work pool; chunks merge in index
     // order, which makes the concatenated per-rate γ streams — and hence
     // every downstream surface call — exactly the ones the serial loop
-    // builds.
+    // builds. Its work is one unit per (item, mode, rate) cell.
     let nmodes = Mode::ALL.len();
     let slot = |item: usize, mode: Mode, ri: usize| (item * nmodes + mode as usize) * NRATES + ri;
     let chunk = braidio_pool::default_chunk(items.len());
     let nchunks = items.len().div_ceil(chunk);
+    let work = items.len() * nmodes * NRATES;
     type Pass1 = (Vec<bool>, [Vec<f64>; 3], [Vec<usize>; 3]);
-    let parts: Vec<Pass1> = braidio_pool::par_map_indexed_with_chunk(nchunks, 1, |c| {
+    let parts: Vec<Pass1> = braidio_pool::par_map_sized(nchunks, 1, work, |c| {
         let lo = c * chunk;
         let hi = (lo + chunk).min(items.len());
         let mut avail = vec![false; (hi - lo) * nmodes * NRATES];
@@ -865,8 +916,12 @@ mod tests {
 
     #[test]
     fn edge_tile_matches_scalar_bitwise() {
+        // Both tile entry points: the shared-memo tile and the wave's
+        // chunk-scratch tile (one scratch across the tiles, as in a chunk).
         let ch = ch();
         let kernel = EdgeKernel::new(&ch);
+        let waved = EdgeKernel::new(&ch);
+        let mut scratch = waved.fspl_scratch();
         let victim = Point::new(0.5, 0.5);
         for n in [0, 1, 7, EDGE_TILE] {
             let a: Vec<Point> = (0..n).map(|i| Point::new(i as f64 * 0.7, 1.0)).collect();
@@ -875,16 +930,23 @@ mod tests {
                 .collect();
             let rel: Vec<ChannelRelation> = (0..n).map(|i| ChannelRelation::ALL[i % 3]).collect();
             let mut out = vec![Watts::ZERO; n];
+            let mut from_scratch = vec![Watts::ZERO; n];
             kernel.carrier_tile(victim, &a, &b, &rel, &mut out);
+            waved.carrier_tile_scratch(&mut scratch, victim, &a, &b, &rel, &mut from_scratch);
             for i in 0..n {
                 let scalar = kernel.carrier_from_pair(victim, a[i], b[i], rel[i]);
-                assert_eq!(
-                    out[i].watts().to_bits(),
-                    scalar.watts().to_bits(),
-                    "lane {i} of {n}"
-                );
+                for got in [out[i], from_scratch[i]] {
+                    assert_eq!(
+                        got.watts().to_bits(),
+                        scalar.watts().to_bits(),
+                        "lane {i} of {n}"
+                    );
+                }
             }
         }
+        waved.fold_scratch(scratch);
+        assert_eq!(waved.fspl.len(), kernel.fspl.len());
+        assert_eq!(waved.fspl_misses(), kernel.fspl.len() as u64);
     }
 
     /// Adversarial nearer-endpoint geometry, as `(victim, endpoint pairs)`:

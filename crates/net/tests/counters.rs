@@ -1,8 +1,9 @@
 //! Counters as witnesses of the interference work.
 //!
-//! The FSPL memo counts a miss only for the lookup that inserts its key, so
-//! `net.fspl.*` totals do not depend on which worker got there first; the
-//! cache counts the kernel lanes it actually evaluates. Together that makes
+//! The FSPL memo counts a miss only for the lookup (or chunk-scratch fold)
+//! that inserts its key, so `net.fspl.*` totals do not depend on which
+//! worker got there first; the cache counts the kernel lanes it actually
+//! evaluates. Together that makes
 //! a city-block fleet's `net.fspl.*` and `net.interference.*` counters the
 //! same at any thread count, and the bulk pass's edge tally a direct
 //! witness of how much edge work the shared-receiver grouping saved.
@@ -15,6 +16,7 @@ use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_rfsim::geometry::Point;
 use braidio_telemetry as telemetry;
 use braidio_units::{Seconds, Watts};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -46,8 +48,10 @@ fn value(counters: &[(String, u64)], name: &str) -> u64 {
 
 #[test]
 fn city_block_edge_and_fspl_counters_are_thread_count_invariant() {
+    // 256 pairs: enough edge work (about 41 000 lanes) for the wave to fan
+    // out over the pool rather than run inline below `INLINE_WORK`.
     let sc =
-        FleetScenario::city_block(64, Arbitration::Uncoordinated).with_horizon(Seconds::new(5.0));
+        FleetScenario::city_block(256, Arbitration::Uncoordinated).with_horizon(Seconds::new(5.0));
     let prefixes = ["net.fspl.", "net.interference."];
     let run = |threads| {
         counted(&prefixes, || {
@@ -55,19 +59,46 @@ fn city_block_edge_and_fspl_counters_are_thread_count_invariant() {
         })
     };
     let (serial, at_1) = run(1);
-    let (parallel, at_4) = run(4);
-    assert_eq!(
-        serial.total_bits().to_bits(),
-        parallel.total_bits().to_bits()
-    );
-    assert_eq!(at_1, at_4, "counters moved between 1 and 4 threads");
-    // The bring-up wave evaluated each edge once per receiver: 8 stars of
-    // 4 tags share 8 hubs, 8 meshes bring 32 receivers of their own, and
-    // every hub group walks all 64 live sources (singletons skip
+    for threads in [2, 4] {
+        let (parallel, at_n) = run(threads);
+        assert_eq!(
+            serial.total_bits().to_bits(),
+            parallel.total_bits().to_bits()
+        );
+        assert_eq!(at_1, at_n, "counters moved between 1 and {threads} threads");
+    }
+    // The bring-up wave evaluated each edge once per receiver: 32 stars
+    // of 4 tags share 32 hubs, 32 meshes bring 128 receivers of their
+    // own, and every hub group walks all 256 live sources (singletons skip
     // themselves).
     let wave = value(&at_1, "net.interference.wave_edge_recompute");
-    assert_eq!(wave, 32 * 63 + 8 * 64, "{at_1:?}");
-    assert!(value(&at_1, "net.fspl.miss") > 0, "{at_1:?}");
+    assert_eq!(wave, 128 * 255 + 32 * 256, "{at_1:?}");
+    assert!(wave as usize >= braidio_pool::INLINE_WORK);
+    // Exact FSPL totals, as `scale` pins them on a grid: one lookup per
+    // evaluated lane, and one miss per distinct nearer-endpoint distance
+    // bit pattern, whichever pool chunk's scratch saw it first. A hub's
+    // own tags sit at distance 0 from it, like its other tags.
+    let (hits, misses) = (value(&at_1, "net.fspl.hit"), value(&at_1, "net.fspl.miss"));
+    let ends = |q: usize| {
+        let p = &sc.pairs[q];
+        (sc.devices[p.tx].pos, sc.devices[p.rx].pos)
+    };
+    let n = sc.pairs.len();
+    let mut distinct = HashSet::new();
+    for v in 0..n {
+        let victim = ends(v).1;
+        for q in (0..n).filter(|&q| q != v) {
+            let (a, b) = ends(q);
+            let d = a.distance(victim).min(b.distance(victim));
+            distinct.insert(d.meters().to_bits());
+        }
+    }
+    assert_eq!(misses, distinct.len() as u64, "{at_1:?}");
+    assert_eq!(
+        hits + misses,
+        value(&at_1, "net.interference.edge_recompute"),
+        "{at_1:?}"
+    );
 }
 
 #[test]
@@ -86,9 +117,11 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
             (tag, rx)
         })
         .collect();
+    // Each pool chunk counts its lanes in its own scratch and adds them to
+    // the total when it folds.
     let lanes = AtomicU64::new(0);
-    let tile = |v: usize, qs: &[u32], out: &mut [Watts]| {
-        lanes.fetch_add(qs.len() as u64, Ordering::Relaxed);
+    let tile = |seen: &mut u64, v: usize, qs: &[u32], out: &mut [Watts]| {
+        *seen += qs.len() as u64;
         for (o, &q) in out.iter_mut().zip(qs) {
             let (a, b) = eps[q as usize];
             let d = a.distance(eps[v].1).min(b.distance(eps[v].1)).meters();
@@ -101,7 +134,11 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
         cache.rebuild_all_shared(
             |v| v != 7,
             |v| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits()),
+            || 0u64,
             tile,
+            |seen| {
+                lanes.fetch_add(seen, Ordering::Relaxed);
+            },
         )
     });
     let got = lanes.load(Ordering::Relaxed);

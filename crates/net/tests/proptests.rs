@@ -505,7 +505,13 @@ proptest! {
             single.set_live(q, alive);
             lazy.set_live(q, alive);
         }
-        shared.rebuild_all_shared(|v| keep[v], key, tile);
+        shared.rebuild_all_shared(
+            |v| keep[v],
+            key,
+            || (),
+            |_: &mut (), v, qs: &[u32], out: &mut [Watts]| tile(v, qs, out),
+            |()| {},
+        );
         single.rebuild_all_tiled(|v| keep[v], |q| eps[q], tile);
         // Kept victims come out clean with the brute-force bits; filtered
         // ones stay dirty until their lazy read.

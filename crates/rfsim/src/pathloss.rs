@@ -94,7 +94,9 @@ impl FsplTable {
         }
     }
 
-    fn insert(&mut self, key: u64, val: f64) {
+    /// Store `key → val`; returns whether the key was new (a resident key
+    /// keeps its value).
+    fn insert(&mut self, key: u64, val: f64) -> bool {
         if (self.len + 1) * 2 > self.keys.len() {
             let mut bigger = FsplTable::with_capacity(self.keys.len() * 2);
             for (k, v) in self.keys.iter().zip(&self.vals) {
@@ -105,11 +107,13 @@ impl FsplTable {
             *self = bigger;
         }
         let i = self.slot(key);
-        if self.keys[i] != key {
-            self.keys[i] = key;
-            self.vals[i] = val;
-            self.len += 1;
+        if self.keys[i] == key {
+            return false;
         }
+        self.keys[i] = key;
+        self.vals[i] = val;
+        self.len += 1;
+        true
     }
 }
 
@@ -128,15 +132,20 @@ impl FsplTable {
 /// invalidation — mobility, death and relation changes are all just new or
 /// repeated keys.
 ///
-/// Thread-safe: lookups take a read lock, misses a write lock. A key that
-/// missed under the read lock is looked up again under the write lock, and
-/// if another worker (or an earlier lane of the same tile) inserted it in
-/// the meantime the lookup counts as a hit. So a miss is exactly one
-/// insert (the reserved key aside): `misses() == len()` at any thread
-/// count, and the hit/miss
-/// counters (relaxed atomics, feeding the `net.fspl.{hit,miss}` telemetry
-/// and the bench report) are deterministic totals, not thread-count
-/// dependent ones.
+/// Thread-safe, for the lazy per-pair path: lookups take a read lock,
+/// misses a write lock. A key that missed under the read lock is looked up
+/// again under the write lock, and if another worker (or an earlier lane of
+/// the same tile) inserted it in the meantime the lookup counts as a hit.
+/// So a miss is exactly one insert (the reserved key aside):
+/// `misses() == len()` at any thread count, and the hit/miss counters
+/// (relaxed atomics, feeding the `net.fspl.{hit,miss}` telemetry and the
+/// bench report) are deterministic totals, not thread-count dependent ones.
+///
+/// A parallel sweep does not share the lock per tile: each worker chunk
+/// looks its lanes up in an [`FsplScratch`] of its own, which takes no lock
+/// and touches no atomic on a scratch hit, and folds what it evaluated into
+/// the memo once, when the chunk ends. The fold keeps the same totals: it
+/// counts a miss for each key it inserts.
 pub struct FsplMemo {
     f: Hertz,
     table: RwLock<FsplTable>,
@@ -209,11 +218,11 @@ impl FsplMemo {
     /// Memoized lookup for a whole tile of distances: `out[i]` receives the
     /// linear gain for `ds[i]`. Returns `(hits, misses)` for this call.
     ///
-    /// Identical results to calling [`FsplMemo::linear`] per element; the
-    /// point is one read-lock acquisition per tile instead of one per edge,
-    /// which is where the tiled sweep actually earns its keep. A repeated
-    /// distance within the tile misses once and hits thereafter, exactly as
-    /// per-element calls would count it.
+    /// Identical results to calling [`FsplMemo::linear`] per element, for
+    /// one read-lock acquisition per tile instead of one per edge. A
+    /// repeated distance within the tile misses once and hits thereafter,
+    /// exactly as per-element calls would count it. A sweep fanned out over
+    /// workers goes through an [`FsplScratch`] per chunk instead.
     pub fn linear_batch(&self, ds: &[Meters], out: &mut [f64]) -> (u64, u64) {
         assert_eq!(ds.len(), out.len());
         let mut miss_at = [0usize; 64];
@@ -268,6 +277,17 @@ impl FsplMemo {
         (hits, misses)
     }
 
+    /// An empty chunk-local scratch in front of this memo.
+    pub fn scratch(&self) -> FsplScratch<'_> {
+        FsplScratch {
+            memo: self,
+            table: FsplTable::with_capacity(SCRATCH_INITIAL_CAP),
+            fresh: Vec::new(),
+            lanes: 0,
+            reserved: 0,
+        }
+    }
+
     /// Total lookup hits since construction.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -297,6 +317,138 @@ impl core::fmt::Debug for FsplMemo {
             .field("hits", &self.hits())
             .field("misses", &self.misses())
             .finish()
+    }
+}
+
+/// Lanes an [`FsplScratch`] resolves per block: one edge tile.
+const SCRATCH_BLOCK: usize = 64;
+
+/// Initial [`FsplScratch`] table capacity (slots). Small, because a
+/// scratch lives for one pool chunk and a small wave's chunk sees a few
+/// dozen distances: starting at the memo's 1 024 slots, the
+/// `experiments fleet` grid's planning-wave p50 at one thread read 19 µs
+/// against the shared path's 9 µs (at 64 slots, 10 µs against 8 µs).
+const SCRATCH_INITIAL_CAP: usize = 64;
+
+/// A worker chunk's own exact FSPL table in front of a shared [`FsplMemo`],
+/// so that a parallel sweep's lookups neither take the memo's lock nor
+/// touch its counters lane by lane.
+///
+/// [`linear_batch`](Self::linear_batch) looks each lane up in the scratch
+/// first; a scratch hit takes no lock and makes no atomic read-modify-write
+/// on shared state. The lanes the scratch lacks are resolved against the
+/// memo under one read lock per block, and copied into the scratch. A key
+/// the memo lacks as well gets the canonical
+/// `free_space_gain(d, f).linear()` evaluation and is recorded as *fresh*.
+/// So every lane gets the bits [`FsplMemo::linear`] would return.
+///
+/// [`fold`](Self::fold) ends the scratch: it inserts the fresh keys into
+/// the memo under one write lock, counts a miss for each key the fold
+/// inserts (another chunk may have folded the same key first) and a hit for
+/// every other lane. Every key the memo ever holds is then inserted, and
+/// counted as a miss, exactly once, whichever chunk folds first, so the
+/// memo's contents and hit/miss totals are the ones the per-tile shared
+/// path produces, at any thread count. The reserved key
+/// (`FSPL_EMPTY_KEY`) is a miss on every lane and is never stored, as on
+/// the shared path.
+#[must_use = "a scratch's lookups reach the memo and its counters only through `fold`"]
+pub struct FsplScratch<'a> {
+    memo: &'a FsplMemo,
+    /// Every key this scratch resolved, from the memo or fresh.
+    table: FsplTable,
+    /// The keys the memo lacked when this scratch evaluated them, each
+    /// once.
+    fresh: Vec<(u64, f64)>,
+    /// Lanes looked up so far.
+    lanes: u64,
+    /// Lanes that carried the reserved key.
+    reserved: u64,
+}
+
+impl FsplScratch<'_> {
+    /// `out[i]` receives `free_space_gain(ds[i], f).linear()`, resolved as
+    /// the type documentation says.
+    pub fn linear_batch(&mut self, ds: &[Meters], out: &mut [f64]) {
+        assert_eq!(ds.len(), out.len());
+        for (ds, out) in ds.chunks(SCRATCH_BLOCK).zip(out.chunks_mut(SCRATCH_BLOCK)) {
+            self.block(ds, out);
+        }
+    }
+
+    /// One block of at most `SCRATCH_BLOCK` lanes.
+    fn block(&mut self, ds: &[Meters], out: &mut [f64]) {
+        self.lanes += ds.len() as u64;
+        let mut miss_at = [0usize; SCRATCH_BLOCK];
+        let mut nmiss = 0;
+        for (i, d) in ds.iter().enumerate() {
+            let key = d.meters().to_bits();
+            if key == FSPL_EMPTY_KEY {
+                self.reserved += 1;
+                out[i] = free_space_gain(*d, self.memo.f).linear();
+                continue;
+            }
+            match self.table.get(key) {
+                Some(v) => out[i] = v,
+                None => {
+                    miss_at[nmiss] = i;
+                    nmiss += 1;
+                }
+            }
+        }
+        if nmiss == 0 {
+            return;
+        }
+        // One read lock for the block's scratch misses; the lanes the memo
+        // lacks too stay in `miss_at[..nfresh]`.
+        let mut nfresh = 0;
+        {
+            let shared = self.memo.table.read().expect("fspl memo poisoned");
+            for m in 0..nmiss {
+                let i = miss_at[m];
+                let key = ds[i].meters().to_bits();
+                match shared.get(key) {
+                    Some(v) => {
+                        out[i] = v;
+                        self.table.insert(key, v);
+                    }
+                    None => {
+                        miss_at[nfresh] = i;
+                        nfresh += 1;
+                    }
+                }
+            }
+        }
+        for &i in &miss_at[..nfresh] {
+            let key = ds[i].meters().to_bits();
+            // An earlier lane of this block may have evaluated the key.
+            out[i] = match self.table.get(key) {
+                Some(v) => v,
+                None => {
+                    let v = free_space_gain(ds[i], self.memo.f).linear();
+                    self.table.insert(key, v);
+                    self.fresh.push((key, v));
+                    v
+                }
+            };
+        }
+    }
+
+    /// Fold the fresh keys into the memo and add this scratch's lanes to
+    /// its counters; returns this scratch's `(hits, misses)`.
+    pub fn fold(self) -> (u64, u64) {
+        let mut misses = self.reserved;
+        if !self.fresh.is_empty() {
+            let mut shared = self.memo.table.write().expect("fspl memo poisoned");
+            for &(key, v) in &self.fresh {
+                if shared.insert(key, v) {
+                    misses += 1;
+                }
+            }
+        }
+        let hits = self.lanes - misses;
+        self.memo.hits.fetch_add(hits, Ordering::Relaxed);
+        self.memo.misses.fetch_add(misses, Ordering::Relaxed);
+        (hits, misses)
     }
 }
 
@@ -585,6 +737,109 @@ mod tests {
         assert_eq!(shared.misses(), shared.len() as u64);
         assert_eq!(shared.hits(), serial.hits());
         assert_eq!(shared.misses(), serial.misses());
+    }
+
+    /// Every lane of `ds` through one scratch of `memo`, in calls of
+    /// `step` lanes, each lane checked against [`FsplMemo::linear`] on a
+    /// memo of its own; the scratch is returned unfolded.
+    fn through_scratch<'a>(memo: &'a FsplMemo, ds: &[Meters], step: usize) -> FsplScratch<'a> {
+        let oracle = FsplMemo::new(F);
+        let mut scratch = memo.scratch();
+        for d in ds.chunks(step) {
+            let mut out = vec![0.0; d.len()];
+            scratch.linear_batch(d, &mut out);
+            for (d, got) in d.iter().zip(&out) {
+                assert_eq!(got.to_bits(), oracle.linear(*d).to_bits(), "{d:?}");
+            }
+        }
+        scratch
+    }
+
+    #[test]
+    fn fspl_scratch_lanes_match_memo_linear_bitwise() {
+        // 300 lanes over 41 distances (zero and sub-floor ones included),
+        // in calls that cross the 64-lane blocks, on a memo that already
+        // holds ten of them: lanes come from the scratch, from the memo
+        // and from fresh evaluations, and each is the memo's bits.
+        let ds: Vec<Meters> = (0..300)
+            .map(|i| Meters::new(0.02 * (i % 41) as f64))
+            .collect();
+        for step in [1, 7, 64, 100] {
+            let memo = FsplMemo::new(F);
+            for d in &ds[..10] {
+                memo.linear(*d);
+            }
+            let scratch = through_scratch(&memo, &ds, step);
+            // Nothing reaches the memo before the fold.
+            assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 10, 10));
+            // The 31 keys the memo lacked are its only new misses.
+            assert_eq!(scratch.fold(), (300 - 31, 31), "step {step}");
+            assert_eq!((memo.hits(), memo.misses(), memo.len()), (269, 41, 41));
+        }
+    }
+
+    #[test]
+    fn folding_two_scratches_in_either_order_gives_the_same_memo() {
+        // Two chunks whose key sets overlap, both looked up before either
+        // folds, so each holds the shared keys as fresh. Either fold order
+        // leaves the memo holding the union, one miss per key, and the
+        // totals the shared per-tile path counts for the same lanes.
+        let a: Vec<Meters> = (0..150)
+            .map(|i| Meters::new(0.25 * (i % 37) as f64))
+            .collect();
+        let b: Vec<Meters> = (0..150)
+            .map(|i| Meters::new(0.25 * (20 + i % 29) as f64))
+            .collect();
+        let fold_in = |first: &[Meters], second: &[Meters]| {
+            let memo = FsplMemo::new(F);
+            let (x, y) = (
+                through_scratch(&memo, first, 64),
+                through_scratch(&memo, second, 64),
+            );
+            let (hx, mx) = x.fold();
+            let (hy, my) = y.fold();
+            assert_eq!((hx + hy, mx + my), (memo.hits(), memo.misses()));
+            (memo.len(), memo.hits(), memo.misses())
+        };
+        let ab = fold_in(&a, &b);
+        assert_eq!(ab, fold_in(&b, &a));
+        let shared = FsplMemo::new(F);
+        for ds in [&a, &b] {
+            let mut out = vec![0.0; ds.len()];
+            shared.linear_batch(ds, &mut out);
+        }
+        // 0.25·(0..37) ∪ 0.25·(20..49): 49 distinct distances.
+        assert_eq!(ab, (49, shared.hits(), shared.misses()));
+        assert_eq!(ab.0, 49);
+    }
+
+    #[test]
+    fn fspl_scratch_reserved_key_misses_every_lane_and_is_never_stored() {
+        let reserved = Meters::new(f64::from_bits(FSPL_EMPTY_KEY));
+        let ds = [
+            reserved,
+            Meters::new(1.0),
+            reserved,
+            Meters::new(1.0),
+            reserved,
+        ];
+        let want = free_space_gain(reserved, F).linear().to_bits();
+        let memo = FsplMemo::new(F);
+        let mut scratch = memo.scratch();
+        let mut out = [0.0; 5];
+        scratch.linear_batch(&ds, &mut out);
+        for i in [0, 2, 4] {
+            assert_eq!(out[i].to_bits(), want, "lane {i}");
+        }
+        assert_eq!(scratch.table.len, 1, "the reserved key is never stored");
+        // Three reserved lanes and the one insert of 1 m miss.
+        assert_eq!(scratch.fold(), (1, 4));
+        assert_eq!(memo.len(), 1);
+        // The shared path counts the same lanes the same way.
+        let shared = FsplMemo::new(F);
+        let mut out = [0.0; 5];
+        assert_eq!(shared.linear_batch(&ds, &mut out), (1, 4));
+        assert_eq!(shared.len(), 1);
     }
 
     #[test]

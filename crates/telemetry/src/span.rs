@@ -25,12 +25,13 @@ use std::time::Instant;
 /// the first span (or explicit epoch touch) of the process.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Deepest span nesting a record can represent. The engine's known chain is
-/// `pool.chunk > net.replan > net.wave` (depth 3); one spare level keeps
-/// the array fixed-size (records stay `Copy`, recording never allocates)
-/// without silently flattening a future hop. Deeper frames are dropped
-/// from the *root* end, keeping the leaf-ward names that matter for
-/// self-time attribution.
+/// Deepest span nesting a record can represent. The engine's deepest known
+/// chain is `pool.chunk > net.replan > net.wave > net.wave.edges` (depth
+/// 4, a wave stage under a scenario's pool chunk); the array is
+/// fixed-size so records stay `Copy` and recording never allocates. Deeper
+/// frames (a bench harness span above all four) are dropped from the
+/// *root* end, keeping the leaf-ward names that matter for self-time
+/// attribution.
 pub const MAX_SPAN_DEPTH: usize = 4;
 
 fn epoch() -> Instant {

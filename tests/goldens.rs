@@ -18,6 +18,11 @@
 //!   and a sum cached from before the move changes its plans. (In
 //!   `mobile-4` and `mobile-80` a stale sum never crosses a mode
 //!   threshold, so their output does not move.)
+//! * `sparse-16-channel-plan`: a two-channel plan on a grid sparse enough
+//!   that co-channel and adjacent-channel carriers plan differently, so a
+//!   slip in the channel relation moves the output. (On the 3 m
+//!   `grid-*-channel-plan` grids every carrier strips the detector modes,
+//!   and their lines equal the uncoordinated ones.)
 //! * `quanta-4`: small-battery transmitters braid backscatter in
 //!   one-packet quanta, so the amortized Table 5 charge for entering
 //!   backscatter, the largest switching cost, is a visible share of the
@@ -67,6 +72,23 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
             ));
         }
     }
+    // On the 3 m grids every foreign carrier strips the detector modes
+    // whatever its channel, so their channel-plan lines equal the
+    // uncoordinated ones. At 4 m a co-channel carrier (10 dB weaker than an
+    // adjacent one) leaves some modes up, so this grid's output differs from
+    // both the uncoordinated 4 m grid and an interference-free one.
+    out.push((
+        "sparse-16-channel-plan".into(),
+        FleetScenario::grid_pairs(
+            16,
+            Meters::new(0.5),
+            Meters::new(4.0),
+            1.0,
+            1.0,
+            Arbitration::ChannelPlan { channels: 2 },
+        )
+        .with_horizon(Seconds::new(15.0)),
+    ));
     // Stars: TDMA coasts, uncoordinated kills sessions (the death path:
     // wave re-dirtying, quantum aborts).
     for arb in [TDMA, Arbitration::Uncoordinated] {

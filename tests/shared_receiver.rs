@@ -2,10 +2,11 @@
 //!
 //! Victims that listen at the same point under the same channel-plan row
 //! share each interference edge evaluation in the bring-up wave. Through
-//! the real edge kernel, every grouped sum must equal the lazy per-victim
-//! sum and the brute-force rescan over the two-`hypot` scalar kernel, bit
-//! for bit. The property-based version of this check lives in
-//! `braidio-net`'s proptests.
+//! the real edge kernel (the wave's chunk-scratch tiles for the grouped
+//! sums, the shared-memo tiles for the lazy ones), every grouped sum must
+//! equal the lazy per-victim sum and the brute-force rescan over the
+//! two-`hypot` scalar kernel, bit for bit. The property-based version of
+//! this check lives in `braidio-net`'s proptests.
 
 use braidio::mac::coexistence::ChannelRelation;
 use braidio::net::cache::{PairGainCache, GROUP_CAP};
@@ -13,6 +14,7 @@ use braidio::net::interference::EdgeKernel;
 use braidio::net::Arbitration;
 use braidio::radio::characterization::Characterization;
 use braidio::rfsim::geometry::Point;
+use braidio::rfsim::pathloss::FsplScratch;
 use braidio::units::Watts;
 
 #[test]
@@ -39,11 +41,20 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
     let mut live = vec![true; n];
     live[4] = false;
     live[11] = false;
-    let tile = |v: usize, qs: &[u32], out: &mut [Watts]| {
+    let gather = |v: usize, qs: &[u32]| {
         let a: Vec<Point> = qs.iter().map(|&q| eps[q as usize].0).collect();
         let b: Vec<Point> = qs.iter().map(|&q| eps[q as usize].1).collect();
         let rel: Vec<ChannelRelation> = qs.iter().map(|&q| arb.relation(v, q as usize)).collect();
+        (a, b, rel)
+    };
+    let tile = |v: usize, qs: &[u32], out: &mut [Watts]| {
+        let (a, b, rel) = gather(v, qs);
         kernel.carrier_tile(eps[v].1, &a, &b, &rel, out);
+    };
+    // The wave's form: FSPL through each pool chunk's own scratch.
+    let wave_tile = |s: &mut FsplScratch, v: usize, qs: &[u32], out: &mut [Watts]| {
+        let (a, b, rel) = gather(v, qs);
+        kernel.carrier_tile_scratch(s, eps[v].1, &a, &b, &rel, out);
     };
     let key = |v: usize| {
         (
@@ -58,7 +69,13 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
         shared.set_live(q, alive);
         lazy.set_live(q, alive);
     }
-    shared.rebuild_all_shared(|_| true, key, tile);
+    shared.rebuild_all_shared(
+        |_| true,
+        key,
+        || kernel.fspl_scratch(),
+        wave_tile,
+        |s| kernel.fold_scratch(s),
+    );
     assert_eq!(shared.ndirty(), 0);
     for v in 0..n {
         let mut brute = Watts::new(0.0);
