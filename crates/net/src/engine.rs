@@ -35,8 +35,8 @@
 //!
 //! # Batched planning waves
 //!
-//! Bring-up — the first `install_plan` of a run, when every pair is about
-//! to read its interference sum and its options — is executed as one
+//! Bring-up — the first options lookup of a run, when every pair is
+//! about to read its interference sum and its options — is executed as one
 //! batched sweep (`Fleet::wave_sweep`): first the [`PairGainCache`]
 //! bulk-rebuilds every stale interference sum over the flat arrays in
 //! pair-index order, then the wave's quantized [`OptionsMemo`] keys are
@@ -103,13 +103,13 @@ use crate::discovery::DiscoveryConfig;
 use crate::interference::{EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE};
 use crate::kernel::EventQueue;
 use crate::lifecycle::{self, LifecyclePolicy, LinkPhase, PhaseEvent, PHASE_COUNT};
+use crate::memo::ProbeMemo;
 use crate::metrics::{ChurnReport, FleetReport};
 use crate::scenario::FleetScenario;
 use braidio_mac::coexistence::ChannelRelation;
 use braidio_mac::fsm::{Event as FsmEvent, OffloadFsm, State as FsmState};
 use braidio_mac::mobility::MobilityTrace;
-use braidio_mac::offload::{solve_memo, OffloadPlan};
-use braidio_mac::probe::LinkProber;
+use braidio_mac::offload::{solve_memo, OffloadPlan, OptionSet};
 use braidio_mac::sim::per_bit_costs;
 use braidio_pool as pool;
 use braidio_radio::characterization::Rate;
@@ -320,7 +320,7 @@ struct Devices {
 }
 
 /// Per-pair runtime state in flat parallel arrays indexed by pair id. The
-/// scenario-derived columns (`tx`, `rx`, `pin`, `mobile`) are copied in at
+/// scenario-derived columns (`tx`, `rx`, `pin`, `sep`) are copied in at
 /// construction so the planning-wave sweep never strides through
 /// `FleetScenario::pairs` structs.
 #[derive(Debug)]
@@ -328,7 +328,7 @@ struct Pairs {
     tx: Vec<usize>,
     rx: Vec<usize>,
     pin: Vec<Option<Mode>>,
-    mobile: Vec<bool>,
+    sep: Vec<Separation>,
     fsm: Vec<OffloadFsm>,
     /// The installed plan, compiled (`None` before the first install).
     recipe: Vec<Option<QuantumRecipe>>,
@@ -338,8 +338,6 @@ struct Pairs {
     /// discriminants follow `Mode::ALL` order).
     mode_bits: Vec<[f64; 3]>,
     dead_at: Vec<Option<Seconds>>,
-    /// Unit vector tx→rx for mobility displacement.
-    dir: Vec<Point>,
     /// Primary (largest-fraction) mode of the last installed plan, for
     /// telemetry `ModeSwitch` edges.
     last_mode: Vec<Option<Mode>>,
@@ -369,9 +367,29 @@ struct Pairs {
     roam_leg2: Vec<bool>,
 }
 
+/// How a pair finds its separation.
+#[derive(Debug, Clone, Copy)]
+enum Separation {
+    /// Neither endpoint ever moves: the separation, computed once at
+    /// construction.
+    Fixed(Meters),
+    /// The pair stays put but shares a device with a walking pair's
+    /// receiver: measured at event time.
+    Measured,
+    /// The pair walks: its receiver is displaced along the scenario's
+    /// tx→rx axis.
+    Walks,
+}
+
 impl Pairs {
     fn len(&self) -> usize {
         self.tx.len()
+    }
+
+    /// Does pair `q` walk? Walking pairs refresh their geometry at event
+    /// time, so the bring-up wave leaves them to the per-pair path.
+    fn walks(&self, q: usize) -> bool {
+        matches!(self.sep[q], Separation::Walks)
     }
 
     /// Is pair `q` on the air? The engine's one liveness predicate: the
@@ -543,6 +561,8 @@ struct Fleet<'a> {
     /// Quantize-and-memoized `options_under` (per-engine, so a run stays a
     /// pure function of its scenario).
     options: OptionsMemo,
+    /// The probe round's cost by separation, shared by every pair.
+    probes: ProbeMemo,
     /// The bring-up planning wave has not run yet.
     wave_cold: bool,
     /// The transcendental-starved interference edge kernel: cached
@@ -602,14 +622,13 @@ impl<'a> Fleet<'a> {
             tx: Vec::with_capacity(n),
             rx: Vec::with_capacity(n),
             pin: Vec::with_capacity(n),
-            mobile: Vec::with_capacity(n),
+            sep: Vec::with_capacity(n),
             fsm: Vec::with_capacity(n),
             recipe: vec![None; n],
             pending: vec![None; n],
             bits: vec![0.0; n],
             mode_bits: vec![[0.0; 3]; n],
             dead_at: vec![None; n],
-            dir: Vec::with_capacity(n),
             last_mode: vec![None; n],
             phase: vec![born; n],
             phase_since: Vec::with_capacity(n),
@@ -621,18 +640,24 @@ impl<'a> Fleet<'a> {
             roam_leg2: Vec::with_capacity(n),
         };
         let mut tag_seen = vec![false; n_dev];
+        // A walk displaces its pair's receiver, so a pair touching that
+        // device moves with it.
+        let mut moves = vec![false; n_dev];
+        for p in sc.pairs.iter().filter(|p| p.walk.is_some()) {
+            moves[p.rx] = true;
+        }
         for p in &sc.pairs {
             pairs.tx.push(p.tx);
             pairs.rx.push(p.rx);
             pairs.pin.push(p.pinned_mode);
-            pairs.mobile.push(p.walk.is_some());
+            pairs.sep.push(if p.walk.is_some() {
+                Separation::Walks
+            } else if moves[p.tx] || moves[p.rx] {
+                Separation::Measured
+            } else {
+                Separation::Fixed(devices.pos[p.tx].distance(devices.pos[p.rx]))
+            });
             pairs.fsm.push(OffloadFsm::new());
-            pairs.dir.push(
-                sc.devices[p.tx]
-                    .pos
-                    .direction_to(sc.devices[p.rx].pos)
-                    .unwrap_or(Point::new(1.0, 0.0)),
-            );
             // Phase accounting starts at the session's arrival (t = 0 for
             // closed pairs, which are born Live).
             pairs.phase_since.push(p.arrival.unwrap_or(Seconds::ZERO));
@@ -656,6 +681,7 @@ impl<'a> Fleet<'a> {
             replans: 0,
             gains,
             options: OptionsMemo::new(),
+            probes: ProbeMemo::new(),
             wave_cold: true,
             edges: EdgeKernel::new(&sc.ch),
             policy,
@@ -1019,7 +1045,8 @@ impl<'a> Fleet<'a> {
     }
 
     fn on_probes_done(&mut self, p: usize, now: Seconds) {
-        if !self.install_plan(p, now) {
+        let opts = self.plan_options(p, now);
+        if !self.install_plan(p, &opts, now) {
             return;
         }
         self.schedule_quantum(p, now);
@@ -1048,12 +1075,24 @@ impl<'a> Fleet<'a> {
         // Re-plan probes are charged but modelled as instantaneous: the
         // braid's quantum in flight keeps the link busy while the control
         // exchange piggybacks (the bring-up probe round does take airtime).
-        if self.charge_probe_round(p, now).is_none() {
+        let probed = {
+            let _span = telemetry::span("net.replan.probe");
+            self.charge_probe_round(p, now)
+        };
+        if probed.is_none() {
             return;
         }
+        let opts = {
+            let _span = telemetry::span("net.replan.options");
+            self.plan_options(p, now)
+        };
         // No viable mode any more: `install_plan` already killed or
         // quiesced the session and aborted its quantum in flight.
-        if !self.install_plan(p, now) {
+        let installed = {
+            let _span = telemetry::span("net.replan.plan");
+            self.install_plan(p, &opts, now)
+        };
+        if !installed {
             return;
         }
         self.pairs.replan_queued[p] = true;
@@ -1202,24 +1241,26 @@ impl<'a> Fleet<'a> {
 
     /// Charge one probe round (all modes, both sides) if control overhead
     /// is on. Returns the probe airtime, or `None` when it killed the pair.
+    /// The cost comes from the probe memo, read after `pair_distance` has
+    /// moved a walking receiver.
     fn charge_probe_round(&mut self, p: usize, now: Seconds) -> Option<Seconds> {
         if !self.sc.control_overhead {
             return Some(Seconds::ZERO);
         }
         let d = self.pair_distance(p, now);
-        let report = LinkProber::ideal().probe(&self.sc.ch, d);
+        let cost = self.probes.cost(&self.sc.ch, d);
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
-        self.charge(tx, report.energy_initiator, now);
-        self.charge(rx, report.energy_responder, now);
+        self.charge(tx, cost.energy_initiator, now);
+        self.charge(rx, cost.energy_responder, now);
         if self.devices.battery[tx].is_dead() || self.devices.battery[rx].is_dead() {
             self.kill(p, now, telemetry::DeathReason::BatteryDead);
             return None;
         }
-        Some(report.airtime)
+        Some(cost.airtime)
     }
 
     /// The bring-up planning wave: a batched sweep that runs once per run,
-    /// at the head of the first `install_plan`, when every pair is about to
+    /// at the head of the first `plan_options`, when every pair is about to
     /// read its sum and its options.
     ///
     /// Three stages, all over the flat arrays in pair-index order:
@@ -1255,13 +1296,7 @@ impl<'a> Fleet<'a> {
         let sc = self.sc;
         let pos = &self.devices.pos;
         let pairs = &self.pairs;
-        let Pairs {
-            tx,
-            rx,
-            pin,
-            mobile,
-            ..
-        } = pairs;
+        let Pairs { tx, rx, pin, .. } = pairs;
         if overlap {
             let _span = telemetry::span("net.wave.edges");
             // Gather the wave's frozen endpoint geometry into flat arrays
@@ -1276,7 +1311,7 @@ impl<'a> Fleet<'a> {
             // folds it into the shared memo when it ends.
             let edges = &self.edges;
             self.gains.rebuild_all_shared(
-                |v| !mobile[v] && pairs.on_air(v),
+                |v| !pairs.walks(v) && pairs.on_air(v),
                 |v| receiver_key(pb[v], sc.arbitration, v),
                 || edges.fspl_scratch(),
                 wave_edge_tile(edges, sc.arbitration, ends),
@@ -1291,7 +1326,7 @@ impl<'a> Fleet<'a> {
         let n = tx.len();
         let keys_span = telemetry::span("net.wave.keys");
         let keys = pool::par_map_sized(n, pool::default_chunk(n), n, |p| -> Option<OptionsKey> {
-            if !pairs.on_air(p) || mobile[p] {
+            if !pairs.on_air(p) || pairs.walks(p) {
                 return None;
             }
             let interference = if overlap {
@@ -1312,9 +1347,10 @@ impl<'a> Fleet<'a> {
         self.options.prefetch(&self.sc.ch, &keys);
     }
 
-    /// Probe outcome → plan installation. Returns `false` when the pair
-    /// found no viable mode, and the policy quiesced or ended it.
-    fn install_plan(&mut self, p: usize, now: Seconds) -> bool {
+    /// The options pair `p` plans over now: its separation and
+    /// interference sum through the options memo (the bring-up wave runs
+    /// first, at the head of the run's first plan).
+    fn plan_options(&mut self, p: usize, now: Seconds) -> OptionSet {
         self.wave_sweep();
         let d = self.pair_distance(p, now);
         let interference = self.interference_for(p);
@@ -1322,7 +1358,12 @@ impl<'a> Fleet<'a> {
         // evaluated), and the result is memoized on the quantized
         // (distance, interference, pin) key.
         let pin = self.pairs.pin[p];
-        let opts = self.options.get(&self.sc.ch, d, interference, pin);
+        self.options.get(&self.sc.ch, d, interference, pin)
+    }
+
+    /// Probe outcome → plan installation. Returns `false` when the pair
+    /// found no viable mode, and the policy quiesced or ended it.
+    fn install_plan(&mut self, p: usize, opts: &OptionSet, now: Seconds) -> bool {
         if opts.is_empty() {
             if telemetry::enabled() {
                 telemetry::emit(telemetry::Event::Replan {
@@ -1340,7 +1381,7 @@ impl<'a> Fleet<'a> {
         }
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
         let plan = solve_memo(
-            &opts,
+            opts,
             self.devices.battery[tx].remaining(),
             self.devices.battery[rx].remaining(),
         )
@@ -1523,12 +1564,16 @@ impl<'a> Fleet<'a> {
     /// the pair's axis (positions refresh lazily, at probe/re-plan times).
     fn pair_distance(&mut self, p: usize, now: Seconds) -> Meters {
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
-        match self.sc.pairs[p].walk {
-            None => self.devices.pos[tx].distance(self.devices.pos[rx]),
-            Some(walk) => {
-                let mut w = walk;
+        match self.pairs.sep[p] {
+            Separation::Fixed(d) => d,
+            Separation::Measured => self.devices.pos[tx].distance(self.devices.pos[rx]),
+            Separation::Walks => {
+                let spec = &self.sc.pairs[p];
+                let mut w = spec.walk.expect("a walking pair has a walk");
                 let d = w.distance_at(now);
-                let dir = self.pairs.dir[p];
+                // The axis of the scenario's own (never moved) positions.
+                let (a, b) = (self.sc.devices[spec.tx].pos, self.sc.devices[spec.rx].pos);
+                let dir = a.direction_to(b).unwrap_or(Point::new(1.0, 0.0));
                 self.devices.pos[rx] = self.devices.pos[tx].offset_along(dir, d);
                 // The pair moved: its cached interference edges (as victim
                 // and as source) are stale for everyone.
@@ -1790,6 +1835,57 @@ mod tests {
             "walking out must cost bits: {} vs {}",
             r.total_bits(),
             st.total_bits()
+        );
+    }
+
+    #[test]
+    fn a_pair_sharing_a_walking_receiver_measures_its_separation() {
+        use braidio_mac::mobility::LinearWalk;
+        // Pair 0 walks its receiver (device 1) out; pair 1 transmits from
+        // that device to a fixed one; pair 2 touches neither.
+        let at = |x: f64, y: f64| DeviceSpec {
+            pos: Point::new(x, y),
+            battery: Joules::from_watt_hours(1.0),
+        };
+        let devices = vec![
+            at(0.0, 0.0),
+            at(0.0, 0.5),
+            at(0.7, 0.9),
+            at(9.0, 0.0),
+            at(9.0, 0.5),
+        ];
+        let mut pairs = vec![
+            PairSpec::braided(0, 1),
+            PairSpec::braided(1, 2),
+            PairSpec::braided(3, 4),
+        ];
+        pairs[0].walk = Some(LinearWalk {
+            start: Meters::new(0.5),
+            end: Meters::new(3.0),
+            duration: Seconds::new(60.0),
+        });
+        let sc = FleetScenario::new(devices, pairs, Arbitration::Uncoordinated);
+        let mut fleet = Fleet::new(&sc);
+        assert!(matches!(fleet.pairs.sep[0], Separation::Walks));
+        assert!(matches!(fleet.pairs.sep[1], Separation::Measured));
+        assert!(matches!(fleet.pairs.sep[2], Separation::Fixed(_)));
+        let hypot = |f: &Fleet, p: usize| {
+            let (tx, rx) = (f.pairs.tx[p], f.pairs.rx[p]);
+            f.devices.pos[tx].distance(f.devices.pos[rx])
+        };
+        let before = fleet.pair_distance(1, Seconds::ZERO);
+        fleet.pair_distance(0, Seconds::new(30.0));
+        let after = fleet.pair_distance(1, Seconds::new(30.0));
+        // The walk moved the shared device, and pair 1 saw it.
+        assert_ne!(before.meters().to_bits(), after.meters().to_bits());
+        assert_eq!(
+            after.meters().to_bits(),
+            hypot(&fleet, 1).meters().to_bits()
+        );
+        let fixed = fleet.pair_distance(2, Seconds::new(30.0));
+        assert_eq!(
+            fixed.meters().to_bits(),
+            hypot(&fleet, 2).meters().to_bits()
         );
     }
 

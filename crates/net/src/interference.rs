@@ -14,6 +14,7 @@
 //! receiver, so a foreign carrier on another channel is rejected by its
 //! IF filtering — the same simplification `mac::coexistence` makes.
 
+use crate::memo::{insert_capped, KeyMap};
 use braidio_mac::coexistence::ChannelRelation;
 use braidio_mac::offload::{LinkOption, OptionSet};
 use braidio_phy::ber::ber_ook_noncoherent_fast;
@@ -318,16 +319,16 @@ fn two_hypot_nearer(victim: Point, a: Point, b: Point) -> Meters {
     }
 }
 
-/// Victim SNR (linear) for a detector-based mode with `interference` folded
-/// into the noise floor.
+/// Victim SNR (linear) for a detector-based mode receiving `rx` (its
+/// [`Characterization::received_power`] at the pair's separation) with
+/// `interference` folded into the noise floor.
 fn victim_gamma(
     ch: &Characterization,
     mode: Mode,
     rate: Rate,
-    d: Meters,
+    rx: Watts,
     interference: Watts,
 ) -> f64 {
-    let rx = ch.received_power(mode, d);
     let noise = ch.detector_noise(mode, rate).expect("detector-based mode") + interference;
     rx / noise
 }
@@ -352,23 +353,11 @@ pub fn available_under(
             if interference.watts() <= 0.0 {
                 return ch.available(mode, rate, d);
             }
-            ber_ook_noncoherent_fast(victim_gamma(ch, mode, rate, d, interference))
+            let rx = ch.received_power(mode, d);
+            ber_ook_noncoherent_fast(victim_gamma(ch, mode, rate, rx, interference))
                 <= OPERATIONAL_BER
         }
     }
-}
-
-/// The fastest operational rate of a mode under interference, if any.
-pub fn max_rate_under(
-    ch: &Characterization,
-    mode: Mode,
-    d: Meters,
-    interference: Watts,
-) -> Option<Rate> {
-    Rate::ALL
-        .into_iter()
-        .rev()
-        .find(|&r| available_under(ch, mode, r, d, interference))
 }
 
 /// The operating options a pair can plan over at separation `d` with a
@@ -391,24 +380,151 @@ pub fn options_under_pinned(
     interference: Watts,
     pin: Option<Mode>,
 ) -> OptionSet {
-    let mut opts = OptionSet::EMPTY;
-    for mode in Mode::ALL {
-        if pin.is_some_and(|p| p != mode) {
-            continue;
-        }
-        if let Some(rate) = max_rate_under(ch, mode, d, interference) {
-            let (tx_cost, rx_cost) = ch
-                .energy_per_bit(mode, rate)
-                .expect("rate came from the table");
-            opts.push(LinkOption {
-                mode,
-                rate,
-                tx_cost,
-                rx_cost,
-            });
-        }
+    Choice::search(pin, |mode, ri| {
+        available_under(ch, mode, Rate::ALL[ri], d, interference)
+    })
+    .options(ch)
+}
+
+/// The option `mode` offers at `rate`, costed from the table.
+fn link_option(ch: &Characterization, mode: Mode, rate: Rate) -> LinkOption {
+    let (tx_cost, rx_cost) = ch
+        .energy_per_bit(mode, rate)
+        .expect("rate came from the table");
+    LinkOption {
+        mode,
+        rate,
+        tx_cost,
+        rx_cost,
     }
-    opts
+}
+
+const NRATES: usize = Rate::ALL.len();
+
+/// Bit of (`mode`, `Rate::ALL[ri]`) in [`DistanceHalf::quiet`].
+fn cell(mode: Mode, ri: usize) -> u16 {
+    1 << (mode as usize * NRATES + ri)
+}
+
+/// The distance half of an options evaluation: every input to
+/// [`options_under_pinned`]'s availability decisions that depends on the
+/// separation and the pin but not on the interference. With it, an
+/// interfered detector cell costs one division and one
+/// [`ber_ook_noncoherent_fast`], and every other cell is a bit test.
+/// [`OptionsMemo`] memoizes it by `(qd, qpin)`; [`options_under_batch`]
+/// builds one per item. Both build it with [`DistanceHalf::new`].
+#[derive(Debug, Clone, Copy)]
+struct DistanceHalf {
+    /// [`cell`] bits of the (mode, rate) cells that are characterized, not
+    /// pinned out, and operational with no foreign carrier: the answer for
+    /// Active at any interference (its receiver rejects the carrier) and
+    /// for the detector modes at zero interference.
+    quiet: u16,
+    /// Each detector mode's received power at the separation, indexed by
+    /// `Mode as usize` (zero for Active and for pinned-out modes).
+    rx: [Watts; 3],
+}
+
+impl DistanceHalf {
+    fn new(ch: &Characterization, d: Meters, pin: Option<Mode>) -> Self {
+        let mut half = DistanceHalf {
+            quiet: 0,
+            rx: [Watts::ZERO; 3],
+        };
+        for mode in Mode::ALL {
+            if pin.is_some_and(|p| p != mode) {
+                continue;
+            }
+            if mode != Mode::Active {
+                half.rx[mode as usize] = ch.received_power(mode, d);
+            }
+            for (ri, rate) in Rate::ALL.into_iter().enumerate() {
+                if ch.power(mode, rate).is_some() && ch.available(mode, rate, d) {
+                    half.quiet |= cell(mode, ri);
+                }
+            }
+        }
+        half
+    }
+
+    /// The cell's availability if no BER solve is needed under
+    /// `interference` — what [`available_under`] answers without calling
+    /// [`ber_ook_noncoherent_fast`] — else `None`.
+    fn settled(
+        &self,
+        ch: &Characterization,
+        mode: Mode,
+        ri: usize,
+        interference: Watts,
+    ) -> Option<bool> {
+        if ch.power(mode, Rate::ALL[ri]).is_none() {
+            return Some(false);
+        }
+        if mode == Mode::Active || interference.watts() <= 0.0 {
+            return Some(self.quiet & cell(mode, ri) != 0);
+        }
+        None
+    }
+
+    /// An interfered detector cell's SNR: [`victim_gamma`] on the
+    /// memoized received power.
+    fn gamma(&self, ch: &Characterization, mode: Mode, ri: usize, interference: Watts) -> f64 {
+        victim_gamma(
+            ch,
+            mode,
+            Rate::ALL[ri],
+            self.rx[mode as usize],
+            interference,
+        )
+    }
+
+    /// [`options_under_pinned`]'s choice at this half's separation and
+    /// pin under `interference`: the same decisions on the same bits.
+    fn choose(&self, ch: &Characterization, interference: Watts, pin: Option<Mode>) -> Choice {
+        Choice::search(pin, |mode, ri| {
+            self.settled(ch, mode, ri, interference).unwrap_or_else(|| {
+                ber_ook_noncoherent_fast(self.gamma(ch, mode, ri, interference)) <= OPERATIONAL_BER
+            })
+        })
+    }
+}
+
+/// An option set in one byte: two bits per mode (by `Mode as usize`),
+/// 0 when the mode offers nothing, `ri + 1` when it offers
+/// `Rate::ALL[ri]`. The costs are table lookups of (mode, rate), so
+/// [`Choice::options`] rebuilds the set [`options_under_pinned`] returns
+/// bit for bit, and the options memo stores a byte where an
+/// [`OptionSet`] takes 80.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Choice(u8);
+
+impl Choice {
+    /// The fastest rate per mode that `available(mode, ri)` accepts, modes
+    /// other than `pin` skipped.
+    fn search(pin: Option<Mode>, available: impl Fn(Mode, usize) -> bool) -> Choice {
+        let mut code = 0;
+        for mode in Mode::ALL {
+            if pin.is_some_and(|p| p != mode) {
+                continue;
+            }
+            if let Some(ri) = (0..NRATES).rev().find(|&ri| available(mode, ri)) {
+                code |= (ri as u8 + 1) << (2 * mode as usize);
+            }
+        }
+        Choice(code)
+    }
+
+    /// The options this choice stands for, in `Mode::ALL` order.
+    fn options(self, ch: &Characterization) -> OptionSet {
+        let mut opts = OptionSet::EMPTY;
+        for mode in Mode::ALL {
+            let code = (self.0 >> (2 * mode as usize)) & 3;
+            if code != 0 {
+                opts.push(link_option(ch, mode, Rate::ALL[code as usize - 1]));
+            }
+        }
+        opts
+    }
 }
 
 /// Log-domain quantum for the memo key's `(distance, interference)` axes:
@@ -417,11 +533,6 @@ pub fn options_under_pinned(
 /// tolerance. The canonical evaluation runs *on* the quantized values, so a
 /// hit and a miss return bit-identical sets.
 const LN_QUANT: f64 = (1u64 << 32) as f64;
-
-/// Bound on the options memo; reaching it clears the map (option sets are
-/// pure functions of their key, so eviction never changes results — which
-/// is also why raising the cap for 10⁴-pair fleets is output-neutral).
-const OPTIONS_MEMO_CAP: usize = 65536;
 
 /// A quantized `(distance, interference, pin)` memo key: `(qd, qi, qpin)`
 /// with both axes on the `LN_QUANT` log grid, `qi == i64::MIN` the
@@ -440,9 +551,18 @@ pub type OptionsKey = (i64, i64, u8);
 /// ~2.3e-10 of a BER threshold; the byte-identity CI gates would catch such
 /// a flip. Zero interference is kept as an exact sentinel (never
 /// quantized) because `available_under` short-circuits on it.
+///
+/// A miss is split in two. Its distance half (`DistanceHalf`: the
+/// interference-free availabilities and the detector modes' received
+/// power at the decoded distance) is memoized on `(qd, qpin)`, so a pair
+/// whose interference changed but whose separation did not pays only the
+/// interference arithmetic. Both maps hash with
+/// [`crate::memo::KeyHasher`] and clear at [`crate::memo::MEMO_CAP`].
 #[derive(Debug, Default)]
 pub struct OptionsMemo {
-    cache: std::collections::HashMap<(i64, i64, u8), OptionSet>,
+    cache: KeyMap<OptionsKey, Choice>,
+    /// Distance halves by `(qd, qpin)`.
+    halves: KeyMap<(i64, u8), DistanceHalf>,
     /// Lookups that were served from the cache (single-key and batch).
     hits: u64,
     /// Total lookups (single-key and batch), hit or miss.
@@ -512,6 +632,26 @@ impl OptionsMemo {
         (d, i, pin)
     }
 
+    /// The distance half of the keys with `(qd, qpin)`, which decode to
+    /// distance `d` and pin `pin`: `d` is a function of `qd` alone, so
+    /// every such key shares one half.
+    fn half(
+        &mut self,
+        ch: &Characterization,
+        (qd, qpin): (i64, u8),
+        d: Meters,
+        pin: Option<Mode>,
+    ) -> DistanceHalf {
+        if let Some(&half) = self.halves.get(&(qd, qpin)) {
+            braidio_telemetry::count("net.options.distance_hit");
+            return half;
+        }
+        braidio_telemetry::count("net.options.distance_miss");
+        let half = DistanceHalf::new(ch, d, pin);
+        insert_capped(&mut self.halves, (qd, qpin), half);
+        half
+    }
+
     /// Memoized [`options_under_pinned`].
     pub fn get(
         &mut self,
@@ -526,38 +666,35 @@ impl OptionsMemo {
             return options_under_pinned(ch, d, interference, pin);
         };
         self.lookups += 1;
-        if let Some(set) = self.cache.get(&key) {
+        if let Some(choice) = self.cache.get(&key) {
             self.hits += 1;
             braidio_telemetry::count("net.options.memo_hit");
-            return *set;
+            return choice.options(ch);
         }
         // Canonical evaluation on the quantized inputs: the cached value is
         // a pure function of the key, independent of the call that missed.
         let (dq, iq, pin) = Self::decode_key(key);
-        let set = options_under_pinned(ch, dq, iq, pin);
-        if self.cache.len() >= OPTIONS_MEMO_CAP {
-            self.cache.clear();
-        }
-        self.cache.insert(key, set);
+        let choice = self.half(ch, (key.0, key.2), dq, pin).choose(ch, iq, pin);
+        insert_capped(&mut self.cache, key, choice);
         braidio_telemetry::count("net.options.memo_miss");
-        set
+        choice.options(ch)
     }
 
     /// Resolve a planning wave's worth of keys in one sweep. Keys already
     /// memoized count as batch hits; the misses are resolved **in the order
-    /// given** through [`options_under_batch`] (one shared-surface lock
-    /// acquisition for the whole miss set) and inserted under the same
-    /// cap-clear policy as [`get`](Self::get). Callers pass the wave's keys
-    /// sorted and deduplicated, so the memo's evolution — and therefore
-    /// every value it ever returns — is a pure function of the key set, not
-    /// of which pair happened to plan first.
+    /// given** through the batched BER surface (one shared-surface lock
+    /// acquisition for the whole miss set, as [`options_under_batch`]
+    /// does, on the misses' memoized distance halves) and inserted under
+    /// the same cap-clear policy as [`get`](Self::get). Callers pass the
+    /// wave's keys sorted and deduplicated, so the memo's evolution — and
+    /// therefore every value it ever returns — is a pure function of the
+    /// key set, not of which pair happened to plan first.
     ///
-    /// Parallelism: the miss set's per-key evaluation fans out inside
-    /// [`options_under_batch`] (its γ-collection pass is chunked over the
-    /// pool; the shared BER surface is filled canonically, in key order, by
-    /// the serial pass that follows), while the hit scan and the insertions
-    /// here stay serial — so the memo's contents are byte-identical at any
-    /// thread count.
+    /// Parallelism: the miss set's γ collection fans out over the pool
+    /// (the shared BER surface is filled canonically, in key order, by the
+    /// serial pass that follows), while the hit scan, the distance-half
+    /// lookups and the insertions here stay serial — so the memo's
+    /// contents are byte-identical at any thread count.
     pub fn prefetch(&mut self, ch: &Characterization, keys: &[OptionsKey]) {
         let mut misses: Vec<OptionsKey> = Vec::new();
         self.lookups += keys.len() as u64;
@@ -574,13 +711,24 @@ impl OptionsMemo {
         }
         let items: Vec<(Meters, Watts, Option<Mode>)> =
             misses.iter().map(|&k| Self::decode_key(k)).collect();
-        let sets = options_under_batch(ch, &items);
-        for (key, set) in misses.into_iter().zip(sets) {
+        // Each distinct (qd, qpin) of the miss set is looked up once, in
+        // key order; a miss carries the index of its half.
+        let mut distinct: Vec<DistanceHalf> = Vec::new();
+        let mut index: KeyMap<(i64, u8), u32> = KeyMap::default();
+        let at: Vec<u32> = misses
+            .iter()
+            .zip(&items)
+            .map(|(&(qd, _, qpin), &(d, _, pin))| {
+                *index.entry((qd, qpin)).or_insert_with(|| {
+                    distinct.push(self.half(ch, (qd, qpin), d, pin));
+                    (distinct.len() - 1) as u32
+                })
+            })
+            .collect();
+        let choices = batch_from_halves(ch, &items, |it| distinct[at[it] as usize]);
+        for (key, choice) in misses.into_iter().zip(choices) {
             braidio_telemetry::count("net.options.batch_miss");
-            if self.cache.len() >= OPTIONS_MEMO_CAP {
-                self.cache.clear();
-            }
-            self.cache.insert(key, set);
+            insert_capped(&mut self.cache, key, choice);
         }
     }
 }
@@ -597,7 +745,7 @@ impl OptionsMemo {
 /// strict surfaces memoize by the γ bit pattern, so a surface-routed
 /// availability decision equals the scalar path's direct call exactly. The
 /// batch evaluates every rate of an interfered detector mode where the
-/// scalar `max_rate_under` short-circuits at the first available one — the
+/// scalar search short-circuits at the first available one — the
 /// extra evaluations are pure and discarded, and the chosen (mode, rate)
 /// set is identical.
 ///
@@ -606,19 +754,33 @@ pub fn options_under_batch(
     ch: &Characterization,
     items: &[(Meters, Watts, Option<Mode>)],
 ) -> Vec<OptionSet> {
-    const NRATES: usize = Rate::ALL.len();
+    let choices = batch_from_halves(ch, items, |it| {
+        let (d, _, pin) = items[it];
+        DistanceHalf::new(ch, d, pin)
+    });
+    choices.into_iter().map(|c| c.options(ch)).collect()
+}
+
+/// [`options_under_batch`]'s choices, with item `it`'s distance half
+/// supplied by `half(it)`, called once per item from the pool's pass 1.
+fn batch_from_halves(
+    ch: &Characterization,
+    items: &[(Meters, Watts, Option<Mode>)],
+    half: impl Fn(usize) -> DistanceHalf + Sync,
+) -> Vec<Choice> {
     let rates: [BitsPerSecond; NRATES] =
         [Rate::ALL[0].bps(), Rate::ALL[1].bps(), Rate::ALL[2].bps()];
     let surfaces = shared_batch(BerModel::NoncoherentOok, &rates);
 
     // Pass 1: settle every availability decision that needs no BER solve
-    // (Active, zero interference, uncharacterized (mode, rate) cells) and
-    // queue the detector-mode γ queries per rate. The pass is pure per item
-    // (table lookups and closed-form γ arithmetic, no shared state), so it
-    // fans out over item chunks on the work pool; chunks merge in index
-    // order, which makes the concatenated per-rate γ streams — and hence
-    // every downstream surface call — exactly the ones the serial loop
-    // builds. Its work is one unit per (item, mode, rate) cell.
+    // (Active, zero interference, uncharacterized (mode, rate) cells) from
+    // the item's distance half and queue the detector-mode γ queries per
+    // rate. The pass is pure per item (the half, table lookups and
+    // closed-form γ arithmetic, no shared state), so it fans out over item
+    // chunks on the work pool; chunks merge in index order, which makes
+    // the concatenated per-rate γ streams — and hence every downstream
+    // surface call — exactly the ones the serial loop builds. Its work is
+    // one unit per (item, mode, rate) cell.
     let nmodes = Mode::ALL.len();
     let slot = |item: usize, mode: Mode, ri: usize| (item * nmodes + mode as usize) * NRATES + ri;
     let chunk = braidio_pool::default_chunk(items.len());
@@ -631,26 +793,20 @@ pub fn options_under_batch(
         let mut avail = vec![false; (hi - lo) * nmodes * NRATES];
         let mut gammas: [Vec<f64>; NRATES] = [Vec::new(), Vec::new(), Vec::new()];
         let mut slots: [Vec<usize>; NRATES] = [Vec::new(), Vec::new(), Vec::new()];
-        for (it, &(d, interference, pin)) in items[lo..hi].iter().enumerate() {
+        for (it, &(_, interference, pin)) in items[lo..hi].iter().enumerate() {
+            let half = half(lo + it);
             for mode in Mode::ALL {
                 if pin.is_some_and(|p| p != mode) {
                     continue;
                 }
-                for (ri, rate) in Rate::ALL.into_iter().enumerate() {
-                    if ch.power(mode, rate).is_none() {
-                        continue;
-                    }
-                    match mode {
-                        Mode::Active => avail[slot(it, mode, ri)] = ch.available(mode, rate, d),
-                        Mode::Passive | Mode::Backscatter => {
-                            if interference.watts() <= 0.0 {
-                                avail[slot(it, mode, ri)] = ch.available(mode, rate, d);
-                            } else {
-                                gammas[ri].push(victim_gamma(ch, mode, rate, d, interference));
-                                // Global decision-table slot for the scatter
-                                // after the merge.
-                                slots[ri].push(slot(lo + it, mode, ri));
-                            }
+                for ri in 0..NRATES {
+                    match half.settled(ch, mode, ri, interference) {
+                        Some(ok) => avail[slot(it, mode, ri)] = ok,
+                        None => {
+                            gammas[ri].push(half.gamma(ch, mode, ri, interference));
+                            // Global decision-table slot for the scatter
+                            // after the merge.
+                            slots[ri].push(slot(lo + it, mode, ri));
                         }
                     }
                 }
@@ -688,33 +844,12 @@ pub fn options_under_batch(
         }
     }
 
-    // Pass 3: assemble each item's options in `Mode::ALL` order, taking
-    // the fastest available rate per mode — the scalar search's answer.
+    // Pass 3: take the fastest available rate per mode — the scalar
+    // search's answer.
     items
         .iter()
         .enumerate()
-        .map(|(it, &(_, _, pin))| {
-            let mut opts = OptionSet::EMPTY;
-            for mode in Mode::ALL {
-                if pin.is_some_and(|p| p != mode) {
-                    continue;
-                }
-                let best = (0..NRATES).rev().find(|&ri| avail[slot(it, mode, ri)]);
-                if let Some(ri) = best {
-                    let rate = Rate::ALL[ri];
-                    let (tx_cost, rx_cost) = ch
-                        .energy_per_bit(mode, rate)
-                        .expect("rate came from the table");
-                    opts.push(LinkOption {
-                        mode,
-                        rate,
-                        tx_cost,
-                        rx_cost,
-                    });
-                }
-            }
-            opts
-        })
+        .map(|(it, &(_, _, pin))| Choice::search(pin, |mode, ri| avail[slot(it, mode, ri)]))
         .collect()
 }
 
@@ -760,8 +895,9 @@ mod tests {
                 "at {d_int} m: {i} vs {expect}"
             );
             for mode in [Mode::Passive, Mode::Backscatter] {
+                let pinned = options_under_pinned(&ch, Meters::new(1.0), i, Some(mode));
                 assert_eq!(
-                    max_rate_under(&ch, mode, Meters::new(1.0), i),
+                    pinned.first().map(|o| o.rate),
                     co.victim_max_rate(mode, Meters::new(1.0)),
                     "{mode} with neighbour at {d_int} m"
                 );
@@ -835,6 +971,72 @@ mod tests {
                 "batch diverged at d={d}, i={i}, pin={pin:?}"
             );
         }
+    }
+
+    /// Two option sets agree bit for bit: modes, rates and both costs.
+    fn same_bits(a: &[LinkOption], b: &[LinkOption]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.mode == y.mode
+                    && x.rate == y.rate
+                    && x.tx_cost.joules_per_bit().to_bits() == y.tx_cost.joules_per_bit().to_bits()
+                    && x.rx_cost.joules_per_bit().to_bits() == y.rx_cost.joules_per_bit().to_bits()
+            })
+    }
+
+    #[test]
+    fn split_options_path_matches_scalar_and_batch_bitwise() {
+        // The memo answers a miss from its distance half plus the
+        // interference arithmetic. Over distances × interference (zero
+        // included, and levels on both sides of every detector mode's
+        // threshold) × pins, each answer must equal the scalar and the
+        // batched evaluation on the key's canonical inputs. Interference
+        // is the outer loop, so every distance half after the first pass
+        // is served from the memo under a new interference level.
+        let ch = ch();
+        let distances = [0.2, 0.5, 0.9, 1.3, 2.0, 3.1, 4.4, 6.0];
+        let mut levels = vec![Watts::ZERO];
+        levels.extend((0..19).map(|k| Watts::from_dbm(-130.0 + 5.0 * k as f64)));
+        let pins = [
+            None,
+            Some(Mode::Active),
+            Some(Mode::Passive),
+            Some(Mode::Backscatter),
+        ];
+        let mut queries = Vec::new();
+        for &i in &levels {
+            for &d in &distances {
+                for &pin in &pins {
+                    queries.push((Meters::new(d), i, pin));
+                }
+            }
+        }
+        let keys: Vec<OptionsKey> = queries
+            .iter()
+            .map(|&(d, i, pin)| OptionsMemo::key_for(d, i, pin).expect("finite inputs"))
+            .collect();
+        let canonical: Vec<_> = keys.iter().map(|&k| OptionsMemo::decode_key(k)).collect();
+        let batched = options_under_batch(&ch, &canonical);
+        let mut memo = OptionsMemo::new();
+        let mut varied = 0;
+        for (((&(d, i, pin), &(dq, iq, _)), batch), key) in
+            queries.iter().zip(&canonical).zip(&batched).zip(&keys)
+        {
+            let got = memo.get(&ch, d, i, pin);
+            let scalar = options_under_pinned(&ch, dq, iq, pin);
+            assert!(same_bits(&got, &scalar), "{got:?} != {scalar:?} at {key:?}");
+            assert!(same_bits(&got, batch), "{got:?} != {batch:?} at {key:?}");
+            // A hit returns the same bits as the miss that filled it.
+            assert!(same_bits(&memo.get(&ch, d, i, pin), &got));
+            varied +=
+                usize::from(scalar.len() != options_under_pinned(&ch, dq, Watts::ZERO, pin).len());
+        }
+        // The interference levels strip modes somewhere in the sweep, so
+        // the interfered arithmetic decided some of these answers.
+        assert!(varied > 0);
+        // One distance half per (distance, pin), shared by every level.
+        assert_eq!(memo.halves.len(), distances.len() * pins.len());
+        assert_eq!(memo.cache.len(), queries.len());
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! * [`discovery`] — beacon/passive-listen admission priced by
 //!   `mac::wakeup`'s detector economics.
 //! * [`engine`] — the event-driven fleet simulator ([`run_fleet`]).
+//! * [`memo`] — the re-plan memos' integer-key hasher and cap, and the
+//!   probe-cost memo.
 //! * [`metrics`] — goodput, per-device lifetime, carrier duty, Jain
 //!   fairness ([`FleetReport`]), steady-state churn metrics
 //!   ([`metrics::ChurnReport`]).
@@ -57,6 +59,7 @@ pub mod engine;
 pub mod interference;
 pub mod kernel;
 pub mod lifecycle;
+pub mod memo;
 pub mod metrics;
 pub mod scenario;
 

@@ -15,7 +15,7 @@ use braidio_net::cache::PairGainCache;
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_rfsim::geometry::Point;
 use braidio_telemetry as telemetry;
-use braidio_units::{Seconds, Watts};
+use braidio_units::{Meters, Seconds, Watts};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -153,5 +153,65 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
     assert_eq!(
         value(&counters, "net.interference.sum_rebuild"),
         n as u64 - 1
+    );
+}
+
+#[test]
+fn options_and_probe_counters_are_thread_count_invariant() {
+    // The options memo (single keys, wave prefetch, distance halves) and
+    // the probe memo are looked up on the engine's serial path, so an
+    // open system's totals must not move with the pool's size.
+    let tdma = Arbitration::TdmaRoundRobin {
+        slot: Seconds::new(0.25),
+    };
+    for arbitration in [Arbitration::Uncoordinated, tdma] {
+        let sc = FleetScenario::open_system(4, 40, Seconds::new(10.0), 7, arbitration);
+        let prefixes = ["net.options.", "net.probe."];
+        let run = |threads| {
+            counted(&prefixes, || {
+                braidio_pool::with_threads(threads, || run_fleet(&sc))
+            })
+        };
+        let (_, at_1) = run(1);
+        for name in ["net.options.memo_miss", "net.probe.memo_miss"] {
+            assert!(value(&at_1, name) > 0, "{name} never counted: {at_1:?}");
+        }
+        for threads in [2, 4] {
+            let (_, at_n) = run(threads);
+            assert_eq!(at_1, at_n, "counters moved between 1 and {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn one_separation_costs_one_probe_miss_and_one_distance_half() {
+    // Sixteen pairs on a 3 m grid, every receiver 0.5 m from its
+    // transmitter: one separation bit pattern, so one probe evaluation and
+    // one distance half serve every probe round and options miss of the
+    // run.
+    let sc = FleetScenario::grid_pairs(
+        16,
+        Meters::new(0.5),
+        Meters::new(3.0),
+        1.0,
+        1.0,
+        Arbitration::Uncoordinated,
+    )
+    .with_horizon(Seconds::new(60.0));
+    let d = |q: usize| {
+        let p = &sc.pairs[q];
+        sc.devices[p.tx].pos.distance(sc.devices[p.rx].pos)
+    };
+    let first = d(0).meters().to_bits();
+    assert!((0..16).all(|q| d(q).meters().to_bits() == first));
+    let (report, counters) = counted(&["net.probe.", "net.options."], || run_fleet(&sc));
+    assert!(report.total_bits() > 0.0);
+    assert_eq!(value(&counters, "net.probe.memo_miss"), 1, "{counters:?}");
+    // Bring-up probes every pair once, and each re-plan probes again.
+    assert!(value(&counters, "net.probe.memo_hit") >= 15, "{counters:?}");
+    assert_eq!(
+        value(&counters, "net.options.distance_miss"),
+        1,
+        "{counters:?}"
     );
 }

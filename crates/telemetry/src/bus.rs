@@ -174,7 +174,17 @@ fn emit_slow(event: Event) {
 ///   rows the lazy path filled. Deterministic totals: the same at any
 ///   thread count.
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
-///   `options_under` memo.
+///   `options_under` memo's single-key lookups; `batch_hit` /
+///   `batch_miss` — its planning-wave prefetch. `distance_hit` /
+///   `distance_miss` — the memo's distance halves, looked up by each
+///   single-key miss and once per distinct `(distance, pin)` of a
+///   prefetch's misses. Deterministic totals: every lookup runs on the
+///   engine's serial path, in event or key order, so they are the same
+///   at any thread count.
+/// * `net.probe.memo_hit` / `memo_miss` — the fleet engine's probe-cost
+///   memo (`braidio-net::memo`), one lookup per charged probe round, a
+///   miss per distinct separation bit pattern. Deterministic totals, like
+///   the options counters.
 /// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss
 ///   memo on the interference edge kernel (`braidio-rfsim::pathloss`,
 ///   counted by `braidio-net::interference`). A key is re-checked under
