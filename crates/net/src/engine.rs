@@ -89,19 +89,24 @@
 //! `kill` path tears every session down, and closed runs emit no phase
 //! telemetry.
 //!
+//! Each pair's current quantum completion waits in a [`CompletionTree`],
+//! every other event in the [`EventQueue`]; the loop delivers whichever
+//! head has the lesser kernel key `(time, rank, pair)`. An aborted
+//! quantum's completion moves into the queue at its key, to be delivered,
+//! counted and ignored (DESIGN.md §8.1).
+//!
 //! Determinism: one pending event per (pair, kind) keeps kernel keys
-//! unique; the pair index is the kernel's entity id; all floating-point
+//! unique (only aborted completions, which deliver nothing, may share
+//! one); the pair index is the kernel's entity id; all floating-point
 //! reductions iterate in pair/device index order. Open-system randomness
 //! lives entirely in the scenario roster (drawn at construction), never in
-//! the engine. A quantum aborted by a cooldown leaves its completion event
-//! ghosting in the queue; a per-pair generation stamp makes the revived
-//! session ignore it.
+//! the engine.
 
 use crate::arbitration::Arbitration;
 use crate::cache::{PairGainCache, ReceiverKey};
 use crate::discovery::DiscoveryConfig;
 use crate::interference::{EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE};
-use crate::kernel::EventQueue;
+use crate::kernel::{CompletionTree, EventQueue, Scheduled};
 use crate::lifecycle::{self, LifecyclePolicy, LinkPhase, PhaseEvent, PHASE_COUNT};
 use crate::memo::ProbeMemo;
 use crate::metrics::{ChurnReport, FleetReport};
@@ -130,7 +135,7 @@ const STATUS_BITS: f64 = 256.0;
 /// non-simultaneous discovery.
 const ASSOC_STAGGER: Seconds = Seconds::new(1e-3);
 
-/// The network events, in protocol order. The discriminant is the kernel's
+/// The network events, in protocol order. The rank is the kernel's
 /// same-instant `seq` class: when a re-plan and a quantum completion land
 /// on the same instant, the completion (later rank) commits after the
 /// re-plan reshaped the next quantum — a fixed, documented choice.
@@ -140,7 +145,11 @@ enum Kind {
     StatusExchanged,
     ProbesDone,
     Replan,
+    /// The pair's current quantum completed (from the completion tree).
     QuantumDone,
+    /// An aborted quantum's completion (from the queue, same rank): it is
+    /// delivered and counted, and does nothing.
+    QuantumAborted,
     /// The session's dwell ended (graceful teardown). Ranked after
     /// `QuantumDone` so a quantum completing at the departure instant
     /// still commits.
@@ -149,7 +158,7 @@ enum Kind {
     CooldownDone,
 }
 
-/// Number of [`Kind`] variants — the width of the sampler's per-bucket
+/// Number of [`Kind`] ranks — the width of the sampler's per-bucket
 /// event-rate row.
 const KIND_COUNT: usize = 7;
 
@@ -160,7 +169,7 @@ impl Kind {
             Kind::StatusExchanged => 1,
             Kind::ProbesDone => 2,
             Kind::Replan => 3,
-            Kind::QuantumDone => 4,
+            Kind::QuantumDone | Kind::QuantumAborted => 4,
             Kind::Departure => 5,
             Kind::CooldownDone => 6,
         }
@@ -169,12 +178,8 @@ impl Kind {
 
 #[derive(Debug, Clone, Copy)]
 struct Ev {
-    pair: usize,
+    pair: u32,
     kind: Kind,
-    /// Quantum generation stamp (`QuantumDone` only, 0 elsewhere): a
-    /// completion whose stamp trails the pair's current generation belongs
-    /// to a quantum a cooldown aborted, and is ignored.
-    gen: u32,
 }
 
 /// One scheduled slice of a quantum:
@@ -353,9 +358,6 @@ struct Pairs {
     warm_got: Vec<u32>,
     /// Cooldown entries so far (a session past `max_cooldowns` gives up).
     cooldowns: Vec<u32>,
-    /// Current quantum generation; bumped when a cooldown aborts a quantum
-    /// so the aborted completion event is recognizably stale.
-    quantum_gen: Vec<u32>,
     /// A `Replan` event is pending in the queue (guards against scheduling
     /// a duplicate when a cooldown retry re-enters the plan loop while the
     /// pre-cooldown replan is still queued).
@@ -365,6 +367,24 @@ struct Pairs {
     /// This row is the second leg of a roaming session (same tag device as
     /// an earlier row); its admission counts as a completed roam handoff.
     roam_leg2: Vec<bool>,
+}
+
+/// Surface pair `p`'s aborted quantum as lost telemetry and close the
+/// matching carrier grant.
+fn lose(p: usize, pending: &PendingQuantum, at: Seconds) {
+    if telemetry::enabled() {
+        let track = telemetry::Track::Pair(p as u32);
+        for (mode, rate, bits, ..) in pending.slices() {
+            telemetry::emit(telemetry::Event::QuantumLost {
+                at,
+                track,
+                mode: (*mode).into(),
+                rate: (*rate).into(),
+                bits: *bits,
+            });
+        }
+        telemetry::emit(telemetry::Event::CarrierRelease { at, track });
+    }
 }
 
 /// How a pair finds its separation.
@@ -552,7 +572,11 @@ impl Sampler {
 
 struct Fleet<'a> {
     sc: &'a FleetScenario,
+    /// Every pending event but the current quantum completions.
     q: EventQueue<Ev>,
+    /// Each pair's current quantum completion, armed while its quantum is
+    /// in flight (exactly when `pairs.pending[p]` is `Some`).
+    done: CompletionTree,
     devices: Devices,
     pairs: Pairs,
     replans: u64,
@@ -634,7 +658,6 @@ impl<'a> Fleet<'a> {
             phase_since: Vec::with_capacity(n),
             warm_got: vec![0; n],
             cooldowns: vec![0; n],
-            quantum_gen: vec![0; n],
             replan_queued: vec![false; n],
             admitted_at: vec![None; n],
             roam_leg2: Vec::with_capacity(n),
@@ -670,12 +693,13 @@ impl<'a> Fleet<'a> {
         for p in 0..n {
             gains.set_live(p, pairs.on_air(p));
         }
+        // Bring-up queues an Associate per row and a Departure per row that
+        // carries one; a closed pair holds one queued event after that.
+        let departures = sc.pairs.iter().filter(|p| p.departure.is_some()).count();
         Fleet {
             sc,
-            // The bring-up schedules up to two events per pair before the
-            // first one drains (churn: Associate + Departure), so size the
-            // queue once instead of regrowing it mid-run.
-            q: EventQueue::with_capacity(2 * n),
+            q: EventQueue::with_capacity(n + departures),
+            done: CompletionTree::new(n, Kind::QuantumDone.rank()),
             devices,
             pairs,
             replans: 0,
@@ -724,7 +748,7 @@ impl<'a> Fleet<'a> {
         }
         let mut last = Seconds::ZERO;
         let mut truncated = false;
-        while let Some(ev) = self.q.pop() {
+        while let Some(ev) = self.next_event() {
             if ev.time > self.sc.horizon {
                 truncated = true;
                 break;
@@ -751,10 +775,19 @@ impl<'a> Fleet<'a> {
         let end_time = if truncated { self.sc.horizon } else { last };
         // Quanta still in flight at the horizon never commit: surface them
         // as lost and close their carrier grants so every grant in the
-        // trace has a matching release.
+        // trace has a matching release; nothing is delivered after this,
+        // so no completion is requeued.
         for p in 0..self.pairs.len() {
-            self.abort_pending(p, end_time);
+            if let Some(pending) = self.pairs.pending[p].take() {
+                lose(p, &pending, end_time);
+            }
         }
+        // The kernel's traffic, read once (a requeue is not a schedule).
+        telemetry::count_by(
+            "net.kernel.scheduled",
+            self.q.scheduled() + self.done.armed(),
+        );
+        telemetry::count_by("net.kernel.delivered", self.q.delivered());
         let churn = self.churn_report(end_time);
         let report = FleetReport {
             horizon: self.sc.horizon,
@@ -900,10 +933,21 @@ impl<'a> Fleet<'a> {
         })
     }
 
+    /// Deliver the next event: the queue's head or the earliest current
+    /// completion, whichever has the lesser key `(time, rank, pair)`.
+    fn next_event(&mut self) -> Option<Scheduled<Ev>> {
+        self.q.pop_with(&mut self.done, |pair| Ev {
+            pair,
+            kind: Kind::QuantumDone,
+        })
+    }
+
     fn handle(&mut self, ev: Ev, now: Seconds) {
-        let (p, kind) = (ev.pair, ev.kind);
-        if self.pairs.phase[p].is_terminal() {
-            return; // stale event for a torn-down session
+        let (p, kind) = (ev.pair as usize, ev.kind);
+        // An aborted quantum's completion is delivered only to be counted,
+        // and a torn-down session ignores its stale events.
+        if kind == Kind::QuantumAborted || self.pairs.phase[p].is_terminal() {
+            return;
         }
         // A shared device may have died serving another pair since this
         // event was scheduled.
@@ -919,7 +963,8 @@ impl<'a> Fleet<'a> {
             Kind::StatusExchanged => self.on_status_exchanged(p, now),
             Kind::ProbesDone => self.on_probes_done(p, now),
             Kind::Replan => self.on_replan(p, now),
-            Kind::QuantumDone => self.on_quantum_done(p, ev.gen, now),
+            Kind::QuantumDone => self.on_quantum_done(p, now),
+            Kind::QuantumAborted => unreachable!("returned above"),
             // Only rows that carry a departure schedule one.
             Kind::Departure => self.kill(p, now, telemetry::DeathReason::Departed),
             Kind::CooldownDone => self.on_cooldown_done(p, now),
@@ -1099,13 +1144,10 @@ impl<'a> Fleet<'a> {
         self.schedule(now + self.sc.replan_interval, p, Kind::Replan);
     }
 
-    fn on_quantum_done(&mut self, p: usize, gen: u32, now: Seconds) {
-        if gen != self.pairs.quantum_gen[p] {
-            return; // completion of a quantum a cooldown aborted
-        }
+    fn on_quantum_done(&mut self, p: usize, now: Seconds) {
         let pending = self.pairs.pending[p]
             .take()
-            .expect("a current-generation completion has its quantum in flight");
+            .expect("a current completion has its quantum in flight");
         self.pairs.fsm[p]
             .on(FsmEvent::PacketDelivered)
             .expect("Braiding accepts PacketDelivered");
@@ -1188,9 +1230,8 @@ impl<'a> Fleet<'a> {
     }
 
     /// A link lost viability (`ev`). It enters Cooldown, drops out of the
-    /// interference live set, aborts the quantum in flight (bumping the
-    /// generation so its completion event is recognizably stale), and
-    /// starts the retry timer; under a policy with no cooldown it dies.
+    /// interference live set, aborts the quantum in flight, and starts the
+    /// retry timer; under a policy with no cooldown it dies.
     fn quiesce(&mut self, p: usize, ev: PhaseEvent, now: Seconds) {
         let Some(cooldown) = self.policy.cooldown else {
             self.kill(p, now, telemetry::DeathReason::NoViableMode);
@@ -1444,17 +1485,9 @@ impl<'a> Fleet<'a> {
             return;
         };
         let finish = self.finish_time(p, now, airtime);
+        debug_assert!(self.pairs.pending[p].is_none(), "one quantum in flight");
         self.pairs.pending[p] = Some(pending);
-        self.q.schedule(
-            finish,
-            Kind::QuantumDone.rank(),
-            p as u32,
-            Ev {
-                pair: p,
-                kind: Kind::QuantumDone,
-                gen: self.pairs.quantum_gen[p],
-            },
-        );
+        self.done.arm(p as u32, finish);
         telemetry::emit(telemetry::Event::CarrierGrant {
             at: now,
             track: telemetry::Track::Pair(p as u32),
@@ -1630,45 +1663,24 @@ impl<'a> Fleet<'a> {
         self.abort_pending(p, now);
     }
 
-    /// Drop the pair's quantum in flight, if any, surfacing it as lost
-    /// telemetry and closing the matching carrier grant.
+    /// Drop the pair's quantum in flight, if any, surfacing it as lost.
+    /// Its completion moves into the queue, to be delivered and ignored.
     fn abort_pending(&mut self, p: usize, at: Seconds) {
         let Some(pending) = self.pairs.pending[p].take() else {
             return;
         };
-        // The aborted quantum's completion event stays in the queue; the
-        // generation bump makes a revived session ignore it.
-        self.pairs.quantum_gen[p] = self.pairs.quantum_gen[p].wrapping_add(1);
-        if telemetry::enabled() {
-            let track = telemetry::Track::Pair(p as u32);
-            for (mode, rate, bits, ..) in pending.slices() {
-                telemetry::emit(telemetry::Event::QuantumLost {
-                    at,
-                    track,
-                    mode: (*mode).into(),
-                    rate: (*rate).into(),
-                    bits: *bits,
-                });
-            }
-            telemetry::emit(telemetry::Event::CarrierRelease { at, track });
-        }
+        let pair = p as u32;
+        let aborted = Ev {
+            pair,
+            kind: Kind::QuantumAborted,
+        };
+        self.q.requeue(&mut self.done, pair, aborted);
+        lose(p, &pending, at);
     }
 
     fn schedule(&mut self, t: Seconds, p: usize, kind: Kind) {
-        debug_assert!(
-            kind != Kind::QuantumDone,
-            "quantum completions carry a generation"
-        );
-        self.q.schedule(
-            t,
-            kind.rank(),
-            p as u32,
-            Ev {
-                pair: p,
-                kind,
-                gen: 0,
-            },
-        );
+        let pair = p as u32;
+        self.q.schedule(t, kind.rank(), pair, Ev { pair, kind });
     }
 }
 
@@ -2002,7 +2014,9 @@ mod tests {
         );
         let mut entries = 0;
         let last = loop {
-            let ev = f.q.pop().expect("the session ends before the queue drains");
+            let ev = f
+                .next_event()
+                .expect("the session ends before the queue drains");
             let was = f.pairs.phase[0];
             f.handle(ev.event, ev.time);
             if f.pairs.phase[0] == LinkPhase::Cooldown && was != LinkPhase::Cooldown {
@@ -2263,12 +2277,7 @@ mod tests {
         let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
         let mut f = Fleet::new(&sc);
         f.schedule(Seconds::ZERO, 0, Kind::Associate);
-        let mut now = Seconds::ZERO;
-        while f.pairs.pending[0].is_none() {
-            let ev = f.q.pop().expect("bring-up reaches the braid");
-            now = ev.time;
-            f.handle(ev.event, ev.time);
-        }
+        let now = braid_pair_0(&mut f);
         let old = f.pairs.pending[0].unwrap();
         // Re-plan onto a mode the quantum in flight does not use.
         let unused = Mode::ALL
@@ -2291,7 +2300,7 @@ mod tests {
             mode_bits[s.0 as usize] += s.2;
         }
         loop {
-            let ev = f.q.pop().expect("the quantum completes");
+            let ev = f.next_event().expect("the quantum completes");
             f.handle(ev.event, ev.time);
             if ev.event.kind == Kind::QuantumDone {
                 break;
@@ -2307,5 +2316,95 @@ mod tests {
         let next = f.pairs.pending[0].expect("the braid goes on");
         assert_eq!(next.slices()[0].0, unused);
         assert_eq!(next.nslices, 1);
+    }
+
+    /// Deliver and handle events until pair 0 has a quantum in flight;
+    /// returns the instant it started.
+    fn braid_pair_0(f: &mut Fleet) -> Seconds {
+        let mut now = Seconds::ZERO;
+        while f.pairs.pending[0].is_none() {
+            let ev = f.next_event().expect("bring-up reaches the braid");
+            now = ev.time;
+            f.handle(ev.event, ev.time);
+        }
+        now
+    }
+
+    #[test]
+    fn same_instant_order_is_replan_completion_departure() {
+        // One instant, three sources: the queue's Replan (rank 3) and
+        // Departure (rank 5) bracket the tree's completion (rank 4).
+        let sc = small_pair(Arbitration::Uncoordinated);
+        let mut f = Fleet::new(&sc);
+        let t = Seconds::new(2.0);
+        f.schedule(t, 0, Kind::Departure);
+        f.done.arm(0, t);
+        f.schedule(t, 0, Kind::Replan);
+        let kinds: Vec<Kind> = std::iter::from_fn(|| f.next_event())
+            .map(|e| {
+                assert_eq!(e.time, t);
+                e.event.kind
+            })
+            .collect();
+        assert_eq!(kinds, [Kind::Replan, Kind::QuantumDone, Kind::Departure]);
+        assert_eq!(f.q.delivered(), 3);
+    }
+
+    #[test]
+    fn an_aborted_completion_pops_before_a_rearmed_one_on_an_equal_key() {
+        // Abort the quantum in flight and start the same one at the same
+        // instant: both completions share a key, the aborted one (queued)
+        // pops first and commits nothing, the current one commits once.
+        let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
+        let mut f = Fleet::new(&sc);
+        f.schedule(Seconds::ZERO, 0, Kind::Associate);
+        let now = braid_pair_0(&mut f);
+        let quantum = f.pairs.pending[0].expect("braiding");
+        f.abort_pending(0, now);
+        f.schedule_quantum(0, now);
+        let (bits, delivered) = (f.pairs.bits[0], f.q.delivered());
+        let aborted = f.next_event().expect("the aborted completion");
+        assert_eq!(aborted.event.kind, Kind::QuantumAborted);
+        f.handle(aborted.event, aborted.time);
+        assert_eq!(f.pairs.bits[0].to_bits(), bits.to_bits());
+        let current = f.next_event().expect("the current completion");
+        assert_eq!(current.event.kind, Kind::QuantumDone);
+        assert_eq!(current.time, aborted.time);
+        f.handle(current.event, current.time);
+        assert_eq!(f.pairs.bits[0].to_bits(), (bits + quantum.bits).to_bits());
+        assert_eq!(f.q.delivered(), delivered + 2);
+    }
+
+    #[test]
+    fn a_revived_session_ignores_its_aborted_completion() {
+        // A cooldown far shorter than a quantum: the session is revived
+        // and braiding again before the aborted quantum's completion time
+        // comes. That completion is still delivered and counted, and
+        // commits nothing: no bits, no energy, no delivery record.
+        let mut sc = tiny_open(1.0, 1.0, 25.0, 30.0);
+        let churn = sc.churn.as_mut().expect("open");
+        churn.lifecycle.cooldown = Some(Seconds::new(1e-6));
+        let admit = churn.discovery.admission_at(0, Seconds::new(1.0));
+        let mut f = Fleet::new(&sc);
+        f.schedule(admit, 0, Kind::Associate);
+        let now = braid_pair_0(&mut f);
+        f.quiesce(0, PhaseEvent::EnergyCritical, now);
+        assert_eq!(f.pairs.phase[0], LinkPhase::Cooldown);
+        let restarted = braid_pair_0(&mut f);
+        let (bits, spent, delivered) = (f.pairs.bits[0], f.devices.spent.clone(), f.q.delivered());
+        let aborted = f.next_event().expect("the aborted completion");
+        assert_eq!(aborted.event.kind, Kind::QuantumAborted);
+        assert!(
+            aborted.time > restarted,
+            "it lands after the new quantum started"
+        );
+        assert!(f.pairs.pending[0].is_some(), "the new quantum is in flight");
+        f.handle(aborted.event, aborted.time);
+        assert_eq!(f.pairs.bits[0].to_bits(), bits.to_bits());
+        assert_eq!(f.devices.spent, spent);
+        assert_eq!(f.q.delivered(), delivered + 1);
+        assert!(f.pairs.pending[0].is_some(), "the new quantum is untouched");
+        let next = f.next_event().expect("the new quantum completes");
+        assert_eq!(next.event.kind, Kind::QuantumDone);
     }
 }

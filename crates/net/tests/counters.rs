@@ -1,4 +1,5 @@
-//! Counters as witnesses of the interference work.
+//! Counters as witnesses of the interference work and the event kernel's
+//! traffic.
 //!
 //! The FSPL memo counts a miss only for the lookup (or chunk-scratch fold)
 //! that inserts its key, so `net.fspl.*` totals do not depend on which
@@ -214,4 +215,41 @@ fn one_separation_costs_one_probe_miss_and_one_distance_half() {
         1,
         "{counters:?}"
     );
+}
+
+#[test]
+fn kernel_counters_are_thread_count_invariant_and_match_the_report() {
+    // The kernel's totals are read once per run from the queue and the
+    // completion tree: `delivered` is the report's event count, and
+    // neither moves with the pool's size, closed or open.
+    let open = FleetScenario::open_system(4, 40, Seconds::new(10.0), 7, Arbitration::Uncoordinated);
+    let grid = FleetScenario::grid_pairs(
+        16,
+        Meters::new(0.5),
+        Meters::new(3.0),
+        1.0,
+        1.0,
+        Arbitration::Uncoordinated,
+    )
+    .with_horizon(Seconds::new(60.0));
+    for sc in [open, grid] {
+        let run = |threads| {
+            counted(&["net.kernel."], || {
+                braidio_pool::with_threads(threads, || run_fleet(&sc))
+            })
+        };
+        let (report, at_1) = run(1);
+        assert_eq!(value(&at_1, "net.kernel.delivered"), report.events);
+        // Every delivered event was scheduled or armed; the one past the
+        // horizon, if any, too.
+        assert!(
+            value(&at_1, "net.kernel.scheduled") >= report.events,
+            "{at_1:?}"
+        );
+        for threads in [2, 4] {
+            let (r, at_n) = run(threads);
+            assert_eq!(r.events, report.events);
+            assert_eq!(at_1, at_n, "counters moved between 1 and {threads} threads");
+        }
+    }
 }

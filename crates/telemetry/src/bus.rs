@@ -162,7 +162,13 @@ fn emit_slow(event: Event) {
 /// Registered vocabulary (add new names here so the bench-json consumers
 /// have one place to look):
 ///
-/// * `net.kernel.scheduled` / `net.kernel.delivered` — DES event traffic.
+/// * `net.kernel.scheduled` / `net.kernel.delivered` — DES event traffic,
+///   read once per fleet run from the event queue and the per-pair
+///   completion tree (`braidio-net::kernel`): every event scheduled or
+///   armed, and every event delivered, the one that ended a truncated run
+///   included (`delivered` equals the report's `events`). Deterministic
+///   totals: the event loop is serial, so they are the same at any thread
+///   count.
 /// * `net.arbitration.deferred` — TDMA window skips.
 /// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` —
 ///   the incremental interference cache's hit/rebuild/edge economics
