@@ -120,6 +120,7 @@ fn bulk_rebuild(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenar
     cache.rebuild_all_shared(
         |_| true,
         receiver_key(sc),
+        |q| ends(sc, q),
         || kernel.fspl_scratch(),
         |s: &mut FsplScratch, v, qs: &[u32], out: &mut [Watts]| {
             let (a, b, rel) = gather(sc, v, qs);

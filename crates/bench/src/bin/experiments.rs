@@ -16,6 +16,7 @@
 //! experiments fleet --profile-folded prof.folded # collapsed-stacks profile
 //! experiments fleet --churn --timeseries ts.csv  # sim-time gauge series
 //! experiments analyze fleet.jsonl                # offline trace analysis
+//! experiments bench-diff <old> <new>             # benchmark ratios vs bounds
 //! ```
 //!
 //! The full argument list is validated before anything runs: a typo in the
@@ -67,6 +68,19 @@ fn main() {
             Err(msg) => {
                 eprintln!("{msg}");
                 std::process::exit(1);
+            }
+        }
+    }
+    // `bench-diff` compares two benchmark results instead of running
+    // anything: 0 when every metric is inside its bound, 1 when one is not,
+    // 2 when an input cannot be read.
+    if args.first().map(String::as_str) == Some("bench-diff") {
+        match run_bench_diff(&args[1..]) {
+            Ok(true) => return,
+            Ok(false) => std::process::exit(1),
+            Err(msg) => {
+                eprintln!("{msg}");
+                std::process::exit(2);
             }
         }
     }
@@ -218,6 +232,66 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
         write_or_die(out, &braidio_bench::analyze::render_json(&analysis));
     }
     Ok(())
+}
+
+/// `experiments bench-diff <old> <new> [--trajectory FILE] [--benchmark
+/// FILE]`: print every workload × end-to-end metric of two fleet benchmark
+/// results as a `new / old` ratio beside its `BENCHMARK.json` bound. Each
+/// side is a fleetbench result file (its stdout, last line, or out
+/// artifact) or, when no such file exists, the sha prefix of a commit in
+/// the trajectory (default `BENCH_fleet.json`). Returns whether every
+/// metric stayed inside its bound and the new side ran correct.
+fn run_bench_diff(args: &[String]) -> Result<bool, String> {
+    use braidio_bench::benchdiff::{self, Json};
+    let mut trajectory = "BENCH_fleet.json".to_string();
+    let mut benchmark = "BENCHMARK.json".to_string();
+    let mut sides: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--trajectory" | "--benchmark" => {
+                let v = it
+                    .next()
+                    .filter(|v| !v.starts_with('-'))
+                    .ok_or_else(|| format!("{arg} needs a file"))?;
+                if arg == "--trajectory" {
+                    trajectory = v.clone();
+                } else {
+                    benchmark = v.clone();
+                }
+            }
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown bench-diff flag '{flag}'"))
+            }
+            side => sides.push(side),
+        }
+    }
+    let [old, new] = sides[..] else {
+        return Err("usage: experiments bench-diff <old> <new> \
+                    [--trajectory FILE] [--benchmark FILE]"
+            .into());
+    };
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let bounds = benchdiff::bounds(
+        &Json::parse(&read(&benchmark)?).map_err(|e| format!("{benchmark}: {e}"))?,
+    )
+    .map_err(|e| format!("{benchmark}: {e}"))?;
+    let mut points: Option<Json> = None;
+    let mut side = |name: &str| -> Result<benchdiff::Side, String> {
+        if std::path::Path::new(name).is_file() {
+            return benchdiff::side(name, &read(name)?);
+        }
+        if points.is_none() {
+            let doc = Json::parse(&read(&trajectory)?).map_err(|e| format!("{trajectory}: {e}"))?;
+            points = Some(doc);
+        }
+        benchdiff::trajectory_point(points.as_ref().expect("just read"), name)
+            .map_err(|e| format!("{trajectory}: {e}"))
+    };
+    let (old, new) = (side(old)?, side(new)?);
+    let (report, ok) = benchdiff::diff(&old, &new, &bounds);
+    print!("{report}");
+    Ok(ok)
 }
 
 fn write_or_die(path: &str, contents: &str) {
@@ -620,6 +694,14 @@ fn usage() {
     eprintln!("                  anomaly flags (stuck sessions beyond N seconds,");
     eprintln!("                  default 30; grant/release imbalance; energy-");
     eprintln!("                  ledger drift). --json adds a machine report.");
+    eprintln!("  bench-diff <old> <new> [--trajectory FILE] [--benchmark FILE]");
+    eprintln!("                 compare two fleet benchmark results: each a");
+    eprintln!("                  fleetbench result file or the sha prefix of a");
+    eprintln!("                  commit in the trajectory (default");
+    eprintln!("                  BENCH_fleet.json); prints every workload x");
+    eprintln!("                  end-to-end metric as new/old beside its bound in");
+    eprintln!("                  BENCHMARK.json, and exits 1 when one is worse");
+    eprintln!("                  than its bound or the new run is incorrect.");
     eprintln!();
     eprintln!("Regenerates the tables and figures of the Braidio paper (SIGCOMM'16)");
     eprintln!("from the simulation models in this workspace. See EXPERIMENTS.md for");

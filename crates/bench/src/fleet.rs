@@ -11,6 +11,7 @@
 use crate::metrics;
 use crate::render::banner;
 use braidio_mac::coexistence::Coexistence;
+use braidio_net::cache::WAVE_CHUNK;
 use braidio_net::{run_fleet, run_fleet_sampled, Arbitration, FleetReport, FleetScenario};
 use braidio_radio::characterization::Characterization;
 use braidio_radio::Mode;
@@ -400,25 +401,28 @@ fn counter_value(name: &str) -> u64 {
 }
 
 /// Record the run's planning-wave edge throughput under
-/// `fleet.<key>.edges_per_s`: interference edges the bulk waves recomputed
+/// `fleet.<key>.edges_per_s`: interference edges the bulk waves evaluated
 /// (the `net.interference.wave_edge_recompute` counter delta across the
 /// run) divided by `wave_s`, the wall-clock spent inside `net.wave` spans.
 /// This is the figure the memoized FSPL kernel is accountable to —
-/// recomputed edges are exact simulated quantities, the wave wall-clock is
+/// evaluated edges are exact simulated quantities, the wave wall-clock is
 /// host noise, so the ratio goes to stderr and the metric registry, never
-/// stdout. Edges a pair's own re-plan evaluates (filling its receiver's
-/// edge row, or walking its live sources past the row cap) run outside
-/// any wave span, so they get their own stderr line instead of a rate.
-fn report_edge_throughput(key: &str, before: (u64, u64), wave_s: f64) {
-    let (all, wave) = edge_counters();
+/// stdout. The lanes a wave copied from a neighbouring receiver's row
+/// (`net.interference.wave_edge_reused`) are printed beside it. Edges a
+/// pair's own re-plan evaluates (filling its receiver's edge row, or
+/// walking its live sources past the row cap) run outside any wave span,
+/// so they get their own stderr line instead of a rate.
+fn report_edge_throughput(key: &str, before: (u64, u64, u64), wave_s: f64) {
+    let (all, wave, reused) = edge_counters();
     let wave_edges = wave.saturating_sub(before.1);
+    let reused = reused.saturating_sub(before.2);
     let lazy_edges = all.saturating_sub(before.0).saturating_sub(wave_edges);
     if wave_edges > 0 && wave_s > 0.0 {
         let eps = wave_edges as f64 / wave_s;
         metrics::record(&format!("fleet.{key}.edges_per_s"), eps);
         eprintln!(
-            "fleet {key}: {wave_edges} interference edges in {wave_s:.3} s of planning waves \
-             ({:.1} M edges/s)",
+            "fleet {key}: {wave_edges} interference edges evaluated and {reused} copied \
+             in {wave_s:.3} s of planning waves ({:.1} M evaluated/s)",
             eps / 1e6
         );
     }
@@ -430,19 +434,21 @@ fn report_edge_throughput(key: &str, before: (u64, u64), wave_s: f64) {
     }
 }
 
-/// The cumulative (all, wave-only) interference edge counters.
-fn edge_counters() -> (u64, u64) {
+/// The cumulative (all evaluated, wave-evaluated, wave-copied)
+/// interference edge counters.
+fn edge_counters() -> (u64, u64, u64) {
     (
         counter_value("net.interference.edge_recompute"),
         counter_value("net.interference.wave_edge_recompute"),
+        counter_value("net.interference.wave_edge_reused"),
     )
 }
 
 /// Record the parallel execution configuration under `fleet.<key>.`: the
 /// effective worker-thread count and the chunk size the planning wave's
 /// per-pair fan-out (key collection) uses at the run's largest pair count;
-/// the interference stage chunks its shared-receiver groups the same way,
-/// so on a star-heavy fleet its chunks hold fewer items. Pure wall-clock
+/// the interference stage chunks its shared-receiver groups by a fixed
+/// [`WAVE_CHUNK`] groups at any thread count instead. Pure wall-clock
 /// attribution metadata — the simulated outputs are identical at any
 /// thread count, but a perf trajectory is meaningless without the core
 /// count it ran on.
@@ -452,7 +458,8 @@ fn report_parallel_config(key: &str, pairs: usize) {
     metrics::record(&format!("fleet.{key}.threads"), threads as f64);
     metrics::record(&format!("fleet.{key}.wave_chunk_pairs"), chunk as f64);
     eprintln!(
-        "fleet {key}: {threads} worker thread{} ({}), wave fan-out chunk {chunk} pairs",
+        "fleet {key}: {threads} worker thread{} ({}), wave fan-out chunk {chunk} pairs \
+         ({WAVE_CHUNK} receiver groups for the edges)",
         if threads == 1 { "" } else { "s" },
         braidio_pool::thread_source().label(),
     );

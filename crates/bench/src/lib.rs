@@ -17,6 +17,7 @@
 
 pub mod ablation;
 pub mod analyze;
+pub mod benchdiff;
 pub mod coexistence;
 pub mod dynamic;
 pub mod fig1;

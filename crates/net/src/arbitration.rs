@@ -53,6 +53,9 @@ impl Arbitration {
 
     /// How the carrier of pair `other` lands in the receiver of pair
     /// `victim`. Only meaningful for policies where both may be up at once.
+    /// Every policy relates `(victim − s, other − s)` as it relates
+    /// `(victim, other)`, which lets the bulk wave copy an edge from a
+    /// lattice neighbour's row (`PairGainCache::rebuild_all_shared`).
     pub fn relation(self, victim: usize, other: usize) -> ChannelRelation {
         match self {
             Arbitration::Uncoordinated => ChannelRelation::AdjacentChannel,
@@ -253,6 +256,37 @@ mod tests {
         assert_eq!(Arbitration::ChannelPlan { channels: 2 }.relation_row(5), 1);
         assert_eq!(Arbitration::ChannelPlan { channels: 3 }.relation_row(5), 2);
         assert_eq!(Arbitration::Uncoordinated.relation_row(5), 0);
+    }
+
+    #[test]
+    fn relations_are_invariant_under_a_common_shift() {
+        // The bulk wave copies source `q`'s edge at victim `v` from a row
+        // led by `v − s` at source `q − s`, which is exact only if every
+        // policy relates the shifted pair as it relates the original.
+        let policies = [
+            Arbitration::Uncoordinated,
+            Arbitration::TdmaRoundRobin {
+                slot: Seconds::new(0.25),
+            },
+            Arbitration::ChannelPlan { channels: 0 },
+            Arbitration::ChannelPlan { channels: 1 },
+            Arbitration::ChannelPlan { channels: 2 },
+            Arbitration::ChannelPlan { channels: 3 },
+            Arbitration::ChannelPlan { channels: 7 },
+        ];
+        for a in policies {
+            for v in 0..40 {
+                for q in 0..40 {
+                    for s in 0..=v.min(q) {
+                        assert_eq!(
+                            a.relation(v - s, q - s),
+                            a.relation(v, q),
+                            "{a:?}: ({v}, {q}) shifted by {s}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

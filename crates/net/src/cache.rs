@@ -34,23 +34,40 @@
 //! **Bulk rebuild.** The engine's bring-up wave — the one planning wave of
 //! a run, when every pair is about to read its sum — refreshes every dirty
 //! sum it selects in one pass ([`PairGainCache::rebuild_all_shared`]), so
-//! the per-pair lookups that follow are all O(1) clean hits. The pass runs
-//! one accumulation loop over *groups* of victims that share a receiver
-//! key: it gathers the group's live sources into [`EDGE_TILE`]-wide index
-//! tiles, hands each tile once to the edge-tile closure `edge_tile(s, v,
-//! qs, out)` (the engine passes `EdgeKernel::carrier_tile_scratch`) with
-//! the group's first member as `v`, and folds the returned lanes serially,
-//! in pair-index order, into every member's accumulator, each member
-//! skipping its own index. A star hub's tags all listen at the hub, so a
-//! city of 4-tag star blocks pays about 5/8 of the per-pair edge work. A
-//! group holds at most [`GROUP_CAP`] members, so one giant star cannot
-//! serialize the fan-out. The pass fans chunks of groups out over the
-//! `braidio-pool` workers in order of their first member (each group's
-//! sums are an independent pure function of the wave's frozen geometry,
-//! merged back in group order), so bring-up scales across cores without
-//! changing a bit — see DESIGN.md §12. Each chunk threads a scratch `s` of
-//! its own through its tiles and hands it back when it ends; the engine's
-//! is a chunk-local FSPL table folded into the shared memo then.
+//! the per-pair lookups that follow are all O(1) clean hits. The pass
+//! forms *groups* of victims that share a receiver key (at most
+//! [`GROUP_CAP`] members, so one giant star cannot serialize the fan-out)
+//! and builds one edge row per group, in three passes:
+//!
+//! 1. **Copy.** Lane `q` is taken from a *donor row* — one of the last
+//!    [`DONORS`] rows of the same pool chunk, led by victim `v − s` — when
+//!    the four offsets `a.x − R.x, a.y − R.y, b.x − R.x, b.y − R.y` of
+//!    source `q` at this row's receiver `R` are bit for bit those of source
+//!    `q − s` at the donor's receiver, and the donor gathered lane `q − s`.
+//! 2. **Evaluate.** The other lanes go, in pair-index order, through the
+//!    edge-tile closure `edge_tile(s, v, qs, out)` in full [`EDGE_TILE`]
+//!    tiles, with the group's first member as `v` (the engine passes
+//!    `EdgeKernel::carrier_tile_scratch`).
+//! 3. **Fold.** Each member's sum adds the row over the live sources in
+//!    pair-index order, skipping its own index — the adds of the lazy fold
+//!    and of the brute-force rescan.
+//!
+//! The copy is exact because an edge is a pure function of those four
+//! offset bit patterns and of `relation(v, q)` (the kernel reads the
+//! endpoints only through their differences from the receiver), and every
+//! arbitration policy relates `(v − s, q − s)` as it relates `(v, q)`. On
+//! a lattice most lanes repeat one a neighbouring receiver already holds: a
+//! star hub's tags share one row, and a city of mesh and star blocks copies
+//! about nine lanes in ten.
+//!
+//! The pass fans chunks of [`WAVE_CHUNK`] consecutive groups out over the
+//! `braidio-pool` workers in order of their first member, and merges them
+//! back in group order (DESIGN.md §12). The chunk size is fixed, never
+//! derived from the thread count, so which rows serve as donors, which
+//! lanes are copied, and every `net.interference.*` and `net.fspl.*` count
+//! are the same at any `--jobs`. Each chunk threads a scratch `s` of its
+//! own through its tiles and hands it back when it ends; the engine's is a
+//! chunk-local FSPL table folded into the shared memo then.
 //!
 //! **Lazy rebuilds from per-receiver rows.** After bring-up nothing
 //! rebuilds in bulk: a sum dirtied by a flip or a move stays dirty until
@@ -69,8 +86,8 @@
 //! * [`invalidate_all`](PairGainCache::invalidate_all) (a move or a
 //!   relation change) drops every row.
 //! * At most [`ROW_CAP`] keys hold a row, first come first served until the
-//!   next `invalidate_all`; a key past the cap walks its live sources
-//!   through the edge-tile closure on every rebuild, as a group of one. So
+//!   next `invalidate_all`; a key past the cap fills a throwaway row of
+//!   its live sources through the edge-tile closure on every rebuild. So
 //!   rows take at most `ROW_CAP · pairs` values, O(pairs) memory.
 //!
 //! A churning open system — one hub serving many tags whose admissions,
@@ -81,7 +98,7 @@ use crate::interference::EDGE_TILE;
 use braidio_rfsim::geometry::Point;
 use braidio_telemetry as telemetry;
 use braidio_units::Watts;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
 /// Most victims one shared-receiver group holds. A larger crowd at one
@@ -94,6 +111,20 @@ pub const GROUP_CAP: usize = EDGE_TILE;
 /// values (about 5 MB at 10⁴ pairs); a key past the cap rebuilds its sums
 /// by walking its live sources.
 pub const ROW_CAP: usize = 64;
+
+/// Groups per pool chunk of the bulk pass. A constant, never derived from
+/// the thread count: donors come from the chunk's own rows, so this fixes
+/// which lanes are copied, and with them every `net.interference.*` and
+/// `net.fspl.*` count, at any `--jobs`.
+pub const WAVE_CHUNK: usize = 256;
+
+/// Most recent rows of a bulk-pass chunk a new row may copy lanes from. A
+/// city's mesh and star blocks repeat every five groups.
+pub const DONORS: usize = 6;
+
+/// Lanes, spread over the pair range, on which a new row scores each
+/// candidate donor before its copy pass.
+const DONOR_SAMPLES: usize = 64;
 
 /// One victim's receiver key: its receiver's x and y position bits and its
 /// arbitration relation row (`Arbitration::relation_row`). The contract the
@@ -214,10 +245,11 @@ impl PairGainCache {
     /// edge row — built on the first dirty read of the key (every source,
     /// live or not, in [`EDGE_TILE`]-wide tiles) while fewer than
     /// [`ROW_CAP`] keys hold one — over the live sources in pair-index
-    /// order, skipping the victim. A key past the cap runs the
-    /// accumulation loop as a group of one instead, walking the live
-    /// sources through `edge_tile`. Either way the sum makes the adds of
-    /// the brute-force rescan, on the same bits, in the same order.
+    /// order, skipping the victim. A key past the cap fills a throwaway
+    /// row of the live sources but the victim through `edge_tile` instead,
+    /// as a bulk group of one does, and folds it the same way. Either way
+    /// the sum makes the adds of the brute-force rescan, on the same bits,
+    /// in the same order.
     pub fn interference<E>(&mut self, victim: usize, key: ReceiverKey, edge_tile: E) -> Watts
     where
         E: Fn(usize, &[u32], &mut [Watts]),
@@ -234,9 +266,10 @@ impl PairGainCache {
         let sum = match self.rows.get(&key) {
             Some(row) => self.fold_row(row, victim),
             None => {
-                let mut acc = [Watts::ZERO];
-                self.sum_group(&[victim as u32], false, &edge_tile, &mut acc);
-                acc[0]
+                let mut row = Row::new(victim, true, Point::ORIGIN, self.n);
+                let (lanes, _) = self.fill_row(&mut row, NO_DONOR, &mut Vec::new(), edge_tile);
+                telemetry::count_by("net.interference.edge_recompute", lanes);
+                self.fold_row(&row.vals, victim)
             }
         };
         self.sum[victim] = sum.watts();
@@ -268,17 +301,7 @@ impl PairGainCache {
     /// order.
     fn fold_row(&self, row: &[Watts], victim: usize) -> Watts {
         let mut acc = Watts::ZERO;
-        for (w, &word) in self.live.iter().enumerate() {
-            let mut bits = if w == victim / 64 {
-                word & !(1 << (victim % 64))
-            } else {
-                word
-            };
-            while bits != 0 {
-                acc += row[64 * w + bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-            }
-        }
+        self.each_source(Some(victim), |q| acc += row[q]);
         acc
     }
 
@@ -286,28 +309,33 @@ impl PairGainCache {
     /// listen at the same point. `keep(v)` gates which victims are worth
     /// rebuilding (the engine skips dead and mobile pairs — mobility
     /// refreshes positions lazily at event time, so those sums fall back to
-    /// the per-victim lazy path). `edge_tile(s, v, qs, out)` fills `out[i]`
-    /// with source `qs[i]`'s contribution at victim `v` (at most
-    /// [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index order),
-    /// given the running chunk's scratch `s`.
+    /// the per-victim lazy path). `ends(q)` is pair `q`'s endpoint pair
+    /// `(a, b)`; a victim `v` listens at `ends(v).1`. `edge_tile(s, v, qs,
+    /// out)` fills `out[i]` with source `qs[i]`'s contribution at victim `v`
+    /// (at most [`EDGE_TILE`] lanes per call, `qs` ascending in pair-index
+    /// order), given the running chunk's scratch `s`.
     ///
     /// `key(v)` names victim `v`'s receiver. The contract: victims with
     /// equal keys get the same bits from `edge_tile` for every source, so
     /// one evaluation serves them all (the engine keys on the receiver's
-    /// position bits and the arbitration relation row). Selected victims
-    /// with equal keys form groups of at most [`GROUP_CAP`] members, in
-    /// pair-index order; each group runs the shared accumulation loop once,
-    /// so every sum is bit-identical to the lazy
+    /// position bits and the arbitration relation row), and `edge_tile`'s
+    /// lane for source `q` at victim `v` is a pure function of the bits of
+    /// `ends(q).0 − ends(v).1` and `ends(q).1 − ends(v).1` (per coordinate)
+    /// and of a relation that a common shift of `v` and `q` keeps. That
+    /// lets a row copy a lane from a donor row (module docs). Selected
+    /// victims with equal keys form groups of at most [`GROUP_CAP`]
+    /// members, in pair-index order; each group's row is folded into every
+    /// member's sum, so every sum is bit-identical to the lazy
     /// [`interference`](Self::interference) path and to brute force.
     ///
-    /// Besides the shared `net.interference.edge_recompute` tally, the pass
-    /// counts the kernel lanes it evaluates under
-    /// `net.interference.wave_edge_recompute`, so the bulk share of the
-    /// edge work can be told apart from the lazy share.
+    /// The pass counts the lanes it evaluates under both
+    /// `net.interference.edge_recompute` and
+    /// `net.interference.wave_edge_recompute`, and the lanes it copies
+    /// under `net.interference.wave_edge_reused`.
     ///
-    /// The groups fan out over the work pool in chunks of consecutive
-    /// groups, in order of their first member: each group's sums are an
-    /// independent pure function of the (frozen-for-the-wave) geometry,
+    /// The groups fan out over the work pool in chunks of [`WAVE_CHUNK`]
+    /// consecutive groups, in order of their first member: each chunk's
+    /// sums are a pure function of the (frozen-for-the-wave) geometry,
     /// written back in group order — so the result is identical at any
     /// thread count, and the closures must be `Sync`. Each chunk makes its
     /// own scratch with `scratch()`, threads it through every `edge_tile`
@@ -318,10 +346,11 @@ impl PairGainCache {
     /// the calling thread.
     ///
     /// [`EdgeKernel::carrier_tile_scratch`]: crate::interference::EdgeKernel::carrier_tile_scratch
-    pub fn rebuild_all_shared<K, G, R, S, N, E, F>(
+    pub fn rebuild_all_shared<K, G, R, P, S, N, E, F>(
         &mut self,
         keep: K,
         key: G,
+        ends: P,
         scratch: N,
         edge_tile: E,
         fold: F,
@@ -329,6 +358,54 @@ impl PairGainCache {
         K: Fn(usize) -> bool,
         G: Fn(usize) -> R,
         R: Eq + Hash,
+        P: Fn(usize) -> (Point, Point) + Sync,
+        N: Fn() -> S + Sync,
+        E: Fn(&mut S, usize, &[u32], &mut [Watts]) + Sync,
+        F: Fn(S) + Sync,
+    {
+        self.rebuild_groups(keep, key, Some(ends), scratch, edge_tile, fold);
+    }
+
+    /// [`rebuild_all_shared`](Self::rebuild_all_shared) with every victim
+    /// its own group, no chunk scratch and no copied lanes: each selected
+    /// victim evaluates its own edges through `edge_tile`.
+    ///
+    /// An adapter kept only because the `fleetbench` edge replay compiles
+    /// against this signature and times the kernel through it;
+    /// `_endpoints` is unused (without copies the cache reads no geometry,
+    /// the tile kernel does). Once the replay calls the shared entry point,
+    /// this goes.
+    pub fn rebuild_all_tiled<K, P, E>(&mut self, keep: K, _endpoints: P, edge_tile: E)
+    where
+        K: Fn(usize) -> bool,
+        P: Fn(usize) -> (Point, Point),
+        E: Fn(usize, &[u32], &mut [Watts]) + Sync,
+    {
+        self.rebuild_groups(
+            keep,
+            |v| v,
+            None::<Ends>,
+            || (),
+            |_: &mut (), v, qs, out| edge_tile(v, qs, out),
+            |()| {},
+        );
+    }
+
+    /// The bulk pass behind both entry points; rows copy lanes only when
+    /// `ends` is given.
+    fn rebuild_groups<K, G, R, P, S, N, E, F>(
+        &mut self,
+        keep: K,
+        key: G,
+        ends: Option<P>,
+        scratch: N,
+        edge_tile: E,
+        fold: F,
+    ) where
+        K: Fn(usize) -> bool,
+        G: Fn(usize) -> R,
+        R: Eq + Hash,
+        P: Fn(usize) -> (Point, Point) + Sync,
         N: Fn() -> S + Sync,
         E: Fn(&mut S, usize, &[u32], &mut [Watts]) + Sync,
         F: Fn(S) + Sync,
@@ -354,26 +431,52 @@ impl PairGainCache {
         }
         let this = &*self;
         let live: usize = self.live.iter().map(|w| w.count_ones() as usize).sum();
-        let chunk = braidio_pool::default_chunk(groups.len());
-        let nchunks = groups.len().div_ceil(chunk);
+        let nchunks = groups.len().div_ceil(WAVE_CHUNK);
         let sums = braidio_pool::par_map_sized(nchunks, 1, groups.len() * live, |c| {
             let mut s = scratch();
-            let lo = c * chunk;
-            let accs: Vec<Vec<Watts>> = groups[lo..(lo + chunk).min(groups.len())]
+            let chunk = &groups[c * WAVE_CHUNK..((c + 1) * WAVE_CHUNK).min(groups.len())];
+            // The chunk's last `DONORS` rows, oldest first, a spare row for
+            // the next one, and the indices of a row's evaluated lanes.
+            let mut ring: VecDeque<Row> = VecDeque::with_capacity(DONORS + 1);
+            let mut spare: Option<Row> = None;
+            let mut pending = Vec::new();
+            let (mut evaluated, mut reused) = (0u64, 0u64);
+            let mut tile = |v: usize, qs: &[u32], out: &mut [Watts]| edge_tile(&mut s, v, qs, out);
+            let accs: Vec<Vec<Watts>> = chunk
                 .iter()
                 .map(|group| {
+                    let (lead, lone) = (group[0] as usize, group.len() == 1);
+                    let rx = ends.as_ref().map_or(Point::ORIGIN, |ends| ends(lead).1);
+                    let mut row = match spare.take() {
+                        Some(row) => Row {
+                            lead,
+                            lone,
+                            rx,
+                            ..row
+                        },
+                        None => Row::new(lead, lone, rx, this.n),
+                    };
+                    let donor = ends
+                        .as_ref()
+                        .and_then(|ends| Some((this.donor(&row, &ring, ends)?, ends)));
+                    let (e, r) = this.fill_row(&mut row, donor, &mut pending, &mut tile);
+                    (evaluated, reused) = (evaluated + e, reused + r);
+                    let acc = group
+                        .iter()
+                        .map(|&m| this.fold_row(&row.vals, m as usize))
+                        .collect();
+                    ring.push_back(row);
+                    if ring.len() > DONORS {
+                        spare = ring.pop_front();
+                    }
                     telemetry::count_by("net.interference.sum_rebuild", group.len() as u64);
-                    let mut acc = vec![Watts::ZERO; group.len()];
-                    this.sum_group(
-                        group,
-                        true,
-                        |v, qs, out| edge_tile(&mut s, v, qs, out),
-                        &mut acc,
-                    );
                     acc
                 })
                 .collect();
             fold(s);
+            telemetry::count_by("net.interference.edge_recompute", evaluated);
+            telemetry::count_by("net.interference.wave_edge_recompute", evaluated);
+            telemetry::count_by("net.interference.wave_edge_reused", reused);
             accs
         });
         for (group, acc) in groups.iter().zip(sums.into_iter().flatten()) {
@@ -386,87 +489,158 @@ impl PairGainCache {
         }
     }
 
-    /// [`rebuild_all_shared`](Self::rebuild_all_shared) with every victim
-    /// its own group and no chunk scratch: each selected victim evaluates
-    /// its own edges through `edge_tile`.
-    ///
-    /// An adapter kept only because the `fleetbench` edge replay compiles
-    /// against this signature; `_endpoints` is unused (the cache reads no
-    /// geometry itself, the tile kernel does). Once the replay calls the
-    /// shared entry point, this goes.
-    pub fn rebuild_all_tiled<K, P, E>(&mut self, keep: K, _endpoints: P, edge_tile: E)
-    where
-        K: Fn(usize) -> bool,
-        P: Fn(usize) -> (Point, Point),
-        E: Fn(usize, &[u32], &mut [Watts]) + Sync,
-    {
-        self.rebuild_all_shared(
-            keep,
-            |v| v,
-            || (),
-            |_: &mut (), v, qs, out| edge_tile(v, qs, out),
-            |()| {},
-        );
+    /// Does a row led by `lead` gather source `q`? Every live source does,
+    /// except a singleton's own victim.
+    #[inline]
+    fn gathers(&self, lead: usize, lone: bool, q: usize) -> bool {
+        (self.live[q / 64] >> (q % 64)) & 1 == 1 && !(lone && q == lead)
     }
 
-    /// The sums of one victim group, into the zeroed `acc[i]` for
-    /// `members[i]` (ascending, sharing one receiver key). Live sources in
-    /// pair-index order are gathered into [`EDGE_TILE`]-wide index tiles;
-    /// each tile is evaluated once for the first member and its lanes are
-    /// folded serially, in lane order, into every member's accumulator,
-    /// each member skipping its own index. A singleton group gathers every
-    /// live source but its victim, exactly the per-victim walk. The bulk
-    /// pass and a lazy read past [`ROW_CAP`] run this loop, and a row fold
-    /// makes the adds of its singleton walk — the bitwise contract lives
-    /// here. `wave` files the evaluated lanes under the bulk pass's counter
-    /// as well.
-    fn sum_group<E>(&self, members: &[u32], wave: bool, mut edge_tile: E, acc: &mut [Watts])
-    where
-        E: FnMut(usize, &[u32], &mut [Watts]),
-    {
-        debug_assert!(!members.is_empty() && members.len() == acc.len());
-        let lead = members[0];
-        // Only a singleton can leave its own index out of the gather: in a
-        // larger group every member is a source for the others.
-        let lone = members.len() == 1;
-        let mut flush = |qs: &[u32], ws: &mut [Watts], acc: &mut [Watts]| {
-            telemetry::count_by("net.interference.edge_recompute", qs.len() as u64);
-            if wave {
-                telemetry::count_by("net.interference.wave_edge_recompute", qs.len() as u64);
-            }
-            edge_tile(lead as usize, qs, ws);
-            // The noncoherent sums stay serial, in pair-index order.
-            for (&m, a) in members.iter().zip(acc.iter_mut()) {
-                for (&q, w) in qs.iter().zip(ws.iter()) {
-                    if q != m {
-                        *a += *w;
-                    }
-                }
-            }
-        };
-        let mut qs = [0u32; EDGE_TILE];
-        let mut ws = [Watts::ZERO; EDGE_TILE];
-        let mut fill = 0usize;
+    /// Call `f` on every live source but `skip`, in ascending pair-index
+    /// order.
+    #[inline]
+    fn each_source(&self, skip: Option<usize>, mut f: impl FnMut(usize)) {
         for (w, &word) in self.live.iter().enumerate() {
-            let mut bits = word;
+            let mut bits = match skip {
+                Some(v) if v / 64 == w => word & !(1 << (v % 64)),
+                _ => word,
+            };
             while bits != 0 {
-                let q = (64 * w) as u32 + bits.trailing_zeros();
+                f(64 * w + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
-                if lone && q == lead {
-                    continue;
-                }
-                qs[fill] = q;
-                fill += 1;
-                if fill == EDGE_TILE {
-                    flush(&qs, &mut ws, acc);
-                    fill = 0;
-                }
             }
-        }
-        if fill > 0 {
-            flush(&qs[..fill], &mut ws[..fill], acc);
         }
     }
+
+    /// The donor in `ring` that `row` copies from: the one whose lanes match
+    /// on the most of [`DONOR_SAMPLES`] sampled sources, the most recent
+    /// on a tie, and none if no sample matches.
+    fn donor<'r, P>(&self, row: &Row, ring: &'r VecDeque<Row>, ends: &P) -> Option<&'r Row>
+    where
+        P: Fn(usize) -> (Point, Point),
+    {
+        let mut best: Option<(&Row, usize)> = None;
+        for d in ring.iter().rev() {
+            let shift = row.lead - d.lead;
+            let span = (self.n - shift) as u64;
+            // A golden-ratio (Weyl) sequence over the shifted range: even
+            // coverage whose stride no lattice period divides, so samples
+            // do not all land on a lattice's row ends.
+            let score = (0..DONOR_SAMPLES as u64)
+                .map(|i| shift + ((((i * 0x9E37_79B9) & 0xFFFF_FFFF) * span) >> 32) as usize)
+                .filter(|&q| {
+                    self.gathers(row.lead, row.lone, q) && self.copies(row.lead, row.rx, d, q, ends)
+                })
+                .count();
+            if score > best.map_or(0, |(_, b)| b) {
+                best = Some((d, score));
+            }
+        }
+        best.map(|(d, _)| d)
+    }
+
+    /// May the row led by `lead`, listening at `rx`, take lane `q` from
+    /// donor `d`? Only when `d` gathered lane `q − s` (`s` the shift
+    /// between the rows' first members) and source `q`'s four offsets from
+    /// `rx` are bit for bit source `q − s`'s from `d`'s receiver.
+    #[inline]
+    fn copies<P>(&self, lead: usize, rx: Point, d: &Row, q: usize, ends: &P) -> bool
+    where
+        P: Fn(usize) -> (Point, Point),
+    {
+        let Some(p) = q.checked_sub(lead - d.lead) else {
+            return false;
+        };
+        self.gathers(d.lead, d.lone, p) && same_offsets(ends(q), rx, ends(p), d.rx)
+    }
+
+    /// Fill `row` for every source it gathers, in pair-index order: copy
+    /// each lane the donor (a ring row, with the pass's `ends`) holds
+    /// (module docs), then evaluate the rest through `edge_tile` in full
+    /// [`EDGE_TILE`] tiles. `pending` holds the evaluated lanes' indices
+    /// meanwhile. Returns the lanes evaluated and copied.
+    fn fill_row<P, E>(
+        &self,
+        row: &mut Row,
+        donor: Option<(&Row, &P)>,
+        pending: &mut Vec<u32>,
+        mut edge_tile: E,
+    ) -> (u64, u64)
+    where
+        P: Fn(usize) -> (Point, Point),
+        E: FnMut(usize, &[u32], &mut [Watts]),
+    {
+        let Row { lead, lone, rx, .. } = *row;
+        let vals = &mut row.vals;
+        let mut reused = 0;
+        pending.clear();
+        self.each_source(lone.then_some(lead), |q| match donor {
+            Some((d, ends)) if self.copies(lead, rx, d, q, ends) => {
+                let p = q - (lead - d.lead);
+                debug_assert!(
+                    {
+                        let ((a, b), (da, db)) = (ends(q), ends(p));
+                        let bits = |x: Point, rx: Point| x.distance(rx).meters().to_bits();
+                        bits(a, rx) == bits(da, d.rx) && bits(b, rx) == bits(db, d.rx)
+                    },
+                    "lane {q} of the row led by {lead} copied from lane {p} at another distance"
+                );
+                vals[q] = d.vals[p];
+                reused += 1;
+            }
+            _ => pending.push(q as u32),
+        });
+        let mut ws = [Watts::ZERO; EDGE_TILE];
+        for qs in pending.chunks(EDGE_TILE) {
+            edge_tile(lead, qs, &mut ws[..qs.len()]);
+            for (&q, &w) in qs.iter().zip(&ws) {
+                vals[q as usize] = w;
+            }
+        }
+        (pending.len() as u64, reused)
+    }
+}
+
+/// One group's edge row in the bulk pass: `vals[q]` is source `q`'s edge at
+/// receiver `rx`, for every source the row gathers (a stale value
+/// elsewhere).
+struct Row {
+    /// The group's first member, the victim its lanes are evaluated for.
+    lead: usize,
+    /// A group of one, whose row leaves out its own victim.
+    lone: bool,
+    rx: Point,
+    vals: Box<[Watts]>,
+}
+
+impl Row {
+    fn new(lead: usize, lone: bool, rx: Point, n: usize) -> Self {
+        Row {
+            lead,
+            lone,
+            rx,
+            vals: vec![Watts::ZERO; n].into_boxed_slice(),
+        }
+    }
+}
+
+/// A pair's endpoints by pair index, as the bulk pass reads them.
+type Ends = fn(usize) -> (Point, Point);
+
+/// [`PairGainCache::fill_row`]'s donor when there is none.
+const NO_DONOR: Option<(&Row, &Ends)> = None;
+
+/// Are the bit patterns of `a − rx` and `b − rx` (per coordinate: every
+/// input of an edge but its channel relation) those of `a′ − rx′` and
+/// `b′ − rx′`? One branch for all four.
+#[inline]
+fn same_offsets((a, b): (Point, Point), rx: Point, (a2, b2): (Point, Point), rx2: Point) -> bool {
+    let diff = |x: f64, rx: f64, x2: f64, rx2: f64| (x - rx).to_bits() ^ (x2 - rx2).to_bits();
+    diff(a.x, rx.x, a2.x, rx2.x)
+        | diff(a.y, rx.y, a2.y, rx2.y)
+        | diff(b.x, rx.x, b2.x, rx2.x)
+        | diff(b.y, rx.y, b2.y, rx2.y)
+        == 0
 }
 
 #[cfg(test)]
@@ -521,6 +695,7 @@ mod tests {
         cache.rebuild_all_shared(
             keep,
             key,
+            |q| eps[q],
             || (),
             |_: &mut (), v, qs: &[u32], out: &mut [Watts]| t(v, qs, out),
             |()| {},
@@ -712,13 +887,13 @@ mod tests {
 
     #[test]
     fn each_chunk_threads_one_scratch_and_folds_it_when_done() {
-        // Every victim its own group, enough of them for several pool
-        // chunks. Each chunk's scratch counts the lanes its tiles saw; the
-        // folds must account for every lane once, one scratch per chunk,
-        // never more alive at once than there are workers, and the sums
-        // keep the lazy path's bits.
+        // Every victim its own group, enough of them for two pool chunks.
+        // Each chunk's scratch counts the lanes its tiles saw; the folds
+        // must account for every evaluated lane once, one scratch per
+        // chunk, never more alive at once than there are workers, and the
+        // sums keep the lazy path's bits.
         use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-        let n = 3 * EDGE_TILE + 5;
+        let n = WAVE_CHUNK + EDGE_TILE + 5;
         let eps = layout(n, 0.8);
         let (made, folded, alive, most) = (
             AtomicUsize::new(0),
@@ -732,6 +907,7 @@ mod tests {
         bulk.rebuild_all_shared(
             |_| true,
             |v| v,
+            |q| eps[q],
             || {
                 made.fetch_add(1, Relaxed);
                 most.fetch_max(alive.fetch_add(1, Relaxed) + 1, Relaxed);
@@ -748,17 +924,80 @@ mod tests {
                 lanes.fetch_add(s, Relaxed);
             },
         );
-        let chunks = n.div_ceil(braidio_pool::default_chunk(n));
+        let chunks = n.div_ceil(WAVE_CHUNK);
+        assert_eq!(chunks, 2);
         assert_eq!(made.into_inner(), chunks);
         assert_eq!(folded.into_inner(), chunks);
         assert!(most.into_inner() <= braidio_pool::thread_count());
-        assert_eq!(lanes.into_inner(), (n * (n - 1)) as u64);
-        assert_eq!(seen.into_inner(), (n * (n - 1)) as u64);
+        // The line repeats every receiver's geometry one pair over, so
+        // rows copy most lanes; the evaluated rest all reach a fold.
+        let lanes = lanes.into_inner();
+        assert_eq!(seen.into_inner(), lanes);
+        assert!(
+            lanes > 0 && lanes < (n * (n - 1)) as u64 / 2,
+            "{lanes} lanes"
+        );
         let mut lazy = PairGainCache::new(n);
         for v in 0..n {
             let a = bulk.interference(v, rk(&eps, v), clean);
             let b = lazy.interference(v, rk(&eps, v), tile(&eps));
             assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}");
+        }
+    }
+
+    #[test]
+    fn copies_compare_offset_bits_not_values() {
+        // Pairs on a vertical line at x = +0.0, 3 m apart, so each row
+        // repeats its predecessor one pair over — except that pair 5's
+        // transmitter sits at x = -0.0. Its offsets equal its neighbours'
+        // as numbers but not as bits, and a kernel that reads the sign of
+        // an offset (the cache's contract allows it) must see every lane
+        // with its own sign: no row may copy across the zero's sign.
+        let n = 12;
+        let eps: Vec<(Point, Point)> = (0..n)
+            .map(|i| {
+                let x = if i == 5 { -0.0 } else { 0.0 };
+                (
+                    Point::new(x, 3.0 * i as f64),
+                    Point::new(0.0, 3.0 * i as f64 + 0.5),
+                )
+            })
+            .collect();
+        let signed = |v: usize, q: usize| {
+            let (a, vp) = (eps[q].0, eps[v].1);
+            let w = edge(&eps, v, q).watts();
+            Watts::new(if (a.x - vp.x).is_sign_negative() {
+                2.0 * w
+            } else {
+                w
+            })
+        };
+        let lanes = std::sync::atomic::AtomicUsize::new(0);
+        let mut cache = PairGainCache::new(n);
+        cache.rebuild_all_shared(
+            |_| true,
+            |v| v,
+            |q| eps[q],
+            || (),
+            |_: &mut (), v, qs: &[u32], out: &mut [Watts]| {
+                lanes.fetch_add(qs.len(), std::sync::atomic::Ordering::Relaxed);
+                for (o, &q) in out.iter_mut().zip(qs) {
+                    *o = signed(v, q as usize);
+                }
+            },
+            |()| {},
+        );
+        assert!(
+            lanes.into_inner() < n * (n - 1) / 2,
+            "rows copied few lanes"
+        );
+        for v in 0..n {
+            let mut want = Watts::ZERO;
+            for q in (0..n).filter(|&q| q != v) {
+                want += signed(v, q);
+            }
+            let got = cache.cached_sum(v).expect("rebuilt");
+            assert_eq!(got.watts().to_bits(), want.watts().to_bits(), "victim {v}");
         }
     }
 

@@ -464,7 +464,11 @@ where
 
 /// The bring-up wave's edge tile: the same gather and kernel as
 /// [`edge_tile`], with FSPL looked up in the running pool chunk's scratch
-/// ([`EdgeKernel::carrier_tile_scratch`]).
+/// ([`EdgeKernel::carrier_tile_scratch`]). A lane reads source `q` only
+/// through its endpoints' offsets from `v`'s receiver and through
+/// `relation(v, q)`, which a common shift of `v` and `q` keeps, so the
+/// bulk pass may copy it from a lattice neighbour's row instead
+/// ([`PairGainCache::rebuild_all_shared`]).
 fn wave_edge_tile<'a, F>(
     edges: &'a EdgeKernel,
     arbitration: Arbitration,
@@ -1306,10 +1310,11 @@ impl<'a> Fleet<'a> {
     ///
     /// Three stages, all over the flat arrays in pair-index order:
     /// 1. bulk-rebuild every stale interference sum for static live
-    ///    victims ([`PairGainCache::rebuild_all_shared`] — the identical
-    ///    accumulation loop and edge-tile kernel the lazy path runs, with
-    ///    victims that share a receiver point and relation row evaluating
-    ///    each edge once, so not a bit moves);
+    ///    victims ([`PairGainCache::rebuild_all_shared`] — the row fold
+    ///    and edge-tile kernel the lazy path runs, with victims that share
+    ///    a receiver point and relation row filling one row, and a row
+    ///    copying each lane a lattice neighbour's row holds at
+    ///    bit-identical offsets, so not a bit moves);
     /// 2. collect the wave's quantized `OptionsMemo` keys (static live
     ///    pairs only — mobile pairs refresh their geometry at event time
     ///    and take the per-pair path), then sort + dedup;
@@ -1347,13 +1352,15 @@ impl<'a> Fleet<'a> {
             let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
             let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let ends = |q: usize| (pa[q], pb[q]);
-            // Victims with one receiver key share each edge evaluation.
-            // Each pool chunk looks FSPL up in a scratch of its own and
-            // folds it into the shared memo when it ends.
+            // Victims with one receiver key share each edge evaluation,
+            // and a row copies each lane a lattice neighbour's row already
+            // holds. Each pool chunk looks FSPL up in a scratch of its own
+            // and folds it into the shared memo when it ends.
             let edges = &self.edges;
             self.gains.rebuild_all_shared(
                 |v| !pairs.walks(v) && pairs.on_air(v),
                 |v| receiver_key(pb[v], sc.arbitration, v),
+                ends,
                 || edges.fspl_scratch(),
                 wave_edge_tile(edges, sc.arbitration, ends),
                 |scratch| edges.fold_scratch(scratch),

@@ -4,10 +4,11 @@
 //! The FSPL memo counts a miss only for the lookup (or chunk-scratch fold)
 //! that inserts its key, so `net.fspl.*` totals do not depend on which
 //! worker got there first; the cache counts the kernel lanes it actually
-//! evaluates. Together that makes
-//! a city-block fleet's `net.fspl.*` and `net.interference.*` counters the
-//! same at any thread count, and the bulk pass's edge tally a direct
-//! witness of how much edge work the shared-receiver grouping saved.
+//! evaluates, and the bulk pass the lanes it copies from a donor row, in
+//! pool chunks of a fixed group count. Together that makes a city-block
+//! fleet's `net.fspl.*` and `net.interference.*` counters the same at any
+//! thread count, and the bulk pass's edge tallies a direct witness of how
+//! much edge work the shared-receiver grouping and the copies saved.
 //!
 //! The capture switches are process-global and the harness runs sibling
 //! `#[test]` functions concurrently, so every test here holds one lock.
@@ -49,10 +50,11 @@ fn value(counters: &[(String, u64)], name: &str) -> u64 {
 
 #[test]
 fn city_block_edge_and_fspl_counters_are_thread_count_invariant() {
-    // 256 pairs: enough edge work (about 41 000 lanes) for the wave to fan
-    // out over the pool rather than run inline below `INLINE_WORK`.
+    // 512 pairs: 320 receiver groups, more than one `WAVE_CHUNK`, and
+    // enough edge work (about 262 000 lanes) for the wave to fan out over
+    // the pool rather than run inline below `INLINE_WORK`.
     let sc =
-        FleetScenario::city_block(256, Arbitration::Uncoordinated).with_horizon(Seconds::new(5.0));
+        FleetScenario::city_block(512, Arbitration::Uncoordinated).with_horizon(Seconds::new(5.0));
     let prefixes = ["net.fspl.", "net.interference."];
     let run = |threads| {
         counted(&prefixes, || {
@@ -68,16 +70,21 @@ fn city_block_edge_and_fspl_counters_are_thread_count_invariant() {
         );
         assert_eq!(at_1, at_n, "counters moved between 1 and {threads} threads");
     }
-    // The bring-up wave evaluated each edge once per receiver: 32 stars
-    // of 4 tags share 32 hubs, 32 meshes bring 128 receivers of their
-    // own, and every hub group walks all 256 live sources (singletons skip
-    // themselves).
+    // The bring-up wave filled each edge once per receiver: 64 stars of 4
+    // tags share 64 hubs, 64 meshes bring 256 receivers of their own, and
+    // every hub group gathers all 512 live sources (singletons skip
+    // themselves). Each lane was either evaluated or copied from a
+    // neighbouring block's row, and on this lattice most were copied.
     let wave = value(&at_1, "net.interference.wave_edge_recompute");
-    assert_eq!(wave, 128 * 255 + 32 * 256, "{at_1:?}");
-    assert!(wave as usize >= braidio_pool::INLINE_WORK);
+    let reused = value(&at_1, "net.interference.wave_edge_reused");
+    assert_eq!(wave + reused, 256 * 511 + 64 * 512, "{at_1:?}");
+    assert!(reused > wave, "{at_1:?}");
+    assert!((wave + reused) as usize >= braidio_pool::INLINE_WORK);
     // Exact FSPL totals, as `scale` pins them on a grid: one lookup per
     // evaluated lane, and one miss per distinct nearer-endpoint distance
-    // bit pattern, whichever pool chunk's scratch saw it first. A hub's
+    // bit pattern, whichever pool chunk's scratch saw it first. A copied
+    // lane has its donor lane's distance bits, and every chain of copies
+    // ends at an evaluated lane, so no distance goes unlooked-up. A hub's
     // own tags sit at distance 0 from it, like its other tags.
     let (hits, misses) = (value(&at_1, "net.fspl.hit"), value(&at_1, "net.fspl.miss"));
     let ends = |q: usize| {
@@ -135,6 +142,7 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
         cache.rebuild_all_shared(
             |v| v != 7,
             |v| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits()),
+            |q| eps[q],
             || 0u64,
             tile,
             |seen| {
@@ -143,9 +151,11 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
         )
     });
     let got = lanes.load(Ordering::Relaxed);
-    // Three hub groups walk the 29 live sources; the six singletons walk
-    // everyone live but themselves.
-    assert_eq!(got, 3 * 29 + 6 * 28);
+    // Three hub groups gather the 29 live sources; the six singletons
+    // everyone live but themselves. Each lane reached the kernel or was
+    // copied, and only the kernel's lanes count as recomputed.
+    let reused = value(&counters, "net.interference.wave_edge_reused");
+    assert_eq!(got + reused, 3 * 29 + 6 * 28);
     assert_eq!(
         value(&counters, "net.interference.wave_edge_recompute"),
         got

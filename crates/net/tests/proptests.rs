@@ -3,15 +3,17 @@
 //! edge kernel's bitwise equivalence to the direct transcendental path.
 
 use braidio_mac::coexistence::ChannelRelation;
-use braidio_net::cache::PairGainCache;
+use braidio_net::cache::{PairGainCache, GROUP_CAP, WAVE_CHUNK};
 use braidio_net::interference::{carrier_contribution, CarrierSource, EdgeKernel, EDGE_TILE};
 use braidio_net::Arbitration;
 use braidio_net::EventQueue;
 use braidio_radio::characterization::Characterization;
 use braidio_rfsim::geometry::Point;
+use braidio_rfsim::pathloss::FsplScratch;
 use braidio_units::{Seconds, Watts};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Random event keys: coarse-grained times force plenty of ties so the
 /// seq/device tie-break actually gets exercised, and the payload is the
@@ -508,6 +510,7 @@ proptest! {
         shared.rebuild_all_shared(
             |v| keep[v],
             key,
+            |q| eps[q],
             || (),
             |_: &mut (), v, qs: &[u32], out: &mut [Watts]| tile(v, qs, out),
             |()| {},
@@ -525,5 +528,151 @@ proptest! {
             let got = lazy.interference(v, key(v), tile).watts().to_bits();
             prop_assert_eq!(got, want, "lazy victim {}", v);
         }
+    }
+}
+
+/// City-like lattices for the translated-row property: `(cols, rows,
+/// binade exponent, mesh pairs per block, tags per star, crowded hub,
+/// channels (0 = uncoordinated), dead mask)`.
+type Lattice = (usize, usize, i32, usize, usize, bool, usize, Vec<bool>);
+
+fn arb_lattice() -> impl Strategy<Value = Lattice> {
+    (
+        (12usize..16, 7usize..10, 3i32..9),
+        (6usize..9, 1usize..5, any::<bool>(), 0usize..5),
+        proptest::collection::vec(0u8..10, 1000..1001),
+    )
+        .prop_map(|((cols, rows, e), (mesh, tags, crowd, channels), dead)| {
+            (
+                cols,
+                rows,
+                e,
+                mesh,
+                tags,
+                crowd,
+                channels,
+                dead.iter().map(|&r| r == 0).collect(),
+            )
+        })
+}
+
+/// The endpoints of a lattice: `cols × rows` blocks at a 12 m pitch that
+/// alternate `mesh` independent pairs (three to a row, 3 m apart) and a
+/// hub with `tags` tags on a
+/// 0.5 m ring, placed so the block coordinates straddle `±2^e` — an
+/// offset from a receiver repeats bit for bit one block over inside a
+/// binade, but not always across its edge. A crowded hub adds
+/// `GROUP_CAP + 3` tags, more than one group holds.
+fn lattice_ends(
+    cols: usize,
+    rows: usize,
+    e: i32,
+    mesh: usize,
+    tags: usize,
+    crowd: bool,
+) -> Vec<(Point, Point)> {
+    let pitch = 12.0;
+    let x0 = 2f64.powi(e) - pitch * (cols / 2) as f64 - 0.3;
+    let y0 = -(2f64.powi(e - 1)) - pitch * (rows / 2) as f64 + 0.7;
+    let ring = |hub: Point, k: usize, r: f64| {
+        (0..k).map(move |t| {
+            let th = std::f64::consts::TAU * t as f64 / k as f64;
+            (Point::new(hub.x + r * th.cos(), hub.y + r * th.sin()), hub)
+        })
+    };
+    let mut eps = Vec::new();
+    for b in 0..cols * rows {
+        let bx = x0 + (b % cols) as f64 * pitch;
+        let by = y0 + (b / cols) as f64 * pitch;
+        if b % 2 == 0 {
+            for k in 0..mesh {
+                let tx = Point::new(bx + (k % 3) as f64 * 3.0, by + (k / 3) as f64 * 3.0);
+                eps.push((tx, Point::new(tx.x, tx.y + 0.5)));
+            }
+        } else {
+            eps.extend(ring(Point::new(bx + 1.5, by + 1.5), tags, 0.5));
+        }
+    }
+    if crowd {
+        eps.extend(ring(Point::new(x0 - 20.0, y0 - 20.0), GROUP_CAP + 3, 1.0));
+    }
+    eps
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Translated rows are exact: a bulk pass that copies lanes from its
+    /// donor rows gives every sum the bits of a pass that evaluates every
+    /// lane, at 1, 2 and 4 pool threads, with dead sources, channel-plan
+    /// relations, a hub split at the group cap, and lattice coordinates
+    /// that cross a binade. The lanes it evaluates are the same at every
+    /// thread count, and fewer than all of them.
+    #[test]
+    fn translated_rows_match_full_evaluation_bitwise(lattice in arb_lattice()) {
+        let (cols, rows, e, mesh, tags, crowd, channels, dead) = lattice;
+        let eps = lattice_ends(cols, rows, e, mesh, tags, crowd);
+        let n = eps.len();
+        let arb = if channels == 0 {
+            Arbitration::Uncoordinated
+        } else {
+            Arbitration::ChannelPlan { channels }
+        };
+        let ch = Characterization::braidio();
+        let rel = |v: usize, qs: &[u32]| -> Vec<ChannelRelation> {
+            qs.iter().map(|&q| arb.relation(v, q as usize)).collect()
+        };
+        let a = |qs: &[u32]| -> Vec<Point> { qs.iter().map(|&q| eps[q as usize].0).collect() };
+        let b = |qs: &[u32]| -> Vec<Point> { qs.iter().map(|&q| eps[q as usize].1).collect() };
+        let fresh = || {
+            let mut cache = PairGainCache::new(n);
+            for (q, &gone) in dead[..n].iter().enumerate() {
+                cache.set_live(q, !gone);
+            }
+            cache
+        };
+        let bits = |cache: &PairGainCache| -> Vec<u64> {
+            (0..n).map(|v| cache.cached_sum(v).expect("rebuilt").watts().to_bits()).collect()
+        };
+        let kernel = EdgeKernel::new(&ch);
+        let mut full = fresh();
+        full.rebuild_all_tiled(|_| true, |q| eps[q], |v, qs: &[u32], out: &mut [Watts]| {
+            kernel.carrier_tile(eps[v].1, &a(qs), &b(qs), &rel(v, qs), out)
+        });
+        let want = bits(&full);
+        let lanes: usize = (0..n).map(|v| (0..n).filter(|&q| q != v && !dead[q]).count()).sum();
+        let mut evaluated = Vec::new();
+        for threads in [1, 2, 4] {
+            let kernel = EdgeKernel::new(&ch);
+            let seen = AtomicU64::new(0);
+            let mut copied = fresh();
+            braidio_pool::with_threads(threads, || {
+                copied.rebuild_all_shared(
+                    |_| true,
+                    |v| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), arb.relation_row(v)),
+                    |q| eps[q],
+                    || (kernel.fspl_scratch(), 0u64),
+                    |s: &mut (FsplScratch, u64), v, qs: &[u32], out: &mut [Watts]| {
+                        s.1 += qs.len() as u64;
+                        kernel.carrier_tile_scratch(&mut s.0, eps[v].1, &a(qs), &b(qs), &rel(v, qs), out)
+                    },
+                    |(s, k)| {
+                        seen.fetch_add(k, Ordering::Relaxed);
+                        kernel.fold_scratch(s);
+                    },
+                )
+            });
+            let got = bits(&copied);
+            for v in 0..n {
+                prop_assert_eq!(got[v], want[v], "victim {} of {} at {} threads", v, n, threads);
+            }
+            evaluated.push(seen.into_inner());
+        }
+        prop_assert!(evaluated.iter().all(|&k| k == evaluated[0]), "{:?}", evaluated);
+        prop_assert!((evaluated[0] as usize) < lanes, "{} of {} lanes evaluated", evaluated[0], lanes);
+        // Enough receiver groups for the pass to span several chunks.
+        let receivers: BTreeSet<(u64, u64)> =
+            eps.iter().map(|e| (e.1.x.to_bits(), e.1.y.to_bits())).collect();
+        prop_assert!(receivers.len() > WAVE_CHUNK, "{} receivers", receivers.len());
     }
 }

@@ -54,6 +54,7 @@ fn fspl_memo_misses_once_per_distinct_distance_on_a_grid() {
     };
     let (hits, misses) = (get("net.fspl.hit"), get("net.fspl.miss"));
     let lanes = get("net.interference.edge_recompute");
+    let reused = get("net.interference.wave_edge_reused");
     assert!(r.total_bits() > 0.0, "no traffic — vacuous run");
     assert!(r.pair_dead_at.iter().all(Option::is_none), "a pair died");
     let n = sc.pairs.len();
@@ -74,7 +75,15 @@ fn fspl_memo_misses_once_per_distinct_distance_on_a_grid() {
             );
         }
     }
-    assert_eq!(lanes, (n * (n - 1)) as u64, "one wave over every edge");
+    assert_eq!(
+        lanes + reused,
+        (n * (n - 1)) as u64,
+        "one wave over every edge, each evaluated or copied"
+    );
+    assert!(
+        reused > lanes,
+        "a grid copies most lanes ({lanes} evaluated)"
+    );
     assert_eq!(
         misses,
         distinct.len() as u64,

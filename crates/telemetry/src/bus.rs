@@ -176,9 +176,14 @@ fn emit_slow(event: Event) {
 ///   actually evaluated — a bring-up group of victims sharing a receiver
 ///   evaluates each edge once, and a lazy read fills its receiver's edge
 ///   row once — and `wave_edge_recompute` is the share of them evaluated
-///   by the bulk planning wave. `row_build` counts the per-receiver edge
-///   rows the lazy path filled. Deterministic totals: the same at any
-///   thread count.
+///   by the bulk planning wave. `wave_edge_reused` counts the wave's lanes
+///   that were copied, not evaluated: a receiver group's row takes a lane
+///   from a neighbouring group's row when the source sits at bit-identical
+///   offsets from both receivers, so the wave filled the sum of
+///   `wave_edge_recompute` and `wave_edge_reused` lanes. `row_build` counts the
+///   per-receiver edge rows the lazy path filled. Deterministic totals: the
+///   bulk pass chunks its groups by a fixed count, so they are the same at
+///   any thread count.
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
 ///   `options_under` memo's single-key lookups; `batch_hit` /
 ///   `batch_miss` — its planning-wave prefetch. `distance_hit` /

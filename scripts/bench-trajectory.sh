@@ -15,7 +15,11 @@
 # prints (nproc, CPU model), the run settings, and for each commit, in
 # history order, its sha, subject, engine-source digest and, per workload,
 # the run's `correct` flag and the five end-to-end metrics of
-# BENCHMARK.json.
+# BENCHMARK.json. A commit OUT already holds keeps its point and is not
+# run again, so extending the trajectory by one commit costs one commit's
+# runs. (Points measured in different sessions share no slow stretch of
+# the host; compare them with `experiments bench-diff` and read a gap
+# inside fleetbench's 16-27 % invocation spread as noise.)
 #
 # Usage:
 #   scripts/bench-trajectory.sh [--from REV] [--to REV] [--work DIR] [--out FILE]
@@ -56,7 +60,22 @@ for c in $(git rev-parse --short "$from") \
         commits+=("$(git rev-parse --short "$c")")
     fi
 done
-echo "bench-trajectory: ${#commits[@]} commits: ${commits[*]}" >&2
+# Drop the commits OUT already holds a point for.
+if [ -f "$out" ]; then
+    held=$(python3 -c 'import json, sys; print(" ".join(p["sha"] for p in json.load(open(sys.argv[1]))["commits"]))' "$out")
+    missing=()
+    for c in "${commits[@]}"; do
+        case " $held " in
+            *" $(git rev-parse "$c") "*) ;;
+            *) missing+=("$c") ;;
+        esac
+    done
+    commits=("${missing[@]+"${missing[@]}"}")
+fi
+echo "bench-trajectory: ${#commits[@]} commits to run: ${commits[*]-}" >&2
+if [ ${#commits[@]} -eq 0 ]; then
+    exit 0
+fi
 
 cleanup() {
     for c in "${commits[@]}"; do
@@ -83,11 +102,11 @@ for w in "${workloads[@]}"; do
     done
 done
 
-python3 - "$work/runs" "$out" "$seconds" "$from" "${commits[@]}" <<'PY'
-import json, subprocess, sys
+python3 - "$work/runs" "$out" "$seconds" "$from" "$to" "${commits[@]}" <<'PY'
+import json, os, subprocess, sys
 
-runs, out, seconds, base = sys.argv[1:5]
-commits = sys.argv[5:]
+runs, out, seconds, base, to = sys.argv[1:6]
+commits = sys.argv[6:]
 workloads = ["city-10k", "churn-1k", "room-long"]
 metrics = ["setup_s", "cold_run_ref", "run_ref", "peak_rss_mib", "ops_ok_ratio"]
 
@@ -119,8 +138,16 @@ for c in commits:
         }
     points.append(point)
 
+# Keep the points OUT already holds; the new ones go in history order.
+held = json.load(open(out)) if os.path.exists(out) else {"host": None, "commits": []}
+if held["host"] and host and held["host"] != host:
+    print(f"bench-trajectory: warning: host {host} differs from {out}'s {held['host']}",
+          file=sys.stderr)
+order = {sha: i for i, sha in enumerate(
+    git("rev-list", "--reverse", "--first-parent", to).split())}
+points = sorted(held["commits"] + points, key=lambda p: order.get(p["sha"], -1))
 doc = {
-    "host": host,
+    "host": held["host"] or host,
     "harness": {"command": "scripts/bench-trajectory.sh", "from": base, "seconds": int(seconds),
                 "workloads": workloads, "metrics": metrics},
     "commits": points,

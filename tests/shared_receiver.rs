@@ -72,6 +72,7 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
     shared.rebuild_all_shared(
         |_| true,
         key,
+        |q| eps[q],
         || kernel.fspl_scratch(),
         wave_tile,
         |s| kernel.fold_scratch(s),
