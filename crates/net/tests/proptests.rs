@@ -531,46 +531,37 @@ proptest! {
     }
 }
 
-/// City-like lattices for the translated-row property: `(cols, rows,
-/// binade exponent, mesh pairs per block, tags per star, crowded hub,
-/// channels (0 = uncoordinated), dead mask)`.
-type Lattice = (usize, usize, i32, usize, usize, bool, usize, Vec<bool>);
+/// The shape of a city-like lattice for the translated-row property:
+/// `(cols, rows, binade exponent, mesh pairs per block, tags per star,
+/// stretch period, crowded hub)` (see [`lattice_ends`]).
+type Shape = (usize, usize, i32, usize, usize, usize, bool);
 
-fn arb_lattice() -> impl Strategy<Value = Lattice> {
+/// A lattice shape, its channel count (0 = uncoordinated) and dead mask.
+fn arb_lattice() -> impl Strategy<Value = (Shape, usize, Vec<bool>)> {
     (
         (12usize..16, 7usize..10, 3i32..9),
-        (6usize..9, 1usize..5, any::<bool>(), 0usize..5),
+        (6usize..9, 1usize..5, 2usize..4, any::<bool>()),
+        0usize..5,
         proptest::collection::vec(0u8..10, 1000..1001),
     )
-        .prop_map(|((cols, rows, e), (mesh, tags, crowd, channels), dead)| {
-            (
-                cols,
-                rows,
-                e,
-                mesh,
-                tags,
-                crowd,
-                channels,
-                dead.iter().map(|&r| r == 0).collect(),
-            )
-        })
+        .prop_map(
+            |((cols, rows, e), (mesh, tags, stretch, crowd), channels, dead)| {
+                let dead = dead.iter().map(|&r| r == 0).collect();
+                ((cols, rows, e, mesh, tags, stretch, crowd), channels, dead)
+            },
+        )
 }
 
 /// The endpoints of a lattice: `cols × rows` blocks at a 12 m pitch that
 /// alternate `mesh` independent pairs (three to a row, 3 m apart) and a
-/// hub with `tags` tags on a
-/// 0.5 m ring, placed so the block coordinates straddle `±2^e` — an
-/// offset from a receiver repeats bit for bit one block over inside a
-/// binade, but not always across its edge. A crowded hub adds
+/// hub with `tags` tags on a 0.5 m ring, placed so the block coordinates
+/// straddle `±2^e` — an offset from a receiver repeats bit for bit one
+/// block over inside a binade, but not always across its edge. Every
+/// `stretch`-th mesh block sets its receivers 0.75 m from their
+/// transmitters instead of 0.5 m, so there the transmitters repeat the
+/// block before while the receivers do not. A crowded hub adds
 /// `GROUP_CAP + 3` tags, more than one group holds.
-fn lattice_ends(
-    cols: usize,
-    rows: usize,
-    e: i32,
-    mesh: usize,
-    tags: usize,
-    crowd: bool,
-) -> Vec<(Point, Point)> {
+fn lattice_ends((cols, rows, e, mesh, tags, stretch, crowd): Shape) -> Vec<(Point, Point)> {
     let pitch = 12.0;
     let x0 = 2f64.powi(e) - pitch * (cols / 2) as f64 - 0.3;
     let y0 = -(2f64.powi(e - 1)) - pitch * (rows / 2) as f64 + 0.7;
@@ -585,9 +576,10 @@ fn lattice_ends(
         let bx = x0 + (b % cols) as f64 * pitch;
         let by = y0 + (b / cols) as f64 * pitch;
         if b % 2 == 0 {
+            let sep = if (b / 2) % stretch == 0 { 0.75 } else { 0.5 };
             for k in 0..mesh {
                 let tx = Point::new(bx + (k % 3) as f64 * 3.0, by + (k / 3) as f64 * 3.0);
-                eps.push((tx, Point::new(tx.x, tx.y + 0.5)));
+                eps.push((tx, Point::new(tx.x, tx.y + sep)));
             }
         } else {
             eps.extend(ring(Point::new(bx + 1.5, by + 1.5), tags, 0.5));
@@ -605,13 +597,14 @@ proptest! {
     /// Translated rows are exact: a bulk pass that copies lanes from its
     /// donor rows gives every sum the bits of a pass that evaluates every
     /// lane, at 1, 2 and 4 pool threads, with dead sources, channel-plan
-    /// relations, a hub split at the group cap, and lattice coordinates
-    /// that cross a binade. The lanes it evaluates are the same at every
+    /// relations, a hub split at the group cap, lattice coordinates that
+    /// cross a binade, and receivers that break the lattice where their
+    /// transmitters keep it. The lanes it evaluates are the same at every
     /// thread count, and fewer than all of them.
     #[test]
     fn translated_rows_match_full_evaluation_bitwise(lattice in arb_lattice()) {
-        let (cols, rows, e, mesh, tags, crowd, channels, dead) = lattice;
-        let eps = lattice_ends(cols, rows, e, mesh, tags, crowd);
+        let (shape, channels, dead) = lattice;
+        let eps = lattice_ends(shape);
         let n = eps.len();
         let arb = if channels == 0 {
             Arbitration::Uncoordinated

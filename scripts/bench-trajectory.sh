@@ -17,9 +17,9 @@
 # the run's `correct` flag and the five end-to-end metrics of
 # BENCHMARK.json. A commit OUT already holds keeps its point and is not
 # run again, so extending the trajectory by one commit costs one commit's
-# runs. (Points measured in different sessions share no slow stretch of
-# the host; compare them with `experiments bench-diff` and read a gap
-# inside fleetbench's 16-27 % invocation spread as noise.)
+# runs. (Points measured by different invocations of this script share
+# no slow stretch of the host; compare them with `experiments bench-diff`
+# and read a gap inside fleetbench's 16-27 % invocation spread as noise.)
 #
 # Usage:
 #   scripts/bench-trajectory.sh [--from REV] [--to REV] [--work DIR] [--out FILE]
