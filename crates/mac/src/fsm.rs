@@ -96,6 +96,7 @@ impl OffloadFsm {
     /// Feed an event; returns the action to perform, or `Err` with the
     /// rejected event if it is not meaningful in the current state (the
     /// caller treats that as a protocol violation worth logging).
+    #[inline]
     pub fn on(&mut self, event: Event) -> Result<Action, Event> {
         use Action as A;
         use Event as E;

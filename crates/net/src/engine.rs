@@ -10,8 +10,9 @@
 //! airtime. Scheduling a quantum checks affordability against the live
 //! batteries and copies the full quantum (or runs the recipe on a smaller
 //! last one); its energy is committed when its completion event is
-//! delivered. Events past the scenario horizon are never delivered, so a
-//! truncated run is exactly the prefix of the infinite one.
+//! delivered, or, when nobody can observe it, at once (below). Events past
+//! the scenario horizon are never delivered, so a truncated run is exactly
+//! the prefix of the infinite one.
 //!
 //! Planning is interference-aware and *worst-case*: a pair plans against
 //! the full CW carrier power (`Characterization::carrier_rf`) of every
@@ -94,6 +95,22 @@
 //! head has the lesser kernel key `(time, rank, pair)`. An aborted
 //! quantum's completion moves into the queue at its key, to be delivered,
 //! counted and ignored (DESIGN.md §8.1).
+//!
+//! # Quanta committed ahead
+//!
+//! In a run that neither captures events nor samples (read once per run),
+//! a *private* pair — neither of its devices serves another pair — that is
+//! `Live` under a policy that reads no battery between quanta has nobody
+//! observing its quanta one at a time. When one of its completions is
+//! delivered, the pair commits its next quanta right away, each at its own
+//! finish time, and arms only the first that finishes at or after its next
+//! own event (`Replan`, `Departure`) or the horizon, or that is partial or
+//! could leave the batteries without a next quantum. A committed quantum
+//! touches only the pair's and its two devices' columns, by the one
+//! accounting path (`commit_quantum`), and nothing reads those columns
+//! before its finish time, so the report is bit for bit the one of a run
+//! that delivers every completion (DESIGN.md §8.2). Each counts as a
+//! scheduled and delivered event.
 //!
 //! Determinism: one pending event per (pair, kind) keeps kernel keys
 //! unique (only aborted completions, which deliver nothing, may share
@@ -358,10 +375,18 @@ struct Pairs {
     warm_got: Vec<u32>,
     /// Cooldown entries so far (a session past `max_cooldowns` gives up).
     cooldowns: Vec<u32>,
-    /// A `Replan` event is pending in the queue (guards against scheduling
-    /// a duplicate when a cooldown retry re-enters the plan loop while the
-    /// pre-cooldown replan is still queued).
-    replan_queued: Vec<bool>,
+    /// When the pair's pending `Replan` event fires, if one is queued
+    /// (guards against scheduling a duplicate when a cooldown retry
+    /// re-enters the plan loop while the pre-cooldown replan is still
+    /// queued, and bounds a train of quanta committed ahead).
+    replan_at: Vec<Option<Seconds>>,
+    /// Neither of the pair's devices serves another pair, so only the
+    /// pair's own events read its devices' columns.
+    private: Vec<bool>,
+    /// Finish time of the pair's last quantum committed ahead (`-1` if
+    /// none): no other event of the pair may be delivered at or before it.
+    #[cfg(debug_assertions)]
+    ahead_to: Vec<f64>,
     /// When the session was admitted by its hub's beacon, if it was.
     admitted_at: Vec<Option<Seconds>>,
     /// This row is the second leg of a roaming session (same tag device as
@@ -584,6 +609,12 @@ struct Fleet<'a> {
     devices: Devices,
     pairs: Pairs,
     replans: u64,
+    /// Neither event capture nor a sampler watches this run, so a private
+    /// pair's quanta may commit ahead (set once per run by `run_sampled`).
+    unobserved: bool,
+    /// Quanta committed ahead: delivered without a trip through the
+    /// queue or the completion tree.
+    ahead: u64,
     /// Cached pairwise interference (invalidated on death / mobility).
     gains: PairGainCache,
     /// Quantize-and-memoized `options_under` (per-engine, so a run stays a
@@ -662,11 +693,19 @@ impl<'a> Fleet<'a> {
             phase_since: Vec::with_capacity(n),
             warm_got: vec![0; n],
             cooldowns: vec![0; n],
-            replan_queued: vec![false; n],
+            replan_at: vec![None; n],
+            private: Vec::with_capacity(n),
+            #[cfg(debug_assertions)]
+            ahead_to: vec![-1.0; n],
             admitted_at: vec![None; n],
             roam_leg2: Vec::with_capacity(n),
         };
         let mut tag_seen = vec![false; n_dev];
+        let mut serves = vec![0u32; n_dev];
+        for p in &sc.pairs {
+            serves[p.tx] += 1;
+            serves[p.rx] += 1;
+        }
         // A walk displaces its pair's receiver, so a pair touching that
         // device moves with it.
         let mut moves = vec![false; n_dev];
@@ -690,6 +729,7 @@ impl<'a> Fleet<'a> {
             pairs.phase_since.push(p.arrival.unwrap_or(Seconds::ZERO));
             pairs.roam_leg2.push(tag_seen[p.tx]);
             tag_seen[p.tx] = true;
+            pairs.private.push(serves[p.tx] == 1 && serves[p.rx] == 1);
         }
         // The cache's live set mirrors `on_air` from birth: open-system
         // rows start radio-silent in Init until a beacon admits them.
@@ -707,6 +747,8 @@ impl<'a> Fleet<'a> {
             devices,
             pairs,
             replans: 0,
+            unobserved: false,
+            ahead: 0,
             gains,
             options: OptionsMemo::new(),
             probes: ProbeMemo::new(),
@@ -734,6 +776,7 @@ impl<'a> Fleet<'a> {
     /// its rows are byte-identical at any `--jobs`.
     fn run_sampled(&mut self, mut sampler: Option<Sampler>) -> (FleetReport, Option<Series>) {
         telemetry::begin_unit();
+        self.unobserved = !telemetry::enabled() && sampler.is_none();
         // Bring-up: a row with an arrival is admitted at the first beacon
         // of its hub after it (a pure function of the roster, so it is
         // computed here rather than simulating beacons); a row without one
@@ -786,17 +829,25 @@ impl<'a> Fleet<'a> {
                 lose(p, &pending, end_time);
             }
         }
-        // The kernel's traffic, read once (a requeue is not a schedule).
+        // Every pair's train of quanta committed ahead ended before one of
+        // its own events that was delivered, or the run was truncated, so
+        // `end_time` needs no term for them.
+        #[cfg(debug_assertions)]
+        debug_assert!(truncated || self.pairs.ahead_to.iter().all(|&t| t <= last.seconds()));
+        // The kernel's traffic, read once (a requeue is not a schedule). A
+        // quantum committed ahead counts as scheduled and delivered.
+        let events = self.q.delivered() + self.ahead;
         telemetry::count_by(
             "net.kernel.scheduled",
-            self.q.scheduled() + self.done.armed(),
+            self.q.scheduled() + self.done.armed() + self.ahead,
         );
-        telemetry::count_by("net.kernel.delivered", self.q.delivered());
+        telemetry::count_by("net.kernel.delivered", events);
+        telemetry::count_by("net.kernel.ahead", self.ahead);
         let churn = self.churn_report(end_time);
         let report = FleetReport {
             horizon: self.sc.horizon,
             end_time,
-            events: self.q.delivered(),
+            events,
             replans: self.replans,
             pair_bits: self.pairs.bits.clone(),
             pair_mode_bits: self
@@ -948,6 +999,14 @@ impl<'a> Fleet<'a> {
 
     fn handle(&mut self, ev: Ev, now: Seconds) {
         let (p, kind) = (ev.pair as usize, ev.kind);
+        // A train of quanta committed ahead ends strictly before the
+        // pair's next own event.
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            kind == Kind::QuantumAborted || now.seconds() > self.pairs.ahead_to[p],
+            "{kind:?} of pair {p} at {now} lands inside its train committed ahead to {}",
+            self.pairs.ahead_to[p]
+        );
         // An aborted quantum's completion is delivered only to be counted,
         // and a torn-down session ignores its stale events.
         if kind == Kind::QuantumAborted || self.pairs.phase[p].is_terminal() {
@@ -1098,15 +1157,20 @@ impl<'a> Fleet<'a> {
         if !self.install_plan(p, &opts, now) {
             return;
         }
-        self.schedule_quantum(p, now);
-        if self.pairs.on_air(p) && !self.pairs.replan_queued[p] {
-            self.pairs.replan_queued[p] = true;
-            self.schedule(now + self.sc.replan_interval, p, Kind::Replan);
+        self.schedule_quantum(p, now, None);
+        if self.pairs.on_air(p) && self.pairs.replan_at[p].is_none() {
+            self.schedule_replan(p, now);
         }
     }
 
+    fn schedule_replan(&mut self, p: usize, now: Seconds) {
+        let at = now + self.sc.replan_interval;
+        self.pairs.replan_at[p] = Some(at);
+        self.schedule(at, p, Kind::Replan);
+    }
+
     fn on_replan(&mut self, p: usize, now: Seconds) {
-        self.pairs.replan_queued[p] = false;
+        self.pairs.replan_at[p] = None;
         // A replan scheduled before a cooldown can fire during the
         // cooldown (the session is quiesced) or during the post-retry
         // bring-up (the probe round under way supersedes it). Closed pairs
@@ -1144,62 +1208,15 @@ impl<'a> Fleet<'a> {
         if !installed {
             return;
         }
-        self.pairs.replan_queued[p] = true;
-        self.schedule(now + self.sc.replan_interval, p, Kind::Replan);
+        self.schedule_replan(p, now);
     }
 
     fn on_quantum_done(&mut self, p: usize, now: Seconds) {
         let pending = self.pairs.pending[p]
             .take()
             .expect("a current completion has its quantum in flight");
-        self.pairs.fsm[p]
-            .on(FsmEvent::PacketDelivered)
-            .expect("Braiding accepts PacketDelivered");
+        self.commit_quantum(p, &pending, now);
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
-        self.charge(tx, pending.e_tx, now);
-        self.charge(rx, pending.e_rx, now);
-        self.pairs.bits[p] += pending.bits;
-        // Warm-up quanta below the policy quota move bits and energy like
-        // any other (the ledger stays exact) but suppress their delivery
-        // telemetry; the quantum that *reaches* the quota promotes the
-        // session first, so its record — and every later one — lands in
-        // Live, which is what the validator's phase gate demands.
-        let mut announce = true;
-        if now.seconds() >= self.window_from.seconds() {
-            self.window_bits[p] += pending.bits;
-        }
-        if self.pairs.phase[p] == LinkPhase::Warm {
-            self.pairs.warm_got[p] += 1;
-            if self.pairs.warm_got[p] >= self.policy.warmup_quanta {
-                self.phase_step(p, PhaseEvent::WarmedUp, now);
-            } else {
-                announce = false;
-            }
-        }
-        for (mode, rate, bits, on_tx, on_rx, airtime) in pending.slices() {
-            // Exactly the one matching mode column accumulates, so this is
-            // the same arithmetic as the per-pair `[(Mode, f64); 3]` scan.
-            self.pairs.mode_bits[p][*mode as usize] += bits;
-            if *on_tx {
-                self.devices.carrier_time[tx] += *airtime;
-            }
-            if *on_rx {
-                self.devices.carrier_time[rx] += *airtime;
-            }
-            if announce {
-                telemetry::emit(telemetry::Event::QuantumDelivered {
-                    at: now,
-                    track: telemetry::Track::Pair(p as u32),
-                    mode: (*mode).into(),
-                    rate: (*rate).into(),
-                    bits: *bits,
-                });
-            }
-        }
-        telemetry::emit(telemetry::Event::CarrierRelease {
-            at: now,
-            track: telemetry::Track::Pair(p as u32),
-        });
         if pending.last || self.devices.battery[tx].is_dead() || self.devices.battery[rx].is_dead()
         {
             self.kill(p, now, telemetry::DeathReason::BatteryDead);
@@ -1230,7 +1247,88 @@ impl<'a> Fleet<'a> {
                 _ => {}
             }
         }
-        self.schedule_quantum(p, now);
+        let ahead = self.ahead_bound(p);
+        self.schedule_quantum(p, now, ahead);
+    }
+
+    /// Commit pair `p`'s quantum `pending`, finished at `at`: its energy,
+    /// bits, carrier time and delivery telemetry. The one definition of a
+    /// quantum's accounting, whether its completion was delivered or the
+    /// quantum was committed ahead.
+    fn commit_quantum(&mut self, p: usize, pending: &PendingQuantum, at: Seconds) {
+        self.pairs.fsm[p]
+            .on(FsmEvent::PacketDelivered)
+            .expect("Braiding accepts PacketDelivered");
+        let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
+        self.charge(tx, pending.e_tx, at);
+        self.charge(rx, pending.e_rx, at);
+        self.pairs.bits[p] += pending.bits;
+        // Warm-up quanta below the policy quota move bits and energy like
+        // any other (the ledger stays exact) but suppress their delivery
+        // telemetry; the quantum that *reaches* the quota promotes the
+        // session first, so its record — and every later one — lands in
+        // Live, which is what the validator's phase gate demands.
+        let mut announce = true;
+        if at.seconds() >= self.window_from.seconds() {
+            self.window_bits[p] += pending.bits;
+        }
+        if self.pairs.phase[p] == LinkPhase::Warm {
+            self.pairs.warm_got[p] += 1;
+            if self.pairs.warm_got[p] >= self.policy.warmup_quanta {
+                self.phase_step(p, PhaseEvent::WarmedUp, at);
+            } else {
+                announce = false;
+            }
+        }
+        for (mode, rate, bits, on_tx, on_rx, airtime) in pending.slices() {
+            // Exactly the one matching mode column accumulates, so this is
+            // the same arithmetic as the per-pair `[(Mode, f64); 3]` scan.
+            self.pairs.mode_bits[p][*mode as usize] += bits;
+            if *on_tx {
+                self.devices.carrier_time[tx] += *airtime;
+            }
+            if *on_rx {
+                self.devices.carrier_time[rx] += *airtime;
+            }
+            if announce {
+                telemetry::emit(telemetry::Event::QuantumDelivered {
+                    at,
+                    track: telemetry::Track::Pair(p as u32),
+                    mode: (*mode).into(),
+                    rate: (*rate).into(),
+                    bits: *bits,
+                });
+            }
+        }
+        telemetry::emit(telemetry::Event::CarrierRelease {
+            at,
+            track: telemetry::Track::Pair(p as u32),
+        });
+    }
+
+    /// The instant before which pair `p`'s next quanta may commit ahead,
+    /// or `None` when someone could observe them one at a time
+    /// (DESIGN.md §8.2). Nobody does when the run is unobserved, the
+    /// pair's devices serve no other pair, and the pair is `Live` under a
+    /// policy that reads no battery between quanta; the bound is the
+    /// pair's next own event (its `Replan` or its `Departure`) and the
+    /// horizon.
+    fn ahead_bound(&self, p: usize) -> Option<Seconds> {
+        if !(self.unobserved
+            && self.pairs.private[p]
+            && self.pairs.phase[p] == LinkPhase::Live
+            && !self.policy.watches_energy())
+        {
+            return None;
+        }
+        let mut bound = self.sc.horizon.seconds();
+        if let Some(t) = self.pairs.replan_at[p] {
+            bound = bound.min(t.seconds());
+        }
+        if let Some(t) = self.sc.pairs[p].departure {
+            bound = bound.min(t.seconds());
+        }
+        Some(Seconds::new(bound))
     }
 
     /// A link lost viability (`ev`). It enters Cooldown, drops out of the
@@ -1479,26 +1577,54 @@ impl<'a> Fleet<'a> {
 
     /// Schedule the next braid quantum under the installed plan. Kills the
     /// pair instead when not even one bit is affordable.
-    fn schedule_quantum(&mut self, p: usize, now: Seconds) {
-        let recipe = self.pairs.recipe[p]
-            .as_ref()
-            .expect("braiding under a plan");
+    ///
+    /// With an `ahead` bound (see [`ahead_bound`](Self::ahead_bound)) each
+    /// quantum that finishes strictly before it is committed at its finish
+    /// time right here, and the quantum after it is scheduled the same
+    /// way; the first that does not qualify is armed as usual. A quantum
+    /// commits ahead only if it is a full one and each battery holds more
+    /// than twice its draw: the battery then keeps more than one draw
+    /// after it, so the next quantum is affordable and a train never
+    /// crosses the pair's death, which other pairs would see.
+    fn schedule_quantum(&mut self, p: usize, now: Seconds, ahead: Option<Seconds>) {
+        let recipe = self.pairs.recipe[p].expect("braiding under a plan");
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
-        let Some((pending, airtime)) = recipe.next(
-            self.devices.battery[tx].remaining(),
-            self.devices.battery[rx].remaining(),
-        ) else {
-            self.kill(p, now, telemetry::DeathReason::BatteryDead);
-            return;
-        };
-        let finish = self.finish_time(p, now, airtime);
-        debug_assert!(self.pairs.pending[p].is_none(), "one quantum in flight");
-        self.pairs.pending[p] = Some(pending);
-        self.done.arm(p as u32, finish);
-        telemetry::emit(telemetry::Event::CarrierGrant {
-            at: now,
-            track: telemetry::Track::Pair(p as u32),
-        });
+        let mut at = now;
+        loop {
+            let (rem_tx, rem_rx) = (
+                self.devices.battery[tx].remaining(),
+                self.devices.battery[rx].remaining(),
+            );
+            let Some((pending, airtime)) = recipe.next(rem_tx, rem_rx) else {
+                debug_assert_eq!(at, now, "a train committed ahead crossed a death");
+                self.kill(p, at, telemetry::DeathReason::BatteryDead);
+                return;
+            };
+            let finish = self.finish_time(p, at, airtime);
+            let commits = ahead.is_some_and(|bound| {
+                finish.seconds() < bound.seconds()
+                    && !pending.last
+                    && rem_tx.joules() > 2.0 * pending.e_tx.joules()
+                    && rem_rx.joules() > 2.0 * pending.e_rx.joules()
+            });
+            if !commits {
+                debug_assert!(self.pairs.pending[p].is_none(), "one quantum in flight");
+                self.pairs.pending[p] = Some(pending);
+                self.done.arm(p as u32, finish);
+                telemetry::emit(telemetry::Event::CarrierGrant {
+                    at,
+                    track: telemetry::Track::Pair(p as u32),
+                });
+                return;
+            }
+            self.commit_quantum(p, &pending, finish);
+            self.ahead += 1;
+            #[cfg(debug_assertions)]
+            {
+                self.pairs.ahead_to[p] = finish.seconds();
+            }
+            at = finish;
+        }
     }
 
     /// When a quantum started at `start` with `airtime` on-air seconds
@@ -2337,6 +2463,94 @@ mod tests {
         now
     }
 
+    /// A fleet of `sc` whose pair 0 braids in an unobserved run; returns
+    /// it and the instant its first quantum started.
+    fn unobserved_braid(sc: &FleetScenario) -> (Fleet<'_>, Seconds) {
+        let mut f = Fleet::new(sc);
+        f.unobserved = true;
+        f.schedule(Seconds::ZERO, 0, Kind::Associate);
+        let start = braid_pair_0(&mut f);
+        (f, start)
+    }
+
+    #[test]
+    fn a_completion_on_the_replan_instant_stays_in_the_tree() {
+        // The pair's next Replan lands exactly where its third quantum
+        // finishes. Delivering the first completion commits the second
+        // quantum ahead and arms the third, whose finish is not strictly
+        // before the Replan; at that instant the Replan goes first.
+        let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
+        let (mut f, start) = unobserved_braid(&sc);
+        let air = f.pairs.recipe[0].expect("a plan").full_airtime;
+        let first = f.finish_time(0, start, air);
+        let second = f.finish_time(0, first, air);
+        let third = f.finish_time(0, second, air);
+        assert!(third < f.pairs.replan_at[0].expect("a replan is queued"));
+        f.pairs.replan_at[0] = Some(third);
+        f.schedule(third, 0, Kind::Replan);
+        let ev = f.next_event().expect("the first completion");
+        assert_eq!((ev.event.kind, ev.time), (Kind::QuantumDone, first));
+        f.handle(ev.event, ev.time);
+        assert_eq!(f.ahead, 1, "only the second quantum commits ahead");
+        assert!(f.pairs.pending[0].is_some(), "the third is in flight");
+        let kinds: Vec<Kind> = (0..2)
+            .map(|_| {
+                let ev = f.next_event().expect("the replan instant");
+                assert_eq!(ev.time, third);
+                f.handle(ev.event, ev.time);
+                ev.event.kind
+            })
+            .collect();
+        assert_eq!(kinds, [Kind::Replan, Kind::QuantumDone]);
+    }
+
+    #[test]
+    fn a_quantum_that_would_exhaust_a_battery_is_not_committed_ahead() {
+        // Once the quantum in flight commits, the transmitter holds a hair
+        // more than one more full quantum's draw: that quantum is full,
+        // but it leaves less than a bit affordable and so ends the
+        // session. It stays in the tree, and the pair dies at its finish.
+        let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
+        let (mut f, start) = unobserved_braid(&sc);
+        let quantum = f.pairs.pending[0].expect("braiding");
+        assert!(!quantum.last);
+        let air = f.pairs.recipe[0].expect("a plan").full_airtime;
+        let (first, tx) = (f.finish_time(0, start, air), f.pairs.tx[0]);
+        let e = quantum.e_tx.joules();
+        f.devices.battery[tx] = Battery::new(Joules::new(e * (2.0 + 1e-6)));
+        let ev = f.next_event().expect("the first completion");
+        f.handle(ev.event, ev.time);
+        assert_eq!(f.ahead, 0, "nothing commits ahead");
+        let last = f.pairs.pending[0].expect("the exhausting quantum is in flight");
+        assert!(!last.last, "it is a full quantum");
+        assert!(f.pairs.on_air(0) && f.pairs.dead_at[0].is_none());
+        let second = f.finish_time(0, first, air);
+        let ev = f.next_event().expect("its completion");
+        assert_eq!((ev.event.kind, ev.time), (Kind::QuantumDone, second));
+        f.handle(ev.event, ev.time);
+        assert_eq!(f.pairs.dead_at[0], Some(second));
+    }
+
+    #[test]
+    fn a_departure_falls_mid_train() {
+        // A private session with the closed policy departs between two
+        // re-plans. Its last train stops short of the departure, which
+        // aborts the quantum in flight: the report is the one of a run
+        // that commits nothing ahead.
+        let mut sc = tiny_open(1.0, 1.0, 8.37, 30.0);
+        sc.churn.as_mut().expect("open").lifecycle = LifecyclePolicy::closed();
+        let mut f = Fleet::new(&sc);
+        let report = f.run();
+        assert!(f.ahead > 0, "the session committed quanta ahead");
+        assert_eq!(report.pair_dead_at[0], Some(Seconds::new(8.37)));
+        let (sampled, _) = run_fleet_sampled(&sc, Seconds::new(1.0));
+        assert_eq!(
+            crate::digest::report_digest(&report),
+            crate::digest::report_digest(&sampled)
+        );
+        assert_eq!(report.events, sampled.events);
+    }
+
     #[test]
     fn same_instant_order_is_replan_completion_departure() {
         // One instant, three sources: the queue's Replan (rank 3) and
@@ -2368,7 +2582,7 @@ mod tests {
         let now = braid_pair_0(&mut f);
         let quantum = f.pairs.pending[0].expect("braiding");
         f.abort_pending(0, now);
-        f.schedule_quantum(0, now);
+        f.schedule_quantum(0, now, None);
         let (bits, delivered) = (f.pairs.bits[0], f.q.delivered());
         let aborted = f.next_event().expect("the aborted completion");
         assert_eq!(aborted.event.kind, Kind::QuantumAborted);

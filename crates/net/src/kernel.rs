@@ -20,6 +20,14 @@
 //! key, for an engine that must still deliver an event it no longer treats
 //! as current.
 //!
+//! Neither structure sees an event that no one observes. The fleet engine
+//! commits an unobserved private pair's next quanta inside the handler of
+//! the completion it was delivered, each at its own finish time, without
+//! arming them here (DESIGN.md §8.2); it adds them to what
+//! [`EventQueue::scheduled`], [`CompletionTree::armed`] and
+//! [`EventQueue::delivered`] count, so its `net.kernel.*` totals and its
+//! report's event count are those of a run that delivers them all.
+//!
 //! Because every key component is semantic — none is an insertion counter —
 //! the delivery order of a set of uniquely-keyed events is invariant under
 //! the order they were scheduled in, under thread count, and under host.

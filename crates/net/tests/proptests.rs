@@ -1,16 +1,20 @@
 //! Property-based tests for the discrete-event kernel's ordering contract,
-//! the incremental interference cache's bitwise contract, and the memoized
-//! edge kernel's bitwise equivalence to the direct transcendental path.
+//! the incremental interference cache's bitwise contract, the memoized
+//! edge kernel's bitwise equivalence to the direct transcendental path,
+//! and the fleet engine's quanta committed ahead of its event loop.
 
 use braidio_mac::coexistence::ChannelRelation;
 use braidio_net::cache::{PairGainCache, GROUP_CAP, WAVE_CHUNK};
+use braidio_net::digest::report_digest;
 use braidio_net::interference::{carrier_contribution, CarrierSource, EdgeKernel, EDGE_TILE};
-use braidio_net::Arbitration;
-use braidio_net::EventQueue;
+use braidio_net::{
+    run_fleet, run_fleet_sampled, Arbitration, DeviceSpec, EventQueue, FleetScenario, PairSpec,
+};
 use braidio_radio::characterization::Characterization;
 use braidio_rfsim::geometry::Point;
 use braidio_rfsim::pathloss::FsplScratch;
-use braidio_units::{Seconds, Watts};
+use braidio_telemetry as telemetry;
+use braidio_units::{Joules, Seconds, Watts};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -667,5 +671,129 @@ proptest! {
         let receivers: BTreeSet<(u64, u64)> =
             eps.iter().map(|e| (e.1.x.to_bits(), e.1.y.to_bits())).collect();
         prop_assert!(receivers.len() > WAVE_CHUNK, "{} receivers", receivers.len());
+    }
+}
+
+/// A small fleet that mixes private and shared devices: `(private pairs
+/// as (separation, tx battery class, rx battery class), star tags, hub
+/// battery class, chained pairs, policy, TDMA slot, horizon, re-plan
+/// interval, quantum packets)`.
+type Mix = (
+    Vec<(f64, u8, u8)>,
+    (usize, u8, bool),
+    (u8, f64),
+    (f64, f64, f64),
+);
+
+fn arb_mix() -> impl Strategy<Value = Mix> {
+    (
+        proptest::collection::vec((0.3f64..2.5, 0u8..6, 0u8..6), 0..5),
+        (0usize..4, 0u8..6, any::<bool>()),
+        (0u8..3, 0.05f64..0.5),
+        (10.0f64..90.0, 0.4f64..12.0, 1.0f64..100.0),
+    )
+}
+
+/// Battery class → watt-hours: mostly mains-class, sometimes small
+/// enough to die inside the horizon, so trains meet battery deaths.
+fn battery_wh(class: u8) -> f64 {
+    match class {
+        0 => 1e-6,
+        1 => 2e-5,
+        _ => 1.0,
+    }
+}
+
+/// The fleet of a [`Mix`]. Pair 0 is a private sentinel far from the
+/// rest, so every fleet has a pair whose quanta commit ahead; the private
+/// pairs stand on a line, the star's tags ring one hub at distinct
+/// distances, and a chain runs its middle device as one pair's receiver
+/// and the next pair's transmitter.
+fn mix_fleet(
+    (private, (tags, hub, chain), (policy, slot), (horizon, replan, packets)): Mix,
+) -> FleetScenario {
+    let device = |x: f64, y: f64, wh: f64| DeviceSpec {
+        pos: Point::new(x, y),
+        battery: Joules::from_watt_hours(wh),
+    };
+    let mut devices = vec![device(-60.0, 0.0, 1.0), device(-60.0, 0.5, 1.0)];
+    let mut pairs = vec![PairSpec::braided(0, 1)];
+    let mut link = |devices: &mut Vec<DeviceSpec>, tx: DeviceSpec, rx: Option<usize>| {
+        devices.push(tx);
+        let t = devices.len() - 1;
+        pairs.push(PairSpec::braided(t, rx.unwrap_or(t + 1)));
+    };
+    for (i, &(sep, ctx, crx)) in private.iter().enumerate() {
+        let x = 4.0 * i as f64;
+        link(&mut devices, device(x, 0.0, battery_wh(ctx)), None);
+        devices.push(device(x, sep, battery_wh(crx)));
+    }
+    if tags > 0 {
+        devices.push(device(0.0, -12.0, battery_wh(hub)));
+        let h = devices.len() - 1;
+        for t in 0..tags {
+            let r = 0.4 + 0.35 * t as f64;
+            let th = std::f64::consts::TAU * t as f64 / tags as f64;
+            link(
+                &mut devices,
+                device(r * th.cos(), -12.0 + r * th.sin(), 1.0),
+                Some(h),
+            );
+        }
+    }
+    if chain {
+        let a = devices.len();
+        devices.extend([
+            device(12.0, 8.0, 1.0),
+            device(12.5, 8.0, battery_wh(hub)),
+            device(13.0, 8.0, 1.0),
+        ]);
+        pairs.push(PairSpec::braided(a, a + 1));
+        pairs.push(PairSpec::braided(a + 1, a + 2));
+    }
+    let arb = match policy {
+        0 => Arbitration::Uncoordinated,
+        1 => Arbitration::ChannelPlan { channels: 2 },
+        _ => Arbitration::TdmaRoundRobin {
+            slot: Seconds::new(slot),
+        },
+    };
+    let mut sc = FleetScenario::new(devices, pairs, arb).with_horizon(Seconds::new(horizon));
+    sc.replan_interval = Seconds::new(replan);
+    sc.quantum_packets = packets.round();
+    sc
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Committing quanta ahead is exact: a fleet's report is bit for bit
+    /// the same traced (nothing commits ahead), untraced (private pairs'
+    /// quanta commit ahead up to their next own event) and sampled
+    /// (nothing commits ahead), under every policy, with trains cut by
+    /// re-plans, the horizon and battery deaths, and shared devices whose
+    /// pairs must keep committing in event order.
+    #[test]
+    fn quanta_committed_ahead_leave_the_report_unchanged(mix in arb_mix()) {
+        let sc = mix_fleet(mix);
+        telemetry::set_enabled(true);
+        let traced = run_fleet(&sc);
+        telemetry::set_enabled(false);
+        let _ = telemetry::take_events();
+        telemetry::set_profiling(true);
+        let _ = telemetry::drain_thread();
+        let untraced = run_fleet(&sc);
+        let ahead = telemetry::counters_snapshot()
+            .into_iter()
+            .find(|(name, _)| name == "net.kernel.ahead")
+            .map_or(0, |(_, v)| v);
+        let _ = (telemetry::drain_thread(), telemetry::take_spans());
+        telemetry::set_profiling(false);
+        let (sampled, _) = run_fleet_sampled(&sc, sc.horizon / 7.0);
+        let want = report_digest(&traced);
+        prop_assert_eq!(report_digest(&untraced), want, "untraced {:?}\ntraced {:?}", untraced, traced);
+        prop_assert_eq!(report_digest(&sampled), want, "sampled {:?}\ntraced {:?}", sampled, traced);
+        prop_assert!(ahead > 0, "nothing committed ahead");
+        prop_assert!(ahead < untraced.events);
     }
 }

@@ -51,6 +51,7 @@ impl Battery {
 
     /// Draw a fixed energy. Returns `true` if the battery covered the whole
     /// draw; `false` if it died partway (remaining is clamped to zero).
+    #[inline]
     pub fn draw(&mut self, energy: Joules) -> bool {
         assert!(energy.is_physical(), "draw must be non-negative");
         let ok = self.remaining >= energy;

@@ -166,9 +166,16 @@ fn emit_slow(event: Event) {
 ///   read once per fleet run from the event queue and the per-pair
 ///   completion tree (`braidio-net::kernel`): every event scheduled or
 ///   armed, and every event delivered, the one that ended a truncated run
-///   included (`delivered` equals the report's `events`). Deterministic
+///   included (`delivered` equals the report's `events`). A quantum
+///   committed ahead counts as both scheduled and delivered. Deterministic
 ///   totals: the event loop is serial, so they are the same at any thread
 ///   count.
+/// * `net.kernel.ahead` — braid quanta committed ahead: an unobserved
+///   run's private pair commits its next quanta at their finish times
+///   without queueing their completions (`braidio-net::engine`). Absent
+///   (zero) under event capture or a time-series sampler, which commit
+///   nothing ahead; the same at any thread count for one observation
+///   mode.
 /// * `net.arbitration.deferred` — TDMA window skips.
 /// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` —
 ///   the incremental interference cache's hit/rebuild/edge economics

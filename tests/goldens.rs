@@ -6,7 +6,10 @@
 //! trace, and the per-device energy ledger folded from that trace. They
 //! must match `goldens/digests.txt` at 1 and at 4 pool threads, so any
 //! output bit that moves, against the committed output or across thread
-//! counts, fails here at tier 1.
+//! counts, fails here at tier 1. Each scenario also runs untraced and
+//! under a time-series sampler, and all three reports must be equal: only
+//! the untraced run commits a private pair's quanta ahead of its event
+//! loop, so this holds that path to the traced one.
 //!
 //! The scenarios are the grids, stars and walking pairs that the engine's
 //! SoA rewrite was first held to, the drain fleets that end every session
@@ -29,6 +32,11 @@
 //!   transmitter's per-bit cost: one ULP on it moves the output. (With the
 //!   default 100-packet quanta, and for the five smaller costs, the charge
 //!   is rounded away and no output bit depends on its last place.)
+//! * `skewed-star-4-tdma`: four tags at distinct distances share one small
+//!   hub battery, which dies inside the horizon. Its pairs are not
+//!   private, so none may commit quanta ahead: the hub's draws differ per
+//!   pair and must subtract in event order. (Symmetric stars subtract
+//!   equal draws, whose order no output bit shows.)
 //!
 //! A reordered interference sum changes no output bit: interference
 //! reaches a plan only through the options memo's 2⁻³²-log quantized key.
@@ -47,7 +55,9 @@ mod common;
 
 use braidio::mac::mobility::LinearWalk;
 use braidio::net::digest::{report_digest, Fnv64};
-use braidio::net::{run_fleet, Arbitration, DeviceSpec, FleetScenario, PairSpec};
+use braidio::net::{
+    run_fleet, run_fleet_sampled, Arbitration, DeviceSpec, FleetScenario, PairSpec,
+};
 use braidio::rfsim::geometry::Point;
 use braidio::units::{Joules, Meters, Seconds};
 use braidio_telemetry as telemetry;
@@ -179,18 +189,50 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
         "city-64-uncoordinated".into(),
         FleetScenario::city_block(64, Arbitration::Uncoordinated).with_horizon(Seconds::new(12.0)),
     ));
+    // A skewed star: four tags at distinct distances braid to one small
+    // hub battery that dies inside the horizon. Each pair draws a
+    // different energy per quantum from the shared hub, so the hub's
+    // ledger and its death instant hold the draws to event order.
+    let hub = DeviceSpec {
+        pos: Point::ORIGIN,
+        battery: Joules::new(0.1),
+    };
+    let tag = |x: f64, y: f64| DeviceSpec {
+        pos: Point::new(x, y),
+        battery: Joules::from_watt_hours(1.0),
+    };
+    let devices = vec![
+        hub,
+        tag(0.4, 0.0),
+        tag(0.0, 0.7),
+        tag(-1.1, 0.0),
+        tag(0.0, -1.6),
+    ];
+    let pairs = (1..=4).map(|t| PairSpec::braided(t, 0)).collect();
+    let mut sc = FleetScenario::new(devices, pairs, TDMA).with_horizon(Seconds::new(600.0));
+    sc.replan_interval = Seconds::new(5.0);
+    out.push(("skewed-star-4-tdma".into(), sc));
     out
 }
 
 /// The three artifact digests of `sc` run at `threads` pool threads:
-/// report, rendered JSONL trace, folded per-device energy ledger.
-fn artifacts(sc: &FleetScenario, threads: usize) -> [(&'static str, u64); 3] {
+/// report, rendered JSONL trace, folded per-device energy ledger. The
+/// report must be the same untraced and sampled, the runs in which a
+/// private pair's quanta commit ahead or not at all.
+fn artifacts(name: &str, sc: &FleetScenario, threads: usize) -> [(&'static str, u64); 3] {
     braidio::pool::with_threads(threads, || {
         telemetry::set_enabled(true);
         let _ = telemetry::take_events();
         let report = telemetry::with_run(0, || run_fleet(sc));
         let events = telemetry::take_events();
         telemetry::set_enabled(false);
+        let untraced = report_digest(&run_fleet(sc));
+        let (sampled, _) = run_fleet_sampled(sc, sc.horizon / 8.0);
+        assert_eq!(
+            (untraced, report_digest(&sampled)),
+            (report_digest(&report), report_digest(&report)),
+            "{name}: untraced and sampled reports differ from the traced one"
+        );
         let mut jsonl = Fnv64::default();
         jsonl.bytes(telemetry::sink::render_jsonl(&events).as_bytes());
         let mut ledger: Vec<(u32, u32, u64)> = telemetry::sink::fold_energy(&events)
@@ -224,7 +266,7 @@ fn render() -> String {
          # Re-record: cargo test --test goldens -- --ignored record_goldens\n",
     );
     for (name, sc) in scenarios() {
-        for (artifact, digest) in artifacts(&sc, 1) {
+        for (artifact, digest) in artifacts(&name, &sc, 1) {
             out.push_str(&format!("{name} {artifact} {digest:016x}\n"));
         }
     }
@@ -236,7 +278,7 @@ fn fleet_output_matches_the_golden_manifest() {
     for threads in [1, 4] {
         let mut moved = Vec::new();
         for (name, sc) in scenarios() {
-            for (artifact, got) in artifacts(&sc, threads) {
+            for (artifact, got) in artifacts(&name, &sc, threads) {
                 let want = golden(&name, artifact);
                 if got != want {
                     moved.push(format!("{name} {artifact} {got:016x}, pinned {want:016x}"));
