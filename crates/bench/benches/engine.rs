@@ -166,12 +166,8 @@ fn bench_kernel(c: &mut Criterion) {
     // uniform arm is fleetbench's kernel replay (2 047 deep, re-armed a
     // uniform [0, 1) s later); the lattice arm is room-long's shape:
     // 1 024 pairs associated on a 1 ms stagger and re-armed a fixed 0.2 s
-    // later, so deliveries arrive in groups that share an instant. The
-    // completions arm is that lattice the way the fleet engine runs it:
-    // the 1 024 completions in the per-pair completion tree, each re-armed
-    // 0.2 s after it is delivered, merged with 1 024 re-plans queued 10 s
-    // apart.
-    use braidio_net::{CompletionTree, EventQueue};
+    // later, so deliveries arrive in groups that share an instant.
+    use braidio_net::EventQueue;
     use braidio_units::Seconds;
 
     let mut lcg = 0x2545_f491_4f6c_dd1du64;
@@ -202,28 +198,6 @@ fn bench_kernel(c: &mut Criterion) {
             let ev = q.pop().expect("the hold keeps the queue full");
             let at = Seconds::new(ev.time.seconds() + 0.2);
             q.schedule(at, ev.seq, ev.device, ev.event);
-        })
-    });
-
-    const DONE: u32 = u32::MAX;
-    let mut done = CompletionTree::new(1024, 4);
-    let mut q: EventQueue<u32> = EventQueue::with_capacity(1024);
-    for i in 0..1024u32 {
-        let t = f64::from(i) * 1e-3;
-        done.arm(i, Seconds::new(t));
-        q.schedule(Seconds::new(t + 10.0), 3, i, i);
-    }
-    c.bench_function("kernel/completions_lattice_1024", |b| {
-        b.iter(|| {
-            let ev = q
-                .pop_with(&mut done, |_| DONE)
-                .expect("the hold keeps every pair pending");
-            if ev.event == DONE {
-                done.arm(ev.device, Seconds::new(ev.time.seconds() + 0.2));
-            } else {
-                let at = Seconds::new(ev.time.seconds() + 10.0);
-                q.schedule(at, ev.seq, ev.device, ev.event);
-            }
         })
     });
 }

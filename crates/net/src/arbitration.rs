@@ -107,33 +107,18 @@ impl Arbitration {
     }
 
     /// The earliest time ≥ `t` at which `pair` may transmit.
+    ///
+    /// Inlined: the fleet engine asks once per quantum, and only a TDMA
+    /// pair outside its slot takes the out-of-line wait.
+    #[inline]
     pub fn next_transmit_at(self, pair: usize, n_pairs: usize, t: Seconds) -> Seconds {
         match self {
-            Arbitration::Uncoordinated | Arbitration::ChannelPlan { .. } => t,
-            Arbitration::TdmaRoundRobin { slot } => {
-                if n_pairs <= 1 || self.may_transmit(pair, n_pairs, t) {
-                    return t;
-                }
-                // The pair is outside its slot and must wait for its turn.
-                braidio_telemetry::count("net.arbitration.deferred");
-                let s = slot.seconds();
-                let idx = (t.seconds() / s).floor() as u64;
-                let n = n_pairs as u64;
-                // Slots cycle with period n; the pair owns slots ≡ pair (mod n).
-                let cur = idx % n;
-                let ahead = (pair as u64 + n - cur) % n;
-                debug_assert!(ahead > 0, "caller handled the own-slot case");
-                let k = idx + ahead;
-                // `k * s` can round a hair below the true boundary when `s`
-                // is not dyadic (e.g. 0.1 s slots), which would land the
-                // result in the previous slot; nudge up until it floors to
-                // `k` so the postcondition `may_transmit` holds.
-                let mut at = k as f64 * s;
-                while ((at / s).floor() as u64) < k {
-                    at = f64::from_bits(at.to_bits() + 1);
-                }
-                Seconds::new(at)
+            Arbitration::TdmaRoundRobin { slot }
+                if n_pairs > 1 && !self.may_transmit(pair, n_pairs, t) =>
+            {
+                next_own_slot(slot, pair, n_pairs, t)
             }
+            _ => t,
         }
     }
 
@@ -161,6 +146,31 @@ impl Arbitration {
             Arbitration::TdmaRoundRobin { .. } => 1.0 / n_pairs.max(1) as f64,
         }
     }
+}
+
+/// The start of `pair`'s next TDMA slot after `t`, which lies outside
+/// its own slot.
+#[inline(never)]
+fn next_own_slot(slot: Seconds, pair: usize, n_pairs: usize, t: Seconds) -> Seconds {
+    // The pair is outside its slot and must wait for its turn.
+    braidio_telemetry::count("net.arbitration.deferred");
+    let s = slot.seconds();
+    let idx = (t.seconds() / s).floor() as u64;
+    let n = n_pairs as u64;
+    // Slots cycle with period n; the pair owns slots ≡ pair (mod n).
+    let cur = idx % n;
+    let ahead = (pair as u64 + n - cur) % n;
+    debug_assert!(ahead > 0, "caller handled the own-slot case");
+    let k = idx + ahead;
+    // `k * s` can round a hair below the true boundary when `s` is not
+    // dyadic (e.g. 0.1 s slots), which would land the result in the
+    // previous slot; nudge up until it floors to `k` so the postcondition
+    // `may_transmit` holds.
+    let mut at = k as f64 * s;
+    while ((at / s).floor() as u64) < k {
+        at = f64::from_bits(at.to_bits() + 1);
+    }
+    Seconds::new(at)
 }
 
 #[cfg(test)]

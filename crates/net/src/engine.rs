@@ -90,11 +90,11 @@
 //! `kill` path tears every session down, and closed runs emit no phase
 //! telemetry.
 //!
-//! Each pair's current quantum completion waits in a [`CompletionTree`],
-//! every other event in the [`EventQueue`]; the loop delivers whichever
-//! head has the lesser kernel key `(time, rank, pair)`. An aborted
-//! quantum's completion moves into the queue at its key, to be delivered,
-//! counted and ignored (DESIGN.md §8.1).
+//! Every pending event, each pair's current quantum completion included,
+//! waits in the one [`EventQueue`]. A completion carries the pair's
+//! quantum generation; aborting a quantum bumps it, so the aborted
+//! quantum's completion is still delivered and counted, and does nothing
+//! (DESIGN.md §8.1).
 //!
 //! # Quanta committed ahead
 //!
@@ -113,17 +113,17 @@
 //! scheduled and delivered event.
 //!
 //! Determinism: one pending event per (pair, kind) keeps kernel keys
-//! unique (only aborted completions, which deliver nothing, may share
-//! one); the pair index is the kernel's entity id; all floating-point
-//! reductions iterate in pair/device index order. Open-system randomness
-//! lives entirely in the scenario roster (drawn at construction), never in
-//! the engine.
+//! unique (only a stale completion, which delivers nothing, may share one
+//! with its pair's current completion, and pops first); the pair index is
+//! the kernel's entity id; all floating-point reductions iterate in
+//! pair/device index order. Open-system randomness lives entirely in the
+//! scenario roster (drawn at construction), never in the engine.
 
 use crate::arbitration::Arbitration;
 use crate::cache::{PairGainCache, ReceiverKey};
 use crate::discovery::DiscoveryConfig;
 use crate::interference::{EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE};
-use crate::kernel::{CompletionTree, EventQueue, Scheduled};
+use crate::kernel::EventQueue;
 use crate::lifecycle::{self, LifecyclePolicy, LinkPhase, PhaseEvent, PHASE_COUNT};
 use crate::memo::ProbeMemo;
 use crate::metrics::{ChurnReport, FleetReport};
@@ -162,11 +162,9 @@ enum Kind {
     StatusExchanged,
     ProbesDone,
     Replan,
-    /// The pair's current quantum completed (from the completion tree).
+    /// A quantum completed. It commits only if its generation is the
+    /// pair's current one: an aborted quantum's completion does nothing.
     QuantumDone,
-    /// An aborted quantum's completion (from the queue, same rank): it is
-    /// delivered and counted, and does nothing.
-    QuantumAborted,
     /// The session's dwell ended (graceful teardown). Ranked after
     /// `QuantumDone` so a quantum completing at the departure instant
     /// still commits.
@@ -175,7 +173,7 @@ enum Kind {
     CooldownDone,
 }
 
-/// Number of [`Kind`] ranks — the width of the sampler's per-bucket
+/// Number of [`Kind`] variants — the width of the sampler's per-bucket
 /// event-rate row.
 const KIND_COUNT: usize = 7;
 
@@ -186,7 +184,7 @@ impl Kind {
             Kind::StatusExchanged => 1,
             Kind::ProbesDone => 2,
             Kind::Replan => 3,
-            Kind::QuantumDone | Kind::QuantumAborted => 4,
+            Kind::QuantumDone => 4,
             Kind::Departure => 5,
             Kind::CooldownDone => 6,
         }
@@ -197,6 +195,9 @@ impl Kind {
 struct Ev {
     pair: u32,
     kind: Kind,
+    /// The pair's quantum generation when the event was scheduled; only a
+    /// `QuantumDone` reads it.
+    gen: u32,
 }
 
 /// One scheduled slice of a quantum:
@@ -375,6 +376,9 @@ struct Pairs {
     warm_got: Vec<u32>,
     /// Cooldown entries so far (a session past `max_cooldowns` gives up).
     cooldowns: Vec<u32>,
+    /// Current quantum generation; bumped when a quantum is aborted, so
+    /// its completion event is recognizably stale.
+    quantum_gen: Vec<u32>,
     /// When the pair's pending `Replan` event fires, if one is queued
     /// (guards against scheduling a duplicate when a cooldown retry
     /// re-enters the plan loop while the pre-cooldown replan is still
@@ -601,11 +605,8 @@ impl Sampler {
 
 struct Fleet<'a> {
     sc: &'a FleetScenario,
-    /// Every pending event but the current quantum completions.
+    /// Every pending event.
     q: EventQueue<Ev>,
-    /// Each pair's current quantum completion, armed while its quantum is
-    /// in flight (exactly when `pairs.pending[p]` is `Some`).
-    done: CompletionTree,
     devices: Devices,
     pairs: Pairs,
     replans: u64,
@@ -613,7 +614,7 @@ struct Fleet<'a> {
     /// pair's quanta may commit ahead (set once per run by `run_sampled`).
     unobserved: bool,
     /// Quanta committed ahead: delivered without a trip through the
-    /// queue or the completion tree.
+    /// queue.
     ahead: u64,
     /// Cached pairwise interference (invalidated on death / mobility).
     gains: PairGainCache,
@@ -693,6 +694,7 @@ impl<'a> Fleet<'a> {
             phase_since: Vec::with_capacity(n),
             warm_got: vec![0; n],
             cooldowns: vec![0; n],
+            quantum_gen: vec![0; n],
             replan_at: vec![None; n],
             private: Vec::with_capacity(n),
             #[cfg(debug_assertions)]
@@ -738,12 +740,12 @@ impl<'a> Fleet<'a> {
             gains.set_live(p, pairs.on_air(p));
         }
         // Bring-up queues an Associate per row and a Departure per row that
-        // carries one; a closed pair holds one queued event after that.
+        // carries one; a braiding pair then holds its quantum completion
+        // beside its next control event.
         let departures = sc.pairs.iter().filter(|p| p.departure.is_some()).count();
         Fleet {
             sc,
-            q: EventQueue::with_capacity(n + departures),
-            done: CompletionTree::new(n, Kind::QuantumDone.rank()),
+            q: EventQueue::with_capacity(2 * n + departures),
             devices,
             pairs,
             replans: 0,
@@ -795,7 +797,7 @@ impl<'a> Fleet<'a> {
         }
         let mut last = Seconds::ZERO;
         let mut truncated = false;
-        while let Some(ev) = self.next_event() {
+        while let Some(ev) = self.q.pop() {
             if ev.time > self.sc.horizon {
                 truncated = true;
                 break;
@@ -823,7 +825,7 @@ impl<'a> Fleet<'a> {
         // Quanta still in flight at the horizon never commit: surface them
         // as lost and close their carrier grants so every grant in the
         // trace has a matching release; nothing is delivered after this,
-        // so no completion is requeued.
+        // so no generation needs a bump.
         for p in 0..self.pairs.len() {
             if let Some(pending) = self.pairs.pending[p].take() {
                 lose(p, &pending, end_time);
@@ -834,13 +836,10 @@ impl<'a> Fleet<'a> {
         // `end_time` needs no term for them.
         #[cfg(debug_assertions)]
         debug_assert!(truncated || self.pairs.ahead_to.iter().all(|&t| t <= last.seconds()));
-        // The kernel's traffic, read once (a requeue is not a schedule). A
-        // quantum committed ahead counts as scheduled and delivered.
+        // The kernel's traffic, read once. A quantum committed ahead counts
+        // as scheduled and delivered.
         let events = self.q.delivered() + self.ahead;
-        telemetry::count_by(
-            "net.kernel.scheduled",
-            self.q.scheduled() + self.done.armed() + self.ahead,
-        );
+        telemetry::count_by("net.kernel.scheduled", self.q.scheduled() + self.ahead);
         telemetry::count_by("net.kernel.delivered", events);
         telemetry::count_by("net.kernel.ahead", self.ahead);
         let churn = self.churn_report(end_time);
@@ -988,28 +987,22 @@ impl<'a> Fleet<'a> {
         })
     }
 
-    /// Deliver the next event: the queue's head or the earliest current
-    /// completion, whichever has the lesser key `(time, rank, pair)`.
-    fn next_event(&mut self) -> Option<Scheduled<Ev>> {
-        self.q.pop_with(&mut self.done, |pair| Ev {
-            pair,
-            kind: Kind::QuantumDone,
-        })
-    }
-
     fn handle(&mut self, ev: Ev, now: Seconds) {
         let (p, kind) = (ev.pair as usize, ev.kind);
+        // An aborted quantum's completion is delivered only to be counted.
+        if kind == Kind::QuantumDone && ev.gen != self.pairs.quantum_gen[p] {
+            return;
+        }
         // A train of quanta committed ahead ends strictly before the
         // pair's next own event.
         #[cfg(debug_assertions)]
         debug_assert!(
-            kind == Kind::QuantumAborted || now.seconds() > self.pairs.ahead_to[p],
+            now.seconds() > self.pairs.ahead_to[p],
             "{kind:?} of pair {p} at {now} lands inside its train committed ahead to {}",
             self.pairs.ahead_to[p]
         );
-        // An aborted quantum's completion is delivered only to be counted,
-        // and a torn-down session ignores its stale events.
-        if kind == Kind::QuantumAborted || self.pairs.phase[p].is_terminal() {
+        // A torn-down session ignores its stale events.
+        if self.pairs.phase[p].is_terminal() {
             return;
         }
         // A shared device may have died serving another pair since this
@@ -1027,7 +1020,6 @@ impl<'a> Fleet<'a> {
             Kind::ProbesDone => self.on_probes_done(p, now),
             Kind::Replan => self.on_replan(p, now),
             Kind::QuantumDone => self.on_quantum_done(p, now),
-            Kind::QuantumAborted => unreachable!("returned above"),
             // Only rows that carry a departure schedule one.
             Kind::Departure => self.kill(p, now, telemetry::DeathReason::Departed),
             Kind::CooldownDone => self.on_cooldown_done(p, now),
@@ -1610,7 +1602,7 @@ impl<'a> Fleet<'a> {
             if !commits {
                 debug_assert!(self.pairs.pending[p].is_none(), "one quantum in flight");
                 self.pairs.pending[p] = Some(pending);
-                self.done.arm(p as u32, finish);
+                self.schedule(finish, p, Kind::QuantumDone);
                 telemetry::emit(telemetry::Event::CarrierGrant {
                     at,
                     track: telemetry::Track::Pair(p as u32),
@@ -1797,23 +1789,21 @@ impl<'a> Fleet<'a> {
     }
 
     /// Drop the pair's quantum in flight, if any, surfacing it as lost.
-    /// Its completion moves into the queue, to be delivered and ignored.
+    /// The generation bump leaves its completion in the queue, to be
+    /// delivered and ignored.
     fn abort_pending(&mut self, p: usize, at: Seconds) {
         let Some(pending) = self.pairs.pending[p].take() else {
             return;
         };
-        let pair = p as u32;
-        let aborted = Ev {
-            pair,
-            kind: Kind::QuantumAborted,
-        };
-        self.q.requeue(&mut self.done, pair, aborted);
+        self.pairs.quantum_gen[p] = self.pairs.quantum_gen[p].wrapping_add(1);
         lose(p, &pending, at);
     }
 
     fn schedule(&mut self, t: Seconds, p: usize, kind: Kind) {
         let pair = p as u32;
-        self.q.schedule(t, kind.rank(), pair, Ev { pair, kind });
+        let gen = self.pairs.quantum_gen[p];
+        self.q
+            .schedule(t, kind.rank(), pair, Ev { pair, kind, gen });
     }
 }
 
@@ -2147,9 +2137,7 @@ mod tests {
         );
         let mut entries = 0;
         let last = loop {
-            let ev = f
-                .next_event()
-                .expect("the session ends before the queue drains");
+            let ev = f.q.pop().expect("the session ends before the queue drains");
             let was = f.pairs.phase[0];
             f.handle(ev.event, ev.time);
             if f.pairs.phase[0] == LinkPhase::Cooldown && was != LinkPhase::Cooldown {
@@ -2433,7 +2421,7 @@ mod tests {
             mode_bits[s.0 as usize] += s.2;
         }
         loop {
-            let ev = f.next_event().expect("the quantum completes");
+            let ev = f.q.pop().expect("the quantum completes");
             f.handle(ev.event, ev.time);
             if ev.event.kind == Kind::QuantumDone {
                 break;
@@ -2456,7 +2444,7 @@ mod tests {
     fn braid_pair_0(f: &mut Fleet) -> Seconds {
         let mut now = Seconds::ZERO;
         while f.pairs.pending[0].is_none() {
-            let ev = f.next_event().expect("bring-up reaches the braid");
+            let ev = f.q.pop().expect("bring-up reaches the braid");
             now = ev.time;
             f.handle(ev.event, ev.time);
         }
@@ -2474,7 +2462,7 @@ mod tests {
     }
 
     #[test]
-    fn a_completion_on_the_replan_instant_stays_in_the_tree() {
+    fn a_completion_on_the_replan_instant_is_armed_not_committed() {
         // The pair's next Replan lands exactly where its third quantum
         // finishes. Delivering the first completion commits the second
         // quantum ahead and arms the third, whose finish is not strictly
@@ -2488,14 +2476,14 @@ mod tests {
         assert!(third < f.pairs.replan_at[0].expect("a replan is queued"));
         f.pairs.replan_at[0] = Some(third);
         f.schedule(third, 0, Kind::Replan);
-        let ev = f.next_event().expect("the first completion");
+        let ev = f.q.pop().expect("the first completion");
         assert_eq!((ev.event.kind, ev.time), (Kind::QuantumDone, first));
         f.handle(ev.event, ev.time);
         assert_eq!(f.ahead, 1, "only the second quantum commits ahead");
         assert!(f.pairs.pending[0].is_some(), "the third is in flight");
         let kinds: Vec<Kind> = (0..2)
             .map(|_| {
-                let ev = f.next_event().expect("the replan instant");
+                let ev = f.q.pop().expect("the replan instant");
                 assert_eq!(ev.time, third);
                 f.handle(ev.event, ev.time);
                 ev.event.kind
@@ -2509,7 +2497,8 @@ mod tests {
         // Once the quantum in flight commits, the transmitter holds a hair
         // more than one more full quantum's draw: that quantum is full,
         // but it leaves less than a bit affordable and so ends the
-        // session. It stays in the tree, and the pair dies at its finish.
+        // session. Its completion is queued, and the pair dies at its
+        // finish.
         let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
         let (mut f, start) = unobserved_braid(&sc);
         let quantum = f.pairs.pending[0].expect("braiding");
@@ -2518,14 +2507,14 @@ mod tests {
         let (first, tx) = (f.finish_time(0, start, air), f.pairs.tx[0]);
         let e = quantum.e_tx.joules();
         f.devices.battery[tx] = Battery::new(Joules::new(e * (2.0 + 1e-6)));
-        let ev = f.next_event().expect("the first completion");
+        let ev = f.q.pop().expect("the first completion");
         f.handle(ev.event, ev.time);
         assert_eq!(f.ahead, 0, "nothing commits ahead");
         let last = f.pairs.pending[0].expect("the exhausting quantum is in flight");
         assert!(!last.last, "it is a full quantum");
         assert!(f.pairs.on_air(0) && f.pairs.dead_at[0].is_none());
         let second = f.finish_time(0, first, air);
-        let ev = f.next_event().expect("its completion");
+        let ev = f.q.pop().expect("its completion");
         assert_eq!((ev.event.kind, ev.time), (Kind::QuantumDone, second));
         f.handle(ev.event, ev.time);
         assert_eq!(f.pairs.dead_at[0], Some(second));
@@ -2553,15 +2542,15 @@ mod tests {
 
     #[test]
     fn same_instant_order_is_replan_completion_departure() {
-        // One instant, three sources: the queue's Replan (rank 3) and
-        // Departure (rank 5) bracket the tree's completion (rank 4).
+        // One instant, three kinds, queued in reverse: the Replan (rank 3)
+        // and the Departure (rank 5) bracket the completion (rank 4).
         let sc = small_pair(Arbitration::Uncoordinated);
         let mut f = Fleet::new(&sc);
         let t = Seconds::new(2.0);
         f.schedule(t, 0, Kind::Departure);
-        f.done.arm(0, t);
+        f.schedule(t, 0, Kind::QuantumDone);
         f.schedule(t, 0, Kind::Replan);
-        let kinds: Vec<Kind> = std::iter::from_fn(|| f.next_event())
+        let kinds: Vec<Kind> = std::iter::from_fn(|| f.q.pop())
             .map(|e| {
                 assert_eq!(e.time, t);
                 e.event.kind
@@ -2574,8 +2563,9 @@ mod tests {
     #[test]
     fn an_aborted_completion_pops_before_a_rearmed_one_on_an_equal_key() {
         // Abort the quantum in flight and start the same one at the same
-        // instant: both completions share a key, the aborted one (queued)
-        // pops first and commits nothing, the current one commits once.
+        // instant: both completions share a key, the aborted one (queued
+        // first) pops first and commits nothing, the current one commits
+        // once.
         let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
         let mut f = Fleet::new(&sc);
         f.schedule(Seconds::ZERO, 0, Kind::Associate);
@@ -2584,12 +2574,14 @@ mod tests {
         f.abort_pending(0, now);
         f.schedule_quantum(0, now, None);
         let (bits, delivered) = (f.pairs.bits[0], f.q.delivered());
-        let aborted = f.next_event().expect("the aborted completion");
-        assert_eq!(aborted.event.kind, Kind::QuantumAborted);
+        let aborted = f.q.pop().expect("the aborted completion");
+        assert_eq!(aborted.event.kind, Kind::QuantumDone);
+        assert_ne!(aborted.event.gen, f.pairs.quantum_gen[0], "it is stale");
         f.handle(aborted.event, aborted.time);
         assert_eq!(f.pairs.bits[0].to_bits(), bits.to_bits());
-        let current = f.next_event().expect("the current completion");
+        let current = f.q.pop().expect("the current completion");
         assert_eq!(current.event.kind, Kind::QuantumDone);
+        assert_eq!(current.event.gen, f.pairs.quantum_gen[0], "it is current");
         assert_eq!(current.time, aborted.time);
         f.handle(current.event, current.time);
         assert_eq!(f.pairs.bits[0].to_bits(), (bits + quantum.bits).to_bits());
@@ -2613,8 +2605,9 @@ mod tests {
         assert_eq!(f.pairs.phase[0], LinkPhase::Cooldown);
         let restarted = braid_pair_0(&mut f);
         let (bits, spent, delivered) = (f.pairs.bits[0], f.devices.spent.clone(), f.q.delivered());
-        let aborted = f.next_event().expect("the aborted completion");
-        assert_eq!(aborted.event.kind, Kind::QuantumAborted);
+        let aborted = f.q.pop().expect("the aborted completion");
+        assert_eq!(aborted.event.kind, Kind::QuantumDone);
+        assert_ne!(aborted.event.gen, f.pairs.quantum_gen[0], "it is stale");
         assert!(
             aborted.time > restarted,
             "it lands after the new quantum started"
@@ -2625,7 +2618,7 @@ mod tests {
         assert_eq!(f.devices.spent, spent);
         assert_eq!(f.q.delivered(), delivered + 1);
         assert!(f.pairs.pending[0].is_some(), "the new quantum is untouched");
-        let next = f.next_event().expect("the new quantum completes");
+        let next = f.q.pop().expect("the new quantum completes");
         assert_eq!(next.event.kind, Kind::QuantumDone);
     }
 }

@@ -8,8 +8,7 @@
 //! whose delivery order is a pure function of the scenario, so every run
 //! is bit-identical regardless of host, thread count, or insertion order.
 //!
-//! * [`kernel`] — the DES event queue with total-order tie-breaking, and
-//!   the per-device completion tree it merges with.
+//! * [`kernel`] — the DES event queue with total-order tie-breaking.
 //! * [`interference`] — many-source foreign-carrier coupling, generalizing
 //!   `mac::coexistence` from one interferer to a fleet.
 //! * [`cache`] — incrementally maintained pairwise interference sums (the
@@ -67,7 +66,7 @@ pub mod scenario;
 pub use arbitration::Arbitration;
 pub use discovery::DiscoveryConfig;
 pub use engine::{run_fleet, run_fleet_sampled};
-pub use kernel::{CompletionTree, DeviceId, EventQueue};
+pub use kernel::{DeviceId, EventQueue};
 pub use lifecycle::{LifecyclePolicy, LinkPhase, PhaseEvent};
 pub use metrics::{jain_fairness, ChurnReport, FleetReport};
 pub use scenario::{ChurnConfig, DeviceSpec, FleetScenario, PairSpec};

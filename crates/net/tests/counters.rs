@@ -229,8 +229,8 @@ fn one_separation_costs_one_probe_miss_and_one_distance_half() {
 
 #[test]
 fn kernel_counters_are_thread_count_invariant_and_match_the_report() {
-    // The kernel's totals are read once per run from the queue and the
-    // completion tree: `delivered` is the report's event count, and
+    // The kernel's totals are read once per run from the event queue:
+    // `delivered` is the report's event count, and
     // neither moves with the pool's size, closed or open. The grid's
     // pairs are private, so with event capture off most of its quanta
     // commit ahead; the open system's share their hubs, so none do.

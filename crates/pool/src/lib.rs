@@ -45,8 +45,8 @@ pub fn thread_count() -> usize {
     if forced > 0 {
         return forced;
     }
-    if env_threads().is_some() {
-        return env_threads().unwrap();
+    if let Some(n) = env_threads() {
+        return n;
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -163,9 +163,9 @@ fn emit_slow(event: Event) {
 /// have one place to look):
 ///
 /// * `net.kernel.scheduled` / `net.kernel.delivered` — DES event traffic,
-///   read once per fleet run from the event queue and the per-pair
-///   completion tree (`braidio-net::kernel`): every event scheduled or
-///   armed, and every event delivered, the one that ended a truncated run
+///   read once per fleet run from the event queue
+///   (`braidio-net::kernel`): every event scheduled and every event
+///   delivered, the one that ended a truncated run
 ///   included (`delivered` equals the report's `events`). A quantum
 ///   committed ahead counts as both scheduled and delivered. Deterministic
 ///   totals: the event loop is serial, so they are the same at any thread

@@ -1,15 +1,13 @@
-//! Tier-1 smoke for the fleet kernel's event queue and completion tree.
+//! Tier-1 smoke for the fleet kernel's event queue.
 //!
 //! The queue is a monotone radix queue, so its delivery order is only as
 //! good as its bucket bookkeeping. These runs interleave schedules and
 //! pops and hold the queue to a sorted model of the full key
 //! `(time bits, seq, device, insertion index)`, step for step: once over
 //! times that span binades and collide exactly, and once in the shape of
-//! a long-running room of 1 024 staggered pairs. A last run merges the
-//! queue with a completion tree the way the fleet engine does, in the
-//! same room shape, and holds the merged delivery order to the model.
+//! a long-running room of 1 024 staggered pairs.
 
-use braidio::net::{CompletionTree, EventQueue};
+use braidio::net::EventQueue;
 use braidio::units::Seconds;
 use std::collections::BTreeSet;
 
@@ -111,143 +109,4 @@ fn lattice_hold_of_1024_pairs() {
     assert_eq!(c.q.delivered(), 60_000);
     assert!(shared > 0, "the lattice must put pairs on shared instants");
     assert_eq!(c.q.len(), PAIRS as usize);
-}
-
-/// The completion class of the merged run, the fleet's quantum rank.
-const DONE: u64 = 4;
-
-/// A queue and a completion tree delivered together, checked against a
-/// sorted model. Model keys extend the kernel key with the source (the
-/// queue's event first on an equal key) and the queue's insertion index.
-struct Merged {
-    q: EventQueue<u32>,
-    tree: CompletionTree,
-    model: BTreeSet<(u64, u64, u32, u8, u32)>,
-    armed: Vec<Option<u64>>,
-    next: u32,
-}
-
-/// A tree delivery's payload.
-const FROM_TREE: u32 = u32::MAX;
-
-impl Merged {
-    fn new(devices: u32) -> Self {
-        Merged {
-            q: EventQueue::new(),
-            tree: CompletionTree::new(devices as usize, DONE),
-            model: BTreeSet::new(),
-            armed: vec![None; devices as usize],
-            next: 0,
-        }
-    }
-
-    fn schedule(&mut self, t: f64, seq: u64, device: u32) {
-        self.q.schedule(Seconds::new(t), seq, device, self.next);
-        self.model.insert((t.to_bits(), seq, device, 0, self.next));
-        self.next += 1;
-    }
-
-    fn arm(&mut self, device: u32, t: f64) {
-        self.tree.arm(device, Seconds::new(t));
-        if let Some(old) = self.armed[device as usize].replace(t.to_bits()) {
-            self.model.remove(&(old, DONE, device, 1, FROM_TREE));
-        }
-        self.model.insert((t.to_bits(), DONE, device, 1, FROM_TREE));
-    }
-
-    /// Move `device`'s armed completion into the queue, as an aborted
-    /// quantum's completion moves.
-    fn requeue(&mut self, device: u32) -> f64 {
-        let bits = self.armed[device as usize].take().expect("armed");
-        self.model.remove(&(bits, DONE, device, 1, FROM_TREE));
-        self.q.requeue(&mut self.tree, device, self.next);
-        self.model.insert((bits, DONE, device, 0, self.next));
-        self.next += 1;
-        f64::from_bits(bits)
-    }
-
-    fn pop(&mut self) -> Option<(u64, u64, u32, u8, u32)> {
-        let got = self.q.pop_with(&mut self.tree, |_| FROM_TREE).map(|e| {
-            let from_tree = u8::from(e.event == FROM_TREE);
-            (
-                e.time.seconds().to_bits(),
-                e.seq,
-                e.device,
-                from_tree,
-                e.event,
-            )
-        });
-        assert_eq!(got, self.model.pop_first());
-        if let Some((bits, _, device, from_tree, _)) = got {
-            // `now` is the last delivered instant, whichever side it came
-            // from.
-            assert_eq!(self.q.now().seconds().to_bits(), bits);
-            if from_tree == 1 {
-                self.armed[device as usize] = None;
-            }
-        }
-        got
-    }
-}
-
-#[test]
-fn merged_room_run_of_1024_pairs() {
-    // Room-shaped: 1 024 pairs braid quanta completing on a 1 ms stagger,
-    // each re-armed 0.2 s after it completes, with a re-plan per pair
-    // every 10 s in the queue. Now and then a re-plan aborts another
-    // pair's quantum (its completion moves to the queue at its own key)
-    // and restarts it, at the same key or later, and acts at its own
-    // instant in a lower or a higher class.
-    const PAIRS: u32 = 1024;
-    let mut draw = lcg(0xb7a1d);
-    let mut m = Merged::new(PAIRS);
-    for i in 0..PAIRS {
-        let t = f64::from(i) * 1e-3;
-        m.arm(i, t);
-        m.schedule(t + 10.0, 3, i);
-    }
-    let (mut completions, mut requeued, mut ties) = (0, 0, 0);
-    for _ in 0..80_000 {
-        let (bits, seq, device, from_tree, _) = m.pop().expect("every pair stays pending");
-        let now = f64::from_bits(bits);
-        match (seq, from_tree) {
-            (DONE, 1) => {
-                completions += 1;
-                m.arm(device, now + 0.2);
-            }
-            (3, _) => {
-                m.schedule(now + 10.0, 3, device);
-                if draw().is_multiple_of(4) {
-                    let victim = (draw() % u64::from(PAIRS)) as u32;
-                    if m.armed[victim as usize].is_some() {
-                        let at = m.requeue(victim);
-                        requeued += 1;
-                        let again = if draw().is_multiple_of(2) {
-                            at
-                        } else {
-                            at + 0.2
-                        };
-                        ties += usize::from(again == at);
-                        m.arm(victim, again);
-                    }
-                }
-                match draw() % 8 {
-                    0 => m.schedule(now, 2, device),
-                    1 => m.schedule(now, 5, device),
-                    _ => {}
-                }
-            }
-            _ => {}
-        }
-    }
-    assert!(
-        completions > 60_000,
-        "completions carry the run: {completions}"
-    );
-    assert!(
-        requeued > 100 && ties > 0,
-        "{requeued} requeued, {ties} ties"
-    );
-    assert_eq!(m.q.delivered(), 80_000);
-    while m.pop().is_some() {}
 }
