@@ -343,12 +343,32 @@ fn bench_full_scenario(c: &mut Criterion) {
     });
 }
 
+fn bench_room_train(c: &mut Criterion) {
+    // The room-long workload's shape at its smoke size: 16 private 1 Wh
+    // pairs on the 3 m grid for 120 s. An untraced run commits almost
+    // every quantum ahead in trains between re-plans, so this arm is the
+    // per-run cost of the train loop (DESIGN.md §8.2).
+    let room = FleetScenario::grid_pairs(
+        16,
+        Meters::new(0.5),
+        Meters::new(3.0),
+        1.0,
+        1.0,
+        Arbitration::Uncoordinated,
+    )
+    .with_horizon(Seconds::new(120.0));
+    c.bench_function("fleet/room_train", |b| {
+        b.iter(|| black_box(run_fleet(&room)))
+    });
+}
+
 criterion_group!(
     benches,
     bench_interference_wave,
     bench_edge_kernel,
     bench_options,
     bench_thread_sweep,
-    bench_full_scenario
+    bench_full_scenario,
+    bench_room_train
 );
 criterion_main!(benches);

@@ -95,8 +95,7 @@ impl Arbitration {
                 if n_pairs <= 1 {
                     return true;
                 }
-                let idx = (t.seconds() / slot.seconds()).floor() as u64;
-                idx % n_pairs as u64 == pair as u64
+                slot_index(t.seconds(), slot.seconds()) % n_pairs as u64 == pair as u64
             }
         }
     }
@@ -133,7 +132,7 @@ impl Arbitration {
                 }
                 debug_assert!(self.may_transmit(pair, n_pairs, t));
                 let s = slot.seconds();
-                let idx = (t.seconds() / s).floor() as u64;
+                let idx = slot_index(t.seconds(), s);
                 Some(Seconds::new((idx + 1) as f64 * s))
             }
         }
@@ -148,6 +147,16 @@ impl Arbitration {
     }
 }
 
+/// The index of the TDMA slot of length `s` that holds `t`: `⌊t / s⌋`.
+/// The float-to-int cast truncates toward zero and saturates, so it
+/// equals `(t / s).floor() as u64` for every `f64` (a negative quotient
+/// or NaN maps to 0 either way) without a call to libm's `floor`, which
+/// the baseline x86-64 target has no instruction for.
+#[inline]
+fn slot_index(t: f64, s: f64) -> u64 {
+    (t / s) as u64
+}
+
 /// The start of `pair`'s next TDMA slot after `t`, which lies outside
 /// its own slot.
 #[inline(never)]
@@ -155,7 +164,7 @@ fn next_own_slot(slot: Seconds, pair: usize, n_pairs: usize, t: Seconds) -> Seco
     // The pair is outside its slot and must wait for its turn.
     braidio_telemetry::count("net.arbitration.deferred");
     let s = slot.seconds();
-    let idx = (t.seconds() / s).floor() as u64;
+    let idx = slot_index(t.seconds(), s);
     let n = n_pairs as u64;
     // Slots cycle with period n; the pair owns slots ≡ pair (mod n).
     let cur = idx % n;
@@ -167,7 +176,7 @@ fn next_own_slot(slot: Seconds, pair: usize, n_pairs: usize, t: Seconds) -> Seco
     // previous slot; nudge up until it floors to `k` so the postcondition
     // `may_transmit` holds.
     let mut at = k as f64 * s;
-    while ((at / s).floor() as u64) < k {
+    while slot_index(at, s) < k {
         at = f64::from_bits(at.to_bits() + 1);
     }
     Seconds::new(at)
@@ -295,6 +304,39 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn slot_index_equals_the_floored_quotient() {
+        // The cast must agree with `floor` wherever a quotient can land:
+        // signed zeros, exact slot multiples and their neighbours one ULP
+        // away, negatives, NaN, the infinities and quotients past `u64`.
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for s in [0.25, 0.1, 1.0, 3.0] {
+            let mut ts = vec![
+                0.0,
+                -0.0,
+                -1e-300,
+                -s,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e300,
+                f64::MAX,
+            ];
+            for k in 1..=64u32 {
+                let t = f64::from(k) * s;
+                ts.extend([t, up(t), down(t), -t]);
+            }
+            for t in ts {
+                assert_eq!(
+                    slot_index(t, s),
+                    (t / s).floor() as u64,
+                    "t = {t:e}, s = {s}"
+                );
             }
         }
     }

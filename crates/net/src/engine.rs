@@ -105,12 +105,13 @@
 //! delivered, the pair commits its next quanta right away, each at its own
 //! finish time, and arms only the first that finishes at or after its next
 //! own event (`Replan`, `Departure`) or the horizon, or that is partial or
-//! could leave the batteries without a next quantum. A committed quantum
-//! touches only the pair's and its two devices' columns, by the one
-//! accounting path (`commit_quantum`), and nothing reads those columns
-//! before its finish time, so the report is bit for bit the one of a run
-//! that delivers every completion (DESIGN.md §8.2). Each counts as a
-//! scheduled and delivered event.
+//! could leave the batteries without a next quantum. Such a *train* loads
+//! the pair's and its two devices' columns into one `Tally`, adds each
+//! quantum by the same `Tally::add` a delivered completion runs, and
+//! stores the tally once; nothing reads those columns before the last
+//! finish time, so the report is bit for bit the one of a run that
+//! delivers every completion (DESIGN.md §8.2). Each committed quantum
+//! counts as a scheduled and delivered event.
 //!
 //! Determinism: one pending event per (pair, kind) keeps kernel keys
 //! unique (only a stale completion, which delivers nothing, may share one
@@ -314,16 +315,81 @@ impl QuantumRecipe {
     /// energy to spare is the precomputed full one, and a battery's last,
     /// partial quantum runs [`quantum`](Self::quantum) on its smaller size.
     fn next(&self, rem_tx: Joules, rem_rx: Joules) -> Option<(PendingQuantum, Seconds)> {
+        let (bits, last) = self.next_bits(rem_tx, rem_rx)?;
+        Some(if last {
+            self.quantum(bits, true)
+        } else {
+            (self.full, self.full_airtime)
+        })
+    }
+
+    /// The size of [`next`](Self::next)'s quantum and whether it is a
+    /// battery's last, without building it.
+    fn next_bits(&self, rem_tx: Joules, rem_rx: Joules) -> Option<(f64, bool)> {
         let affordable = (rem_tx.joules() / self.c_tx).min(rem_rx.joules() / self.c_rx);
         let quantum_bits = self.full.bits;
         let bits = quantum_bits.min(affordable);
         if !bits.is_finite() || bits < 1.0 {
             return None;
         }
-        if affordable <= quantum_bits {
-            Some(self.quantum(bits, true))
-        } else {
-            Some((self.full, self.full_airtime))
+        Some((bits, affordable <= quantum_bits))
+    }
+
+    /// May the next quantum commit ahead, as far as the batteries go? It
+    /// must be the full one, and each battery must hold more than twice
+    /// its draw: the battery then keeps more than one draw after it, so
+    /// the quantum after it is affordable and a train never crosses the
+    /// pair's death, which other pairs would see.
+    fn trains(&self, rem_tx: Joules, rem_rx: Joules) -> bool {
+        rem_tx.joules() > 2.0 * self.full.e_tx.joules()
+            && rem_rx.joules() > 2.0 * self.full.e_rx.joules()
+            && self
+                .next_bits(rem_tx, rem_rx)
+                .is_some_and(|(_, last)| !last)
+    }
+}
+
+/// A quantum's adds to its pair's and its two devices' columns, held in
+/// locals: `[tx, rx]` for the device sides. [`Fleet::tally`] loads it,
+/// [`add`](Self::add) is the one definition of a quantum's accounting,
+/// and [`Fleet::settle`] stores it. A delivered completion adds one
+/// quantum; a train adds every quantum it commits ahead and stores once.
+struct Tally {
+    fsm: OffloadFsm,
+    battery: [Battery; 2],
+    spent: [Joules; 2],
+    carrier_time: [Seconds; 2],
+    bits: f64,
+    mode_bits: [f64; 3],
+    window_bits: f64,
+}
+
+impl Tally {
+    /// Commit quantum `q`, finished at `at`; it counts toward the window
+    /// bits when `at` is at or past `window_from`.
+    #[inline(always)]
+    fn add(&mut self, q: &PendingQuantum, at: Seconds, window_from: Seconds) {
+        self.fsm
+            .on(FsmEvent::PacketDelivered)
+            .expect("Braiding accepts PacketDelivered");
+        for (side, e) in [q.e_tx, q.e_rx].into_iter().enumerate() {
+            self.spent[side] += e;
+            self.battery[side].draw(e);
+        }
+        self.bits += q.bits;
+        if at.seconds() >= window_from.seconds() {
+            self.window_bits += q.bits;
+        }
+        for (mode, _, bits, on_tx, on_rx, airtime) in q.slices() {
+            // Exactly the one matching mode column accumulates, so this is
+            // the same arithmetic as the per-pair `[(Mode, f64); 3]` scan.
+            self.mode_bits[*mode as usize] += bits;
+            if *on_tx {
+                self.carrier_time[0] += *airtime;
+            }
+            if *on_rx {
+                self.carrier_time[1] += *airtime;
+            }
         }
     }
 }
@@ -1243,27 +1309,27 @@ impl<'a> Fleet<'a> {
         self.schedule_quantum(p, now, ahead);
     }
 
-    /// Commit pair `p`'s quantum `pending`, finished at `at`: its energy,
-    /// bits, carrier time and delivery telemetry. The one definition of a
-    /// quantum's accounting, whether its completion was delivered or the
-    /// quantum was committed ahead.
+    /// Commit pair `p`'s delivered quantum `pending`, finished at `at`: its
+    /// energy, bits and carrier time through one [`Tally`], then its
+    /// warm-up step and delivery telemetry.
     fn commit_quantum(&mut self, p: usize, pending: &PendingQuantum, at: Seconds) {
-        self.pairs.fsm[p]
-            .on(FsmEvent::PacketDelivered)
-            .expect("Braiding accepts PacketDelivered");
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
-        self.charge(tx, pending.e_tx, at);
-        self.charge(rx, pending.e_rx, at);
-        self.pairs.bits[p] += pending.bits;
+        for (dev, joules) in [(tx, pending.e_tx), (rx, pending.e_rx)] {
+            telemetry::emit(telemetry::Event::EnergyDebit {
+                at,
+                track: telemetry::Track::Device(dev as u32),
+                joules,
+            });
+        }
+        let mut tally = self.tally(p);
+        tally.add(pending, at, self.window_from);
+        self.settle(p, tally, at);
         // Warm-up quanta below the policy quota move bits and energy like
         // any other (the ledger stays exact) but suppress their delivery
         // telemetry; the quantum that *reaches* the quota promotes the
         // session first, so its record — and every later one — lands in
         // Live, which is what the validator's phase gate demands.
         let mut announce = true;
-        if at.seconds() >= self.window_from.seconds() {
-            self.window_bits[p] += pending.bits;
-        }
         if self.pairs.phase[p] == LinkPhase::Warm {
             self.pairs.warm_got[p] += 1;
             if self.pairs.warm_got[p] >= self.policy.warmup_quanta {
@@ -1272,17 +1338,8 @@ impl<'a> Fleet<'a> {
                 announce = false;
             }
         }
-        for (mode, rate, bits, on_tx, on_rx, airtime) in pending.slices() {
-            // Exactly the one matching mode column accumulates, so this is
-            // the same arithmetic as the per-pair `[(Mode, f64); 3]` scan.
-            self.pairs.mode_bits[p][*mode as usize] += bits;
-            if *on_tx {
-                self.devices.carrier_time[tx] += *airtime;
-            }
-            if *on_rx {
-                self.devices.carrier_time[rx] += *airtime;
-            }
-            if announce {
+        if announce {
+            for (mode, rate, bits, ..) in pending.slices() {
                 telemetry::emit(telemetry::Event::QuantumDelivered {
                     at,
                     track: telemetry::Track::Pair(p as u32),
@@ -1296,6 +1353,42 @@ impl<'a> Fleet<'a> {
             at,
             track: telemetry::Track::Pair(p as u32),
         });
+    }
+
+    /// Pair `p`'s and its two devices' accounting columns, loaded.
+    fn tally(&self, p: usize) -> Tally {
+        let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
+        let d = &self.devices;
+        Tally {
+            fsm: self.pairs.fsm[p].clone(),
+            battery: [d.battery[tx], d.battery[rx]],
+            spent: [d.spent[tx], d.spent[rx]],
+            carrier_time: [d.carrier_time[tx], d.carrier_time[rx]],
+            bits: self.pairs.bits[p],
+            mode_bits: self.pairs.mode_bits[p],
+            window_bits: self.window_bits.get(p).copied().unwrap_or(0.0),
+        }
+    }
+
+    /// Store `t` back into pair `p`'s and its devices' columns, the last
+    /// quantum in it finished at `at`: a battery it emptied dies then.
+    fn settle(&mut self, p: usize, t: Tally, at: Seconds) {
+        self.pairs.fsm[p] = t.fsm;
+        self.pairs.bits[p] = t.bits;
+        self.pairs.mode_bits[p] = t.mode_bits;
+        // A closed fleet keeps no window (its `window_from` is infinite).
+        if let Some(w) = self.window_bits.get_mut(p) {
+            *w = t.window_bits;
+        }
+        let d = &mut self.devices;
+        for (side, dev) in [self.pairs.tx[p], self.pairs.rx[p]].into_iter().enumerate() {
+            d.battery[dev] = t.battery[side];
+            d.spent[dev] = t.spent[side];
+            d.carrier_time[dev] = t.carrier_time[side];
+            if d.battery[dev].is_dead() && d.dead_at[dev].is_none() {
+                d.dead_at[dev] = Some(at);
+            }
+        }
     }
 
     /// The instant before which pair `p`'s next quanta may commit ahead,
@@ -1570,58 +1663,81 @@ impl<'a> Fleet<'a> {
     /// Schedule the next braid quantum under the installed plan. Kills the
     /// pair instead when not even one bit is affordable.
     ///
-    /// With an `ahead` bound (see [`ahead_bound`](Self::ahead_bound)) each
-    /// quantum that finishes strictly before it is committed at its finish
-    /// time right here, and the quantum after it is scheduled the same
-    /// way; the first that does not qualify is armed as usual. A quantum
-    /// commits ahead only if it is a full one and each battery holds more
-    /// than twice its draw: the battery then keeps more than one draw
-    /// after it, so the next quantum is affordable and a train never
-    /// crosses the pair's death, which other pairs would see.
+    /// With an `ahead` bound (see [`ahead_bound`](Self::ahead_bound)) a
+    /// [`train`](Self::train) first commits the quanta that may commit
+    /// ahead; the quantum after them is armed as usual.
     fn schedule_quantum(&mut self, p: usize, now: Seconds, ahead: Option<Seconds>) {
         let recipe = self.pairs.recipe[p].expect("braiding under a plan");
+        let (at, finish) = match ahead {
+            Some(bound) => self.train(p, &recipe, now, bound),
+            None => (now, None),
+        };
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
-        let mut at = now;
-        loop {
-            let (rem_tx, rem_rx) = (
-                self.devices.battery[tx].remaining(),
-                self.devices.battery[rx].remaining(),
-            );
-            let Some((pending, airtime)) = recipe.next(rem_tx, rem_rx) else {
-                debug_assert_eq!(at, now, "a train committed ahead crossed a death");
-                self.kill(p, at, telemetry::DeathReason::BatteryDead);
-                return;
-            };
-            let finish = self.finish_time(p, at, airtime);
-            let commits = ahead.is_some_and(|bound| {
-                finish.seconds() < bound.seconds()
-                    && !pending.last
-                    && rem_tx.joules() > 2.0 * pending.e_tx.joules()
-                    && rem_rx.joules() > 2.0 * pending.e_rx.joules()
-            });
-            if !commits {
-                debug_assert!(self.pairs.pending[p].is_none(), "one quantum in flight");
-                self.pairs.pending[p] = Some(pending);
-                self.schedule(finish, p, Kind::QuantumDone);
-                telemetry::emit(telemetry::Event::CarrierGrant {
-                    at,
-                    track: telemetry::Track::Pair(p as u32),
-                });
-                return;
+        let Some((pending, airtime)) = recipe.next(
+            self.devices.battery[tx].remaining(),
+            self.devices.battery[rx].remaining(),
+        ) else {
+            debug_assert_eq!(at, now, "a train committed ahead crossed a death");
+            self.kill(p, at, telemetry::DeathReason::BatteryDead);
+            return;
+        };
+        let finish = finish.unwrap_or_else(|| self.finish_time(p, at, airtime));
+        debug_assert!(self.pairs.pending[p].is_none(), "one quantum in flight");
+        self.pairs.pending[p] = Some(pending);
+        self.schedule(finish, p, Kind::QuantumDone);
+        telemetry::emit(telemetry::Event::CarrierGrant {
+            at,
+            track: telemetry::Track::Pair(p as u32),
+        });
+    }
+
+    /// Commit pair `p`'s quanta ahead from `start`, each at its own finish
+    /// time, while the next one [`trains`](QuantumRecipe::trains) and
+    /// finishes strictly before `bound`. The columns live in one
+    /// [`Tally`] for the whole train; the window test and the FSM step
+    /// stay per quantum. Returns the instant the train ends and, when it
+    /// stopped at the bound, the finish time of the full quantum that
+    /// starts there (each quantum's `finish_time` is asked once).
+    fn train(
+        &mut self,
+        p: usize,
+        recipe: &QuantumRecipe,
+        start: Seconds,
+        bound: Seconds,
+    ) -> (Seconds, Option<Seconds>) {
+        // Only an unobserved run trains, so nothing here emits.
+        debug_assert!(!telemetry::enabled());
+        let mut tally = self.tally(p);
+        let (mut at, mut committed) = (start, 0u64);
+        let stop = loop {
+            if !recipe.trains(tally.battery[0].remaining(), tally.battery[1].remaining()) {
+                break None;
             }
-            self.commit_quantum(p, &pending, finish);
-            self.ahead += 1;
+            let finish = self.finish_time(p, at, recipe.full_airtime);
+            // Strictly before: a `Replan` at the finish instant ranks first.
+            if finish.seconds() < bound.seconds() {
+                tally.add(&recipe.full, finish, self.window_from);
+                at = finish;
+                committed += 1;
+            } else {
+                break Some(finish);
+            }
+        };
+        if committed > 0 {
+            self.settle(p, tally, at);
+            self.ahead += committed;
             #[cfg(debug_assertions)]
             {
-                self.pairs.ahead_to[p] = finish.seconds();
+                self.pairs.ahead_to[p] = at.seconds();
             }
-            at = finish;
         }
+        (at, stop)
     }
 
     /// When a quantum started at `start` with `airtime` on-air seconds
     /// finishes, given the pair's transmit windows. O(1): whole TDMA cycles
     /// are skipped arithmetically.
+    #[inline]
     fn finish_time(&self, p: usize, start: Seconds, airtime: Seconds) -> Seconds {
         let arb = self.sc.arbitration;
         let n = self.pairs.len();

@@ -13,7 +13,7 @@
 //!
 //! The scenarios are the grids, stars and walking pairs that the engine's
 //! SoA rewrite was first held to, the drain fleets that end every session
-//! on a partial quantum, two open systems and one city block, plus two
+//! on a partial quantum, two open systems and one city block, plus those
 //! that make defects visible in the output that the others hide:
 //!
 //! * `walk-2`: a receiver walks toward a foreign transmitter, so its
@@ -37,6 +37,17 @@
 //!   private, so none may commit quanta ahead: the hub's draws differ per
 //!   pair and must subtract in event order. (Symmetric stars subtract
 //!   equal draws, whose order no output bit shows.)
+//! * `on-replan-2-uncoordinated`: quanta whose airtime divides the
+//!   re-plan interval in binary, so a quantum's finish lands on its
+//!   pair's re-plan instant bit for bit. The re-plan's probe round is
+//!   charged first there; a quantum committed ahead onto that instant
+//!   would be charged before it, and the battery and spent sums would
+//!   round differently.
+//! * `half-bit-2-uncoordinated`: a transmitter sized to eight full quanta
+//!   and half a bit, whose last full quantum ends its session mid-train.
+//!   Committed ahead, that quantum would take the pair off the air before
+//!   its death instant, and its neighbour's re-plan in between would plan
+//!   without that pair's carrier.
 //!
 //! A reordered interference sum changes no output bit: interference
 //! reaches a plan only through the options memo's 2⁻³²-log quantized key.
@@ -58,6 +69,7 @@ use braidio::net::digest::{report_digest, Fnv64};
 use braidio::net::{
     run_fleet, run_fleet_sampled, Arbitration, DeviceSpec, FleetScenario, PairSpec,
 };
+use braidio::radio::Mode;
 use braidio::rfsim::geometry::Point;
 use braidio::units::{Joules, Meters, Seconds};
 use braidio_telemetry as telemetry;
@@ -212,6 +224,41 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
     let mut sc = FleetScenario::new(devices, pairs, TDMA).with_horizon(Seconds::new(600.0));
     sc.replan_interval = Seconds::new(5.0);
     out.push(("skewed-star-4-tdma".into(), sc));
+    // Two pairs 3 m apart; pair 0 is pinned to active, and pair 0's
+    // carrier leaves its neighbour only active too. Both braid 125 000-bit
+    // quanta, 0.125 s at 1 Mbps, eight to the 1 s re-plan interval.
+    let dev = |x: f64, y: f64, battery: Joules| DeviceSpec {
+        pos: Point::new(x, y),
+        battery,
+    };
+    let wh = Joules::from_watt_hours(1.0);
+    let devices = vec![
+        dev(0.0, 0.0, wh),
+        dev(0.0, 0.5, wh),
+        dev(3.0, 0.0, wh),
+        dev(3.0, 0.5, wh),
+    ];
+    let mut pairs = vec![PairSpec::braided(0, 1), PairSpec::braided(2, 3)];
+    pairs[0].pinned_mode = Some(Mode::Active);
+    let mut sc = FleetScenario::new(devices.clone(), pairs, Arbitration::Uncoordinated)
+        .with_horizon(Seconds::new(20.0));
+    sc.packet_bits = 1250.0;
+    sc.replan_interval = Seconds::new(1.0);
+    out.push(("on-replan-2-uncoordinated".into(), sc));
+    // The same two pairs without control traffic, now with pair 1 pinned
+    // to active in 124 900-bit quanta (0.1249 s) and its transmitter
+    // holding eight quanta's draw and about half a bit: its eighth quantum
+    // ends the session at 1.0002 s, just after pair 0 re-plans at 1 s.
+    let mut devices = devices;
+    devices[2].battery = Joules::new(8.6420851245e-2);
+    let mut pairs = vec![PairSpec::braided(0, 1), PairSpec::braided(2, 3)];
+    pairs[1].pinned_mode = Some(Mode::Active);
+    let mut sc = FleetScenario::new(devices, pairs, Arbitration::Uncoordinated)
+        .with_horizon(Seconds::new(5.0))
+        .without_control_overhead();
+    sc.packet_bits = 1249.0;
+    sc.replan_interval = Seconds::new(1.0);
+    out.push(("half-bit-2-uncoordinated".into(), sc));
     out
 }
 
