@@ -7,8 +7,8 @@
 //! plus a full `options_under` evaluation per pair); the cached arms run
 //! the production path (`PairGainCache` steady-state sums over
 //! `EdgeKernel::carrier_tile`, `OptionsMemo` hits); the batched arms run
-//! the SoA wave path (`rebuild_all_shared` bulk sweeps,
-//! `options_under_batch`, key-sorted `prefetch`). All compute
+//! the SoA wave path (`rebuild_all_shared` bulk sweeps, key-sorted
+//! `prefetch`). All compute
 //! bit-identical answers — the determinism suite and
 //! the debug-build shadow check enforce that — so the arms measure the
 //! same computation. The EXPERIMENTS.md large-fleet table quotes the
@@ -17,8 +17,8 @@
 use braidio_mac::coexistence::ChannelRelation;
 use braidio_net::cache::PairGainCache;
 use braidio_net::interference::{
-    carrier_contribution, interference_at, options_under, options_under_batch, CarrierSource,
-    EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE,
+    carrier_contribution, interference_at, options_under, CarrierSource, EdgeKernel, OptionsKey,
+    OptionsMemo, EDGE_TILE,
 };
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_radio::Mode;
@@ -270,10 +270,10 @@ fn bench_options(c: &mut Criterion) {
     c.bench_function("fleet_replan/options/memoized", |b| {
         b.iter(|| black_box(memo.get(&sc.ch, d, interference, None)))
     });
-    // The batched wave path: one quantized key per pair (a spread of
-    // distances / interference levels / pins, as a heterogeneous fleet
-    // produces), deduped, resolved in key order through the batched BER
-    // surface.
+    // The wave path: one quantized key per pair (a spread of distances /
+    // interference levels / pins, as a heterogeneous fleet produces),
+    // sorted, deduped and resolved in key order by `prefetch`, on a fresh
+    // memo (every key a miss) and on a warm one (every key a hit).
     let items: Vec<(Meters, Watts, Option<Mode>)> = (0..PAIRS)
         .map(|i| {
             (
@@ -287,15 +287,19 @@ fn bench_options(c: &mut Criterion) {
             )
         })
         .collect();
-    c.bench_function("fleet_replan/options/batch_cold/64", |b| {
-        b.iter(|| black_box(options_under_batch(&sc.ch, &items)))
-    });
     let mut keys: Vec<OptionsKey> = items
         .iter()
         .filter_map(|&(d, i, pin)| OptionsMemo::key_for(d, i, pin))
         .collect();
     keys.sort_unstable();
     keys.dedup();
+    c.bench_function("fleet_replan/options/prefetch_cold/64", |b| {
+        b.iter(|| {
+            let mut cold = OptionsMemo::new();
+            cold.prefetch(&sc.ch, black_box(&keys));
+            black_box(cold)
+        })
+    });
     let mut warm = OptionsMemo::new();
     warm.prefetch(&sc.ch, &keys);
     c.bench_function("fleet_replan/options/prefetch_warm/64", |b| {

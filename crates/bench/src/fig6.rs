@@ -40,26 +40,22 @@ pub fn run() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use braidio_phy::ber::ber_ook_noncoherent_fast;
-    use braidio_phy::surface::{shared, BerModel};
-    use braidio_units::BitsPerSecond;
+    use braidio_phy::ber::ber_ook_noncoherent_fast as ber;
 
     #[test]
     fn runs() {
         super::run();
     }
 
-    // Figure 6 itself prints SNR only, so routing its output through the
-    // BER surface would change nothing; instead the operational meaning of
-    // the figure — diversity lifting nulls — is checked here through the
-    // shared surface, using the figure's own numbers: the 0.5 m null goes
-    // from ~-0.5 dB to ~+15 dB, the deepest free-space null is lifted by
-    // >30 dB, and selection diversity can never do worse than antenna 0.
+    // Figure 6 itself prints SNR only; the operational meaning of the
+    // figure — diversity lifting nulls — is checked here through the
+    // detector modes' BER, using the figure's own numbers: the 0.5 m null
+    // goes from ~-0.5 dB to ~+15 dB, the deepest free-space null is lifted
+    // by >30 dB, and selection diversity can never do worse than antenna 0.
     #[test]
-    fn diversity_lifts_nulls_through_the_shared_surface() {
+    fn diversity_lifts_nulls_in_ber() {
         let single = BackscatterScene::paper_fig4();
         let diverse = BackscatterScene::paper_fig4().with_diversity();
-        let surface = shared(BerModel::NoncoherentOok, BitsPerSecond::KBPS_100);
         let mut worst_single_ber = 0.0f64;
         let mut deepest = (0.0f64, 0.0f64); // (single γ, diverse γ) at the deepest null
         for i in 0..=60 {
@@ -67,17 +63,9 @@ mod tests {
             let p = Point::new(1.0 + d, 0.5);
             let g1 = single.snr(p, 0).linear();
             let g2 = diverse.snr_diversity(p).1.linear();
-            // Strict shared surface answers bitwise like the closed form.
-            assert_eq!(
-                surface.ber(g1).to_bits(),
-                ber_ook_noncoherent_fast(g1).to_bits()
-            );
             // Selection diversity includes antenna 0, so it never hurts.
-            assert!(
-                surface.ber(g2) <= surface.ber(g1),
-                "diversity worsened BER at d = {d}"
-            );
-            worst_single_ber = worst_single_ber.max(surface.ber(g1));
+            assert!(ber(g2) <= ber(g1), "diversity worsened BER at d = {d}");
+            worst_single_ber = worst_single_ber.max(ber(g1));
             if i == 0 || g1 < deepest.0 {
                 deepest = (g1, g2);
             }
@@ -90,8 +78,8 @@ mod tests {
         // ...the 0.5 m null (the figure's headline point) becomes a clean
         // link with the second antenna...
         let p0 = Point::new(1.5, 0.5);
-        let ber_alone = surface.ber(single.snr(p0, 0).linear());
-        let ber_div = surface.ber(diverse.snr_diversity(p0).1.linear());
+        let ber_alone = ber(single.snr(p0, 0).linear());
+        let ber_div = ber(diverse.snr_diversity(p0).1.linear());
         assert!(ber_alone > 0.2, "0.5 m null BER alone {ber_alone:.3}");
         assert!(
             ber_div < 1e-3,

@@ -10,29 +10,17 @@ use crate::render::banner;
 use braidio_circuits::DicksonChargePump;
 use braidio_phy::ber::ber_ook_noncoherent;
 use braidio_phy::montecarlo::MonteCarloBer;
-use braidio_phy::surface::{BerSurface, SurfaceConfig};
 use braidio_units::{BitsPerSecond, Hertz};
-use std::sync::OnceLock;
 
-/// The Monte-Carlo-backed response surface behind Validation A: linear SNR
-/// → BER measured through the real circuit chain, with the simulated bit
-/// count scaled from the analytic prediction (≈50 expected errors) and
-/// floored at half an error. Strict and memoized, so each SNR point runs
-/// its (expensive) simulation once per process no matter how many callers
-/// ask.
-fn mc_surface() -> &'static BerSurface {
-    static SURFACE: OnceLock<BerSurface> = OnceLock::new();
-    SURFACE.get_or_init(|| {
-        BerSurface::new(
-            Box::new(|gamma| {
-                let analytic = ber_ook_noncoherent(gamma);
-                let bits = ((50.0 / analytic) as usize).clamp(2_000, 60_000);
-                let mc = MonteCarloBer::at_snr(gamma, BitsPerSecond::KBPS_100, bits, 7).run();
-                mc.ber().max(0.5 / bits as f64)
-            }),
-            SurfaceConfig::strict(),
-        )
-    })
+/// Validation A's measured BER at linear SNR `gamma`: the real circuit
+/// chain, with the simulated bit count scaled from the analytic prediction
+/// (≈50 expected errors) and floored at half an error. Each SNR point is
+/// asked once per run, so nothing is memoized.
+fn mc_ber(gamma: f64) -> f64 {
+    let analytic = ber_ook_noncoherent(gamma);
+    let bits = ((50.0 / analytic) as usize).clamp(2_000, 60_000);
+    let mc = MonteCarloBer::at_snr(gamma, BitsPerSecond::KBPS_100, bits, 7).run();
+    mc.ber().max(0.5 / bits as f64)
 }
 
 /// Run all validation passes.
@@ -48,7 +36,7 @@ pub fn run() {
     for snr_db in [4.0, 6.0, 8.0, 10.0, 12.0] {
         let gamma = 10f64.powf(snr_db / 10.0);
         let analytic = ber_ook_noncoherent(gamma);
-        let measured = mc_surface().ber(gamma);
+        let measured = mc_ber(gamma);
         println!(
             "{:>9.1} {:>14.3e} {:>14.3e} {:>8.2}",
             snr_db,
@@ -129,21 +117,13 @@ mod tests {
     }
 
     #[test]
-    fn mc_surface_memoizes_and_matches_direct_simulation() {
-        // The surface must return exactly what the underlying simulation
-        // returns (strict mode) and must not re-run it on repeat queries.
+    fn mc_ber_is_seeded_and_stays_near_the_closed_form() {
+        // A fixed seed makes the measured point a pure function of γ, and
+        // at 4 dB the chain is within a factor of two of the closed form.
         let gamma = 10f64.powf(0.4);
-        let direct = {
-            let analytic = ber_ook_noncoherent(gamma);
-            let bits = ((50.0 / analytic) as usize).clamp(2_000, 60_000);
-            let mc = MonteCarloBer::at_snr(gamma, BitsPerSecond::KBPS_100, bits, 7).run();
-            mc.ber().max(0.5 / bits as f64)
-        };
-        let first = mc_surface().ber(gamma);
-        assert_eq!(first.to_bits(), direct.to_bits());
-        let memoized_before = mc_surface().memoized();
-        let again = mc_surface().ber(gamma);
-        assert_eq!(again.to_bits(), direct.to_bits());
-        assert_eq!(mc_surface().memoized(), memoized_before);
+        let first = mc_ber(gamma);
+        assert_eq!(first.to_bits(), mc_ber(gamma).to_bits());
+        let ratio = first / ber_ook_noncoherent(gamma);
+        assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
     }
 }

@@ -4,12 +4,8 @@
 
 use braidio::pool;
 use braidio_bench::{fig15, fleet, render};
-use braidio_phy::ber::{ber_coherent, ber_ook_noncoherent_fast};
 use braidio_phy::montecarlo::MonteCarloBer;
-use braidio_phy::surface::{self, BerModel};
-use braidio_radio::characterization::{Characterization, Rate};
-use braidio_radio::Mode;
-use braidio_units::{BitsPerSecond, Meters};
+use braidio_units::BitsPerSecond;
 
 #[test]
 fn fig15_cell_is_pure() {
@@ -40,39 +36,6 @@ fn low_bitrate_mc_probe_identical_at_1_and_4_threads() {
             par.ber()
         );
     }
-}
-
-#[test]
-fn surface_backed_figures_match_direct_evaluation_bitwise() {
-    // Every figure-facing BER now flows through the shared response
-    // surface. In strict mode the surface is a transparent memo, so its
-    // answers must equal the closed forms bit-for-bit — including after
-    // the concurrent 4-thread matrix run above has warmed the caches.
-    let ch = Characterization::braidio();
-    pool::with_threads(4, || render::matrix_values(fig15::cell));
-    for i in 0..60 {
-        let d = Meters::new(0.25 + i as f64 * 0.15);
-        for mode in [Mode::Active, Mode::Passive, Mode::Backscatter] {
-            for rate in Rate::ALL {
-                if ch.power(mode, rate).is_none() {
-                    continue;
-                }
-                let gamma = ch.snr(mode, rate, d).linear();
-                let through_surface = ch.ber(mode, rate, d);
-                let direct = match mode {
-                    Mode::Active => ber_coherent(gamma),
-                    _ => ber_ook_noncoherent_fast(gamma),
-                };
-                assert_eq!(
-                    through_surface.to_bits(),
-                    direct.to_bits(),
-                    "{mode:?}/{rate:?} at {d:?}: {through_surface} vs {direct}"
-                );
-            }
-        }
-    }
-    // And the registry has actually been exercised — the memo is warm.
-    assert!(surface::shared(BerModel::NoncoherentOok, Rate::Kbps100.bps()).memoized() > 0);
 }
 
 #[test]

@@ -541,20 +541,11 @@ mod tests {
     }
 
     #[test]
-    fn epoch_loop_populates_the_shared_ber_surface() {
-        // The epoch loop reaches BER through `Characterization::ber`,
-        // which answers from the process-shared strict surfaces — so a
-        // transfer must leave solved SNR points behind, and a repeat run
-        // (answered from the memo) must produce identical results.
-        use braidio_phy::surface::{shared, BerModel};
-        use braidio_units::BitsPerSecond;
+    fn epoch_loop_repeats_bitwise() {
+        // The epoch loop is a pure function of its setup: a repeat run
+        // produces identical results.
         let setup = TransferSetup::new(1.0, 1.0, Policy::Braidio);
         let first = simulate_transfer(&setup);
-        let ook = shared(BerModel::NoncoherentOok, BitsPerSecond::KBPS_100);
-        assert!(
-            ook.memoized() > 0,
-            "the epoch loop should have solved OOK BER points"
-        );
         let again = simulate_transfer(&setup);
         assert_eq!(first.bits.to_bits(), again.bits.to_bits());
         assert_eq!(

@@ -42,9 +42,8 @@
 //! bulk-rebuilds every stale interference sum over the flat arrays in
 //! pair-index order, then the wave's quantized [`OptionsMemo`] keys are
 //! collected, sorted and deduplicated, and the misses are resolved in key
-//! order through the batched BER surface
-//! (`phy::surface::BerSurface::ber_batch`) — one lock acquisition per
-//! (mode, rate) group for the whole wave.
+//! order by [`OptionsMemo::prefetch`], with the code an
+//! [`OptionsMemo::get`] miss runs.
 //!
 //! That is the only wave of a run. A later death, lifecycle flip or
 //! mobility refresh dirties sums, and each dirty sum is rebuilt only when
@@ -1501,8 +1500,8 @@ impl<'a> Fleet<'a> {
     /// 2. collect the wave's quantized `OptionsMemo` keys (static live
     ///    pairs only — mobile pairs refresh their geometry at event time
     ///    and take the per-pair path), then sort + dedup;
-    /// 3. resolve the missing keys in key order through the batched BER
-    ///    surface ([`OptionsMemo::prefetch`]).
+    /// 3. resolve the missing keys in key order
+    ///    ([`OptionsMemo::prefetch`]).
     ///
     /// After bring-up a death, a lifecycle flip or a move dirties sums
     /// without a new wave: each dirty sum waits until its own pair reads it

@@ -18,12 +18,11 @@ use crate::memo::{insert_capped, KeyMap};
 use braidio_mac::coexistence::ChannelRelation;
 use braidio_mac::offload::{LinkOption, OptionSet};
 use braidio_phy::ber::ber_ook_noncoherent_fast;
-use braidio_phy::surface::{shared_batch, BerModel};
 use braidio_radio::characterization::{Characterization, Rate, OPERATIONAL_BER};
 use braidio_radio::Mode;
 use braidio_rfsim::geometry::Point;
 use braidio_rfsim::pathloss::{free_space_gain, FsplMemo, FsplScratch};
-use braidio_units::{BitsPerSecond, Meters, Watts};
+use braidio_units::{Meters, Watts};
 
 /// One foreign CW carrier, positioned in the room.
 #[derive(Debug, Clone, Copy)]
@@ -411,8 +410,7 @@ fn cell(mode: Mode, ri: usize) -> u16 {
 /// separation and the pin but not on the interference. With it, an
 /// interfered detector cell costs one division and one
 /// [`ber_ook_noncoherent_fast`], and every other cell is a bit test.
-/// [`OptionsMemo`] memoizes it by `(qd, qpin)`; [`options_under_batch`]
-/// builds one per item. Both build it with [`DistanceHalf::new`].
+/// [`OptionsMemo`] memoizes it by `(qd, qpin)`.
 #[derive(Debug, Clone, Copy)]
 struct DistanceHalf {
     /// [`cell`] bits of the (mode, rate) cells that are characterized, not
@@ -614,8 +612,8 @@ impl OptionsMemo {
 
     /// The canonical (quantized) inputs a key stands for — exactly the
     /// values the memoized evaluation runs on, so resolving a key through
-    /// [`options_under_batch`] and through a [`get`](Self::get) miss cannot
-    /// differ by a bit.
+    /// [`prefetch`](Self::prefetch) and through a [`get`](Self::get) miss
+    /// cannot differ by a bit.
     fn decode_key(key: OptionsKey) -> (Meters, Watts, Option<Mode>) {
         let (qd, qi, qpin) = key;
         let d = Meters::new((qd as f64 / LN_QUANT).exp());
@@ -681,20 +679,15 @@ impl OptionsMemo {
     }
 
     /// Resolve a planning wave's worth of keys in one sweep. Keys already
-    /// memoized count as batch hits; the misses are resolved **in the order
-    /// given** through the batched BER surface (one shared-surface lock
-    /// acquisition for the whole miss set, as [`options_under_batch`]
-    /// does, on the misses' memoized distance halves) and inserted under
-    /// the same cap-clear policy as [`get`](Self::get). Callers pass the
-    /// wave's keys sorted and deduplicated, so the memo's evolution — and
-    /// therefore every value it ever returns — is a pure function of the
-    /// key set, not of which pair happened to plan first.
-    ///
-    /// Parallelism: the miss set's γ collection fans out over the pool
-    /// (the shared BER surface is filled canonically, in key order, by the
-    /// serial pass that follows), while the hit scan, the distance-half
-    /// lookups and the insertions here stay serial — so the memo's
-    /// contents are byte-identical at any thread count.
+    /// memoized count as batch hits; the misses are then resolved **in the
+    /// order given**, each by `DistanceHalf::choose` on its key's
+    /// canonical inputs (the code a [`get`](Self::get) miss runs), and
+    /// inserted under the same cap-clear policy. Each distinct
+    /// `(qd, qpin)` of the miss set looks its distance half up once.
+    /// Callers pass the wave's keys sorted and deduplicated, so the memo's
+    /// evolution — and therefore every value it ever returns — is a pure
+    /// function of the key set, not of which pair happened to plan first
+    /// or of the thread count.
     pub fn prefetch(&mut self, ch: &Characterization, keys: &[OptionsKey]) {
         let mut misses: Vec<OptionsKey> = Vec::new();
         self.lookups += keys.len() as u64;
@@ -706,151 +699,18 @@ impl OptionsMemo {
                 misses.push(*key);
             }
         }
-        if misses.is_empty() {
-            return;
-        }
-        let items: Vec<(Meters, Watts, Option<Mode>)> =
-            misses.iter().map(|&k| Self::decode_key(k)).collect();
-        // Each distinct (qd, qpin) of the miss set is looked up once, in
-        // key order; a miss carries the index of its half.
-        let mut distinct: Vec<DistanceHalf> = Vec::new();
-        let mut index: KeyMap<(i64, u8), u32> = KeyMap::default();
-        let at: Vec<u32> = misses
-            .iter()
-            .zip(&items)
-            .map(|(&(qd, _, qpin), &(d, _, pin))| {
-                *index.entry((qd, qpin)).or_insert_with(|| {
-                    distinct.push(self.half(ch, (qd, qpin), d, pin));
-                    (distinct.len() - 1) as u32
-                })
-            })
-            .collect();
-        let choices = batch_from_halves(ch, &items, |it| distinct[at[it] as usize]);
-        for (key, choice) in misses.into_iter().zip(choices) {
+        let mut halves: KeyMap<(i64, u8), DistanceHalf> = KeyMap::default();
+        for key in misses {
+            let (d, interference, pin) = Self::decode_key(key);
+            let at = (key.0, key.2);
+            let half = *halves
+                .entry(at)
+                .or_insert_with(|| self.half(ch, at, d, pin));
+            let choice = half.choose(ch, interference, pin);
             braidio_telemetry::count("net.options.batch_miss");
             insert_capped(&mut self.cache, key, choice);
         }
     }
-}
-
-/// Batched [`options_under_pinned`]: one `OptionSet` per input triple,
-/// bit-identical to the scalar calls, with every detector-mode BER query in
-/// the batch resolved through the shared strict [`BerSurface`] tables —
-/// grouped per rate so the whole batch costs one registry pass
-/// ([`shared_batch`]) plus one memo-lock acquisition per (mode, rate)
-/// group instead of one per query.
-///
-/// Bitwise argument: the strict shared surface's evaluator for
-/// [`BerModel::NoncoherentOok`] *is* [`ber_ook_noncoherent_fast`], and
-/// strict surfaces memoize by the γ bit pattern, so a surface-routed
-/// availability decision equals the scalar path's direct call exactly. The
-/// batch evaluates every rate of an interfered detector mode where the
-/// scalar search short-circuits at the first available one — the
-/// extra evaluations are pure and discarded, and the chosen (mode, rate)
-/// set is identical.
-///
-/// [`BerSurface`]: braidio_phy::surface::BerSurface
-pub fn options_under_batch(
-    ch: &Characterization,
-    items: &[(Meters, Watts, Option<Mode>)],
-) -> Vec<OptionSet> {
-    let choices = batch_from_halves(ch, items, |it| {
-        let (d, _, pin) = items[it];
-        DistanceHalf::new(ch, d, pin)
-    });
-    choices.into_iter().map(|c| c.options(ch)).collect()
-}
-
-/// [`options_under_batch`]'s choices, with item `it`'s distance half
-/// supplied by `half(it)`, called once per item from the pool's pass 1.
-fn batch_from_halves(
-    ch: &Characterization,
-    items: &[(Meters, Watts, Option<Mode>)],
-    half: impl Fn(usize) -> DistanceHalf + Sync,
-) -> Vec<Choice> {
-    let rates: [BitsPerSecond; NRATES] =
-        [Rate::ALL[0].bps(), Rate::ALL[1].bps(), Rate::ALL[2].bps()];
-    let surfaces = shared_batch(BerModel::NoncoherentOok, &rates);
-
-    // Pass 1: settle every availability decision that needs no BER solve
-    // (Active, zero interference, uncharacterized (mode, rate) cells) from
-    // the item's distance half and queue the detector-mode γ queries per
-    // rate. The pass is pure per item (the half, table lookups and
-    // closed-form γ arithmetic, no shared state), so it fans out over item
-    // chunks on the work pool; chunks merge in index order, which makes
-    // the concatenated per-rate γ streams — and hence every downstream
-    // surface call — exactly the ones the serial loop builds. Its work is
-    // one unit per (item, mode, rate) cell.
-    let nmodes = Mode::ALL.len();
-    let slot = |item: usize, mode: Mode, ri: usize| (item * nmodes + mode as usize) * NRATES + ri;
-    let chunk = braidio_pool::default_chunk(items.len());
-    let nchunks = items.len().div_ceil(chunk);
-    let work = items.len() * nmodes * NRATES;
-    type Pass1 = (Vec<bool>, [Vec<f64>; 3], [Vec<usize>; 3]);
-    let parts: Vec<Pass1> = braidio_pool::par_map_sized(nchunks, 1, work, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(items.len());
-        let mut avail = vec![false; (hi - lo) * nmodes * NRATES];
-        let mut gammas: [Vec<f64>; NRATES] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut slots: [Vec<usize>; NRATES] = [Vec::new(), Vec::new(), Vec::new()];
-        for (it, &(_, interference, pin)) in items[lo..hi].iter().enumerate() {
-            let half = half(lo + it);
-            for mode in Mode::ALL {
-                if pin.is_some_and(|p| p != mode) {
-                    continue;
-                }
-                for ri in 0..NRATES {
-                    match half.settled(ch, mode, ri, interference) {
-                        Some(ok) => avail[slot(it, mode, ri)] = ok,
-                        None => {
-                            gammas[ri].push(half.gamma(ch, mode, ri, interference));
-                            // Global decision-table slot for the scatter
-                            // after the merge.
-                            slots[ri].push(slot(lo + it, mode, ri));
-                        }
-                    }
-                }
-            }
-        }
-        (avail, gammas, slots)
-    });
-    let mut avail = Vec::with_capacity(items.len() * nmodes * NRATES);
-    let mut gammas: [Vec<f64>; NRATES] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut slots: [Vec<usize>; NRATES] = [Vec::new(), Vec::new(), Vec::new()];
-    for (part_avail, part_gammas, part_slots) in parts {
-        avail.extend(part_avail);
-        for (ri, (g, s)) in part_gammas.into_iter().zip(part_slots).enumerate() {
-            gammas[ri].extend(g);
-            slots[ri].extend(s);
-        }
-    }
-
-    // Pass 2: one batched surface call per rate group answers every queued
-    // γ, then the BER threshold scatters back into the decision table. This
-    // pass stays on the calling thread: it is the only stage that mutates
-    // shared state (the process-wide surface memos), and running it serially
-    // over the in-order γ streams keeps that state's evolution canonical —
-    // the pool workers upstream never touch a surface.
-    let mut bers: Vec<f64> = Vec::new();
-    for (ri, surface) in surfaces.iter().enumerate() {
-        if gammas[ri].is_empty() {
-            continue;
-        }
-        bers.clear();
-        bers.resize(gammas[ri].len(), 0.0);
-        surface.ber_batch(&gammas[ri], &mut bers);
-        for (&s, &ber) in slots[ri].iter().zip(&bers) {
-            avail[s] = ber <= OPERATIONAL_BER;
-        }
-    }
-
-    // Pass 3: take the fastest available rate per mode — the scalar
-    // search's answer.
-    items
-        .iter()
-        .enumerate()
-        .map(|(it, &(_, _, pin))| Choice::search(pin, |mode, ri| avail[slot(it, mode, ri)]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -943,36 +803,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn batched_options_match_scalar_bitwise() {
-        // Every (distance, interference, pin) triple resolved through the
-        // batched path must equal the scalar `options_under_pinned` answer
-        // exactly — same modes, same rates, same costs.
-        let ch = ch();
-        let mut items: Vec<(Meters, Watts, Option<Mode>)> = Vec::new();
-        for d in [0.3, 0.5, 1.0, 2.0, 3.3, 4.8] {
-            for i_dbm in [f64::NEG_INFINITY, -120.0, -90.0, -70.0, -50.0, -30.0] {
-                let i = if i_dbm.is_finite() {
-                    Watts::from_dbm(i_dbm)
-                } else {
-                    Watts::ZERO
-                };
-                for pin in [None, Some(Mode::Active), Some(Mode::Backscatter)] {
-                    items.push((Meters::new(d), i, pin));
-                }
-            }
-        }
-        let batched = options_under_batch(&ch, &items);
-        assert_eq!(batched.len(), items.len());
-        for (set, &(d, i, pin)) in batched.iter().zip(&items) {
-            let scalar = options_under_pinned(&ch, d, i, pin);
-            assert_eq!(
-                &**set, &*scalar,
-                "batch diverged at d={d}, i={i}, pin={pin:?}"
-            );
-        }
-    }
-
     /// Two option sets agree bit for bit: modes, rates and both costs.
     fn same_bits(a: &[LinkOption], b: &[LinkOption]) -> bool {
         a.len() == b.len()
@@ -985,12 +815,13 @@ mod tests {
     }
 
     #[test]
-    fn split_options_path_matches_scalar_and_batch_bitwise() {
+    fn split_options_path_matches_scalar_and_prefetch_bitwise() {
         // The memo answers a miss from its distance half plus the
         // interference arithmetic. Over distances × interference (zero
         // included, and levels on both sides of every detector mode's
-        // threshold) × pins, each answer must equal the scalar and the
-        // batched evaluation on the key's canonical inputs. Interference
+        // threshold) × pins, each answer must equal the scalar evaluation
+        // on the key's canonical inputs and the answer of a memo the wave
+        // prefetch filled from the sorted key set. Interference
         // is the outer loop, so every distance half after the first pass
         // is served from the memo under a new interference level.
         let ch = ch();
@@ -1015,17 +846,20 @@ mod tests {
             .iter()
             .map(|&(d, i, pin)| OptionsMemo::key_for(d, i, pin).expect("finite inputs"))
             .collect();
-        let canonical: Vec<_> = keys.iter().map(|&k| OptionsMemo::decode_key(k)).collect();
-        let batched = options_under_batch(&ch, &canonical);
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut prefetched = OptionsMemo::new();
+        prefetched.prefetch(&ch, &sorted);
         let mut memo = OptionsMemo::new();
         let mut varied = 0;
-        for (((&(d, i, pin), &(dq, iq, _)), batch), key) in
-            queries.iter().zip(&canonical).zip(&batched).zip(&keys)
-        {
+        for (&(d, i, pin), &key) in queries.iter().zip(&keys) {
+            let (dq, iq, _) = OptionsMemo::decode_key(key);
             let got = memo.get(&ch, d, i, pin);
             let scalar = options_under_pinned(&ch, dq, iq, pin);
+            let warm = prefetched.get(&ch, d, i, pin);
             assert!(same_bits(&got, &scalar), "{got:?} != {scalar:?} at {key:?}");
-            assert!(same_bits(&got, batch), "{got:?} != {batch:?} at {key:?}");
+            assert!(same_bits(&got, &warm), "{got:?} != {warm:?} at {key:?}");
             // A hit returns the same bits as the miss that filled it.
             assert!(same_bits(&memo.get(&ch, d, i, pin), &got));
             varied +=
@@ -1037,6 +871,8 @@ mod tests {
         // One distance half per (distance, pin), shared by every level.
         assert_eq!(memo.halves.len(), distances.len() * pins.len());
         assert_eq!(memo.cache.len(), queries.len());
+        assert_eq!(prefetched.halves.len(), memo.halves.len());
+        assert_eq!(prefetched.cache.len(), queries.len());
     }
 
     #[test]

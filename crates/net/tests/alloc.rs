@@ -55,8 +55,8 @@ fn planning_wave_is_allocation_free_in_steady_state() {
             slot: Seconds::new(0.25),
         },
     ] {
-        // Warm every process-wide cache (characterization, BER surface)
-        // so neither run below pays first-touch costs.
+        // Warm the process-wide characterization so neither run below
+        // pays its first-touch cost.
         run_fleet(&scenario(8, Seconds::new(10.0), arb));
 
         let measure = |horizon: Seconds| {

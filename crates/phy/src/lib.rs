@@ -22,9 +22,6 @@
 //!   `braidio-circuits` receive chain, used to validate the closed forms;
 //!   fused with [`noise`] and the streaming chain into a zero-allocation
 //!   per-sample loop.
-//! * [`surface`] — lazily evaluated BER response surfaces: memoized
-//!   exact solves plus optional monotone interpolation over an SNR grid,
-//!   shared process-wide by the figure and MAC paths.
 //! * [`backscatter_link`] — the full waveform path: frame → line code →
 //!   tag switching → phasor channel with self-interference → chain → clock
 //!   recovery → decode, including frame-level antenna diversity.
@@ -41,7 +38,6 @@ pub mod modulation;
 pub mod montecarlo;
 pub mod noise;
 pub mod pie;
-pub mod surface;
 pub mod sync;
 
 pub use ber::{ber_coherent, ber_ook_noncoherent};

@@ -132,58 +132,6 @@ proptest! {
         prop_assert_eq!(recovered, bits);
     }
 
-    /// `BerSurface::ber_batch` over an arbitrarily shuffled slice must be
-    /// bitwise equal to element-wise `ber()` on a fresh surface of the same
-    /// configuration — in the strict-memo config (canonical evaluation,
-    /// exact memoization) *and* the interpolating config (which routes the
-    /// batch through the scalar path wholesale). Duplicates and evaluation
-    /// order must be invisible.
-    #[test]
-    fn ber_batch_matches_elementwise_on_shuffled_slices(
-        snrs_db in proptest::collection::vec(-15.0f64..25.0, 1..48),
-        seed in any::<u64>(),
-        rel_tol in 0.0f64..0.1,
-    ) {
-        use braidio_phy::surface::{BerSurface, SurfaceConfig};
-        use braidio_phy::ber::ber_ook_noncoherent;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        // Shuffle (Fisher–Yates) and inject duplicates so batch dedup /
-        // memo-ordering effects would show.
-        let mut gammas: Vec<f64> = snrs_db.iter().map(|db| 10f64.powf(db / 10.0)).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dup = rng.random_range(0..gammas.len());
-        gammas.push(gammas[dup]);
-        for i in (1..gammas.len()).rev() {
-            gammas.swap(i, rng.random_range(0..=i));
-        }
-
-        let configs = [SurfaceConfig::strict(), SurfaceConfig::interpolating(rel_tol.max(1e-6))];
-        for config in configs {
-            let batch_surface =
-                BerSurface::new(Box::new(ber_ook_noncoherent), config);
-            let scalar_surface =
-                BerSurface::new(Box::new(ber_ook_noncoherent), config);
-            let mut out = vec![0.0; gammas.len()];
-            batch_surface.ber_batch(&gammas, &mut out);
-            for (i, (&g, &b)) in gammas.iter().zip(&out).enumerate() {
-                prop_assert_eq!(
-                    b.to_bits(),
-                    scalar_surface.ber(g).to_bits(),
-                    "index {} gamma {}", i, g
-                );
-            }
-            // A warm re-batch (all memo hits in the strict config) must
-            // reproduce the same bits again.
-            let mut warm = vec![0.0; gammas.len()];
-            batch_surface.ber_batch(&gammas, &mut warm);
-            for (a, b) in out.iter().zip(&warm) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
     /// The fused Monte-Carlo chunk (interleaved modulate → corrupt →
     /// demodulate, only decisions retained) must count exactly the same
     /// errors as the materialized reference (waveform vector, noise pass,

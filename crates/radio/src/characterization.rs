@@ -13,7 +13,7 @@
 //!   `braidio-rfsim` link budgets and `braidio-phy` detection statistics.
 
 use crate::mode::Mode;
-use braidio_phy::surface::{self, BerModel};
+use braidio_phy::ber::{ber_coherent, ber_ook_noncoherent_fast};
 use braidio_rfsim::noise::CoherentReceiverNoise;
 use braidio_rfsim::LinkBudget;
 use braidio_units::{BitsPerSecond, Decibels, Hertz, JoulesPerBit, Meters, Watts};
@@ -375,23 +375,20 @@ impl Characterization {
 
     /// Bit error rate of a mode/rate at distance `d`.
     ///
-    /// Answered by the process-shared strict [`BerSurface`] for the mode's
-    /// detection model, so the range bisections, the figure sweeps and the
-    /// MAC epoch loop each solve a given SNR point once per process. A
-    /// strict surface memoizes exact closed-form solves, so values are
-    /// bit-identical to calling the closed forms directly.
-    ///
-    /// [`BerSurface`]: braidio_phy::surface::BerSurface
+    /// The closed form of the mode's detection model, evaluated directly:
+    /// coherent FSK for Active, the pinned noncoherent-OOK knot table for
+    /// the detector modes. Both are cheaper than a memo lookup would be
+    /// (DESIGN.md §7.2).
     pub fn ber(&self, mode: Mode, rate: Rate, d: Meters) -> f64 {
         if self.power(mode, rate).is_none() {
             return 0.5;
         }
         let gamma = self.snr(mode, rate, d).linear();
-        let model = match mode {
-            Mode::Active => BerModel::CoherentFsk,
-            Mode::Passive | Mode::Backscatter => BerModel::NoncoherentOok,
-        };
-        surface::shared(model, rate.bps()).ber(gamma)
+        assert!(gamma.is_finite() && gamma > 0.0, "need finite positive SNR");
+        match mode {
+            Mode::Active => ber_coherent(gamma),
+            Mode::Passive | Mode::Backscatter => ber_ook_noncoherent_fast(gamma),
+        }
     }
 
     /// Is this mode/rate operational (BER below threshold) at `d`?
@@ -452,11 +449,9 @@ mod tests {
     }
 
     #[test]
-    fn surface_backed_ber_matches_closed_forms_bitwise() {
-        // `ber` routes through the shared strict surface; strict mode must
-        // return exactly what the closed forms return, at every queried
-        // distance, for every mode.
-        use braidio_phy::ber::{ber_coherent, ber_ook_noncoherent_fast};
+    fn ber_matches_closed_forms_bitwise() {
+        // `ber` answers each mode with its detection model's closed form,
+        // at every queried distance.
         let c = ch();
         for i in 1..=40 {
             let d = Meters::new(0.25 * i as f64);

@@ -176,7 +176,12 @@ fn emit_slow(event: Event) {
 ///   (zero) under event capture or a time-series sampler, which commit
 ///   nothing ahead; the same at any thread count for one observation
 ///   mode.
-/// * `net.arbitration.deferred` — TDMA window skips.
+/// * `net.arbitration.deferred` — TDMA window skips: a quantum's start
+///   or finish that falls outside its pair's own slot and waits for the
+///   next one (`braidio-net::arbitration`). Bumped only from the serial
+///   event loop (quantum scheduling and the trains it commits ahead),
+///   never by the planning wave's pool workers, so the total is the same
+///   at any thread count.
 /// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` —
 ///   the incremental interference cache's hit/rebuild/edge economics
 ///   (`braidio-net::cache`). `edge_recompute` counts the kernel lanes
@@ -193,12 +198,13 @@ fn emit_slow(event: Event) {
 ///   any thread count.
 /// * `net.options.memo_hit` / `memo_miss` — the quantized
 ///   `options_under` memo's single-key lookups; `batch_hit` /
-///   `batch_miss` — its planning-wave prefetch. `distance_hit` /
+///   `batch_miss` — its planning-wave prefetch, whose misses run the
+///   single-key miss's code in key order. `distance_hit` /
 ///   `distance_miss` — the memo's distance halves, looked up by each
 ///   single-key miss and once per distinct `(distance, pin)` of a
-///   prefetch's misses. Deterministic totals: every lookup runs on the
-///   engine's serial path, in event or key order, so they are the same
-///   at any thread count.
+///   prefetch's misses. Deterministic totals: every lookup and every
+///   miss runs on the engine's serial path, in event or key order, so
+///   they are the same at any thread count.
 /// * `net.probe.memo_hit` / `memo_miss` — the fleet engine's probe-cost
 ///   memo (`braidio-net::memo`), one lookup per charged probe round, a
 ///   miss per distinct separation bit pattern. Deterministic totals, like

@@ -12,6 +12,9 @@
 #
 # It fails when:
 #   - a patch no longer applies (refresh it; never skip it);
+#   - a test named on a patch's `# Test:` line passes under that patch,
+#     so the header claims a kill that does not happen (a filter that
+#     matches no test passes too);
 #   - a mutant survives, every test passing, and `goldens/mutants/
 #     EQUIVALENT.md` has no `## <name>` section arguing why it can move no
 #     output;
@@ -69,18 +72,25 @@ for name in "${names[@]}"; do
     log="$work/$name.goldens.log"
     if ! (cd "$tree" && cargo test -q --release --test goldens >"$log" 2>&1); then
         lines=$(grep -oE '^[a-z0-9-]+ (report|jsonl|ledger) [0-9a-f]{16}, pinned [0-9a-f]{16}|[a-z0-9-]+: untraced and sampled reports differ' "$log" \
-            | sort -u || true)
+            | sort -u | sed '2,$s/^/    /' || true)
         caught+=("goldens: ${lines:-a run failed (see $log)}")
     fi
     golden=${#caught[@]}
+    passed=()
     i=0
     while IFS= read -r args; do
         i=$((i + 1))
         # shellcheck disable=SC2086 # the header holds cargo arguments
         if ! (cd "$tree" && cargo test -q --release $args >"$work/$name.test$i.log" 2>&1); then
             caught+=("test: $args")
+        else
+            passed+=("$args")
         fi
     done < <(sed -n 's/^# Test: //p' "$patch")
+    for args in "${passed[@]}"; do
+        echo "$name: FAIL, its header names a test that passes under it: $args"
+        failed=1
+    done
     listed=0
     if grep -qx "## $name" "$dir/EQUIVALENT.md"; then
         listed=1

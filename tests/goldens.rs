@@ -48,6 +48,13 @@
 //!   Committed ahead, that quantum would take the pair off the air before
 //!   its death instant, and its neighbour's re-plan in between would plan
 //!   without that pair's carrier.
+//! * `revive-2-uncoordinated`: an open system whose backscatter-pinned
+//!   session braids 21 s quanta at 10 kbps. A neighbour's carrier empties
+//!   its probe round at 3.5 s, with a quantum in flight until 21.7 s; the
+//!   neighbour departs, and the session is revived and braiding again at
+//!   5.6 s. The aborted quantum's completion is still delivered at 21.7 s
+//!   and must commit nothing: were it read as current, it would commit
+//!   the revived session's quantum early.
 //!
 //! A reordered interference sum changes no output bit: interference
 //! reaches a plan only through the options memo's 2⁻³²-log quantized key.
@@ -67,7 +74,8 @@ mod common;
 use braidio::mac::mobility::LinearWalk;
 use braidio::net::digest::{report_digest, Fnv64};
 use braidio::net::{
-    run_fleet, run_fleet_sampled, Arbitration, DeviceSpec, FleetScenario, PairSpec,
+    run_fleet, run_fleet_sampled, Arbitration, ChurnConfig, DeviceSpec, DiscoveryConfig,
+    FleetScenario, LifecyclePolicy, PairSpec,
 };
 use braidio::radio::Mode;
 use braidio::rfsim::geometry::Point;
@@ -259,6 +267,32 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
     sc.packet_bits = 1249.0;
     sc.replan_interval = Seconds::new(1.0);
     out.push(("half-bit-2-uncoordinated".into(), sc));
+    // A session pinned to backscatter 2 m from its hub, and a neighbour
+    // 3 m away that is present from 3 s to 4.5 s: its carrier quiesces the
+    // session at its 3.5 s re-plan, and the 2 s cooldown revives it.
+    let devices = vec![
+        dev(0.0, 0.0, Joules::from_watt_hours(99.5)),
+        dev(2.0, 0.0, wh),
+        dev(3.0, 0.0, Joules::from_watt_hours(99.5)),
+        dev(3.0, 0.5, wh),
+    ];
+    let mut pairs = vec![PairSpec::braided(1, 0), PairSpec::braided(3, 2)];
+    pairs[0].pinned_mode = Some(Mode::Backscatter);
+    let mut sc = FleetScenario::new(devices, pairs, Arbitration::Uncoordinated)
+        .with_horizon(Seconds::new(30.0));
+    for (pair, (arrival, departure)) in sc.pairs.iter_mut().zip([(0.1, 30.0), (3.0, 4.5)]) {
+        pair.arrival = Some(Seconds::new(arrival));
+        pair.departure = Some(Seconds::new(departure));
+    }
+    sc.replan_interval = Seconds::new(1.0);
+    sc.churn = Some(ChurnConfig {
+        seed: 0,
+        lifecycle: LifecyclePolicy::default(),
+        discovery: DiscoveryConfig::default(),
+        window: Seconds::new(10.0),
+    });
+    sc.validate();
+    out.push(("revive-2-uncoordinated".into(), sc));
     out
 }
 
