@@ -34,6 +34,10 @@ const PAIRS: usize = 64;
 /// (not dispatch overhead) is what the arm measures.
 const SWEEP_PAIRS: usize = 512;
 
+/// The city the translated-rows arm runs: 256 blocks, whose rows copy most
+/// lanes from the block before.
+const CITY_PAIRS: usize = 1024;
+
 fn grid(m: usize, arb: Arbitration) -> FleetScenario {
     FleetScenario::grid_pairs(m, Meters::new(0.5), Meters::new(3.0), 1.0, 1.0, arb)
         .with_horizon(Seconds::new(30.0))
@@ -114,13 +118,24 @@ fn edge_tile<'a>(
     }
 }
 
+/// The scenario's endpoint columns, as the engine's wave gathers them:
+/// every pair's transmitter, then every pair's receiver.
+fn columns(sc: &FleetScenario) -> (Vec<Point>, Vec<Point>) {
+    (0..sc.pairs.len()).map(|q| ends(sc, q)).unzip()
+}
+
 /// The bring-up wave's bulk pass as the engine runs it: FSPL through each
 /// pool chunk's own scratch, folded into the kernel's memo at chunk end.
-fn bulk_rebuild(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenario) {
+fn bulk_rebuild(
+    cache: &mut PairGainCache,
+    kernel: &EdgeKernel,
+    sc: &FleetScenario,
+    (a, b): &(Vec<Point>, Vec<Point>),
+) {
     cache.rebuild_all_shared(
         |_| true,
         receiver_key(sc),
-        |q| ends(sc, q),
+        (a, b),
         || kernel.fspl_scratch(),
         |s: &mut FsplScratch, v, qs: &[u32], out: &mut [Watts]| {
             let (a, b, rel) = gather(sc, v, qs);
@@ -186,11 +201,34 @@ fn bench_interference_wave(c: &mut Criterion) {
     // recomputes every dirty sum in pair-index order, then the wave is all
     // clean hits.
     let mut bulk = PairGainCache::new(PAIRS);
+    let cols = columns(&sc);
     c.bench_function("fleet_replan/interference_wave/bulk_rebuild/64", |b| {
         b.iter(|| {
             bulk.invalidate_all();
-            bulk_rebuild(&mut bulk, &kernel, &sc);
+            bulk_rebuild(&mut bulk, &kernel, &sc, &cols);
             black_box(wave_cached(&mut bulk, &kernel, &sc))
+        })
+    });
+}
+
+fn bench_translated_city(c: &mut Criterion) {
+    // The bulk pass on a lattice, where rows copy: the city-block fleet of
+    // CITY_PAIRS pairs, one thread. Its 640 rows scan 654 848 lanes; 509 523
+    // are copied from a neighbouring block's row and 145 325 evaluated
+    // through the (warm) kernel. The arm is that column scan, the evaluated
+    // lanes and the row folds; EXPERIMENTS.md divides it by the lanes.
+    let sc = FleetScenario::city_block(CITY_PAIRS, Arbitration::Uncoordinated);
+    let kernel = EdgeKernel::new(&sc.ch);
+    let cols = columns(&sc);
+    let mut cache = PairGainCache::new(CITY_PAIRS);
+    let name = format!("fleet_replan/interference_wave/translated_city/{CITY_PAIRS}");
+    c.bench_function(&name, |b| {
+        braidio_pool::with_threads(1, || {
+            b.iter(|| {
+                cache.invalidate_all();
+                bulk_rebuild(&mut cache, &kernel, &sc, &cols);
+                black_box(cache.cached_sum(0))
+            })
         })
     });
 }
@@ -317,13 +355,14 @@ fn bench_thread_sweep(c: &mut Criterion) {
     let sc = grid(SWEEP_PAIRS, Arbitration::Uncoordinated);
     let kernel = EdgeKernel::new(&sc.ch);
     let mut cache = PairGainCache::new(SWEEP_PAIRS);
+    let cols = columns(&sc);
     for threads in [1usize, 2, 4, 8] {
         let name = format!("fleet_replan/interference_wave/bulk_rebuild/j{threads}/{SWEEP_PAIRS}");
         c.bench_function(&name, |b| {
             braidio_pool::with_threads(threads, || {
                 b.iter(|| {
                     cache.invalidate_all();
-                    bulk_rebuild(&mut cache, &kernel, &sc);
+                    bulk_rebuild(&mut cache, &kernel, &sc, &cols);
                     black_box(cache.cached_sum(0))
                 })
             })
@@ -369,6 +408,7 @@ fn bench_room_train(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_interference_wave,
+    bench_translated_city,
     bench_edge_kernel,
     bench_options,
     bench_thread_sweep,

@@ -1530,7 +1530,8 @@ impl<'a> Fleet<'a> {
             // Gather the wave's frozen endpoint geometry into flat arrays
             // once (pos[tx[q]] / pos[rx[q]] indexed by pair id), so the
             // per-tile hot loop is a contiguous gather instead of a
-            // double-indirection per edge.
+            // double-indirection per edge, and the copy pass compares
+            // offsets straight from the two columns.
             let pa: Vec<Point> = tx.iter().map(|&d| pos[d]).collect();
             let pb: Vec<Point> = rx.iter().map(|&d| pos[d]).collect();
             let ends = |q: usize| (pa[q], pb[q]);
@@ -1542,7 +1543,7 @@ impl<'a> Fleet<'a> {
             self.gains.rebuild_all_shared(
                 |v| !pairs.walks(v) && pairs.on_air(v),
                 |v| receiver_key(pb[v], sc.arbitration, v),
-                ends,
+                (&pa, &pb),
                 || edges.fspl_scratch(),
                 wave_edge_tile(edges, sc.arbitration, ends),
                 |scratch| edges.fold_scratch(scratch),

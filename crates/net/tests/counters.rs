@@ -79,6 +79,10 @@ fn city_block_edge_and_fspl_counters_are_thread_count_invariant() {
     let reused = value(&at_1, "net.interference.wave_edge_reused");
     assert_eq!(wave + reused, 256 * 511 + 64 * 512, "{at_1:?}");
     assert!(reused > wave, "{at_1:?}");
+    // Which lanes are copied is pinned as well: a sum has the same bits
+    // whether its lanes were copied or evaluated, so only these two counts
+    // see a copy pass that picks fewer (or other) lanes.
+    assert_eq!((wave, reused), (47_476, 116_108), "{at_1:?}");
     assert!((wave + reused) as usize >= braidio_pool::INLINE_WORK);
     // Exact FSPL totals, as `scale` pins them on a grid: one lookup per
     // evaluated lane, and one miss per distinct nearer-endpoint distance
@@ -138,11 +142,12 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
     };
     let mut cache = PairGainCache::new(n);
     cache.set_live(5, false);
+    let (pa, pb): (Vec<Point>, Vec<Point>) = eps.iter().copied().unzip();
     let ((), counters) = counted(&["net.interference."], || {
         cache.rebuild_all_shared(
             |v| v != 7,
             |v| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits()),
-            |q| eps[q],
+            (&pa, &pb),
             || 0u64,
             tile,
             |seen| {

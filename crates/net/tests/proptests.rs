@@ -511,10 +511,11 @@ proptest! {
             single.set_live(q, alive);
             lazy.set_live(q, alive);
         }
+        let (pa, pb): (Vec<Point>, Vec<Point>) = eps.iter().copied().unzip();
         shared.rebuild_all_shared(
             |v| keep[v],
             key,
-            |q| eps[q],
+            (&pa, &pb),
             || (),
             |_: &mut (), v, qs: &[u32], out: &mut [Watts]| tile(v, qs, out),
             |()| {},
@@ -535,23 +536,73 @@ proptest! {
     }
 }
 
-/// The shape of a city-like lattice for the translated-row property:
-/// `(cols, rows, binade exponent, mesh pairs per block, tags per star,
-/// stretch period, crowded hub)` (see [`lattice_ends`]).
-type Shape = (usize, usize, i32, usize, usize, usize, bool);
+/// A city-like lattice for the translated-row property (see
+/// [`lattice_ends`]).
+#[derive(Clone, Debug)]
+struct Lattice {
+    /// Blocks across and down.
+    cols: usize,
+    rows: usize,
+    /// The binade exponent the block coordinates straddle.
+    e: i32,
+    /// Independent pairs per mesh block.
+    mesh: usize,
+    /// Tags per star block.
+    tags: usize,
+    /// Every `stretch`-th mesh block moves its receivers off the lattice.
+    stretch: usize,
+    /// A hub with more tags than one group holds.
+    crowd: bool,
+    /// Isolated pairs ahead of the blocks: they move every later pair's
+    /// index, and so which pairs sit at the live set's word edges.
+    front: usize,
+    /// Wide stars after the blocks, each of `64 + extra` tags, whose rows
+    /// copy from the star before: a donor `64 + extra` pairs back.
+    wide: usize,
+    extra: usize,
+}
 
-/// A lattice shape, its channel count (0 = uncoordinated) and dead mask.
-fn arb_lattice() -> impl Strategy<Value = (Shape, usize, Vec<bool>)> {
+/// A lattice, its channel count (0 = uncoordinated) and dead mask. Pair
+/// counts fall anywhere between two multiples of 64, and on some draws
+/// every source at a word edge (lanes `64 k − 1` and `64 k`) is dead.
+fn arb_lattice() -> impl Strategy<Value = (Lattice, usize, Vec<bool>)> {
     (
         (12usize..16, 7usize..10, 3i32..9),
         (6usize..9, 1usize..5, 2usize..4, any::<bool>()),
-        0usize..5,
-        proptest::collection::vec(0u8..10, 1000..1001),
+        (0usize..64, 0usize..4, 0usize..24),
+        (
+            0usize..5,
+            any::<bool>(),
+            proptest::collection::vec(0u8..10, 1200..1201),
+        ),
     )
         .prop_map(
-            |((cols, rows, e), (mesh, tags, stretch, crowd), channels, dead)| {
-                let dead = dead.iter().map(|&r| r == 0).collect();
-                ((cols, rows, e, mesh, tags, stretch, crowd), channels, dead)
+            |(
+                (cols, rows, e),
+                (mesh, tags, stretch, crowd),
+                (front, wide, extra),
+                (channels, edges, dead),
+            )| {
+                let dead = dead
+                    .iter()
+                    .enumerate()
+                    .map(|(q, &r)| r == 0 || edges && matches!(q % 64, 0 | 63))
+                    .collect();
+                // A third of the wide fleets copy from exactly 64 pairs back.
+                let extra = extra.saturating_sub(8);
+                let lattice = Lattice {
+                    cols,
+                    rows,
+                    e,
+                    mesh,
+                    tags,
+                    stretch,
+                    crowd,
+                    front,
+                    wide,
+                    extra,
+                };
+                (lattice, channels, dead)
             },
         )
 }
@@ -563,34 +614,45 @@ fn arb_lattice() -> impl Strategy<Value = (Shape, usize, Vec<bool>)> {
 /// block over inside a binade, but not always across its edge. Every
 /// `stretch`-th mesh block sets its receivers 0.75 m from their
 /// transmitters instead of 0.5 m, so there the transmitters repeat the
-/// block before while the receivers do not. A crowded hub adds
-/// `GROUP_CAP + 3` tags, more than one group holds.
-fn lattice_ends((cols, rows, e, mesh, tags, stretch, crowd): Shape) -> Vec<(Point, Point)> {
+/// block before while the receivers do not. `front` isolated pairs on a
+/// line come first; a crowded hub adds `GROUP_CAP + 3` tags, more than one
+/// group holds; and `wide` hubs of `64 + extra` tags each close the fleet
+/// along the lattice's bottom edge.
+fn lattice_ends(l: &Lattice) -> Vec<(Point, Point)> {
     let pitch = 12.0;
-    let x0 = 2f64.powi(e) - pitch * (cols / 2) as f64 - 0.3;
-    let y0 = -(2f64.powi(e - 1)) - pitch * (rows / 2) as f64 + 0.7;
+    let x0 = 2f64.powi(l.e) - pitch * (l.cols / 2) as f64 - 0.3;
+    let y0 = -(2f64.powi(l.e - 1)) - pitch * (l.rows / 2) as f64 + 0.7;
     let ring = |hub: Point, k: usize, r: f64| {
         (0..k).map(move |t| {
             let th = std::f64::consts::TAU * t as f64 / k as f64;
             (Point::new(hub.x + r * th.cos(), hub.y + r * th.sin()), hub)
         })
     };
-    let mut eps = Vec::new();
-    for b in 0..cols * rows {
-        let bx = x0 + (b % cols) as f64 * pitch;
-        let by = y0 + (b / cols) as f64 * pitch;
+    let mut eps: Vec<(Point, Point)> = (0..l.front)
+        .map(|i| {
+            let tx = Point::new(x0 - 40.0 - 3.0 * i as f64, y0 - 40.0);
+            (tx, Point::new(tx.x, tx.y + 0.5))
+        })
+        .collect();
+    for b in 0..l.cols * l.rows {
+        let bx = x0 + (b % l.cols) as f64 * pitch;
+        let by = y0 + (b / l.cols) as f64 * pitch;
         if b % 2 == 0 {
-            let sep = if (b / 2) % stretch == 0 { 0.75 } else { 0.5 };
-            for k in 0..mesh {
+            let sep = if (b / 2) % l.stretch == 0 { 0.75 } else { 0.5 };
+            for k in 0..l.mesh {
                 let tx = Point::new(bx + (k % 3) as f64 * 3.0, by + (k / 3) as f64 * 3.0);
                 eps.push((tx, Point::new(tx.x, tx.y + sep)));
             }
         } else {
-            eps.extend(ring(Point::new(bx + 1.5, by + 1.5), tags, 0.5));
+            eps.extend(ring(Point::new(bx + 1.5, by + 1.5), l.tags, 0.5));
         }
     }
-    if crowd {
+    if l.crowd {
         eps.extend(ring(Point::new(x0 - 20.0, y0 - 20.0), GROUP_CAP + 3, 1.0));
+    }
+    for j in 0..l.wide {
+        let hub = Point::new(x0 + pitch * j as f64 + 1.5, y0 - pitch + 1.5);
+        eps.extend(ring(hub, 64 + l.extra, 0.5));
     }
     eps
 }
@@ -603,12 +665,14 @@ proptest! {
     /// lane, at 1, 2 and 4 pool threads, with dead sources, channel-plan
     /// relations, a hub split at the group cap, lattice coordinates that
     /// cross a binade, and receivers that break the lattice where their
-    /// transmitters keep it. The lanes it evaluates are the same at every
-    /// thread count, and fewer than all of them.
+    /// transmitters keep it; with donors 64 and more pairs back, pair
+    /// counts off a multiple of 64, and dead sources and lone victims at
+    /// the live set's word edges. The lanes it evaluates are the same at
+    /// every thread count, and fewer than all of them.
     #[test]
     fn translated_rows_match_full_evaluation_bitwise(lattice in arb_lattice()) {
         let (shape, channels, dead) = lattice;
-        let eps = lattice_ends(shape);
+        let eps = lattice_ends(&shape);
         let n = eps.len();
         let arb = if channels == 0 {
             Arbitration::Uncoordinated
@@ -621,6 +685,7 @@ proptest! {
         };
         let a = |qs: &[u32]| -> Vec<Point> { qs.iter().map(|&q| eps[q as usize].0).collect() };
         let b = |qs: &[u32]| -> Vec<Point> { qs.iter().map(|&q| eps[q as usize].1).collect() };
+        let (pa, pb): (Vec<Point>, Vec<Point>) = eps.iter().copied().unzip();
         let fresh = || {
             let mut cache = PairGainCache::new(n);
             for (q, &gone) in dead[..n].iter().enumerate() {
@@ -647,7 +712,7 @@ proptest! {
                 copied.rebuild_all_shared(
                     |_| true,
                     |v| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), arb.relation_row(v)),
-                    |q| eps[q],
+                    (&pa, &pb),
                     || (kernel.fspl_scratch(), 0u64),
                     |s: &mut (FsplScratch, u64), v, qs: &[u32], out: &mut [Watts]| {
                         s.1 += qs.len() as u64;

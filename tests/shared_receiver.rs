@@ -69,10 +69,11 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
         shared.set_live(q, alive);
         lazy.set_live(q, alive);
     }
+    let (pa, pb): (Vec<Point>, Vec<Point>) = eps.iter().copied().unzip();
     shared.rebuild_all_shared(
         |_| true,
         key,
-        |q| eps[q],
+        (&pa, &pb),
         || kernel.fspl_scratch(),
         wave_tile,
         |s| kernel.fold_scratch(s),
