@@ -6,7 +6,7 @@
 //! original path (a fresh O(M) source scan per victim — O(M²) per wave,
 //! plus a full `options_under` evaluation per pair); the cached arms run
 //! the production path (`PairGainCache` steady-state sums over
-//! `EdgeKernel::carrier_tile`, `OptionsMemo` hits); the batched arms run
+//! `EdgeKernel::carrier_tile_scratch`, `OptionsMemo` hits); the batched arms run
 //! the SoA wave path (`rebuild_all_shared` bulk sweeps, key-sorted
 //! `prefetch`). All compute
 //! bit-identical answers — the determinism suite and
@@ -85,9 +85,6 @@ fn ends(sc: &FleetScenario, q: usize) -> (Point, Point) {
     (sc.devices[qp.tx].pos, sc.devices[qp.rx].pos)
 }
 
-/// The engine's edge-tile kernel over the scenario's static geometry:
-/// gather each tile's endpoints and channel relations, then run
-/// `EdgeKernel::carrier_tile` against victim `v`'s receiver.
 /// Tile `qs`'s endpoints and channel relations to victim `v`, gathered
 /// into stack arrays (the first `qs.len()` lanes are meaningful).
 type Gathered = (
@@ -107,14 +104,18 @@ fn gather(sc: &FleetScenario, v: usize, qs: &[u32]) -> Gathered {
     (a, b, rel)
 }
 
+/// The engine's edge tile over the scenario's static geometry: gather
+/// each tile's endpoints and channel relations, then run
+/// `EdgeKernel::carrier_tile_scratch` against victim `v`'s receiver, with
+/// FSPL through the caller's scratch.
 fn edge_tile<'a>(
     kernel: &'a EdgeKernel,
     sc: &'a FleetScenario,
-) -> impl Fn(usize, &[u32], &mut [Watts]) + Sync + 'a {
-    move |v, qs, out| {
+) -> impl Fn(&mut FsplScratch<'a>, usize, &[u32], &mut [Watts]) + Sync + 'a {
+    move |s, v, qs, out| {
         let (a, b, rel) = gather(sc, v, qs);
         let k = qs.len();
-        kernel.carrier_tile(ends(sc, v).1, &a[..k], &b[..k], &rel[..k], out);
+        kernel.carrier_tile_scratch(s, ends(sc, v).1, &a[..k], &b[..k], &rel[..k], out);
     }
 }
 
@@ -137,12 +138,8 @@ fn bulk_rebuild(
         receiver_key(sc),
         (a, b),
         || kernel.fspl_scratch(),
-        |s: &mut FsplScratch, v, qs: &[u32], out: &mut [Watts]| {
-            let (a, b, rel) = gather(sc, v, qs);
-            let k = qs.len();
-            kernel.carrier_tile_scratch(s, ends(sc, v).1, &a[..k], &b[..k], &rel[..k], out);
-        },
-        |s| kernel.fold_scratch(s),
+        edge_tile(kernel, sc),
+        FsplScratch::fold,
     );
 }
 
@@ -162,7 +159,10 @@ fn wave_cached(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenari
     let key = receiver_key(sc);
     let mut acc = 0.0;
     for p in 0..sc.pairs.len() {
-        acc += cache.interference(p, key(p), &tile).watts();
+        let scratch = || kernel.fspl_scratch();
+        acc += cache
+            .interference(p, key(p), scratch, &tile, FsplScratch::fold)
+            .watts();
     }
     acc
 }

@@ -330,7 +330,9 @@ fn write_or_die(path: &str, contents: &str) {
 /// populated only when tracing or profiling is on, since the counters are
 /// gated behind the same fast path as event capture). Schema 4 adds
 /// `threads_source` — where the worker-thread count came from
-/// (`"jobs-flag"`, `"env"`, or `"auto"`), so a perf dashboard can tell a
+/// (`"jobs-flag"` or `"auto"`; schema 4 to 9 runs could also read `"env"`,
+/// which no run writes since the pool stopped reading the environment), so
+/// a perf dashboard can tell a
 /// pinned `--jobs 8` run from whatever the runner's core count happened
 /// to be. Schema 5 marks the open-system churn additions: `fleet --churn`
 /// populates per-policy admission-latency histograms
@@ -630,7 +632,7 @@ fn usage() {
     eprintln!();
     eprintln!("flags:");
     eprintln!("  --jobs N, -j N worker threads for the simulation pool");
-    eprintln!("                 (default: BRAIDIO_THREADS or the CPU count;");
+    eprintln!("                 (default: the CPU count;");
     eprintln!("                  results are identical at any thread count)");
     eprintln!("  --scale N      run 'fleet' as the large-fleet scale family:");
     eprintln!("                 N pairs on a room grid under every arbitration");
@@ -653,7 +655,7 @@ fn usage() {
     eprintln!("  --bench-json PATH");
     eprintln!("                 write the timing report as JSON (schema 9:");
     eprintln!("                  git sha, thread count and where it came from");
-    eprintln!("                  (jobs-flag/env/auto), per-experiment seconds,");
+    eprintln!("                  (jobs-flag/auto), per-experiment seconds,");
     eprintln!("                  recorded headline metrics — including the fleet");
     eprintln!("                  planning-wave edges_per_s throughput — histogram");
     eprintln!("                  metrics — including the --churn admission-latency,");

@@ -72,16 +72,18 @@
 //! derived from the thread count, so which rows serve as donors, which
 //! lanes are copied, and every `net.interference.*` and `net.fspl.*` count
 //! are the same at any `--jobs`. Each chunk threads a scratch `s` of its
-//! own through its tiles and hands it back when it ends; the engine's is a
-//! chunk-local FSPL table folded into the shared memo then.
+//! own through its tiles and hands it back when it ends; the engine's is an
+//! FSPL scratch (`braidio_rfsim::pathloss::FsplScratch`) folded into the
+//! shared memo then.
 //!
 //! **Lazy rebuilds from per-receiver rows.** After bring-up nothing
 //! rebuilds in bulk: a sum dirtied by a flip or a move stays dirty until
 //! its own victim reads it through [`PairGainCache::interference`], so a
 //! sum nobody reads costs nothing. That read is served from its key's
 //! *row*: `row[q]` is source `q`'s edge at the key's receiver, evaluated
-//! once for every source through the same edge-tile closure the first
-//! time a victim with that key reads a dirty sum. The sum then folds
+//! once for every source through the same edge-tile closure, scratch and
+//! fold as the bulk pass the first time a victim with that key reads a
+//! dirty sum. The sum then folds
 //! `row[q]` over the live set in pair-index order, skipping the victim —
 //! the adds of the per-edge walk, on the same bits, in the same order. The
 //! rows follow three rules:
@@ -95,6 +97,10 @@
 //!   next `invalidate_all`; a key past the cap fills a throwaway row of
 //!   its live sources through the edge-tile closure on every rebuild. So
 //!   rows take at most `ROW_CAP · pairs` values, O(pairs) memory.
+//!
+//! A lazy read makes a scratch only when it evaluates lanes (a row build
+//! or a walk past the cap) and folds it before it returns, so a clean sum
+//! or one served from a row makes none.
 //!
 //! A churning open system — one hub serving many tags whose admissions,
 //! cooldowns and departures flip liveness all run long — thus evaluates
@@ -245,37 +251,57 @@ impl PairGainCache {
     /// The worst-case foreign-carrier power at `victim`'s receiver, whose
     /// [`ReceiverKey`] is `key`.
     ///
-    /// `edge_tile(v, qs, out)` is the same tile kernel the bulk pass takes:
-    /// it fills `out[i]` with source `qs[i]`'s contribution at victim `v`.
-    /// On a clean sum it is not called. A dirty sum is folded from `key`'s
-    /// edge row — built on the first dirty read of the key (every source,
-    /// live or not, in [`EDGE_TILE`]-wide tiles) while fewer than
-    /// [`ROW_CAP`] keys hold one — over the live sources in pair-index
-    /// order, skipping the victim. A key past the cap fills a throwaway
-    /// row of the live sources but the victim through `edge_tile` instead,
-    /// as a bulk group of one does, and folds it the same way. Either way
-    /// the sum makes the adds of the brute-force rescan, on the same bits,
-    /// in the same order.
-    pub fn interference<E>(&mut self, victim: usize, key: ReceiverKey, edge_tile: E) -> Watts
+    /// `(scratch, edge_tile, fold)` is the trio the bulk pass takes:
+    /// `edge_tile(s, v, qs, out)` fills `out[i]` with source `qs[i]`'s
+    /// contribution at victim `v`, given a scratch `s` that `scratch()`
+    /// makes and `fold(s)` ends. A call makes a scratch only when it
+    /// evaluates lanes, and folds it before it returns: a clean sum, or a
+    /// dirty one whose key already holds a row, makes none. A dirty sum is
+    /// folded from `key`'s edge row — built on the first dirty read of the
+    /// key (every source, live or not, in [`EDGE_TILE`]-wide tiles) while
+    /// fewer than [`ROW_CAP`] keys hold one — over the live sources in
+    /// pair-index order, skipping the victim. A key past the cap fills a
+    /// throwaway row of the live sources but the victim through
+    /// `edge_tile` instead, as a bulk group of one does, and folds it the
+    /// same way. Either way the sum makes the adds of the brute-force
+    /// rescan, on the same bits, in the same order.
+    pub fn interference<S, N, E, F>(
+        &mut self,
+        victim: usize,
+        key: ReceiverKey,
+        scratch: N,
+        edge_tile: E,
+        fold: F,
+    ) -> Watts
     where
-        E: Fn(usize, &[u32], &mut [Watts]),
+        N: FnOnce() -> S,
+        E: Fn(&mut S, usize, &[u32], &mut [Watts]),
+        F: FnOnce(S),
     {
         if !self.sum_dirty[victim] {
             telemetry::count("net.interference.sum_reuse");
             return Watts::new(self.sum[victim]);
         }
         telemetry::count("net.interference.sum_rebuild");
-        if self.rows.len() < ROW_CAP && !self.rows.contains_key(&key) {
-            let row = self.edge_row(victim, &edge_tile);
-            self.rows.insert(key, row);
-        }
         let sum = match self.rows.get(&key) {
             Some(row) => self.fold_row(row, victim),
             None => {
-                let mut row = Row::new(victim, true, Point::ORIGIN, self.n);
-                let (lanes, _) = self.fill_row(&mut row, None, &mut Vec::new(), edge_tile);
-                telemetry::count_by("net.interference.edge_recompute", lanes);
-                self.fold_row(&row.vals, victim)
+                let mut s = scratch();
+                let mut tile =
+                    |v: usize, qs: &[u32], out: &mut [Watts]| edge_tile(&mut s, v, qs, out);
+                let sum = if self.rows.len() < ROW_CAP {
+                    let row = self.edge_row(victim, &mut tile);
+                    let sum = self.fold_row(&row, victim);
+                    self.rows.insert(key, row);
+                    sum
+                } else {
+                    let mut row = Row::new(victim, true, Point::ORIGIN, self.n);
+                    let (lanes, _) = self.fill_row(&mut row, None, &mut Vec::new(), &mut tile);
+                    telemetry::count_by("net.interference.edge_recompute", lanes);
+                    self.fold_row(&row.vals, victim)
+                };
+                fold(s);
+                sum
             }
         };
         self.sum[victim] = sum.watts();
@@ -286,10 +312,11 @@ impl PairGainCache {
 
     /// The edge row at `victim`'s receiver: every source's contribution,
     /// evaluated in pair-index order.
-    fn edge_row<E>(&self, victim: usize, edge_tile: &E) -> Box<[Watts]>
-    where
-        E: Fn(usize, &[u32], &mut [Watts]),
-    {
+    fn edge_row(
+        &self,
+        victim: usize,
+        edge_tile: &mut impl FnMut(usize, &[u32], &mut [Watts]),
+    ) -> Box<[Watts]> {
         telemetry::count("net.interference.row_build");
         telemetry::count_by("net.interference.edge_recompute", self.n as u64);
         let mut row = vec![Watts::ZERO; self.n].into_boxed_slice();
@@ -802,8 +829,32 @@ mod tests {
         );
     }
 
-    fn clean(_: usize, _: &[u32], _: &mut [Watts]) {
-        panic!("sum was clean");
+    /// The lazy path over the scratch-free edge tile `t`.
+    fn read(
+        cache: &mut PairGainCache,
+        v: usize,
+        key: ReceiverKey,
+        t: impl Fn(usize, &[u32], &mut [Watts]),
+    ) -> Watts {
+        cache.interference(
+            v,
+            key,
+            || (),
+            |_: &mut (), v, qs: &[u32], out: &mut [Watts]| t(v, qs, out),
+            |()| {},
+        )
+    }
+
+    /// A lazy read that must evaluate nothing: its sum is clean, or its
+    /// key's row is built. It may not even make a scratch.
+    fn served(cache: &mut PairGainCache, v: usize, key: ReceiverKey) -> Watts {
+        cache.interference(
+            v,
+            key,
+            || panic!("a read served from a clean sum or a row made a scratch"),
+            |_: &mut (), _, _: &[u32], _: &mut [Watts]| unreachable!(),
+            |()| {},
+        )
     }
 
     fn brute(eps: &[(Point, Point)], live: &[bool], victim: usize) -> Watts {
@@ -823,13 +874,13 @@ mod tests {
         let mut cache = PairGainCache::new(7);
         let live = vec![true; 7];
         for v in 0..7 {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
             );
             // Second call reuses the clean sum.
-            let again = cache.interference(v, rk(&eps, v), clean);
+            let again = served(&mut cache, v, rk(&eps, v));
             assert_eq!(again.watts().to_bits(), got.watts().to_bits());
         }
     }
@@ -841,7 +892,7 @@ mod tests {
         let mut cache = PairGainCache::new(6);
         // Warm.
         for v in 0..6 {
-            cache.interference(v, rk(&eps, v), tile(&eps));
+            read(&mut cache, v, rk(&eps, v), tile(&eps));
         }
         assert_eq!(cache.ndirty(), 0, "warm cache should be clean");
         // Kill pair 2.
@@ -849,7 +900,7 @@ mod tests {
         cache.set_live(2, false);
         assert_eq!(cache.ndirty(), 6);
         for v in 0..6 {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -859,7 +910,7 @@ mod tests {
         eps[4] = (Point::new(1.7, 0.3), Point::new(1.7, 0.9));
         cache.invalidate_all();
         for v in 0..6 {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -878,7 +929,7 @@ mod tests {
             cache.set_live(q, false);
         }
         for v in 0..5 {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -889,7 +940,7 @@ mod tests {
         cache.set_live(3, true);
         assert_eq!(cache.ndirty(), 5);
         for v in 0..5 {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_eq!(
                 got.watts().to_bits(),
                 brute(&eps, &live, v).watts().to_bits()
@@ -914,7 +965,7 @@ mod tests {
                 assert_eq!(cache.is_live(q), alive, "row {q}");
             }
             for v in 0..n {
-                let got = cache.interference(v, rk(&eps, v), tile(&eps));
+                let got = read(cache, v, rk(&eps, v), tile(&eps));
                 assert_eq!(
                     got.watts().to_bits(),
                     brute(&eps, live, v).watts().to_bits(),
@@ -963,8 +1014,8 @@ mod tests {
             rebuild(&mut bulk, eps, |_| true, key);
             assert_eq!(bulk.ndirty(), 0);
             for v in 0..n {
-                let a = bulk.interference(v, rk(eps, v), clean);
-                let b = lazy.interference(v, rk(eps, v), tile(eps));
+                let a = served(&mut bulk, v, rk(eps, v));
+                let b = read(&mut lazy, v, rk(eps, v), tile(eps));
                 assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
                 assert_eq!(a.watts().to_bits(), brute(eps, &live, v).watts().to_bits());
             }
@@ -977,8 +1028,8 @@ mod tests {
             assert_eq!(bulk.ndirty(), 1, "skipped victim must stay dirty");
             assert!(bulk.cached_sum(4).is_none());
             for v in 0..n {
-                let a = bulk.interference(v, rk(eps, v), tile(eps));
-                let b = lazy.interference(v, rk(eps, v), tile(eps));
+                let a = read(&mut bulk, v, rk(eps, v), tile(eps));
+                let b = read(&mut lazy, v, rk(eps, v), tile(eps));
                 assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}/{n}");
                 assert_eq!(a.watts().to_bits(), brute(eps, &live, v).watts().to_bits());
             }
@@ -1040,8 +1091,8 @@ mod tests {
         );
         let mut lazy = PairGainCache::new(n);
         for v in 0..n {
-            let a = bulk.interference(v, rk(&eps, v), clean);
-            let b = lazy.interference(v, rk(&eps, v), tile(&eps));
+            let a = served(&mut bulk, v, rk(&eps, v));
+            let b = read(&mut lazy, v, rk(&eps, v), tile(&eps));
             assert_eq!(a.watts().to_bits(), b.watts().to_bits(), "victim {v}");
         }
     }
@@ -1230,7 +1281,7 @@ mod tests {
         let mut live = vec![true; n];
         let mut cache = PairGainCache::new(n);
         for v in 0..n {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_matches_brute(got, &eps, &live, v);
         }
         assert_eq!(cache.rows(), 1);
@@ -1243,7 +1294,7 @@ mod tests {
             assert_eq!(cache.ndirty(), n, "a flip dirties every sum");
             assert_eq!(cache.rows(), 1, "a flip keeps the rows");
             for v in 0..n {
-                let got = cache.interference(v, rk(&eps, v), clean);
+                let got = served(&mut cache, v, rk(&eps, v));
                 assert_matches_brute(got, &eps, &live, v);
             }
         }
@@ -1257,7 +1308,7 @@ mod tests {
         let mut cache = PairGainCache::new(9);
         cache.set_live(5, false);
         for v in 0..9 {
-            cache.interference(v, rk(&eps, v), tile(&eps));
+            read(&mut cache, v, rk(&eps, v), tile(&eps));
         }
         assert_eq!(cache.rows(), 1);
         // Tag 2 moves: the hub's row is stale and must go.
@@ -1265,14 +1316,14 @@ mod tests {
         cache.invalidate_all();
         assert_eq!((cache.rows(), cache.ndirty()), (0, 9));
         for v in 0..9 {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_matches_brute(got, &eps, &live, v);
         }
         // And the rebuilt row serves the next flip on its own.
         live[5] = true;
         cache.set_live(5, true);
         for v in 0..9 {
-            let got = cache.interference(v, rk(&eps, v), clean);
+            let got = served(&mut cache, v, rk(&eps, v));
             assert_matches_brute(got, &eps, &live, v);
         }
     }
@@ -1300,12 +1351,12 @@ mod tests {
         let key = |v: usize| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), v % channels);
         let mut live = vec![true; 11];
         let mut cache = PairGainCache::new(11);
-        let check = |cache: &mut PairGainCache, live: &[bool], served: bool| {
+        let check = |cache: &mut PairGainCache, live: &[bool], rows_built: bool| {
             for v in 0..11 {
-                let got = if served {
-                    cache.interference(v, key(v), clean)
+                let got = if rows_built {
+                    served(cache, v, key(v))
                 } else {
-                    cache.interference(v, key(v), rel_tile)
+                    read(cache, v, key(v), rel_tile)
                 };
                 let mut want = Watts::ZERO;
                 for q in (0..11).filter(|&q| q != v && live[q]) {
@@ -1332,7 +1383,7 @@ mod tests {
         let mut live = vec![true; n];
         let mut cache = PairGainCache::new(n);
         for v in 0..n {
-            let got = cache.interference(v, rk(&eps, v), tile(&eps));
+            let got = read(&mut cache, v, rk(&eps, v), tile(&eps));
             assert_matches_brute(got, &eps, &live, v);
         }
         assert_eq!(cache.rows(), ROW_CAP);
@@ -1341,14 +1392,14 @@ mod tests {
             cache.set_live(q, false);
             for v in 0..n {
                 let got = if v < ROW_CAP {
-                    cache.interference(v, rk(&eps, v), clean)
+                    served(&mut cache, v, rk(&eps, v))
                 } else {
                     let calls = std::cell::Cell::new(0);
                     let counted = |v: usize, qs: &[u32], out: &mut [Watts]| {
                         calls.set(calls.get() + qs.len());
                         tile(&eps)(v, qs, out)
                     };
-                    let got = cache.interference(v, rk(&eps, v), counted);
+                    let got = read(&mut cache, v, rk(&eps, v), counted);
                     let lanes = (0..n).filter(|&q| q != v && live[q]).count();
                     assert_eq!(calls.get(), lanes, "a walker evaluates its live sources");
                     got
@@ -1357,5 +1408,59 @@ mod tests {
             }
             assert_eq!(cache.rows(), ROW_CAP);
         }
+    }
+
+    #[test]
+    fn lazy_reads_make_and_fold_one_scratch_only_when_they_evaluate() {
+        // ROW_CAP + 2 receivers of their own: the first ROW_CAP keys build
+        // rows, the other two walk. A read that evaluates lanes makes one
+        // scratch, threads it through every tile and folds it before it
+        // returns; a clean read, or one served from a row, makes none.
+        use std::cell::Cell;
+        let n = ROW_CAP + 2;
+        let eps = layout(n, 1.3);
+        let mut live = vec![true; n];
+        let mut cache = PairGainCache::new(n);
+        let (made, folded) = (Cell::new(0), Cell::new(0u64));
+        let read = |cache: &mut PairGainCache, v: usize| {
+            let t = tile(&eps);
+            cache.interference(
+                v,
+                rk(&eps, v),
+                || {
+                    made.set(made.get() + 1);
+                    0u64
+                },
+                |lanes: &mut u64, v, qs: &[u32], out: &mut [Watts]| {
+                    *lanes += qs.len() as u64;
+                    t(v, qs, out)
+                },
+                |lanes| folded.set(folded.get() + lanes),
+            )
+        };
+        for v in 0..n {
+            let before = (made.get(), folded.get());
+            assert_matches_brute(read(&mut cache, v), &eps, &live, v);
+            // A row takes every source; a walk, the live ones but itself.
+            let lanes = if v < ROW_CAP { n } else { n - 1 };
+            assert_eq!(
+                (made.get(), folded.get()),
+                (before.0 + 1, before.1 + lanes as u64)
+            );
+        }
+        for v in 0..n {
+            assert_matches_brute(read(&mut cache, v), &eps, &live, v);
+        }
+        assert_eq!(made.get(), n, "a clean read made a scratch");
+        live[3] = false;
+        cache.set_live(3, false);
+        for v in 0..n {
+            assert_matches_brute(read(&mut cache, v), &eps, &live, v);
+        }
+        assert_eq!(made.get(), n + 2, "only the two walkers evaluate again");
+        assert_eq!(
+            folded.get(),
+            (ROW_CAP * n + 2 * (n - 1) + 2 * (n - 2)) as u64
+        );
     }
 }

@@ -53,7 +53,11 @@
 //! relation row, the key the wave groups victims on): each key's row is
 //! evaluated once, kept across liveness flips and dropped by a move, for
 //! at most [`crate::cache::ROW_CAP`] keys, past which a read walks its
-//! live sources. This is output-neutral by construction: memo values are
+//! live sources. Wave and lazy path evaluate edges through one edge-tile
+//! closure, with FSPL looked up in a scratch (a wave chunk's, or one per
+//! row a lazy read builds or walks) that folds into the kernel's memo;
+//! the memo's totals are published once per run as `net.fspl.*`, next to
+//! `net.kernel.*`. This is output-neutral by construction: memo values are
 //! canonical functions of their quantized keys, and bulk, row-served and
 //! walked sums all make the adds of the per-edge walk, on the same edge
 //! bits, in pair-index order (the bulk pass lets victims that share a
@@ -250,6 +254,10 @@ struct QuantumRecipe {
     /// airtime: what every quantum but a battery's last one is.
     full: PendingQuantum,
     full_airtime: Seconds,
+    /// The full quantum is at least one finite bit, and neither per-bit
+    /// cost has its sign bit set: with it, the twice-the-draw test alone
+    /// decides [`trains`](Self::trains).
+    whole: bool,
 }
 
 impl QuantumRecipe {
@@ -278,15 +286,25 @@ impl QuantumRecipe {
             fractions[i] = a.fraction;
             shape.nslices += 1;
         }
-        let mut recipe = QuantumRecipe {
+        QuantumRecipe {
             c_tx,
             c_rx,
             fractions,
             full: shape,
             full_airtime: Seconds::ZERO,
-        };
-        (recipe.full, recipe.full_airtime) = recipe.quantum(quantum_bits, false);
-        recipe
+            whole: false,
+        }
+        .sized(quantum_bits)
+    }
+
+    /// This recipe with its full quantum of `quantum_bits` bits.
+    fn sized(mut self, quantum_bits: f64) -> Self {
+        (self.full, self.full_airtime) = self.quantum(quantum_bits, false);
+        self.whole = quantum_bits.is_finite()
+            && quantum_bits >= 1.0
+            && self.c_tx.is_sign_positive()
+            && self.c_rx.is_sign_positive();
+        self
     }
 
     /// A quantum of `bits` under this recipe, and its airtime.
@@ -314,24 +332,16 @@ impl QuantumRecipe {
     /// energy to spare is the precomputed full one, and a battery's last,
     /// partial quantum runs [`quantum`](Self::quantum) on its smaller size.
     fn next(&self, rem_tx: Joules, rem_rx: Joules) -> Option<(PendingQuantum, Seconds)> {
-        let (bits, last) = self.next_bits(rem_tx, rem_rx)?;
-        Some(if last {
+        let affordable = (rem_tx.joules() / self.c_tx).min(rem_rx.joules() / self.c_rx);
+        let bits = self.full.bits.min(affordable);
+        if !bits.is_finite() || bits < 1.0 {
+            return None;
+        }
+        Some(if affordable <= self.full.bits {
             self.quantum(bits, true)
         } else {
             (self.full, self.full_airtime)
         })
-    }
-
-    /// The size of [`next`](Self::next)'s quantum and whether it is a
-    /// battery's last, without building it.
-    fn next_bits(&self, rem_tx: Joules, rem_rx: Joules) -> Option<(f64, bool)> {
-        let affordable = (rem_tx.joules() / self.c_tx).min(rem_rx.joules() / self.c_rx);
-        let quantum_bits = self.full.bits;
-        let bits = quantum_bits.min(affordable);
-        if !bits.is_finite() || bits < 1.0 {
-            return None;
-        }
-        Some((bits, affordable <= quantum_bits))
     }
 
     /// May the next quantum commit ahead, as far as the batteries go? It
@@ -339,12 +349,35 @@ impl QuantumRecipe {
     /// its draw: the battery then keeps more than one draw after it, so
     /// the quantum after it is affordable and a train never crosses the
     /// pair's death, which other pairs would see.
+    ///
+    /// The twice-the-draw test already implies that [`next`](Self::next)
+    /// gives the full quantum, so no division runs here. Take one side,
+    /// with remaining energy `E`, per-bit cost `c` and full quantum `Q`
+    /// bits, whose draw is `D = fl(Q·c)`. `E` is a battery's, so never
+    /// negative or NaN, and `whole` holds, so `Q` is finite and at least 1
+    /// and `c` is `+0` or positive (a NaN `c` makes `D` NaN and the test
+    /// false). Given `E > 2D`, `fl(E / c) > Q`:
+    ///
+    /// * `c = +0`: `E > 0`, so `E / c = +∞`.
+    /// * `Q·c` in the normal range: `D ≥ Q·c·(1 − u)`, `u = 2⁻⁵³`, so
+    ///   `E / c > 2Q(1 − u)` and, rounding once more,
+    ///   `fl(E / c) ≥ 2Q(1 − u)² > Q`.
+    /// * `Q·c` subnormal: rounding is off by at most half the least
+    ///   subnormal `m`, so `D ≥ Q·c − m/2`; `D ≥ m`, since `Q·c ≥ c ≥ m`;
+    ///   and `E` and `2D` are whole multiples of `m`, so `E ≥ 2D + m ≥
+    ///   2Q·c`. Then `E / c ≥ 2Q`, so `fl(E / c) ≥ 2Q > Q`.
+    ///
+    /// (`D = +∞` fails the test.) So both quotients exceed `Q`, the
+    /// affordable bits are more than the full quantum, and `next` returns
+    /// the full one: `affordable <= Q` is false and `min(Q, affordable) =
+    /// Q` is at least one finite bit. Without `whole`, `next` never gives a
+    /// full quantum that leaves energy to spare either: the quantum is
+    /// under a bit, not finite, or its draw is NaN or `+∞`, or a cost with
+    /// its sign bit set makes a quotient negative or NaN.
     fn trains(&self, rem_tx: Joules, rem_rx: Joules) -> bool {
-        rem_tx.joules() > 2.0 * self.full.e_tx.joules()
+        self.whole
+            && rem_tx.joules() > 2.0 * self.full.e_tx.joules()
             && rem_rx.joules() > 2.0 * self.full.e_rx.joules()
-            && self
-                .next_bits(rem_tx, rem_rx)
-                .is_some_and(|(_, last)| !last)
     }
 }
 
@@ -514,56 +547,17 @@ impl Pairs {
     }
 }
 
-/// Gathers tile `qs`'s endpoints (`ends(q)` is pair `q`'s `(tx, rx)`
-/// position) and channel relations to victim `v` into stack arrays, and
-/// hands them with `v`'s receiver point to `run` — the gather both edge
-/// tiles below share.
-#[inline]
-fn gather_tile<F>(
-    arbitration: Arbitration,
-    ends: &F,
-    v: usize,
-    qs: &[u32],
-    run: impl FnOnce(Point, &[Point], &[Point], &[ChannelRelation]),
-) where
-    F: Fn(usize) -> (Point, Point),
-{
-    let mut a = [Point::new(0.0, 0.0); EDGE_TILE];
-    let mut b = [Point::new(0.0, 0.0); EDGE_TILE];
-    let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
-    let k = qs.len();
-    for (i, &q) in qs.iter().enumerate() {
-        (a[i], b[i]) = ends(q as usize);
-        rel[i] = arbitration.relation(v, q as usize);
-    }
-    run(ends(v).1, &a[..k], &b[..k], &rel[..k]);
-}
-
-/// The lazy per-pair path's edge tile: [`EdgeKernel::carrier_tile`] over
-/// a gathered tile, FSPL from the shared memo.
-fn edge_tile<'a, F>(
-    edges: &'a EdgeKernel,
-    arbitration: Arbitration,
-    ends: F,
-) -> impl Fn(usize, &[u32], &mut [Watts]) + Sync + 'a
-where
-    F: Fn(usize) -> (Point, Point) + Sync + 'a,
-{
-    move |v, qs, out| {
-        gather_tile(arbitration, &ends, v, qs, |rx, a, b, rel| {
-            edges.carrier_tile(rx, a, b, rel, out)
-        })
-    }
-}
-
-/// The bring-up wave's edge tile: the same gather and kernel as
-/// [`edge_tile`], with FSPL looked up in the running pool chunk's scratch
-/// ([`EdgeKernel::carrier_tile_scratch`]). A lane reads source `q` only
-/// through its endpoints' offsets from `v`'s receiver and through
-/// `relation(v, q)`, which a common shift of `v` and `q` keeps, so the
-/// bulk pass may copy it from a lattice neighbour's row instead
+/// The engine's one edge tile, shared by the bring-up wave and the lazy
+/// per-pair path: gathers tile `qs`'s endpoints (`ends(q)` is pair `q`'s
+/// `(tx, rx)` position) and channel relations to victim `v` into stack
+/// arrays and runs [`EdgeKernel::carrier_tile_scratch`] on them against
+/// `v`'s receiver, with FSPL looked up in the caller's scratch (a wave
+/// chunk's, or a lazy row's). A lane reads source `q` only through its
+/// endpoints' offsets from `v`'s receiver and through `relation(v, q)`,
+/// which a common shift of `v` and `q` keeps, so the bulk pass may copy it
+/// from a lattice neighbour's row instead
 /// ([`PairGainCache::rebuild_all_shared`]).
-fn wave_edge_tile<'a, F>(
+fn edge_tile<'a, F>(
     edges: &'a EdgeKernel,
     arbitration: Arbitration,
     ends: F,
@@ -572,9 +566,16 @@ where
     F: Fn(usize) -> (Point, Point) + Sync + 'a,
 {
     move |scratch, v, qs, out| {
-        gather_tile(arbitration, &ends, v, qs, |rx, a, b, rel| {
-            edges.carrier_tile_scratch(scratch, rx, a, b, rel, out)
-        })
+        let mut a = [Point::ORIGIN; EDGE_TILE];
+        let mut b = [Point::ORIGIN; EDGE_TILE];
+        let mut rel = [ChannelRelation::CoChannel; EDGE_TILE];
+        let k = qs.len();
+        for (i, &q) in qs.iter().enumerate() {
+            (a[i], b[i]) = ends(q as usize);
+            rel[i] = arbitration.relation(v, q as usize);
+        }
+        let rx = ends(v).1;
+        edges.carrier_tile_scratch(scratch, rx, &a[..k], &b[..k], &rel[..k], out)
     }
 }
 
@@ -907,6 +908,10 @@ impl<'a> Fleet<'a> {
         telemetry::count_by("net.kernel.scheduled", self.q.scheduled() + self.ahead);
         telemetry::count_by("net.kernel.delivered", events);
         telemetry::count_by("net.kernel.ahead", self.ahead);
+        // The FSPL memo's own totals, read once: every scratch of the run
+        // has folded into it.
+        telemetry::count_by("net.fspl.hit", self.edges.fspl_hits());
+        telemetry::count_by("net.fspl.miss", self.edges.fspl_misses());
         let churn = self.churn_report(end_time);
         let report = FleetReport {
             horizon: self.sc.horizon,
@@ -1545,8 +1550,8 @@ impl<'a> Fleet<'a> {
                 |v| receiver_key(pb[v], sc.arbitration, v),
                 (&pa, &pb),
                 || edges.fspl_scratch(),
-                wave_edge_tile(edges, sc.arbitration, ends),
-                |scratch| edges.fold_scratch(scratch),
+                edge_tile(edges, sc.arbitration, ends),
+                FsplScratch::fold,
             );
         }
         // Per-pair key collection fans out over the pool (one unit of work
@@ -1783,12 +1788,13 @@ impl<'a> Fleet<'a> {
             return Watts::ZERO;
         }
         let (pos, ptx, prx) = (&self.devices.pos, &self.pairs.tx, &self.pairs.rx);
+        let edges = &self.edges;
         let w = self.gains.interference(
             p,
             receiver_key(pos[prx[p]], self.sc.arbitration, p),
-            edge_tile(&self.edges, self.sc.arbitration, |q| {
-                (pos[ptx[q]], pos[prx[q]])
-            }),
+            || edges.fspl_scratch(),
+            edge_tile(edges, self.sc.arbitration, |q| (pos[ptx[q]], pos[prx[q]])),
+            FsplScratch::fold,
         );
         #[cfg(debug_assertions)]
         self.shadow_check(p, w);
@@ -1800,10 +1806,10 @@ impl<'a> Fleet<'a> {
     /// the cached answer against it bit for bit. Also asserts the cache's
     /// liveness view matches [`Pairs::on_air`]. The rescan runs through the
     /// scalar two-`hypot` kernel, whose lanes the tiled kernel reproduces
-    /// exactly, in its counter-silent form
-    /// ([`EdgeKernel::carrier_from_pair_silent`]): the check neither bumps
-    /// `net.fspl.*` nor fills the memo, so those mean the same in debug and
-    /// release. What this checks is liveness, ordering, tiling, edge rows
+    /// exactly and which reads the FSPL memo counter-silently
+    /// ([`EdgeKernel::carrier_from_pair`]): the check neither fills the
+    /// memo nor moves its totals, so `net.fspl.*` means the same in debug
+    /// and release. What this checks is liveness, ordering, tiling, edge rows
     /// and cache bookkeeping; the kernel's own equality to the
     /// direct `carrier_contribution` path is pinned by the interference
     /// unit test and proptests that keep that path as their oracle.
@@ -1820,7 +1826,7 @@ impl<'a> Fleet<'a> {
             if qi == p || !self.pairs.on_air(qi) {
                 continue;
             }
-            brute += self.edges.carrier_from_pair_silent(
+            brute += self.edges.carrier_from_pair(
                 victim,
                 self.devices.pos[self.pairs.tx[qi]],
                 self.devices.pos[self.pairs.rx[qi]],
@@ -2475,6 +2481,91 @@ mod tests {
             let crumb = Joules::new(r.c_tx * 0.5);
             assert!(r.next(crumb, plenty).is_none());
             assert!(oracle_quantum(&plan, &sc, crumb, plenty).is_none());
+        }
+    }
+
+    /// The train's battery test before it dropped its divisions: twice
+    /// the draw on both sides, and [`QuantumRecipe::next`] gives the full
+    /// quantum.
+    fn trains_oracle(r: &QuantumRecipe, rem_tx: Joules, rem_rx: Joules) -> bool {
+        rem_tx.joules() > 2.0 * r.full.e_tx.joules()
+            && rem_rx.joules() > 2.0 * r.full.e_rx.joules()
+            && r.next(rem_tx, rem_rx).is_some_and(|(q, _)| !q.last)
+    }
+
+    /// A per-bit cost, J/bit: zero of either sign, subnormal, tiny normal,
+    /// a radio's, huge, or negative.
+    fn arb_cost() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        (0u8..7, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(1 + (x * (1u64 << 52) as f64) as u64),
+            3 => 1e-305 * (1.0 + x),
+            4 => 1e-9 * (1.0 + 1e3 * x),
+            5 => 1e300 * (1.0 + x),
+            _ => -1e-9 * (1.0 + x),
+        })
+    }
+
+    /// A full quantum's size in bits: under one bit, exactly one, a few
+    /// ulps over, a fleet's, or not finite.
+    fn arb_quantum_bits() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        (0u8..6, 0.0f64..1.0, 0u64..4).prop_map(|(kind, x, k)| match kind {
+            0 => x,
+            1 => 1.0,
+            2 => f64::from_bits(1.0f64.to_bits() + k),
+            3 => 1.0 + 1e5 * x,
+            4 => f64::INFINITY,
+            _ => f64::NAN,
+        })
+    }
+
+    /// A battery's remaining energy against a draw `d`: empty, around
+    /// twice the draw to the ulp, a multiple of it, or unrelated; never
+    /// negative or NaN, as a [`Battery`]'s.
+    fn battery(d: f64, (kind, x): (u8, f64)) -> Joules {
+        let twice = 2.0 * d;
+        let step = |v: f64, up: bool| match (v.is_finite() && v > 0.0, up) {
+            (true, true) => f64::from_bits(v.to_bits() + 1),
+            (true, false) => f64::from_bits(v.to_bits() - 1),
+            _ => v,
+        };
+        let e: f64 = match kind {
+            0 => 0.0,
+            1 => twice,
+            2 => step(twice, true),
+            3 => step(twice, false),
+            4 => step(step(twice, true), true),
+            5 => twice * 4.0 * x,
+            6 => 1e-310 * x,
+            _ => 1e3 * x,
+        };
+        Joules::new(e.max(0.0))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        /// The battery test without divisions decides as the one with
+        /// them did, on any recipe and batteries.
+        #[test]
+        fn trains_matches_its_division_oracle(
+            c_tx in arb_cost(),
+            c_rx in arb_cost(),
+            bits in arb_quantum_bits(),
+            tx in (0u8..8, 0.0f64..1.0),
+            rx in (0u8..8, 0.0f64..1.0),
+        ) {
+            let sc = small_pair(Arbitration::Uncoordinated);
+            let r = QuantumRecipe { c_tx, c_rx, ..recipe(&plans(&sc).1, &sc) }.sized(bits);
+            let (rem_tx, rem_rx) = (battery(r.full.e_tx.joules(), tx), battery(r.full.e_rx.joules(), rx));
+            proptest::prop_assert_eq!(
+                r.trains(rem_tx, rem_rx),
+                trains_oracle(&r, rem_tx, rem_rx),
+                "{:?} {:?} against {:?}", rem_tx, rem_rx, r
+            );
         }
     }
 

@@ -13,6 +13,15 @@
 //! and backscatter). The active radio is a channel-filtered coherent
 //! receiver, so a foreign carrier on another channel is rejected by its
 //! IF filtering — the same simplification `mac::coexistence` makes.
+//!
+//! The fleet engine evaluates those couplings through [`EdgeKernel`], one
+//! tile of edges at a time. Its FSPL factor comes from an exact memo that
+//! is looked up only through an [`FsplScratch`] the caller owns — a
+//! planning wave's pool chunk, or a lazy edge row — and folded when the
+//! caller is done; the memo's hit and miss totals are the `net.fspl.*`
+//! counters, read once per run. The one scalar edge,
+//! [`EdgeKernel::carrier_from_pair`], is an oracle that reads the memo
+//! without changing it.
 
 use crate::memo::{insert_capped, KeyMap};
 use braidio_mac::coexistence::ChannelRelation;
@@ -76,11 +85,12 @@ pub const EDGE_TILE: usize = 64;
 /// only O(N) distinct distances on a √N×√N grid. The kernel computes each
 /// constant's linear ratio **once**, by running the identical
 /// `Decibels::linear` conversion the direct path runs, and routes FSPL
-/// through an exact [`FsplMemo`], keeping the original four sequential
-/// multiplies in the original order — so every contribution it returns is
-/// bit-for-bit the [`carrier_contribution`] answer (the direct path stays
-/// as the oracle of the interference unit test and proptests, so the
-/// equality stays checked).
+/// through an exact [`FsplMemo`] (looked up through an [`FsplScratch`]:
+/// [`carrier_tile_scratch`](Self::carrier_tile_scratch)), keeping the
+/// original four sequential multiplies in the original order — so every
+/// contribution it returns is bit-for-bit the [`carrier_contribution`]
+/// answer (the direct path stays as the oracle of the interference unit
+/// test and proptests, so the equality stays checked).
 #[derive(Debug)]
 pub struct EdgeKernel {
     /// Foreign CW carrier power (every fleet interferer radiates
@@ -110,25 +120,16 @@ impl EdgeKernel {
         }
     }
 
-    /// FSPL memo hits since construction (drives `net.fspl.hit`).
+    /// FSPL memo hits since construction: the engine publishes it once
+    /// per run as `net.fspl.hit`.
     pub fn fspl_hits(&self) -> u64 {
         self.fspl.hits()
     }
 
-    /// FSPL memo misses (canonical evaluations) since construction.
+    /// FSPL memo misses (canonical evaluations) since construction,
+    /// published as `net.fspl.miss`.
     pub fn fspl_misses(&self) -> u64 {
         self.fspl.misses()
-    }
-
-    /// One carrier's contribution at a known source–victim distance:
-    /// `rf · fspl(d) · rx_antenna · frontend⁻¹ · coupling`, the exact
-    /// four-multiply chain of [`carrier_contribution`] with the constant
-    /// factors served from the cache and FSPL from the memo.
-    #[inline]
-    pub fn contribution_at_distance(&self, d: Meters, relation: ChannelRelation) -> Watts {
-        let (lin, hit) = self.fspl.lookup(d);
-        braidio_telemetry::count(if hit { "net.fspl.hit" } else { "net.fspl.miss" });
-        self.chain(lin, relation)
     }
 
     /// `rf · fspl · rx_antenna · frontend⁻¹ · coupling`, in that order,
@@ -142,27 +143,15 @@ impl EdgeKernel {
             .gained_linear(self.coupling_lin[relation.index()])
     }
 
-    /// A fleet pair's edge: the interfering pair's carrier radiates from
-    /// whichever of its endpoints `a`/`b` is nearer the victim (worst
-    /// case; ties keep `a`, matching the original `<=` selection), and the
-    /// selected distance is reused for the FSPL lookup — the same bits the
-    /// direct path gets from recomputing it, minus one `hypot`.
-    #[inline]
+    /// A fleet pair's edge, for oracles: the interfering pair's carrier
+    /// radiates from whichever of its endpoints `a`/`b` is nearer the
+    /// victim (worst case; ties keep `a`, matching the original `<=`
+    /// selection), chosen by two `hypot`s, and FSPL comes from
+    /// [`FsplMemo::peek`], which neither counts nor inserts. The tile
+    /// kernels reproduce its bits lane for lane; an oracle that reads
+    /// through it leaves `net.fspl.*` and the memo as it found them, so
+    /// those mean the same in every build.
     pub fn carrier_from_pair(
-        &self,
-        victim: Point,
-        a: Point,
-        b: Point,
-        relation: ChannelRelation,
-    ) -> Watts {
-        self.contribution_at_distance(two_hypot_nearer(victim, a, b), relation)
-    }
-
-    /// [`EdgeKernel::carrier_from_pair`] for debug oracles: the same bits,
-    /// but FSPL comes from [`FsplMemo::peek`], which neither counts nor
-    /// inserts. An oracle that reads through this leaves `net.fspl.*` and
-    /// the memo as it found them, so those mean the same in every build.
-    pub fn carrier_from_pair_silent(
         &self,
         victim: Point,
         a: Point,
@@ -173,19 +162,11 @@ impl EdgeKernel {
         self.chain(self.fspl.peek(d), relation)
     }
 
-    /// A tile of edges against one victim: `out[i]` receives the
-    /// contribution of the pair with endpoints `(a[i], b[i])` and channel
-    /// relation `rel[i]`. At most [`EDGE_TILE`] lanes.
-    ///
-    /// Three flat passes — nearer-endpoint distances (`nearer_distance`:
-    /// one `hypot` per lane instead of two), one batched FSPL lookup
-    /// ([`FsplMemo::linear_batch`]: one read lock on the shared memo per
-    /// tile), then the constant multiply chain — each lane bit-identical to
-    /// [`EdgeKernel::carrier_from_pair`], which stays the two-`hypot`
-    /// oracle. The caller still owns the noncoherent accumulation and must
-    /// sum `out` serially in pair-index order. This is the lazy per-pair
-    /// path's tile; a parallel sweep runs
-    /// [`carrier_tile_scratch`](Self::carrier_tile_scratch).
+    /// A tile of edges against one victim, through a scratch of its own:
+    /// [`carrier_tile_scratch`](Self::carrier_tile_scratch) with a fresh
+    /// [`fspl_scratch`](Self::fspl_scratch), folded before it returns. For
+    /// a caller that sweeps tiles one at a time, from any thread; the
+    /// engine threads one scratch through many tiles instead.
     pub fn carrier_tile(
         &self,
         victim: Point,
@@ -194,26 +175,31 @@ impl EdgeKernel {
         rel: &[ChannelRelation],
         out: &mut [Watts],
     ) {
-        self.tile(victim, a, b, rel, out, |ds, lin| {
-            let (hits, misses) = self.fspl.linear_batch(ds, lin);
-            braidio_telemetry::count_by("net.fspl.hit", hits);
-            braidio_telemetry::count_by("net.fspl.miss", misses);
-        });
+        let mut scratch = self.fspl_scratch();
+        self.carrier_tile_scratch(&mut scratch, victim, a, b, rel, out);
+        scratch.fold();
     }
 
-    /// A chunk-local FSPL scratch in front of this kernel's memo, for
-    /// [`carrier_tile_scratch`](Self::carrier_tile_scratch). One per worker
-    /// chunk, ended by [`fold_scratch`](Self::fold_scratch) when the chunk
-    /// is done.
+    /// An FSPL scratch in front of this kernel's memo, for
+    /// [`carrier_tile_scratch`](Self::carrier_tile_scratch): one per wave
+    /// chunk or lazy edge row, ended by [`FsplScratch::fold`], which is
+    /// where its lanes reach the memo's hit and miss totals.
     pub fn fspl_scratch(&self) -> FsplScratch<'_> {
         self.fspl.scratch()
     }
 
-    /// [`carrier_tile`](Self::carrier_tile) with FSPL looked up in a
-    /// chunk-local `scratch` first ([`FsplScratch::linear_batch`]): the same
-    /// distance pass and multiply chain, so the same bits, but a lane the
-    /// scratch holds takes no lock and touches no shared counter. The
-    /// lanes are counted under `net.fspl.*` when the scratch is folded.
+    /// A tile of edges against one victim: `out[i]` receives the
+    /// contribution of the pair with endpoints `(a[i], b[i])` and channel
+    /// relation `rel[i]`. At most [`EDGE_TILE`] lanes.
+    ///
+    /// Three flat passes — nearer-endpoint distances (`nearer_distance`:
+    /// one `hypot` per lane instead of two), one batched FSPL lookup in
+    /// `scratch` ([`FsplScratch::linear_batch`]: a lane the scratch holds
+    /// takes no lock and touches no shared counter), then the constant
+    /// multiply chain — each lane bit-identical to
+    /// [`carrier_from_pair`](Self::carrier_from_pair). The caller still
+    /// owns the noncoherent accumulation and must sum `out` serially in
+    /// pair-index order.
     pub fn carrier_tile_scratch(
         &self,
         scratch: &mut FsplScratch<'_>,
@@ -223,32 +209,6 @@ impl EdgeKernel {
         rel: &[ChannelRelation],
         out: &mut [Watts],
     ) {
-        self.tile(victim, a, b, rel, out, |ds, lin| {
-            scratch.linear_batch(ds, lin)
-        });
-    }
-
-    /// End a chunk's scratch: fold its fresh distances into the memo
-    /// ([`FsplScratch::fold`]) and count its lanes under `net.fspl.hit` /
-    /// `net.fspl.miss` — the totals the per-tile shared path counts.
-    pub fn fold_scratch(&self, scratch: FsplScratch<'_>) {
-        let (hits, misses) = scratch.fold();
-        braidio_telemetry::count_by("net.fspl.hit", hits);
-        braidio_telemetry::count_by("net.fspl.miss", misses);
-    }
-
-    /// The one tile definition behind both tile entry points: distances,
-    /// then `fspl(ds, lin)` fills the linear FSPL gains, then the chain.
-    #[inline]
-    fn tile(
-        &self,
-        victim: Point,
-        a: &[Point],
-        b: &[Point],
-        rel: &[ChannelRelation],
-        out: &mut [Watts],
-        fspl: impl FnOnce(&[Meters], &mut [f64]),
-    ) {
         let n = out.len();
         assert!(n <= EDGE_TILE, "tile of {n} exceeds EDGE_TILE");
         assert!(a.len() == n && b.len() == n && rel.len() == n);
@@ -257,7 +217,7 @@ impl EdgeKernel {
             ds[i] = nearer_distance(victim, a[i], b[i]);
         }
         let mut lin = [0.0f64; EDGE_TILE];
-        fspl(&ds[..n], &mut lin[..n]);
+        scratch.linear_batch(&ds[..n], &mut lin[..n]);
         for i in 0..n {
             out[i] = self.chain(lin[i], rel[i]);
         }
@@ -909,8 +869,10 @@ mod tests {
     #[test]
     fn edge_kernel_matches_carrier_contribution_bitwise() {
         // The memoized kernel must reproduce the direct transcendental
-        // path bit-for-bit: first visit (miss) and revisit (hit) alike,
-        // including the degenerate zero-distance edge.
+        // path bit-for-bit, including the degenerate zero-distance edge:
+        // the scalar oracle on a cold memo (canonical evaluations), the
+        // tile on a cold memo (misses) and on a warm one (hits), and the
+        // scalar oracle again reading the values the tiles stored.
         let ch = ch();
         let kernel = EdgeKernel::new(&ch);
         let victim = Point::new(1.5, -2.0);
@@ -921,41 +883,61 @@ mod tests {
             Point::new(-7.25, 0.125),
             Point::new(100.0, 100.0),
         ];
-        for _round in 0..2 {
-            for &a in &pts {
-                for &b in &pts {
-                    for rel in ChannelRelation::ALL {
-                        let src = if a.distance(victim) <= b.distance(victim) {
-                            a
-                        } else {
-                            b
-                        };
-                        let direct = carrier_contribution(
-                            &ch,
-                            victim,
-                            &CarrierSource {
-                                pos: src,
-                                rf: ch.carrier_rf,
-                                relation: rel,
-                            },
-                        );
-                        let got = kernel.carrier_from_pair(victim, a, b, rel);
-                        assert_eq!(
-                            got.watts().to_bits(),
-                            direct.watts().to_bits(),
-                            "a={a:?} b={b:?} {rel:?}"
-                        );
-                    }
+        let mut edges = Vec::new();
+        for &a in &pts {
+            for &b in &pts {
+                for rel in ChannelRelation::ALL {
+                    let src = if a.distance(victim) <= b.distance(victim) {
+                        a
+                    } else {
+                        b
+                    };
+                    let direct = carrier_contribution(
+                        &ch,
+                        victim,
+                        &CarrierSource {
+                            pos: src,
+                            rf: ch.carrier_rf,
+                            relation: rel,
+                        },
+                    );
+                    edges.push((a, b, rel, direct));
                 }
             }
         }
-        assert!(kernel.fspl_hits() > 0);
+        let scalar = |kernel: &EdgeKernel| {
+            for &(a, b, rel, direct) in &edges {
+                let got = kernel.carrier_from_pair(victim, a, b, rel);
+                assert_eq!(
+                    got.watts().to_bits(),
+                    direct.watts().to_bits(),
+                    "a={a:?} b={b:?} {rel:?}"
+                );
+            }
+        };
+        scalar(&kernel);
+        assert!(kernel.fspl.is_empty());
+        for _round in 0..2 {
+            for tile in edges.chunks(EDGE_TILE) {
+                let a: Vec<Point> = tile.iter().map(|e| e.0).collect();
+                let b: Vec<Point> = tile.iter().map(|e| e.1).collect();
+                let rel: Vec<ChannelRelation> = tile.iter().map(|e| e.2).collect();
+                let mut out = vec![Watts::ZERO; tile.len()];
+                kernel.carrier_tile(victim, &a, &b, &rel, &mut out);
+                for (got, e) in out.iter().zip(tile) {
+                    assert_eq!(got.watts().to_bits(), e.3.watts().to_bits(), "{e:?}");
+                }
+            }
+        }
+        assert!(!kernel.fspl.is_empty() && kernel.fspl_hits() > kernel.fspl_misses());
+        scalar(&kernel);
     }
 
     #[test]
     fn edge_tile_matches_scalar_bitwise() {
-        // Both tile entry points: the shared-memo tile and the wave's
-        // chunk-scratch tile (one scratch across the tiles, as in a chunk).
+        // Both tile entry points: a tile through a scratch of its own and
+        // tiles through one scratch, as in a wave chunk or an edge row.
+        // Both leave the memo with one miss per distinct distance.
         let ch = ch();
         let kernel = EdgeKernel::new(&ch);
         let waved = EdgeKernel::new(&ch);
@@ -982,9 +964,17 @@ mod tests {
                 }
             }
         }
-        waved.fold_scratch(scratch);
+        assert!(
+            waved.fspl.is_empty(),
+            "nothing reaches the memo before the fold"
+        );
+        scratch.fold();
         assert_eq!(waved.fspl.len(), kernel.fspl.len());
         assert_eq!(waved.fspl_misses(), kernel.fspl.len() as u64);
+        assert_eq!(
+            waved.fspl_hits() + waved.fspl_misses(),
+            kernel.fspl_hits() + kernel.fspl_misses()
+        );
     }
 
     /// Adversarial nearer-endpoint geometry, as `(victim, endpoint pairs)`:
@@ -1040,8 +1030,8 @@ mod tests {
 
     #[test]
     fn one_hypot_tile_lanes_match_carrier_from_pair_bitwise() {
-        // The counter-silent oracle joins the comparison on a kernel whose
-        // memo it must leave empty.
+        // The counter-silent scalar oracle runs on a kernel whose memo it
+        // must leave empty.
         let ch = ch();
         let kernel = EdgeKernel::new(&ch);
         let silent = EdgeKernel::new(&ch);
@@ -1055,17 +1045,14 @@ mod tests {
                 let mut out = vec![Watts::ZERO; tile.len()];
                 kernel.carrier_tile(v, &a, &b, &rel, &mut out);
                 for i in 0..tile.len() {
-                    let want = kernel.carrier_from_pair(v, a[i], b[i], rel[i]);
-                    let quiet = silent.carrier_from_pair_silent(v, a[i], b[i], rel[i]);
-                    for got in [out[i], quiet] {
-                        assert_eq!(
-                            got.watts().to_bits(),
-                            want.watts().to_bits(),
-                            "v={v:?} a={:?} b={:?}",
-                            a[i],
-                            b[i]
-                        );
-                    }
+                    let want = silent.carrier_from_pair(v, a[i], b[i], rel[i]);
+                    assert_eq!(
+                        out[i].watts().to_bits(),
+                        want.watts().to_bits(),
+                        "v={v:?} a={:?} b={:?}",
+                        a[i],
+                        b[i]
+                    );
                 }
             }
         }

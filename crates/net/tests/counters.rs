@@ -1,14 +1,18 @@
 //! Counters as witnesses of the interference work and the event kernel's
 //! traffic.
 //!
-//! The FSPL memo counts a miss only for the lookup (or chunk-scratch fold)
-//! that inserts its key, so `net.fspl.*` totals do not depend on which
+//! The FSPL memo counts a miss only for the scratch fold that inserts its
+//! key, so `net.fspl.*` totals do not depend on which
 //! worker got there first; the cache counts the kernel lanes it actually
 //! evaluates, and the bulk pass the lanes it copies from a donor row, in
 //! pool chunks of a fixed group count. Together that makes a city-block
 //! fleet's `net.fspl.*` and `net.interference.*` counters the same at any
 //! thread count, and the bulk pass's edge tallies a direct witness of how
 //! much edge work the shared-receiver grouping and the copies saved.
+//!
+//! The memo's hits and misses are published once per run from the memo
+//! itself, so they are the same totals whether the lanes went through the
+//! wave's chunk scratches or the lazy path's row scratches.
 //!
 //! The capture switches are process-global and the harness runs sibling
 //! `#[test]` functions concurrently, so every test here holds one lock.
@@ -296,4 +300,57 @@ fn kernel_counters_are_thread_count_invariant_and_match_the_report() {
         assert_eq!(value(&under_sampler, "net.kernel.ahead"), 0);
         assert_eq!(without(&under_sampler), without(&at_1));
     }
+}
+
+#[test]
+fn lazy_edge_rows_pin_the_fspl_totals_exactly() {
+    // An open system's sessions go on the air after the bring-up wave, so
+    // every edge its re-plans read comes from the lazy path: one edge row
+    // per hub, every source evaluated through one scratch per row. The
+    // memo's totals, published once per run, are then exact: one lookup
+    // per evaluated lane, and one miss per distinct nearer-endpoint
+    // distance bit pattern over the rows built, the same at any thread
+    // count.
+    let sc = FleetScenario::open_system(4, 40, Seconds::new(10.0), 7, Arbitration::Uncoordinated);
+    let prefixes = ["net.fspl.", "net.interference."];
+    let run = |threads| {
+        counted(&prefixes, || {
+            braidio_pool::with_threads(threads, || run_fleet(&sc))
+        })
+    };
+    let (_, at_1) = run(1);
+    assert_eq!(at_1, run(4).1, "counters moved between 1 and 4 threads");
+    let n = sc.pairs.len();
+    let ends = |q: usize| {
+        let p = &sc.pairs[q];
+        (sc.devices[p.tx].pos, sc.devices[p.rx].pos)
+    };
+    let hubs: HashSet<(u64, u64)> = (0..n)
+        .map(|q| (ends(q).1.x.to_bits(), ends(q).1.y.to_bits()))
+        .collect();
+    // No session is on the air at bring-up, so the wave evaluates
+    // nothing; each hub's row takes every source, live or not.
+    let lanes = value(&at_1, "net.interference.edge_recompute");
+    assert_eq!(
+        value(&at_1, "net.interference.wave_edge_recompute"),
+        0,
+        "{at_1:?}"
+    );
+    assert_eq!(
+        value(&at_1, "net.interference.row_build"),
+        hubs.len() as u64,
+        "{at_1:?}"
+    );
+    assert_eq!(lanes, (hubs.len() * n) as u64, "{at_1:?}");
+    let mut distinct = HashSet::new();
+    for &(x, y) in &hubs {
+        let rx = Point::new(f64::from_bits(x), f64::from_bits(y));
+        for q in 0..n {
+            let (a, b) = ends(q);
+            distinct.insert(a.distance(rx).min(b.distance(rx)).meters().to_bits());
+        }
+    }
+    let (hits, misses) = (value(&at_1, "net.fspl.hit"), value(&at_1, "net.fspl.miss"));
+    assert_eq!(misses, distinct.len() as u64, "{at_1:?}");
+    assert_eq!(hits + misses, lanes, "{at_1:?}");
 }

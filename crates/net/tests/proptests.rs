@@ -233,11 +233,17 @@ proptest! {
             for v in 0..n {
                 // The fake physics reads only the victim's receiver point.
                 let key = (eps[v].1.x.to_bits(), eps[v].1.y.to_bits(), 0);
-                let got = cache.interference(v, key, |v, qs: &[u32], out: &mut [Watts]| {
-                    for (o, &q) in out.iter_mut().zip(qs) {
-                        *o = edge_power(v, q as usize, eps, rel);
-                    }
-                });
+                let got = cache.interference(
+                    v,
+                    key,
+                    || (),
+                    |_: &mut (), v, qs: &[u32], out: &mut [Watts]| {
+                        for (o, &q) in out.iter_mut().zip(qs) {
+                            *o = edge_power(v, q as usize, eps, rel);
+                        }
+                    },
+                    |()| {},
+                );
                 let want = brute_sum(v, eps, live, rel);
                 prop_assert_eq!(
                     got.watts().to_bits(),
@@ -245,10 +251,15 @@ proptest! {
                     "victim {} diverged: {:?} vs {:?}", v, got, want
                 );
                 // And the clean-sum fast path returns the same bits
-                // without ever calling back into the physics.
-                let again = cache.interference(v, key, |_, _: &[u32], _: &mut [Watts]| {
-                    panic!("sum was clean")
-                });
+                // without making a scratch or calling back into the
+                // physics.
+                let again = cache.interference(
+                    v,
+                    key,
+                    || panic!("sum was clean"),
+                    |_: &mut (), _, _: &[u32], _: &mut [Watts]| unreachable!(),
+                    |()| {},
+                );
                 prop_assert_eq!(again.watts().to_bits(), got.watts().to_bits());
             }
             Ok(())
@@ -341,17 +352,26 @@ fn arb_point() -> impl Strategy<Value = Point> {
 }
 
 /// Check every pair's kernel edge against the direct transcendental path,
-/// bit for bit. The kernel is stateful (its FSPL memo fills as distances
-/// are seen), so calling this repeatedly over evolving geometry exercises
-/// both the miss path (canonical evaluation) and the hit path (table load).
+/// bit for bit: the scalar oracle, which peeks at the FSPL memo, then the
+/// edge tile, which fills it. The kernel is stateful, so calling this
+/// repeatedly over evolving geometry exercises both the miss path
+/// (canonical evaluation) and the hit path (table load) of each.
 fn assert_kernel_matches_direct(
     kernel: &EdgeKernel,
     ch: &Characterization,
     victim: Point,
     pairs: &[(Point, Point, ChannelRelation)],
 ) -> Result<(), TestCaseError> {
-    for &(a, b, rel) in pairs {
+    let mut tiled = vec![Watts::ZERO; pairs.len()];
+    for (tile, out) in pairs.chunks(EDGE_TILE).zip(tiled.chunks_mut(EDGE_TILE)) {
+        let a: Vec<Point> = tile.iter().map(|e| e.0).collect();
+        let b: Vec<Point> = tile.iter().map(|e| e.1).collect();
+        let rel: Vec<ChannelRelation> = tile.iter().map(|e| e.2).collect();
+        kernel.carrier_tile(victim, &a, &b, &rel, out);
+    }
+    for (&(a, b, rel), lane) in pairs.iter().zip(tiled) {
         let got = kernel.carrier_from_pair(victim, a, b, rel);
+        prop_assert_eq!(got.watts().to_bits(), lane.watts().to_bits(), "tile lane");
         let pos = if a.distance(victim) <= b.distance(victim) {
             a
         } else {
@@ -528,9 +548,13 @@ proptest! {
             let want = policy_brute(v, &eps, &live, arb).watts().to_bits();
             prop_assert_eq!(bits(&shared, v), kept.then_some(want), "shared sum of victim {}", v);
             prop_assert_eq!(bits(&single, v), kept.then_some(want), "own-group sum of victim {}", v);
-            let got = shared.interference(v, key(v), tile).watts().to_bits();
+            let read = |cache: &mut PairGainCache| {
+                let tile = |_: &mut (), v, qs: &[u32], out: &mut [Watts]| tile(v, qs, out);
+                cache.interference(v, key(v), || (), tile, |()| {}).watts().to_bits()
+            };
+            let got = read(&mut shared);
             prop_assert_eq!(got, want, "victim {} after the lazy read", v);
-            let got = lazy.interference(v, key(v), tile).watts().to_bits();
+            let got = read(&mut lazy);
             prop_assert_eq!(got, want, "lazy victim {}", v);
         }
     }
@@ -720,7 +744,7 @@ proptest! {
                     },
                     |(s, k)| {
                         seen.fetch_add(k, Ordering::Relaxed);
-                        kernel.fold_scratch(s);
+                        s.fold();
                     },
                 )
             });

@@ -15,10 +15,9 @@
 //! * threads only race for *which chunk to grab next* (an atomic
 //!   counter), which affects scheduling, not values.
 //!
-//! Thread count resolution (first match wins):
-//! 1. [`set_threads`] (the `experiments --jobs N` flag),
-//! 2. the `BRAIDIO_THREADS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
+//! Thread count: [`set_threads`] (the `experiments --jobs N` flag) when
+//! set, else [`std::thread::available_parallelism`]. The pool reads no
+//! environment variable.
 //!
 //! No dependencies, in the workspace's smoltcp-style spirit (DESIGN.md §5).
 
@@ -33,8 +32,8 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Override the worker count for all subsequent parallel maps.
 ///
-/// `set_threads(0)` clears the override, restoring `BRAIDIO_THREADS` /
-/// auto-detection. This is what `experiments --jobs N` calls.
+/// `set_threads(0)` clears the override, restoring auto-detection. This
+/// is what `experiments --jobs N` calls.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
@@ -45,31 +44,17 @@ pub fn thread_count() -> usize {
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = env_threads() {
-        return n;
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
 }
 
-/// `BRAIDIO_THREADS`, if set to a usable value.
-fn env_threads() -> Option<usize> {
-    std::env::var("BRAIDIO_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-}
-
-/// Which rule of the thread-count resolution chain decided
-/// [`thread_count`], so benchmark reports can attribute a wall-clock
-/// number to how its core count was chosen.
+/// Which rule decided [`thread_count`], so benchmark reports can
+/// attribute a wall-clock number to how its core count was chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadSource {
     /// [`set_threads`] — the `experiments --jobs N` flag.
     Flag,
-    /// The `BRAIDIO_THREADS` environment variable.
-    Env,
     /// [`std::thread::available_parallelism`] auto-detection.
     Auto,
 }
@@ -79,18 +64,15 @@ impl ThreadSource {
     pub fn label(self) -> &'static str {
         match self {
             ThreadSource::Flag => "jobs-flag",
-            ThreadSource::Env => "env",
             ThreadSource::Auto => "auto",
         }
     }
 }
 
-/// Where the current [`thread_count`] comes from (same resolution order).
+/// Where the current [`thread_count`] comes from.
 pub fn thread_source() -> ThreadSource {
     if THREAD_OVERRIDE.load(Ordering::SeqCst) > 0 {
         ThreadSource::Flag
-    } else if env_threads().is_some() {
-        ThreadSource::Env
     } else {
         ThreadSource::Auto
     }
@@ -313,14 +295,15 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_env_and_clears() {
+    fn override_wins_and_clears_to_auto_detection() {
         let _guard = serialized();
         set_threads(3);
         assert_eq!(thread_count(), 3);
         assert_eq!(thread_source(), ThreadSource::Flag);
         set_threads(0);
-        assert!(thread_count() >= 1);
-        assert_ne!(thread_source(), ThreadSource::Flag);
+        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(thread_count(), auto);
+        assert_eq!(thread_source(), ThreadSource::Auto);
     }
 
     #[test]

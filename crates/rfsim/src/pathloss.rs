@@ -132,20 +132,20 @@ impl FsplTable {
 /// invalidation — mobility, death and relation changes are all just new or
 /// repeated keys.
 ///
-/// Thread-safe, for the lazy per-pair path: lookups take a read lock,
-/// misses a write lock. A key that missed under the read lock is looked up
-/// again under the write lock, and if another worker (or an earlier lane of
-/// the same tile) inserted it in the meantime the lookup counts as a hit.
-/// So a miss is exactly one insert (the reserved key aside):
-/// `misses() == len()` at any thread count, and the hit/miss counters
-/// (relaxed atomics, feeding the `net.fspl.{hit,miss}` telemetry and the
-/// bench report) are deterministic totals, not thread-count dependent ones.
+/// Every lookup goes through an [`FsplScratch`] ([`scratch`](Self::scratch)),
+/// one per sweep of lanes: a wave's pool chunk, a lazy edge row, one
+/// edge tile. The scratch reads the table under a read lock and
+/// [`fold`](FsplScratch::fold)s what it evaluated back under one write
+/// lock, counting a miss for each key the fold inserts and a hit for every
+/// other lane. So a miss is exactly one insert (the reserved key aside),
+/// `misses() == len()` at any thread count, and [`hits`](Self::hits) and
+/// [`misses`](Self::misses) are deterministic totals: the engine reads them
+/// once per run as `net.fspl.hit` / `net.fspl.miss`. [`peek`](Self::peek)
+/// is the one other way in, for debug oracles, and changes nothing.
 ///
-/// A parallel sweep does not share the lock per tile: each worker chunk
-/// looks its lanes up in an [`FsplScratch`] of its own, which takes no lock
-/// and touches no atomic on a scratch hit, and folds what it evaluated into
-/// the memo once, when the chunk ends. The fold keeps the same totals: it
-/// counts a miss for each key it inserts.
+/// The lock and the atomic counters let scratches fold from several
+/// threads: a wave's chunks fold on their pool workers, and so do the
+/// per-tile scratches of a caller that runs tiles in parallel.
 pub struct FsplMemo {
     f: Hertz,
     table: RwLock<FsplTable>,
@@ -169,37 +169,6 @@ impl FsplMemo {
         self.f
     }
 
-    /// `free_space_gain(d, f).linear()`, memoized exactly.
-    #[inline]
-    pub fn linear(&self, d: Meters) -> f64 {
-        self.lookup(d).0
-    }
-
-    /// [`FsplMemo::linear`] plus whether the lookup was a hit — callers
-    /// that keep their own hit/miss telemetry use this form.
-    #[inline]
-    pub fn lookup(&self, d: Meters) -> (f64, bool) {
-        let key = d.meters().to_bits();
-        if key == FSPL_EMPTY_KEY {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return (free_space_gain(d, self.f).linear(), false);
-        }
-        if let Some(v) = self.table.read().expect("fspl memo poisoned").get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (v, true);
-        }
-        let mut table = self.table.write().expect("fspl memo poisoned");
-        if let Some(v) = table.get(key) {
-            // Inserted by another worker between the two locks.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (v, true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = free_space_gain(d, self.f).linear();
-        table.insert(key, v);
-        (v, false)
-    }
-
     /// `free_space_gain(d, f).linear()` without touching the memo: the
     /// stored value when `d` is resident, the canonical evaluation (the
     /// same bits) otherwise. Neither the table nor the hit/miss counters
@@ -215,69 +184,7 @@ impl FsplMemo {
         stored.unwrap_or_else(|| free_space_gain(d, self.f).linear())
     }
 
-    /// Memoized lookup for a whole tile of distances: `out[i]` receives the
-    /// linear gain for `ds[i]`. Returns `(hits, misses)` for this call.
-    ///
-    /// Identical results to calling [`FsplMemo::linear`] per element, for
-    /// one read-lock acquisition per tile instead of one per edge. A
-    /// repeated distance within the tile misses once and hits thereafter,
-    /// exactly as per-element calls would count it. A sweep fanned out over
-    /// workers goes through an [`FsplScratch`] per chunk instead.
-    pub fn linear_batch(&self, ds: &[Meters], out: &mut [f64]) -> (u64, u64) {
-        assert_eq!(ds.len(), out.len());
-        let mut miss_at = [0usize; 64];
-        let mut nmiss = 0usize;
-        let mut extra_misses: Vec<usize> = Vec::new();
-        {
-            let table = self.table.read().expect("fspl memo poisoned");
-            for (i, d) in ds.iter().enumerate() {
-                let key = d.meters().to_bits();
-                match if key == FSPL_EMPTY_KEY {
-                    None
-                } else {
-                    table.get(key)
-                } {
-                    Some(v) => out[i] = v,
-                    None => {
-                        if nmiss < miss_at.len() {
-                            miss_at[nmiss] = i;
-                        } else {
-                            extra_misses.push(i);
-                        }
-                        nmiss += 1;
-                    }
-                }
-            }
-        }
-        let mut misses = 0u64;
-        if nmiss > 0 {
-            let mut table = self.table.write().expect("fspl memo poisoned");
-            let fixed = nmiss.min(miss_at.len());
-            for &i in miss_at[..fixed].iter().chain(extra_misses.iter()) {
-                let key = ds[i].meters().to_bits();
-                // Re-check under the write lock: another worker, or an
-                // earlier lane of this tile, may have inserted the key.
-                if key != FSPL_EMPTY_KEY {
-                    if let Some(v) = table.get(key) {
-                        out[i] = v;
-                        continue;
-                    }
-                }
-                misses += 1;
-                let v = free_space_gain(ds[i], self.f).linear();
-                out[i] = v;
-                if key != FSPL_EMPTY_KEY {
-                    table.insert(key, v);
-                }
-            }
-        }
-        let hits = ds.len() as u64 - misses;
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        (hits, misses)
-    }
-
-    /// An empty chunk-local scratch in front of this memo.
+    /// An empty scratch in front of this memo.
     pub fn scratch(&self) -> FsplScratch<'_> {
         FsplScratch {
             memo: self,
@@ -288,12 +195,13 @@ impl FsplMemo {
         }
     }
 
-    /// Total lookup hits since construction.
+    /// Lanes folded as hits since construction.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Total lookup misses (canonical evaluations) since construction.
+    /// Lanes folded as misses (canonical evaluations the memo kept, and
+    /// reserved-key lanes) since construction.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -324,15 +232,16 @@ impl core::fmt::Debug for FsplMemo {
 const SCRATCH_BLOCK: usize = 64;
 
 /// Initial [`FsplScratch`] table capacity (slots). Small, because a
-/// scratch lives for one pool chunk and a small wave's chunk sees a few
-/// dozen distances: starting at the memo's 1 024 slots, the
-/// `experiments fleet` grid's planning-wave p50 at one thread read 19 µs
-/// against the shared path's 9 µs (at 64 slots, 10 µs against 8 µs).
+/// scratch lives for one pool chunk, one edge row or one tile, and a small
+/// wave's chunk sees a few dozen distances: starting at the memo's 1 024
+/// slots, the `experiments fleet` grid's planning-wave p50 at one thread
+/// read 19 µs against a shared-memo tile's 9 µs (at 64 slots, 10 µs
+/// against 8 µs).
 const SCRATCH_INITIAL_CAP: usize = 64;
 
-/// A worker chunk's own exact FSPL table in front of a shared [`FsplMemo`],
-/// so that a parallel sweep's lookups neither take the memo's lock nor
-/// touch its counters lane by lane.
+/// The one way to look distances up in an [`FsplMemo`]: an exact FSPL
+/// table of its own in front of the memo, so that a sweep's lookups
+/// neither take the memo's lock nor touch its counters lane by lane.
 ///
 /// [`linear_batch`](Self::linear_batch) looks each lane up in the scratch
 /// first; a scratch hit takes no lock and makes no atomic read-modify-write
@@ -340,17 +249,17 @@ const SCRATCH_INITIAL_CAP: usize = 64;
 /// memo under one read lock per block, and copied into the scratch. A key
 /// the memo lacks as well gets the canonical
 /// `free_space_gain(d, f).linear()` evaluation and is recorded as *fresh*.
-/// So every lane gets the bits [`FsplMemo::linear`] would return.
+/// So every lane gets the canonical bits.
 ///
 /// [`fold`](Self::fold) ends the scratch: it inserts the fresh keys into
 /// the memo under one write lock, counts a miss for each key the fold
-/// inserts (another chunk may have folded the same key first) and a hit for
-/// every other lane. Every key the memo ever holds is then inserted, and
-/// counted as a miss, exactly once, whichever chunk folds first, so the
-/// memo's contents and hit/miss totals are the ones the per-tile shared
-/// path produces, at any thread count. The reserved key
-/// (`FSPL_EMPTY_KEY`) is a miss on every lane and is never stored, as on
-/// the shared path.
+/// inserts (another scratch may have folded the same key first) and a hit
+/// for every other lane. Every key the memo ever holds is then inserted,
+/// and counted as a miss, exactly once, whichever scratch folds first, so
+/// the memo's contents and hit/miss totals depend only on the lanes looked
+/// up, not on how they were split into scratches or in which order those
+/// folded (DESIGN.md §15). The reserved key (`FSPL_EMPTY_KEY`) is a miss
+/// on every lane and is never stored.
 #[must_use = "a scratch's lookups reach the memo and its counters only through `fold`"]
 pub struct FsplScratch<'a> {
     memo: &'a FsplMemo,
@@ -434,8 +343,8 @@ impl FsplScratch<'_> {
     }
 
     /// Fold the fresh keys into the memo and add this scratch's lanes to
-    /// its counters; returns this scratch's `(hits, misses)`.
-    pub fn fold(self) -> (u64, u64) {
+    /// its counters.
+    pub fn fold(self) {
         let mut misses = self.reserved;
         if !self.fresh.is_empty() {
             let mut shared = self.memo.table.write().expect("fspl memo poisoned");
@@ -445,10 +354,10 @@ impl FsplScratch<'_> {
                 }
             }
         }
-        let hits = self.lanes - misses;
-        self.memo.hits.fetch_add(hits, Ordering::Relaxed);
+        self.memo
+            .hits
+            .fetch_add(self.lanes - misses, Ordering::Relaxed);
         self.memo.misses.fetch_add(misses, Ordering::Relaxed);
-        (hits, misses)
     }
 }
 
@@ -650,72 +559,67 @@ mod tests {
         assert!(n3 < n2);
     }
 
+    /// Every lane of `ds` through one scratch of `memo`, in calls of
+    /// `step` lanes, each lane checked against the canonical evaluation;
+    /// the scratch is returned unfolded.
+    fn through_scratch<'a>(memo: &'a FsplMemo, ds: &[Meters], step: usize) -> FsplScratch<'a> {
+        let mut scratch = memo.scratch();
+        for d in ds.chunks(step) {
+            let mut out = vec![0.0; d.len()];
+            scratch.linear_batch(d, &mut out);
+            for (d, got) in d.iter().zip(&out) {
+                let want = free_space_gain(*d, F).linear();
+                assert_eq!(got.to_bits(), want.to_bits(), "{d:?}");
+            }
+        }
+        scratch
+    }
+
+    /// `memo`'s `(hits, misses, len)`.
+    fn totals(memo: &FsplMemo) -> (u64, u64, usize) {
+        (memo.hits(), memo.misses(), memo.len())
+    }
+
     #[test]
     fn fspl_memo_is_bitwise_exact() {
         let memo = FsplMemo::new(F);
         // Sweep including the degenerate cases: zero, below the near-field
         // floor, exactly on it, and repeats of every value (hit path).
-        let ds = [0.0, 0.001, 0.05, 0.3, 1.0, 2.5, 3.0, 17.25, 424.2];
+        let ds = [0.0, 0.001, 0.05, 0.3, 1.0, 2.5, 3.0, 17.25, 424.2].map(Meters::new);
         // `peek` gives the canonical bits on a cold memo and on a warm one,
         // and never counts or inserts.
         let peek_all = |memo: &FsplMemo| {
-            for &d in &ds {
-                let want = free_space_gain(Meters::new(d), F).linear();
-                assert_eq!(memo.peek(Meters::new(d)).to_bits(), want.to_bits(), "d={d}");
+            for d in ds {
+                let want = free_space_gain(d, F).linear();
+                assert_eq!(memo.peek(d).to_bits(), want.to_bits(), "{d:?}");
             }
         };
         peek_all(&memo);
-        assert!(memo.is_empty() && memo.hits() + memo.misses() == 0);
+        assert_eq!(totals(&memo), (0, 0, 0));
+        // Three sweeps, a scratch each: the first evaluates every key and
+        // its fold inserts them, the other two read them from the memo.
         for _ in 0..3 {
-            for &d in &ds {
-                let got = memo.linear(Meters::new(d));
-                let want = free_space_gain(Meters::new(d), F).linear();
-                assert_eq!(got.to_bits(), want.to_bits(), "d={d}");
-            }
+            through_scratch(&memo, &ds, ds.len()).fold();
         }
         peek_all(&memo);
-        assert_eq!(memo.misses(), ds.len() as u64);
-        assert_eq!(memo.hits(), 2 * ds.len() as u64);
-        assert_eq!(memo.len(), ds.len());
-    }
-
-    #[test]
-    fn fspl_memo_batch_matches_scalar_bitwise() {
-        let scalar = FsplMemo::new(F);
-        let batch = FsplMemo::new(F);
-        // Two rounds over a tile with in-tile duplicates: round one is all
-        // misses, round two all hits.
-        let ds: Vec<Meters> = (0..100)
-            .map(|i| Meters::new(0.25 * (i % 37) as f64))
-            .collect();
-        for _ in 0..2 {
-            let mut out = vec![0.0; ds.len()];
-            let (h, m) = batch.linear_batch(&ds, &mut out);
-            assert_eq!(h + m, ds.len() as u64);
-            for (d, got) in ds.iter().zip(&out) {
-                assert_eq!(got.to_bits(), scalar.linear(*d).to_bits(), "{d:?}");
-            }
-        }
-        assert_eq!(batch.hits() + batch.misses(), 2 * ds.len() as u64);
-        // 37 distinct distances: one miss (one insert) each, in-tile
-        // duplicates included; everything else is a hit.
-        assert_eq!(batch.len(), 37);
-        assert_eq!(batch.misses(), 37);
-        assert_eq!(scalar.misses(), 37);
+        assert_eq!(
+            totals(&memo),
+            (2 * ds.len() as u64, ds.len() as u64, ds.len())
+        );
     }
 
     #[test]
     fn fspl_memo_misses_equal_inserts_at_any_thread_count() {
-        // Workers racing over the same distances: whichever inserts a key
-        // first takes its one miss, every other lookup is a hit, so the
+        // Workers racing over the same distances, through one scratch per
+        // sweep or one per 64-lane tile: whichever fold inserts a key
+        // first takes its one miss, every other lane is a hit, so the
         // totals match the serial run exactly.
         let ds: Vec<Meters> = (0..256)
             .map(|i| Meters::new(0.125 * (i % 53) as f64))
             .collect();
         let serial = FsplMemo::new(F);
         for _ in 0..4 {
-            let mut out = vec![0.0; ds.len()];
-            serial.linear_batch(&ds, &mut out);
+            through_scratch(&serial, &ds, 64).fold();
         }
         let shared = FsplMemo::new(F);
         std::thread::scope(|s| {
@@ -723,58 +627,37 @@ mod tests {
                 let (shared, ds) = (&shared, &ds);
                 s.spawn(move || {
                     if t % 2 == 0 {
-                        let mut out = vec![0.0; ds.len()];
-                        shared.linear_batch(ds, &mut out);
+                        through_scratch(shared, ds, 64).fold();
                     } else {
-                        for &d in ds {
-                            shared.lookup(d);
+                        for tile in ds.chunks(64) {
+                            through_scratch(shared, tile, 64).fold();
                         }
                     }
                 });
             }
         });
         assert_eq!(shared.misses(), 53);
-        assert_eq!(shared.misses(), shared.len() as u64);
-        assert_eq!(shared.hits(), serial.hits());
-        assert_eq!(shared.misses(), serial.misses());
-    }
-
-    /// Every lane of `ds` through one scratch of `memo`, in calls of
-    /// `step` lanes, each lane checked against [`FsplMemo::linear`] on a
-    /// memo of its own; the scratch is returned unfolded.
-    fn through_scratch<'a>(memo: &'a FsplMemo, ds: &[Meters], step: usize) -> FsplScratch<'a> {
-        let oracle = FsplMemo::new(F);
-        let mut scratch = memo.scratch();
-        for d in ds.chunks(step) {
-            let mut out = vec![0.0; d.len()];
-            scratch.linear_batch(d, &mut out);
-            for (d, got) in d.iter().zip(&out) {
-                assert_eq!(got.to_bits(), oracle.linear(*d).to_bits(), "{d:?}");
-            }
-        }
-        scratch
+        assert_eq!(totals(&shared), totals(&serial));
     }
 
     #[test]
-    fn fspl_scratch_lanes_match_memo_linear_bitwise() {
+    fn fspl_scratch_lanes_match_the_canonical_evaluation_bitwise() {
         // 300 lanes over 41 distances (zero and sub-floor ones included),
         // in calls that cross the 64-lane blocks, on a memo that already
         // holds ten of them: lanes come from the scratch, from the memo
-        // and from fresh evaluations, and each is the memo's bits.
+        // and from fresh evaluations, and each is the canonical bits.
         let ds: Vec<Meters> = (0..300)
             .map(|i| Meters::new(0.02 * (i % 41) as f64))
             .collect();
         for step in [1, 7, 64, 100] {
             let memo = FsplMemo::new(F);
-            for d in &ds[..10] {
-                memo.linear(*d);
-            }
+            through_scratch(&memo, &ds[..10], 10).fold();
             let scratch = through_scratch(&memo, &ds, step);
             // Nothing reaches the memo before the fold.
-            assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 10, 10));
+            assert_eq!(totals(&memo), (0, 10, 10));
             // The 31 keys the memo lacked are its only new misses.
-            assert_eq!(scratch.fold(), (300 - 31, 31), "step {step}");
-            assert_eq!((memo.hits(), memo.misses(), memo.len()), (269, 41, 41));
+            scratch.fold();
+            assert_eq!(totals(&memo), (300 - 31, 41, 41), "step {step}");
         }
     }
 
@@ -783,7 +666,7 @@ mod tests {
         // Two chunks whose key sets overlap, both looked up before either
         // folds, so each holds the shared keys as fresh. Either fold order
         // leaves the memo holding the union, one miss per key, and the
-        // totals the shared per-tile path counts for the same lanes.
+        // totals of one scratch over both chunks' lanes.
         let a: Vec<Meters> = (0..150)
             .map(|i| Meters::new(0.25 * (i % 37) as f64))
             .collect();
@@ -796,21 +679,17 @@ mod tests {
                 through_scratch(&memo, first, 64),
                 through_scratch(&memo, second, 64),
             );
-            let (hx, mx) = x.fold();
-            let (hy, my) = y.fold();
-            assert_eq!((hx + hy, mx + my), (memo.hits(), memo.misses()));
-            (memo.len(), memo.hits(), memo.misses())
+            x.fold();
+            y.fold();
+            totals(&memo)
         };
         let ab = fold_in(&a, &b);
         assert_eq!(ab, fold_in(&b, &a));
-        let shared = FsplMemo::new(F);
-        for ds in [&a, &b] {
-            let mut out = vec![0.0; ds.len()];
-            shared.linear_batch(ds, &mut out);
-        }
+        let one = FsplMemo::new(F);
+        through_scratch(&one, &[a, b].concat(), 64).fold();
         // 0.25·(0..37) ∪ 0.25·(20..49): 49 distinct distances.
-        assert_eq!(ab, (49, shared.hits(), shared.misses()));
-        assert_eq!(ab.0, 49);
+        assert_eq!(ab, totals(&one));
+        assert_eq!(ab, (300 - 49, 49, 49));
     }
 
     #[test]
@@ -833,33 +712,25 @@ mod tests {
         }
         assert_eq!(scratch.table.len, 1, "the reserved key is never stored");
         // Three reserved lanes and the one insert of 1 m miss.
-        assert_eq!(scratch.fold(), (1, 4));
-        assert_eq!(memo.len(), 1);
-        // The shared path counts the same lanes the same way.
-        let shared = FsplMemo::new(F);
-        let mut out = [0.0; 5];
-        assert_eq!(shared.linear_batch(&ds, &mut out), (1, 4));
-        assert_eq!(shared.len(), 1);
+        scratch.fold();
+        assert_eq!(totals(&memo), (1, 4, 1));
     }
 
     #[test]
     fn fspl_memo_survives_table_growth() {
+        // More distinct keys than either table's initial capacity holds at
+        // 50 % load: the scratch and the memo rehash several times, and
+        // every value must survive them.
         let memo = FsplMemo::new(F);
-        // More distinct keys than the initial capacity can hold at 50 %
-        // load: forces several rehashes, and every value must survive them.
         let n = 4096;
-        for i in 0..n {
-            let _ = memo.linear(Meters::new(0.01 * i as f64));
-        }
+        let ds: Vec<Meters> = (0..n).map(|i| Meters::new(0.01 * i as f64)).collect();
+        through_scratch(&memo, &ds, 64).fold();
         assert_eq!(memo.len(), n);
-        for i in 0..n {
-            let d = Meters::new(0.01 * i as f64);
-            assert_eq!(
-                memo.linear(d).to_bits(),
-                free_space_gain(d, F).linear().to_bits()
-            );
+        for d in &ds {
+            let want = free_space_gain(*d, F).linear();
+            assert_eq!(memo.peek(*d).to_bits(), want.to_bits(), "{d:?}");
         }
-        assert_eq!(memo.misses(), n as u64);
-        assert_eq!(memo.hits(), n as u64);
+        through_scratch(&memo, &ds, 64).fold();
+        assert_eq!(totals(&memo), (n as u64, n as u64, n));
     }
 }

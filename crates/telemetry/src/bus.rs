@@ -210,10 +210,11 @@ fn emit_slow(event: Event) {
 ///   miss per distinct separation bit pattern. Deterministic totals, like
 ///   the options counters.
 /// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss
-///   memo on the interference edge kernel (`braidio-rfsim::pathloss`,
-///   counted by `braidio-net::interference`). A key is re-checked under
-///   the memo's write lock, so a miss is exactly one insert and the
-///   totals are the same at any thread count.
+///   memo on the interference edge kernel (`braidio-rfsim::pathloss`):
+///   its own totals, read once per fleet run by `braidio-net::engine`.
+///   Every lookup goes through a scratch whose fold counts a miss only
+///   for a key it inserts, so a miss is exactly one insert and the totals
+///   are the same at any thread count.
 #[inline]
 pub fn count(name: &'static str) {
     if !active() {

@@ -2,8 +2,8 @@
 //!
 //! Victims that listen at the same point under the same channel-plan row
 //! share each interference edge evaluation in the bring-up wave. Through
-//! the real edge kernel (the wave's chunk-scratch tiles for the grouped
-//! sums, the shared-memo tiles for the lazy ones), every grouped sum must
+//! the real edge kernel (FSPL through a scratch per pool chunk for the
+//! grouped sums, and one per edge row for the lazy ones), every grouped sum must
 //! equal the lazy per-victim sum and the brute-force rescan over the
 //! two-`hypot` scalar kernel, bit for bit. The property-based version of
 //! this check lives in `braidio-net`'s proptests.
@@ -47,12 +47,8 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
         let rel: Vec<ChannelRelation> = qs.iter().map(|&q| arb.relation(v, q as usize)).collect();
         (a, b, rel)
     };
-    let tile = |v: usize, qs: &[u32], out: &mut [Watts]| {
-        let (a, b, rel) = gather(v, qs);
-        kernel.carrier_tile(eps[v].1, &a, &b, &rel, out);
-    };
-    // The wave's form: FSPL through each pool chunk's own scratch.
-    let wave_tile = |s: &mut FsplScratch, v: usize, qs: &[u32], out: &mut [Watts]| {
+    // The engine's form: FSPL through the caller's scratch.
+    let tile = |s: &mut FsplScratch, v: usize, qs: &[u32], out: &mut [Watts]| {
         let (a, b, rel) = gather(v, qs);
         kernel.carrier_tile_scratch(s, eps[v].1, &a, &b, &rel, out);
     };
@@ -75,8 +71,8 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
         key,
         (&pa, &pb),
         || kernel.fspl_scratch(),
-        wave_tile,
-        |s| kernel.fold_scratch(s),
+        tile,
+        FsplScratch::fold,
     );
     assert_eq!(shared.ndirty(), 0);
     for v in 0..n {
@@ -86,7 +82,8 @@ fn shared_receiver_wave_matches_lazy_and_brute_force_bitwise() {
             brute += kernel.carrier_from_pair(eps[v].1, a, b, arb.relation(v, q));
         }
         let grouped = shared.cached_sum(v).expect("every victim was rebuilt");
-        let single = lazy.interference(v, key(v), tile);
+        let single =
+            lazy.interference(v, key(v), || kernel.fspl_scratch(), tile, FsplScratch::fold);
         assert_eq!(
             grouped.watts().to_bits(),
             brute.watts().to_bits(),
