@@ -330,9 +330,7 @@ fn write_or_die(path: &str, contents: &str) {
 /// populated only when tracing or profiling is on, since the counters are
 /// gated behind the same fast path as event capture). Schema 4 adds
 /// `threads_source` — where the worker-thread count came from
-/// (`"jobs-flag"` or `"auto"`; schema 4 to 9 runs could also read `"env"`,
-/// which no run writes since the pool stopped reading the environment), so
-/// a perf dashboard can tell a
+/// (`"jobs-flag"` or `"auto"`), so a perf dashboard can tell a
 /// pinned `--jobs 8` run from whatever the runner's core count happened
 /// to be. Schema 5 marks the open-system churn additions: `fleet --churn`
 /// populates per-policy admission-latency histograms

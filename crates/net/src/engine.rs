@@ -254,9 +254,8 @@ struct QuantumRecipe {
     /// airtime: what every quantum but a battery's last one is.
     full: PendingQuantum,
     full_airtime: Seconds,
-    /// The full quantum is at least one finite bit, and neither per-bit
-    /// cost has its sign bit set: with it, the twice-the-draw test alone
-    /// decides [`trains`](Self::trains).
+    /// The full quantum is at least one finite bit: with it, the
+    /// twice-the-draw test alone decides [`trains`](Self::trains).
     whole: bool,
 }
 
@@ -300,10 +299,7 @@ impl QuantumRecipe {
     /// This recipe with its full quantum of `quantum_bits` bits.
     fn sized(mut self, quantum_bits: f64) -> Self {
         (self.full, self.full_airtime) = self.quantum(quantum_bits, false);
-        self.whole = quantum_bits.is_finite()
-            && quantum_bits >= 1.0
-            && self.c_tx.is_sign_positive()
-            && self.c_rx.is_sign_positive();
+        self.whole = quantum_bits.is_finite() && quantum_bits >= 1.0;
         self
     }
 
@@ -354,9 +350,9 @@ impl QuantumRecipe {
     /// gives the full quantum, so no division runs here. Take one side,
     /// with remaining energy `E`, per-bit cost `c` and full quantum `Q`
     /// bits, whose draw is `D = fl(Q·c)`. `E` is a battery's, so never
-    /// negative or NaN, and `whole` holds, so `Q` is finite and at least 1
-    /// and `c` is `+0` or positive (a NaN `c` makes `D` NaN and the test
-    /// false). Given `E > 2D`, `fl(E / c) > Q`:
+    /// negative or NaN; `c` is a sum of non-negative energies per bit, so
+    /// `+0` or positive; and `whole` holds, so `Q` is finite and at least
+    /// 1. Given `E > 2D`, `fl(E / c) > Q`:
     ///
     /// * `c = +0`: `E > 0`, so `E / c = +∞`.
     /// * `Q·c` in the normal range: `D ≥ Q·c·(1 − u)`, `u = 2⁻⁵³`, so
@@ -370,10 +366,9 @@ impl QuantumRecipe {
     /// (`D = +∞` fails the test.) So both quotients exceed `Q`, the
     /// affordable bits are more than the full quantum, and `next` returns
     /// the full one: `affordable <= Q` is false and `min(Q, affordable) =
-    /// Q` is at least one finite bit. Without `whole`, `next` never gives a
-    /// full quantum that leaves energy to spare either: the quantum is
-    /// under a bit, not finite, or its draw is NaN or `+∞`, or a cost with
-    /// its sign bit set makes a quotient negative or NaN.
+    /// Q` is at least one finite bit. Without `whole` the old test is
+    /// false too: `next` affords no quantum under a bit, and a quantum
+    /// that is not finite draws `+∞` or NaN, which no battery exceeds.
     fn trains(&self, rem_tx: Joules, rem_rx: Joules) -> bool {
         self.whole
             && rem_tx.joules() > 2.0 * self.full.e_tx.joules()
@@ -2493,18 +2488,16 @@ mod tests {
             && r.next(rem_tx, rem_rx).is_some_and(|(q, _)| !q.last)
     }
 
-    /// A per-bit cost, J/bit: zero of either sign, subnormal, tiny normal,
-    /// a radio's, huge, or negative.
+    /// A per-bit cost, J/bit: zero, subnormal, tiny normal, a radio's, or
+    /// huge.
     fn arb_cost() -> impl proptest::strategy::Strategy<Value = f64> {
         use proptest::prelude::*;
-        (0u8..7, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+        (0u8..5, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
             0 => 0.0,
-            1 => -0.0,
-            2 => f64::from_bits(1 + (x * (1u64 << 52) as f64) as u64),
-            3 => 1e-305 * (1.0 + x),
-            4 => 1e-9 * (1.0 + 1e3 * x),
-            5 => 1e300 * (1.0 + x),
-            _ => -1e-9 * (1.0 + x),
+            1 => f64::from_bits(1 + (x * (1u64 << 52) as f64) as u64),
+            2 => 1e-305 * (1.0 + x),
+            3 => 1e-9 * (1.0 + 1e3 * x),
+            _ => 1e300 * (1.0 + x),
         })
     }
 
