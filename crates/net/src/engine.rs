@@ -254,9 +254,6 @@ struct QuantumRecipe {
     /// airtime: what every quantum but a battery's last one is.
     full: PendingQuantum,
     full_airtime: Seconds,
-    /// The full quantum is at least one finite bit: with it, the
-    /// twice-the-draw test alone decides [`trains`](Self::trains).
-    whole: bool,
 }
 
 impl QuantumRecipe {
@@ -285,22 +282,15 @@ impl QuantumRecipe {
             fractions[i] = a.fraction;
             shape.nslices += 1;
         }
-        QuantumRecipe {
+        let mut recipe = QuantumRecipe {
             c_tx,
             c_rx,
             fractions,
             full: shape,
             full_airtime: Seconds::ZERO,
-            whole: false,
-        }
-        .sized(quantum_bits)
-    }
-
-    /// This recipe with its full quantum of `quantum_bits` bits.
-    fn sized(mut self, quantum_bits: f64) -> Self {
-        (self.full, self.full_airtime) = self.quantum(quantum_bits, false);
-        self.whole = quantum_bits.is_finite() && quantum_bits >= 1.0;
-        self
+        };
+        (recipe.full, recipe.full_airtime) = recipe.quantum(quantum_bits, false);
+        recipe
     }
 
     /// A quantum of `bits` under this recipe, and its airtime.
@@ -346,13 +336,14 @@ impl QuantumRecipe {
     /// the quantum after it is affordable and a train never crosses the
     /// pair's death, which other pairs would see.
     ///
-    /// The twice-the-draw test already implies that [`next`](Self::next)
-    /// gives the full quantum, so no division runs here. Take one side,
-    /// with remaining energy `E`, per-bit cost `c` and full quantum `Q`
-    /// bits, whose draw is `D = fl(Q·c)`. `E` is a battery's, so never
-    /// negative or NaN; `c` is a sum of non-negative energies per bit, so
-    /// `+0` or positive; and `whole` holds, so `Q` is finite and at least
-    /// 1. Given `E > 2D`, `fl(E / c) > Q`:
+    /// With the recipe constant `Q ≥ 1` (the full quantum's bits), the
+    /// twice-the-draw test already implies that [`next`](Self::next) gives
+    /// the full quantum, so no division runs here. Take one side, with
+    /// remaining energy `E`, per-bit cost `c` and draw `D = fl(Q·c)`. `E`
+    /// is a battery's, so never negative or NaN; `c` is a sum of
+    /// non-negative energies per bit, so `+0` or positive. An infinite `Q`
+    /// draws `+∞` or NaN, which no battery exceeds, so let `Q` be finite.
+    /// Given `E > 2D`, `fl(E / c) > Q`:
     ///
     /// * `c = +0`: `E > 0`, so `E / c = +∞`.
     /// * `Q·c` in the normal range: `D ≥ Q·c·(1 − u)`, `u = 2⁻⁵³`, so
@@ -366,11 +357,11 @@ impl QuantumRecipe {
     /// (`D = +∞` fails the test.) So both quotients exceed `Q`, the
     /// affordable bits are more than the full quantum, and `next` returns
     /// the full one: `affordable <= Q` is false and `min(Q, affordable) =
-    /// Q` is at least one finite bit. Without `whole` the old test is
-    /// false too: `next` affords no quantum under a bit, and a quantum
-    /// that is not finite draws `+∞` or NaN, which no battery exceeds.
+    /// Q` is at least one finite bit. A `Q` under one bit fails `Q ≥ 1`,
+    /// and `next` never affords such a quantum either; a NaN `Q` fails
+    /// both tests.
     fn trains(&self, rem_tx: Joules, rem_rx: Joules) -> bool {
-        self.whole
+        self.full.bits >= 1.0
             && rem_tx.joules() > 2.0 * self.full.e_tx.joules()
             && rem_rx.joules() > 2.0 * self.full.e_rx.joules()
     }
@@ -2552,7 +2543,8 @@ mod tests {
             rx in (0u8..8, 0.0f64..1.0),
         ) {
             let sc = small_pair(Arbitration::Uncoordinated);
-            let r = QuantumRecipe { c_tx, c_rx, ..recipe(&plans(&sc).1, &sc) }.sized(bits);
+            let mut r = QuantumRecipe { c_tx, c_rx, ..recipe(&plans(&sc).1, &sc) };
+            (r.full, r.full_airtime) = r.quantum(bits, false);
             let (rem_tx, rem_rx) = (battery(r.full.e_tx.joules(), tx), battery(r.full.e_rx.joules(), rx));
             proptest::prop_assert_eq!(
                 r.trains(rem_tx, rem_rx),
