@@ -158,11 +158,12 @@ fn slot_index(t: f64, s: f64) -> u64 {
 }
 
 /// The start of `pair`'s next TDMA slot after `t`, which lies outside
-/// its own slot.
+/// its own slot: strictly later than `t`, so a caller sees a deferral as
+/// `next_transmit_at(..) != t`. Out of line, so that
+/// [`Arbitration::next_transmit_at`] stays small enough to inline into
+/// the fleet engine's quantum train.
 #[inline(never)]
 fn next_own_slot(slot: Seconds, pair: usize, n_pairs: usize, t: Seconds) -> Seconds {
-    // The pair is outside its slot and must wait for its turn.
-    braidio_telemetry::count("net.arbitration.deferred");
     let s = slot.seconds();
     let idx = slot_index(t.seconds(), s);
     let n = n_pairs as u64;

@@ -70,7 +70,7 @@
 //! `braidio-pool` workers in order of their first member, and merges them
 //! back in group order (DESIGN.md §12). The chunk size is fixed, never
 //! derived from the thread count, so which rows serve as donors, which
-//! lanes are copied, and every `net.interference.*` and `net.fspl.*` count
+//! lanes are copied, every [`CacheTally`] count and the FSPL memo's totals
 //! are the same at any `--jobs`. Each chunk threads a scratch `s` of its
 //! own through its tiles and hands it back when it ends; the engine's is an
 //! FSPL scratch (`braidio_rfsim::pathloss::FsplScratch`) folded into the
@@ -108,7 +108,6 @@
 
 use crate::interference::EDGE_TILE;
 use braidio_rfsim::geometry::Point;
-use braidio_telemetry as telemetry;
 use braidio_units::Watts;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -126,8 +125,8 @@ pub const ROW_CAP: usize = 64;
 
 /// Groups per pool chunk of the bulk pass. A constant, never derived from
 /// the thread count: donors come from the chunk's own rows, so this fixes
-/// which lanes are copied, and with them every `net.interference.*` and
-/// `net.fspl.*` count, at any `--jobs`.
+/// which lanes are copied, and with them every [`CacheTally`] count and
+/// the FSPL memo's totals, at any `--jobs`.
 pub const WAVE_CHUNK: usize = 256;
 
 /// Most recent rows of a bulk-pass chunk a new row may copy lanes from. A
@@ -174,6 +173,27 @@ pub struct PairGainCache {
     /// The edge row of each receiver key that holds one: `n` values,
     /// indexed by source pair.
     rows: HashMap<ReceiverKey, Box<[Watts]>>,
+    tally: CacheTally,
+}
+
+/// A [`PairGainCache`]'s work since it was made. The bulk pass chunks its
+/// groups by the fixed [`WAVE_CHUNK`], so every count is the same at any
+/// thread count.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CacheTally {
+    /// Sums a lazy read served clean.
+    pub sum_reuse: u64,
+    /// Sums rebuilt, by a lazy read or the bulk pass.
+    pub sum_rebuild: u64,
+    /// Edge rows the lazy path built and kept.
+    pub row_build: u64,
+    /// Edge lanes evaluated through the edge-tile closure, by either path.
+    pub edge_recompute: u64,
+    /// The share of `edge_recompute` the bulk pass evaluated.
+    pub wave_edge_recompute: u64,
+    /// The bulk pass's lanes copied from a donor row, not evaluated: the
+    /// pass filled `wave_edge_recompute + wave_edge_reused` lanes.
+    pub wave_edge_reused: u64,
 }
 
 impl PairGainCache {
@@ -191,7 +211,13 @@ impl PairGainCache {
                 .collect(),
             ndirty: n,
             rows: HashMap::new(),
+            tally: CacheTally::default(),
         }
+    }
+
+    /// Everything the cache did so far.
+    pub fn tally(&self) -> CacheTally {
+        self.tally
     }
 
     /// Is pair `q` still contributing to sums?
@@ -279,10 +305,10 @@ impl PairGainCache {
         F: FnOnce(S),
     {
         if !self.sum_dirty[victim] {
-            telemetry::count("net.interference.sum_reuse");
+            self.tally.sum_reuse += 1;
             return Watts::new(self.sum[victim]);
         }
-        telemetry::count("net.interference.sum_rebuild");
+        self.tally.sum_rebuild += 1;
         let sum = match self.rows.get(&key) {
             Some(row) => self.fold_row(row, victim),
             None => {
@@ -297,7 +323,7 @@ impl PairGainCache {
                 } else {
                     let mut row = Row::new(victim, true, Point::ORIGIN, self.n);
                     let (lanes, _) = self.fill_row(&mut row, None, &mut Vec::new(), &mut tile);
-                    telemetry::count_by("net.interference.edge_recompute", lanes);
+                    self.tally.edge_recompute += lanes;
                     self.fold_row(&row.vals, victim)
                 };
                 fold(s);
@@ -313,12 +339,12 @@ impl PairGainCache {
     /// The edge row at `victim`'s receiver: every source's contribution,
     /// evaluated in pair-index order.
     fn edge_row(
-        &self,
+        &mut self,
         victim: usize,
         edge_tile: &mut impl FnMut(usize, &[u32], &mut [Watts]),
     ) -> Box<[Watts]> {
-        telemetry::count("net.interference.row_build");
-        telemetry::count_by("net.interference.edge_recompute", self.n as u64);
+        self.tally.row_build += 1;
+        self.tally.edge_recompute += self.n as u64;
         let mut row = vec![Watts::ZERO; self.n].into_boxed_slice();
         let mut qs = [0u32; EDGE_TILE];
         for (t, out) in row.chunks_mut(EDGE_TILE).enumerate() {
@@ -363,10 +389,11 @@ impl PairGainCache {
     /// member's sum, so every sum is bit-identical to the lazy
     /// [`interference`](Self::interference) path and to brute force.
     ///
-    /// The pass counts the lanes it evaluates under both
-    /// `net.interference.edge_recompute` and
-    /// `net.interference.wave_edge_recompute`, and the lanes it copies
-    /// under `net.interference.wave_edge_reused`.
+    /// The pass tallies the lanes it evaluates under both
+    /// [`CacheTally::edge_recompute`] and
+    /// [`CacheTally::wave_edge_recompute`], and the lanes it copies under
+    /// [`CacheTally::wave_edge_reused`]: each chunk returns its lane
+    /// counts with its sums, so no worker touches a shared counter.
     ///
     /// The groups fan out over the work pool in chunks of [`WAVE_CHUNK`]
     /// consecutive groups, in order of their first member: each chunk's
@@ -507,23 +534,25 @@ impl PairGainCache {
                     if ring.len() > DONORS {
                         spare = ring.pop_front();
                     }
-                    telemetry::count_by("net.interference.sum_rebuild", group.len() as u64);
                     acc
                 })
                 .collect();
             fold(s);
-            telemetry::count_by("net.interference.edge_recompute", evaluated);
-            telemetry::count_by("net.interference.wave_edge_recompute", evaluated);
-            telemetry::count_by("net.interference.wave_edge_reused", reused);
-            accs
+            (accs, evaluated, reused)
         });
-        for (group, acc) in groups.iter().zip(sums.into_iter().flatten()) {
-            for (&v, s) in group.iter().zip(acc) {
-                let v = v as usize;
-                self.sum[v] = s.watts();
-                self.sum_dirty[v] = false;
-                self.ndirty -= 1;
+        for (chunk, (accs, evaluated, reused)) in groups.chunks(WAVE_CHUNK).zip(sums) {
+            for (group, acc) in chunk.iter().zip(accs) {
+                for (&v, s) in group.iter().zip(acc) {
+                    let v = v as usize;
+                    self.sum[v] = s.watts();
+                    self.sum_dirty[v] = false;
+                    self.ndirty -= 1;
+                }
+                self.tally.sum_rebuild += group.len() as u64;
             }
+            self.tally.edge_recompute += evaluated;
+            self.tally.wave_edge_recompute += evaluated;
+            self.tally.wave_edge_reused += reused;
         }
     }
 

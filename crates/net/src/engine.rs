@@ -55,15 +55,16 @@
 //! at most [`crate::cache::ROW_CAP`] keys, past which a read walks its
 //! live sources. Wave and lazy path evaluate edges through one edge-tile
 //! closure, with FSPL looked up in a scratch (a wave chunk's, or one per
-//! row a lazy read builds or walks) that folds into the kernel's memo;
-//! the memo's totals are published once per run as `net.fspl.*`, next to
-//! `net.kernel.*`. This is output-neutral by construction: memo values are
-//! canonical functions of their quantized keys, and bulk, row-served and
-//! walked sums all make the adds of the per-edge walk, on the same edge
-//! bits, in pair-index order (the bulk pass lets victims that share a
-//! receiver share each edge evaluation; a row lets the re-plans of one
-//! receiver share it across flips), so where a sum or an options entry is
-//! computed never moves a bit.
+//! row a lazy read builds or walks) that folds into the kernel's memo.
+//! Every `net.*` counter is read once per run from the state that keeps
+//! it, the memos' and the cache's own tallies included
+//! (`Fleet::publish_counters`). This is output-neutral by construction:
+//! memo values are canonical functions of their quantized keys, and bulk,
+//! row-served and walked sums all make the adds of the per-edge walk, on
+//! the same edge bits, in pair-index order (the bulk pass lets victims
+//! that share a receiver share each edge evaluation; a row lets the
+//! re-plans of one receiver share it across flips), so where a sum or an
+//! options entry is computed never moves a bit.
 //!
 //! The wave's heavy stages — the interference sums and the
 //! per-pair key collection — fan out over the `braidio-pool` workers with
@@ -668,6 +669,9 @@ struct Fleet<'a> {
     /// Quanta committed ahead: delivered without a trip through the
     /// queue.
     ahead: u64,
+    /// Quantum starts and window ends that waited for the pair's next TDMA
+    /// slot ([`finish_time`](Self::finish_time)).
+    deferred: u64,
     /// Cached pairwise interference (invalidated on death / mobility).
     gains: PairGainCache,
     /// Quantize-and-memoized `options_under` (per-engine, so a run stays a
@@ -803,6 +807,7 @@ impl<'a> Fleet<'a> {
             replans: 0,
             unobserved: false,
             ahead: 0,
+            deferred: 0,
             gains,
             options: OptionsMemo::new(),
             probes: ProbeMemo::new(),
@@ -888,16 +893,9 @@ impl<'a> Fleet<'a> {
         // `end_time` needs no term for them.
         #[cfg(debug_assertions)]
         debug_assert!(truncated || self.pairs.ahead_to.iter().all(|&t| t <= last.seconds()));
-        // The kernel's traffic, read once. A quantum committed ahead counts
-        // as scheduled and delivered.
+        // A quantum committed ahead counts as a delivered event.
         let events = self.q.delivered() + self.ahead;
-        telemetry::count_by("net.kernel.scheduled", self.q.scheduled() + self.ahead);
-        telemetry::count_by("net.kernel.delivered", events);
-        telemetry::count_by("net.kernel.ahead", self.ahead);
-        // The FSPL memo's own totals, read once: every scratch of the run
-        // has folded into it.
-        telemetry::count_by("net.fspl.hit", self.edges.fspl_hits());
-        telemetry::count_by("net.fspl.miss", self.edges.fspl_misses());
+        self.publish_counters();
         let churn = self.churn_report(end_time);
         let report = FleetReport {
             horizon: self.sc.horizon,
@@ -924,6 +922,64 @@ impl<'a> Fleet<'a> {
             churn,
         };
         (report, sampler.map(Sampler::into_series))
+    }
+
+    /// Publish the run's `net.*` counters (a no-op unless telemetry
+    /// capture is active), each read once from the state that keeps it.
+    /// This is the counters' vocabulary, and the only place their names
+    /// are spelled. Every total is the same at any thread count, and a
+    /// zero one is not published (absent from `--bench-json`).
+    ///
+    /// * `net.kernel.scheduled` / `delivered` — the event queue's traffic,
+    ///   the event that ended a truncated run included (`delivered` is the
+    ///   report's `events`); a quantum committed ahead counts as both.
+    /// * `net.kernel.ahead` — quanta committed ahead
+    ///   ([`train`](Self::train)); zero under event capture or a
+    ///   time-series sampler.
+    /// * `net.arbitration.deferred` — TDMA slot waits, counted by
+    ///   [`finish_time`](Self::finish_time) in the serial event loop.
+    /// * `net.interference.*` — the interference cache's [`CacheTally`],
+    ///   one counter per field.
+    /// * `net.fspl.hit` / `miss` — the FSPL memo's lookups; a scratch's
+    ///   fold counts a miss only for a key it inserts.
+    /// * `net.options.*` — the options memo's [`OptionsTally`], one
+    ///   counter per field.
+    /// * `net.probe.memo_hit` / `memo_miss` — the probe-cost memo's
+    ///   lookups, one per charged probe round.
+    ///
+    /// [`OptionsTally`]: crate::interference::OptionsTally
+    /// [`CacheTally`]: crate::cache::CacheTally
+    fn publish_counters(&self) {
+        let ahead = self.ahead;
+        let cache = self.gains.tally();
+        let options = self.options.tally();
+        for (name, n) in [
+            ("net.kernel.scheduled", self.q.scheduled() + ahead),
+            ("net.kernel.delivered", self.q.delivered() + ahead),
+            ("net.kernel.ahead", ahead),
+            ("net.arbitration.deferred", self.deferred),
+            ("net.interference.sum_reuse", cache.sum_reuse),
+            ("net.interference.sum_rebuild", cache.sum_rebuild),
+            ("net.interference.row_build", cache.row_build),
+            ("net.interference.edge_recompute", cache.edge_recompute),
+            (
+                "net.interference.wave_edge_recompute",
+                cache.wave_edge_recompute,
+            ),
+            ("net.interference.wave_edge_reused", cache.wave_edge_reused),
+            ("net.fspl.hit", self.edges.fspl_hits()),
+            ("net.fspl.miss", self.edges.fspl_misses()),
+            ("net.options.memo_hit", options.memo_hit),
+            ("net.options.memo_miss", options.memo_miss),
+            ("net.options.batch_hit", options.batch_hit),
+            ("net.options.batch_miss", options.batch_miss),
+            ("net.options.distance_hit", options.distance_hit),
+            ("net.options.distance_miss", options.distance_miss),
+            ("net.probe.memo_hit", self.probes.hits()),
+            ("net.probe.memo_miss", self.probes.misses()),
+        ] {
+            telemetry::count_by(name, n);
+        }
     }
 
     /// Emit every bucket due at or before simulated time `t`.
@@ -1672,7 +1728,11 @@ impl<'a> Fleet<'a> {
             self.kill(p, at, telemetry::DeathReason::BatteryDead);
             return;
         };
-        let finish = finish.unwrap_or_else(|| self.finish_time(p, at, airtime));
+        let finish = finish.unwrap_or_else(|| {
+            let (finish, waits) = self.finish_time(p, at, airtime);
+            self.deferred += waits;
+            finish
+        });
         debug_assert!(self.pairs.pending[p].is_none(), "one quantum in flight");
         self.pairs.pending[p] = Some(pending);
         self.schedule(finish, p, Kind::QuantumDone);
@@ -1696,15 +1756,16 @@ impl<'a> Fleet<'a> {
         start: Seconds,
         bound: Seconds,
     ) -> (Seconds, Option<Seconds>) {
-        // Only an unobserved run trains, so nothing here emits.
-        debug_assert!(!telemetry::enabled());
+        // Only `ahead_bound`, which reads the run's own `unobserved`, leads
+        // to a train, so nothing in one emits.
         let mut tally = self.tally(p);
-        let (mut at, mut committed) = (start, 0u64);
+        let (mut at, mut committed, mut deferred) = (start, 0u64, 0u64);
         let stop = loop {
             if !recipe.trains(tally.battery[0].remaining(), tally.battery[1].remaining()) {
                 break None;
             }
-            let finish = self.finish_time(p, at, recipe.full_airtime);
+            let (finish, waits) = self.finish_time(p, at, recipe.full_airtime);
+            deferred += waits;
             // Strictly before: a `Replan` at the finish instant ranks first.
             if finish.seconds() < bound.seconds() {
                 tally.add(&recipe.full, finish, self.window_from);
@@ -1714,6 +1775,7 @@ impl<'a> Fleet<'a> {
                 break Some(finish);
             }
         };
+        self.deferred += deferred;
         if committed > 0 {
             self.settle(p, tally, at);
             self.ahead += committed;
@@ -1727,23 +1789,28 @@ impl<'a> Fleet<'a> {
 
     /// When a quantum started at `start` with `airtime` on-air seconds
     /// finishes, given the pair's transmit windows. O(1): whole TDMA cycles
-    /// are skipped arithmetically.
+    /// are skipped arithmetically. Also returns how many of the start and
+    /// the end of the first window wait for the pair's next slot, the
+    /// caller's share of `net.arbitration.deferred`.
     #[inline]
-    fn finish_time(&self, p: usize, start: Seconds, airtime: Seconds) -> Seconds {
+    fn finish_time(&self, p: usize, start: Seconds, airtime: Seconds) -> (Seconds, u64) {
         let arb = self.sc.arbitration;
         let n = self.pairs.len();
         let mut t = arb.next_transmit_at(p, n, start);
         let mut left = airtime.seconds();
+        // Unbounded windows never make a pair wait.
         let Some(we) = arb.window_end(p, n, t) else {
-            return Seconds::new(t.seconds() + left);
+            return (Seconds::new(t.seconds() + left), 0);
         };
+        let mut waits = u64::from(t != start);
         // Finish inside the current (possibly partial) window?
         let usable = we.seconds() - t.seconds();
         if left <= usable {
-            return Seconds::new(t.seconds() + left);
+            return (Seconds::new(t.seconds() + left), waits);
         }
         left -= usable;
         t = arb.next_transmit_at(p, n, we);
+        waits += u64::from(t != we);
         // From here every window is a full slot; skip whole ones at once.
         let Arbitration::TdmaRoundRobin { slot } = arb else {
             unreachable!("only TDMA has bounded windows");
@@ -1760,7 +1827,7 @@ impl<'a> Fleet<'a> {
             t = Seconds::new(t.seconds() + period);
             left -= s;
         }
-        Seconds::new(t.seconds() + left)
+        (Seconds::new(t.seconds() + left), waits)
     }
 
     /// Worst-case foreign-carrier power at pair `p`'s receiver, served from
@@ -2577,8 +2644,8 @@ mod tests {
             assert_same_quantum(got, want);
             for (p, start) in [(0, 0.0), (1, 0.0105), (3, 2.0e-3)] {
                 let start = Seconds::new(start);
-                let a = fleet.finish_time(p, start, got.1);
-                let b = fleet.finish_time(p, start, want.1);
+                let a = fleet.finish_time(p, start, got.1).0;
+                let b = fleet.finish_time(p, start, want.1).0;
                 assert_eq!(a.seconds().to_bits(), b.seconds().to_bits());
                 assert!(a.seconds() > start.seconds() + 2.0 * got.1.seconds());
             }
@@ -2662,9 +2729,9 @@ mod tests {
         let sc = small_pair(Arbitration::Uncoordinated).with_horizon(Seconds::new(1e9));
         let (mut f, start) = unobserved_braid(&sc);
         let air = f.pairs.recipe[0].expect("a plan").full_airtime;
-        let first = f.finish_time(0, start, air);
-        let second = f.finish_time(0, first, air);
-        let third = f.finish_time(0, second, air);
+        let first = f.finish_time(0, start, air).0;
+        let second = f.finish_time(0, first, air).0;
+        let third = f.finish_time(0, second, air).0;
         assert!(third < f.pairs.replan_at[0].expect("a replan is queued"));
         f.pairs.replan_at[0] = Some(third);
         f.schedule(third, 0, Kind::Replan);
@@ -2696,7 +2763,7 @@ mod tests {
         let quantum = f.pairs.pending[0].expect("braiding");
         assert!(!quantum.last);
         let air = f.pairs.recipe[0].expect("a plan").full_airtime;
-        let (first, tx) = (f.finish_time(0, start, air), f.pairs.tx[0]);
+        let (first, tx) = (f.finish_time(0, start, air).0, f.pairs.tx[0]);
         let e = quantum.e_tx.joules();
         f.devices.battery[tx] = Battery::new(Joules::new(e * (2.0 + 1e-6)));
         let ev = f.q.pop().expect("the first completion");
@@ -2705,7 +2772,7 @@ mod tests {
         let last = f.pairs.pending[0].expect("the exhausting quantum is in flight");
         assert!(!last.last, "it is a full quantum");
         assert!(f.pairs.on_air(0) && f.pairs.dead_at[0].is_none());
-        let second = f.finish_time(0, first, air);
+        let second = f.finish_time(0, first, air).0;
         let ev = f.q.pop().expect("its completion");
         assert_eq!((ev.event.kind, ev.time), (Kind::QuantumDone, second));
         f.handle(ev.event, ev.time);

@@ -521,10 +521,25 @@ pub struct OptionsMemo {
     cache: KeyMap<OptionsKey, Choice>,
     /// Distance halves by `(qd, qpin)`.
     halves: KeyMap<(i64, u8), DistanceHalf>,
-    /// Lookups that were served from the cache (single-key and batch).
-    hits: u64,
-    /// Total lookups (single-key and batch), hit or miss.
-    lookups: u64,
+    tally: OptionsTally,
+}
+
+/// An [`OptionsMemo`]'s lookups since it was made, by kind.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OptionsTally {
+    /// Single-key lookups ([`OptionsMemo::get`]) served from the memo.
+    pub(crate) memo_hit: u64,
+    /// Single-key lookups that ran the options search.
+    pub(crate) memo_miss: u64,
+    /// Prefetched keys ([`OptionsMemo::prefetch`]) the memo already held.
+    pub(crate) batch_hit: u64,
+    /// Prefetched keys that ran the options search.
+    pub(crate) batch_miss: u64,
+    /// Distance halves served from the memo: each single-key miss looks
+    /// one up, and a prefetch each distinct `(qd, qpin)` of its misses.
+    pub(crate) distance_hit: u64,
+    /// Distance halves built.
+    pub(crate) distance_miss: u64,
 }
 
 impl OptionsMemo {
@@ -533,15 +548,23 @@ impl OptionsMemo {
         Self::default()
     }
 
-    /// Fraction of lookups served from the cache so far, `0.0` before the
-    /// first lookup. Per-instance (unlike the global telemetry counters),
+    /// Every lookup so far, by kind.
+    pub(crate) fn tally(&self) -> OptionsTally {
+        self.tally
+    }
+
+    /// Fraction of full-key lookups (single-key and prefetched) served
+    /// from the memo so far, `0.0` before the first lookup. Per-instance,
     /// so the time-series sampler can gauge one scenario's memo without
     /// cross-scenario bleed.
     pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
+        let t = &self.tally;
+        let hits = t.memo_hit + t.batch_hit;
+        let lookups = hits + t.memo_miss + t.batch_miss;
+        if lookups == 0 {
             0.0
         } else {
-            self.hits as f64 / self.lookups as f64
+            hits as f64 / lookups as f64
         }
     }
 
@@ -601,10 +624,10 @@ impl OptionsMemo {
         pin: Option<Mode>,
     ) -> DistanceHalf {
         if let Some(&half) = self.halves.get(&(qd, qpin)) {
-            braidio_telemetry::count("net.options.distance_hit");
+            self.tally.distance_hit += 1;
             return half;
         }
-        braidio_telemetry::count("net.options.distance_miss");
+        self.tally.distance_miss += 1;
         let half = DistanceHalf::new(ch, d, pin);
         insert_capped(&mut self.halves, (qd, qpin), half);
         half
@@ -623,10 +646,8 @@ impl OptionsMemo {
             // the exact computation rather than inventing a grid for it.
             return options_under_pinned(ch, d, interference, pin);
         };
-        self.lookups += 1;
         if let Some(choice) = self.cache.get(&key) {
-            self.hits += 1;
-            braidio_telemetry::count("net.options.memo_hit");
+            self.tally.memo_hit += 1;
             return choice.options(ch);
         }
         // Canonical evaluation on the quantized inputs: the cached value is
@@ -634,7 +655,7 @@ impl OptionsMemo {
         let (dq, iq, pin) = Self::decode_key(key);
         let choice = self.half(ch, (key.0, key.2), dq, pin).choose(ch, iq, pin);
         insert_capped(&mut self.cache, key, choice);
-        braidio_telemetry::count("net.options.memo_miss");
+        self.tally.memo_miss += 1;
         choice.options(ch)
     }
 
@@ -650,11 +671,9 @@ impl OptionsMemo {
     /// or of the thread count.
     pub fn prefetch(&mut self, ch: &Characterization, keys: &[OptionsKey]) {
         let mut misses: Vec<OptionsKey> = Vec::new();
-        self.lookups += keys.len() as u64;
         for key in keys {
             if self.cache.contains_key(key) {
-                self.hits += 1;
-                braidio_telemetry::count("net.options.batch_hit");
+                self.tally.batch_hit += 1;
             } else {
                 misses.push(*key);
             }
@@ -667,7 +686,7 @@ impl OptionsMemo {
                 .entry(at)
                 .or_insert_with(|| self.half(ch, at, d, pin));
             let choice = half.choose(ch, interference, pin);
-            braidio_telemetry::count("net.options.batch_miss");
+            self.tally.batch_miss += 1;
             insert_capped(&mut self.cache, key, choice);
         }
     }
@@ -833,6 +852,26 @@ mod tests {
         assert_eq!(memo.cache.len(), queries.len());
         assert_eq!(prefetched.halves.len(), memo.halves.len());
         assert_eq!(prefetched.cache.len(), queries.len());
+    }
+
+    #[test]
+    fn keys_round_to_the_nearest_grid_point() {
+        // Each axis of a key is the nearest point of the 2⁻³² log grid, so
+        // the canonical inputs a key decodes to lie within half a step of
+        // the query's. (Get and prefetch share the key, so a key off by a
+        // whole step would still agree with itself everywhere else.)
+        for d in [0.2, 0.5, 0.9, 1.3, 2.0, 3.1, 4.4, 6.0, 17.0] {
+            for dbm in [-130.0, -97.5, -80.0, -61.25, -40.0] {
+                let (d, i) = (Meters::new(d), Watts::from_dbm(dbm));
+                let key = OptionsMemo::key_for(d, i, None).expect("finite inputs");
+                let (dq, iq, pin) = OptionsMemo::decode_key(key);
+                assert_eq!(pin, None);
+                let steps = |x: f64, q: f64| (q.ln() - x.ln()) * LN_QUANT;
+                let (sd, si) = (steps(d.meters(), dq.meters()), steps(i.watts(), iq.watts()));
+                assert!(sd.abs() <= 0.5 + 1e-3, "{d}: {sd} steps off");
+                assert!(si.abs() <= 0.5 + 1e-3, "{i}: {si} steps off");
+            }
+        }
     }
 
     #[test]

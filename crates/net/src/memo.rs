@@ -94,6 +94,8 @@ pub struct ProbeCost {
 #[derive(Debug, Default)]
 pub struct ProbeMemo {
     cache: KeyMap<u64, ProbeCost>,
+    hits: u64,
+    misses: u64,
 }
 
 impl ProbeMemo {
@@ -102,12 +104,23 @@ impl ProbeMemo {
         Self::default()
     }
 
-    /// The probe round's cost at separation `d`, counted as
-    /// `net.probe.memo_hit` or `net.probe.memo_miss`.
+    /// Lookups served from the memo so far.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Lookups that ran the probe round so far, one per separation bit
+    /// pattern (and per clear at [`MEMO_CAP`]).
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// The probe round's cost at separation `d`, counted as a hit or a
+    /// miss.
     pub fn cost(&mut self, ch: &Characterization, d: Meters) -> ProbeCost {
         let key = d.meters().to_bits();
         if let Some(&cost) = self.cache.get(&key) {
-            braidio_telemetry::count("net.probe.memo_hit");
+            self.hits += 1;
             return cost;
         }
         let report = LinkProber::ideal().probe(ch, d);
@@ -117,7 +130,7 @@ impl ProbeMemo {
             energy_responder: report.energy_responder,
         };
         insert_capped(&mut self.cache, key, cost);
-        braidio_telemetry::count("net.probe.memo_miss");
+        self.misses += 1;
         cost
     }
 }
@@ -157,6 +170,7 @@ mod tests {
             assert!(same(memo.cost(&ch, d), probed(&ch, d)), "at {m} m");
         }
         assert_eq!(memo.cache.len(), 42);
+        assert_eq!((memo.hits(), memo.misses()), (40, 42));
     }
 
     #[test]

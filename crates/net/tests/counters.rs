@@ -10,9 +10,11 @@
 //! thread count, and the bulk pass's edge tallies a direct witness of how
 //! much edge work the shared-receiver grouping and the copies saved.
 //!
-//! The memo's hits and misses are published once per run from the memo
-//! itself, so they are the same totals whether the lanes went through the
-//! wave's chunk scratches or the lazy path's row scratches.
+//! Every `net.*` counter is published once per run from the state that
+//! keeps it (the queue, the memos, the cache), so the FSPL memo's totals
+//! are the same whether the lanes went through the wave's chunk scratches
+//! or the lazy path's row scratches, and the options memo's counters are
+//! the tally its sampled hit rate is read from.
 //!
 //! The capture switches are process-global and the harness runs sibling
 //! `#[test]` functions concurrently, so every test here holds one lock.
@@ -147,59 +149,83 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
     let mut cache = PairGainCache::new(n);
     cache.set_live(5, false);
     let (pa, pb): (Vec<Point>, Vec<Point>) = eps.iter().copied().unzip();
-    let ((), counters) = counted(&["net.interference."], || {
-        cache.rebuild_all_shared(
-            |v| v != 7,
-            |v| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits()),
-            (&pa, &pb),
-            || 0u64,
-            tile,
-            |seen| {
-                lanes.fetch_add(seen, Ordering::Relaxed);
-            },
-        )
-    });
+    cache.rebuild_all_shared(
+        |v| v != 7,
+        |v| (eps[v].1.x.to_bits(), eps[v].1.y.to_bits()),
+        (&pa, &pb),
+        || 0u64,
+        tile,
+        |seen| {
+            lanes.fetch_add(seen, Ordering::Relaxed);
+        },
+    );
     let got = lanes.load(Ordering::Relaxed);
     // Three hub groups gather the 29 live sources; the six singletons
     // everyone live but themselves. Each lane reached the kernel or was
     // copied, and only the kernel's lanes count as recomputed.
-    let reused = value(&counters, "net.interference.wave_edge_reused");
-    assert_eq!(got + reused, 3 * 29 + 6 * 28);
-    assert_eq!(
-        value(&counters, "net.interference.wave_edge_recompute"),
-        got
-    );
-    assert_eq!(value(&counters, "net.interference.edge_recompute"), got);
-    assert_eq!(
-        value(&counters, "net.interference.sum_rebuild"),
-        n as u64 - 1
-    );
+    let tally = cache.tally();
+    assert_eq!(got + tally.wave_edge_reused, 3 * 29 + 6 * 28);
+    assert_eq!(tally.wave_edge_recompute, got);
+    assert_eq!(tally.edge_recompute, got);
+    assert_eq!(tally.sum_rebuild, n as u64 - 1);
+    assert_eq!((tally.sum_reuse, tally.row_build), (0, 0));
 }
 
 #[test]
-fn options_and_probe_counters_are_thread_count_invariant() {
-    // The options memo (single keys, wave prefetch, distance halves) and
-    // the probe memo are looked up on the engine's serial path, so an
-    // open system's totals must not move with the pool's size.
+fn every_net_counter_is_thread_count_invariant() {
+    // Every counter the engine publishes, not a chosen few: a closed city
+    // block, whose bring-up wave fans out over the pool, and an open
+    // system under both arbitration policies, whose sessions are planned
+    // from lazy edge rows and whose TDMA twin defers quanta to its slots.
     let tdma = Arbitration::TdmaRoundRobin {
         slot: Seconds::new(0.25),
     };
-    for arbitration in [Arbitration::Uncoordinated, tdma] {
-        let sc = FleetScenario::open_system(4, 40, Seconds::new(10.0), 7, arbitration);
-        let prefixes = ["net.options.", "net.probe."];
+    let scenarios = [
+        FleetScenario::city_block(512, Arbitration::Uncoordinated).with_horizon(Seconds::new(5.0)),
+        FleetScenario::open_system(4, 40, Seconds::new(10.0), 7, Arbitration::Uncoordinated),
+        FleetScenario::open_system(4, 40, Seconds::new(10.0), 7, tdma),
+    ];
+    for sc in &scenarios {
         let run = |threads| {
-            counted(&prefixes, || {
-                braidio_pool::with_threads(threads, || run_fleet(&sc))
+            counted(&["net."], || {
+                braidio_pool::with_threads(threads, || run_fleet(sc))
             })
         };
         let (_, at_1) = run(1);
-        for name in ["net.options.memo_miss", "net.probe.memo_miss"] {
+        for name in [
+            "net.kernel.delivered",
+            "net.options.memo_hit",
+            "net.probe.memo_miss",
+        ] {
             assert!(value(&at_1, name) > 0, "{name} never counted: {at_1:?}");
         }
         for threads in [2, 4] {
             let (_, at_n) = run(threads);
             assert_eq!(at_1, at_n, "counters moved between 1 and {threads} threads");
         }
+        // The sampler's memo hit rate is read from the tally the options
+        // counters publish: at the end of the run the two agree bit for
+        // bit. (The last row is sampled after the last event, which none
+        // of these runs delivers at the horizon itself.)
+        let ((_, series), sampled) = counted(&["net."], || {
+            run_fleet_sampled(sc, Seconds::new(sc.horizon.seconds() / 4.0))
+        });
+        let [memo_hit, memo_miss, batch_hit, batch_miss] =
+            ["memo_hit", "memo_miss", "batch_hit", "batch_miss"]
+                .map(|k| value(&sampled, &format!("net.options.{k}")));
+        let hits = memo_hit + batch_hit;
+        let rate = hits as f64 / (hits + memo_miss + batch_miss) as f64;
+        let last = series.samples.last().expect("a sampled run has rows");
+        assert_eq!(last.memo_hit_rate.to_bits(), rate.to_bits(), "{sampled:?}");
+        // Only the quanta committed ahead tell the sampled run's counters
+        // from the unobserved one's.
+        let without_ahead = |c: &[(String, u64)]| -> Vec<(String, u64)> {
+            c.iter()
+                .filter(|(n, _)| n != "net.kernel.ahead")
+                .cloned()
+                .collect()
+        };
+        assert_eq!(without_ahead(&sampled), without_ahead(&at_1));
     }
 }
 

@@ -2,11 +2,13 @@
 //! batch drain/inject protocol `braidio-pool` uses to merge worker
 //! buffers deterministically.
 //!
-//! Fast path: [`emit`], [`count`] and [`crate::span()`] each start with one
-//! `Relaxed` load of a static `AtomicBool`; when the corresponding switch
-//! is off they return immediately, so uninstrumented runs pay a single
-//! predictable branch per call site (`experiments` output is byte-identical
-//! with and without the switches thrown — see `DESIGN.md` §9).
+//! Fast path: [`emit`], [`count_by`] and [`crate::span()`] each start with
+//! one `Relaxed` load of a static `AtomicBool`; when the corresponding
+//! switch is off they return immediately, so uninstrumented runs pay a
+//! single predictable branch per call site (`experiments` output is
+//! byte-identical with and without the switches thrown — see `DESIGN.md`
+//! §9). Counters are not per-event: an owner keeps its own tallies and
+//! publishes each total once with [`count_by`].
 //!
 //! Buffering: everything lands in thread-locals. Serial code therefore
 //! accumulates its stream in program order on the calling thread. Parallel
@@ -155,79 +157,13 @@ fn emit_slow(event: Event) {
     });
 }
 
-/// Bump a named counter by one (no-op unless capture is active). Names
-/// must be `'static` lowercase dotted identifiers — they land in
-/// `--bench-json` verbatim.
-///
-/// Registered vocabulary (add new names here so the bench-json consumers
-/// have one place to look):
-///
-/// * `net.kernel.scheduled` / `net.kernel.delivered` — DES event traffic,
-///   read once per fleet run from the event queue
-///   (`braidio-net::kernel`): every event scheduled and every event
-///   delivered, the one that ended a truncated run
-///   included (`delivered` equals the report's `events`). A quantum
-///   committed ahead counts as both scheduled and delivered. Deterministic
-///   totals: the event loop is serial, so they are the same at any thread
-///   count.
-/// * `net.kernel.ahead` — braid quanta committed ahead: an unobserved
-///   run's private pair commits its next quanta at their finish times
-///   without queueing their completions (`braidio-net::engine`). Absent
-///   (zero) under event capture or a time-series sampler, which commit
-///   nothing ahead; the same at any thread count for one observation
-///   mode.
-/// * `net.arbitration.deferred` — TDMA window skips: a quantum's start
-///   or finish that falls outside its pair's own slot and waits for the
-///   next one (`braidio-net::arbitration`). Bumped only from the serial
-///   event loop (quantum scheduling and the trains it commits ahead),
-///   never by the planning wave's pool workers, so the total is the same
-///   at any thread count.
-/// * `net.interference.sum_reuse` / `sum_rebuild` / `edge_recompute` —
-///   the incremental interference cache's hit/rebuild/edge economics
-///   (`braidio-net::cache`). `edge_recompute` counts the kernel lanes
-///   actually evaluated — a bring-up group of victims sharing a receiver
-///   evaluates each edge once, and a lazy read fills its receiver's edge
-///   row once — and `wave_edge_recompute` is the share of them evaluated
-///   by the bulk planning wave. `wave_edge_reused` counts the wave's lanes
-///   that were copied, not evaluated: a receiver group's row takes a lane
-///   from a neighbouring group's row when the source sits at bit-identical
-///   offsets from both receivers, so the wave filled the sum of
-///   `wave_edge_recompute` and `wave_edge_reused` lanes. `row_build` counts the
-///   per-receiver edge rows the lazy path filled. Deterministic totals: the
-///   bulk pass chunks its groups by a fixed count, so they are the same at
-///   any thread count.
-/// * `net.options.memo_hit` / `memo_miss` — the quantized
-///   `options_under` memo's single-key lookups; `batch_hit` /
-///   `batch_miss` — its planning-wave prefetch, whose misses run the
-///   single-key miss's code in key order. `distance_hit` /
-///   `distance_miss` — the memo's distance halves, looked up by each
-///   single-key miss and once per distinct `(distance, pin)` of a
-///   prefetch's misses. Deterministic totals: every lookup and every
-///   miss runs on the engine's serial path, in event or key order, so
-///   they are the same at any thread count.
-/// * `net.probe.memo_hit` / `memo_miss` — the fleet engine's probe-cost
-///   memo (`braidio-net::memo`), one lookup per charged probe round, a
-///   miss per distinct separation bit pattern. Deterministic totals, like
-///   the options counters.
-/// * `net.fspl.hit` / `net.fspl.miss` — the exact free-space-path-loss
-///   memo on the interference edge kernel (`braidio-rfsim::pathloss`):
-///   its own totals, read once per fleet run by `braidio-net::engine`.
-///   Every lookup goes through a scratch whose fold counts a miss only
-///   for a key it inserts, so a miss is exactly one insert and the totals
-///   are the same at any thread count.
-#[inline]
-pub fn count(name: &'static str) {
-    if !active() {
-        return;
-    }
-    LOCAL.with(|l| {
-        *l.borrow_mut().counters.entry(name).or_insert(0) += 1;
-    });
-}
-
-/// Bump a named counter by `n` in one touch — the batched form of
-/// [`count`], for hot loops that already know their tile's tally. Same
-/// vocabulary rules; `count_by(name, 1)` ≡ `count(name)`.
+/// Add `n` to a named counter (no-op unless capture is active, or when
+/// `n` is zero, so a counter that never moved stays absent). Names must be
+/// `'static` lowercase dotted identifiers — they land in `--bench-json`
+/// verbatim. A counter is a total its owner already keeps, published once
+/// when its run ends: the fleet engine's `net.*` names and what they count
+/// are listed on the one function that publishes them
+/// (`braidio_net::engine`, `Fleet::publish_counters`).
 #[inline]
 pub fn count_by(name: &'static str, n: u64) {
     if n == 0 || !active() {
@@ -381,14 +317,14 @@ mod tests {
         let _ = take_events();
         set_enabled(true);
         emit(ev(1.0));
-        count("a.b");
-        count("a.b");
+        count_by("a.b", 2);
+        count_by("a.zero", 0);
         let batch = drain_thread();
         assert_eq!(batch.events.len(), 1);
         assert_eq!(batch.counters, vec![("a.b", 2)]);
         assert!(take_events().is_empty(), "drained");
         inject(batch);
-        count("a.b");
+        count_by("a.b", 1);
         set_enabled(false);
         assert_eq!(take_events().len(), 1);
         assert_eq!(counters_snapshot(), vec![("a.b".to_string(), 3)]);
@@ -399,7 +335,7 @@ mod tests {
     fn counters_are_off_while_inactive() {
         let _g = locked();
         let _ = drain_thread();
-        count("never.recorded");
+        count_by("never.recorded", 1);
         assert!(counters_snapshot().is_empty());
     }
 }

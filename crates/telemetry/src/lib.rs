@@ -7,7 +7,10 @@
 //!
 //! 1. **Zero cost when off.** Emission is gated on a process-wide
 //!    `AtomicBool` read with `Relaxed` ordering; with no sink installed the
-//!    instrumented hot paths pay one predictable branch.
+//!    instrumented hot paths pay one predictable branch. Counters are not
+//!    bumped per event at all: the state that sees an event (a memo, a
+//!    cache, the event queue) keeps a plain integer tally, and its run
+//!    publishes each total once, when it ends ([`count_by`]).
 //! 2. **Simulated time only.** [`Event`]s carry *virtual* seconds, never
 //!    wall clock, so a trace is a pure function of the scenario: running
 //!    `experiments fleet --trace-events` at `--jobs 1` and `--jobs 4`
@@ -46,9 +49,9 @@ pub mod span;
 pub mod timeseries;
 
 pub use bus::{
-    active, begin_unit, count, count_by, counters_snapshot, drain_thread, emit, enabled,
-    events_snapshot, inject, profiling, run_base, set_enabled, set_profiling, set_run_base,
-    spans_snapshot, take_events, take_spans, with_run, Batch,
+    active, begin_unit, count_by, counters_snapshot, drain_thread, emit, enabled, events_snapshot,
+    inject, profiling, run_base, set_enabled, set_profiling, set_run_base, spans_snapshot,
+    take_events, take_spans, with_run, Batch,
 };
 pub use event::{DeathReason, Event, ModeTag, PhaseTag, RateTag, Stamped, Track};
 pub use span::{span, Span, SpanRecord, MAX_SPAN_DEPTH};

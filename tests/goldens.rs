@@ -55,6 +55,11 @@
 //!   5.6 s. The aborted quantum's completion is still delivered at 21.7 s
 //!   and must commit nothing: were it read as current, it would commit
 //!   the revived session's quantum early.
+//! * `approach-2-uncoordinated`: `walk-2`'s pairs, but the receiver walks
+//!   on to 2 m from the static pair's receiver. The static pair's sum is
+//!   folded from its receiver's edge row, built at a re-plan, and every
+//!   step of the walk moves an edge that row holds; its plans hinge on
+//!   the walker's carrier, so a row kept past a move changes them.
 //!
 //! A reordered interference sum changes no output bit: interference
 //! reaches a plan only through the options memo's 2⁻³²-log quantized key.
@@ -293,6 +298,24 @@ fn scenarios() -> Vec<(String, FleetScenario)> {
     });
     sc.validate();
     out.push(("revive-2-uncoordinated".into(), sc));
+    // Pair 0's receiver walks 7.5 m straight toward the static pair 1,
+    // ending 2 m from its receiver.
+    let mut pairs = vec![PairSpec::braided(0, 1), PairSpec::braided(2, 3)];
+    pairs[0].walk = Some(LinearWalk {
+        start: Meters::new(0.5),
+        end: Meters::new(8.0),
+        duration: Seconds::new(60.0),
+    });
+    let devices = vec![
+        dev(0.0, 0.0, wh),
+        dev(0.5, 0.0, wh),
+        dev(10.0, 0.0, wh),
+        dev(10.0, 0.5, wh),
+    ];
+    let mut sc = FleetScenario::new(devices, pairs, Arbitration::Uncoordinated)
+        .with_horizon(Seconds::new(60.0));
+    sc.replan_interval = Seconds::new(1.0);
+    out.push(("approach-2-uncoordinated".into(), sc));
     out
 }
 
