@@ -119,7 +119,7 @@ fn bench_solver(c: &mut Criterion) {
 fn bench_telemetry_off_overhead(c: &mut Criterion) {
     // The telemetry contract's first clause: zero cost when off. Both arms
     // run the same fleet scenario with no sink attached; the `off` arm
-    // pays one relaxed atomic load per instrumentation site, the
+    // pays one thread-local load per instrumentation site, the
     // `capturing` arm actually buffers events (and is drained between
     // iterations so the buffer does not grow without bound). The two
     // should be within noise of each other apart from the buffering cost

@@ -111,13 +111,14 @@ fn main() {
         // Each experiment gets a disjoint run-id block, so a combined trace
         // (`all --trace-events ...`) keeps the experiments apart even when
         // two of them use the same per-work-item run offsets.
-        telemetry::set_run_base((j as u32) << 16);
         let t0 = Instant::now();
-        if *name == "fleet" {
-            series.extend(fleet::execute(&cli.fleet));
-        } else {
-            run();
-        }
+        telemetry::with_run((j as u32) << 16, || {
+            if *name == "fleet" {
+                series.extend(fleet::execute(&cli.fleet));
+            } else {
+                run();
+            }
+        });
         timings.push((name, t0.elapsed().as_secs_f64()));
     }
 
@@ -630,8 +631,9 @@ fn usage() {
     eprintln!();
     eprintln!("flags:");
     eprintln!("  --jobs N, -j N worker threads for the simulation pool");
-    eprintln!("                 (default: the CPU count;");
-    eprintln!("                  results are identical at any thread count)");
+    eprintln!("                 (default: the CPU count; set on the thread that");
+    eprintln!("                  runs the experiments and handed to every pool");
+    eprintln!("                  worker; results are identical at any thread count)");
     eprintln!("  --scale N      run 'fleet' as the large-fleet scale family:");
     eprintln!("                 N pairs on a room grid under every arbitration");
     eprintln!("                  policy (256/1024/4096/10000/100000 are the benched");

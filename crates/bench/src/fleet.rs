@@ -250,16 +250,17 @@ fn nj_per_bit(r: &FleetReport) -> f64 {
 }
 
 /// Run every scenario of `grid` through the work pool, stamping each grid
-/// index as its telemetry run id, and — when event capture is on — audit
-/// the telemetry energy ledger against each report's measured battery
-/// drain. With `sampled`, each scenario also returns its gauge time series
-/// (named `<tag><index>.<policy>`, in grid index order). Public so the
-/// determinism suite runs the exact production path.
+/// index, added to the enclosing run id, as its telemetry run id, and —
+/// when event capture is on — audit the telemetry energy ledger against
+/// each report's measured battery drain. With `sampled`, each scenario
+/// also returns its gauge time series (named `<tag><index>.<policy>`, in
+/// grid index order). Public so the determinism suite runs the exact
+/// production path.
 pub fn run_grid(
     grid: &[(&'static str, FleetScenario)],
     sampled: bool,
 ) -> (Vec<FleetReport>, Vec<Series>) {
-    let base = braidio_telemetry::run_base();
+    let base = braidio_telemetry::run_id();
     // Scenario granularity: one scenario per work item. A scale-rung grid
     // holds a handful of wildly uneven scenarios (TDMA short-circuits the
     // interference sweep entirely), so the default oversubscription

@@ -3,21 +3,18 @@
 //! its own validator, and the event stream carries enough information to
 //! reconstruct every battery's drain exactly.
 //!
-//! Telemetry capture is process-global state (one enable flag, one run-id
-//! base), so the tests that touch it serialize on a mutex — each test
-//! leaves capture off and the buffers drained.
+//! The capture switch and run id belong to the test's own thread (and the
+//! pool workers it starts), so the tests run side by side; each one leaves
+//! capture off and its buffers drained.
 
 use braidio::pool;
 use braidio_bench::fleet;
 use braidio_telemetry as telemetry;
 use braidio_telemetry::sink;
-use std::sync::Mutex;
-
-static FLAGS: Mutex<()> = Mutex::new(());
 
 /// Capture one full fleet-grid run at the given thread count and render it.
 fn traced_grid_jsonl(threads: usize) -> String {
-    telemetry::take_events(); // drop anything a previous test left behind
+    telemetry::take_events(); // drop anything this thread buffered before
     telemetry::set_enabled(true);
     let grid = fleet::scenarios();
     pool::with_threads(threads, || fleet::run_grid(&grid, false));
@@ -27,8 +24,6 @@ fn traced_grid_jsonl(threads: usize) -> String {
 
 #[test]
 fn fleet_trace_byte_identical_at_1_and_4_threads() {
-    let _guard = FLAGS.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::set_run_base(0);
     let serial = traced_grid_jsonl(1);
     let par = traced_grid_jsonl(4);
     assert!(serial == par, "trace differs between 1 and 4 threads");
@@ -60,8 +55,6 @@ fn fleet_scale_trace_byte_identical_at_1_and_4_threads() {
     // 32-pair scenario family traced at 1 and 4 threads renders the same
     // JSONL byte-for-byte (events re-injected in chunk index order), and
     // the trace passes its own validator at scale.
-    let _guard = FLAGS.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::set_run_base(0);
     let traced = |threads: usize| {
         telemetry::take_events();
         telemetry::set_enabled(true);
@@ -83,8 +76,6 @@ fn fleet_scale_trace_byte_identical_at_1_and_4_threads() {
 
 #[test]
 fn energy_ledger_reconstructs_battery_drain() {
-    let _guard = FLAGS.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::set_run_base(0);
     telemetry::take_events();
     telemetry::set_enabled(true);
     let grid = fleet::scenarios();
@@ -225,8 +216,6 @@ fn churn_trace_byte_identical_at_1_and_4_threads() {
     // renders the same JSONL byte-for-byte, and the trace — which now
     // carries admissions and phase_change chains — passes the validator's
     // lifecycle rules.
-    let _guard = FLAGS.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::set_run_base(0);
     let traced = |threads: usize| {
         telemetry::take_events();
         telemetry::set_enabled(true);

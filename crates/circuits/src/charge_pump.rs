@@ -187,11 +187,6 @@ impl Transient {
         self.output.is_empty()
     }
 
-    /// Final output voltage.
-    pub fn final_output(&self) -> f64 {
-        *self.output.last().expect("empty transient")
-    }
-
     /// Mean of the last `fraction` of the output trace (settled DC value).
     pub fn settled_output(&self, fraction: f64) -> f64 {
         assert!((0.0..=1.0).contains(&fraction) && fraction > 0.0);

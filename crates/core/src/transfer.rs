@@ -69,12 +69,6 @@ impl Transfer {
         self
     }
 
-    /// Use a custom characterization (e.g. a modified board).
-    pub fn with_characterization(mut self, ch: Characterization) -> Self {
-        self.ch = ch;
-        self
-    }
-
     fn setup(&self, policy: Policy) -> TransferSetup {
         let mut s = TransferSetup::new(
             self.tx.battery_wh * self.tx_soc,

@@ -45,12 +45,6 @@ impl DutyCycledListener {
         self.on_power * duty + self.sleep_power * (1.0 - duty)
     }
 
-    /// Worst-case latency until a wake-up is noticed: the sender must keep
-    /// signalling for a full period.
-    pub fn worst_latency(&self) -> Seconds {
-        self.period
-    }
-
     /// Mean wake-up latency (uniform arrival within a period).
     pub fn mean_latency(&self) -> Seconds {
         self.period / 2.0

@@ -174,12 +174,6 @@ impl FleetReport {
         m / total
     }
 
-    /// How long a device lived: its battery-death time, or the simulated
-    /// interval if it survived.
-    pub fn device_lifetime(&self, device: usize) -> Seconds {
-        self.device_dead_at[device].unwrap_or(self.end_time)
-    }
-
     /// Fraction of the simulated interval a device spent radiating.
     pub fn carrier_duty(&self, device: usize) -> f64 {
         if self.end_time.seconds() <= 0.0 {

@@ -14,10 +14,6 @@
 //! device's measured drain to 1e-9 relative — session rows that are
 //! recycled through cooldown and revival must not lose or double-count a
 //! single debit.
-//!
-//! Everything runs in ONE test function: the telemetry capture buffer is
-//! process-global, and the test harness runs sibling `#[test]` functions
-//! concurrently.
 
 use braidio_net::digest::report_digest;
 use braidio_net::{run_fleet, Arbitration, FleetReport, FleetScenario};

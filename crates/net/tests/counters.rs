@@ -16,8 +16,8 @@
 //! or the lazy path's row scratches, and the options memo's counters are
 //! the tally its sampled hit rate is read from.
 //!
-//! The capture switches are process-global and the harness runs sibling
-//! `#[test]` functions concurrently, so every test here holds one lock.
+//! The capture switches belong to each test's own thread (and the pool
+//! workers it starts), so sibling tests run side by side without a lock.
 
 use braidio_net::cache::PairGainCache;
 use braidio_net::{run_fleet, run_fleet_sampled, Arbitration, FleetScenario};
@@ -26,14 +26,10 @@ use braidio_telemetry as telemetry;
 use braidio_units::{Meters, Seconds, Watts};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-static CAPTURE: Mutex<()> = Mutex::new(());
 
 /// Run `f` with counters on, returning its result and the counters whose
 /// names start with one of `prefixes`.
 fn counted<R>(prefixes: &[&str], f: impl FnOnce() -> R) -> (R, Vec<(String, u64)>) {
-    let _guard = CAPTURE.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_profiling(true);
     let _ = telemetry::drain_thread();
     let r = f();

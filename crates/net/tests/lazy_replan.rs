@@ -11,10 +11,6 @@
 //! so the lazy rebuilds are served from per-receiver edge rows: after
 //! bring-up the engine evaluates at most one row (one edge per pair row)
 //! for each distinct receiver key that re-plans.
-//!
-//! Everything runs in ONE test function: the capture switches are
-//! process-global, and the test harness runs sibling `#[test]` functions
-//! concurrently.
 
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_telemetry as telemetry;

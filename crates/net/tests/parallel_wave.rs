@@ -15,10 +15,6 @@
 //! pair counts sweeps the chunk boundaries too (1 pair per chunk up to
 //! everything in one chunk). Raw chunk-size invariance of the pool itself
 //! is covered by the pool crate's own tests.
-//!
-//! Everything runs in ONE test function: the telemetry capture buffer is
-//! process-global, and the test harness runs sibling `#[test]` functions
-//! concurrently.
 
 use braidio_mac::mobility::LinearWalk;
 use braidio_net::digest::report_digest;

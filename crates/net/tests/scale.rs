@@ -96,10 +96,7 @@ fn fspl_memo_misses_once_per_distinct_distance_on_a_grid() {
 fn hundred_twenty_eight_pairs_complete_under_every_policy() {
     // The acceptance rung: 128 pairs (256 devices) to the horizon under
     // all three arbitration policies, with the debug shadow check
-    // auditing every cached interference sum along the way. Event
-    // capture, which the test beside this one switches on process-wide,
-    // may start mid-run: whether a run commits quanta ahead is read once,
-    // when it starts, so such a run only emits a few events nobody takes.
+    // auditing every cached interference sum along the way.
     for arb in policies() {
         let sc = grid(128, SPACING, Seconds::new(10.0), arb);
         let r = run_fleet(&sc);

@@ -11,9 +11,9 @@
 //! 2. **Thread invariance** — the sampler runs in the serial loop, so the
 //!    rendered CSV/JSONL must be byte-identical at 1, 4 and 8 workers.
 //!
-//! Everything runs in ONE test function: `braidio_pool::with_threads`
-//! swaps the process-global worker pool, and the test harness runs
-//! sibling `#[test]` functions concurrently.
+//! `braidio_pool::with_threads` sets the worker count of the test's own
+//! thread (and the pool workers it starts), so the thread-count rungs need
+//! no lock against sibling tests running at the same time.
 
 use braidio_net::digest::report_digest;
 use braidio_net::{run_fleet, run_fleet_sampled, Arbitration, FleetScenario, LinkPhase};

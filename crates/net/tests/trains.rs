@@ -3,9 +3,6 @@
 //! at that quantum's own finish time, so the window bits of an untraced
 //! run (which trains) equal those of an event-captured run (which delivers
 //! every completion through the queue).
-//!
-//! One test function: event capture and counters are process-wide, and
-//! the harness runs sibling tests concurrently.
 
 use braidio_net::digest::report_digest;
 use braidio_net::{

@@ -99,11 +99,6 @@ pub fn ber_coherent(gamma: f64) -> f64 {
     q_function((gamma / 2.0).sqrt())
 }
 
-/// BER of coherent detection at an SNR given in dB.
-pub fn ber_coherent_db(snr: Decibels) -> f64 {
-    ber_coherent(snr.linear())
-}
-
 /// BER of noncoherent binary FSK, `½·exp(−γ/2)` — the active radio's
 /// envelope when modelled pessimistically (real BLE chips do a bit better;
 /// the active link is never the bottleneck in any experiment).

@@ -15,32 +15,40 @@
 //! * threads only race for *which chunk to grab next* (an atomic
 //!   counter), which affects scheduling, not values.
 //!
-//! Thread count: [`set_threads`] (the `experiments --jobs N` flag) when
-//! set, else [`std::thread::available_parallelism`]. The pool reads no
-//! environment variable.
+//! Thread count: the calling thread's [`set_threads`] override (the
+//! `experiments --jobs N` flag) when set, else
+//! [`std::thread::available_parallelism`]. The pool reads no environment
+//! variable. The override, like the telemetry switches and run id, belongs
+//! to the thread that sets it: each worker adopts its caller's before the
+//! first chunk, so nested maps see what the caller sees, and two threads
+//! comparing thread counts side by side never see each other's.
 //!
 //! No dependencies, in the workspace's smoltcp-style spirit (DESIGN.md §5).
 
 #![warn(missing_docs)]
 
 use braidio_telemetry as telemetry;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Process-wide override installed by [`set_threads`]. Zero means "unset".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's override, installed by [`set_threads`]. Zero means
+    /// "unset".
+    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Override the worker count for all subsequent parallel maps.
+/// Override the worker count for this thread's subsequent parallel maps.
 ///
 /// `set_threads(0)` clears the override, restoring auto-detection. This
 /// is what `experiments --jobs N` calls.
 pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::SeqCst);
+    THREAD_OVERRIDE.set(n);
 }
 
-/// The number of worker threads parallel maps will use.
+/// The number of worker threads this thread's parallel maps will use.
 pub fn thread_count() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
+    let forced = THREAD_OVERRIDE.get();
     if forced > 0 {
         return forced;
     }
@@ -71,7 +79,7 @@ impl ThreadSource {
 
 /// Where the current [`thread_count`] comes from.
 pub fn thread_source() -> ThreadSource {
-    if THREAD_OVERRIDE.load(Ordering::SeqCst) > 0 {
+    if THREAD_OVERRIDE.get() > 0 {
         ThreadSource::Flag
     } else {
         ThreadSource::Auto
@@ -88,19 +96,16 @@ pub fn default_chunk(n: usize) -> usize {
     n.div_ceil(threads * 4).max(1)
 }
 
-/// Run `set_threads(n)`, evaluate `f`, then restore the previous override.
-///
-/// Intended for tests and benches that compare thread counts; not safe
-/// against *concurrent* callers mutating the override (the global is
-/// process-wide by design — the experiment driver sets it once at startup).
+/// Run `set_threads(n)`, evaluate `f`, then restore this thread's previous
+/// override. Other threads keep theirs.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::SeqCst);
+            THREAD_OVERRIDE.set(self.0);
         }
     }
-    let _restore = Restore(THREAD_OVERRIDE.swap(n, Ordering::SeqCst));
+    let _restore = Restore(THREAD_OVERRIDE.replace(n));
     f()
 }
 
@@ -142,35 +147,44 @@ where
     let done: Mutex<Vec<(usize, Vec<R>, telemetry::Batch)>> =
         Mutex::new(Vec::with_capacity(nchunks));
 
+    // Each worker runs under its caller's override, capture switches and
+    // run id, so nested maps and the events they stamp see what a serial
+    // run on the caller would.
+    let forced = THREAD_OVERRIDE.get();
+    let scope = telemetry::Scope::current();
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= nchunks {
-                    break;
-                }
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(n);
-                let values: Vec<R> = {
-                    let _span = telemetry::span("pool.chunk");
-                    (lo..hi).map(&f).collect()
-                };
-                // Drain whatever the chunk buffered on this worker so the
-                // caller can re-inject the batches in chunk index order —
-                // the merged telemetry stream is then the one a serial run
-                // would produce, regardless of which worker ran the chunk.
-                let batch = if telemetry::active() {
-                    let mut b = telemetry::drain_thread();
-                    for sp in &mut b.spans {
-                        sp.lane = c as u32;
+            s.spawn(|| {
+                THREAD_OVERRIDE.set(forced);
+                scope.enter();
+                loop {
+                    let c = next.fetch_add(1, Ordering::Relaxed);
+                    if c >= nchunks {
+                        break;
                     }
-                    b
-                } else {
-                    telemetry::Batch::default()
-                };
-                done.lock()
-                    .expect("worker panicked holding results")
-                    .push((c, values, batch));
+                    let lo = c * chunk;
+                    let hi = (lo + chunk).min(n);
+                    let values: Vec<R> = {
+                        let _span = telemetry::span("pool.chunk");
+                        (lo..hi).map(&f).collect()
+                    };
+                    // Drain whatever the chunk buffered on this worker so the
+                    // caller can re-inject the batches in chunk index order —
+                    // the merged telemetry stream is then the one a serial run
+                    // would produce, regardless of which worker ran the chunk.
+                    let batch = if telemetry::active() {
+                        let mut b = telemetry::drain_thread();
+                        for sp in &mut b.spans {
+                            sp.lane = c as u32;
+                        }
+                        b
+                    } else {
+                        telemetry::Batch::default()
+                    };
+                    done.lock()
+                        .expect("worker panicked holding results")
+                        .push((c, values, batch));
+                }
             });
         }
     });
@@ -205,8 +219,8 @@ pub const INLINE_WORK: usize = 1 << 13;
 /// calling thread, as a one-thread pool would, with no `pool.chunk` spans.
 /// The values and their order are the same either way.
 ///
-/// The cutoff looks only at the map's own work, never at a process-wide
-/// setting, so concurrent callers (a fleet grid's scenarios each running
+/// The cutoff looks only at the map's own work, never at the thread
+/// count, so concurrent callers (a fleet grid's scenarios each running
 /// their own waves) decide independently.
 pub fn par_map_sized<R, F>(n: usize, chunk: usize, work: usize, f: F) -> Vec<R>
 where
@@ -233,16 +247,8 @@ where
 mod tests {
     use super::*;
 
-    /// Serializes tests that mutate the process-wide override.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serialized() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn matches_serial_map() {
-        let _guard = serialized();
         let serial: Vec<u64> = (0..1000)
             .map(|i| (i as u64).wrapping_mul(2654435761))
             .collect();
@@ -254,7 +260,6 @@ mod tests {
 
     #[test]
     fn identical_at_any_thread_count() {
-        let _guard = serialized();
         let f = |i: usize| (i as f64).sqrt().sin();
         let one = with_threads(1, || par_map_indexed(777, f));
         for threads in [2, 3, 4, 8, 16] {
@@ -268,7 +273,6 @@ mod tests {
 
     #[test]
     fn explicit_chunk_sizes_match_serial_bitwise() {
-        let _guard = serialized();
         let f = |i: usize| (i as f64).cbrt().cos();
         let serial: Vec<f64> = (0..101).map(f).collect();
         for chunk in [1, 2, 7, 101, 500] {
@@ -282,7 +286,6 @@ mod tests {
 
     #[test]
     fn par_map_over_slice() {
-        let _guard = serialized();
         let items: Vec<i32> = (0..57).collect();
         let doubled = with_threads(3, || par_map(&items, |x| x * 2));
         assert_eq!(doubled, (0..57).map(|x| x * 2).collect::<Vec<_>>());
@@ -296,7 +299,6 @@ mod tests {
 
     #[test]
     fn override_wins_and_clears_to_auto_detection() {
-        let _guard = serialized();
         set_threads(3);
         assert_eq!(thread_count(), 3);
         assert_eq!(thread_source(), ThreadSource::Flag);
@@ -308,7 +310,6 @@ mod tests {
 
     #[test]
     fn default_chunk_tracks_thread_count() {
-        let _guard = serialized();
         with_threads(4, || {
             // 4 threads × 4-way oversubscription → 16 chunks.
             assert_eq!(default_chunk(1600), 100);
@@ -322,7 +323,6 @@ mod tests {
 
     #[test]
     fn telemetry_merges_in_index_order_at_any_thread_count() {
-        let _guard = serialized();
         let emit_for = |i: usize| {
             telemetry::with_run(i as u32, || {
                 telemetry::begin_unit();
@@ -347,7 +347,6 @@ mod tests {
 
     #[test]
     fn sized_maps_match_serial_on_both_sides_of_the_cutoff() {
-        let _guard = serialized();
         let f = |i: usize| (i as f64).sqrt().cos();
         let serial: Vec<f64> = (0..64).map(f).collect();
         for work in [0, INLINE_WORK - 1, INLINE_WORK, 10 * INLINE_WORK] {
@@ -361,7 +360,6 @@ mod tests {
 
     #[test]
     fn small_maps_stay_on_the_calling_thread() {
-        let _guard = serialized();
         let caller = std::thread::current().id();
         let ran_on = |work| {
             with_threads(4, || {
@@ -374,7 +372,6 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let _guard = serialized();
         let result = std::panic::catch_unwind(|| {
             with_threads(4, || {
                 par_map_indexed(100, |i| {
@@ -384,5 +381,51 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn concurrent_callers_keep_their_own_modes_and_run_ids() {
+        // A traced run at 4 threads and an untraced one at 1 set their
+        // modes before the first barrier and map between the two, so a
+        // shared switch, override or run id shows on one side or the other.
+        let barrier = std::sync::Barrier::new(2);
+        let run = |traced: bool, threads: usize| {
+            let _ = telemetry::take_events();
+            if traced {
+                telemetry::set_enabled(true);
+            }
+            let counts = telemetry::with_run(if traced { 7 } else { 0 }, || {
+                with_threads(threads, || {
+                    barrier.wait();
+                    // Each item emits at the run id its worker inherited,
+                    // then under its own `with_run(i)`.
+                    let counts = par_map_indexed(64, |i| {
+                        let ev = telemetry::Event::WakeupDetect {
+                            at: telemetry::units::Seconds::new(0.0),
+                            track: telemetry::Track::Device(i as u32),
+                        };
+                        telemetry::emit(ev);
+                        telemetry::with_run(i as u32, || {
+                            telemetry::emit(ev);
+                            thread_count()
+                        })
+                    });
+                    barrier.wait();
+                    counts
+                })
+            });
+            telemetry::set_enabled(false);
+            let events = telemetry::take_events();
+            let stamps: Vec<(u32, u32)> = events.iter().map(|e| (e.run, e.unit)).collect();
+            (counts, stamps)
+        };
+        let (traced, untraced) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(true, 4));
+            let b = s.spawn(|| run(false, 1));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let want: Vec<(u32, u32)> = (0..64).flat_map(|i| [(7, 0), (7 + i, 0)]).collect();
+        assert_eq!(traced, (vec![4; 64], want));
+        assert_eq!(untraced, (vec![1; 64], vec![]));
     }
 }

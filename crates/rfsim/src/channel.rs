@@ -105,11 +105,6 @@ impl Environment {
         self
     }
 
-    /// Number of reflectors in the scene.
-    pub fn reflector_count(&self) -> usize {
-        self.reflectors.len()
-    }
-
     /// The total complex gain from `a` to `b`: LOS plus every single-bounce
     /// path.
     pub fn gain(&self, a: Point, b: Point, f: Hertz) -> ChannelGain {

@@ -1,14 +1,20 @@
-//! The event bus: process-wide switches, thread-local buffers, and the
-//! batch drain/inject protocol `braidio-pool` uses to merge worker
-//! buffers deterministically.
+//! The event bus: per-thread switches and buffers, and the batch
+//! drain/inject protocol `braidio-pool` uses to merge worker buffers
+//! deterministically.
+//!
+//! Scope: the capture switches and the run id belong to the calling
+//! thread. A run's modes are set on the thread that runs it, and
+//! `braidio-pool` hands each worker its caller's [`Scope`] before the
+//! first chunk, so a parallel map sees the modes a serial one would and
+//! two runs on two threads never see each other's.
 //!
 //! Fast path: [`emit`], [`count_by`] and [`crate::span()`] each start with
-//! one `Relaxed` load of a static `AtomicBool`; when the corresponding
-//! switch is off they return immediately, so uninstrumented runs pay a
-//! single predictable branch per call site (`experiments` output is
-//! byte-identical with and without the switches thrown — see `DESIGN.md`
-//! §9). Counters are not per-event: an owner keeps its own tallies and
-//! publishes each total once with [`count_by`].
+//! one load of a `const`-initialised thread-local `Cell<bool>`; when the
+//! corresponding switch is off they return immediately, so uninstrumented
+//! runs pay a single predictable branch per call site (`experiments`
+//! output is byte-identical with and without the switches thrown — see
+//! `DESIGN.md` §9). Counters are not per-event: an owner keeps its own
+//! tallies and publishes each total once with [`count_by`].
 //!
 //! Buffering: everything lands in thread-locals. Serial code therefore
 //! accumulates its stream in program order on the calling thread. Parallel
@@ -19,17 +25,8 @@
 
 use crate::event::{Event, Stamped};
 use crate::span::SpanRecord;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
-/// Event capture switch (`--trace-events` / `--trace-chrome`).
-static EVENTS_ON: AtomicBool = AtomicBool::new(false);
-/// Wall-clock span capture switch (`--profile`).
-static PROFILE_ON: AtomicBool = AtomicBool::new(false);
-/// Run-id base, set serially by the experiment driver per experiment so
-/// run ids never collide across experiments in one invocation.
-static RUN_BASE: AtomicU32 = AtomicU32::new(0);
 
 struct Local {
     run: u32,
@@ -41,6 +38,10 @@ struct Local {
 }
 
 thread_local! {
+    /// Event capture switch (`--trace-events` / `--trace-chrome`).
+    static EVENTS_ON: Cell<bool> = const { Cell::new(false) };
+    /// Wall-clock span capture switch (`--profile`).
+    static PROFILE_ON: Cell<bool> = const { Cell::new(false) };
     static LOCAL: RefCell<Local> = const {
         RefCell::new(Local {
             run: 0,
@@ -53,26 +54,28 @@ thread_local! {
     };
 }
 
-/// Is event capture on?
+/// Is event capture on for this thread?
 #[inline]
 pub fn enabled() -> bool {
-    EVENTS_ON.load(Ordering::Relaxed)
+    EVENTS_ON.get()
 }
 
-/// Turn event capture on or off (process-wide).
+/// Turn event capture on or off for this thread (and the pool workers its
+/// parallel maps start).
 pub fn set_enabled(on: bool) {
-    EVENTS_ON.store(on, Ordering::SeqCst);
+    EVENTS_ON.set(on);
 }
 
-/// Is wall-clock profiling on?
+/// Is wall-clock profiling on for this thread?
 #[inline]
 pub fn profiling() -> bool {
-    PROFILE_ON.load(Ordering::Relaxed)
+    PROFILE_ON.get()
 }
 
-/// Turn wall-clock profiling on or off (process-wide).
+/// Turn wall-clock profiling on or off for this thread (and the pool
+/// workers its parallel maps start).
 pub fn set_profiling(on: bool) {
-    PROFILE_ON.store(on, Ordering::SeqCst);
+    PROFILE_ON.set(on);
 }
 
 /// Is any capture (events, counters, or spans) on? The pool drains worker
@@ -82,26 +85,22 @@ pub fn active() -> bool {
     enabled() || profiling()
 }
 
-/// Set the run-id base added to every local run id (the experiment driver
-/// calls this serially, once per experiment).
-pub fn set_run_base(base: u32) {
-    RUN_BASE.store(base, Ordering::SeqCst);
+/// This thread's run id: the sum of the enclosing [`with_run`] offsets.
+pub fn run_id() -> u32 {
+    LOCAL.with(|l| l.borrow().run)
 }
 
-/// The current run-id base.
-pub fn run_base() -> u32 {
-    RUN_BASE.load(Ordering::SeqCst)
-}
-
-/// Run `f` with this thread's local run id set to `run` (and a fresh unit
-/// counter), restoring the previous ids afterwards. Parallel experiments
-/// wrap each work item in `with_run(item_index, ..)` so the item's events
-/// are stamped with a stable id regardless of which worker ran it.
+/// Run `f` with this thread's run id raised by `run` (and a fresh unit
+/// counter), restoring the previous ids afterwards. Runs nest: the
+/// experiment driver wraps experiment `j` in `with_run(j << 16, ..)` so
+/// experiments keep disjoint run-id blocks, and parallel sweeps wrap each
+/// work item in `with_run(item_index, ..)` so the item's events are
+/// stamped with a stable id regardless of which worker ran it.
 pub fn with_run<R>(run: u32, f: impl FnOnce() -> R) -> R {
     let prev = LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         let prev = (l.run, l.unit, l.unit_next);
-        l.run = run;
+        l.run += run;
         l.unit = 0;
         l.unit_next = 0;
         prev
@@ -120,6 +119,27 @@ pub fn with_run<R>(run: u32, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(prev);
     f()
+}
+
+/// A thread's capture switches and run id, `(events, profiling, run)`.
+/// `braidio-pool` takes the caller's with [`Scope::current`] and
+/// [`Scope::enter`]s it on each worker before the first chunk, so work on
+/// a worker is captured and stamped as it would be on the caller.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope(bool, bool, u32);
+
+impl Scope {
+    /// The calling thread's switches and run id.
+    pub fn current() -> Scope {
+        Scope(enabled(), profiling(), run_id())
+    }
+
+    /// Adopt this scope's switches and run id on the calling thread.
+    pub fn enter(self) {
+        set_enabled(self.0);
+        set_profiling(self.1);
+        LOCAL.with(|l| l.borrow_mut().run = self.2);
+    }
 }
 
 /// Start a new simulation session (unit) on this thread: every simulator
@@ -148,11 +168,9 @@ pub fn emit(event: Event) {
 
 #[cold]
 fn emit_slow(event: Event) {
-    let base = run_base();
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
-        let run = base + l.run;
-        let unit = l.unit;
+        let (run, unit) = (l.run, l.unit);
         l.events.push(Stamped { run, unit, event });
     });
 }
@@ -257,22 +275,11 @@ pub fn counters_snapshot() -> Vec<(String, u64)> {
     })
 }
 
-/// Serializes crate tests that throw the process-wide switches.
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Track;
     use braidio_units::Seconds;
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        test_lock()
-    }
 
     fn ev(at: f64) -> Event {
         Event::CarrierGrant {
@@ -283,37 +290,33 @@ mod tests {
 
     #[test]
     fn emit_is_a_noop_while_disabled() {
-        let _g = locked();
         let _ = take_events();
         emit(ev(1.0));
         assert!(take_events().is_empty());
     }
 
     #[test]
-    fn emit_stamps_run_base_plus_local_run_and_unit() {
-        let _g = locked();
+    fn emit_stamps_nested_runs_and_units() {
         let _ = take_events();
         set_enabled(true);
-        set_run_base(100);
-        with_run(7, || {
-            begin_unit();
-            emit(ev(0.5));
-            begin_unit();
-            emit(ev(0.0));
+        with_run(100, || {
+            emit(ev(2.0));
+            with_run(7, || {
+                begin_unit();
+                emit(ev(0.5));
+                begin_unit();
+                emit(ev(0.0));
+            });
+            emit(ev(3.0));
         });
-        emit(ev(2.0));
+        emit(ev(4.0));
         set_enabled(false);
-        set_run_base(0);
-        let events = take_events();
-        assert_eq!(events.len(), 3);
-        assert_eq!((events[0].run, events[0].unit), (107, 1));
-        assert_eq!((events[1].run, events[1].unit), (107, 2));
-        assert_eq!((events[2].run, events[2].unit), (100, 0));
+        let stamps: Vec<(u32, u32)> = take_events().iter().map(|e| (e.run, e.unit)).collect();
+        assert_eq!(stamps, vec![(100, 0), (107, 1), (107, 2), (100, 0), (0, 0)]);
     }
 
     #[test]
     fn drain_and_inject_round_trip() {
-        let _g = locked();
         let _ = take_events();
         set_enabled(true);
         emit(ev(1.0));
@@ -333,7 +336,6 @@ mod tests {
 
     #[test]
     fn counters_are_off_while_inactive() {
-        let _g = locked();
         let _ = drain_thread();
         count_by("never.recorded", 1);
         assert!(counters_snapshot().is_empty());

@@ -69,10 +69,6 @@
 //! A deliberate output change re-records the manifest with
 //! `cargo test --test goldens -- --ignored record_goldens` and explains
 //! the manifest diff (CONTRIBUTING.md, "Intentional output changes").
-//!
-//! Everything runs in ONE test function: event capture and the worker
-//! pool are switched process-wide, and the harness runs sibling tests
-//! concurrently.
 
 mod common;
 
