@@ -41,65 +41,14 @@ fn bench_montecarlo(c: &mut Criterion) {
 fn bench_streaming_chunk(c: &mut Criterion) {
     // One full Monte-Carlo chunk at 1 kbps: CHUNK_BITS bits × 20 000 samples
     // per bit ≈ 82 M samples, exactly the unit of work the engine hands each
-    // pool worker. `streaming` is the fused production path; `batch`
-    // reconstructs the stage-major pipeline it replaced (identical
-    // arithmetic — the proptests assert bit-equality). The chunk size
-    // matters: at this footprint the batch arm materializes five
-    // full-length stage vectors (~3.3 GB live), which glibc serves via
-    // mmap and unmaps on free, so every chunk re-pays the page-fault and
-    // zeroing cost — the production pathology fusion removes. At toy sizes
-    // the vectors fit in cache and the gap shrinks to the pure-compute
-    // ratio (~1.6×); do not shrink `nbits` to make the bench faster.
-    use braidio_phy::modulation::OokModulator;
+    // pool worker, through the fused streaming path.
     use braidio_phy::montecarlo::{chunk_seed, CHUNK_BITS};
-    use braidio_phy::noise::GaussianEnvelopeNoise;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     let nbits = CHUNK_BITS;
     let mc = MonteCarloBer::at_snr_db(6.0, BitsPerSecond::new(1_000.0), nbits, 11);
     let seed = chunk_seed(11, 0);
     c.bench_function("montecarlo/1kbps_chunk/streaming", |b| {
         b.iter(|| black_box(mc.run_chunk(nbits, seed)))
-    });
-    c.bench_function("montecarlo/1kbps_chunk/batch", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let training = 16usize;
-            let mut bits: Vec<bool> = Vec::with_capacity(training + nbits);
-            for i in 0..training {
-                bits.push(i % 2 == 0);
-            }
-            for _ in 0..nbits {
-                bits.push(rng.random_bool(0.5));
-            }
-            let modulator =
-                OokModulator::new(mc.samples_per_bit, mc.envelope_high, mc.envelope_low);
-            let mut envelope = modulator.modulate(&bits);
-            let mut noise = GaussianEnvelopeNoise::new(rng, mc.noise_rms);
-            for s in envelope.iter_mut() {
-                *s = noise.corrupt(*s);
-            }
-            // Stage-major demodulation, one full vector per stage — what
-            // `demodulate` did before fusion.
-            let dt = modulator.sample_interval(mc.rate);
-            let chain = &mc.chain;
-            let pumped: Vec<f64> = envelope
-                .iter()
-                .map(|&v| chain.pump.small_signal_output(v * chain.matching_gain))
-                .collect();
-            let followed = chain.detector.run(&pumped, dt);
-            let hp = chain.highpass.run(&followed, dt);
-            let amped = chain.amplifier.run(&hp);
-            let sliced = chain.comparator.with_threshold(0.0).run(&amped);
-            let mut errors = 0usize;
-            for (i, &bit) in bits.iter().enumerate().skip(training) {
-                if sliced[modulator.decision_index(i)] != bit {
-                    errors += 1;
-                }
-            }
-            black_box(errors)
-        })
     });
 }
 
@@ -152,11 +101,6 @@ fn bench_characterization(c: &mut Criterion) {
     let ch = Characterization::braidio();
     c.bench_function("characterization/range_lookup", |b| {
         b.iter(|| black_box(ch.range(Mode::Passive, Rate::Kbps100)))
-    });
-    // The carrier-variant path still pays the full derived-table rebuild
-    // (nine range bisections) — the cost every construction used to carry.
-    c.bench_function("characterization/rebuild_with_carrier", |b| {
-        b.iter(|| black_box(Characterization::braidio().with_carrier_dbm(13.0)))
     });
 }
 

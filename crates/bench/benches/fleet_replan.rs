@@ -1,11 +1,10 @@
-//! Macrobench: the large-fleet re-plan wave, brute-force vs cached.
+//! Macrobench: the large-fleet re-plan wave.
 //!
 //! One "wave" is what the fleet engine does at every re-plan tick: compute
 //! the worst-case foreign-carrier power at all M victims, then derive each
-//! pair's mode/rate option set under it. The brute arms reconstruct the
-//! original path (a fresh O(M) source scan per victim — O(M²) per wave,
-//! plus a full `options_under` evaluation per pair); the cached arms run
-//! the production path (`PairGainCache` steady-state sums over
+//! pair's mode/rate option set under it. The cold options arm runs a full
+//! `options_under_pinned` evaluation; the cached arms run the production
+//! path (`PairGainCache` steady-state sums over
 //! `EdgeKernel::carrier_tile_scratch`, `OptionsMemo` hits); the batched arms run
 //! the SoA wave path (`rebuild_all_shared` bulk sweeps, key-sorted
 //! `prefetch`). All compute
@@ -17,8 +16,7 @@
 use braidio_mac::coexistence::ChannelRelation;
 use braidio_net::cache::PairGainCache;
 use braidio_net::interference::{
-    carrier_contribution, interference_at, options_under, CarrierSource, EdgeKernel, OptionsKey,
-    OptionsMemo, EDGE_TILE,
+    options_under_pinned, EdgeKernel, OptionsKey, OptionsMemo, EDGE_TILE,
 };
 use braidio_net::{run_fleet, Arbitration, FleetScenario};
 use braidio_radio::Mode;
@@ -45,38 +43,6 @@ fn grid(m: usize, arb: Arbitration) -> FleetScenario {
 
 fn scale_scenario(arb: Arbitration) -> FleetScenario {
     grid(PAIRS, arb)
-}
-
-/// The original interference path: every victim rebuilds its full source
-/// list and re-evaluates every edge — exactly what `interference_for` did
-/// before the cache.
-fn wave_brute(sc: &FleetScenario) -> f64 {
-    let mut acc = 0.0;
-    for p in 0..sc.pairs.len() {
-        let victim = sc.devices[sc.pairs[p].rx].pos;
-        let sources: Vec<CarrierSource> = sc
-            .pairs
-            .iter()
-            .enumerate()
-            .filter(|&(q, _)| q != p)
-            .map(|(q, qp)| {
-                let a = sc.devices[qp.tx].pos;
-                let b = sc.devices[qp.rx].pos;
-                let pos = if a.distance(victim) <= b.distance(victim) {
-                    a
-                } else {
-                    b
-                };
-                CarrierSource {
-                    pos,
-                    rf: sc.ch.carrier_rf,
-                    relation: sc.arbitration.relation(p, q),
-                }
-            })
-            .collect();
-        acc += interference_at(&sc.ch, victim, &sources).watts();
-    }
-    acc
 }
 
 /// Pair `q`'s `(tx, rx)` endpoint positions.
@@ -170,9 +136,6 @@ fn wave_cached(cache: &mut PairGainCache, kernel: &EdgeKernel, sc: &FleetScenari
 fn bench_interference_wave(c: &mut Criterion) {
     let sc = scale_scenario(Arbitration::Uncoordinated);
     let kernel = EdgeKernel::new(&sc.ch);
-    c.bench_function("fleet_replan/interference_wave/brute/64", |b| {
-        b.iter(|| black_box(wave_brute(&sc)))
-    });
     // Steady state: every sum is clean, a wave is M flag checks + loads.
     let mut cache = PairGainCache::new(PAIRS);
     wave_cached(&mut cache, &kernel, &sc);
@@ -235,15 +198,13 @@ fn bench_translated_city(c: &mut Criterion) {
 
 fn bench_edge_kernel(c: &mut Criterion) {
     // The per-edge transcendental story (DESIGN.md §15): one EDGE_TILE-wide
-    // sweep of grid edges through the direct dB path (one log10 + four powf
-    // per edge) vs the memoized kernel (exact FSPL table lookup + four
-    // cached-constant multiplies). `direct` is the pre-memo cost; `memo_cold`
-    // builds a fresh kernel every iteration, so every lookup misses and runs
-    // the canonical evaluation plus the table insert; `memo_warm` is the
-    // steady state every rebuild wave after the first sees — all hits. The
-    // EXPERIMENTS.md edges/s column divides EDGE_TILE by these arm times.
-    // All arms compute bit-identical powers (kernel equality tests and the
-    // edge-kernel proptests pin this).
+    // sweep of grid edges through the memoized kernel (exact FSPL table
+    // lookup + four cached-constant multiplies). `memo_cold` builds a fresh
+    // kernel every iteration, so every lookup misses and runs the canonical
+    // evaluation plus the table insert; `memo_warm` is the steady state
+    // every rebuild wave after the first sees — all hits. The EXPERIMENTS.md
+    // edges/s column divides EDGE_TILE by these arm times. Both arms compute
+    // bit-identical powers (the edge-kernel tests pin this).
     let sc = scale_scenario(Arbitration::Uncoordinated);
     let victim = sc.devices[sc.pairs[0].rx].pos;
     let mut a = [sc.devices[0].pos; EDGE_TILE];
@@ -256,29 +217,6 @@ fn bench_edge_kernel(c: &mut Criterion) {
         rel[i] = sc.arbitration.relation(0, i % sc.pairs.len());
     }
     let mut out = [braidio_units::Watts::ZERO; EDGE_TILE];
-    c.bench_function("fleet_replan/edge_kernel/direct/64", |bch| {
-        bch.iter(|| {
-            let mut acc = 0.0;
-            for i in 0..EDGE_TILE {
-                let pos = if a[i].distance(victim) <= b[i].distance(victim) {
-                    a[i]
-                } else {
-                    b[i]
-                };
-                acc += carrier_contribution(
-                    &sc.ch,
-                    victim,
-                    &CarrierSource {
-                        pos,
-                        rf: sc.ch.carrier_rf,
-                        relation: rel[i],
-                    },
-                )
-                .watts();
-            }
-            black_box(acc)
-        })
-    });
     c.bench_function("fleet_replan/edge_kernel/memo_cold/64", |bch| {
         bch.iter(|| {
             let kernel = EdgeKernel::new(&sc.ch);
@@ -301,7 +239,7 @@ fn bench_options(c: &mut Criterion) {
     let d = Meters::new(0.5);
     let interference = Watts::new(1e-9);
     c.bench_function("fleet_replan/options/cold", |b| {
-        b.iter(|| black_box(options_under(&sc.ch, d, interference)))
+        b.iter(|| black_box(options_under_pinned(&sc.ch, d, interference, None)))
     });
     let mut memo = OptionsMemo::new();
     memo.get(&sc.ch, d, interference, None);

@@ -1,10 +1,8 @@
-//! Microbench: frame codec, line codes, CRC and bit synchronization — the
-//! per-packet work a Braidio MCU performs.
+//! Microbench: frame codec and CRC — the per-packet work a Braidio MCU
+//! performs.
 
-use braidio_phy::coding::LineCode;
 use braidio_phy::crc::crc16_ccitt;
 use braidio_phy::frame::Frame;
-use braidio_phy::sync::BitSync;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_framing(c: &mut Criterion) {
@@ -20,25 +18,6 @@ fn bench_framing(c: &mut Criterion) {
     });
     c.bench_function("crc16_255B", |b| {
         b.iter(|| crc16_ccitt(black_box(&payload)))
-    });
-
-    for code in [LineCode::Manchester, LineCode::Fm0] {
-        let enc = code.encode(&bits);
-        c.bench_function(&format!("{code:?}_encode_frame"), |b| {
-            b.iter(|| code.encode(black_box(&bits)))
-        });
-        c.bench_function(&format!("{code:?}_decode_lossy_frame"), |b| {
-            b.iter(|| code.decode_lossy(black_box(&enc)))
-        });
-    }
-
-    let oversampled: Vec<bool> = bits
-        .iter()
-        .flat_map(|&b| std::iter::repeat_n(b, 16))
-        .collect();
-    let sync = BitSync::new(16);
-    c.bench_function("bitsync_recover_frame_16x", |b| {
-        b.iter(|| sync.recover(black_box(&oversampled)))
     });
 }
 

@@ -20,10 +20,6 @@ fn bench_chain(c: &mut Criterion) {
     c.bench_function("chain_sensitivity_query", |b| {
         b.iter(|| chain.sensitivity_dbm(black_box(braidio_units::Hertz::from_khz(100.0))))
     });
-
-    c.bench_function("chain_quiescent_power", |b| {
-        b.iter(|| black_box(&chain).quiescent_power())
-    });
 }
 
 criterion_group!(benches, bench_chain);

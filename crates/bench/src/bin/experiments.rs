@@ -761,6 +761,21 @@ mod tests {
                 "fig1 --timeseries p",
                 "--timeseries samples the 'fleet' experiment — add it to the selection",
             ),
+            ("all --jobs", "--jobs needs a thread count"),
+            ("all --jobs 0", "--jobs 0: need at least one thread"),
+            ("all --jobs x", "--jobs x: not a thread count"),
+            ("all --jobs -1", "--jobs needs a thread count"),
+            ("all -j", "-j needs a thread count"),
+            ("all --bench-json", "--bench-json needs an output path"),
+            ("all --trace-events", "--trace-events needs an output path"),
+            ("all --trace-chrome", "--trace-chrome needs an output path"),
+            ("all --profile", "--profile needs an output path"),
+            ("all --profile-folded", "--profile-folded needs an output path"),
+            ("fleet --timeseries", "--timeseries needs an output path"),
+            (
+                "all --bench-json --timing",
+                "--bench-json needs an output path",
+            ),
         ] {
             match parse_line(line) {
                 Err(e) => assert_eq!(e, want, "{line}"),

@@ -25,14 +25,6 @@ const ROOM_HORIZON: Seconds = Seconds::new(30.0);
 const STAR_HORIZON: Seconds = Seconds::new(120.0);
 const TAG_WH: f64 = 0.001;
 
-/// The pair-count rungs of the large-fleet scale family recorded in the
-/// perf trajectory (`experiments fleet --scale N --bench-json …`). Any
-/// positive `N` runs; these five are the ones tracked across PRs. The
-/// 10⁵ rung exists because the memoized edge kernel made it reachable:
-/// a single full planning wave there is 10¹⁰ candidate edges, which only
-/// fits a CI budget once the per-edge cost is a table hit, not a `powf`.
-pub const SCALE_LADDER: [usize; 5] = [256, 1024, 4096, 10000, 100000];
-
 /// Default pair count for the city-block stress scenario
 /// (`experiments fleet --city-block`).
 pub const CITY_DEFAULT_PAIRS: usize = 10_000;
@@ -855,7 +847,7 @@ mod tests {
     #[test]
     fn uncoordinated_kills_backscatter_tdma_recovers_the_bound() {
         let grid = scenarios();
-        let reports = braidio_pool::par_map(&grid, |(_, sc)| run_fleet(sc));
+        let reports = braidio_pool::par_map_indexed(grid.len(), |i| run_fleet(&grid[i].1));
         // Room rows: policies cycle [uncoordinated, channel-plan, tdma].
         for (i, m) in [2usize, 4, 8].iter().enumerate() {
             let unc = &reports[3 * i];

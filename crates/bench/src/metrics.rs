@@ -86,12 +86,8 @@ impl Histogram {
         self.count
     }
 
-    /// Exact sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Exact minimum (0 for an empty histogram).
+    #[cfg(test)]
     pub fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -241,6 +237,7 @@ impl Registry {
     }
 
     /// Clear everything.
+    #[cfg(test)]
     pub fn reset(&self) {
         let mut reg = self.lock();
         reg.scalars.clear();
@@ -275,11 +272,6 @@ pub fn snapshot() -> Vec<(String, f64)> {
 /// All globally recorded histograms, in first-recorded order.
 pub fn histograms() -> Vec<(String, Histogram)> {
     GLOBAL.histograms()
-}
-
-/// Clear the global registry (tests).
-pub fn reset() {
-    GLOBAL.reset()
 }
 
 #[cfg(test)]

@@ -61,13 +61,6 @@ pub fn print_matrix(values: &[f64]) {
     println!("(columns: {} ... {})", CATALOG[0].name, CATALOG[9].name);
 }
 
-/// Compute (in parallel) and print a 10×10 device matrix: `cell(tx_index,
-/// rx_index)` with the device on the horizontal axis transmitting to the
-/// device on the vertical axis.
-pub fn device_matrix(cell: impl Fn(usize, usize) -> f64 + Sync) {
-    print_matrix(&matrix_values(cell));
-}
-
 /// Render a row-major scalar field as an ASCII heat map (darker character =
 /// weaker value), `nx` columns per row.
 pub fn heatmap(values: &[f64], nx: usize, lo: f64, hi: f64) {
@@ -81,14 +74,6 @@ pub fn heatmap(values: &[f64], nx: usize, lo: f64, hi: f64) {
             })
             .collect();
         println!("|{line}|");
-    }
-}
-
-/// A simple fixed-width series printout: distance-indexed values.
-pub fn series(header: &str, xs: &[f64], ys: &[f64], fmt: impl Fn(f64) -> String) {
-    println!("{header}");
-    for (x, y) in xs.iter().zip(ys) {
-        println!("  {:>7.2}  {}", x, fmt(*y));
     }
 }
 

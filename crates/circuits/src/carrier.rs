@@ -6,7 +6,7 @@
 //! models the draw as a function of the programmed RF output so ablations
 //! can ask "what if the carrier ran at 10 dBm instead of 13?".
 
-use braidio_units::{Decibels, Seconds, Watts};
+use braidio_units::Watts;
 
 /// A programmable CW/OOK carrier source.
 #[derive(Debug, Clone, Copy)]
@@ -17,13 +17,11 @@ pub struct CarrierEmitter {
     pub pa_efficiency: f64,
     /// Maximum programmable RF output.
     pub max_output: Watts,
-    /// Time from sleep to a stable carrier (PLL settle).
-    pub startup: Seconds,
 }
 
 impl CarrierEmitter {
     /// The SI4432 as configured on Braidio: 13 dBm output, 125 mW total
-    /// draw, ~0.8 ms PLL settle.
+    /// draw.
     pub fn si4432() -> Self {
         // 125 mW total at 13 dBm (20 mW RF): PA drain ~= 20/eff; with
         // eff = 0.2 the PA draws 100 mW and the synthesizer ~25 mW.
@@ -31,7 +29,6 @@ impl CarrierEmitter {
             base_draw: Watts::from_milliwatts(25.0),
             pa_efficiency: 0.2,
             max_output: Watts::from_dbm(20.0),
-            startup: Seconds::from_millis(0.8),
         }
     }
 
@@ -43,22 +40,6 @@ impl CarrierEmitter {
             self.max_output
         );
         self.base_draw + rf_out / self.pa_efficiency
-    }
-
-    /// DC draw at a dBm setting.
-    pub fn draw_at_dbm(&self, dbm: f64) -> Watts {
-        self.draw_at(Watts::from_dbm(dbm))
-    }
-
-    /// Energy to bring the carrier up from sleep (charged on every
-    /// mode switch that turns a carrier on).
-    pub fn startup_energy(&self) -> braidio_units::Joules {
-        self.draw_at(Watts::ZERO) * self.startup
-    }
-
-    /// How much DC power a back-off of `backoff` dB from 13 dBm saves.
-    pub fn backoff_saving(&self, backoff: Decibels) -> Watts {
-        self.draw_at_dbm(13.0) - self.draw_at_dbm(13.0 - backoff.db())
     }
 }
 
@@ -75,7 +56,7 @@ mod tests {
     #[test]
     fn si4432_draws_125mw_at_13dbm() {
         let c = CarrierEmitter::si4432();
-        let d = c.draw_at_dbm(13.0);
+        let d = c.draw_at(Watts::from_dbm(13.0));
         assert!((d.milliwatts() - 125.0).abs() < 1.0, "draw {d}");
     }
 
@@ -84,7 +65,7 @@ mod tests {
         let c = CarrierEmitter::si4432();
         let mut prev = Watts::ZERO;
         for dbm in [-10.0, 0.0, 5.0, 10.0, 13.0, 17.0, 20.0] {
-            let d = c.draw_at_dbm(dbm);
+            let d = c.draw_at(Watts::from_dbm(dbm));
             assert!(d > prev);
             prev = d;
         }
@@ -97,24 +78,8 @@ mod tests {
     }
 
     #[test]
-    fn backoff_saves_real_power() {
-        let c = CarrierEmitter::si4432();
-        // 3 dB backoff halves the RF, saving ~50 mW of PA drain.
-        let saved = c.backoff_saving(Decibels::new(3.0));
-        assert!((saved.milliwatts() - 49.9).abs() < 1.0, "saved {saved}");
-    }
-
-    #[test]
-    fn startup_energy_is_small() {
-        // Sub-25 µJ: far below the Table 5 backscatter switch entry, which
-        // also includes MCU coordination.
-        let e = CarrierEmitter::si4432().startup_energy();
-        assert!(e.joules() < 25e-6, "startup {e}");
-    }
-
-    #[test]
     #[should_panic(expected = "above the part")]
     fn over_limit_rejected() {
-        let _ = CarrierEmitter::si4432().draw_at_dbm(25.0);
+        let _ = CarrierEmitter::si4432().draw_at(Watts::from_dbm(25.0));
     }
 }

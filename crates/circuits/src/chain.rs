@@ -17,7 +17,6 @@ use crate::comparator::Comparator;
 use crate::envelope::EnvelopeDetector;
 use crate::filter::HighPass;
 use crate::streaming::StreamingChain;
-use crate::switch::AntennaSwitch;
 use braidio_units::{Hertz, Seconds, Watts};
 
 /// The full passive (envelope-detector) receive chain.
@@ -33,8 +32,6 @@ pub struct PassiveReceiverChain {
     pub amplifier: InstrumentationAmplifier,
     /// Output slicer.
     pub comparator: Comparator,
-    /// Diversity/antenna switch.
-    pub switch: AntennaSwitch,
     /// RF carrier frequency.
     pub carrier: Hertz,
     /// Passive voltage gain of the antenna matching network (L-match Q).
@@ -54,7 +51,6 @@ impl PassiveReceiverChain {
             highpass: HighPass::braidio_si_reject(),
             amplifier: InstrumentationAmplifier::ina2331(),
             comparator: Comparator::ncs2200(),
-            switch: AntennaSwitch::sky13267(),
             carrier: Hertz::UHF_915M,
             matching_gain: 3.0,
             source_impedance: 100e3,
@@ -67,12 +63,6 @@ impl PassiveReceiverChain {
         let mut c = PassiveReceiverChain::braidio();
         c.amplifier.gain = braidio_units::Decibels::ZERO;
         c
-    }
-
-    /// Quiescent power of the active parts of the chain (the pump, filter
-    /// and detector are passive): amplifier + comparator + switch.
-    pub fn quiescent_power(&self) -> Watts {
-        self.amplifier.power + self.comparator.power + self.switch.power
     }
 
     /// Small-signal baseband voltage swing at the comparator input for an
@@ -149,16 +139,6 @@ impl PassiveReceiverChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn braidio_chain_is_micropower() {
-        let c = PassiveReceiverChain::braidio();
-        let p = c.quiescent_power();
-        assert!(
-            p < Watts::from_microwatts(50.0),
-            "passive chain must be tens of µW, got {p}"
-        );
-    }
 
     #[test]
     fn amplifier_extends_sensitivity() {

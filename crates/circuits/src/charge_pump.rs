@@ -78,13 +78,6 @@ impl DicksonChargePump {
         2.0 * self.stages as f64 * per_stage
     }
 
-    /// Small-signal output impedance at pumping frequency `f`:
-    /// `N / (f·C)` — the reason the downstream amplifier must be high
-    /// impedance (§3.2).
-    pub fn output_impedance(&self, f: Hertz) -> f64 {
-        self.stages as f64 / (f.hz() * self.c_stage)
-    }
-
     /// Transient-simulate the pump for `duration` with time step `dt`,
     /// driven by `drive(t_seconds) -> volts`.
     ///
@@ -194,15 +187,6 @@ impl Transient {
         let tail = &self.output[start..];
         tail.iter().sum::<f64>() / tail.len() as f64
     }
-
-    /// Peak-to-peak ripple over the last `fraction` of the output trace.
-    pub fn output_ripple(&self, fraction: f64) -> f64 {
-        let start = ((1.0 - fraction) * self.output.len() as f64) as usize;
-        let tail = &self.output[start..];
-        let max = tail.iter().cloned().fold(f64::MIN, f64::max);
-        let min = tail.iter().cloned().fold(f64::MAX, f64::min);
-        max - min
-    }
 }
 
 #[cfg(test)]
@@ -306,27 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn output_impedance_grows_with_stages() {
-        let f = Hertz::from_mhz(1.0);
-        let z1 = DicksonChargePump::multi_stage(1).output_impedance(f);
-        let z4 = DicksonChargePump::multi_stage(4).output_impedance(f);
-        assert!((z4 / z1 - 4.0).abs() < 1e-9);
-        // 1 stage, 100 pF at 1 MHz -> 10 kΩ.
-        assert!((z1 - 10_000.0).abs() < 1.0);
-    }
-
-    #[test]
     fn weak_input_below_threshold_pumps_nothing() {
         let pump = DicksonChargePump::fig3_single_stage();
         let run = pump.transient_sine(0.005, Hertz::from_mhz(1.0), 30.0);
         assert!(run.settled_output(0.2) < 0.01);
-    }
-
-    #[test]
-    fn ripple_is_small_once_settled() {
-        let pump = DicksonChargePump::fig3_single_stage();
-        let run = pump.transient_sine(1.0, Hertz::from_mhz(1.0), 60.0);
-        assert!(run.output_ripple(0.05) < 0.1);
     }
 
     #[test]

@@ -41,10 +41,9 @@ impl Comparator {
 
     /// Streaming slicer state: latched output plus the hysteresis band.
     ///
-    /// [`run`] is a thin batch wrapper over the returned state, so the two
-    /// paths share one decision rule and are bit-identical.
-    ///
-    /// [`run`]: Comparator::run
+    /// The test-only batch `run` is a thin wrapper over the returned
+    /// state, so the two paths share one decision rule and are
+    /// bit-identical.
     pub fn slicer(&self) -> SlicerState {
         SlicerState {
             rise: self.threshold + self.hysteresis,
@@ -57,15 +56,10 @@ impl Comparator {
     ///
     /// Batch wrapper over [`Comparator::slicer`]; allocates only the
     /// output vector.
+    #[cfg(test)]
     pub fn run(&self, samples: &[f64]) -> Vec<bool> {
         let mut slicer = self.slicer();
         samples.iter().map(|&x| slicer.push(x)).collect()
-    }
-
-    /// Would a signal with the given peak-to-peak swing be resolvable at
-    /// all?
-    pub fn resolves(&self, swing: f64) -> bool {
-        swing >= self.min_swing
     }
 }
 
@@ -95,11 +89,6 @@ impl SlicerState {
         } else if x > self.rise {
             self.state = true;
         }
-        self.state
-    }
-
-    /// The slicer's current latched output.
-    pub fn output(&self) -> bool {
         self.state
     }
 }
@@ -143,13 +132,6 @@ mod tests {
         let out = c.run(&samples);
         // Rises at 0.7, holds through 0.45 (inside band), drops at 0.3.
         assert_eq!(out, vec![false, true, true, true, false, false]);
-    }
-
-    #[test]
-    fn min_swing_gate() {
-        let c = Comparator::ncs2200();
-        assert!(!c.resolves(0.001));
-        assert!(c.resolves(0.010));
     }
 
     #[test]

@@ -30,15 +30,6 @@ impl Diode {
         }
     }
 
-    /// A general-purpose Schottky (BAT54 class) with a higher threshold.
-    pub fn schottky_general() -> Self {
-        Diode {
-            v_f: 0.24,
-            r_on: 5.0,
-            g_leak: 1e-10,
-        }
-    }
-
     /// Anode→cathode current for a forward voltage `v` (volts).
     pub fn current(&self, v: f64) -> f64 {
         if v > self.v_f {
@@ -46,11 +37,6 @@ impl Diode {
         } else {
             self.g_leak * (v - self.v_f).min(0.0)
         }
-    }
-
-    /// True if the diode is conducting at voltage `v`.
-    pub fn is_conducting(&self, v: f64) -> bool {
-        v > self.v_f
     }
 }
 
@@ -76,8 +62,6 @@ mod tests {
         let d = Diode::schottky_detector();
         let i = d.current(0.5);
         assert!((i - (0.5 - 0.02) / 25.0).abs() < 1e-12);
-        assert!(d.is_conducting(0.5));
-        assert!(!d.is_conducting(0.01));
     }
 
     #[test]
@@ -98,10 +82,5 @@ mod tests {
         let below = d.current(d.v_f - 1e-9);
         let above = d.current(d.v_f + 1e-9);
         assert!((above - below).abs() < 1e-9);
-    }
-
-    #[test]
-    fn detector_threshold_below_general() {
-        assert!(Diode::schottky_detector().v_f < Diode::schottky_general().v_f);
     }
 }

@@ -32,11 +32,6 @@ impl EnvelopeDetector {
         EnvelopeDetector { attack, decay }
     }
 
-    /// The original Moo/WISP front end, tuned for ~100 kbps downlink.
-    pub fn wisp_stock() -> Self {
-        EnvelopeDetector::new(Seconds::from_micros(0.4), Seconds::from_micros(4.0))
-    }
-
     /// Braidio's re-tuned front end ("Reduced Cs and Cp to improve
     /// bitrate", Table 4) — fast enough for 1 Mbps OOK.
     pub fn braidio_fast() -> Self {
@@ -45,11 +40,9 @@ impl EnvelopeDetector {
 
     /// Streaming follower state for samples spaced `dt` apart.
     ///
-    /// The per-sample coefficients are resolved once here; [`run`] is a
-    /// thin batch wrapper over the returned state, so the two paths share
-    /// one arithmetic definition and are bit-identical.
-    ///
-    /// [`run`]: EnvelopeDetector::run
+    /// The per-sample coefficients are resolved once here; the test-only
+    /// batch `run` is a thin wrapper over the returned state, so the two
+    /// paths share one arithmetic definition and are bit-identical.
     pub fn follower(&self, dt: Seconds) -> FollowerState {
         FollowerState {
             a_up: 1.0 - (-dt.seconds() / self.attack.seconds()).exp(),
@@ -62,15 +55,10 @@ impl EnvelopeDetector {
     ///
     /// Batch wrapper over [`EnvelopeDetector::follower`]; allocates only
     /// the output vector.
+    #[cfg(test)]
     pub fn run(&self, samples: &[f64], dt: Seconds) -> Vec<f64> {
         let mut state = self.follower(dt);
         samples.iter().map(|&x| state.push(x)).collect()
-    }
-
-    /// Approximate -3 dB envelope bandwidth in hertz, limited by the slower
-    /// (decay) time constant.
-    pub fn bandwidth_hz(&self) -> f64 {
-        1.0 / (2.0 * core::f64::consts::PI * self.decay.seconds())
     }
 }
 
@@ -95,11 +83,6 @@ impl FollowerState {
     pub fn push(&mut self, x: f64) -> f64 {
         let alpha = if x > self.y { self.a_up } else { self.a_dn };
         self.y += alpha * (x - self.y);
-        self.y
-    }
-
-    /// The follower's current output (capacitor voltage).
-    pub fn output(&self) -> f64 {
         self.y
     }
 }
@@ -149,37 +132,6 @@ mod tests {
         let hi = out[16 * per_symbol + per_symbol - 1];
         let lo = out[17 * per_symbol + per_symbol - 1];
         assert!(hi - lo > 0.5, "contrast {} vs {}", hi, lo);
-    }
-
-    #[test]
-    fn slow_detector_smears_1mbps_symbols() {
-        // The stock WISP detector cannot follow 1 Mbps: contrast collapses.
-        let det = EnvelopeDetector::wisp_stock();
-        let dt = Seconds::from_micros(0.02);
-        let per_symbol = 50;
-        let mut samples = Vec::new();
-        for s in 0..20 {
-            let level = if s % 2 == 0 { 1.0 } else { 0.0 };
-            samples.extend(std::iter::repeat_n(level, per_symbol));
-        }
-        let out = det.run(&samples, dt);
-        let hi = out[16 * per_symbol + per_symbol - 1];
-        let lo = out[17 * per_symbol + per_symbol - 1];
-        let fast_contrast = 0.5;
-        assert!(
-            hi - lo < fast_contrast,
-            "stock detector should smear: {} vs {}",
-            hi,
-            lo
-        );
-    }
-
-    #[test]
-    fn bandwidth_ordering() {
-        assert!(
-            EnvelopeDetector::braidio_fast().bandwidth_hz()
-                > EnvelopeDetector::wisp_stock().bandwidth_hz()
-        );
     }
 
     #[test]

@@ -22,30 +22,19 @@ impl HighPass {
         HighPass { cutoff }
     }
 
-    /// From R (ohms) and C (farads): `f_c = 1/(2πRC)`.
-    pub fn from_rc(r: f64, c: f64) -> Self {
-        HighPass::new(Hertz::new(1.0 / (2.0 * core::f64::consts::PI * r * c)))
-    }
-
     /// Braidio's self-interference rejection corner: 1 kHz, comfortably
     /// above channel-dynamics components and below the 10 kbps baseband.
     pub fn braidio_si_reject() -> Self {
         HighPass::new(Hertz::from_khz(1.0))
     }
 
-    /// The configured cutoff.
-    pub fn cutoff(&self) -> Hertz {
-        self.cutoff
-    }
-
     /// Streaming filter state for samples spaced `dt` apart.
     ///
-    /// [`run`] is a thin batch wrapper over the returned state, so the two
-    /// paths share one arithmetic definition and are bit-identical. The
+    /// The test-only batch `run` is a thin wrapper over the returned
+    /// state, so the two paths share one arithmetic definition and are
+    /// bit-identical. The
     /// state seeds its previous-input memory from the first pushed sample,
     /// matching the batch initialization (first output is exactly zero).
-    ///
-    /// [`run`]: HighPass::run
     pub fn stream(&self, dt: Seconds) -> HighPassState {
         let rc = 1.0 / (2.0 * core::f64::consts::PI * self.cutoff.hz());
         HighPassState {
@@ -59,6 +48,7 @@ impl HighPass {
     ///
     /// Batch wrapper over [`HighPass::stream`]; allocates only the output
     /// vector.
+    #[cfg(test)]
     pub fn run(&self, samples: &[f64], dt: Seconds) -> Vec<f64> {
         let mut state = self.stream(dt);
         samples.iter().map(|&x| state.push(x)).collect()
@@ -94,45 +84,6 @@ impl HighPassState {
         self.y = self.alpha * (self.y + x - x_prev);
         self.x_prev = Some(x);
         self.y
-    }
-}
-
-/// A discrete-time single-pole low-pass filter.
-#[derive(Debug, Clone, Copy)]
-pub struct LowPass {
-    cutoff: Hertz,
-}
-
-impl LowPass {
-    /// Low-pass with the given -3 dB cutoff.
-    pub fn new(cutoff: Hertz) -> Self {
-        assert!(cutoff.is_physical(), "cutoff must be positive");
-        LowPass { cutoff }
-    }
-
-    /// The configured cutoff.
-    pub fn cutoff(&self) -> Hertz {
-        self.cutoff
-    }
-
-    /// Filter a sample sequence spaced `dt` apart.
-    pub fn run(&self, samples: &[f64], dt: Seconds) -> Vec<f64> {
-        let rc = 1.0 / (2.0 * core::f64::consts::PI * self.cutoff.hz());
-        let alpha = dt.seconds() / (rc + dt.seconds());
-        let mut y = 0.0f64;
-        samples
-            .iter()
-            .map(|&x| {
-                y += alpha * (x - y);
-                y
-            })
-            .collect()
-    }
-
-    /// Magnitude response at frequency `f` (linear, 0..1).
-    pub fn magnitude_at(&self, f: Hertz) -> f64 {
-        let r = f / self.cutoff;
-        1.0 / (1.0 + r * r).sqrt()
     }
 }
 
@@ -192,42 +143,5 @@ mod tests {
         let hp = HighPass::new(Hertz::from_khz(1.0));
         let m = hp.magnitude_at(Hertz::from_khz(1.0));
         assert!((m - core::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_rc_matches_formula() {
-        // 160 kΩ, 1 nF -> ~1 kHz.
-        let hp = HighPass::from_rc(159_155.0, 1e-9);
-        assert!((hp.cutoff().hz() - 1000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn lowpass_passes_dc_blocks_fast() {
-        let lp = LowPass::new(Hertz::from_khz(1.0));
-        let dc = vec![2.0; 50_000];
-        let out = lp.run(&dc, Seconds::from_micros(10.0));
-        assert!((out.last().unwrap() - 2.0).abs() < 0.01);
-
-        let dt = 1e-6;
-        let fast = sine(100e3, dt, 100_000);
-        let y = lp.run(&fast, Seconds::new(dt));
-        assert!(rms_tail(&y) / rms_tail(&fast) < 0.02);
-    }
-
-    #[test]
-    fn lowpass_magnitude_at_cutoff() {
-        let lp = LowPass::new(Hertz::from_khz(10.0));
-        let m = lp.magnitude_at(Hertz::from_khz(10.0));
-        assert!((m - core::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn complementary_at_extremes() {
-        let hp = HighPass::new(Hertz::from_khz(1.0));
-        let lp = LowPass::new(Hertz::from_khz(1.0));
-        assert!(hp.magnitude_at(Hertz::new(1.0)) < 0.01);
-        assert!(lp.magnitude_at(Hertz::new(1.0)) > 0.99);
-        assert!(hp.magnitude_at(Hertz::from_mhz(1.0)) > 0.99);
-        assert!(lp.magnitude_at(Hertz::from_mhz(1.0)) < 0.01);
     }
 }

@@ -7,9 +7,8 @@
 //!         → instrumentation amplifier (INA2331) → comparator (NCS2200)
 //! ```
 //!
-//! plus an SPDT antenna switch (SKY13267) for the two-antenna diversity
-//! scheme. This crate simulates each block at the level the paper's
-//! arguments need:
+//! This crate simulates each block at the level the paper's arguments
+//! need:
 //!
 //! * [`diode`] — piecewise-linear Schottky diode, the nonlinearity behind
 //!   both the charge pump and the envelope detector.
@@ -18,17 +17,16 @@
 //! * [`envelope`] — attack/decay envelope detector used by the Monte-Carlo
 //!   OOK demodulator in `braidio-phy`.
 //! * [`filter`] — single-pole RC high-pass (the self-interference → DC
-//!   rejection trick) and low-pass.
+//!   rejection trick).
 //! * [`amplifier`] — the high-impedance, low-input-capacitance baseband
 //!   amplifier, with source-loading effects.
 //! * [`comparator`] — threshold + hysteresis slicer.
-//! * [`switch`] — SPDT antenna switch.
 //! * [`harvester`] — the same pump used as a WISP-style RF energy
 //!   harvester: battery-free tag-mode operating range.
 //! * [`carrier`] — the SI4432-class programmable carrier emitter (the
 //!   125 mW that carrier offload moves between endpoints).
 //! * [`mcu`] — the ATMEGA328P-class controller power model.
-//! * [`chain`] — the assembled passive receive chain with its power budget.
+//! * [`chain`] — the assembled passive receive chain.
 //! * [`streaming`] — the same chain fused into a per-sample, O(1)-state
 //!   streaming pipeline (the Monte-Carlo hot path).
 
@@ -45,7 +43,6 @@ pub mod filter;
 pub mod harvester;
 pub mod mcu;
 pub mod streaming;
-pub mod switch;
 
 pub use chain::PassiveReceiverChain;
 pub use charge_pump::DicksonChargePump;

@@ -4,7 +4,7 @@
 //! backscatter switch, samples the comparator, frames packets and runs the
 //! offload algorithm. Table 4: "consumes only 2 mA @ 8 MHz".
 
-use braidio_units::{Joules, Seconds, Watts};
+use braidio_units::Watts;
 
 /// MCU operating states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,7 +17,7 @@ pub enum McuState {
     Sleep,
 }
 
-/// An MCU with per-state draw and a cycle-cost model for the radio tasks.
+/// An MCU with per-state draw.
 #[derive(Debug, Clone, Copy)]
 pub struct Mcu {
     /// Supply voltage.
@@ -53,23 +53,6 @@ impl Mcu {
         };
         Watts::new(self.vcc * i)
     }
-
-    /// Energy for `cycles` of active computation.
-    pub fn compute_energy(&self, cycles: f64) -> Joules {
-        self.draw(McuState::Active) * Seconds::new(cycles / self.clock_hz)
-    }
-
-    /// Per-bit processing energy when the radio work costs
-    /// `cycles_per_bit` cycles (toggling the tag switch: ~8 cycles/bit;
-    /// framing + CRC: ~30 cycles/bit).
-    pub fn energy_per_bit(&self, cycles_per_bit: f64) -> Joules {
-        self.compute_energy(cycles_per_bit)
-    }
-
-    /// The fastest bitrate this MCU can service at `cycles_per_bit`.
-    pub fn max_bitrate(&self, cycles_per_bit: f64) -> f64 {
-        self.clock_hz / cycles_per_bit
-    }
 }
 
 impl Default for Mcu {
@@ -95,31 +78,5 @@ mod tests {
         assert!(m.draw(McuState::Idle) > m.draw(McuState::Sleep));
         // Sleep is µW-class — compatible with tag-mode budgets.
         assert!(m.draw(McuState::Sleep) < Watts::from_microwatts(20.0));
-    }
-
-    #[test]
-    fn can_toggle_backscatter_at_1mbps() {
-        // 8 cycles/bit at 8 MHz = 1 Mbps: exactly the top Braidio rate.
-        let m = Mcu::atmega328p();
-        assert!(m.max_bitrate(8.0) >= 1e6);
-        // Full framing at 30 cycles/bit caps out near 266 kbps — which is
-        // why the 1 Mbps path uses hardware shift-out, not bit-banging.
-        assert!(m.max_bitrate(30.0) < 1e6);
-    }
-
-    #[test]
-    fn per_bit_energy_scale() {
-        // 8 cycles/bit: 6.6 mW × 1 µs = 6.6 nJ... per 8 cycles at 8 MHz.
-        let m = Mcu::atmega328p();
-        let e = m.energy_per_bit(8.0);
-        assert!((e.joules() - 6.6e-9).abs() < 1e-11, "{e}");
-    }
-
-    #[test]
-    fn compute_energy_linear_in_cycles() {
-        let m = Mcu::atmega328p();
-        let one = m.compute_energy(1000.0);
-        let two = m.compute_energy(2000.0);
-        assert!((two.joules() / one.joules() - 2.0).abs() < 1e-12);
     }
 }

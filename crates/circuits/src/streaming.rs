@@ -16,17 +16,13 @@
 //! sample `i`. Evaluating the stages sample-major instead of stage-major
 //! therefore computes the *same* dataflow graph for every output value, in
 //! the same IEEE-754 operations — only the schedule changes, never an
-//! operand. The batch stage methods ([`EnvelopeDetector::run`],
-//! [`HighPass::run`], [`Comparator::run`]) are themselves thin wrappers
-//! over the streaming states, so there is a single arithmetic definition
-//! of each stage and `chain.demodulate(env, dt)[i] ==
-//! chain.streaming(dt).push-fold(env)[i]` exactly, for every sample —
-//! asserted bit-for-bit by the property tests in
-//! `crates/circuits/tests/proptests.rs`.
-//!
-//! [`EnvelopeDetector::run`]: crate::envelope::EnvelopeDetector::run
-//! [`HighPass::run`]: crate::filter::HighPass::run
-//! [`Comparator::run`]: crate::comparator::Comparator::run
+//! operand. The batch stage methods (`EnvelopeDetector::run`,
+//! `HighPass::run`, `Comparator::run`, compiled only for tests) are
+//! themselves thin wrappers over the streaming states, so there is a
+//! single arithmetic definition of each stage and `chain.demodulate(env,
+//! dt)[i] == chain.streaming(dt).push-fold(env)[i]` exactly, for every
+//! sample — asserted bit-for-bit by this module's property test against
+//! the stage-major batch composition.
 
 use crate::chain::PassiveReceiverChain;
 use crate::charge_pump::DicksonChargePump;
@@ -88,16 +84,16 @@ impl StreamingChain {
         let amped = (hp * self.gain).clamp(-self.rail, self.rail);
         self.slicer.push(amped)
     }
-
-    /// The comparator's current latched decision.
-    pub fn output(&self) -> bool {
-        self.slicer.output()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::charge_pump::DicksonChargePump;
+    use crate::envelope::EnvelopeDetector;
+    use crate::filter::HighPass;
+    use braidio_units::{Decibels, Hertz};
+    use proptest::prelude::*;
 
     /// The stage-major reference: what the seed implementation of
     /// `demodulate` computed, stage vectors and all.
@@ -128,7 +124,6 @@ mod tests {
         let mut s = StreamingChain::new(&chain, dt);
         for (i, &v) in env.iter().enumerate() {
             assert_eq!(s.push(v), reference[i], "sample {i}");
-            assert_eq!(s.output(), reference[i], "output() after sample {i}");
         }
     }
 
@@ -142,6 +137,55 @@ mod tests {
         for i in 0..1000 {
             let v = if (i / 50) % 2 == 0 { 0.2 } else { 0.0 };
             assert_eq!(a.push(v), b.push(v));
+        }
+    }
+
+    proptest! {
+        /// The fused streaming pipeline must be bit-for-bit identical to the
+        /// stage-major batch composition (one full vector per stage — the
+        /// pre-fusion shape of `demodulate`) for arbitrary chain tunings,
+        /// sample intervals and waveforms.
+        #[test]
+        fn streaming_demodulation_matches_stage_major_batch(
+            attack_us in 0.05f64..0.5,
+            decay_mult in 2.0f64..20.0,
+            cutoff_khz in 0.2f64..5.0,
+            gain_db in 0.0f64..60.0,
+            hysteresis in 0.0f64..0.01,
+            stages in 1usize..4,
+            matching in 1.0f64..5.0,
+            dt_us in 0.02f64..0.5,
+            env in proptest::collection::vec(0.0f64..0.3, 16..400),
+        ) {
+            let mut chain = PassiveReceiverChain::braidio();
+            chain.pump = DicksonChargePump::multi_stage(stages);
+            chain.detector = EnvelopeDetector::new(
+                Seconds::from_micros(attack_us),
+                Seconds::from_micros(attack_us * decay_mult),
+            );
+            chain.highpass = HighPass::new(Hertz::from_khz(cutoff_khz));
+            chain.amplifier.gain = Decibels::new(gain_db);
+            chain.comparator.hysteresis = hysteresis;
+            chain.matching_gain = matching;
+            let dt = Seconds::from_micros(dt_us);
+
+            // Stage-major reference: each stage consumes its predecessor's
+            // full output vector.
+            let pumped: Vec<f64> = env
+                .iter()
+                .map(|&v| chain.pump.small_signal_output(v * chain.matching_gain))
+                .collect();
+            let followed = chain.detector.run(&pumped, dt);
+            let hp = chain.highpass.run(&followed, dt);
+            let amped = chain.amplifier.run(&hp);
+            let reference = chain.comparator.with_threshold(0.0).run(&amped);
+
+            // The wrapper and a manual per-sample streaming fold both match.
+            prop_assert_eq!(&chain.demodulate(&env, dt), &reference);
+            let mut s = chain.streaming(dt);
+            for (i, &v) in env.iter().enumerate() {
+                prop_assert_eq!(s.push(v), reference[i], "sample {}", i);
+            }
         }
     }
 }

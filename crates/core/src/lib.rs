@@ -68,7 +68,7 @@ pub use transfer::{Outcome, Transfer};
 pub mod prelude {
     pub use crate::driver::{Command, Driver, Event};
     pub use crate::live::{LiveConfig, LiveLink, PacketOutcome};
-    pub use crate::trace::{LinkTracer, TraceEvent};
+    pub use crate::trace::TraceEvent;
     pub use crate::transfer::{Outcome, Transfer};
     pub use braidio_mac::{Policy, Regime, Traffic};
     pub use braidio_radio::characterization::{Characterization, Rate};

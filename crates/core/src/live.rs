@@ -7,7 +7,7 @@
 //! MAC's failure handling ("Braidio simply falls back to the active mode if
 //! the current operating mode is performing poorly").
 
-use crate::trace::{LinkTracer, TraceEvent};
+use crate::trace::TraceEvent;
 use braidio_mac::offload::{solve, OffloadPlan};
 use braidio_mac::probe::LinkProber;
 use braidio_mac::scheduler::{BraidedScheduler, Decision};
@@ -137,7 +137,6 @@ pub struct LiveLink {
     rng: StdRng,
     fault: FaultInjector,
     stats: LiveStats,
-    tracer: Option<LinkTracer>,
 }
 
 impl LiveLink {
@@ -167,31 +166,11 @@ impl LiveLink {
             packets_since_plan: 0,
             config,
             stats: LiveStats::default(),
-            tracer: None,
         }
     }
 
-    /// Attach an event tracer holding up to `capacity` events (the
-    /// simulator's `--pcap`).
-    pub fn attach_tracer(&mut self, capacity: usize) {
-        self.tracer = Some(LinkTracer::new(capacity));
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&LinkTracer> {
-        self.tracer.as_ref()
-    }
-
-    fn trace(&mut self, event: TraceEvent) {
+    fn trace(&self, event: TraceEvent) {
         braidio_telemetry::emit(event.to_telemetry());
-        if let Some(t) = self.tracer.as_mut() {
-            t.record(event);
-        }
-    }
-
-    /// The current separation.
-    pub fn distance(&self) -> Meters {
-        self.config.distance
     }
 
     /// Move the pair (mobility): updates the separation and, if it moved by
@@ -450,34 +429,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn tracer_records_the_braid() {
-        let mut link = LiveLink::open(
-            devices::IPHONE_6S,
-            devices::IPHONE_6_PLUS,
-            LiveConfig {
-                braid_quantum: 5, // short dwells so the braid is visible
-                ..LiveConfig::default()
-            },
-        );
-        link.attach_tracer(4096);
-        let stats = link.run_packets(500);
-        let tracer = link.tracer().expect("attached");
-        let packets = tracer
-            .events()
-            .iter()
-            .filter(|e| matches!(e, crate::trace::TraceEvent::Packet { .. }))
-            .count() as u64;
-        assert_eq!(packets, stats.delivered + stats.lost);
-        // Near-symmetric batteries: the braid mixes modes, visible as
-        // alternation in the trace.
-        assert!(tracer.mode_switches() > 10, "{}", tracer.mode_switches());
-        let dump = tracer.dump();
-        assert!(dump.contains("Passive"), "{}", &dump[..400.min(dump.len())]);
-        assert!(dump.contains("Backscatter"));
-        assert!(dump.contains("PLAN  installed"));
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Link event tracing — the simulator's answer to smoltcp's `--pcap`.
 //!
-//! Every packet, probe and re-plan on a [`crate::live::LiveLink`] can be
-//! recorded as a typed event and rendered as a tcpdump-style text log, so
-//! braiding behaviour can be inspected (and asserted on) without adding
-//! print statements to the MAC.
+//! Every packet, probe and re-plan on a [`crate::live::LiveLink`] becomes a
+//! typed event on the telemetry bus, so a capture (or `--trace-events`)
+//! records braiding behaviour without print statements in the MAC.
 
 use braidio_radio::characterization::Rate;
 use braidio_radio::Mode;
 use braidio_units::Seconds;
-use core::fmt;
 
 /// One traced link event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,16 +44,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event's timestamp.
-    pub fn at(&self) -> Seconds {
-        match *self {
-            TraceEvent::Packet { at, .. }
-            | TraceEvent::Replan { at, .. }
-            | TraceEvent::LinkDown { at }
-            | TraceEvent::BatteryDead { at } => at,
-        }
-    }
-
     /// This event in the unified telemetry vocabulary. `LiveLink` emits the
     /// conversion onto the process telemetry bus alongside local recording,
     /// so pairwise traces and fleet traces share one schema; the track is
@@ -112,150 +100,37 @@ impl TraceEvent {
     }
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // One renderer for the whole stack: the tcpdump-style line is
-        // produced by the telemetry text sink from the unified event, so
-        // this Display and `--trace-events` output can never drift apart.
-        f.write_str(&braidio_telemetry::sink::render_text_line(
-            &self.to_telemetry(),
-        ))
-    }
-}
-
-/// A bounded in-memory event recorder.
-#[derive(Debug, Clone)]
-pub struct LinkTracer {
-    events: Vec<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl LinkTracer {
-    /// A tracer holding up to `capacity` events (oldest dropped first).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        LinkTracer {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Record an event.
-    pub fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.remove(0);
-            self.dropped += 1;
-        }
-        self.events.push(event);
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events dropped because of the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Count mode transitions among recorded data packets.
-    pub fn mode_switches(&self) -> usize {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Packet { mode, .. } => Some(*mode),
-                _ => None,
-            })
-            .collect::<Vec<_>>()
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .count()
-    }
-
-    /// Render the tcpdump-style text log.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        if self.dropped > 0 {
-            out.push_str(&format!(
-                "... {} earlier events dropped ...\n",
-                self.dropped
-            ));
-        }
-        for e in &self.events {
-            out.push_str(&format!("{e}\n"));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use braidio_telemetry::{DeathReason, Event, ModeTag};
 
-    fn pkt(at: f64, mode: Mode, delivered: bool) -> TraceEvent {
-        TraceEvent::Packet {
-            at: Seconds::new(at),
-            mode,
+    #[test]
+    fn maps_onto_the_telemetry_vocabulary() {
+        let lost = TraceEvent::Packet {
+            at: Seconds::new(0.000123),
+            mode: Mode::Backscatter,
             rate: Rate::Mbps1,
-            delivered,
+            delivered: false,
             payload_bytes: 64,
+        };
+        match lost.to_telemetry() {
+            Event::QuantumLost { at, mode, bits, .. } => {
+                assert_eq!(at, Seconds::new(0.000123));
+                assert_eq!(mode, ModeTag::Backscatter);
+                assert_eq!(bits, 512.0);
+            }
+            other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn records_in_order() {
-        let mut t = LinkTracer::new(10);
-        t.record(pkt(0.001, Mode::Backscatter, true));
-        t.record(TraceEvent::Replan {
-            at: Seconds::new(0.002),
-            planned: true,
-        });
-        assert_eq!(t.events().len(), 2);
-        assert!(t.events()[0].at() < t.events()[1].at());
-    }
-
-    #[test]
-    fn capacity_bound_drops_oldest() {
-        let mut t = LinkTracer::new(3);
-        for i in 0..5 {
-            t.record(pkt(i as f64, Mode::Passive, true));
-        }
-        assert_eq!(t.events().len(), 3);
-        assert_eq!(t.dropped(), 2);
-        assert_eq!(t.events()[0].at(), Seconds::new(2.0));
-        assert!(t.dump().contains("2 earlier events dropped"));
-    }
-
-    #[test]
-    fn mode_switch_counting() {
-        let mut t = LinkTracer::new(16);
-        for (i, mode) in [
-            Mode::Passive,
-            Mode::Backscatter,
-            Mode::Backscatter,
-            Mode::Passive,
-        ]
-        .iter()
-        .enumerate()
-        {
-            t.record(pkt(i as f64, *mode, true));
-        }
-        assert_eq!(t.mode_switches(), 2);
-    }
-
-    #[test]
-    fn dump_format() {
-        let mut t = LinkTracer::new(4);
-        t.record(pkt(0.000123, Mode::Backscatter, false));
-        t.record(TraceEvent::LinkDown {
+        let down = TraceEvent::LinkDown {
             at: Seconds::new(1.0),
-        });
-        let dump = t.dump();
-        assert!(dump.contains("DATA  Backscatter @1M"), "{dump}");
-        assert!(dump.contains("LOST"), "{dump}");
-        assert!(dump.contains("DOWN"), "{dump}");
+        };
+        assert!(matches!(
+            down.to_telemetry(),
+            Event::SessionDead {
+                reason: DeathReason::NoViableMode,
+                ..
+            }
+        ));
     }
 }

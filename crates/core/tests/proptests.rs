@@ -2,7 +2,6 @@
 //! transfer-level invariants.
 
 use braidio::driver::{Command, Event, WireError};
-use braidio::prelude::*;
 use proptest::prelude::*;
 
 proptest! {
@@ -53,26 +52,6 @@ proptest! {
             Event::Error(a),
         ] {
             prop_assert_eq!(Event::decode(&e.encode()).unwrap(), e.clone());
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Whatever the battery pair, Braidio's dominant mode points the
-    /// carrier at the bigger battery.
-    #[test]
-    fn carrier_follows_the_energy(i in 0usize..10, j in 0usize..10) {
-        prop_assume!(i != j);
-        let tx = devices::CATALOG[i];
-        let rx = devices::CATALOG[j];
-        let outcome = Transfer::between(tx, rx).run();
-        let dominant = outcome.dominant_mode();
-        if tx.battery_wh > 3.0 * rx.battery_wh {
-            prop_assert_eq!(dominant, Mode::Passive, "{} -> {}", tx.name, rx.name);
-        } else if rx.battery_wh > 3.0 * tx.battery_wh {
-            prop_assert_eq!(dominant, Mode::Backscatter, "{} -> {}", tx.name, rx.name);
         }
     }
 }

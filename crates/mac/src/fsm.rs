@@ -71,26 +71,17 @@ pub enum Action {
 #[derive(Debug, Clone)]
 pub struct OffloadFsm {
     state: State,
-    transitions: u64,
 }
 
 impl OffloadFsm {
     /// A fresh session.
     pub fn new() -> Self {
-        OffloadFsm {
-            state: State::Init,
-            transitions: 0,
-        }
+        OffloadFsm { state: State::Init }
     }
 
     /// Current state.
     pub fn state(&self) -> State {
         self.state
-    }
-
-    /// Total accepted transitions.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
     }
 
     /// Feed an event; returns the action to perform, or `Err` with the
@@ -123,14 +114,12 @@ impl OffloadFsm {
                 return Err(event);
             }
         };
-        if next != self.state || !matches!(action, A::None) {
-            self.transitions += 1;
-        }
         self.state = next;
         Ok(action)
     }
 
     /// Is the session over?
+    #[cfg(test)]
     pub fn is_dead(&self) -> bool {
         self.state == State::Dead
     }

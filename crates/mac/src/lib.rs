@@ -12,7 +12,6 @@
 //! * [`scheduler`] — the braided packet-by-packet mode sequence (§4.2's
 //!   "Active-Active-Passive-Backscatter (repeated)"), with fallback to
 //!   active on link failures.
-//! * [`arq`] — stop-and-wait retransmission math over the lossy regimes.
 //! * [`coexistence`] — two pairs in one room: why in-band neighbours must
 //!   coordinate (the Table 3 in-band weakness, quantified).
 //! * [`mobility`] — deterministic separation traces (static, linear walk,
@@ -31,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arq;
 pub mod coexistence;
 pub mod duty;
 pub mod fsm;

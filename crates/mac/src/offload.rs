@@ -217,6 +217,7 @@ pub struct OffloadPlan {
 
 impl OffloadPlan {
     /// Total bits deliverable before either battery dies.
+    #[cfg(test)]
     pub fn bits_until_death(&self, e1: Joules, e2: Joules) -> f64 {
         let by_tx = e1 / self.tx_cost;
         let by_rx = e2 / self.rx_cost;

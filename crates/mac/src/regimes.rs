@@ -39,21 +39,6 @@ impl Regime {
             Regime::OutOfRange
         }
     }
-
-    /// The modes usable in this regime.
-    pub fn modes(self) -> &'static [Mode] {
-        match self {
-            Regime::A => &[Mode::Active, Mode::Passive, Mode::Backscatter],
-            Regime::B => &[Mode::Active, Mode::Passive],
-            Regime::C => &[Mode::Active],
-            Regime::OutOfRange => &[],
-        }
-    }
-
-    /// Can the data *transmitter* offload its carrier to the receiver here?
-    pub fn supports_carrier_offload(self) -> bool {
-        self == Regime::A
-    }
 }
 
 /// The regime boundaries (upper edge of each regime), found by scanning the
@@ -100,20 +85,5 @@ mod tests {
         assert!((a_b.meters() - 2.4).abs() < 0.05, "A->B at {a_b}");
         assert!((b_c.meters() - 5.1).abs() < 0.05, "B->C at {b_c}");
         assert!(c_out.meters() > 20.0, "active range {c_out}");
-    }
-
-    #[test]
-    fn only_regime_a_offloads() {
-        assert!(Regime::A.supports_carrier_offload());
-        assert!(!Regime::B.supports_carrier_offload());
-        assert!(!Regime::C.supports_carrier_offload());
-    }
-
-    #[test]
-    fn mode_lists() {
-        assert_eq!(Regime::A.modes().len(), 3);
-        assert_eq!(Regime::B.modes().len(), 2);
-        assert_eq!(Regime::C.modes(), &[Mode::Active]);
-        assert!(Regime::OutOfRange.modes().is_empty());
     }
 }

@@ -118,11 +118,6 @@ impl BraidedScheduler {
         self.switches
     }
 
-    /// The mode the radio is currently in, if any packet has been sent.
-    pub fn current_mode(&self) -> Option<Mode> {
-        self.last_mode
-    }
-
     /// Generate the first `n` scheduled modes (for inspection/tests).
     pub fn preview(&mut self, n: usize) -> Vec<Mode> {
         (0..n)
@@ -145,8 +140,8 @@ mod tests {
         LinkOption {
             mode,
             rate: Rate::Mbps1,
-            tx_cost: JoulesPerBit::from_nanojoules(1.0),
-            rx_cost: JoulesPerBit::from_nanojoules(1.0),
+            tx_cost: JoulesPerBit::new(1e-9),
+            rx_cost: JoulesPerBit::new(1e-9),
         }
     }
 
@@ -160,8 +155,8 @@ mod tests {
             .collect();
         OffloadPlan {
             allocations: crate::offload::Allocations::from_slice(&allocations),
-            tx_cost: JoulesPerBit::from_nanojoules(1.0),
-            rx_cost: JoulesPerBit::from_nanojoules(1.0),
+            tx_cost: JoulesPerBit::new(1e-9),
+            rx_cost: JoulesPerBit::new(1e-9),
             exact: true,
         }
     }
@@ -227,7 +222,6 @@ mod tests {
         let mut s = BraidedScheduler::new(&p);
         let _ = s.preview(50);
         assert_eq!(s.switches(), 0);
-        assert_eq!(s.current_mode(), Some(Mode::Passive));
     }
 
     #[test]

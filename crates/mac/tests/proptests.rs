@@ -96,16 +96,16 @@ proptest! {
         let opt = |mode: Mode| LinkOption {
             mode,
             rate: Rate::Mbps1,
-            tx_cost: JoulesPerBit::from_nanojoules(1.0),
-            rx_cost: JoulesPerBit::from_nanojoules(1.0),
+            tx_cost: JoulesPerBit::new(1e-9),
+            rx_cost: JoulesPerBit::new(1e-9),
         };
         let plan = braidio_mac::OffloadPlan {
             allocations: braidio_mac::offload::Allocations::from_slice(&[
                 braidio_mac::offload::Allocation { option: opt(Mode::Passive), fraction: p },
                 braidio_mac::offload::Allocation { option: opt(Mode::Backscatter), fraction: 1.0 - p },
             ]),
-            tx_cost: JoulesPerBit::from_nanojoules(1.0),
-            rx_cost: JoulesPerBit::from_nanojoules(1.0),
+            tx_cost: JoulesPerBit::new(1e-9),
+            rx_cost: JoulesPerBit::new(1e-9),
             exact: true,
         };
         let mut s = BraidedScheduler::new(&plan);

@@ -235,6 +235,7 @@ impl PairGainCache {
 
     /// How many receiver keys currently hold an edge row (at most
     /// [`ROW_CAP`]).
+    #[cfg(test)]
     pub fn rows(&self) -> usize {
         self.rows.len()
     }
@@ -813,7 +814,7 @@ mod tests {
     fn edge(eps: &[(Point, Point)], victim: usize, q: usize) -> Watts {
         let vp = eps[victim].1;
         let (a, b) = eps[q];
-        let d = a.distance(vp).min(b.distance(vp)).meters();
+        let d = a.distance(vp).meters().min(b.distance(vp).meters());
         Watts::new(1e-9 / (1.0 + d * d))
     }
 

@@ -23,7 +23,7 @@
 //! background and are not debited — see DESIGN.md §13).
 
 use braidio_mac::wakeup::PassiveWakeup;
-use braidio_units::{Joules, Seconds, Watts};
+use braidio_units::{Joules, Seconds};
 
 /// One hub's beacon schedule and the tag-side detector that hears it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,11 +81,6 @@ impl DiscoveryConfig {
     /// where the tag drops back to detector-only listening).
     pub fn quiesced_energy(&self, window: Seconds) -> Joules {
         Joules::new(self.detector.chain_power.watts() * window.seconds().max(0.0))
-    }
-
-    /// The detector chain's power draw (what an Init/Cooldown tag pays).
-    pub fn idle_power(&self) -> Watts {
-        self.detector.chain_power
     }
 }
 

@@ -674,7 +674,7 @@ struct Fleet<'a> {
     deferred: u64,
     /// Cached pairwise interference (invalidated on death / mobility).
     gains: PairGainCache,
-    /// Quantize-and-memoized `options_under` (per-engine, so a run stays a
+    /// Quantize-and-memoized `options_under_pinned` (per-engine, so a run stays a
     /// pure function of its scenario).
     options: OptionsMemo,
     /// The probe round's cost by separation, shared by every pair.
@@ -2879,5 +2879,73 @@ mod tests {
         assert!(f.pairs.pending[0].is_some(), "the new quantum is untouched");
         let next = f.q.pop().expect("the new quantum completes");
         assert_eq!(next.event.kind, Kind::QuantumDone);
+    }
+
+    #[test]
+    fn a_killed_pair_leaves_the_interference_live_set() {
+        // Death is the one teardown path: once a session is dead its
+        // carrier must stop adding to every other pair's sum.
+        let sc = FleetScenario::independent_pairs(
+            2,
+            Meters::new(0.5),
+            Meters::new(3.0),
+            1.0,
+            1.0,
+            Arbitration::Uncoordinated,
+        );
+        let mut f = Fleet::new(&sc);
+        f.schedule(Seconds::ZERO, 0, Kind::Associate);
+        let now = braid_pair_0(&mut f);
+        assert!(f.gains.is_live(0), "a braiding pair is on the air");
+        f.kill(0, now, telemetry::DeathReason::BatteryDead);
+        assert!(!f.gains.is_live(0), "a dead pair still feeds the sums");
+    }
+
+    #[test]
+    fn a_walk_dirties_every_cached_interference_sum() {
+        use braidio_mac::mobility::LinearWalk;
+        // Four pairs; pair 0's receiver walks out. After bring-up the
+        // cache holds clean sums; the walk moves a victim and a source at
+        // once, so no sum may stay clean.
+        let mut sc = FleetScenario::grid_pairs(
+            4,
+            Meters::new(0.5),
+            Meters::new(3.0),
+            1.0,
+            1.0,
+            Arbitration::Uncoordinated,
+        );
+        sc.pairs[0].walk = Some(LinearWalk {
+            start: Meters::new(0.5),
+            end: Meters::new(3.0),
+            duration: Seconds::new(60.0),
+        });
+        let n = sc.pairs.len();
+        let mut f = Fleet::new(&sc);
+        assert!(matches!(f.pairs.sep[0], Separation::Walks));
+        for p in 0..n {
+            f.schedule(
+                Seconds::new(p as f64 * ASSOC_STAGGER.seconds()),
+                p,
+                Kind::Associate,
+            );
+        }
+        while let Some(ev) = f.q.pop() {
+            if ev.time > Seconds::new(1.0) {
+                break;
+            }
+            f.handle(ev.event, ev.time);
+        }
+        assert!(
+            (0..n).any(|q| f.gains.cached_sum(q).is_some()),
+            "bring-up left no clean sum to test"
+        );
+        f.pair_distance(0, Seconds::new(30.0));
+        for q in 0..n {
+            assert!(
+                f.gains.cached_sum(q).is_none(),
+                "pair {q} kept a sum from before the move"
+            );
+        }
     }
 }

@@ -30,10 +30,11 @@ use braidio_phy::ber::ber_ook_noncoherent_fast;
 use braidio_radio::characterization::{Characterization, Rate, OPERATIONAL_BER};
 use braidio_radio::Mode;
 use braidio_rfsim::geometry::Point;
-use braidio_rfsim::pathloss::{free_space_gain, FsplMemo, FsplScratch};
+use braidio_rfsim::pathloss::{FsplMemo, FsplScratch};
 use braidio_units::{Meters, Watts};
 
 /// One foreign CW carrier, positioned in the room.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 pub struct CarrierSource {
     /// Where the carrier radiates from.
@@ -49,8 +50,9 @@ pub struct CarrierSource {
 /// front end, and the channel-relation coupling. A pure function of the
 /// source geometry/relation, which is what makes per-edge contributions
 /// cacheable ([`crate::cache::PairGainCache`]) without changing a bit.
-#[inline]
+#[cfg(test)]
 pub fn carrier_contribution(ch: &Characterization, victim: Point, s: &CarrierSource) -> Watts {
+    use braidio_rfsim::pathloss::free_space_gain;
     s.rf.gained(free_space_gain(s.pos.distance(victim), ch.budget.frequency))
         .gained(ch.budget.rx_antenna_gain)
         .gained(-ch.budget.detector_frontend_loss)
@@ -60,6 +62,7 @@ pub fn carrier_contribution(ch: &Characterization, victim: Point, s: &CarrierSou
 /// Total foreign-carrier power acting as noise at a victim detector at
 /// `victim`, given the victim pair's characterization (noncoherent power
 /// sum over sources, in slice order).
+#[cfg(test)]
 pub fn interference_at(ch: &Characterization, victim: Point, sources: &[CarrierSource]) -> Watts {
     sources
         .iter()
@@ -73,7 +76,7 @@ pub fn interference_at(ch: &Characterization, victim: Point, sources: &[CarrierS
 pub const EDGE_TILE: usize = 64;
 
 /// The transcendental-starved interference edge kernel: everything
-/// constant in [`carrier_contribution`] hoisted out, everything
+/// constant in `carrier_contribution` hoisted out, everything
 /// distance-dependent memoized — **the one arithmetic definition** of a
 /// fleet interference edge, shared by the bulk wave sweep, the lazy
 /// dirty-sum path and the debug shadow check.
@@ -88,9 +91,9 @@ pub const EDGE_TILE: usize = 64;
 /// through an exact [`FsplMemo`] (looked up through an [`FsplScratch`]:
 /// [`carrier_tile_scratch`](Self::carrier_tile_scratch)), keeping the
 /// original four sequential multiplies in the original order — so every
-/// contribution it returns is bit-for-bit the [`carrier_contribution`]
-/// answer (the direct path stays as the oracle of the interference unit
-/// test and proptests, so the equality stays checked).
+/// contribution it returns is bit-for-bit the `carrier_contribution`
+/// answer (the direct path is kept as the unit tests' oracle, so the
+/// equality stays checked).
 #[derive(Debug)]
 pub struct EdgeKernel {
     /// Foreign CW carrier power (every fleet interferer radiates
@@ -323,11 +326,14 @@ pub fn available_under(
 /// total foreign-carrier power `interference` at its detector — the
 /// interference-aware counterpart of [`braidio_mac::offload::options_at`],
 /// to which it reduces exactly when `interference` is zero.
+#[cfg(test)]
 pub fn options_under(ch: &Characterization, d: Meters, interference: Watts) -> Vec<LinkOption> {
     options_under_pinned(ch, d, interference, None).to_vec()
 }
 
-/// [`options_under`] restricted to a pinned mode: when a scenario pins a
+/// The operating options a pair can plan over at separation `d` with a
+/// total foreign-carrier power `interference` at its detector, restricted
+/// to `pin` when one is given. When a scenario pins a
 /// pair (e.g. the star tags), the non-pinned modes never enter a plan, so
 /// evaluating their BER curves per planning wave is pure waste — the pin is
 /// applied *before* the rate search, not `retain`ed after it. Returns an
@@ -697,6 +703,7 @@ mod tests {
     use super::*;
     use braidio_mac::coexistence::Coexistence;
     use braidio_mac::offload::options_at;
+    use proptest::prelude::*;
 
     fn ch() -> Characterization {
         Characterization::braidio()
@@ -1114,5 +1121,114 @@ mod tests {
         let modes: Vec<Mode> = opts.iter().map(|o| o.mode).collect();
         assert!(!modes.contains(&Mode::Backscatter), "{modes:?}");
         assert!(modes.contains(&Mode::Active));
+    }
+
+    /// Uniform positions over a 200 m square — irregular distances, so memo
+    /// keys are dense and distinct (the opposite of the grid's shared-distance
+    /// structure).
+    fn arb_point() -> impl Strategy<Value = Point> {
+        (0.0f64..200.0, 0.0f64..200.0).prop_map(|(x, y)| Point::new(x, y))
+    }
+
+    /// Check every pair's kernel edge against the direct transcendental path,
+    /// bit for bit: the scalar oracle, which peeks at the FSPL memo, then the
+    /// edge tile, which fills it. The kernel is stateful, so calling this
+    /// repeatedly over evolving geometry exercises both the miss path
+    /// (canonical evaluation) and the hit path (table load) of each.
+    fn assert_kernel_matches_direct(
+        kernel: &EdgeKernel,
+        ch: &Characterization,
+        victim: Point,
+        pairs: &[(Point, Point, ChannelRelation)],
+    ) -> Result<(), TestCaseError> {
+        let mut tiled = vec![Watts::ZERO; pairs.len()];
+        for (tile, out) in pairs.chunks(EDGE_TILE).zip(tiled.chunks_mut(EDGE_TILE)) {
+            let a: Vec<Point> = tile.iter().map(|e| e.0).collect();
+            let b: Vec<Point> = tile.iter().map(|e| e.1).collect();
+            let rel: Vec<ChannelRelation> = tile.iter().map(|e| e.2).collect();
+            kernel.carrier_tile(victim, &a, &b, &rel, out);
+        }
+        for (&(a, b, rel), lane) in pairs.iter().zip(tiled) {
+            let got = kernel.carrier_from_pair(victim, a, b, rel);
+            prop_assert_eq!(got.watts().to_bits(), lane.watts().to_bits(), "tile lane");
+            let pos = if a.distance(victim) <= b.distance(victim) {
+                a
+            } else {
+                b
+            };
+            let want = carrier_contribution(
+                ch,
+                victim,
+                &CarrierSource {
+                    pos,
+                    rf: ch.carrier_rf,
+                    relation: rel,
+                },
+            );
+            prop_assert_eq!(
+                got.watts().to_bits(),
+                want.watts().to_bits(),
+                "kernel diverged at a={:?} b={:?} rel={:?}: {:?} vs {:?}",
+                a,
+                b,
+                rel,
+                got,
+                want
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The tentpole contract: the memoized edge kernel is bit-for-bit the
+        /// direct `carrier_contribution` path across random geometries,
+        /// quarter-meter mobility walks (which revisit distances, so later
+        /// rounds run almost entirely on memo hits), and relation changes.
+        #[test]
+        fn edge_kernel_is_bitwise_equal_to_direct_path(
+            victim in arb_point(),
+            raw in proptest::collection::vec((arb_point(), arb_point(), 0u8..3), 1..40),
+            walks in proptest::collection::vec((0usize..40, -4i8..5i8, -4i8..5i8), 0..16),
+        ) {
+            let ch = Characterization::braidio();
+            let kernel = EdgeKernel::new(&ch);
+            let mut pairs: Vec<(Point, Point, ChannelRelation)> = raw
+                .into_iter()
+                .map(|(a, b, r)| (a, b, ChannelRelation::ALL[r as usize]))
+                .collect();
+            assert_kernel_matches_direct(&kernel, &ch, victim, &pairs)?;
+            for (i, dx, dy) in walks {
+                let i = i % pairs.len();
+                let (a, b, rel) = pairs[i];
+                pairs[i] = (
+                    Point::new(a.x + dx as f64 * 0.25, a.y + dy as f64 * 0.25),
+                    Point::new(b.x + dy as f64 * 0.25, b.y + dx as f64 * 0.25),
+                    ChannelRelation::ALL[(rel.index() + 1) % 3],
+                );
+                assert_kernel_matches_direct(&kernel, &ch, victim, &pairs)?;
+            }
+        }
+
+        /// Degenerate geometry: every endpoint at the same position (zero
+        /// distances everywhere, including victim-coincident sources). The
+        /// memo key is a single bit pattern; the kernel must still match the
+        /// direct path exactly, on the first (miss) and every later (hit) call.
+        #[test]
+        fn edge_kernel_survives_all_same_position(
+            p in arb_point(),
+            n in 1usize..20,
+            rounds in 1usize..4,
+        ) {
+            let ch = Characterization::braidio();
+            let kernel = EdgeKernel::new(&ch);
+            let pairs: Vec<(Point, Point, ChannelRelation)> = (0..n)
+                .map(|i| (p, p, ChannelRelation::ALL[i % 3]))
+                .collect();
+            for _ in 0..rounds {
+                assert_kernel_matches_direct(&kernel, &ch, p, &pairs)?;
+            }
+        }
     }
 }

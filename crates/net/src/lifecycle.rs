@@ -112,12 +112,6 @@ impl LinkPhase {
         matches!(self, LinkPhase::Dead)
     }
 
-    /// True while the link exchanges quanta (the telemetry validator
-    /// rejects `quantum_delivered` outside these phases).
-    pub fn carries_traffic(&self) -> bool {
-        matches!(self, LinkPhase::Warm | LinkPhase::Live | LinkPhase::Degrade)
-    }
-
     /// True while the link occupies radio spectrum: it probes, plans, and
     /// contributes interference. Init/Cooldown links are radio-silent
     /// (detector-only) and Dead links are gone, so none of them belong in
@@ -459,7 +453,7 @@ mod tests {
             phase = step(phase, event).unwrap();
         }
         assert_eq!(phase, P::Live);
-        assert!(phase.carries_traffic() && phase.on_air());
+        assert!(phase.on_air());
     }
 
     #[test]
@@ -482,7 +476,6 @@ mod tests {
             assert!(!p.as_str().is_empty());
         }
         assert!(!P::Init.on_air() && !P::Cooldown.on_air() && !P::Dead.on_air());
-        assert!(!P::Probe.carries_traffic() && !P::Cooldown.carries_traffic());
         assert!(P::Dead.is_terminal() && !P::Cooldown.is_terminal());
         let err = step(P::Dead, E::Admitted).unwrap_err();
         assert!(err.to_string().contains("dead"));

@@ -103,8 +103,8 @@ fn city_block_edge_and_fspl_counters_are_thread_count_invariant() {
         let victim = ends(v).1;
         for q in (0..n).filter(|&q| q != v) {
             let (a, b) = ends(q);
-            let d = a.distance(victim).min(b.distance(victim));
-            distinct.insert(d.meters().to_bits());
+            let d = a.distance(victim).meters().min(b.distance(victim).meters());
+            distinct.insert(d.to_bits());
         }
     }
     assert_eq!(misses, distinct.len() as u64, "{at_1:?}");
@@ -138,7 +138,10 @@ fn wave_edge_recompute_counts_the_lanes_the_kernel_received() {
         *seen += qs.len() as u64;
         for (o, &q) in out.iter_mut().zip(qs) {
             let (a, b) = eps[q as usize];
-            let d = a.distance(eps[v].1).min(b.distance(eps[v].1)).meters();
+            let d = a
+                .distance(eps[v].1)
+                .meters()
+                .min(b.distance(eps[v].1).meters());
             *o = Watts::new(1e-9 / (1.0 + d * d));
         }
     };
@@ -369,7 +372,12 @@ fn lazy_edge_rows_pin_the_fspl_totals_exactly() {
         let rx = Point::new(f64::from_bits(x), f64::from_bits(y));
         for q in 0..n {
             let (a, b) = ends(q);
-            distinct.insert(a.distance(rx).min(b.distance(rx)).meters().to_bits());
+            distinct.insert(
+                a.distance(rx)
+                    .meters()
+                    .min(b.distance(rx).meters())
+                    .to_bits(),
+            );
         }
     }
     let (hits, misses) = (value(&at_1, "net.fspl.hit"), value(&at_1, "net.fspl.miss"));

@@ -69,8 +69,8 @@ fn fspl_memo_misses_once_per_distinct_distance_on_a_grid() {
             let (a, b) = ends(q);
             distinct.insert(
                 a.distance(victim)
-                    .min(b.distance(victim))
                     .meters()
+                    .min(b.distance(victim).meters())
                     .to_bits(),
             );
         }

@@ -15,7 +15,6 @@
 //! detection, giving the usual Q-function expressions.
 
 use braidio_units::math::{marcum_q1, q_function};
-use braidio_units::Decibels;
 
 mod ook_knots;
 
@@ -52,11 +51,6 @@ pub fn ber_ook_noncoherent(gamma: f64) -> f64 {
     pe(0.5 * (lo + hi)).clamp(0.0, 0.5)
 }
 
-/// BER of noncoherent OOK at an SNR given in dB.
-pub fn ber_ook_noncoherent_db(snr: Decibels) -> f64 {
-    ber_ook_noncoherent(snr.linear())
-}
-
 const KNOTS: usize = 1024;
 const KNOT_LO: f64 = 1e-3;
 const KNOT_HI: f64 = 1e5;
@@ -89,6 +83,7 @@ pub fn ber_ook_noncoherent_fast(gamma: f64) -> f64 {
 
 /// The classic high-SNR approximation `½·exp(−γ/4)` for noncoherent OOK,
 /// kept for cross-checks and fast sweeps.
+#[cfg(test)]
 pub fn ber_ook_noncoherent_approx(gamma: f64) -> f64 {
     (0.5 * (-gamma / 4.0).exp()).min(0.5)
 }
@@ -97,13 +92,6 @@ pub fn ber_ook_noncoherent_approx(gamma: f64) -> f64 {
 pub fn ber_coherent(gamma: f64) -> f64 {
     assert!(gamma >= 0.0, "SNR must be non-negative");
     q_function((gamma / 2.0).sqrt())
-}
-
-/// BER of noncoherent binary FSK, `½·exp(−γ/2)` — the active radio's
-/// envelope when modelled pessimistically (real BLE chips do a bit better;
-/// the active link is never the bottleneck in any experiment).
-pub fn ber_fsk_noncoherent(gamma: f64) -> f64 {
-    (0.5 * (-gamma / 2.0).exp()).min(0.5)
 }
 
 /// Packet error rate for `bits` independent bit decisions at error rate
@@ -132,6 +120,7 @@ pub fn snr_for_ber(model: impl Fn(f64) -> f64, target: f64, lo: f64, hi: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use braidio_units::Decibels;
 
     #[test]
     fn zero_snr_is_coin_flip() {
@@ -143,7 +132,7 @@ mod tests {
     fn monotone_decreasing_in_snr() {
         let mut prev = 1.0;
         for snr_db in [-5.0, 0.0, 3.0, 6.0, 9.0, 12.0, 15.0] {
-            let b = ber_ook_noncoherent_db(Decibels::new(snr_db));
+            let b = ber_ook_noncoherent(Decibels::new(snr_db).linear());
             assert!(b < prev, "BER should fall with SNR (snr {snr_db} dB)");
             prev = b;
         }
@@ -258,13 +247,5 @@ mod tests {
         let gamma = snr_for_ber(ber_ook_noncoherent, target, 0.1, 1000.0);
         let back = ber_ook_noncoherent(gamma);
         assert!((back - target).abs() / target < 0.05, "got {back:.3e}");
-    }
-
-    #[test]
-    fn fsk_between_ook_and_coherent() {
-        let gamma = Decibels::new(10.0).linear();
-        let fsk = ber_fsk_noncoherent(gamma);
-        assert!(fsk < ber_ook_noncoherent_approx(gamma));
-        assert!(fsk > ber_coherent(2.0 * gamma) * 0.1);
     }
 }

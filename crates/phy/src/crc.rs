@@ -21,6 +21,7 @@ pub fn crc16_ccitt(data: &[u8]) -> u16 {
 }
 
 /// Verify that `data` followed by its big-endian CRC checks out.
+#[cfg(test)]
 pub fn verify_with_trailer(data_and_crc: &[u8]) -> bool {
     if data_and_crc.len() < 2 {
         return false;

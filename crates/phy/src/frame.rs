@@ -103,17 +103,6 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
     bits
 }
 
-/// Pack MSB-first bits into bytes (bit count must be a multiple of 8).
-pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
-    assert!(
-        bits.len().is_multiple_of(8),
-        "bit count must be a multiple of 8"
-    );
-    bits.chunks(8)
-        .map(|chunk| chunk.iter().fold(0u8, |acc, &b| (acc << 1) | b as u8))
-        .collect()
-}
-
 fn take_byte(bits: &[bool], start: usize) -> Option<u8> {
     if start + 8 > bits.len() {
         return None;
@@ -203,12 +192,6 @@ mod tests {
         let mut bits = vec![true, false, false, true, true, false, true];
         bits.extend(f.encode());
         assert_eq!(Frame::decode(&bits, 0).unwrap(), f);
-    }
-
-    #[test]
-    fn bits_bytes_round_trip() {
-        let bytes = vec![0x00, 0xFF, 0xA5, 0x3C];
-        assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
     }
 
     #[test]

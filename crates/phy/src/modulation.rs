@@ -35,20 +35,6 @@ impl OokModulator {
         }
     }
 
-    /// Full-depth OOK with unit amplitude and 20 samples per bit.
-    pub fn unit() -> Self {
-        OokModulator::new(20, 1.0, 0.0)
-    }
-
-    /// Scale both levels (e.g. by a channel amplitude).
-    pub fn scaled(&self, k: f64) -> Self {
-        OokModulator {
-            samples_per_bit: self.samples_per_bit,
-            high: self.high * k,
-            low: self.low * k,
-        }
-    }
-
     /// The envelope level of one bit.
     #[inline]
     pub fn level(&self, bit: bool) -> f64 {
@@ -88,37 +74,6 @@ impl OokModulator {
     pub fn decision_index(&self, i: usize) -> usize {
         i * self.samples_per_bit + (3 * self.samples_per_bit) / 4
     }
-
-    /// Modulation depth `(high - low) / high`.
-    pub fn depth(&self) -> f64 {
-        (self.high - self.low) / self.high
-    }
-}
-
-/// The active radio's FSK parameters (BLE-class GFSK): carried for
-/// documentation and for the analytic BER path; no waveform synthesis is
-/// required because the active receiver is a conventional coherent chip.
-#[derive(Debug, Clone, Copy)]
-pub struct FskParams {
-    /// Frequency deviation, hertz.
-    pub deviation_hz: f64,
-    /// Symbol rate (= bitrate for 2-FSK).
-    pub rate: BitsPerSecond,
-}
-
-impl FskParams {
-    /// BLE-class 1 Mbps GFSK (±250 kHz deviation).
-    pub fn ble_1m() -> Self {
-        FskParams {
-            deviation_hz: 250e3,
-            rate: BitsPerSecond::MBPS_1,
-        }
-    }
-
-    /// Modulation index `2·Δf / rate`.
-    pub fn modulation_index(&self) -> f64 {
-        2.0 * self.deviation_hz / self.rate.bps()
-    }
 }
 
 #[cfg(test)]
@@ -142,16 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn scaling_preserves_depth() {
-        let m = OokModulator::new(4, 1.0, 0.2);
-        let s = m.scaled(0.01);
-        assert!((m.depth() - s.depth()).abs() < 1e-12);
-        assert!((s.high - 0.01).abs() < 1e-15);
-    }
-
-    #[test]
     fn sample_interval_matches_rate() {
-        let m = OokModulator::unit();
+        let m = OokModulator::new(20, 1.0, 0.0);
         let dt = m.sample_interval(BitsPerSecond::KBPS_100);
         assert!((dt.micros() - 0.5).abs() < 1e-12); // 10 µs / 20
     }
@@ -161,12 +108,6 @@ mod tests {
         let m = OokModulator::new(20, 1.0, 0.0);
         assert_eq!(m.decision_index(0), 15);
         assert_eq!(m.decision_index(3), 75);
-    }
-
-    #[test]
-    fn ble_fsk_index() {
-        let f = FskParams::ble_1m();
-        assert!((f.modulation_index() - 0.5).abs() < 1e-12);
     }
 
     #[test]

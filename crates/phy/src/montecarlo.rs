@@ -39,7 +39,7 @@ use crate::modulation::OokModulator;
 use crate::noise::GaussianEnvelopeNoise;
 use braidio_circuits::PassiveReceiverChain;
 use braidio_pool as pool;
-use braidio_units::{BitsPerSecond, Seconds};
+use braidio_units::BitsPerSecond;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -212,11 +212,6 @@ impl MonteCarloBer {
             bits: nbits,
             errors,
         }
-    }
-
-    /// The sample interval used by the run.
-    pub fn sample_interval(&self) -> Seconds {
-        Seconds::new(1.0 / (self.rate.bps() * self.samples_per_bit as f64))
     }
 }
 

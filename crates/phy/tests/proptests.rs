@@ -1,25 +1,26 @@
 //! Property-based tests for the physical layer.
 
-use braidio_phy::ber::{
-    ber_coherent, ber_ook_noncoherent, ber_ook_noncoherent_approx, packet_error_rate,
-};
-use braidio_phy::coding::{dc_balance, LineCode};
-use braidio_phy::crc::{append_crc, crc16_ccitt, verify_with_trailer};
-use braidio_phy::frame::{bits_to_bytes, bytes_to_bits, Frame};
+use braidio_phy::ber::{ber_coherent, ber_ook_noncoherent, packet_error_rate};
+use braidio_phy::crc::{append_crc, crc16_ccitt};
+use braidio_phy::frame::Frame;
 use braidio_phy::modulation::OokModulator;
-use braidio_phy::sync::BitSync;
 use proptest::prelude::*;
+
+/// Does `framed` (data followed by its big-endian CRC) check out?
+fn crc_checks_out(framed: &[u8]) -> bool {
+    framed.len() >= 2 && append_crc(&framed[..framed.len() - 2]) == framed
+}
 
 proptest! {
     #[test]
     fn crc_detects_any_single_byte_change(data in proptest::collection::vec(any::<u8>(), 1..128),
                                           pos in 0usize..128, delta in 1u8..=255) {
         let framed = append_crc(&data);
-        prop_assert!(verify_with_trailer(&framed));
+        prop_assert!(crc_checks_out(&framed));
         let mut corrupted = framed.clone();
         let idx = pos % corrupted.len();
         corrupted[idx] = corrupted[idx].wrapping_add(delta);
-        prop_assert!(!verify_with_trailer(&corrupted) || corrupted == framed);
+        prop_assert!(!crc_checks_out(&corrupted) || corrupted == framed);
     }
 
     #[test]
@@ -55,44 +56,9 @@ proptest! {
     }
 
     #[test]
-    fn bits_bytes_round_trip(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        prop_assert_eq!(bits_to_bytes(&bytes_to_bits(&bytes)), bytes);
-    }
-
-    #[test]
-    fn line_codes_round_trip(bits in proptest::collection::vec(any::<bool>(), 0..256)) {
-        for code in [LineCode::Nrz, LineCode::Manchester, LineCode::Fm0] {
-            let enc = code.encode(&bits);
-            prop_assert_eq!(code.decode(&enc).unwrap(), bits.clone(), "{:?}", code);
-        }
-    }
-
-    #[test]
-    fn manchester_always_balanced(bits in proptest::collection::vec(any::<bool>(), 1..256)) {
-        prop_assert_eq!(dc_balance(&LineCode::Manchester.encode(&bits)), 0.0);
-    }
-
-    #[test]
-    fn fm0_balance_small(bits in proptest::collection::vec(any::<bool>(), 32..256)) {
-        let bal = dc_balance(&LineCode::Fm0.encode(&bits));
-        prop_assert!(bal.abs() <= 2.0 / bits.len() as f64 + 1e-12, "balance {bal}");
-    }
-
-    #[test]
-    fn fm0_polarity_free(bits in proptest::collection::vec(any::<bool>(), 0..128)) {
-        let enc = LineCode::Fm0.encode(&bits);
-        let flipped: Vec<bool> = enc.iter().map(|&b| !b).collect();
-        prop_assert_eq!(LineCode::Fm0.decode(&flipped).unwrap(), bits);
-    }
-
-    #[test]
     fn ber_models_are_probabilities(snr_db in -20.0f64..30.0) {
         let gamma = 10f64.powf(snr_db / 10.0);
-        for ber in [
-            ber_ook_noncoherent(gamma),
-            ber_coherent(gamma),
-            ber_ook_noncoherent_approx(gamma),
-        ] {
+        for ber in [ber_ook_noncoherent(gamma), ber_coherent(gamma)] {
             prop_assert!((0.0..=0.5 + 1e-12).contains(&ber), "snr {snr_db}: {ber}");
         }
     }
@@ -121,15 +87,6 @@ proptest! {
             let expected = if b { m.high } else { m.low };
             prop_assert_eq!(w[i * 8 + 3], expected);
         }
-    }
-
-    #[test]
-    fn bitsync_recovers_ideal_streams(bits in proptest::collection::vec(any::<bool>(), 8..128)) {
-        let spb = 16usize;
-        let samples: Vec<bool> = bits.iter().flat_map(|&b| std::iter::repeat_n(b, spb)).collect();
-        let recovered = BitSync::new(spb).recover(&samples);
-        prop_assert_eq!(recovered.len(), bits.len());
-        prop_assert_eq!(recovered, bits);
     }
 
     /// The fused Monte-Carlo chunk (interleaved modulate → corrupt →

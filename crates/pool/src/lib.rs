@@ -233,16 +233,6 @@ where
     par_map_indexed_with_chunk(n, chunk, f)
 }
 
-/// Map `f` over a slice in parallel, returning results in input order.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,13 +272,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "chunk {chunk}");
             }
         }
-    }
-
-    #[test]
-    fn par_map_over_slice() {
-        let items: Vec<i32> = (0..57).collect();
-        let doubled = with_threads(3, || par_map(&items, |x| x * 2));
-        assert_eq!(doubled, (0..57).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

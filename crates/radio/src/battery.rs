@@ -1,12 +1,11 @@
 //! Battery model with draw accounting.
 
-use braidio_units::{Joules, Seconds, Watts};
+use braidio_units::Joules;
 
 /// A simple energy store. The link simulator draws from two of these and
 /// stops when either runs dry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
-    capacity: Joules,
     remaining: Joules,
 }
 
@@ -15,7 +14,6 @@ impl Battery {
     pub fn new(capacity: Joules) -> Self {
         assert!(capacity.is_physical(), "capacity must be non-negative");
         Battery {
-            capacity,
             remaining: capacity,
         }
     }
@@ -25,23 +23,9 @@ impl Battery {
         Battery::new(Joules::from_watt_hours(wh))
     }
 
-    /// Nominal capacity.
-    pub fn capacity(&self) -> Joules {
-        self.capacity
-    }
-
     /// Energy left.
     pub fn remaining(&self) -> Joules {
         self.remaining
-    }
-
-    /// State of charge in `[0, 1]`.
-    pub fn soc(&self) -> f64 {
-        if self.capacity.joules() == 0.0 {
-            0.0
-        } else {
-            self.remaining / self.capacity
-        }
     }
 
     /// True once the battery is exhausted.
@@ -58,24 +42,6 @@ impl Battery {
         self.remaining = (self.remaining - energy).clamped_non_negative();
         ok
     }
-
-    /// Draw a power for a duration.
-    pub fn draw_power(&mut self, power: Watts, duration: Seconds) -> bool {
-        self.draw(power * duration)
-    }
-
-    /// How long this battery sustains a constant power draw.
-    pub fn lifetime_at(&self, power: Watts) -> Seconds {
-        if power.watts() <= 0.0 {
-            return Seconds::new(f64::INFINITY);
-        }
-        self.remaining / power
-    }
-
-    /// Refill to capacity.
-    pub fn recharge(&mut self) {
-        self.remaining = self.capacity;
-    }
 }
 
 #[cfg(test)]
@@ -83,11 +49,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn draw_and_soc() {
+    fn draw_accounting() {
         let mut b = Battery::from_watt_hours(1.0);
-        assert_eq!(b.soc(), 1.0);
+        assert_eq!(b.remaining(), Joules::new(3600.0));
         assert!(b.draw(Joules::new(1800.0)));
-        assert!((b.soc() - 0.5).abs() < 1e-12);
+        assert_eq!(b.remaining(), Joules::new(1800.0));
         assert!(!b.is_dead());
     }
 
@@ -97,28 +63,5 @@ mod tests {
         assert!(!b.draw(Joules::new(15.0)));
         assert!(b.is_dead());
         assert_eq!(b.remaining(), Joules::ZERO);
-    }
-
-    #[test]
-    fn power_draw_and_lifetime() {
-        let mut b = Battery::from_watt_hours(0.1); // 360 J
-        let life = b.lifetime_at(Watts::from_milliwatts(100.0));
-        assert!((life.seconds() - 3600.0).abs() < 1e-9);
-        assert!(b.draw_power(Watts::from_milliwatts(100.0), Seconds::new(1800.0)));
-        assert!((b.soc() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_power_lives_forever() {
-        let b = Battery::from_watt_hours(0.1);
-        assert!(b.lifetime_at(Watts::ZERO).seconds().is_infinite());
-    }
-
-    #[test]
-    fn recharge_restores() {
-        let mut b = Battery::from_watt_hours(0.5);
-        b.draw(Joules::new(500.0));
-        b.recharge();
-        assert_eq!(b.remaining(), b.capacity());
     }
 }

@@ -84,22 +84,11 @@ impl BluetoothRadio {
     pub fn rx_energy_per_bit(&self) -> JoulesPerBit {
         self.rx / self.rate
     }
-
-    /// Total bits a TX battery of `e1` joules and an RX battery of `e2`
-    /// joules can move before *either* side dies (the Fig. 15 baseline
-    /// computation; Bluetooth cannot shift the burden, so the smaller
-    /// effective budget wins).
-    pub fn bits_until_death(&self, e1: braidio_units::Joules, e2: braidio_units::Joules) -> f64 {
-        let by_tx = e1 / self.tx_energy_per_bit();
-        let by_rx = e2 / self.rx_energy_per_bit();
-        by_tx.min(by_rx)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use braidio_units::Joules;
 
     #[test]
     fn table1_ratio_ranges() {
@@ -116,25 +105,6 @@ mod tests {
     fn baseline_ratio_matches_fig9_point_a() {
         let b = BluetoothRadio::baseline();
         assert!((b.tx / b.rx - 0.9524).abs() < 1e-3);
-    }
-
-    #[test]
-    fn bits_limited_by_smaller_side() {
-        let b = BluetoothRadio::baseline();
-        // Tiny receiver battery dominates.
-        let bits = b.bits_until_death(Joules::from_watt_hours(100.0), Joules::from_watt_hours(0.1));
-        let expected = Joules::from_watt_hours(0.1) / b.rx_energy_per_bit();
-        assert!((bits - expected).abs() < 1.0);
-    }
-
-    #[test]
-    fn symmetric_budget_limited_by_rx() {
-        // RX draws slightly more, so with equal batteries the receiver dies
-        // first.
-        let b = BluetoothRadio::baseline();
-        let e = Joules::from_watt_hours(1.0);
-        let bits = b.bits_until_death(e, e);
-        assert!((bits - e / b.rx_energy_per_bit()).abs() < 1.0);
     }
 
     #[test]

@@ -276,11 +276,10 @@ impl Characterization {
     }
 
     /// Rebuild the precomputed lookup tables from the current power table,
-    /// noise calibration and link budget. Must be called after any field
-    /// mutation (see [`Characterization::with_carrier_dbm`]).
+    /// noise calibration and link budget.
     ///
     /// Ranges stay computed, not pinned: the bisections run on the committed
-    /// knot table in microseconds, and carrier-variant boards need them.
+    /// knot table in microseconds.
     fn rebuild_derived(&mut self) {
         let mut d = Derived::default();
         for p in &self.points {
@@ -300,31 +299,6 @@ impl Characterization {
                 self.derived.range[mode_ix(mode)][rate_ix(rate)] = r;
             }
         }
-    }
-
-    /// A variant board with a different carrier output power.
-    ///
-    /// The detector noise floors are hardware constants (they do not move
-    /// with the carrier), so ranges shrink or grow per the link budget; the
-    /// carrier-dependent rows of the power table are re-derived from the
-    /// SI4432 draw curve. This is the entry point for "what if the carrier
-    /// ran at X dBm" studies.
-    pub fn with_carrier_dbm(mut self, dbm: f64) -> Self {
-        let emitter = braidio_circuits::carrier::CarrierEmitter::si4432();
-        let old_draw = emitter.draw_at(self.carrier_rf);
-        let new_draw = emitter.draw_at_dbm(dbm);
-        self.carrier_rf = Watts::from_dbm(dbm);
-        for p in self.points.iter_mut() {
-            match p.mode {
-                // Passive TX and backscatter RX own the carrier: swap the
-                // emitter's share of their draw.
-                Mode::Passive => p.tx = p.tx - old_draw + new_draw,
-                Mode::Backscatter => p.rx = p.rx - old_draw + new_draw,
-                Mode::Active => {}
-            }
-        }
-        self.rebuild_derived();
-        self
     }
 
     /// The power-table row for a mode/rate, if that combination exists
@@ -602,51 +576,6 @@ mod tests {
             (snr.linear() / c.gamma_star() - 1.0).abs() < 1e-6,
             "calibration broken: {snr}"
         );
-    }
-
-    #[test]
-    fn carrier_variant_at_13dbm_is_identity() {
-        let base = ch();
-        let same = ch().with_carrier_dbm(13.0);
-        for (a, b) in base.power_table().iter().zip(same.power_table()) {
-            assert!((a.tx.watts() - b.tx.watts()).abs() < 1e-12);
-            assert!((a.rx.watts() - b.rx.watts()).abs() < 1e-12);
-        }
-        assert_eq!(
-            base.range(Mode::Backscatter, Rate::Kbps100)
-                .unwrap()
-                .meters(),
-            same.range(Mode::Backscatter, Rate::Kbps100)
-                .unwrap()
-                .meters()
-        );
-    }
-
-    #[test]
-    fn quieter_carrier_shrinks_range_and_saves_power() {
-        let base = ch();
-        let quiet = ch().with_carrier_dbm(7.0);
-        let r_base = base.range(Mode::Backscatter, Rate::Kbps100).unwrap();
-        let r_quiet = quiet.range(Mode::Backscatter, Rate::Kbps100).unwrap();
-        assert!(r_quiet < r_base, "{r_quiet} vs {r_base}");
-        let p_base = base.power(Mode::Passive, Rate::Mbps1).unwrap().tx;
-        let p_quiet = quiet.power(Mode::Passive, Rate::Mbps1).unwrap().tx;
-        assert!(
-            (p_base - p_quiet).milliwatts() > 50.0,
-            "6 dB back-off should save > 50 mW of PA drain"
-        );
-        // Backscatter tag TX (no carrier) is untouched.
-        assert_eq!(
-            base.power(Mode::Backscatter, Rate::Mbps1).unwrap().tx,
-            quiet.power(Mode::Backscatter, Rate::Mbps1).unwrap().tx
-        );
-    }
-
-    #[test]
-    fn louder_carrier_extends_backscatter_range() {
-        let loud = ch().with_carrier_dbm(17.0);
-        let r = loud.range(Mode::Backscatter, Rate::Kbps100).unwrap();
-        assert!(r > Meters::new(2.0), "17 dBm range {r}");
     }
 
     #[test]

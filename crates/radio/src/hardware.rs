@@ -71,6 +71,7 @@ pub fn table4() -> Vec<Module> {
 
 /// §3.1's bill-of-materials point: the *added* passive components cost
 /// roughly "a tag's worth" — compare against a $2.5 BLE chip.
+#[cfg(test)]
 pub fn added_component_roles() -> [&'static str; 5] {
     [
         "Carrier Emitter",

@@ -78,15 +78,7 @@ pub enum Role {
     Receiver,
 }
 
-impl Role {
-    /// The opposite role.
-    pub fn other(self) -> Role {
-        match self {
-            Role::Transmitter => Role::Receiver,
-            Role::Receiver => Role::Transmitter,
-        }
-    }
-}
+impl Role {}
 
 #[cfg(test)]
 mod tests {
@@ -103,11 +95,6 @@ mod tests {
     fn link_kind_mapping() {
         assert_eq!(Mode::Passive.link_kind(), LinkKind::PassiveRx);
         assert_eq!(Mode::Backscatter.link_kind(), LinkKind::Backscatter);
-    }
-
-    #[test]
-    fn role_other_is_involutive() {
-        assert_eq!(Role::Transmitter.other().other(), Role::Transmitter);
     }
 
     #[test]

@@ -1,94 +1,11 @@
-//! Small-scale fading and shadowing.
+//! Log-normal shadowing.
 //!
-//! §3.1 of the paper leans on the fact that the self-interference channel's
-//! coherence time is "typically in the order of milliseconds", so that
-//! whatever leaks through the envelope detector can be removed by a high-pass
-//! filter. This module provides the block-fading processes used to exercise
-//! that claim and to stress the MAC layer's fallback logic:
-//!
-//! * Rayleigh / Rician small-scale fading with a configurable coherence time
-//!   (new complex gain drawn every coherence interval).
-//! * Log-normal shadowing for slow, large-scale variation.
-//!
-//! Everything is driven by an explicit seeded RNG for reproducibility.
+//! Slow, large-scale variation of a link's gain, driven by an explicit
+//! seeded RNG for reproducibility.
 
-use braidio_units::{Complex, Decibels, Seconds};
+use braidio_units::Decibels;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Draw a standard complex Gaussian (unit total variance) sample.
-fn complex_gaussian(rng: &mut StdRng) -> Complex {
-    // Box-Muller: two uniforms -> two independent N(0, 1/2) components.
-    let u1: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
-    let r = (-u1.ln()).sqrt(); // magnitude for variance 1/2 per component
-    let theta = 2.0 * core::f64::consts::PI * u2;
-    Complex::from_polar(r, theta)
-}
-
-/// A Rician block-fading process.
-///
-/// `k_factor` is the ratio of line-of-sight to scattered power;
-/// `k = 0` degenerates to Rayleigh, large `k` to a nearly static channel.
-/// The complex gain is normalized to unit mean power.
-#[derive(Debug, Clone)]
-pub struct RicianFading {
-    k_factor: f64,
-    coherence: Seconds,
-    rng: StdRng,
-    current: Complex,
-    block_start: Seconds,
-}
-
-impl RicianFading {
-    /// Create a process with the given K-factor and coherence time.
-    pub fn new(k_factor: f64, coherence: Seconds, seed: u64) -> Self {
-        assert!(k_factor >= 0.0, "K-factor must be non-negative");
-        assert!(coherence.seconds() > 0.0, "coherence time must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let current = Self::draw(k_factor, &mut rng);
-        RicianFading {
-            k_factor,
-            coherence,
-            rng,
-            current,
-            block_start: Seconds::ZERO,
-        }
-    }
-
-    /// A Rayleigh process (K = 0).
-    pub fn rayleigh(coherence: Seconds, seed: u64) -> Self {
-        Self::new(0.0, coherence, seed)
-    }
-
-    fn draw(k: f64, rng: &mut StdRng) -> Complex {
-        let scatter = complex_gaussian(rng);
-        // LOS component fixed at phase 0; normalize total power to 1.
-        let los = Complex::new(k.sqrt(), 0.0);
-        (los + scatter) / (1.0 + k).sqrt()
-    }
-
-    /// The complex fading gain at virtual time `t`. Within a coherence block
-    /// the gain is constant; crossing a block boundary draws a fresh gain.
-    pub fn gain_at(&mut self, t: Seconds) -> Complex {
-        assert!(t >= self.block_start, "fading clock must move forward");
-        while t - self.block_start >= self.coherence {
-            self.block_start += self.coherence;
-            self.current = Self::draw(self.k_factor, &mut self.rng);
-        }
-        self.current
-    }
-
-    /// The coherence time of the process.
-    pub fn coherence(&self) -> Seconds {
-        self.coherence
-    }
-
-    /// The K-factor of the process.
-    pub fn k_factor(&self) -> f64 {
-        self.k_factor
-    }
-}
 
 /// Log-normal shadowing: a dB-domain zero-mean Gaussian re-drawn per call.
 ///
@@ -123,61 +40,6 @@ impl Shadowing {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rayleigh_unit_mean_power() {
-        let mut f = RicianFading::rayleigh(Seconds::from_millis(1.0), 7);
-        let n = 20_000;
-        let mut acc = 0.0;
-        for i in 0..n {
-            let t = Seconds::from_millis(i as f64);
-            acc += f.gain_at(t).norm_sqr();
-        }
-        let mean = acc / n as f64;
-        assert!((mean - 1.0).abs() < 0.05, "mean power {mean}");
-    }
-
-    #[test]
-    fn rician_large_k_is_nearly_static() {
-        let mut f = RicianFading::new(100.0, Seconds::from_millis(1.0), 3);
-        let mut min = f64::MAX;
-        let mut max = f64::MIN;
-        for i in 0..1000 {
-            let g = f.gain_at(Seconds::from_millis(i as f64)).abs();
-            min = min.min(g);
-            max = max.max(g);
-        }
-        assert!(max - min < 0.5, "spread {}", max - min);
-        assert!((min + max) / 2.0 > 0.7);
-    }
-
-    #[test]
-    fn constant_within_coherence_block() {
-        let mut f = RicianFading::rayleigh(Seconds::from_millis(10.0), 11);
-        let g0 = f.gain_at(Seconds::from_millis(0.1));
-        let g1 = f.gain_at(Seconds::from_millis(9.9));
-        assert_eq!(g0, g1);
-        let g2 = f.gain_at(Seconds::from_millis(10.1));
-        assert_ne!(g0, g2);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let mut a = RicianFading::rayleigh(Seconds::from_millis(1.0), 42);
-        let mut b = RicianFading::rayleigh(Seconds::from_millis(1.0), 42);
-        for i in 0..100 {
-            let t = Seconds::from_millis(i as f64 * 1.7);
-            assert_eq!(a.gain_at(t), b.gain_at(t));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "forward")]
-    fn clock_cannot_rewind() {
-        let mut f = RicianFading::rayleigh(Seconds::from_millis(1.0), 1);
-        let _ = f.gain_at(Seconds::new(1.0));
-        let _ = f.gain_at(Seconds::new(0.5));
-    }
 
     #[test]
     fn shadowing_statistics() {

@@ -25,25 +25,6 @@ pub struct FaultInjector {
     drop_chance: f64,
     corrupt_chance: f64,
     rng: StdRng,
-    stats: FaultStats,
-}
-
-/// Counters of injector decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Packets delivered unchanged.
-    pub delivered: u64,
-    /// Packets dropped.
-    pub dropped: u64,
-    /// Packets corrupted.
-    pub corrupted: u64,
-}
-
-impl FaultStats {
-    /// Total packets processed.
-    pub fn total(&self) -> u64 {
-        self.delivered + self.dropped + self.corrupted
-    }
 }
 
 impl FaultInjector {
@@ -62,46 +43,19 @@ impl FaultInjector {
             drop_chance,
             corrupt_chance,
             rng: StdRng::seed_from_u64(seed),
-            stats: FaultStats::default(),
         }
-    }
-
-    /// An injector that never interferes.
-    pub fn transparent() -> Self {
-        FaultInjector::new(0.0, 0.0, 0)
     }
 
     /// Decide the fate of the next packet.
     pub fn judge(&mut self) -> Verdict {
         let x: f64 = self.rng.random_range(0.0..1.0);
-        let verdict = if x < self.drop_chance {
+        if x < self.drop_chance {
             Verdict::Drop
         } else if x < self.drop_chance + self.corrupt_chance {
             Verdict::Corrupt
         } else {
             Verdict::Deliver
-        };
-        match verdict {
-            Verdict::Deliver => self.stats.delivered += 1,
-            Verdict::Drop => self.stats.dropped += 1,
-            Verdict::Corrupt => self.stats.corrupted += 1,
         }
-        verdict
-    }
-
-    /// Decision counters so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
-    }
-
-    /// The configured drop chance.
-    pub fn drop_chance(&self) -> f64 {
-        self.drop_chance
-    }
-
-    /// The configured corrupt chance.
-    pub fn corrupt_chance(&self) -> f64 {
-        self.corrupt_chance
     }
 }
 
@@ -110,24 +64,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transparent_always_delivers() {
-        let mut f = FaultInjector::transparent();
-        for _ in 0..1000 {
-            assert_eq!(f.judge(), Verdict::Deliver);
-        }
-        assert_eq!(f.stats().delivered, 1000);
-        assert_eq!(f.stats().dropped, 0);
-    }
-
-    #[test]
     fn rates_approximate_configuration() {
         let mut f = FaultInjector::new(0.15, 0.10, 99);
-        for _ in 0..200_000 {
-            f.judge();
-        }
-        let s = f.stats();
-        let drop_rate = s.dropped as f64 / s.total() as f64;
-        let corrupt_rate = s.corrupted as f64 / s.total() as f64;
+        let n = 200_000;
+        let verdicts: Vec<Verdict> = (0..n).map(|_| f.judge()).collect();
+        let rate = |v| verdicts.iter().filter(|&&x| x == v).count() as f64 / n as f64;
+        let drop_rate = rate(Verdict::Drop);
+        let corrupt_rate = rate(Verdict::Corrupt);
         assert!((drop_rate - 0.15).abs() < 0.01, "drop {drop_rate}");
         assert!((corrupt_rate - 0.10).abs() < 0.01, "corrupt {corrupt_rate}");
     }
@@ -145,14 +88,5 @@ mod tests {
     #[should_panic(expected = "cannot exceed 1")]
     fn overlapping_chances_rejected() {
         let _ = FaultInjector::new(0.7, 0.6, 1);
-    }
-
-    #[test]
-    fn stats_total_consistent() {
-        let mut f = FaultInjector::new(0.5, 0.25, 3);
-        for _ in 0..1234 {
-            f.judge();
-        }
-        assert_eq!(f.stats().total(), 1234);
     }
 }

@@ -38,12 +38,6 @@ impl Point {
         self.x.hypot(self.y)
     }
 
-    /// The midpoint between two points.
-    #[inline]
-    pub fn midpoint(self, other: Point) -> Point {
-        Point::new(0.5 * (self.x + other.x), 0.5 * (self.y + other.y))
-    }
-
     /// Unit vector from `self` toward `other`. Returns `None` when the
     /// points coincide.
     pub fn direction_to(self, other: Point) -> Option<Point> {
@@ -61,12 +55,6 @@ impl Point {
     #[inline]
     pub fn offset_along(self, direction: Point, offset: Meters) -> Point {
         self + direction * offset.meters()
-    }
-
-    /// True if both coordinates are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite()
     }
 }
 
@@ -171,16 +159,6 @@ impl Grid {
     pub fn points(&self) -> impl Iterator<Item = (usize, usize, Point)> + '_ {
         (0..self.ny).flat_map(move |iy| (0..self.nx).map(move |ix| (ix, iy, self.point(ix, iy))))
     }
-
-    /// Total number of samples.
-    pub fn len(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// True if the grid has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -196,10 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_direction() {
+    fn direction_to_unit_vector() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(2.0, 0.0);
-        assert_eq!(a.midpoint(b), Point::new(1.0, 0.0));
         let d = a.direction_to(b).unwrap();
         assert!((d.x - 1.0).abs() < 1e-12 && d.y.abs() < 1e-12);
         assert!(a.direction_to(a).is_none());
@@ -216,7 +193,7 @@ mod tests {
     #[test]
     fn grid_corners_and_count() {
         let g = Grid::square(Meters::new(2.0), 5);
-        assert_eq!(g.len(), 25);
+        assert_eq!(g.nx * g.ny, 25);
         assert_eq!(g.point(0, 0), Point::ORIGIN);
         assert_eq!(g.point(4, 4), Point::new(2.0, 2.0));
         assert_eq!(g.point(2, 0), Point::new(1.0, 0.0));

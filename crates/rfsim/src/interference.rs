@@ -27,23 +27,6 @@ impl Interferer {
             power,
         }
     }
-
-    /// A 2.4 GHz WiFi interferer.
-    pub fn wifi(power: Watts) -> Self {
-        Interferer {
-            frequency: Hertz::ISM_2G4,
-            power,
-        }
-    }
-
-    /// An in-band (915 MHz ISM) interferer — the case the SAW filter cannot
-    /// help with ("may be interfered by in-band signal", Table 3).
-    pub fn in_band(power: Watts) -> Self {
-        Interferer {
-            frequency: Hertz::UHF_915M,
-            power,
-        }
-    }
 }
 
 /// A passive SAW band-pass filter with a piecewise-constant rejection mask.
@@ -96,12 +79,6 @@ impl SawFilter {
     pub fn residual(&self, i: Interferer) -> Watts {
         i.power.gained(self.gain_at(i.frequency))
     }
-
-    /// Total residual interference power from a set of interferers
-    /// (noncoherent power sum).
-    pub fn total_residual(&self, interferers: &[Interferer]) -> Watts {
-        interferers.iter().map(|&i| self.residual(i)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +102,7 @@ mod tests {
     #[test]
     fn wifi_band_rejected() {
         let f = SawFilter::sf2049e();
-        assert_eq!(f.gain_at(Hertz::ISM_2G4).db(), -30.0);
+        assert_eq!(f.gain_at(Hertz::new(2.4e9)).db(), -30.0);
     }
 
     #[test]
@@ -133,25 +110,5 @@ mod tests {
         let f = SawFilter::sf2049e();
         let cell = Interferer::cellular(Watts::from_dbm(-20.0));
         assert!((f.residual(cell).dbm() + 70.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn in_band_interference_passes_through() {
-        let f = SawFilter::sf2049e();
-        let jammer = Interferer::in_band(Watts::from_dbm(-30.0));
-        // Only the insertion loss applies: the known weakness of the design.
-        assert!((f.residual(jammer).dbm() + 32.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_residual_sums_powers() {
-        let f = SawFilter::sf2049e();
-        let list = [
-            Interferer::cellular(Watts::from_dbm(-20.0)),
-            Interferer::wifi(Watts::from_dbm(-20.0)),
-        ];
-        let total = f.total_residual(&list);
-        let expected = f.residual(list[0]) + f.residual(list[1]);
-        assert!((total.watts() - expected.watts()).abs() < 1e-18);
     }
 }

@@ -11,8 +11,7 @@
 //!   made of.
 //! * [`phase_cancel`] — the §3.2 analysis: background + backscatter phasors,
 //!   nulls, and 2-antenna diversity (Figs. 4–6).
-//! * [`fading`] — Rayleigh/Rician block fading with a coherence time, and
-//!   log-normal shadowing, all deterministically seeded.
+//! * [`fading`] — log-normal shadowing, deterministically seeded.
 //! * [`noise`] — thermal floor, noise figures, detector noise-equivalent
 //!   power.
 //! * [`interference`] — out-of-band interferers and the SAW front-end filter
@@ -24,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod antenna;
 pub mod channel;
 pub mod fading;
 pub mod fault;

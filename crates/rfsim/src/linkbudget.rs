@@ -24,18 +24,6 @@ pub enum LinkKind {
 }
 
 impl LinkKind {
-    /// All three kinds, in the paper's A/B/C order.
-    pub const ALL: [LinkKind; 3] = [LinkKind::Active, LinkKind::PassiveRx, LinkKind::Backscatter];
-
-    /// Short label used in experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            LinkKind::Active => "active",
-            LinkKind::PassiveRx => "passive",
-            LinkKind::Backscatter => "backscatter",
-        }
-    }
-
     /// Does the *data transmitter* generate the carrier in this mode?
     pub fn transmitter_has_carrier(self) -> bool {
         matches!(self, LinkKind::Active | LinkKind::PassiveRx)
@@ -104,11 +92,6 @@ impl LinkBudget {
     /// carrier power, since that is the signal source.
     pub fn received_power(&self, kind: LinkKind, tx_power: Watts, d: Meters) -> Watts {
         tx_power.gained(self.channel_gain(kind, d))
-    }
-
-    /// SNR against a given noise power.
-    pub fn snr(&self, kind: LinkKind, tx_power: Watts, d: Meters, noise: Watts) -> Decibels {
-        self.received_power(kind, tx_power, d).ratio_db(noise)
     }
 
     /// The distance at which the received power falls to `sensitivity`,
@@ -189,19 +172,6 @@ mod tests {
         let rx = b.received_power(LinkKind::PassiveRx, tx, d);
         let expected_dbm = 13.0 + b.channel_gain(LinkKind::PassiveRx, d).db();
         assert!((rx.dbm() - expected_dbm).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snr_is_rx_over_noise() {
-        let b = budget();
-        let snr = b.snr(
-            LinkKind::Active,
-            Watts::from_dbm(0.0),
-            Meters::new(1.0),
-            Watts::from_dbm(-100.0),
-        );
-        let rx = b.received_power(LinkKind::Active, Watts::from_dbm(0.0), Meters::new(1.0));
-        assert!((snr.db() - (rx.dbm() + 100.0)).abs() < 1e-9);
     }
 
     #[test]

@@ -27,49 +27,6 @@ impl CoherentReceiverNoise {
     }
 }
 
-/// An envelope-detector chain's noise model.
-///
-/// A passive charge-pump front end has no LNA, so its effective noise floor
-/// is *not* thermal — it is set by the comparator's minimum resolvable input
-/// (several mV per the NCS2200/TS881 datasheets, §3.2) referred back through
-/// the instrumentation-amplifier gain and the pump's voltage boost, plus a
-/// bandwidth-dependent term because wider basebands integrate more detector
-/// noise. We model it as a noise-equivalent power:
-///
-/// ```text
-/// NEP(B) = floor · (B / B_ref)^alpha
-/// ```
-///
-/// with `alpha = 1` (white detector noise) and `floor` calibrated per
-/// receive chain so the BER = 1e-2 distances land at the paper's measured
-/// ranges (see `braidio-radio::characterization`).
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorNoise {
-    /// Noise-equivalent power at the reference bandwidth.
-    pub floor: Watts,
-    /// Reference bandwidth for `floor`.
-    pub reference_bandwidth: Hertz,
-    /// Bandwidth scaling exponent (1 = white noise).
-    pub alpha: f64,
-}
-
-impl DetectorNoise {
-    /// A detector-noise model with white scaling (`alpha = 1`).
-    pub fn white(floor: Watts, reference_bandwidth: Hertz) -> Self {
-        DetectorNoise {
-            floor,
-            reference_bandwidth,
-            alpha: 1.0,
-        }
-    }
-
-    /// Noise-equivalent power in bandwidth `b`.
-    pub fn power(&self, b: Hertz) -> Watts {
-        let scale = (b / self.reference_bandwidth).powf(self.alpha);
-        self.floor * scale
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,26 +52,5 @@ mod tests {
         };
         // -174 + 60 (1 MHz) + 10 = -104 dBm.
         assert!((rx.power().dbm() + 104.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn detector_noise_scales_with_bandwidth() {
-        let d = DetectorNoise::white(Watts::from_dbm(-60.0), Hertz::from_mhz(1.0));
-        let at_100k = d.power(Hertz::from_khz(100.0));
-        assert!((at_100k.dbm() + 70.0).abs() < 0.1, "got {}", at_100k.dbm());
-        let at_1m = d.power(Hertz::from_mhz(1.0));
-        assert!((at_1m.dbm() + 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn detector_alpha_shapes_scaling() {
-        let d = DetectorNoise {
-            floor: Watts::from_dbm(-60.0),
-            reference_bandwidth: Hertz::from_mhz(1.0),
-            alpha: 0.5,
-        };
-        // 10x narrower bandwidth -> only 5 dB quieter at alpha = 0.5.
-        let at_100k = d.power(Hertz::from_khz(100.0));
-        assert!((at_100k.dbm() + 65.0).abs() < 0.1, "got {}", at_100k.dbm());
     }
 }

@@ -32,12 +32,6 @@ pub fn free_space_gain(d: Meters, f: Hertz) -> Decibels {
     Decibels::new(-20.0 * ratio.log10())
 }
 
-/// Conventional positive-valued free-space path loss in dB
-/// (`free_space_loss = -free_space_gain`).
-pub fn free_space_loss(d: Meters, f: Hertz) -> Decibels {
-    -free_space_gain(d, f)
-}
-
 /// Sentinel for an empty slot in [`FsplMemo`]'s open-addressed table.
 /// `u64::MAX` is the bit pattern of a *negative* NaN, which no physical
 /// distance (`Point::distance` is a non-negative `hypot`) can produce; the
@@ -162,11 +156,6 @@ impl FsplMemo {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The carrier frequency the memo was built for.
-    pub fn frequency(&self) -> Hertz {
-        self.f
     }
 
     /// `free_space_gain(d, f).linear()` without touching the memo: the
@@ -394,56 +383,6 @@ pub fn backscatter_gain(
     free_space_gain(d_forward, f) + free_space_gain(d_back, f) - loss.modulation_loss
 }
 
-/// Two-ray (ground-reflection) channel gain: the line-of-sight path plus a
-/// single floor bounce with reflection coefficient `ground_reflect`
-/// (−1 ≤ Γ < 0 for typical grazing incidence).
-///
-/// At bench distances this produces the familiar ripple around Friis; far
-/// beyond the breakpoint `d_b ≈ 4·h_tx·h_rx/λ` it converges to the d⁴
-/// regime. The paper's experiments sit on a table (~1 m heights) in a
-/// 6 m × 6 m room, so the ripple — not the asymptotic slope — is the
-/// relevant effect, and it is one source of the non-monotonic BER wiggles
-/// visible in Fig. 13's measured curves.
-pub fn two_ray_gain(
-    d: Meters,
-    h_tx: Meters,
-    h_rx: Meters,
-    f: Hertz,
-    ground_reflect: f64,
-) -> Decibels {
-    assert!(
-        (-1.0..=0.0).contains(&ground_reflect),
-        "grazing ground reflection must be in [-1, 0]"
-    );
-    let d = d.max(NEAR_FIELD_FLOOR).meters();
-    let lambda = f.wavelength().meters();
-    let (ht, hr) = (h_tx.meters(), h_rx.meters());
-    // Exact path lengths.
-    let d_los = (d * d + (ht - hr) * (ht - hr)).sqrt();
-    let d_ref = (d * d + (ht + hr) * (ht + hr)).sqrt();
-    let k = 2.0 * core::f64::consts::PI / lambda;
-    // Complex sum of the two rays, each with 1/d amplitude.
-    let re = (k * d_los).cos() / d_los + ground_reflect * (k * d_ref).cos() / d_ref;
-    let im = -(k * d_los).sin() / d_los - ground_reflect * (k * d_ref).sin() / d_ref;
-    let amp = (re * re + im * im).sqrt() * lambda / (4.0 * core::f64::consts::PI);
-    Decibels::new(20.0 * amp.log10())
-}
-
-/// The two-ray breakpoint distance `4·h_tx·h_rx/λ` past which the model
-/// leaves the rippling region and rolls off as d⁴.
-pub fn two_ray_breakpoint(h_tx: Meters, h_rx: Meters, f: Hertz) -> Meters {
-    Meters::new(4.0 * h_tx.meters() * h_rx.meters() / f.wavelength().meters())
-}
-
-/// Log-distance path-loss gain with exponent `n` referenced to 1 m
-/// free-space loss. `n = 2.0` reproduces Friis; indoor NLOS settings use
-/// `n ≈ 2.5–3.5`. Used by the fading module for shadowed variants.
-pub fn log_distance_gain(d: Meters, f: Hertz, n: f64) -> Decibels {
-    let d = d.max(NEAR_FIELD_FLOOR);
-    let ref_gain = free_space_gain(Meters::new(1.0), f);
-    ref_gain - Decibels::new(10.0 * n * d.meters().log10())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,21 +392,15 @@ mod tests {
     #[test]
     fn friis_at_known_distance() {
         // At 915 MHz, 1 m: 20·log10(4π/0.3276) = 31.7 dB loss.
-        let loss = free_space_loss(Meters::new(1.0), F);
+        let loss = -free_space_gain(Meters::new(1.0), F);
         assert!((loss.db() - 31.67).abs() < 0.05, "got {loss}");
     }
 
     #[test]
     fn doubling_distance_costs_6db() {
-        let l1 = free_space_loss(Meters::new(1.0), F);
-        let l2 = free_space_loss(Meters::new(2.0), F);
-        assert!(((l2 - l1).db() - 6.0206).abs() < 1e-3);
-    }
-
-    #[test]
-    fn gain_is_negative_loss() {
-        let d = Meters::new(3.0);
-        assert_eq!(free_space_gain(d, F), -free_space_loss(d, F));
+        let g1 = free_space_gain(Meters::new(1.0), F);
+        let g2 = free_space_gain(Meters::new(2.0), F);
+        assert!(((g1 - g2).db() - 6.0206).abs() < 1e-3);
     }
 
     #[test]
@@ -492,71 +425,6 @@ mod tests {
         let g_floor = free_space_gain(NEAR_FIELD_FLOOR, F);
         let g_below = free_space_gain(Meters::new(0.001), F);
         assert_eq!(g_floor.db(), g_below.db());
-    }
-
-    #[test]
-    fn two_ray_ripples_around_friis_close_in() {
-        // Before the breakpoint the two-ray gain oscillates around Friis:
-        // it must cross it (both above and below) over a bench-scale sweep.
-        let (ht, hr) = (Meters::new(1.0), Meters::new(1.0));
-        let mut above = false;
-        let mut below = false;
-        for i in 1..200 {
-            let d = Meters::new(0.3 + 0.02 * i as f64);
-            let tr = two_ray_gain(d, ht, hr, F, -1.0);
-            let fs = free_space_gain(d, F);
-            if tr > fs {
-                above = true;
-            }
-            if tr < fs {
-                below = true;
-            }
-        }
-        assert!(above && below, "two-ray should ripple around Friis");
-    }
-
-    #[test]
-    fn two_ray_asymptote_is_d4() {
-        // Far beyond the breakpoint the slope approaches 12 dB/octave.
-        let (ht, hr) = (Meters::new(1.0), Meters::new(1.0));
-        let bp = two_ray_breakpoint(ht, hr, F);
-        let d1 = Meters::new(bp.meters() * 20.0);
-        let d2 = Meters::new(bp.meters() * 40.0);
-        let drop = (two_ray_gain(d1, ht, hr, F, -1.0) - two_ray_gain(d2, ht, hr, F, -1.0)).db();
-        assert!((drop - 12.0).abs() < 1.0, "drop {drop} dB per octave");
-    }
-
-    #[test]
-    fn two_ray_breakpoint_formula() {
-        let bp = two_ray_breakpoint(Meters::new(1.0), Meters::new(1.0), F);
-        assert!((bp.meters() - 4.0 / F.wavelength().meters()).abs() < 1e-9);
-        assert!(
-            bp.meters() > 6.0,
-            "bench experiments sit inside the ripple zone"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "ground reflection")]
-    fn two_ray_rejects_bad_coefficient() {
-        let _ = two_ray_gain(Meters::new(1.0), Meters::new(1.0), Meters::new(1.0), F, 0.5);
-    }
-
-    #[test]
-    fn log_distance_matches_friis_for_n2() {
-        for d in [0.5, 1.0, 2.0, 4.0] {
-            let a = log_distance_gain(Meters::new(d), F, 2.0);
-            let b = free_space_gain(Meters::new(d), F);
-            assert!((a.db() - b.db()).abs() < 1e-9, "d={d}");
-        }
-    }
-
-    #[test]
-    fn log_distance_steeper_for_larger_n() {
-        let d = Meters::new(4.0);
-        let n2 = log_distance_gain(d, F, 2.0);
-        let n3 = log_distance_gain(d, F, 3.0);
-        assert!(n3 < n2);
     }
 
     /// Every lane of `ds` through one scratch of `memo`, in calls of

@@ -19,7 +19,7 @@
 //! signal is. A second receive antenna a fraction of a wavelength away sees
 //! a different `θ` and rescues the null.
 
-use crate::channel::Environment;
+use crate::channel::ChannelGain;
 use crate::geometry::{Grid, Point};
 use braidio_units::{Complex, Decibels, Hertz, Watts};
 
@@ -45,16 +45,8 @@ impl Default for TagStates {
     }
 }
 
-impl TagStates {
-    /// Modulation depth `|Γ_on - Γ_off|`.
-    pub fn depth(&self) -> f64 {
-        (self.gamma_on - self.gamma_off).abs()
-    }
-}
-
-/// A monostatic backscatter scene: a carrier-emitting TX antenna, one or two
-/// receive antennas (diversity), a movable tag, and a static multipath
-/// environment.
+/// A monostatic backscatter scene in free space: a carrier-emitting TX
+/// antenna, one or two receive antennas (diversity) and a movable tag.
 #[derive(Debug, Clone)]
 pub struct BackscatterScene {
     /// Carrier-emitter antenna position.
@@ -63,8 +55,6 @@ pub struct BackscatterScene {
     pub rx_antennas: Vec<Point>,
     /// Tag reflection states.
     pub tag: TagStates,
-    /// Static reflectors in the room.
-    pub environment: Environment,
     /// Carrier frequency.
     pub frequency: Hertz,
     /// Carrier transmit power.
@@ -82,7 +72,6 @@ impl BackscatterScene {
             carrier_tx: Point::new(0.95, 0.5),
             rx_antennas: vec![Point::new(1.05, 0.5)],
             tag: TagStates::default(),
-            environment: Environment::free_space(),
             frequency: Hertz::UHF_915M,
             tx_power: Watts::from_dbm(13.0),
             // Detector noise-equivalent power, set so the mid-room SNR
@@ -116,12 +105,10 @@ impl BackscatterScene {
     }
 
     /// The background (self-interference) phasor at receive antenna `rx`:
-    /// direct TX→RX coupling plus every static reflection, *excluding* the
-    /// tag.
+    /// the direct TX→RX coupling, *excluding* the tag.
     pub fn background(&self, rx_idx: usize) -> Complex {
         let rx = self.rx_antennas[rx_idx];
-        self.environment
-            .gain(self.carrier_tx, rx, self.frequency)
+        ChannelGain::line_of_sight(self.carrier_tx, rx, self.frequency)
             .apply(Complex::new(self.carrier_amplitude(), 0.0))
     }
 
@@ -129,10 +116,8 @@ impl BackscatterScene {
     /// reflection coefficient.
     pub fn tag_phasor(&self, tag_at: Point, rx_idx: usize, gamma: Complex) -> Complex {
         let rx = self.rx_antennas[rx_idx];
-        let forward = self
-            .environment
-            .gain(self.carrier_tx, tag_at, self.frequency);
-        let back = self.environment.gain(tag_at, rx, self.frequency);
+        let forward = ChannelGain::line_of_sight(self.carrier_tx, tag_at, self.frequency);
+        let back = ChannelGain::line_of_sight(tag_at, rx, self.frequency);
         forward
             .cascade(back)
             .apply(gamma * self.carrier_amplitude())
@@ -145,20 +130,6 @@ impl BackscatterScene {
         let v_on = self.tag_phasor(tag_at, rx_idx, self.tag.gamma_on);
         let v_off = self.tag_phasor(tag_at, rx_idx, self.tag.gamma_off);
         ((bg + v_on).abs() - (bg + v_off).abs()).abs()
-    }
-
-    /// The angle θ between the backscatter difference vector and the
-    /// background vector at antenna `rx_idx` (Fig. 5's θ), radians in
-    /// `[0, π/2]`.
-    pub fn cancellation_angle(&self, tag_at: Point, rx_idx: usize) -> f64 {
-        let bg = self.background(rx_idx);
-        let diff = self.tag_phasor(tag_at, rx_idx, self.tag.gamma_on)
-            - self.tag_phasor(tag_at, rx_idx, self.tag.gamma_off);
-        let mut dphi = (diff.arg() - bg.arg()).abs() % core::f64::consts::PI;
-        if dphi > core::f64::consts::FRAC_PI_2 {
-            dphi = core::f64::consts::PI - dphi;
-        }
-        dphi
     }
 
     /// Received backscatter signal power at antenna `rx_idx` (envelope
@@ -206,9 +177,18 @@ mod tests {
         BackscatterScene::paper_fig4()
     }
 
-    #[test]
-    fn tag_depth_default_near_unity() {
-        assert!((TagStates::default().depth() - 1.0).abs() < 1e-12);
+    /// The angle θ between the backscatter difference vector and the
+    /// background vector at antenna `rx_idx` (Fig. 5's θ), radians in
+    /// `[0, π/2]`.
+    fn cancellation_angle(s: &BackscatterScene, tag_at: Point, rx_idx: usize) -> f64 {
+        let bg = s.background(rx_idx);
+        let diff = s.tag_phasor(tag_at, rx_idx, s.tag.gamma_on)
+            - s.tag_phasor(tag_at, rx_idx, s.tag.gamma_off);
+        let mut dphi = (diff.im.atan2(diff.re) - bg.im.atan2(bg.re)).abs() % core::f64::consts::PI;
+        if dphi > core::f64::consts::FRAC_PI_2 {
+            dphi = core::f64::consts::PI - dphi;
+        }
+        dphi
     }
 
     #[test]
@@ -265,7 +245,7 @@ mod tests {
             let p = Point::new(x, 0.5);
             let snr = s.snr(p, 0).db();
             if snr < deepest.0 {
-                deepest = (snr, s.cancellation_angle(p, 0));
+                deepest = (snr, cancellation_angle(&s, p, 0));
             }
         }
         assert!(

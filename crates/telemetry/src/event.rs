@@ -104,15 +104,6 @@ pub enum ModeTag {
 }
 
 impl ModeTag {
-    /// The display label, identical to `Mode::label()`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ModeTag::Active => "Active",
-            ModeTag::Passive => "Passive",
-            ModeTag::Backscatter => "Backscatter",
-        }
-    }
-
     /// The snake_case code used in sinks.
     pub fn code(&self) -> &'static str {
         match self {
@@ -344,7 +335,6 @@ mod tests {
         assert_eq!(Track::Device(3).code(), "d3");
         assert_eq!(Track::Pair(0).code(), "p0");
         assert_eq!(ModeTag::Backscatter.code(), "backscatter");
-        assert_eq!(ModeTag::Backscatter.label(), "Backscatter");
         assert_eq!(RateTag::Mbps1.label(), "1M");
         assert_eq!(DeathReason::NoViableMode.code(), "no_viable_mode");
         assert_eq!(DeathReason::Departed.code(), "departed");

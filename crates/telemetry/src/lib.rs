@@ -37,10 +37,9 @@
 //! session. Within one identity, event times are
 //! monotone non-decreasing — a property [`sink::validate_jsonl`] checks.
 //!
-//! Sinks ([`sink`]) render the captured stream as schema-versioned JSONL,
-//! as Chrome trace-event JSON loadable in Perfetto (one track per device),
-//! and as the legacy tcpdump-style text lines that `braidio::trace` has
-//! always printed. [`sink::fold_energy`] folds `EnergyDebit` events into a
+//! Sinks ([`sink`]) render the captured stream as schema-versioned JSONL
+//! and as Chrome trace-event JSON loadable in Perfetto (one track per
+//! device). [`sink::fold_energy`] folds `EnergyDebit` events into a
 //! per-device ledger, which the fleet experiment asserts against each
 //! battery's measured drain — observability doubling as a correctness
 //! oracle.

@@ -42,7 +42,7 @@
 //! phases, `quantum_delivered` is only legal while it sits in `live` or
 //! `degrade`. [`validate_jsonl`] checks all of it.
 
-use crate::event::{DeathReason, Event, Stamped, Track};
+use crate::event::{Event, Stamped, Track};
 use crate::span::SpanRecord;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -325,79 +325,6 @@ pub fn render_profile_chrome(spans: &[SpanRecord]) -> String {
     }
     out.push_str("]}\n");
     out
-}
-
-/// Render one event as the legacy tcpdump-style text line (no newline).
-///
-/// The `DATA`/`PLAN`/`DOWN`/`DEAD` formats are byte-for-byte the ones
-/// `braidio::trace::TraceEvent` has always displayed — that Display now
-/// delegates here, so pairwise and fleet traces share one vocabulary and
-/// one renderer.
-pub fn render_text_line(e: &Event) -> String {
-    let t = e.at().seconds();
-    match *e {
-        Event::QuantumDelivered {
-            mode, rate, bits, ..
-        } => format!(
-            "{:>12.6}s  DATA  {:<11} @{:<4} {:>4}B  ok",
-            t,
-            mode.label(),
-            rate.label(),
-            (bits / 8.0).round() as u64
-        ),
-        Event::QuantumLost {
-            mode, rate, bits, ..
-        } => format!(
-            "{:>12.6}s  DATA  {:<11} @{:<4} {:>4}B  LOST",
-            t,
-            mode.label(),
-            rate.label(),
-            (bits / 8.0).round() as u64
-        ),
-        Event::Replan { planned, .. } => format!(
-            "{:>12.6}s  PLAN  {}",
-            t,
-            if planned {
-                "installed"
-            } else {
-                "no viable mode"
-            }
-        ),
-        Event::SessionDead {
-            reason: DeathReason::NoViableMode,
-            ..
-        } => format!("{:>12.6}s  DOWN  link out of range", t),
-        Event::SessionDead {
-            reason: DeathReason::BatteryDead,
-            ..
-        } => format!("{:>12.6}s  DEAD  battery exhausted", t),
-        Event::SessionDead {
-            reason: DeathReason::Departed,
-            ..
-        } => format!("{:>12.6}s  GONE  departed", t),
-        Event::SessionDead {
-            reason: DeathReason::GaveUp,
-            ..
-        } => format!("{:>12.6}s  DEAD  gave up after cooldowns", t),
-        Event::ModeSwitch { from, to, .. } => format!(
-            "{:>12.6}s  MODE  {} -> {}",
-            t,
-            from.map(|m| m.label()).unwrap_or("-"),
-            to.label()
-        ),
-        Event::CarrierGrant { .. } => format!("{:>12.6}s  CARR  up", t),
-        Event::CarrierRelease { .. } => format!("{:>12.6}s  CARR  down", t),
-        Event::EnergyDebit { joules, .. } => {
-            format!("{:>12.6}s  DRAW  {:.3e} J", t, joules.joules())
-        }
-        Event::WakeupDetect { .. } => format!("{:>12.6}s  WAKE  detector fired", t),
-        Event::PhaseChange { from, to, .. } => {
-            format!("{:>12.6}s  PHSE  {} -> {}", t, from.code(), to.code())
-        }
-        Event::Admitted { latency, .. } => {
-            format!("{:>12.6}s  ADMT  after {:.6}s", t, latency.seconds())
-        }
-    }
 }
 
 /// What [`validate_jsonl`] measured about a valid trace.
@@ -725,7 +652,7 @@ pub fn fold_energy_jsonl(jsonl: &str) -> BTreeMap<(u32, String), (f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ModeTag, RateTag};
+    use crate::event::{DeathReason, ModeTag, RateTag};
     use braidio_units::{Joules, Seconds};
 
     fn sample() -> Vec<Stamped> {
@@ -934,24 +861,6 @@ mod tests {
         let ledger = fold_energy(&sample());
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger[&(3, Track::Device(1))], 0.375);
-    }
-
-    #[test]
-    fn text_renderer_keeps_the_legacy_formats() {
-        let line = render_text_line(&Event::QuantumDelivered {
-            at: Seconds::new(0.000123),
-            track: Track::Pair(0),
-            mode: ModeTag::Backscatter,
-            rate: RateTag::Mbps1,
-            bits: 512.0,
-        });
-        assert_eq!(line, "    0.000123s  DATA  Backscatter @1M     64B  ok");
-        let line = render_text_line(&Event::SessionDead {
-            at: Seconds::new(1.0),
-            track: Track::Pair(0),
-            reason: DeathReason::NoViableMode,
-        });
-        assert_eq!(line, "    1.000000s  DOWN  link out of range");
     }
 
     #[test]

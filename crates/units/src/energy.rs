@@ -29,12 +29,6 @@ impl Joules {
         Joules(wh * 3600.0)
     }
 
-    /// Energy from milliamp-hours at a given cell voltage.
-    #[inline]
-    pub fn from_mah(mah: f64, volts: f64) -> Self {
-        Joules::from_watt_hours(mah * 1e-3 * volts)
-    }
-
     /// The value in joules.
     #[inline]
     pub const fn joules(self) -> f64 {
@@ -57,18 +51,6 @@ impl Joules {
     #[inline]
     pub fn clamped_non_negative(self) -> Joules {
         Joules(self.0.max(0.0))
-    }
-
-    /// Component-wise minimum.
-    #[inline]
-    pub fn min(self, other: Joules) -> Joules {
-        Joules(self.0.min(other.0))
-    }
-
-    /// Component-wise maximum.
-    #[inline]
-    pub fn max(self, other: Joules) -> Joules {
-        Joules(self.0.max(other.0))
     }
 }
 
@@ -198,12 +180,6 @@ impl JoulesPerBit {
         JoulesPerBit(jpb)
     }
 
-    /// From nanojoules per bit.
-    #[inline]
-    pub fn from_nanojoules(njpb: f64) -> Self {
-        JoulesPerBit(njpb * 1e-9)
-    }
-
     /// The value in joules per bit.
     #[inline]
     pub const fn joules_per_bit(self) -> f64 {
@@ -220,12 +196,6 @@ impl JoulesPerBit {
     #[inline]
     pub fn bits_per_joule(self) -> f64 {
         1.0 / self.0
-    }
-
-    /// True if the value is finite and non-negative.
-    #[inline]
-    pub fn is_physical(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
     }
 }
 
@@ -287,13 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn mah_conversion() {
-        // iPhone 6S: 1715 mAh at 3.82 V ~= 6.55 Wh.
-        let e = Joules::from_mah(1715.0, 3.82);
-        assert!((e.watt_hours() - 6.55).abs() < 0.01);
-    }
-
-    #[test]
     fn energy_over_power_is_time() {
         let t = Joules::new(100.0) / Watts::new(10.0);
         assert!((t.seconds() - 10.0).abs() < 1e-12);
@@ -301,13 +264,13 @@ mod tests {
 
     #[test]
     fn energy_over_cost_is_bits() {
-        let bits = Joules::new(1.0) / JoulesPerBit::from_nanojoules(125.0);
+        let bits = Joules::new(1.0) / JoulesPerBit::new(125e-9);
         assert!((bits - 8.0e6).abs() < 1.0);
     }
 
     #[test]
     fn bits_per_joule_reciprocal() {
-        let c = JoulesPerBit::from_nanojoules(100.0);
+        let c = JoulesPerBit::new(100e-9);
         assert!((c.bits_per_joule() - 1e7).abs() < 1e-3);
     }
 

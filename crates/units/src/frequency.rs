@@ -16,8 +16,6 @@ pub struct Hertz(f64);
 impl Hertz {
     /// The 915 MHz UHF ISM carrier used by the backscatter/passive front end.
     pub const UHF_915M: Hertz = Hertz(915e6);
-    /// The 2.4 GHz ISM carrier used by the BLE-class active radio.
-    pub const ISM_2G4: Hertz = Hertz(2.4e9);
 
     /// From hertz.
     #[inline]
@@ -41,12 +39,6 @@ impl Hertz {
     #[inline]
     pub const fn hz(self) -> f64 {
         self.0
-    }
-
-    /// The value in megahertz.
-    #[inline]
-    pub fn mhz(self) -> f64 {
-        self.0 / 1e6
     }
 
     /// Free-space wavelength at this frequency.
@@ -146,7 +138,7 @@ mod tests {
 
     #[test]
     fn display() {
-        assert_eq!(format!("{}", Hertz::ISM_2G4), "2.400 GHz");
+        assert_eq!(format!("{}", Hertz::new(2.4e9)), "2.400 GHz");
         assert_eq!(format!("{}", Hertz::UHF_915M), "915.0 MHz");
         assert_eq!(format!("{}", Hertz::from_khz(32.0)), "32.0 kHz");
     }

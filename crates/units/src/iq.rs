@@ -22,10 +22,6 @@ pub struct Complex {
 impl Complex {
     /// The additive identity.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
-    /// The multiplicative identity.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    /// The imaginary unit.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// From rectangular components.
     #[inline]
@@ -56,21 +52,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Phase angle in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Complex {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Scale by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Complex {
@@ -78,18 +59,6 @@ impl Complex {
             re: self.re * k,
             im: self.im * k,
         }
-    }
-
-    /// Rotate by `phase` radians (multiply by `e^{jφ}`).
-    #[inline]
-    pub fn rotated(self, phase: f64) -> Complex {
-        self * Complex::from_polar(1.0, phase)
-    }
-
-    /// True if both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -205,13 +174,7 @@ mod tests {
     fn polar_round_trip() {
         let c = Complex::from_polar(2.0, PI / 3.0);
         assert!((c.abs() - 2.0).abs() < 1e-12);
-        assert!((c.arg() - PI / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn i_squared_is_minus_one() {
-        let m = Complex::I * Complex::I;
-        assert!((m.re + 1.0).abs() < 1e-12 && m.im.abs() < 1e-12);
+        assert!((c.im.atan2(c.re) - PI / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -220,7 +183,7 @@ mod tests {
         let b = Complex::from_polar(2.0, 0.7);
         let p = a * b;
         assert!((p.abs() - 3.0).abs() < 1e-12);
-        assert!((p.arg() - 1.1).abs() < 1e-12);
+        assert!((p.im.atan2(p.re) - 1.1).abs() < 1e-12);
     }
 
     #[test]
@@ -229,19 +192,6 @@ mod tests {
         let b = Complex::new(-1.0, 2.0);
         let q = (a * b) / b;
         assert!((q.re - a.re).abs() < 1e-12 && (q.im - a.im).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conjugate_properties() {
-        let a = Complex::new(1.0, 2.0);
-        assert!(((a * a.conj()).re - a.norm_sqr()).abs() < 1e-12);
-        assert!((a * a.conj()).im.abs() < 1e-12);
-    }
-
-    #[test]
-    fn rotation_by_quarter_turn() {
-        let a = Complex::ONE.rotated(FRAC_PI_2);
-        assert!(a.re.abs() < 1e-12 && (a.im - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -261,8 +211,11 @@ mod tests {
 
     #[test]
     fn sum_of_phasors() {
-        let s: Complex = [Complex::ONE, Complex::I, -Complex::ONE].into_iter().sum();
-        assert!((s - Complex::I).abs() < 1e-12);
+        let i = Complex::new(0.0, 1.0);
+        let s: Complex = [Complex::new(1.0, 0.0), i, -Complex::new(1.0, 0.0)]
+            .into_iter()
+            .sum();
+        assert!((s - i).abs() < 1e-12);
     }
 
     #[test]

@@ -8,9 +8,6 @@ use core::ops::{Add, Div, Mul, Neg, Sub};
 pub struct Meters(f64);
 
 impl Meters {
-    /// Zero distance.
-    pub const ZERO: Meters = Meters(0.0);
-
     /// From meters.
     #[inline]
     pub const fn new(m: f64) -> Self {
@@ -45,12 +42,6 @@ impl Meters {
     #[inline]
     pub fn max(self, other: Meters) -> Meters {
         Meters(self.0.max(other.0))
-    }
-
-    /// Component-wise minimum.
-    #[inline]
-    pub fn min(self, other: Meters) -> Meters {
-        Meters(self.0.min(other.0))
     }
 }
 

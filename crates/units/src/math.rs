@@ -31,12 +31,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function, `erf(x) = 1 - erfc(x)`.
-#[inline]
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// The Gaussian tail probability `Q(x) = P[N(0,1) > x]`.
 #[inline]
 pub fn q_function(x: f64) -> f64 {
@@ -123,72 +117,15 @@ pub fn marcum_q1(a: f64, b: f64) -> f64 {
     (acc * h / 3.0).clamp(0.0, 1.0)
 }
 
-/// `n` evenly spaced points from `start` to `stop` inclusive.
-pub fn linspace(start: f64, stop: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2, "linspace needs at least two points");
-    let step = (stop - start) / (n - 1) as f64;
-    (0..n).map(|i| start + step * i as f64).collect()
-}
-
-/// `n` logarithmically spaced points from `start` to `stop` inclusive
-/// (both must be positive).
-pub fn logspace(start: f64, stop: f64, n: usize) -> Vec<f64> {
-    assert!(
-        start > 0.0 && stop > 0.0,
-        "logspace needs positive endpoints"
-    );
-    linspace(start.ln(), stop.ln(), n)
-        .into_iter()
-        .map(f64::exp)
-        .collect()
-}
-
-/// Trapezoidal integration of samples `y` over uniform spacing `dx`.
-pub fn trapezoid(y: &[f64], dx: f64) -> f64 {
-    if y.len() < 2 {
-        return 0.0;
-    }
-    let interior: f64 = y[1..y.len() - 1].iter().sum();
-    dx * (0.5 * (y[0] + y[y.len() - 1]) + interior)
-}
-
-/// Linear interpolation of `(xs, ys)` at `x`, clamping outside the range.
-///
-/// `xs` must be strictly increasing.
-pub fn interp1(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "interp1: mismatched lengths");
-    assert!(!xs.is_empty(), "interp1: empty input");
-    if x <= xs[0] {
-        return ys[0];
-    }
-    if x >= xs[xs.len() - 1] {
-        return ys[ys.len() - 1];
-    }
-    // Binary search for the bracketing interval.
-    let mut lo = 0usize;
-    let mut hi = xs.len() - 1;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if xs[mid] <= x {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-    ys[lo] + t * (ys[hi] - ys[lo])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn erf_known_values() {
-        assert!((erf(0.0)).abs() < 1e-6);
-        assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
+    fn erfc_known_values() {
+        assert!((erfc(0.0) - 1.0).abs() < 1e-6);
         assert!((erfc(1.0) - 0.1572992071).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
+        assert!((erfc(-1.0) - 1.8427007929).abs() < 1e-6);
         assert!((erfc(3.0) - 2.209049699e-5).abs() < 1e-9);
     }
 
@@ -256,38 +193,5 @@ mod tests {
             assert!(q >= prev, "Q1 should grow with a");
             prev = q;
         }
-    }
-
-    #[test]
-    fn linspace_endpoints() {
-        let v = linspace(0.0, 1.0, 5);
-        assert_eq!(v, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
-    }
-
-    #[test]
-    fn logspace_endpoints() {
-        let v = logspace(1.0, 100.0, 3);
-        assert!((v[0] - 1.0).abs() < 1e-12);
-        assert!((v[1] - 10.0).abs() < 1e-9);
-        assert!((v[2] - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trapezoid_integrates_line() {
-        // ∫0..1 x dx = 0.5 with exact trapezoid on a linear function.
-        let xs = linspace(0.0, 1.0, 101);
-        let ys: Vec<f64> = xs.to_vec();
-        assert!((trapezoid(&ys, 0.01) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interp1_behaviour() {
-        let xs = [0.0, 1.0, 2.0];
-        let ys = [0.0, 10.0, 40.0];
-        assert!((interp1(&xs, &ys, 0.5) - 5.0).abs() < 1e-12);
-        assert!((interp1(&xs, &ys, 1.5) - 25.0).abs() < 1e-12);
-        // Clamping.
-        assert_eq!(interp1(&xs, &ys, -1.0), 0.0);
-        assert_eq!(interp1(&xs, &ys, 5.0), 40.0);
     }
 }

@@ -44,12 +44,6 @@ impl Watts {
         Watts(uw * 1e-6)
     }
 
-    /// Power from nanowatts.
-    #[inline]
-    pub fn from_nanowatts(nw: f64) -> Self {
-        Watts(nw * 1e-9)
-    }
-
     /// Power from a dBm value (decibels relative to 1 mW).
     #[inline]
     pub fn from_dbm(dbm: f64) -> Self {
@@ -104,12 +98,6 @@ impl Watts {
     #[inline]
     pub fn ratio_db(self, other: Watts) -> Decibels {
         Decibels::new(10.0 * (self.0 / other.0).log10())
-    }
-
-    /// True if the value is finite and non-negative (a physical power).
-    #[inline]
-    pub fn is_physical(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
     }
 
     /// Component-wise maximum.
@@ -265,7 +253,6 @@ mod tests {
     fn unit_constructors_agree() {
         assert_eq!(Watts::from_milliwatts(1500.0), Watts::new(1.5));
         assert!((Watts::from_microwatts(250.0).watts() - 0.25e-3).abs() < 1e-18);
-        assert!((Watts::from_nanowatts(1000.0).watts() - 1e-6).abs() < 1e-18);
     }
 
     #[test]
@@ -316,7 +303,7 @@ mod tests {
         assert_eq!(format!("{}", Watts::new(1.5)), "1.500 W");
         assert_eq!(format!("{}", Watts::from_milliwatts(129.0)), "129.000 mW");
         assert_eq!(format!("{}", Watts::from_microwatts(16.54)), "16.540 uW");
-        assert_eq!(format!("{}", Watts::from_nanowatts(12.0)), "12.000 nW");
+        assert_eq!(format!("{}", Watts::new(12e-9)), "12.000 nW");
         assert_eq!(format!("{}", Watts::ZERO), "0 W");
     }
 
@@ -326,13 +313,5 @@ mod tests {
             .into_iter()
             .sum();
         assert_eq!(total, Watts::new(1.0));
-    }
-
-    #[test]
-    fn physicality() {
-        assert!(Watts::new(1.0).is_physical());
-        assert!(Watts::ZERO.is_physical());
-        assert!(!Watts::new(-1.0).is_physical());
-        assert!(!Watts::new(f64::NAN).is_physical());
     }
 }

@@ -32,12 +32,6 @@ impl BitsPerSecond {
         self.0
     }
 
-    /// The value in kilobits per second.
-    #[inline]
-    pub fn kbps(self) -> f64 {
-        self.0 / 1e3
-    }
-
     /// Duration of one bit at this rate.
     #[inline]
     pub fn bit_time(self) -> Seconds {
@@ -48,12 +42,6 @@ impl BitsPerSecond {
     #[inline]
     pub fn time_for_bits(self, bits: f64) -> Seconds {
         Seconds::new(bits / self.0)
-    }
-
-    /// True if the value is finite and strictly positive.
-    #[inline]
-    pub fn is_physical(self) -> bool {
-        self.0.is_finite() && self.0 > 0.0
     }
 }
 

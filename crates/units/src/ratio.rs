@@ -23,12 +23,6 @@ impl Decibels {
         Decibels(db)
     }
 
-    /// From a linear power ratio.
-    #[inline]
-    pub fn from_linear(ratio: f64) -> Self {
-        Decibels(10.0 * ratio.log10())
-    }
-
     /// The dB value.
     #[inline]
     pub const fn db(self) -> f64 {
@@ -45,18 +39,6 @@ impl Decibels {
     #[inline]
     pub fn amplitude(self) -> f64 {
         10f64.powf(self.0 / 20.0)
-    }
-
-    /// Component-wise minimum.
-    #[inline]
-    pub fn min(self, other: Decibels) -> Decibels {
-        Decibels(self.0.min(other.0))
-    }
-
-    /// Component-wise maximum.
-    #[inline]
-    pub fn max(self, other: Decibels) -> Decibels {
-        Decibels(self.0.max(other.0))
     }
 }
 
@@ -126,7 +108,7 @@ mod tests {
     fn linear_round_trip() {
         for db in [-50.0, -3.0103, 0.0, 3.0, 20.0] {
             let g = Decibels::new(db);
-            assert!((Decibels::from_linear(g.linear()).db() - db).abs() < 1e-9);
+            assert!((10.0 * g.linear().log10() - db).abs() < 1e-9);
         }
     }
 

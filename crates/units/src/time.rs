@@ -63,24 +63,6 @@ impl Seconds {
     pub fn hours(self) -> f64 {
         self.0 / 3600.0
     }
-
-    /// True if the value is finite and non-negative.
-    #[inline]
-    pub fn is_physical(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
-    }
-
-    /// Component-wise minimum.
-    #[inline]
-    pub fn min(self, other: Seconds) -> Seconds {
-        Seconds(self.0.min(other.0))
-    }
-
-    /// Component-wise maximum.
-    #[inline]
-    pub fn max(self, other: Seconds) -> Seconds {
-        Seconds(self.0.max(other.0))
-    }
 }
 
 impl fmt::Display for Seconds {

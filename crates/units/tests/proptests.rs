@@ -1,9 +1,7 @@
 //! Property-based tests for the typed-quantity algebra and the numerics
 //! toolbox.
 
-use braidio_units::math::{
-    bessel_i0, bessel_i0_scaled, erf, erfc, interp1, linspace, marcum_q1, q_function,
-};
+use braidio_units::math::{bessel_i0, bessel_i0_scaled, erfc, marcum_q1, q_function};
 use braidio_units::{BitsPerSecond, Complex, Decibels, Hertz, Joules, Meters, Seconds, Watts};
 use proptest::prelude::*;
 
@@ -12,7 +10,7 @@ proptest! {
     fn watts_dbm_round_trip(dbm in -120.0f64..40.0) {
         let p = Watts::from_dbm(dbm);
         prop_assert!((p.dbm() - dbm).abs() < 1e-9);
-        prop_assert!(p.is_physical());
+        prop_assert!(p.watts() > 0.0);
     }
 
     #[test]
@@ -78,10 +76,9 @@ proptest! {
     }
 
     #[test]
-    fn erf_bounds_and_symmetry(x in -5.0f64..5.0) {
-        prop_assert!((-1.0..=1.0).contains(&erf(x)));
-        prop_assert!((erf(-x) + erf(x)).abs() < 1e-6);
-        prop_assert!((erfc(x) - (1.0 - erf(x))).abs() < 1e-9);
+    fn erfc_bounds_and_symmetry(x in -5.0f64..5.0) {
+        prop_assert!((0.0..=2.0).contains(&erfc(x)));
+        prop_assert!((erfc(-x) + erfc(x) - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -105,19 +102,6 @@ proptest! {
         // Simpson integration's absolute error (~1e-6 in the flat regions).
         prop_assert!(marcum_q1(a, b + db) <= q + 1e-6);
         prop_assert!(marcum_q1(a + db, b) >= q - 1e-6);
-    }
-
-    #[test]
-    fn interp1_within_hull(x in 0.0f64..10.0) {
-        let xs = linspace(0.0, 10.0, 21);
-        let ys: Vec<f64> = xs.iter().map(|v| v.sin()).collect();
-        let y = interp1(&xs, &ys, x);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&y));
-        // Exact at the knots.
-        let knot = (x.round()).clamp(0.0, 10.0);
-        let idx = (knot * 2.0).round() as usize / 2 * 2; // even index knots at integer x
-        let _ = idx;
-        prop_assert!((interp1(&xs, &ys, 5.0) - 5.0f64.sin()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,8 +1,20 @@
 //! Full-stack integration: the serial driver, the live link, mobility and
-//! the tracer working together — one session from bytes to braids.
+//! the telemetry trace working together — one session from bytes to braids.
 
 use braidio::driver::{Command, Driver, Event};
 use braidio::prelude::*;
+use braidio_telemetry as telemetry;
+
+/// Run `f` with event capture on; return its result and the events it
+/// emitted on this thread.
+fn captured<R>(f: impl FnOnce() -> R) -> (R, Vec<telemetry::Event>) {
+    telemetry::set_enabled(true);
+    let _ = telemetry::take_events();
+    let out = f();
+    let events = telemetry::take_events();
+    telemetry::set_enabled(false);
+    (out, events.into_iter().map(|s| s.event).collect())
+}
 
 /// A host walks a watch↔phone module through a day: probe near, send,
 /// walk away, re-probe, send more — all over the byte protocol — and the
@@ -52,38 +64,40 @@ fn byte_protocol_session_with_mobility() {
     }
 }
 
-/// The tracer's account of a braided session is internally consistent with
+/// The trace's account of a braided session is internally consistent with
 /// the link statistics and shows the plan actually interleaving.
 #[test]
 fn trace_tells_the_braid_story() {
-    let mut link = LiveLink::open(
-        devices::IPHONE_6S,
-        devices::NEXUS_6P,
-        LiveConfig {
-            seed: 5,
-            ..LiveConfig::default()
-        },
-    );
-    link.attach_tracer(10_000);
-    let stats = link.run_packets(2000);
+    let (stats, events) = captured(|| {
+        let mut link = LiveLink::open(
+            devices::IPHONE_6S,
+            devices::NEXUS_6P,
+            LiveConfig {
+                seed: 5,
+                ..LiveConfig::default()
+            },
+        );
+        link.run_packets(2000)
+    });
 
-    let tracer = link.tracer().unwrap();
     let mut packet_count = 0u64;
     let mut lost_count = 0u64;
     let mut last_at = Seconds::ZERO;
     let mut modes_seen = std::collections::BTreeSet::new();
-    for e in tracer.events() {
+    for e in &events {
         assert!(e.at() >= last_at, "trace must be time-ordered");
         last_at = e.at();
-        if let TraceEvent::Packet {
-            mode, delivered, ..
-        } = e
-        {
-            packet_count += 1;
-            if !delivered {
-                lost_count += 1;
+        match e {
+            telemetry::Event::QuantumDelivered { mode, .. } => {
+                packet_count += 1;
+                modes_seen.insert(*mode);
             }
-            modes_seen.insert(*mode);
+            telemetry::Event::QuantumLost { mode, .. } => {
+                packet_count += 1;
+                lost_count += 1;
+                modes_seen.insert(*mode);
+            }
+            _ => {}
         }
     }
     // No fault injection, but the channel itself has a small nonzero BER at
@@ -93,47 +107,43 @@ fn trace_tells_the_braid_story() {
     assert_eq!(lost_count, stats.lost);
     // Near-symmetric phones braid two modes.
     assert!(modes_seen.len() >= 2, "{modes_seen:?}");
-    // And the rendered dump is non-trivial prose.
-    let dump = tracer.dump();
-    assert!(dump.lines().count() > 1000);
 }
 
-/// Mobility + fault injection + tracer together: the link survives a noisy
+/// Mobility + fault injection + trace together: the link survives a noisy
 /// walk and the trace records the re-plans it took.
 #[test]
 fn noisy_mobile_session_survives() {
     use braidio::mac::mobility::{MobilityTrace, RandomWalk};
-    let mut link = LiveLink::open(
-        devices::PEBBLE_WATCH,
-        devices::IPHONE_6_PLUS,
-        LiveConfig {
-            drop_chance: 0.08,
-            shadowing_sigma_db: 3.0,
-            seed: 11,
-            ..LiveConfig::default()
-        },
-    );
-    link.attach_tracer(100_000);
-    let mut walk = RandomWalk::new(
-        Meters::new(0.5),
-        Meters::new(0.3),
-        Meters::new(2.2), // stay inside regime A/B
-        Meters::new(0.4),
-        Seconds::new(1.0),
-        3,
-    );
-    for step in 0..40 {
-        link.set_distance(walk.distance_at(Seconds::new(step as f64)));
-        let _ = link.run_packets(100);
-    }
-    let stats = link.stats();
+    let (stats, events) = captured(|| {
+        let mut link = LiveLink::open(
+            devices::PEBBLE_WATCH,
+            devices::IPHONE_6_PLUS,
+            LiveConfig {
+                drop_chance: 0.08,
+                shadowing_sigma_db: 3.0,
+                seed: 11,
+                ..LiveConfig::default()
+            },
+        );
+        let mut walk = RandomWalk::new(
+            Meters::new(0.5),
+            Meters::new(0.3),
+            Meters::new(2.2), // stay inside regime A/B
+            Meters::new(0.4),
+            Seconds::new(1.0),
+            3,
+        );
+        for step in 0..40 {
+            link.set_distance(walk.distance_at(Seconds::new(step as f64)));
+            let _ = link.run_packets(100);
+        }
+        link.stats()
+    });
     assert!(stats.delivery_ratio() > 0.8, "{stats:?}");
     assert!(stats.replans >= 10, "walk should force re-plans: {stats:?}");
-    let tracer = link.tracer().unwrap();
-    let replans = tracer
-        .events()
+    let replans = events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::Replan { .. }))
+        .filter(|e| matches!(e, telemetry::Event::Replan { .. }))
         .count() as u64;
     assert_eq!(replans, stats.replans);
 }
