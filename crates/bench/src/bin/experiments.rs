@@ -714,8 +714,12 @@ fn usage() {
 mod tests {
     use super::*;
 
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     fn parse_line(line: &str) -> Result<Option<Cli>, String> {
-        parse(line.split_whitespace().map(String::from).collect())
+        parse(words(line))
     }
 
     #[test]
@@ -778,6 +782,59 @@ mod tests {
             ),
         ] {
             match parse_line(line) {
+                Err(e) => assert_eq!(e, want, "{line}"),
+                Ok(_) => panic!("{line}: accepted"),
+            }
+        }
+    }
+
+    // Every case below fails before any file is read, so the named files
+    // need not exist.
+    #[test]
+    fn bad_analyze_arguments_are_rejected_with_a_message() {
+        for (line, want) in [
+            ("t.jsonl --json", "--json needs an output path"),
+            (
+                "t.jsonl --stuck-s",
+                "--stuck-s needs a threshold in seconds",
+            ),
+            (
+                "t.jsonl --stuck-s x",
+                "--stuck-s x: not a number of seconds",
+            ),
+            (
+                "t.jsonl --stuck-s 0",
+                "--stuck-s 0: need a positive finite threshold",
+            ),
+            (
+                "t.jsonl --stuck-s inf",
+                "--stuck-s inf: need a positive finite threshold",
+            ),
+            ("t.jsonl --strict", "unknown analyze flag '--strict'"),
+            ("a.jsonl b.jsonl", "analyze takes exactly one trace file"),
+            (
+                "--stuck-s 5",
+                "analyze needs a trace file: experiments analyze <trace.jsonl>",
+            ),
+        ] {
+            match run_analyze(&words(line)) {
+                Err(e) => assert_eq!(e, want, "{line}"),
+                Ok(()) => panic!("{line}: accepted"),
+            }
+        }
+    }
+
+    #[test]
+    fn bad_bench_diff_arguments_are_rejected_with_a_message() {
+        let usage = "usage: experiments bench-diff <old> <new> \
+                     [--trajectory FILE] [--benchmark FILE]";
+        for (line, want) in [
+            ("old new --trajectory", "--trajectory needs a file"),
+            ("old new --benchmark", "--benchmark needs a file"),
+            ("old new --strict", "unknown bench-diff flag '--strict'"),
+            ("old", usage),
+        ] {
+            match run_bench_diff(&words(line)) {
                 Err(e) => assert_eq!(e, want, "{line}"),
                 Ok(_) => panic!("{line}: accepted"),
             }

@@ -58,7 +58,6 @@ pub use braidio_units as units;
 
 pub mod driver;
 pub mod live;
-pub mod trace;
 pub mod transfer;
 
 pub use transfer::{Outcome, Transfer};
@@ -68,7 +67,6 @@ pub use transfer::{Outcome, Transfer};
 pub mod prelude {
     pub use crate::driver::{Command, Driver, Event};
     pub use crate::live::{LiveConfig, LiveLink, PacketOutcome};
-    pub use crate::trace::TraceEvent;
     pub use crate::transfer::{Outcome, Transfer};
     pub use braidio_mac::{Policy, Regime, Traffic};
     pub use braidio_radio::characterization::{Characterization, Rate};

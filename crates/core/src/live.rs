@@ -5,9 +5,10 @@
 //! braid → fallback loop, with log-normal shadowing and smoltcp-style fault
 //! injection. It is the engine for interactive examples and for testing the
 //! MAC's failure handling ("Braidio simply falls back to the active mode if
-//! the current operating mode is performing poorly").
+//! the current operating mode is performing poorly"). Every packet, re-plan
+//! and session end is an event on the telemetry bus, on track `Pair(0)`, in
+//! the vocabulary of the fleet engine's traces.
 
-use crate::trace::TraceEvent;
 use braidio_mac::offload::{solve, OffloadPlan};
 use braidio_mac::probe::LinkProber;
 use braidio_mac::scheduler::{BraidedScheduler, Decision};
@@ -17,9 +18,13 @@ use braidio_radio::devices::Device;
 use braidio_radio::switching::SwitchingOverhead;
 use braidio_radio::{Battery, Mode, Role};
 use braidio_rfsim::fault::{FaultInjector, Verdict};
+use braidio_telemetry::{emit, DeathReason, Event, Track};
 use braidio_units::{Joules, Meters, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A live link's telemetry track: a pairwise session is its one pair.
+const TRACK: Track = Track::Pair(0);
 
 /// Configuration of a live link.
 #[derive(Debug, Clone)]
@@ -169,10 +174,6 @@ impl LiveLink {
         }
     }
 
-    fn trace(&self, event: TraceEvent) {
-        braidio_telemetry::emit(event.to_telemetry());
-    }
-
     /// Move the pair (mobility): updates the separation and, if it moved by
     /// more than 10 cm since the last plan, schedules a re-probe so the
     /// braid adapts (the §4.2 "periodically re-computes … depending on
@@ -239,44 +240,44 @@ impl LiveLink {
         }
     }
 
+    /// Re-probe and re-plan in place of a packet: a `Replan` on the
+    /// telemetry bus, then a `SessionDead` when no mode closes the link.
+    fn replan_step(&mut self) -> PacketOutcome {
+        let planned = self.replan();
+        let at = self.stats.airtime;
+        emit(Event::Replan {
+            at,
+            track: TRACK,
+            planned,
+            exact: false,
+            primary: None,
+        });
+        if !planned {
+            emit(Event::SessionDead {
+                at,
+                track: TRACK,
+                reason: DeathReason::NoViableMode,
+            });
+            return PacketOutcome::LinkDown;
+        }
+        PacketOutcome::Replanned
+    }
+
     /// Advance by one packet.
     pub fn step(&mut self) -> PacketOutcome {
         if self.tx_battery.is_dead() || self.rx_battery.is_dead() {
-            self.trace(TraceEvent::BatteryDead {
+            emit(Event::SessionDead {
                 at: self.stats.airtime,
+                track: TRACK,
+                reason: DeathReason::BatteryDead,
             });
             return PacketOutcome::BatteryDead;
         }
         if self.scheduler.is_none() || self.packets_since_plan >= self.config.replan_every {
-            let planned = self.replan();
-            self.trace(TraceEvent::Replan {
-                at: self.stats.airtime,
-                planned,
-            });
-            if !planned {
-                self.trace(TraceEvent::LinkDown {
-                    at: self.stats.airtime,
-                });
-                return PacketOutcome::LinkDown;
-            }
-            return PacketOutcome::Replanned;
+            return self.replan_step();
         }
-        let decision = self.scheduler.as_mut().expect("planned").next();
-        let option = match decision {
-            Decision::Replan => {
-                let planned = self.replan();
-                self.trace(TraceEvent::Replan {
-                    at: self.stats.airtime,
-                    planned,
-                });
-                if !planned {
-                    self.trace(TraceEvent::LinkDown {
-                        at: self.stats.airtime,
-                    });
-                    return PacketOutcome::LinkDown;
-                }
-                return PacketOutcome::Replanned;
-            }
+        let option = match self.scheduler.as_mut().expect("planned").next() {
+            Decision::Replan => return self.replan_step(),
             Decision::Send(o) => o,
         };
 
@@ -306,16 +307,28 @@ impl LiveLink {
         let delivered = channel_ok && self.fault.judge() == Verdict::Deliver;
 
         self.scheduler.as_mut().expect("planned").report(delivered);
-        self.trace(TraceEvent::Packet {
-            at: self.stats.airtime,
-            mode: option.mode,
-            rate: option.rate,
-            delivered,
-            payload_bytes: self.config.payload_bytes,
+        let (at, mode, rate) = (self.stats.airtime, option.mode.into(), option.rate.into());
+        let payload_bits = (self.config.payload_bytes * 8) as f64;
+        emit(if delivered {
+            Event::QuantumDelivered {
+                at,
+                track: TRACK,
+                mode,
+                rate,
+                bits: payload_bits,
+            }
+        } else {
+            Event::QuantumLost {
+                at,
+                track: TRACK,
+                mode,
+                rate,
+                bits: payload_bits,
+            }
         });
         if delivered {
             self.stats.delivered += 1;
-            self.stats.payload_bits += (self.config.payload_bytes * 8) as f64;
+            self.stats.payload_bits += payload_bits;
             PacketOutcome::Delivered {
                 mode: option.mode,
                 rate: option.rate,
@@ -483,6 +496,73 @@ mod tests {
             replans,
             "centimeter jitter should not re-probe"
         );
+    }
+
+    /// Run `f` with event capture on; return the events it emitted.
+    fn captured(f: impl FnOnce()) -> Vec<Event> {
+        braidio_telemetry::set_enabled(true);
+        let _ = braidio_telemetry::take_events();
+        f();
+        let events = braidio_telemetry::take_events();
+        braidio_telemetry::set_enabled(false);
+        events.into_iter().map(|s| s.event).collect()
+    }
+
+    #[test]
+    fn maps_onto_the_telemetry_vocabulary() {
+        // Each packet is a quantum of 8 × payload bytes on the session's
+        // one track, delivered or lost.
+        let config = LiveConfig {
+            drop_chance: 0.3,
+            ..LiveConfig::default()
+        };
+        let payload_bits = (config.payload_bytes * 8) as f64;
+        let events = captured(|| {
+            let mut link = LiveLink::open(devices::APPLE_WATCH, devices::IPHONE_6S, config);
+            link.run_packets(200);
+        });
+        let (mut delivered, mut lost) = (0, 0);
+        for e in &events {
+            match *e {
+                Event::QuantumDelivered { track, bits, .. } => {
+                    assert_eq!((track, bits), (TRACK, payload_bits));
+                    delivered += 1;
+                }
+                Event::QuantumLost { track, bits, .. } => {
+                    assert_eq!((track, bits), (TRACK, payload_bits));
+                    lost += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            delivered > 0 && lost > 0,
+            "{delivered} delivered, {lost} lost"
+        );
+        // A down link is a failed re-plan, then a session dead for want of
+        // a viable mode.
+        let events = captured(|| {
+            let mut link = LiveLink::open(
+                devices::APPLE_WATCH,
+                devices::IPHONE_6S,
+                LiveConfig {
+                    distance: Meters::new(2000.0),
+                    ..LiveConfig::default()
+                },
+            );
+            assert_eq!(link.step(), PacketOutcome::LinkDown);
+        });
+        assert!(matches!(
+            events[..],
+            [
+                Event::Replan { planned: false, .. },
+                Event::SessionDead {
+                    track: TRACK,
+                    reason: DeathReason::NoViableMode,
+                    ..
+                }
+            ]
+        ));
     }
 
     #[test]

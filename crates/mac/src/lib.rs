@@ -16,8 +16,6 @@
 //!   coordinate (the Table 3 in-band weakness, quantified).
 //! * [`mobility`] — deterministic separation traces (static, linear walk,
 //!   bounded random walk) for dynamic-link experiments.
-//! * [`fsm`] — the §4.2 control protocol as a typed state machine
-//!   (status exchange → probe → plan → braid → fallback/recompute).
 //! * [`duty`] — daily sensor workloads: idle (wake-up receiver) power plus
 //!   per-bit transfer cost as a closed-form lifetime budget.
 //! * [`wakeup`] — the always-on passive wake-up receiver vs duty-cycled
@@ -32,7 +30,6 @@
 
 pub mod coexistence;
 pub mod duty;
-pub mod fsm;
 pub mod mobility;
 pub mod offload;
 pub mod probe;

@@ -1,8 +1,12 @@
 //! The event-driven fleet engine.
 //!
-//! Each traffic pair runs the §4.2 control protocol as a legal
-//! [`OffloadFsm`] event sequence — associate, exchange status, probe, braid,
-//! periodically re-plan — driven entirely by kernel events. Data moves in
+//! Each traffic pair runs the §4.2 control protocol — associate, exchange
+//! status, probe, braid, periodically re-plan — as a chain of kernel
+//! events, with its one lifecycle column ([`LinkPhase`]) as its state.
+//! Three runtime checks reject an out-of-order chain: every phase step
+//! `expect`s a legal [`lifecycle::step`], a delivered completion `expect`s
+//! its quantum in flight, and `Fleet::handle` drops every event of a
+//! session in a terminal phase. Data moves in
 //! *braid quanta* ([`FleetScenario::quantum_packets`] packets). Each
 //! installed plan is compiled once into a quantum recipe: the per-bit costs
 //! (plan costs plus the amortized Table 5 switching charge of
@@ -134,7 +138,6 @@ use crate::memo::ProbeMemo;
 use crate::metrics::{ChurnReport, FleetReport};
 use crate::scenario::FleetScenario;
 use braidio_mac::coexistence::ChannelRelation;
-use braidio_mac::fsm::{Event as FsmEvent, OffloadFsm, State as FsmState};
 use braidio_mac::mobility::MobilityTrace;
 use braidio_mac::offload::{solve_memo, OffloadPlan, OptionSet};
 use braidio_mac::sim::per_bit_costs;
@@ -374,7 +377,6 @@ impl QuantumRecipe {
 /// and [`Fleet::settle`] stores it. A delivered completion adds one
 /// quantum; a train adds every quantum it commits ahead and stores once.
 struct Tally {
-    fsm: OffloadFsm,
     battery: [Battery; 2],
     spent: [Joules; 2],
     carrier_time: [Seconds; 2],
@@ -388,9 +390,6 @@ impl Tally {
     /// bits when `at` is at or past `window_from`.
     #[inline(always)]
     fn add(&mut self, q: &PendingQuantum, at: Seconds, window_from: Seconds) {
-        self.fsm
-            .on(FsmEvent::PacketDelivered)
-            .expect("Braiding accepts PacketDelivered");
         for (side, e) in [q.e_tx, q.e_rx].into_iter().enumerate() {
             self.spent[side] += e;
             self.battery[side].draw(e);
@@ -437,7 +436,6 @@ struct Pairs {
     rx: Vec<usize>,
     pin: Vec<Option<Mode>>,
     sep: Vec<Separation>,
-    fsm: Vec<OffloadFsm>,
     /// The installed plan, compiled (`None` before the first install).
     recipe: Vec<Option<QuantumRecipe>>,
     pending: Vec<Option<PendingQuantum>>,
@@ -739,7 +737,6 @@ impl<'a> Fleet<'a> {
             rx: Vec::with_capacity(n),
             pin: Vec::with_capacity(n),
             sep: Vec::with_capacity(n),
-            fsm: Vec::with_capacity(n),
             recipe: vec![None; n],
             pending: vec![None; n],
             bits: vec![0.0; n],
@@ -781,7 +778,6 @@ impl<'a> Fleet<'a> {
             } else {
                 Separation::Fixed(devices.pos[p.tx].distance(devices.pos[p.rx]))
             });
-            pairs.fsm.push(OffloadFsm::new());
             // Phase accounting starts at the session's arrival (t = 0 for
             // closed pairs, which are born Live).
             pairs.phase_since.push(p.arrival.unwrap_or(Seconds::ZERO));
@@ -1220,9 +1216,6 @@ impl<'a> Fleet<'a> {
             at: now,
             track: telemetry::Track::Device(detector as u32),
         });
-        self.pairs.fsm[p]
-            .on(FsmEvent::Associated)
-            .expect("Init accepts Associated");
         let mut dt = Seconds::ZERO;
         if self.sc.control_overhead {
             // Status rides the active link at its top rate: each side sends
@@ -1247,9 +1240,6 @@ impl<'a> Fleet<'a> {
     }
 
     fn on_status_exchanged(&mut self, p: usize, now: Seconds) {
-        self.pairs.fsm[p]
-            .on(FsmEvent::StatusExchanged)
-            .expect("ExchangingStatus accepts StatusExchanged");
         // `None` means probing drained a battery; the pair is already killed.
         if let Some(airtime) = self.charge_probe_round(p, now) {
             self.schedule(now + airtime, p, Kind::ProbesDone);
@@ -1276,19 +1266,14 @@ impl<'a> Fleet<'a> {
     fn on_replan(&mut self, p: usize, now: Seconds) {
         self.pairs.replan_at[p] = None;
         // A replan scheduled before a cooldown can fire during the
-        // cooldown (the session is quiesced) or during the post-retry
-        // bring-up (the probe round under way supersedes it). Closed pairs
-        // braid from first plan to death, so this never fires for them.
-        if self.pairs.phase[p] == LinkPhase::Cooldown
-            || self.pairs.fsm[p].state() != FsmState::Braiding
-        {
+        // cooldown (the session is quiesced) or during the retry's probe
+        // round (the round under way supersedes it). Closed pairs braid
+        // from first plan to death, so this never fires for them.
+        if matches!(self.pairs.phase[p], LinkPhase::Cooldown | LinkPhase::Probe) {
             return;
         }
         let _span = telemetry::span("net.replan");
         self.replans += 1;
-        self.pairs.fsm[p]
-            .on(FsmEvent::RecomputeDue)
-            .expect("Braiding accepts RecomputeDue");
         // Re-plan probes are charged but modelled as instantaneous: the
         // braid's quantum in flight keeps the link busy while the control
         // exchange piggybacks (the bring-up probe round does take airtime).
@@ -1406,7 +1391,6 @@ impl<'a> Fleet<'a> {
         let (tx, rx) = (self.pairs.tx[p], self.pairs.rx[p]);
         let d = &self.devices;
         Tally {
-            fsm: self.pairs.fsm[p].clone(),
             battery: [d.battery[tx], d.battery[rx]],
             spent: [d.spent[tx], d.spent[rx]],
             carrier_time: [d.carrier_time[tx], d.carrier_time[rx]],
@@ -1419,7 +1403,6 @@ impl<'a> Fleet<'a> {
     /// Store `t` back into pair `p`'s and its devices' columns, the last
     /// quantum in it finished at `at`: a battery it emptied dies then.
     fn settle(&mut self, p: usize, t: Tally, at: Seconds) {
-        self.pairs.fsm[p] = t.fsm;
         self.pairs.bits[p] = t.bits;
         self.pairs.mode_bits[p] = t.mode_bits;
         // A closed fleet keeps no window (its `window_from` is infinite).
@@ -1499,15 +1482,6 @@ impl<'a> Fleet<'a> {
         // A Degrade-era backscatter pin does not survive the quiesce: the
         // retry re-plans from the scenario's own pin.
         self.pairs.pin[p] = self.sc.pairs[p].pinned_mode;
-        // The offload FSM needs to be back in Probing: it still sits there
-        // if the cooldown came from an empty probe round, but a cooldown
-        // entered on critical energy left it Braiding.
-        if self.pairs.fsm[p].state() == FsmState::Braiding {
-            self.pairs.fsm[p]
-                .on(FsmEvent::RecomputeDue)
-                .expect("Braiding accepts RecomputeDue");
-        }
-        debug_assert_eq!(self.pairs.fsm[p].state(), FsmState::Probing);
         if let Some(airtime) = self.charge_probe_round(p, now) {
             self.schedule(now + airtime, p, Kind::ProbesDone);
         }
@@ -1652,8 +1626,8 @@ impl<'a> Fleet<'a> {
                     primary: None,
                 });
             }
-            // The offload FSM stays in Probing; a quiesced link's lifecycle
-            // machine decides later whether to retry.
+            // A quiesced link's lifecycle machine decides later whether to
+            // retry.
             self.quiesce(p, PhaseEvent::ProbesEmpty, now);
             return false;
         }
@@ -1664,9 +1638,6 @@ impl<'a> Fleet<'a> {
             self.devices.battery[rx].remaining(),
         )
         .expect("non-empty options always yield a plan");
-        self.pairs.fsm[p]
-            .on(FsmEvent::ProbesOk)
-            .expect("Probing accepts ProbesOk");
         // Probe → Warm starts a fresh warm-up; in Warm/Live/Degrade a
         // successful replan is a self-loop.
         if self.pairs.phase[p] == LinkPhase::Probe {
@@ -1745,8 +1716,8 @@ impl<'a> Fleet<'a> {
     /// Commit pair `p`'s quanta ahead from `start`, each at its own finish
     /// time, while the next one [`trains`](QuantumRecipe::trains) and
     /// finishes strictly before `bound`. The columns live in one
-    /// [`Tally`] for the whole train; the window test and the FSM step
-    /// stay per quantum. Returns the instant the train ends and, when it
+    /// [`Tally`] for the whole train; the window test stays per quantum.
+    /// Returns the instant the train ends and, when it
     /// stopped at the bound, the finish time of the full quantum that
     /// starts there (each quantum's `finish_time` is asked once).
     fn train(
@@ -1937,9 +1908,6 @@ impl<'a> Fleet<'a> {
     fn kill(&mut self, p: usize, now: Seconds, reason: telemetry::DeathReason) {
         self.gains.set_live(p, false);
         if !self.pairs.phase[p].is_terminal() {
-            self.pairs.fsm[p]
-                .on(FsmEvent::BatteryDead)
-                .expect("live states accept BatteryDead");
             let ev = match reason {
                 telemetry::DeathReason::Departed => PhaseEvent::Departed,
                 telemetry::DeathReason::GaveUp => PhaseEvent::CooldownDrop,
@@ -2879,6 +2847,44 @@ mod tests {
         assert!(f.pairs.pending[0].is_some(), "the new quantum is untouched");
         let next = f.q.pop().expect("the new quantum completes");
         assert_eq!(next.event.kind, Kind::QuantumDone);
+    }
+
+    #[test]
+    fn a_replan_in_the_retry_probe_round_is_skipped() {
+        // A session quiesced on critical energy keeps its Replan queued.
+        // Its cooldown ends first, and the Replan lands inside the retry's
+        // probe round, before ProbesDone: the round under way supersedes
+        // it, so it charges nothing and counts no replan.
+        let mut sc = tiny_open(1.0, 1.0, 25.0, 30.0);
+        let churn = sc.churn.as_mut().expect("open");
+        churn.lifecycle.cooldown = Some(Seconds::new(1e-6));
+        let admit = churn.discovery.admission_at(0, Seconds::new(1.0));
+        let mut f = Fleet::new(&sc);
+        f.schedule(admit, 0, Kind::Associate);
+        let now = braid_pair_0(&mut f);
+        let queued = f.pairs.replan_at[0].expect("a replan is queued");
+        f.quiesce(0, PhaseEvent::EnergyCritical, now);
+        let retry = loop {
+            let ev = f.q.pop().expect("the cooldown ends");
+            assert!(ev.time < queued, "the queued Replan came first");
+            f.handle(ev.event, ev.time);
+            if ev.event.kind == Kind::CooldownDone {
+                break ev.time;
+            }
+        };
+        assert_eq!(f.pairs.phase[0], LinkPhase::Probe);
+        f.schedule(retry, 0, Kind::Replan);
+        let (spent, replans) = (f.devices.spent.clone(), f.replans);
+        let ev = f.q.pop().expect("the replan");
+        assert_eq!((ev.event.kind, ev.time), (Kind::Replan, retry));
+        f.handle(ev.event, ev.time);
+        assert_eq!(f.devices.spent, spent, "the replan charged energy");
+        assert_eq!(f.replans, replans, "the replan was counted");
+        assert_eq!(f.pairs.phase[0], LinkPhase::Probe);
+        let ev = f.q.pop().expect("the retry's probe round ends");
+        assert_eq!(ev.event.kind, Kind::ProbesDone);
+        f.handle(ev.event, ev.time);
+        assert_eq!(f.pairs.phase[0], LinkPhase::Warm);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Per-link session lifecycle: the phase machine behind dynamic fleets.
+//! Per-link session lifecycle: the one state machine of every fleet session.
 //!
-//! An *open* system — devices arriving, roaming, browning out, and leaving
-//! mid-run — needs a richer notion of "how alive is this link" than the
-//! protocol steps of [`braidio_mac::fsm::OffloadFsm`]. This module provides
-//! it as an explicit phase machine (after the `LinkPhase` exemplar in
+//! A session's §4.2 control loop (exchange status, probe, plan, braid,
+//! re-plan) and an *open* system's arrivals, brown-outs and departures
+//! share one notion of "how alive is this link". This module provides it
+//! as an explicit phase machine (after the `LinkPhase` exemplar in
 //! `strata`, SNIPPETS.md), and the engine runs every fleet on it:
 //!
 //! ```text
